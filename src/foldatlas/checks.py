@@ -13,12 +13,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IntegrationFailure
+from .errors import IntegrationFailure, PreconditionError
 from .foldfold import (
     EigvecLocation,
     FixedPointClass,
     demelo_palis,
     make_parameters,
+    normal_parameters,
     return_map_analysis,
     verdict_from_params,
 )
@@ -36,6 +37,7 @@ from .sliding import (
     sliding_region_class,
 )
 from .algebra import Poly3, VectorField3
+from .sigma import FoldFoldSubtype, TangencyType, tangency_type
 from .system import PiecewiseSystem, build_normal_form
 
 
@@ -727,6 +729,84 @@ def check_sliding_atlas(resolution=200):
             "; ".join(detail) if detail else "RE/RH/RP structures reproduced",
         )
     ]
+
+
+# ---------------------------------------------------------------------------
+# One concrete system
+
+
+def check_system(system, point, seed=0):
+    """Consistency checks for one concrete system at a two-fold candidate:
+    the classification, numeric involutivity of both fold maps and the
+    numeric return-map spectrum against the extracted normal parameters."""
+    cfg = IntegratorConfig(box=system.box)
+    results = []
+    try:
+        info = tangency_type(system, point)
+        is_two_fold = info.ttype is TangencyType.FOLD_FOLD
+        detail = info.ttype.value
+    except PreconditionError as exc:
+        is_two_fold = False
+        detail = str(exc)
+    results.append(
+        CheckResult("two-fold classification", is_two_fold, 0.0 if is_two_fold else 1.0,
+                    0.0, detail)
+    )
+    if not is_two_fold:
+        return results
+
+    rng = np.random.default_rng(seed)
+    for side in ("X", "Y"):
+        worst = 0.0
+        failures = 0
+        for _ in range(25):
+            q = (
+                point[0] + rng.uniform(-0.05, 0.05),
+                point[1] + rng.uniform(-0.05, 0.05),
+            )
+            try:
+                back = fold_map_numeric(
+                    system, side, fold_map_numeric(system, side, q, cfg), cfg
+                )
+                worst = max(worst, math.hypot(back[0] - q[0], back[1] - q[1]))
+            except IntegrationFailure:
+                failures += 1
+        passed = failures == 0 and worst <= 1e-6
+        results.append(
+            CheckResult(
+                f"{side}-fold involution", passed, worst, 1e-6,
+                f"{failures} failed flights" if failures else "",
+            )
+        )
+
+    params = normal_parameters(system, point)
+    try:
+        jac = jacobian_numeric(
+            lambda q: return_map_numeric(system, q, cfg),
+            (point[0], point[1]),
+            1e-3,
+        )
+        det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
+        results.append(
+            CheckResult("return-map determinant", abs(det - 1.0) <= 1e-6,
+                        abs(det - 1.0), 1e-6)
+        )
+        if params.subtype is FoldFoldSubtype.INVISIBLE:
+            analysis = return_map_analysis(params)
+            tr = jac[0, 0] + jac[1, 1]
+            results.append(
+                CheckResult(
+                    "return-map trace vs normal parameters",
+                    abs(tr - analysis.trace) <= 1e-3,
+                    abs(tr - analysis.trace),
+                    1e-3,
+                )
+            )
+    except IntegrationFailure as exc:
+        results.append(
+            CheckResult("return-map spectrum", False, 1.0, 0.0, str(exc))
+        )
+    return results
 
 
 # ---------------------------------------------------------------------------

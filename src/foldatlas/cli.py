@@ -11,9 +11,7 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
@@ -26,12 +24,11 @@ from .foldfold import (
     make_parameters,
     normal_parameters,
     report_from_params,
-    return_map_analysis,
+    return_map_analysis,  # noqa: F401  bound here for perfbench's binding test
     stability_verdict,
 )
 from .integrator import IntegratorConfig, filippov_trajectory
 from .sigma import SigmaKind, classify_point, default_tolerance, tangency_type
-from .sliding import sliding_region_class
 from .system import Box, load_system, validate
 
 
@@ -177,16 +174,15 @@ class SweepSpec:
 
 
 def _sweep_row(alpha, beta, gamma, delta):
-    params = make_parameters(alpha, beta, gamma, delta)
-    tag = sliding_region_class(params)
+    report = report_from_params(make_parameters(alpha, beta, gamma, delta))
+    tag = report.region
+    analysis = report.analysis  # set exactly for invisible two-folds
     fp_class = ""
     tau = ""
-    if params.subtype.value == "invisible":
-        analysis = return_map_analysis(params)
+    if analysis is not None:
         fp_class = analysis.fixed_point_class.value
         if analysis.fixed_point_class is FixedPointClass.NONHYPERBOLIC_COMPLEX:
             tau = repr(analysis.tau)
-    report = report_from_params(params)
     verdict = report.verdict
     reason = verdict.reason.kind.value if verdict.reason else ""
     return (
@@ -198,18 +194,10 @@ def _sweep_row(alpha, beta, gamma, delta):
 def run_sweep(spec):
     alphas = np.linspace(*spec.alpha[:2], spec.alpha[2])
     betas = np.linspace(*spec.beta[:2], spec.beta[2])
-    cells = [(float(a), float(b)) for a in alphas for b in betas]
-    threads = max(1, int(os.environ.get("TOOL_THREADS", "1") or "1"))
     header = "alpha,beta,gamma,delta,region,claim,fixed_point_class,verdict,reason,tau"
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(
-                pool.map(
-                    lambda ab: _sweep_row(ab[0], ab[1], spec.gamma, spec.delta), cells
-                )
-            )
-    else:
-        rows = [_sweep_row(a, b, spec.gamma, spec.delta) for a, b in cells]
+    rows = [
+        _sweep_row(float(a), float(b), spec.gamma, spec.delta) for a in alphas for b in betas
+    ]
     return header + "\n" + "\n".join(rows) + "\n"
 
 
@@ -251,93 +239,14 @@ def cmd_simulate(args):
 # verify
 
 
-def _system_checks(path, point_text, seed):
-    """Consistency checks for one concrete system at a two-fold candidate."""
-    import numpy as np
-    from .checks import CheckResult
-    from .errors import IntegrationFailure, PreconditionError
-    from .foldfold import FoldFoldSubtype
-    from .integrator import fold_map_numeric, jacobian_numeric, return_map_numeric
-    from .sigma import TangencyType
-
-    system = _read_system(path)
-    point = _parse_floats(point_text, 3, "--point") if point_text else (0.0, 0.0, 0.0)
-    cfg = IntegratorConfig(box=system.box)
-    results = []
-    try:
-        info = tangency_type(system, point)
-        is_two_fold = info.ttype is TangencyType.FOLD_FOLD
-        detail = info.ttype.value
-    except PreconditionError as exc:
-        is_two_fold = False
-        detail = str(exc)
-    results.append(
-        CheckResult("two-fold classification", is_two_fold, 0.0 if is_two_fold else 1.0,
-                    0.0, detail)
-    )
-    if not is_two_fold:
-        return results
-
-    rng = np.random.default_rng(seed)
-    for side in ("X", "Y"):
-        worst = 0.0
-        failures = 0
-        for _ in range(25):
-            q = (
-                point[0] + rng.uniform(-0.05, 0.05),
-                point[1] + rng.uniform(-0.05, 0.05),
-            )
-            try:
-                back = fold_map_numeric(
-                    system, side, fold_map_numeric(system, side, q, cfg), cfg
-                )
-                worst = max(worst, math.hypot(back[0] - q[0], back[1] - q[1]))
-            except IntegrationFailure:
-                failures += 1
-        passed = failures == 0 and worst <= 1e-6
-        results.append(
-            CheckResult(
-                f"{side}-fold involution", passed, worst, 1e-6,
-                f"{failures} failed flights" if failures else "",
-            )
-        )
-
-    params = normal_parameters(system, point)
-    try:
-        jac = jacobian_numeric(
-            lambda q: return_map_numeric(system, q, cfg),
-            (point[0], point[1]),
-            1e-3,
-        )
-        det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
-        results.append(
-            CheckResult("return-map determinant", abs(det - 1.0) <= 1e-6,
-                        abs(det - 1.0), 1e-6)
-        )
-        if params.subtype is FoldFoldSubtype.INVISIBLE:
-            analysis = return_map_analysis(params)
-            tr = jac[0, 0] + jac[1, 1]
-            results.append(
-                CheckResult(
-                    "return-map trace vs normal parameters",
-                    abs(tr - analysis.trace) <= 1e-3,
-                    abs(tr - analysis.trace),
-                    1e-3,
-                )
-            )
-    except IntegrationFailure as exc:
-        results.append(
-            CheckResult("return-map spectrum", False, 1.0, 0.0, str(exc))
-        )
-    return results
-
-
 def cmd_verify(args):
     if args.suite == "none" and not args.system:
         print("no checks selected")
         return 0
     if args.system:
-        results = _system_checks(args.system, args.point, args.seed)
+        system = _read_system(args.system)
+        point = _parse_floats(args.point, 3, "--point") if args.point else (0.0, 0.0, 0.0)
+        results = checks.check_system(system, point, args.seed)
         if args.suite not in ("all", "none"):
             results += checks.run_suites([args.suite], scale=args.scale, seed=args.seed)
     else:

@@ -36,20 +36,17 @@ from .sigma import (
     tangency_type,
 )
 from .sliding import (
+    BOUNDARY_BAND,
     SlidingRegionTag,
     classify_hyperbolic_region,
     classify_parabolic_region,
+    eigenvector,
     linear_eigensystem,
     mirror_visible_invisible,
+    near,
     normalized_sliding_field,
     sliding_region_class,
 )
-
-BOUNDARY_BAND = 1e-9
-
-
-def _near(u, v, rel=BOUNDARY_BAND):
-    return abs(u - v) <= rel * (1.0 + abs(u) + abs(v))
 
 
 @dataclass(frozen=True)
@@ -162,15 +159,6 @@ class ReturnMapAnalysis:
     location_expanding: EigvecLocation | None = None
 
 
-def _eigvec(m, lam):
-    r1 = (m[0, 0] - lam, m[0, 1])
-    r2 = (m[1, 0], m[1, 1] - lam)
-    row = r1 if r1[0] ** 2 + r1[1] ** 2 >= r2[0] ** 2 + r2[1] ** 2 else r2
-    v = np.array([-row[1], row[0]])
-    n = np.linalg.norm(v)
-    return v / n if n > 0 else np.array([1.0, 0.0])
-
-
 def _locate(v, rel=BOUNDARY_BAND):
     """Quadrant of an eigendirection in the chart where the crossing region
     is {x*y < 0} and the sliding region is {x*y > 0}."""
@@ -194,11 +182,11 @@ def return_map_analysis(params, rel=BOUNDARY_BAND):
     m = ax @ ay
     trace = m[0, 0] + m[1, 1]
     det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    if _near(trace, 2.0, rel):
+    if near(trace, 2.0, rel):
         return ReturnMapAnalysis(
             m, trace, det, (complex(1.0), complex(1.0)), FixedPointClass.NONHYPERBOLIC_UNIT
         )
-    if _near(trace, -2.0, rel):
+    if near(trace, -2.0, rel):
         return ReturnMapAnalysis(
             m,
             trace,
@@ -216,8 +204,8 @@ def return_map_analysis(params, rel=BOUNDARY_BAND):
     s = math.sqrt(trace * trace - 4.0)
     big = math.copysign((abs(trace) + s) / 2.0, trace)
     small = math.copysign(2.0 / (abs(trace) + s), trace)
-    v_small = _eigvec(m, small)
-    v_big = _eigvec(m, big)
+    v_small = eigenvector(m, small)
+    v_big = eigenvector(m, big)
     return ReturnMapAnalysis(
         m,
         trace,
@@ -434,7 +422,7 @@ def _parabolic_core_verdict(params, original, rel):
             params=original,
         )
     coeffs = parabolic_transversality(params)
-    if _near(a, 0.0, rel):
+    if near(a, 0.0, rel):
         return StabilityVerdict(
             VerdictKind.UNSTABLE,
             reason=Reason(
@@ -444,7 +432,7 @@ def _parabolic_core_verdict(params, original, rel):
             ),
             params=original,
         )
-    if _near(coeffs.T_coeff, 0.0, rel):
+    if near(coeffs.T_coeff, 0.0, rel):
         return StabilityVerdict(
             VerdictKind.UNSTABLE,
             reason=Reason(
@@ -454,7 +442,7 @@ def _parabolic_core_verdict(params, original, rel):
             ),
             params=original,
         )
-    if a > 0.0 and _near(a + b, 0.0, rel):
+    if a > 0.0 and near(a + b, 0.0, rel):
         return StabilityVerdict(
             VerdictKind.UNSTABLE,
             reason=Reason(
@@ -606,7 +594,7 @@ def connection_region(params, rel=BOUNDARY_BAND):
         raise PreconditionError("connection region applies to parabolic two-folds")
     a = params.alpha
     direction = (-2.0 * a, -1.0)
-    if _near(a, 0.0, rel):
+    if near(a, 0.0, rel):
         return ConnectionReport(
             exists=None,
             degenerate=True,

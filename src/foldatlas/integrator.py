@@ -60,11 +60,22 @@ class IntegratorConfig:
 
 
 class FlightStatus(Enum):
+    """How a flight or a trajectory segment ended.
+
+    HIT_SIGMA means a terminal event fired (for free flights, the return to
+    the plane); the other members end a flight without an event or end a
+    Filippov segment.
+    """
+
     HIT_SIGMA = "hit-sigma"
+    MODE_SWITCH = "mode-switch"
     LEFT_BOX = "left-box"
     TIME_OUT = "time-out"
     NO_RETURN = "no-return"
     STEP_LIMIT = "step-limit"
+    REACHED_TANGENCY = "reached-tangency"
+    DENOMINATOR_BLOWUP = "denominator-blowup"
+    UNSTABLE_SLIDING = "unstable-sliding"
 
 
 @dataclass
@@ -72,7 +83,7 @@ class FlightResult:
     status: FlightStatus
     point: tuple | None = None
     time: float = 0.0
-    samples: list | None = None
+    event: str | None = None  # name of the event that fired, on HIT_SIGMA
 
     def ok(self):
         return self.status is FlightStatus.HIT_SIGMA
@@ -212,14 +223,6 @@ def _refine_event(f, event, y_left, k_left, h, g_right, cfg):
     return best
 
 
-@dataclass
-class _Outcome:
-    status: str  # "event" | "left-box" | "time-out" | "step-limit"
-    t: float
-    y: tuple
-    event: str | None = None
-
-
 def _integrate(f, y0, cfg, events, t_limit, outside=None, h0=None, collect=None):
     """Drive the stepper until an event, a guard violation, or the horizon."""
     y = tuple(float(v) for v in y0)
@@ -234,13 +237,13 @@ def _integrate(f, y0, cfg, events, t_limit, outside=None, h0=None, collect=None)
     steps = 0
     while True:
         if t_limit - t <= 1e-15 * max(1.0, t_limit):
-            return _Outcome("time-out", t, y)
+            return FlightResult(FlightStatus.TIME_OUT, y, t)
         steps += 1
         if steps > cfg.max_steps:
-            return _Outcome("step-limit", t, y)
+            return FlightResult(FlightStatus.STEP_LIMIT, y, t)
         h = min(h, t_limit - t)
         if h < 1e-15:
-            return _Outcome("time-out", t, y)
+            return FlightResult(FlightStatus.TIME_OUT, y, t)
         y_new, k_last, err = _rk_step(f, y, h, k1)
         err_norm = _error_norm(err, y, y_new, cfg.abs_tol, cfg.rel_tol)
         if err_norm > 1.0:
@@ -273,11 +276,11 @@ def _integrate(f, y0, cfg, events, t_limit, outside=None, h0=None, collect=None)
             t_ev = t + dt
             if collect is not None:
                 collect.append((t_ev, y_ev))
-            return _Outcome("event", t_ev, y_ev, event=ev.name)
+            return FlightResult(FlightStatus.HIT_SIGMA, y_ev, t_ev, ev.name)
         if outside is not None and outside(y_new):
             if collect is not None:
                 collect.append((t + h, y_new))
-            return _Outcome("left-box", t + h, y_new)
+            return FlightResult(FlightStatus.LEFT_BOX, y_new, t + h)
         t += h
         y = y_new
         k1 = k_last
@@ -306,7 +309,7 @@ def _guard_outside(center, radius):
     return outside
 
 
-def integrate_to_sigma(field, q0, direction, cfg=None, collect=False, h0=None):
+def integrate_to_sigma(field, q0, direction, cfg=None, h0=None):
     """First return of the orbit through ``q0`` (on {z=0}) to the plane.
 
     ``direction`` is +1 for an excursion into {z > 0}, -1 for {z < 0}.  If
@@ -329,9 +332,8 @@ def integrate_to_sigma(field, q0, direction, cfg=None, collect=False, h0=None):
             return FlightResult(FlightStatus.NO_RETURN, time=0.0)
     f = field.compiled()
     ev = _Event("sigma", lambda y: y[2], arm_eps=1e-13, expected_sign=direction)
-    samples = [] if collect else None
     radius = 1.5 * max(cfg.box.scale(), 1e-6)
-    out = _integrate(
+    return _integrate(
         f,
         (q0[0], q0[1], 0.0),
         cfg,
@@ -339,16 +341,7 @@ def integrate_to_sigma(field, q0, direction, cfg=None, collect=False, h0=None):
         t_limit=cfg.max_time,
         outside=_guard_outside((q0[0], q0[1], 0.0), radius),
         h0=h0,
-        collect=samples,
     )
-    if out.status == "event":
-        return FlightResult(FlightStatus.HIT_SIGMA, out.y, out.t, samples)
-    status = {
-        "left-box": FlightStatus.LEFT_BOX,
-        "time-out": FlightStatus.TIME_OUT,
-        "step-limit": FlightStatus.STEP_LIMIT,
-    }[out.status]
-    return FlightResult(status, out.y, out.t, samples)
 
 
 def _fold_side(system, side):
@@ -429,23 +422,12 @@ class Mode(Enum):
     SLIDING = "sliding"
 
 
-class SegmentEnd(Enum):
-    HIT_SIGMA = "hit-sigma"
-    MODE_SWITCH = "mode-switch"
-    LEFT_BOX = "left-box"
-    TIME_OUT = "time-out"
-    REACHED_TANGENCY = "reached-tangency"
-    DENOMINATOR_BLOWUP = "denominator-blowup"
-    UNSTABLE_SLIDING = "unstable-sliding"
-    STEP_LIMIT = "step-limit"
-
-
 @dataclass
 class TrajectorySegment:
     mode: Mode
     times: np.ndarray
     points: np.ndarray  # (n, 3)
-    terminal: SegmentEnd
+    terminal: FlightStatus
 
 
 @dataclass
@@ -453,21 +435,6 @@ class Trajectory:
     segments: list = field(default_factory=list)
     status: str = ""
     total_time: float = 0.0
-
-    def final_point(self):
-        if not self.segments:
-            return None
-        return tuple(self.segments[-1].points[-1])
-
-
-_TERMINAL_ENDS = {
-    SegmentEnd.LEFT_BOX,
-    SegmentEnd.TIME_OUT,
-    SegmentEnd.REACHED_TANGENCY,
-    SegmentEnd.DENOMINATOR_BLOWUP,
-    SegmentEnd.UNSTABLE_SLIDING,
-    SegmentEnd.STEP_LIMIT,
-}
 
 
 def _tangency_exit(system, q3, tol):
@@ -493,24 +460,22 @@ def _tangency_exit(system, q3, tol):
     return None
 
 
-def _initial_mode(system, p0, tol):
-    z = p0[2]
-    if z > tol:
-        return Mode.FLOW_PLUS, None
-    if z < -tol:
-        return Mode.FLOW_MINUS, None
-    xf = system.xf.eval_at(p0)
-    yf = system.yf.eval_at(p0)
+def _mode_on_sigma(system, q3, tol):
+    """Mode that follows the point ``q3`` of the plane, as ``(mode, None)``,
+    or ``(None, status)`` when the trajectory stops there."""
+    xf = system.xf.eval_at(q3)
+    yf = system.yf.eval_at(q3)
     if abs(xf) <= tol or abs(yf) <= tol:
-        mode = _tangency_exit(system, p0, tol)
-        return mode, SegmentEnd.REACHED_TANGENCY if mode is None else None
-    if xf > tol and yf > tol:
+        mode = _tangency_exit(system, q3, tol)
+        return mode, FlightStatus.REACHED_TANGENCY if mode is None else None
+    if xf > 0.0 and yf > 0.0:
         return Mode.FLOW_PLUS, None
-    if xf < -tol and yf < -tol:
+    if xf < 0.0 and yf < 0.0:
         return Mode.FLOW_MINUS, None
-    if xf < -tol and yf > tol:
+    if xf < 0.0 < yf:
         return Mode.SLIDING, None
-    return None, SegmentEnd.UNSTABLE_SLIDING
+    # Unstable sliding: forward time never enters it.
+    return None, FlightStatus.UNSTABLE_SLIDING
 
 
 def filippov_trajectory(system, p0, horizon, cfg=None, max_segments=2000):
@@ -535,17 +500,16 @@ def filippov_trajectory(system, p0, horizon, cfg=None, max_segments=2000):
     den_floor = 1e-9 * (1.0 + system.coeff_scale())
     traj = Trajectory()
     p = (float(p0[0]), float(p0[1]), float(p0[2]))
-    mode, stop = _initial_mode(system, p, tol)
+    if p[2] > tol:
+        mode, stop = Mode.FLOW_PLUS, None
+    elif p[2] < -tol:
+        mode, stop = Mode.FLOW_MINUS, None
+    else:
+        mode, stop = _mode_on_sigma(system, p, tol)
     if mode is None:
-        traj.status = (stop or SegmentEnd.REACHED_TANGENCY).value
-        traj.segments.append(
-            TrajectorySegment(
-                Mode.SLIDING if stop is SegmentEnd.UNSTABLE_SLIDING else Mode.FLOW_PLUS,
-                np.array([0.0]),
-                np.array([p]),
-                stop or SegmentEnd.REACHED_TANGENCY,
-            )
-        )
+        marker = Mode.SLIDING if stop is FlightStatus.UNSTABLE_SLIDING else Mode.FLOW_PLUS
+        _append_marker(traj, 0.0, p, marker, stop)
+        traj.status = stop.value
         return traj
 
     t_now = 0.0
@@ -560,7 +524,7 @@ def filippov_trajectory(system, p0, horizon, cfg=None, max_segments=2000):
     while len(traj.segments) < max_segments:
         remaining = horizon - t_now
         if remaining <= 1e-14 * max(1.0, horizon):
-            _append_marker(traj, t_now, p, mode, SegmentEnd.TIME_OUT)
+            _append_marker(traj, t_now, p, mode, FlightStatus.TIME_OUT)
             break
         if mode in (Mode.FLOW_PLUS, Mode.FLOW_MINUS):
             fld = system.X if mode is Mode.FLOW_PLUS else system.Y
@@ -578,8 +542,12 @@ def filippov_trajectory(system, p0, horizon, cfg=None, max_segments=2000):
             )
             seg_end, next_mode = _flight_outcome(system, out, tol)
             _append_segment(traj, t_now, samples, mode, seg_end)
-            t_now += out.t
-            p = (out.y[0], out.y[1], 0.0 if seg_end is SegmentEnd.MODE_SWITCH else out.y[2])
+            t_now += out.time
+            p = (
+                out.point[0],
+                out.point[1],
+                0.0 if seg_end is FlightStatus.MODE_SWITCH else out.point[2],
+            )
             if next_mode is None:
                 break
             mode = next_mode
@@ -616,16 +584,16 @@ def filippov_trajectory(system, p0, horizon, cfg=None, max_segments=2000):
                 collect=samples,
             )
             samples3 = [(t, (y[0], y[1], 0.0)) for t, y in samples]
-            q3 = (out.y[0], out.y[1], 0.0)
+            q3 = (out.point[0], out.point[1], 0.0)
             seg_end, next_mode = _sliding_outcome(system, out, q3, tol)
             _append_segment(traj, t_now, samples3, Mode.SLIDING, seg_end)
-            t_now += out.t
+            t_now += out.time
             p = q3
             if next_mode is None:
                 break
             mode = next_mode
     else:
-        traj.status = SegmentEnd.STEP_LIMIT.value
+        traj.status = FlightStatus.STEP_LIMIT.value
         traj.total_time = t_now
         return traj
 
@@ -635,49 +603,27 @@ def filippov_trajectory(system, p0, horizon, cfg=None, max_segments=2000):
 
 
 def _flight_outcome(system, out, tol):
-    if out.status == "left-box":
-        return SegmentEnd.LEFT_BOX, None
-    if out.status == "time-out":
-        return SegmentEnd.TIME_OUT, None
-    if out.status == "step-limit":
-        return SegmentEnd.STEP_LIMIT, None
-    q3 = (out.y[0], out.y[1], 0.0)
-    xf = system.xf.eval_at(q3)
-    yf = system.yf.eval_at(q3)
-    if abs(xf) <= tol or abs(yf) <= tol:
-        exit_mode = _tangency_exit(system, q3, tol)
-        if exit_mode is None:
-            return SegmentEnd.REACHED_TANGENCY, None
-        return SegmentEnd.MODE_SWITCH, exit_mode
-    if xf > 0.0 and yf > 0.0:
-        return SegmentEnd.MODE_SWITCH, Mode.FLOW_PLUS
-    if xf < 0.0 and yf < 0.0:
-        return SegmentEnd.MODE_SWITCH, Mode.FLOW_MINUS
-    if xf < 0.0 < yf:
-        return SegmentEnd.MODE_SWITCH, Mode.SLIDING
-    # Unstable sliding cannot be reached by a forward flight; defensive stop.
-    return SegmentEnd.UNSTABLE_SLIDING, None
+    if out.status is not FlightStatus.HIT_SIGMA:
+        return out.status, None
+    mode, stop = _mode_on_sigma(system, (out.point[0], out.point[1], 0.0), tol)
+    return (FlightStatus.MODE_SWITCH, mode) if stop is None else (stop, None)
 
 
 def _sliding_outcome(system, out, q3, tol):
-    if out.status == "left-box":
-        return SegmentEnd.LEFT_BOX, None
-    if out.status == "time-out":
-        return SegmentEnd.TIME_OUT, None
-    if out.status == "step-limit":
-        return SegmentEnd.STEP_LIMIT, None
+    if out.status is not FlightStatus.HIT_SIGMA:
+        return out.status, None
     if out.event == "den":
         xf = system.xf.eval_at(q3)
         yf = system.yf.eval_at(q3)
         near_tangency = abs(xf) <= 10 * tol and abs(yf) <= 10 * tol
         return (
-            SegmentEnd.REACHED_TANGENCY if near_tangency else SegmentEnd.DENOMINATOR_BLOWUP,
+            FlightStatus.REACHED_TANGENCY if near_tangency else FlightStatus.DENOMINATOR_BLOWUP,
             None,
         )
     exit_mode = _tangency_exit(system, q3, tol)
     if exit_mode is None:
-        return SegmentEnd.REACHED_TANGENCY, None
-    return SegmentEnd.MODE_SWITCH, exit_mode
+        return FlightStatus.REACHED_TANGENCY, None
+    return FlightStatus.MODE_SWITCH, exit_mode
 
 
 def _append_segment(traj, t_offset, samples, mode, terminal):
@@ -691,7 +637,7 @@ def _append_segment(traj, t_offset, samples, mode, terminal):
 def _append_marker(traj, t_now, p, mode, terminal):
     traj.segments.append(
         TrajectorySegment(
-            mode or Mode.FLOW_PLUS,
+            mode,
             np.array([t_now]),
             np.array([list(p)]),
             terminal,

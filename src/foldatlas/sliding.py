@@ -101,6 +101,17 @@ class EigenSystem:
     vectors: list | None  # real eigenvectors (unit), or None when complex
 
 
+def eigenvector(m, lam):
+    """Unit eigenvector of the 2x2 matrix ``m`` for its real eigenvalue
+    ``lam``, taken orthogonal to the larger row of ``m - lam*I``."""
+    r1 = (m[0, 0] - lam, m[0, 1])
+    r2 = (m[1, 0], m[1, 1] - lam)
+    row = r1 if r1[0] ** 2 + r1[1] ** 2 >= r2[0] ** 2 + r2[1] ** 2 else r2
+    v = np.array([-row[1], row[0]])
+    n = np.linalg.norm(v)
+    return v / n if n > 0 else np.array([1.0, 0.0])
+
+
 def linear_eigensystem(matrix):
     """Eigenvalues/eigenvectors of a real 2x2 matrix in closed form."""
     m = np.asarray(matrix, dtype=float)
@@ -119,15 +130,10 @@ def linear_eigensystem(matrix):
     # The smaller root via the product avoids cancellation for |t| >> 1.
     small = d / big if big != 0.0 else (t - s) / 2.0
     vals = sorted((small, big))
-    vecs = []
-    for lam in vals:
-        r1 = (m[0, 0] - lam, m[0, 1])
-        r2 = (m[1, 0], m[1, 1] - lam)
-        row = r1 if r1[0] ** 2 + r1[1] ** 2 >= r2[0] ** 2 + r2[1] ** 2 else r2
-        v = np.array([-row[1], row[0]])
-        n = np.linalg.norm(v)
-        vecs.append(v / n if n > 0 else np.array([1.0, 0.0]))
-    return EigenSystem(values=(complex(vals[0]), complex(vals[1])), vectors=vecs)
+    return EigenSystem(
+        values=(complex(vals[0]), complex(vals[1])),
+        vectors=[eigenvector(m, lam) for lam in vals],
+    )
 
 
 def foldfold_sliding_linearization(params):
@@ -192,7 +198,8 @@ _TAG_TO_CLAIM = {
 BOUNDARY_BAND = 1e-9
 
 
-def _near(u, v, rel):
+def near(u, v, rel):
+    """True when ``u`` and ``v`` agree within the relative band ``rel``."""
     return abs(u - v) <= rel * (1.0 + abs(u) + abs(v))
 
 
@@ -200,7 +207,7 @@ def classify_elliptic_region(alpha, beta, gamma, rel=BOUNDARY_BAND):
     """Region for gamma > 0: RE1 = {alpha*beta > gamma, alpha < 0, beta < 0},
     RE2 = complement of its closure."""
     ab = alpha * beta
-    if _near(ab, gamma, rel):
+    if near(ab, gamma, rel):
         # Only the alpha < 0 branch of the hyperbola bounds RE1.
         return SlidingRegionTag.BIFURCATION_BOUNDARY if alpha < 0 else SlidingRegionTag.RE2
     if ab > gamma:
@@ -212,7 +219,7 @@ def classify_hyperbolic_region(alpha, beta, gamma, rel=BOUNDARY_BAND):
     """Region for gamma < 0: RH1 = {alpha*beta < gamma, alpha > 0, beta < 0},
     RH2 = complement of its closure."""
     ab = alpha * beta
-    if _near(ab, gamma, rel):
+    if near(ab, gamma, rel):
         return SlidingRegionTag.BIFURCATION_BOUNDARY if alpha > 0 else SlidingRegionTag.RH2
     if ab < gamma:
         return SlidingRegionTag.RH1 if alpha > 0 else SlidingRegionTag.RH2
@@ -225,10 +232,10 @@ def classify_parabolic_region(alpha, beta, gamma, rel=BOUNDARY_BAND):
     root = 2.0 * math.sqrt(-gamma)
     w = (beta - alpha) + root  # > 0 means beta - alpha > -2 sqrt(-gamma)
     v = alpha + beta
-    s_boundary = _near(ab, gamma, rel)
-    w_boundary = _near(beta - alpha, -root, rel)
-    v_boundary = _near(v, 0.0, rel)
-    u_boundary = _near(alpha, 0.0, rel)
+    s_boundary = near(ab, gamma, rel)
+    w_boundary = near(beta - alpha, -root, rel)
+    v_boundary = near(v, 0.0, rel)
+    u_boundary = near(alpha, 0.0, rel)
     if not s_boundary and ab < gamma:
         if not w_boundary and w > 0.0:
             return SlidingRegionTag.RP1

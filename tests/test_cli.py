@@ -3,6 +3,9 @@ import json
 import pytest
 
 from foldatlas.cli import main
+from foldatlas.foldfold import FixedPointClass, make_parameters, return_map_analysis
+from foldatlas.sigma import FoldFoldSubtype
+from foldatlas.sliding import sliding_region_class
 from foldatlas.system import build_normal_form, serialize_system
 
 
@@ -104,15 +107,23 @@ class TestSweep:
         assert main(["sweep", "--alpha", "3:1:5", "--beta", "-1:1:5", "--gamma", "1"]) == 2
         assert main(["sweep", "--alpha", "-1:1:1", "--beta", "-1:1:5", "--gamma", "1"]) == 2
 
-    def test_threads_env_same_output(self, tmp_path, monkeypatch):
-        args = ["sweep", "--alpha", "-2:2:5", "--beta", "-2:2:5", "--gamma", "-1",
-                "--delta", "-1"]
-        out1 = tmp_path / "a.csv"
-        main(args + ["--out", str(out1)])
-        monkeypatch.setenv("TOOL_THREADS", "4")
-        out2 = tmp_path / "b.csv"
-        main(args + ["--out", str(out2)])
-        assert out1.read_text() == out2.read_text()
+    @pytest.mark.parametrize("gamma,delta", [(1, -1), (-1, 1), (-1, -1), (1, 1)])
+    def test_columns_match_closed_form(self, tmp_path, gamma, delta):
+        out = tmp_path / "grid.csv"
+        assert main(["sweep", "--alpha", "-3:3:9", "--beta", "-3:3:9", "--gamma",
+                     str(gamma), "--delta", str(delta), "--out", str(out)]) == 0
+        rows = [l.split(",") for l in out.read_text().strip().splitlines()[1:]]
+        assert len(rows) == 81
+        for row in rows:
+            params = make_parameters(float(row[0]), float(row[1]), gamma, delta)
+            assert row[4] == sliding_region_class(params).value
+            fp_class, tau = "", ""
+            if params.subtype is FoldFoldSubtype.INVISIBLE:
+                analysis = return_map_analysis(params)
+                fp_class = analysis.fixed_point_class.value
+                if analysis.fixed_point_class is FixedPointClass.NONHYPERBOLIC_COMPLEX:
+                    tau = repr(analysis.tau)
+            assert (row[6], row[9]) == (fp_class, tau)
 
 
 class TestSimulate:

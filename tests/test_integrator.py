@@ -10,7 +10,6 @@ from foldatlas.integrator import (
     FlightStatus,
     IntegratorConfig,
     Mode,
-    SegmentEnd,
     filippov_trajectory,
     fold_map_numeric,
     integrate_to_sigma,
@@ -86,6 +85,12 @@ class TestFoldMap:
         system = build_normal_form(0.5, 0.5, -1.0, 1.0)  # X fold visible
         with pytest.raises(IntegrationFailure):
             fold_map_numeric(system, "X", (0.0, -0.05), CFG)
+
+    def test_failure_status_is_flight_status(self):
+        system = build_normal_form(0.5, 0.5, -1.0, 1.0)  # X fold visible
+        with pytest.raises(IntegrationFailure) as info:
+            fold_map_numeric(system, "X", (0.0, -0.05), CFG)
+        assert isinstance(info.value.status, FlightStatus)
 
 
 class TestReturnMap:
@@ -179,7 +184,7 @@ class TestTrajectory:
         system = build_normal_form(-1.0, -1.0, 1.0, -1.0)
         q0 = (0.05, -0.04, 0.0)  # crossing: Xf = 0.04 > 0, Yf = 0.05 > 0
         traj = filippov_trajectory(system, q0, 10.0, CFG)
-        hits = [seg.points[-1] for seg in traj.segments if seg.terminal is SegmentEnd.MODE_SWITCH]
+        hits = [seg.points[-1] for seg in traj.segments if seg.terminal is FlightStatus.MODE_SWITCH]
         phi_x = fold_map_numeric(system, "X", (q0[0], q0[1]), CFG)
         assert hits[0][0] == pytest.approx(phi_x[0], abs=1e-8)
         assert hits[0][1] == pytest.approx(phi_x[1], abs=1e-8)
@@ -190,12 +195,23 @@ class TestTrajectory:
     def test_never_hits_sigma(self):
         Z = PiecewiseSystem(const_field(0, 0, 1), const_field(0, 1, 1))
         traj = filippov_trajectory(Z, (0.0, 0.0, 0.5), 2.0, CFG)
-        assert traj.segments[-1].terminal in (SegmentEnd.LEFT_BOX, SegmentEnd.TIME_OUT)
+        assert traj.segments[-1].terminal in (FlightStatus.LEFT_BOX, FlightStatus.TIME_OUT)
 
     def test_unstable_sliding_start_flagged(self):
         system = build_normal_form(-1.0, -1.0, 1.0, -1.0)
         traj = filippov_trajectory(system, (-0.5, -0.5, 0.0), 2.0, CFG)
-        assert traj.status == SegmentEnd.UNSTABLE_SLIDING.value
+        assert traj.status == FlightStatus.UNSTABLE_SLIDING.value
+
+    def test_start_at_two_fold_reaches_tangency(self):
+        system = build_normal_form(-1.0, -1.0, 1.0, -1.0)
+        traj = filippov_trajectory(system, (0.0, 0.0, 0.0), 2.0, CFG)
+        assert traj.status == FlightStatus.REACHED_TANGENCY.value
+        assert len(traj.segments) == 1
+        seg = traj.segments[0]
+        assert seg.terminal is FlightStatus.REACHED_TANGENCY
+        assert seg.times.tolist() == [0.0]
+        assert seg.points.tolist() == [[0.0, 0.0, 0.0]]
+        assert traj.total_time == 0.0
 
     def test_reverse_time_enters_unstable_sliding(self):
         system = build_normal_form(-1.0, -1.0, 1.0, -1.0)
@@ -209,7 +225,7 @@ class TestTrajectory:
         Z = PiecewiseSystem(X, const_field(0, 0, 1))
         traj = filippov_trajectory(Z, (0.0, 0.5, 0.0), 3.0, CFG)
         assert traj.segments[0].mode is Mode.SLIDING
-        assert traj.segments[0].terminal is SegmentEnd.MODE_SWITCH
+        assert traj.segments[0].terminal is FlightStatus.MODE_SWITCH
         assert traj.segments[1].mode is Mode.FLOW_PLUS
 
     def test_mode_consistent_with_z_sign(self):
@@ -237,8 +253,8 @@ class TestTrajectory:
         traj = filippov_trajectory(system, (0.3, 0.3, 0.0), 10.0, CFG)
         assert traj.segments[0].mode is Mode.SLIDING
         assert traj.segments[-1].terminal in (
-            SegmentEnd.REACHED_TANGENCY,
-            SegmentEnd.DENOMINATOR_BLOWUP,
+            FlightStatus.REACHED_TANGENCY,
+            FlightStatus.DENOMINATOR_BLOWUP,
         )
         end = traj.segments[-1].points[-1]
         assert math.hypot(end[0], end[1]) <= 1e-3
@@ -256,5 +272,5 @@ class TestConfig:
         Z = PiecewiseSystem(const_field(1, 0, -1), const_field(0, 1, 1))
         traj = filippov_trajectory(Z, (0.0, 0.0, 0.5), 50.0, cfg)
         end = traj.segments[-1].points[-1]
-        assert traj.segments[-1].terminal is SegmentEnd.LEFT_BOX
+        assert traj.segments[-1].terminal is FlightStatus.LEFT_BOX
         assert max(abs(end[0]), abs(end[1])) > 2.0
