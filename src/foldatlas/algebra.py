@@ -226,13 +226,14 @@ def poly_partial(p, var):
 class VectorField3:
     """Polynomial vector field on R^3 with components (cx, cy, cz)."""
 
-    __slots__ = ("cx", "cy", "cz", "_fn")
+    __slots__ = ("cx", "cy", "cz", "_fn", "_neg")
 
     def __init__(self, cx, cy, cz):
         self.cx = cx
         self.cy = cy
         self.cz = cz
         self._fn = None
+        self._neg = None
 
     def components(self):
         return (self.cx, self.cy, self.cz)
@@ -250,7 +251,10 @@ class VectorField3:
         return max(p.coeff_scale() for p in self.components())
 
     def negated(self):
-        return VectorField3(-self.cx, -self.cy, -self.cz)
+        """Cached ``-field``, so backward flights share one compiled evaluator."""
+        if self._neg is None:
+            self._neg = VectorField3(-self.cx, -self.cy, -self.cz)
+        return self._neg
 
     def compiled(self):
         """Cached evaluator ``f(x, y, z) -> (fx, fy, fz)``."""

@@ -80,6 +80,7 @@ def check_return_map_grid(
     worst_entry = 0.0
     matched = 0
     returned = 0
+    failed = 0
     for g in gammas:
         for a in alphas:
             for b in betas:
@@ -92,6 +93,7 @@ def check_return_map_grid(
                         lambda q: return_map_numeric(system, q, cfg), (0.0, 0.0), h
                     )
                 except IntegrationFailure:
+                    failed += 1
                     continue
                 returned += 1
                 diff = float(np.max(np.abs(jac - analysis.matrix)))
@@ -113,7 +115,8 @@ def check_return_map_grid(
             fraction >= min_fraction and returned > 0,
             1.0 - fraction,
             1.0 - min_fraction,
-            f"matched {matched}/{returned} (worst entry diff {worst_entry:.3e})",
+            f"matched {matched}/{returned}, {failed} grid points with a failed flight "
+            f"(worst entry diff {worst_entry:.3e})",
         ),
     ]
     return results
@@ -424,6 +427,10 @@ def check_diabolo(
             bad_vectors += 1
     violations = 0
     seeds_run = 0
+    escaped = 0
+    failed = 0
+    exhausted = 0
+    max_iterations = 0
     stol = 1e-11
     # Iteration systems need a clear saddle margin so orbits leave the box
     # in a bounded number of return-map applications.
@@ -437,17 +444,24 @@ def check_diabolo(
             q = (-rng.uniform(0.01, 0.1), -rng.uniform(0.01, 0.1))
             seeds_run += 1
             current = q
+            iterations = 0
             for _ in range(200):
                 try:
                     current = return_map_numeric(system, current, cfg)
                 except IntegrationFailure:
-                    break  # an intermediate arc left the analysis window
+                    failed += 1  # an intermediate arc left the analysis window
+                    break
+                iterations += 1
                 if max(abs(current[0]), abs(current[1])) > 1.0:
+                    escaped += 1
                     break
                 # stable sliding in this chart is the open first quadrant
                 if current[0] > stol and current[1] > stol:
                     violations += 1
                     break
+            else:
+                exhausted += 1
+            max_iterations = max(max_iterations, iterations)
     return [
         CheckResult(
             "diabolo eigenvectors in crossing",
@@ -461,7 +475,9 @@ def check_diabolo(
             violations == 0,
             float(violations),
             0.0,
-            f"{seeds_run} iterated unstable-sliding seeds",
+            f"{seeds_run} iterated unstable-sliding seeds: {escaped} escaped, "
+            f"{failed} stopped by a failed flight, {exhausted} reached 200 iterations; "
+            f"at most {max_iterations} iterations",
         ),
     ]
 
@@ -534,11 +550,13 @@ def _random_sliding_system(rng):
 
 def check_sliding_tangency(n_sims=100, seed=0, cfg=None, tol=1e-10):
     """Along every sliding segment |z| and the sliding velocity's normal
-    component stay at tolerance zero."""
+    component stay at tolerance zero, and every sample lies in the stable
+    sliding region {Xf <= 0 <= Yf}."""
     cfg = cfg or IntegratorConfig()
     rng = np.random.default_rng(seed)
     worst_z = 0.0
     worst_vz = 0.0
+    worst_outside = 0.0
     sliding_samples = 0
     for _ in range(n_sims):
         system = _random_sliding_system(rng)
@@ -562,6 +580,7 @@ def check_sliding_tangency(n_sims=100, seed=0, cfg=None, tol=1e-10):
                 a, c = xf(x, y, 0.0), yf(x, y, 0.0)
                 vz = (c * xz(x, y, 0.0) - a * yz(x, y, 0.0)) / (c - a)
                 worst_vz = max(worst_vz, abs(vz))
+                worst_outside = max(worst_outside, a, -c)
     return [
         CheckResult(
             "sliding |z|",
@@ -575,6 +594,13 @@ def check_sliding_tangency(n_sims=100, seed=0, cfg=None, tol=1e-10):
             worst_vz <= tol and sliding_samples > 0,
             worst_vz,
             tol,
+        ),
+        CheckResult(
+            "sliding region membership",
+            worst_outside <= tol and sliding_samples > 0,
+            worst_outside,
+            tol,
+            f"worst max(Xf, -Yf) over {sliding_samples} sliding samples",
         ),
     ]
 

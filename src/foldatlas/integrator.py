@@ -3,7 +3,9 @@
 Free flights in either half-space use an explicit adaptive Dormand-Prince
 5(4) pair with PI step-size control; surface hits are localized by sign
 bracketing plus a hybrid secant/bisection refinement whose candidate states
-are re-integrated (not interpolated), down to ``event_tol`` in |z|.
+are re-integrated (not interpolated), down to ``event_tol`` in |z|.  The
+step is written out per state dimension (3 components for free flights, 2
+for the sliding field) on unpacked scalars, with the sums in tableau order.
 
 The fold maps and the first-return map realized here are compared against
 their closed-form counterparts by the verification suites; nothing in this
@@ -22,23 +24,18 @@ from .algebra import lie_derivative
 from .errors import IntegrationFailure, PreconditionError
 from .system import DEFAULT_BOX
 
-# Dormand-Prince 5(4) tableau (FSAL).
-_DP_A = (
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+# Dormand-Prince 5(4) tableau (FSAL): stage rows A, fifth-order weights B,
+# and error weights E (fifth minus fourth order).
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+_A61, _A62, _A63, _A64, _A65 = (
+    9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656,
 )
-_DP_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
-_DP_E = (
-    71 / 57600,
-    0.0,
-    -71 / 16695,
-    71 / 1920,
-    -17253 / 339200,
-    22 / 525,
-    -1 / 40,
+_B1, _B2, _B3, _B4, _B5, _B6 = 35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+_E1, _E2, _E3, _E4, _E5, _E6, _E7 = (
+    71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40,
 )
 
 
@@ -93,33 +90,120 @@ class FlightResult:
 # Core stepper
 
 
-def _stage(y, h, ks, coeffs):
-    return tuple(
-        yi + h * sum(c * k[i] for c, k in zip(coeffs, ks))
-        for i, yi in enumerate(y)
-    )
-
-
 def _rk_step(f, y, h, k1):
-    """One Dormand-Prince step: returns (y_new, k_last, error_vector)."""
-    ks = [k1]
-    for row in _DP_A:
-        ks.append(f(*_stage(y, h, ks, row)))
-    y_new = _stage(y, h, ks, _DP_B)
-    ks.append(f(*y_new))
-    err = tuple(
-        h * sum(e * k[i] for e, k in zip(_DP_E, ks)) for i in range(len(y))
+    """One Dormand-Prince step: returns (y_new, k_last, error_vector).
+
+    The stages are written out for 3-component states (free flights) and
+    2-component states (the sliding field).  Every weighted sum adds its
+    terms in tableau order starting from 0.0, zero weights included, so the
+    step matches the generic tableau loop kept in tests/test_integrator.py
+    bit for bit.  ``kSi`` is component ``i`` of stage ``S``.
+    """
+    if len(y) == 3:
+        y0, y1, y2 = y
+        k10, k11, k12 = k1
+        k20, k21, k22 = f(
+            y0 + h * (0.0 + _A21 * k10),
+            y1 + h * (0.0 + _A21 * k11),
+            y2 + h * (0.0 + _A21 * k12),
+        )
+        k30, k31, k32 = f(
+            y0 + h * (0.0 + _A31 * k10 + _A32 * k20),
+            y1 + h * (0.0 + _A31 * k11 + _A32 * k21),
+            y2 + h * (0.0 + _A31 * k12 + _A32 * k22),
+        )
+        k40, k41, k42 = f(
+            y0 + h * (0.0 + _A41 * k10 + _A42 * k20 + _A43 * k30),
+            y1 + h * (0.0 + _A41 * k11 + _A42 * k21 + _A43 * k31),
+            y2 + h * (0.0 + _A41 * k12 + _A42 * k22 + _A43 * k32),
+        )
+        k50, k51, k52 = f(
+            y0 + h * (0.0 + _A51 * k10 + _A52 * k20 + _A53 * k30 + _A54 * k40),
+            y1 + h * (0.0 + _A51 * k11 + _A52 * k21 + _A53 * k31 + _A54 * k41),
+            y2 + h * (0.0 + _A51 * k12 + _A52 * k22 + _A53 * k32 + _A54 * k42),
+        )
+        k60, k61, k62 = f(
+            y0 + h * (0.0 + _A61 * k10 + _A62 * k20 + _A63 * k30 + _A64 * k40
+                      + _A65 * k50),
+            y1 + h * (0.0 + _A61 * k11 + _A62 * k21 + _A63 * k31 + _A64 * k41
+                      + _A65 * k51),
+            y2 + h * (0.0 + _A61 * k12 + _A62 * k22 + _A63 * k32 + _A64 * k42
+                      + _A65 * k52),
+        )
+        y_new = (
+            y0 + h * (0.0 + _B1 * k10 + _B2 * k20 + _B3 * k30 + _B4 * k40
+                      + _B5 * k50 + _B6 * k60),
+            y1 + h * (0.0 + _B1 * k11 + _B2 * k21 + _B3 * k31 + _B4 * k41
+                      + _B5 * k51 + _B6 * k61),
+            y2 + h * (0.0 + _B1 * k12 + _B2 * k22 + _B3 * k32 + _B4 * k42
+                      + _B5 * k52 + _B6 * k62),
+        )
+        k7 = f(*y_new)
+        k70, k71, k72 = k7
+        err = (
+            h * (0.0 + _E1 * k10 + _E2 * k20 + _E3 * k30 + _E4 * k40
+                 + _E5 * k50 + _E6 * k60 + _E7 * k70),
+            h * (0.0 + _E1 * k11 + _E2 * k21 + _E3 * k31 + _E4 * k41
+                 + _E5 * k51 + _E6 * k61 + _E7 * k71),
+            h * (0.0 + _E1 * k12 + _E2 * k22 + _E3 * k32 + _E4 * k42
+                 + _E5 * k52 + _E6 * k62 + _E7 * k72),
+        )
+        return y_new, k7, err
+    y0, y1 = y
+    k10, k11 = k1
+    k20, k21 = f(y0 + h * (0.0 + _A21 * k10), y1 + h * (0.0 + _A21 * k11))
+    k30, k31 = f(
+        y0 + h * (0.0 + _A31 * k10 + _A32 * k20),
+        y1 + h * (0.0 + _A31 * k11 + _A32 * k21),
     )
-    return y_new, ks[6], err
+    k40, k41 = f(
+        y0 + h * (0.0 + _A41 * k10 + _A42 * k20 + _A43 * k30),
+        y1 + h * (0.0 + _A41 * k11 + _A42 * k21 + _A43 * k31),
+    )
+    k50, k51 = f(
+        y0 + h * (0.0 + _A51 * k10 + _A52 * k20 + _A53 * k30 + _A54 * k40),
+        y1 + h * (0.0 + _A51 * k11 + _A52 * k21 + _A53 * k31 + _A54 * k41),
+    )
+    k60, k61 = f(
+        y0 + h * (0.0 + _A61 * k10 + _A62 * k20 + _A63 * k30 + _A64 * k40
+                  + _A65 * k50),
+        y1 + h * (0.0 + _A61 * k11 + _A62 * k21 + _A63 * k31 + _A64 * k41
+                  + _A65 * k51),
+    )
+    y_new = (
+        y0 + h * (0.0 + _B1 * k10 + _B2 * k20 + _B3 * k30 + _B4 * k40
+                  + _B5 * k50 + _B6 * k60),
+        y1 + h * (0.0 + _B1 * k11 + _B2 * k21 + _B3 * k31 + _B4 * k41
+                  + _B5 * k51 + _B6 * k61),
+    )
+    k7 = f(*y_new)
+    k70, k71 = k7
+    err = (
+        h * (0.0 + _E1 * k10 + _E2 * k20 + _E3 * k30 + _E4 * k40
+             + _E5 * k50 + _E6 * k60 + _E7 * k70),
+        h * (0.0 + _E1 * k11 + _E2 * k21 + _E3 * k31 + _E4 * k41
+             + _E5 * k51 + _E6 * k61 + _E7 * k71),
+    )
+    return y_new, k7, err
 
 
 def _error_norm(err, y, y_new, atol, rtol):
-    acc = 0.0
-    for e, a, b in zip(err, y, y_new):
-        scale = atol + rtol * max(abs(a), abs(b))
-        r = e / scale
-        acc += r * r
-    return math.sqrt(acc / len(err))
+    """RMS of the error vector, each component scaled by
+    ``atol + rtol * max(|y|, |y_new|)``, summed in order from 0.0."""
+    if len(err) == 3:
+        e0, e1, e2 = err
+        a0, a1, a2 = abs(y[0]), abs(y[1]), abs(y[2])
+        b0, b1, b2 = abs(y_new[0]), abs(y_new[1]), abs(y_new[2])
+        r0 = e0 / (atol + rtol * (b0 if b0 > a0 else a0))
+        r1 = e1 / (atol + rtol * (b1 if b1 > a1 else a1))
+        r2 = e2 / (atol + rtol * (b2 if b2 > a2 else a2))
+        return math.sqrt((0.0 + r0 * r0 + r1 * r1 + r2 * r2) / 3)
+    e0, e1 = err
+    a0, a1 = abs(y[0]), abs(y[1])
+    b0, b1 = abs(y_new[0]), abs(y_new[1])
+    r0 = e0 / (atol + rtol * (b0 if b0 > a0 else a0))
+    r1 = e1 / (atol + rtol * (b1 if b1 > a1 else a1))
+    return math.sqrt((0.0 + r0 * r0 + r1 * r1) / 2)
 
 
 class _Event:

@@ -167,3 +167,19 @@ class TestHousekeeping:
     def test_from_terms_merges_duplicates(self):
         p = Poly3.from_terms([((1, 0, 0), 1.0), ((1, 0, 0), 2.0)])
         assert p == Poly3({(1, 0, 0): 3.0})
+
+
+class TestNegated:
+    def test_memoized(self):
+        field = random_field(np.random.default_rng(5))
+        neg = field.negated()
+        assert field.negated() is neg
+        assert neg.compiled() is field.negated().compiled()
+
+    def test_compiled_is_exact_negative(self):
+        rng = np.random.default_rng(6)
+        field = random_field(rng)
+        f, g = field.compiled(), field.negated().compiled()
+        for _ in range(200):
+            p = tuple(rng.uniform(-2.0, 2.0, size=3))
+            assert g(*p) == tuple(-v for v in f(*p))

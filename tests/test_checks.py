@@ -1,0 +1,82 @@
+import re
+
+import numpy as np
+
+from foldatlas import checks
+from foldatlas.integrator import (
+    FlightStatus,
+    IntegratorConfig,
+    Mode,
+    Trajectory,
+    TrajectorySegment,
+)
+
+
+def _by_name(results, name):
+    (result,) = [r for r in results if r.name == name]
+    return result
+
+
+class TestReturnMapGridFailures:
+    def test_failed_flights_are_counted(self):
+        results = checks.check_return_map_grid(
+            n_alpha=2, n_beta=2, gammas=(1.0,), cfg=IntegratorConfig(max_steps=1)
+        )
+        jac = _by_name(results, "return-map numeric Jacobian")
+        failed = re.search(r"(\d+) grid points with a failed flight", jac.detail)
+        assert int(failed.group(1)) == 4
+        assert "matched 0/0" in jac.detail
+        assert not jac.passed
+
+    def test_no_failures_on_invisible_grid(self):
+        results = checks.check_return_map_grid(n_alpha=2, n_beta=2, gammas=(1.0,))
+        jac = _by_name(results, "return-map numeric Jacobian")
+        assert "4/4, 0 grid points with a failed flight" in jac.detail
+
+
+class TestDiaboloCounts:
+    def test_every_seed_has_one_outcome(self):
+        results = checks.check_diabolo(n_draws=5, n_systems=2, seeds_per_system=10, seed=3)
+        sep = _by_name(results, "diabolo sliding separation")
+        m = re.search(
+            r"(\d+) iterated unstable-sliding seeds: (\d+) escaped, "
+            r"(\d+) stopped by a failed flight, (\d+) reached 200 iterations; "
+            r"at most (\d+) iterations",
+            sep.detail,
+        )
+        seeds, escaped, failed, exhausted, most = map(int, m.groups())
+        assert seeds == 20
+        assert escaped + failed + exhausted + int(sep.residual) == seeds
+        assert 0 <= most <= 200
+
+
+class TestSlidingMembership:
+    @staticmethod
+    def _fake_sliding(points):
+        def fake(system, p0, horizon, cfg=None):
+            pts = np.array([list(p) for p in points(system)])
+            seg = TrajectorySegment(
+                Mode.SLIDING, np.arange(len(pts), dtype=float), pts, FlightStatus.TIME_OUT
+            )
+            return Trajectory([seg], FlightStatus.TIME_OUT.value, float(horizon))
+
+        return fake
+
+    def test_sample_outside_sliding_region_fails(self, monkeypatch):
+        # Far out on the axes the linear parts of Xf or Yf dominate, so some
+        # sample has Xf > 0 or Yf < 0.
+        far = [(1e6, 0.0, 0.0), (-1e6, 0.0, 0.0), (0.0, 1e6, 0.0), (0.0, -1e6, 0.0)]
+        monkeypatch.setattr(checks, "filippov_trajectory", self._fake_sliding(lambda s: far))
+        results = checks.check_sliding_tangency(n_sims=3, seed=0)
+        member = _by_name(results, "sliding region membership")
+        assert not member.passed
+        assert member.residual > member.threshold
+        assert _by_name(results, "sliding |z|").passed
+        assert _by_name(results, "sliding normal velocity").passed
+
+    def test_sample_inside_sliding_region_passes(self, monkeypatch):
+        inside = [(0.0, 0.0, 0.0)]
+        monkeypatch.setattr(checks, "filippov_trajectory", self._fake_sliding(lambda s: inside))
+        results = checks.check_sliding_tangency(n_sims=3, seed=0)
+        member = _by_name(results, "sliding region membership")
+        assert member.passed and member.residual == 0.0

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from foldatlas.integrator import (
     FlightStatus,
     IntegratorConfig,
     Mode,
+    _error_norm,
+    _rk_step,
     filippov_trajectory,
     fold_map_numeric,
     integrate_to_sigma,
@@ -20,9 +23,146 @@ from foldatlas.system import Box, PiecewiseSystem, build_normal_form
 
 CFG = IntegratorConfig()
 
+# Reference Dormand-Prince step: the generic tableau loop the written-out
+# stepper replaced, kept here to pin that stepper bit for bit.
+_DP_A = (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+)
+_DP_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
+_DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+
+
+def _plain_sum(terms):
+    # sum() of floats up to Python 3.11: left to right, starting from 0
+    # (Python 3.12 compensates, which would move the last bits).
+    acc = 0
+    for t in terms:
+        acc = acc + t
+    return acc
+
+
+def _ref_stage(y, h, ks, coeffs):
+    return tuple(
+        yi + h * _plain_sum(c * k[i] for c, k in zip(coeffs, ks))
+        for i, yi in enumerate(y)
+    )
+
+
+def _ref_rk_step(f, y, h, k1):
+    ks = [k1]
+    for row in _DP_A:
+        ks.append(f(*_ref_stage(y, h, ks, row)))
+    y_new = _ref_stage(y, h, ks, _DP_B)
+    ks.append(f(*y_new))
+    err = tuple(
+        h * _plain_sum(e * k[i] for e, k in zip(_DP_E, ks)) for i in range(len(y))
+    )
+    return y_new, ks[6], err
+
+
+def _ref_error_norm(err, y, y_new, atol, rtol):
+    acc = 0.0
+    for e, a, b in zip(err, y, y_new):
+        scale = atol + rtol * max(abs(a), abs(b))
+        r = e / scale
+        acc += r * r
+    return math.sqrt(acc / len(err))
+
+
+def _bits(*values):
+    """Bit patterns, so that equality also tells -0.0 from 0.0."""
+    return struct.pack(f"<{len(values)}d", *values)
+
 
 def const_field(cx, cy, cz):
     return VectorField3(Poly3.constant(cx), Poly3.constant(cy), Poly3.constant(cz))
+
+
+class TestStepperBitwise:
+    STEPS = [10.0 ** e for e in range(-12, 1)] + [3.7e-7, 0.013, 0.61]
+
+    @staticmethod
+    def _assert_same(f, y, h):
+        k1 = f(*y)
+        y_new, k_last, err = _rk_step(f, y, h, k1)
+        ry_new, rk_last, rerr = _ref_rk_step(f, y, h, k1)
+        assert _bits(*y_new) == _bits(*ry_new)
+        assert _bits(*k_last) == _bits(*rk_last)
+        assert _bits(*err) == _bits(*rerr)
+        norm = _error_norm(err, y, y_new, CFG.abs_tol, CFG.rel_tol)
+        ref = _ref_error_norm(rerr, y, ry_new, CFG.abs_tol, CFG.rel_tol)
+        assert _bits(norm) == _bits(ref)
+
+    def test_random_3d_states(self):
+        rng = np.random.default_rng(21)
+        fields = [
+            build_normal_form(-0.7, 1.3, 0.9, -1.0).X.compiled(),
+            VectorField3(
+                Poly3({(2, 0, 0): 0.8, (0, 1, 1): -1.3, (0, 0, 0): 0.2}),
+                Poly3({(1, 1, 0): 2.1, (0, 0, 3): -0.4}),
+                Poly3({(0, 2, 0): -1.0, (1, 0, 1): 0.7, (0, 0, 0): -0.3}),
+            ).compiled(),
+        ]
+        for f in fields:
+            for h in self.STEPS:
+                for _ in range(20):
+                    y = tuple(float(v) for v in rng.normal(scale=2.0, size=3))
+                    self._assert_same(f, y, h)
+
+    def test_random_2d_states(self):
+        rng = np.random.default_rng(22)
+
+        def f2(u, v):
+            return (u * v - 0.3 * u * u + 0.1, 1.1 * u - v * v * v)
+
+        for h in self.STEPS:
+            for _ in range(20):
+                y = tuple(float(v) for v in rng.normal(scale=2.0, size=2))
+                self._assert_same(f2, y, h)
+
+    def test_negative_zero_component(self):
+        # From y = -0.0 the field keeps every component but r at -0.0, so
+        # only the sum's start from 0 makes the second stage's components
+        # +0.0; component r reads their signs back through copysign, so they
+        # reach the outputs.
+        def field(dim, r):
+            def f(*s):
+                k = [-abs(v) for v in s]
+                k[r] = sum(math.copysign(2.0**i, v) for i, v in enumerate(s) if i != r)
+                return tuple(k)
+
+            return f
+
+        for dim in (3, 2):
+            for r in range(dim):
+                for h in self.STEPS:
+                    self._assert_same(field(dim, r), (-0.0,) * dim, h)
+
+    def test_non_finite_stage_meets_zero_weights(self):
+        # Component j of k2 alone is infinite: the field moves the state
+        # along component d, and only the second stage lands in the window.
+        # The zero weights b2 and e2 turn it into NaN, as the loop does.
+        def field(dim, j, d):
+            def f(*s):
+                k = [0.0] * dim
+                k[d] = 1.0
+                if 0.15 < s[d] < 0.25:
+                    k[j] = math.inf
+                return tuple(k)
+
+            return f
+
+        for dim in (3, 2):
+            for j in range(dim):
+                f = field(dim, j, (j + 1) % dim)
+                y = (0.0,) * dim
+                self._assert_same(f, y, 1.0)
+                y_new, _, err = _rk_step(f, y, 1.0, f(*y))
+                assert math.isnan(y_new[j]) and math.isnan(err[j])
 
 
 class TestIntegrateToSigma:
