@@ -36,7 +36,7 @@ class Poly3:
     threads.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_fn")
 
     def __init__(self, terms=None, max_degree=MAX_TOTAL_DEGREE):
         clean = {}
@@ -49,6 +49,7 @@ class Poly3:
                 if c != 0.0:
                     clean[(int(i), int(j), int(k))] = c
         self.terms = clean
+        self._fn = None
         deg = self.degree()
         if deg > max_degree:
             raise DegreeCapError(f"degree {deg} exceeds cap {max_degree}")
@@ -195,11 +196,13 @@ class Poly3:
         return " + ".join(pieces)
 
     def compiled(self):
-        """Fast evaluator ``f(x, y, z) -> float`` for hot numeric loops."""
-        return eval(  # expression is generated from numeric coefficients only
-            compile(f"lambda x, y, z: ({self.as_expr()})", "<poly3>", "eval"),
-            {"__builtins__": {}},
-        )
+        """Cached evaluator ``f(x, y, z) -> float`` for hot numeric loops."""
+        if self._fn is None:
+            self._fn = eval(  # expression is generated from numeric coefficients only
+                compile(f"lambda x, y, z: ({self.as_expr()})", "<poly3>", "eval"),
+                {"__builtins__": {}},
+            )
+        return self._fn
 
     def __repr__(self):
         return f"Poly3({self.as_expr()})"

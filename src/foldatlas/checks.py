@@ -24,6 +24,7 @@ from .foldfold import (
     verdict_from_params,
 )
 from .integrator import (
+    FlightStatus,
     IntegratorConfig,
     fold_map_numeric,
     jacobian_numeric,
@@ -550,14 +551,18 @@ def _random_sliding_system(rng):
 
 def check_sliding_tangency(n_sims=100, seed=0, cfg=None, tol=1e-10):
     """Along every sliding segment |z| and the sliding velocity's normal
-    component stay at tolerance zero, and every sample lies in the stable
-    sliding region {Xf <= 0 <= Yf}."""
+    component stay at tolerance zero, every sample lies in the stable
+    sliding region {Xf <= 0 <= Yf}, and every sliding segment that switches
+    mode leaves at a visible fold (|Xf| <= tol with X2f > 0, or |Yf| <= tol
+    with Y2f < 0)."""
     cfg = cfg or IntegratorConfig()
     rng = np.random.default_rng(seed)
     worst_z = 0.0
     worst_vz = 0.0
     worst_outside = 0.0
     sliding_samples = 0
+    exits = 0
+    bad_exits = 0
     for _ in range(n_sims):
         system = _random_sliding_system(rng)
         xf = system.xf.compiled()
@@ -581,6 +586,14 @@ def check_sliding_tangency(n_sims=100, seed=0, cfg=None, tol=1e-10):
                 vz = (c * xz(x, y, 0.0) - a * yz(x, y, 0.0)) / (c - a)
                 worst_vz = max(worst_vz, abs(vz))
                 worst_outside = max(worst_outside, a, -c)
+            if seg.terminal is FlightStatus.MODE_SWITCH:
+                exits += 1
+                x, y, _ = seg.points[-1]
+                q = (x, y, 0.0)
+                visible_x = abs(xf(*q)) <= tol and system.x2f.eval_at(q) > 0.0
+                visible_y = abs(yf(*q)) <= tol and system.y2f.eval_at(q) < 0.0
+                if not (visible_x or visible_y):
+                    bad_exits += 1
     return [
         CheckResult(
             "sliding |z|",
@@ -601,6 +614,13 @@ def check_sliding_tangency(n_sims=100, seed=0, cfg=None, tol=1e-10):
             worst_outside,
             tol,
             f"worst max(Xf, -Yf) over {sliding_samples} sliding samples",
+        ),
+        CheckResult(
+            "sliding exits at visible folds",
+            bad_exits == 0,
+            float(bad_exits),
+            0.0,
+            f"{bad_exits} of {exits} sliding exits not at a visible fold",
         ),
     ]
 

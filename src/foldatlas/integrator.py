@@ -1,11 +1,17 @@
 """Event-located numerical integration: the independent ground truth.
 
 Free flights in either half-space use an explicit adaptive Dormand-Prince
-5(4) pair with PI step-size control; surface hits are localized by sign
-bracketing plus a hybrid secant/bisection refinement whose candidate states
-are re-integrated (not interpolated), down to ``event_tol`` in |z|.  The
-step is written out per state dimension (3 components for free flights, 2
-for the sliding field) on unpacked scalars, with the sums in tableau order.
+5(4) pair with PI step-size control.  A surface hit is bracketed by a sign
+change over an accepted step.  The event time is then found on that step's
+own cubic Hermite interpolant (Hairer, Norsett & Wanner, Solving ODEs I,
+II.6), at no field evaluation and to the interpolant's floating-point
+resolution, and polished on re-integrated states: Newton on the rate
+dz/dt = f_z for the plane, secant for the sliding events, down to
+``1e-3 * event_tol`` where possible.  A bisection from the bracket start
+guarantees |g| <= ``event_tol`` when the polish falls short.  The returned
+event state is always re-integrated, never interpolated.  The step is
+written out per state dimension (3 components for free flights, 2 for the
+sliding field) on unpacked scalars, with the sums in tableau order.
 
 The fold maps and the first-return map realized here are compared against
 their closed-form counterparts by the verification suites; nothing in this
@@ -215,15 +221,19 @@ class _Event:
     the arming threshold, a value on the far side (opposite to
     ``expected_sign``) still fires, so unresolvably shallow arcs terminate at
     the correct crossing instead of escaping.
+
+    ``rate``, when given, maps the field value at a state to dg/dt there;
+    the locator then polishes by Newton steps instead of secant steps.
     """
 
-    __slots__ = ("name", "fn", "arm_eps", "expected_sign", "armed", "last")
+    __slots__ = ("name", "fn", "arm_eps", "expected_sign", "rate", "armed", "last")
 
-    def __init__(self, name, fn, arm_eps, expected_sign=0):
+    def __init__(self, name, fn, arm_eps, expected_sign=0, rate=None):
         self.name = name
         self.fn = fn
         self.arm_eps = arm_eps
         self.expected_sign = expected_sign
+        self.rate = rate
         self.armed = False
         self.last = 0.0
 
@@ -235,11 +245,20 @@ class _Event:
         )
 
 
+def _sigma_event(direction):
+    """Return to the plane z = 0 from the half-space of sign ``direction``."""
+    return _Event(
+        "sigma", lambda y: y[2], arm_eps=1e-13, expected_sign=direction,
+        rate=lambda k: k[2],
+    )
+
+
 def _eval_within_step(f, y_left, k_left, dt, atol, rtol, depth=0):
-    """State at offset ``dt`` from the bracket start, by error-controlled
-    re-integration (split recursively until the embedded estimate passes)."""
+    """State at offset ``dt`` (of either sign) from ``y_left``, by
+    error-controlled re-integration (split recursively until the embedded
+    estimate passes)."""
     y_new, _, err = _rk_step(f, y_left, dt, k_left)
-    if depth >= 18 or dt < 1e-15:
+    if depth >= 18 or abs(dt) < 1e-15:
         return y_new
     if _error_norm(err, y_left, y_new, atol, rtol) <= 1.0:
         return y_new
@@ -247,63 +266,126 @@ def _eval_within_step(f, y_left, k_left, dt, atol, rtol, depth=0):
     return _eval_within_step(f, mid, f(*mid), dt / 2.0, atol, rtol, depth + 1)
 
 
-def _refine_event(f, event, y_left, k_left, h, g_right, cfg):
-    """Locate the event inside an accepted step by secant/bisection.
+def _hermite(y0, k0, y1, k1, h, t):
+    """State at offset ``t`` on the cubic Hermite interpolant of a step of
+    size ``h`` from ``(y0, k0)`` to ``(y1, k1)`` (values and slopes),
+    written out for 3- and 2-component states like the stepper."""
+    s = t / h
+    r = 1.0 - s
+    w = s * s * (3.0 - 2.0 * s)
+    v0 = s * r * r * h
+    v1 = -s * s * r * h
+    if len(y0) == 3:
+        return (
+            y0[0] + w * (y1[0] - y0[0]) + v0 * k0[0] + v1 * k1[0],
+            y0[1] + w * (y1[1] - y0[1]) + v0 * k0[1] + v1 * k1[1],
+            y0[2] + w * (y1[2] - y0[2]) + v0 * k0[2] + v1 * k1[2],
+        )
+    return (
+        y0[0] + w * (y1[0] - y0[0]) + v0 * k0[0] + v1 * k1[0],
+        y0[1] + w * (y1[1] - y0[1]) + v0 * k0[1] + v1 * k1[1],
+    )
 
-    Every candidate is an actual re-integrated state; the interpolation-free
-    scheme keeps |g| at the located point near machine level, well inside
-    ``event_tol``.
+
+def _interpolant_root(event, y0, k0, y1, k1, h, g0, g1):
+    """Root of the event along the step's cubic Hermite interpolant, where
+    g(0) = ``g0`` and g(h) = ``g1`` have opposite signs.
+
+    Regula falsi with the Anderson-Bjorck weighting (a refinement of the
+    Illinois rule): when the newest point keeps the sign of the previous
+    one, the value at the far bracket end is scaled down, which stops the
+    one-sided stall of plain regula falsi.  It uses no field evaluation, so
+    it runs to the interpolant's floating-point resolution: an exact zero,
+    or a secant point that no longer moves off the bracket ends.
+    """
+    a, ga, b, gb = 0.0, g0, h, g1  # b is the newest point, a across the root
+    t = b
+    for _ in range(100):
+        t = b - gb * (b - a) / (gb - ga)
+        if t == a or t == b:
+            break
+        g = event.fn(_hermite(y0, k0, y1, k1, h, t))
+        if g == 0.0:
+            break
+        if (g > 0.0) == (gb > 0.0):
+            m = 1.0 - g / gb
+            ga *= m if m > 0.0 else 0.5
+        else:
+            a, ga = b, gb
+        b, gb = t, g
+    return t
+
+
+def _refine_event(f, event, y_left, k_left, y_right, k_right, h, g_right, cfg):
+    """Locate the event inside the accepted step from ``(y_left, k_left)``
+    to ``(y_right, k_right)``; returns ``(dt, state, g)``.
+
+    The event time is first found on the step's cubic Hermite interpolant
+    (to its floating-point resolution, at no field evaluation), and the
+    state there is re-integrated from the bracket start.  While |g|
+    exceeds ``1e-3 * event_tol`` the time is corrected and the state
+    re-integrated from the current candidate, inside the sign bracket:
+    Newton steps when the event has a rate (the plane z = 0), secant steps
+    otherwise.  If that ends above ``event_tol``, bisection re-integrated
+    from the bracket start takes over.  Every candidate is a re-integrated
+    state, never an interpolated one.
     """
     lo, hi = 0.0, h
-    g_lo, g_hi = event.last, g_right
+    g_lo = event.last
     if g_lo > 0.0:
         lo_sign = 1.0
     elif g_lo < 0.0:
         lo_sign = -1.0
     else:
         lo_sign = float(event.expected_sign) or -math.copysign(1.0, g_right)
-    # First candidate from the secant through the bracket endpoints.
-    dt = h * g_lo / (g_lo - g_hi) if g_lo != g_hi else 0.5 * h
-    best = None
-    prev = (0.0, g_lo)
-    target = cfg.event_tol
+    atol, rtol = cfg.abs_tol, cfg.rel_tol
     stretch_goal = 1e-3 * cfg.event_tol
-    for it in range(80):
-        dt = min(max(dt, lo + 0.02 * (hi - lo)), hi - 0.02 * (hi - lo))
-        y_c = _eval_within_step(f, y_left, k_left, dt, cfg.abs_tol, cfg.rel_tol)
+    best = None
+    dt = math.nan
+    if g_lo * g_right < 0.0:
+        dt = _interpolant_root(event, y_left, k_left, y_right, k_right, h, g_lo, g_right)
+    if 0.0 < dt < h:
+        y_c = _eval_within_step(f, y_left, k_left, dt, atol, rtol)
         v = event.fn(y_c)
-        if best is None or abs(v) < abs(best[2]):
-            best = (dt, y_c, v)
-        if abs(v) <= stretch_goal:
-            break
-        if v * lo_sign > 0.0:
-            lo, g_lo = dt, v
-        else:
-            hi, g_hi = dt, v
-        if hi - lo <= 1e-16 * max(1.0, h):
-            break
-        if v != prev[1]:
-            cand = dt - v * (dt - prev[0]) / (v - prev[1])
-        else:
-            cand = 0.5 * (lo + hi)
-        prev = (dt, v)
-        if not (lo < cand < hi) or it % 4 == 3:
-            cand = 0.5 * (lo + hi)
-        dt = cand
-    if best is None or abs(best[2]) > target:
-        # Fall back to pure bisection until the target is met.
+        best = (dt, y_c, v)
+        # The first secant partner is the bracket end across the root.
+        t_prev, v_prev = (h, g_right) if v * lo_sign > 0.0 else (0.0, g_lo)
+        for _ in range(8):
+            if abs(v) <= stretch_goal:
+                break
+            if v * lo_sign > 0.0:
+                lo = dt
+            else:
+                hi = dt
+            k_c = f(*y_c)
+            if event.rate is not None:
+                slope = event.rate(k_c)
+            else:
+                slope = (v - v_prev) / (dt - t_prev)
+            if slope == 0.0:
+                break
+            cand = dt - v / slope
+            if not lo < cand < hi:
+                break
+            t_prev, v_prev = dt, v
+            y_c = _eval_within_step(f, y_c, k_c, cand - dt, atol, rtol)
+            dt = cand
+            v = event.fn(y_c)
+            if abs(v) < abs(best[2]):
+                best = (dt, y_c, v)
+    if best is None or abs(best[2]) > cfg.event_tol:
         for _ in range(120):
             mid = 0.5 * (lo + hi)
-            y_c = _eval_within_step(f, y_left, k_left, mid, cfg.abs_tol, cfg.rel_tol)
+            y_c = _eval_within_step(f, y_left, k_left, mid, atol, rtol)
             v = event.fn(y_c)
             if best is None or abs(v) < abs(best[2]):
                 best = (mid, y_c, v)
-            if abs(v) <= target or hi - lo <= 1e-16 * max(1.0, h):
+            if abs(v) <= cfg.event_tol or hi - lo <= 1e-16 * max(1.0, h):
                 break
             if v * lo_sign > 0.0:
-                lo, g_lo = mid, v
+                lo = mid
             else:
-                hi, g_hi = mid, v
+                hi = mid
     return best
 
 
@@ -344,14 +426,14 @@ def _integrate(f, y0, cfg, events, t_limit, outside=None, h0=None, collect=None)
                     ev.last = v
                 elif ev.expected_sign != 0 and v * ev.expected_sign < 0 and v != 0.0:
                     # shallow arc crossed the surface without ever arming
-                    found = _refine_event(f, ev, y, k1, h, v, cfg)
+                    found = _refine_event(f, ev, y, k1, y_new, k_last, h, v, cfg)
                     if found is not None and (hit is None or found[0] < hit[1]):
                         hit = (ev, found[0], found[1])
                 else:
                     ev.last = v
                 continue
             if ev.last * v <= 0.0 and (ev.last != 0.0 or v != 0.0):
-                found = _refine_event(f, ev, y, k1, h, v, cfg)
+                found = _refine_event(f, ev, y, k1, y_new, k_last, h, v, cfg)
                 if found is not None and (hit is None or found[0] < hit[1]):
                     hit = (ev, found[0], found[1])
             ev.last = v
@@ -415,7 +497,7 @@ def integrate_to_sigma(field, q0, direction, cfg=None, h0=None):
         if s2 * direction < tol:
             return FlightResult(FlightStatus.NO_RETURN, time=0.0)
     f = field.compiled()
-    ev = _Event("sigma", lambda y: y[2], arm_eps=1e-13, expected_sign=direction)
+    ev = _sigma_event(direction)
     radius = 1.5 * max(cfg.box.scale(), 1e-6)
     return _integrate(
         f,
@@ -614,7 +696,7 @@ def filippov_trajectory(system, p0, horizon, cfg=None, max_segments=2000):
             fld = system.X if mode is Mode.FLOW_PLUS else system.Y
             samples = []
             side = 1 if mode is Mode.FLOW_PLUS else -1
-            ev = _Event("sigma", lambda y: y[2], arm_eps=1e-13, expected_sign=side)
+            ev = _sigma_event(side)
             out = _integrate(
                 fld.compiled(),
                 p,

@@ -144,11 +144,17 @@ class PiecewiseSystem:
     def coeff_scale(self):
         return max(self.X.coeff_scale(), self.Y.coeff_scale())
 
-    def time_reversed(self):
-        """System whose orbits are those of Z run backwards in time."""
+    @cached_property
+    def _reversed(self):
         return PiecewiseSystem(
             self.X.negated(), self.Y.negated(), self.box, self.name + "(reversed)"
         )
+
+    def time_reversed(self):
+        """System whose orbits are those of Z run backwards in time (cached,
+        so repeated backward trajectories reuse its Lie derivatives and
+        compiled evaluators)."""
+        return self._reversed
 
     def swapped(self):
         """System (Y, X): used by the sliding-kind symmetry property."""

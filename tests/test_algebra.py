@@ -58,6 +58,15 @@ class TestEval:
             pt = rng.uniform(-2, 2, size=3)
             assert fn(*pt) == pytest.approx(p.eval(*pt), rel=1e-14, abs=1e-14)
 
+    def test_compiled_is_memoized(self):
+        rng = np.random.default_rng(4)
+        p = random_poly(rng, 3)
+        fn = p.compiled()
+        assert p.compiled() is fn
+        for _ in range(50):
+            pt = tuple(rng.uniform(-2, 2, size=3))
+            assert fn(*pt) == pytest.approx(p.eval_at(pt), rel=1e-14, abs=1e-14)
+
 
 class TestPartial:
     def test_dz_z(self):

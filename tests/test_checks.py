@@ -1,8 +1,10 @@
 import re
 
 import numpy as np
+import pytest
 
 from foldatlas import checks
+from foldatlas.algebra import Poly3, VectorField3
 from foldatlas.integrator import (
     FlightStatus,
     IntegratorConfig,
@@ -10,6 +12,7 @@ from foldatlas.integrator import (
     Trajectory,
     TrajectorySegment,
 )
+from foldatlas.system import PiecewiseSystem
 
 
 def _by_name(results, name):
@@ -80,3 +83,27 @@ class TestSlidingMembership:
         results = checks.check_sliding_tangency(n_sims=3, seed=0)
         member = _by_name(results, "sliding region membership")
         assert member.passed and member.residual == 0.0
+
+
+class TestSlidingExits:
+    @pytest.mark.parametrize("sx, visible", [(1.0, False), (-1.0, True)])
+    def test_exit_must_be_at_a_visible_fold(self, monkeypatch, sx, visible):
+        # X = (sx, 0, -x): Xf = -x vanishes on x = 0, where X2f = -sx, so the
+        # X fold is visible for sx < 0 and invisible for sx > 0.
+        def system(rng):
+            X = VectorField3(Poly3.constant(sx), Poly3.zero(), Poly3({(1, 0, 0): -1.0}))
+            Y = VectorField3(Poly3.zero(), Poly3.zero(), Poly3.constant(1.0))
+            return PiecewiseSystem(X, Y)
+
+        def fake(system, p0, horizon, cfg=None):
+            pts = np.array([[0.5, 0.0, 0.0], [0.0, 0.0, 0.0]])
+            seg = TrajectorySegment(Mode.SLIDING, np.arange(2.0), pts, FlightStatus.MODE_SWITCH)
+            return Trajectory([seg], FlightStatus.MODE_SWITCH.value, 1.0)
+
+        monkeypatch.setattr(checks, "_random_sliding_system", system)
+        monkeypatch.setattr(checks, "filippov_trajectory", fake)
+        results = checks.check_sliding_tangency(n_sims=3, seed=0)
+        exits = _by_name(results, "sliding exits at visible folds")
+        assert exits.passed is visible
+        assert exits.detail == f"{0 if visible else 3} of 3 sliding exits not at a visible fold"
+        assert _by_name(results, "sliding region membership").passed

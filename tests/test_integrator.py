@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import pytest
 
+from foldatlas import integrator
 from foldatlas.algebra import Poly3, VectorField3
 from foldatlas.errors import IntegrationFailure, PreconditionError
 from foldatlas.foldfold import make_parameters, return_map_analysis
@@ -80,6 +81,34 @@ def _bits(*values):
 
 def const_field(cx, cy, cz):
     return VectorField3(Poly3.constant(cx), Poly3.constant(cy), Poly3.constant(cz))
+
+
+# Normal form whose Y fold is invisible, with higher-order terms that make
+# the flights non-polynomial in time (so no interpolant is exact on them).
+HOT = {
+    "cx": [[[1, 0, 0], 0.3], [[0, 0, 1], -0.4]],
+    "cy": [[[0, 1, 0], 0.25]],
+    "cz": [[[2, 0, 0], 0.45], [[1, 1, 0], -0.35], [[0, 0, 2], 0.3]],
+}
+
+
+def hot_normal_form():
+    return build_normal_form(-0.6, 1.2, 0.8, -1.0, hot=HOT)
+
+
+def dry_friction(F=1.0, v0=0.5, c=0.1):
+    """Dry-friction oscillator: X = (z + v0, -c*y + 0.05*x, -x - F + 0.15*z),
+    Y the same with +F; it slides on -F < x < F and leaves at x = F."""
+
+    def field(sign):
+        return VectorField3(
+            Poly3({(0, 0, 1): 1.0, (0, 0, 0): v0}),
+            Poly3({(0, 1, 0): -c, (1, 0, 0): 0.05}),
+            Poly3({(1, 0, 0): -1.0, (0, 0, 0): sign * F, (0, 0, 1): 0.15}),
+        )
+
+    box = Box(-10, 10, -10, 10, -10, 10)
+    return PiecewiseSystem(field(-1.0), field(+1.0), box, "stick-slip"), box
 
 
 class TestStepperBitwise:
@@ -414,3 +443,146 @@ class TestConfig:
         end = traj.segments[-1].points[-1]
         assert traj.segments[-1].terminal is FlightStatus.LEFT_BOX
         assert max(abs(end[0]), abs(end[1])) > 2.0
+
+
+def _record_refinements(monkeypatch):
+    """Wrap the locator: one ``(h, found, rk_steps, event_name)`` per event,
+    counting the ``_rk_step`` calls made inside ``_refine_event``."""
+    events = []
+    inside = []
+    real_step, real_refine = integrator._rk_step, integrator._refine_event
+
+    def step(*args):
+        if inside:
+            inside[-1] += 1
+        return real_step(*args)
+
+    def refine(f, event, y_left, k_left, y_right, k_right, h, g_right, cfg):
+        inside.append(0)
+        try:
+            found = real_refine(f, event, y_left, k_left, y_right, k_right, h, g_right, cfg)
+        finally:
+            steps = inside.pop()
+        events.append((h, found, steps, event.name))
+        return found
+
+    monkeypatch.setattr(integrator, "_rk_step", step)
+    monkeypatch.setattr(integrator, "_refine_event", refine)
+    return events
+
+
+class TestEventLocator:
+    STRETCH = 1e-3 * CFG.event_tol
+
+    @staticmethod
+    def _hot_flight():
+        # Y flight below the plane from Yf = x < 0 back to {z = 0}.
+        return integrate_to_sigma(hot_normal_form().Y, (-0.15, 0.05, 0.0), -1, CFG)
+
+    @staticmethod
+    def _stick_slip_run():
+        system, box = dry_friction()
+        return filippov_trajectory(system, (0.2, 0.3, 0.0), 12.0, IntegratorConfig(box=box))
+
+    @staticmethod
+    def _force_fallback(monkeypatch, factor):
+        # An interpolant root outside (0, h) must hand over to bisection.
+        monkeypatch.setattr(integrator, "_interpolant_root", lambda *args: factor * args[5])
+
+    def test_invisible_fold_one_or_two_steps_per_event(self, monkeypatch):
+        events = _record_refinements(monkeypatch)
+        res = self._hot_flight()
+        assert res.status is FlightStatus.HIT_SIGMA
+        assert len(events) == 1
+        h, found, steps, name = events[0]
+        assert name == "sigma" and steps <= 2
+        assert abs(res.point[2]) <= self.STRETCH
+        assert found[1] == res.point
+
+    @pytest.mark.parametrize("factor", [-0.5, 2.0])
+    def test_invisible_fold_fallback_stays_in_bracket(self, monkeypatch, factor):
+        reference = self._hot_flight()
+        events = _record_refinements(monkeypatch)
+        self._force_fallback(monkeypatch, factor)
+        res = self._hot_flight()
+        (h, (dt, state, g), steps, _), = events
+        assert 0.0 < dt < h
+        assert abs(res.point[2]) <= CFG.event_tol and state == res.point
+        assert math.hypot(
+            res.point[0] - reference.point[0], res.point[1] - reference.point[1]
+        ) <= 1e-9
+
+    def test_sliding_exit_one_or_two_steps_per_event(self, monkeypatch):
+        events = _record_refinements(monkeypatch)
+        traj = self._stick_slip_run()
+        sliding = [e for e in events if e[3] in ("sx", "sy")]
+        assert len(sliding) >= 2
+        for h, (dt, _, g), steps, _ in sliding:
+            assert 0.0 < dt <= h
+            assert steps <= 2 and abs(g) <= self.STRETCH
+        assert [seg.mode for seg in traj.segments[:2]] == [Mode.SLIDING, Mode.FLOW_MINUS]
+
+    @pytest.mark.parametrize("factor", [-0.5, 2.0])
+    def test_sliding_exit_fallback_stays_in_bracket(self, monkeypatch, factor):
+        reference = self._stick_slip_run()
+        events = _record_refinements(monkeypatch)
+        self._force_fallback(monkeypatch, factor)
+        traj = self._stick_slip_run()
+        sliding = [e for e in events if e[3] in ("sx", "sy")]
+        assert sliding
+        for h, (dt, _, g), _, _ in sliding:
+            assert 0.0 < dt < h and abs(g) <= CFG.event_tol
+        exit_ref = reference.segments[0].points[-1]
+        exit_new = traj.segments[0].points[-1]
+        assert np.max(np.abs(exit_new - exit_ref)) <= 1e-9
+
+
+class TestScipyRoute:
+    """Return points against scipy's DOP853 with a terminal directional event:
+    a third route, independent of this module's stepper and locator."""
+
+    @staticmethod
+    def _scipy_return(field, q, direction):
+        solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+        f = field.compiled()
+
+        def plane(t, y):
+            return y[2]
+
+        plane.terminal = True
+        plane.direction = -direction
+        sol = solve_ivp(
+            lambda t, y: f(*y), (0.0, CFG.max_time), q,
+            method="DOP853", rtol=1e-12, atol=1e-14, events=plane,
+        )
+        (point,) = sol.y_events[0]
+        return point
+
+    def _assert_agree(self, field, q, direction):
+        res = integrate_to_sigma(field, q, direction, CFG)
+        assert res.status is FlightStatus.HIT_SIGMA
+        ref = self._scipy_return(field, q, direction)
+        assert math.hypot(res.point[0] - ref[0], res.point[1] - ref[1]) <= 1e-8
+
+    def test_random_invisible_folds(self):
+        rng = np.random.default_rng(31)
+        for _ in range(12):
+            a, b, g = rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(0.3, 2.0)
+            hot = {
+                "cx": [[[1, 0, 0], rng.uniform(-0.5, 0.5)], [[0, 0, 1], rng.uniform(-0.5, 0.5)]],
+                "cy": [[[0, 1, 0], rng.uniform(-0.5, 0.5)]],
+                "cz": [[[2, 0, 0], rng.uniform(-0.5, 0.5)], [[1, 1, 0], rng.uniform(-0.5, 0.5)]],
+            }
+            system = build_normal_form(a, b, g, -1.0, hot=hot)
+            # X: Xf = -y > 0 for y < 0; Y: Yf = x + O(2) < 0 for x < 0.
+            self._assert_agree(system.X, (rng.uniform(-0.2, 0.2), -rng.uniform(0.02, 0.2), 0.0), +1)
+            self._assert_agree(system.Y, (-rng.uniform(0.02, 0.2), rng.uniform(-0.2, 0.2), 0.0), -1)
+
+    def test_stick_slip_free_flights(self):
+        rng = np.random.default_rng(32)
+        for _ in range(8):
+            F, v0, c = rng.uniform(0.5, 1.5), rng.uniform(0.2, 1.0), rng.uniform(0.05, 0.3)
+            system, _ = dry_friction(F, v0, c)
+            # Slip above the plane from Xf = -x - F > 0, below from Yf = F - x < 0.
+            self._assert_agree(system.X, (-F - rng.uniform(0.05, 1.0), rng.uniform(-1, 1), 0.0), +1)
+            self._assert_agree(system.Y, (F + rng.uniform(0.05, 1.0), rng.uniform(-1, 1), 0.0), -1)

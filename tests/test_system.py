@@ -123,6 +123,13 @@ class TestBuildNormalForm:
         assert system.xyf.eval_at((0, 0, 0)) == -1.0
         assert system.yxf.eval_at((0, 0, 0)) == 1.0
 
+    def test_time_reversed_is_memoized(self):
+        system = build_normal_form(-1.0, -1.0, 1.0, -1.0)
+        rev = system.time_reversed()
+        assert system.time_reversed() is rev
+        assert rev.X is system.X.negated() and rev.Y is system.Y.negated()
+        assert rev.xf.compiled() is system.time_reversed().xf.compiled()
+
     def test_gamma_zero_rejected(self):
         with pytest.raises(PreconditionError):
             build_normal_form(1.0, 1.0, 0.0, -1.0)
