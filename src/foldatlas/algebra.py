@@ -4,10 +4,20 @@ All classification formulas in this package evaluate on exact polynomial
 objects: the switching function is the coordinate z, the two vector fields
 are polynomial, and every tangency/transversality test reduces to evaluating
 iterated Lie derivatives at a point.
+
+Hot numeric loops call compiled evaluators.  Python source is generated and
+compiled once per *monomial shape* (the sorted exponent triples of each
+component) into a factory that binds coefficients to an evaluator; a small
+private LRU keeps the factories, so a new system whose polynomials share a
+shape with an earlier one only pays for binding its coefficients.  The
+evaluator computes the same terms, powers and left-to-right sums as
+``as_expr``, so it returns bitwise the same floats as compiling that
+expression with literal coefficients.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 VARS = ("x", "y", "z")
@@ -25,6 +35,60 @@ class DegreeCapError(ValueError):
 
 def _prune(terms):
     return {e: c for e, c in terms.items() if c != 0.0}
+
+
+def _poly(terms):
+    """Poly3 from arithmetic results: int-triple keys, float values and no
+    zeros already hold, so only the degree cap is checked."""
+    p = object.__new__(Poly3)
+    p.terms = terms
+    p._fn = None
+    deg = p.degree()
+    if deg > MAX_TOTAL_DEGREE:
+        raise DegreeCapError(f"degree {deg} exceeds cap {MAX_TOTAL_DEGREE}")
+    return p
+
+
+def _term(coeff, exps):
+    """Source of one monomial: ``coeff*x*y**2`` for the exponents (1, 2, 0)."""
+    factors = [coeff]
+    for var, p in zip(VARS, exps):
+        if p == 1:
+            factors.append(var)
+        elif p > 1:
+            factors.append(f"{var}**{p}")
+    return "*".join(factors)
+
+
+@functools.lru_cache(maxsize=512)
+def _factory(shapes):
+    """``lambda c0, ..., cn: lambda x, y, z: ...`` for a tuple of component
+    shapes: one shape gives a scalar evaluator, several give a tuple."""
+    names = []
+    exprs = []
+    for shape in shapes:
+        terms = []
+        for exps in shape:
+            terms.append(_term(f"c{len(names)}", exps))
+            names.append(f"c{len(names)}")
+        exprs.append(" + ".join(terms) if terms else "0.0")
+    body = f"({exprs[0]})" if len(exprs) == 1 else "({})".format(
+        ", ".join(f"({e})" for e in exprs)
+    )
+    src = f"lambda {', '.join(names)}: lambda x, y, z: {body}"
+    # the source holds generated names and integer exponents only
+    return eval(compile(src, "<poly3>", "eval"), {"__builtins__": {}})
+
+
+def _bind(polys):
+    """Evaluator of ``polys`` from the factory of their shapes."""
+    shapes = []
+    coeffs = []
+    for p in polys:
+        items = p.items()
+        shapes.append(tuple(e for e, _ in items))
+        coeffs.extend(c for _, c in items)
+    return _factory(tuple(shapes))(*coeffs)
 
 
 class Poly3:
@@ -115,12 +179,12 @@ class Poly3:
         acc = dict(self.terms)
         for e, c in other.terms.items():
             acc[e] = acc.get(e, 0.0) + c
-        return Poly3(_prune(acc))
+        return _poly(_prune(acc))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly3({e: -c for e, c in self.terms.items()})
+        return _poly({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, Poly3):
@@ -138,7 +202,7 @@ class Poly3:
             for (i2, j2, k2), c2 in other.terms.items():
                 key = (i1 + i2, j1 + j2, k1 + k2)
                 acc[key] = acc.get(key, 0.0) + c1 * c2
-        return Poly3(_prune(acc))
+        return _poly(_prune(acc))
 
     __rmul__ = __mul__
 
@@ -146,7 +210,7 @@ class Poly3:
         c = float(c)
         if c == 0.0:
             return Poly3.zero()
-        return Poly3({e: c * v for e, v in self.terms.items()})
+        return _poly(_prune({e: c * v for e, v in self.terms.items()}))
 
     def partial(self, var):
         idx = _VAR_INDEX[var]
@@ -158,11 +222,12 @@ class Poly3:
             new = list(exps)
             new[idx] = p - 1
             acc[tuple(new)] = acc.get(tuple(new), 0.0) + c * p
-        return Poly3(acc)
+        # distinct terms differentiate to distinct terms, and c * p != 0
+        return _poly(acc)
 
     def subs_z0(self):
         """Restrict to the switching plane: substitute z = 0."""
-        return Poly3({e: c for e, c in self.terms.items() if e[2] == 0})
+        return _poly({e: c for e, c in self.terms.items() if e[2] == 0})
 
     # -- comparison / display ---------------------------------------------
 
@@ -181,27 +246,16 @@ class Poly3:
         )
 
     def as_expr(self):
-        """Python expression string in x, y, z (used for compilation)."""
+        """Python expression string in x, y, z with literal coefficients;
+        ``compiled()`` evaluates exactly this expression."""
         if not self.terms:
             return "0.0"
-        pieces = []
-        for (i, j, k), c in self.items():
-            factors = [repr(c)]
-            for var, p in zip(VARS, (i, j, k)):
-                if p == 1:
-                    factors.append(var)
-                elif p > 1:
-                    factors.append(f"{var}**{p}")
-            pieces.append("*".join(factors))
-        return " + ".join(pieces)
+        return " + ".join(_term(repr(c), e) for e, c in self.items())
 
     def compiled(self):
         """Cached evaluator ``f(x, y, z) -> float`` for hot numeric loops."""
         if self._fn is None:
-            self._fn = eval(  # expression is generated from numeric coefficients only
-                compile(f"lambda x, y, z: ({self.as_expr()})", "<poly3>", "eval"),
-                {"__builtins__": {}},
-            )
+            self._fn = _bind((self,))
         return self._fn
 
     def __repr__(self):
@@ -229,7 +283,7 @@ def poly_partial(p, var):
 class VectorField3:
     """Polynomial vector field on R^3 with components (cx, cy, cz)."""
 
-    __slots__ = ("cx", "cy", "cz", "_fn", "_neg")
+    __slots__ = ("cx", "cy", "cz", "_fn", "_neg", "_scale")
 
     def __init__(self, cx, cy, cz):
         self.cx = cx
@@ -237,6 +291,7 @@ class VectorField3:
         self.cz = cz
         self._fn = None
         self._neg = None
+        self._scale = None
 
     def components(self):
         return (self.cx, self.cy, self.cz)
@@ -251,7 +306,10 @@ class VectorField3:
         return max(p.degree() for p in self.components())
 
     def coeff_scale(self):
-        return max(p.coeff_scale() for p in self.components())
+        """Cached largest coefficient magnitude of the three components."""
+        if self._scale is None:
+            self._scale = max(p.coeff_scale() for p in self.components())
+        return self._scale
 
     def negated(self):
         """Cached ``-field``, so backward flights share one compiled evaluator."""
@@ -262,10 +320,7 @@ class VectorField3:
     def compiled(self):
         """Cached evaluator ``f(x, y, z) -> (fx, fy, fz)``."""
         if self._fn is None:
-            src = "lambda x, y, z: (({}), ({}), ({}))".format(
-                self.cx.as_expr(), self.cy.as_expr(), self.cz.as_expr()
-            )
-            self._fn = eval(compile(src, "<field3>", "eval"), {"__builtins__": {}})
+            self._fn = _bind(self.components())
         return self._fn
 
     def __eq__(self, other):

@@ -9,7 +9,7 @@ runs reduced sample counts; the acceptance tests run the full ones.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from .sliding import (
 )
 from .algebra import Poly3, VectorField3
 from .sigma import FoldFoldSubtype, TangencyType, tangency_type
-from .system import PiecewiseSystem, build_normal_form
+from .system import Box, PiecewiseSystem, build_normal_form
 
 
 @dataclass
@@ -305,6 +305,31 @@ def check_region_spectra(n_per_region=10000, seed=0):
 # Rescaling invariance
 
 
+def _clear_of_boundaries(a, b, g, d, margin=1e-4):
+    """True when (a, b, g, d) lies at least ``margin`` away from every
+    decision boundary of the verdicts and region tags."""
+    if min(abs(a), abs(b)) < 1e-3:
+        return False
+    ab = a * b
+    clear = (
+        abs(ab - g) > margin
+        and abs(ab) > margin
+        and abs(a + b) > margin
+        and (g > 0 or abs((b - a) + 2.0 * math.sqrt(-g)) > margin)
+        and abs(2.0 * a * (a + b) - g) > margin
+    )
+    if g > 0 and d > 0:
+        # visible-invisible: the mirrored triple must clear margins too
+        am, bm = -b / math.sqrt(g), a / math.sqrt(g)
+        clear = clear and (
+            abs(am * bm + 1.0) > margin
+            and abs(am + bm) > margin
+            and abs((bm - am) + 2.0) > margin
+            and abs(2.0 * am * (am + bm) + 1.0) > margin
+        )
+    return clear
+
+
 def _draw_any_foldfold(rng, margin=1e-4):
     """Draw parameters of any subtype, bounded away from decision boundaries."""
     while True:
@@ -312,26 +337,7 @@ def _draw_any_foldfold(rng, margin=1e-4):
         g = rng.choice((-1.0, 1.0)) * rng.uniform(0.2, 3.0)
         a = rng.uniform(-3.0, 3.0)
         b = rng.uniform(-3.0, 3.0)
-        if min(abs(a), abs(b)) < 1e-3:
-            continue
-        ab = a * b
-        clear = (
-            abs(ab - g) > margin
-            and abs(ab) > margin
-            and abs(a + b) > margin
-            and (g > 0 or abs((b - a) + 2.0 * math.sqrt(-g)) > margin)
-            and abs(2.0 * a * (a + b) - g) > margin
-        )
-        if g > 0 and d > 0:
-            # visible-invisible: the mirrored triple must clear margins too
-            am, bm = -b / math.sqrt(g), a / math.sqrt(g)
-            clear = clear and (
-                abs(am * bm + 1.0) > margin
-                and abs(am + bm) > margin
-                and abs((bm - am) + 2.0) > margin
-                and abs(2.0 * am * (am + bm) + 1.0) > margin
-            )
-        if clear:
+        if _clear_of_boundaries(a, b, g, d, margin):
             return make_parameters(a, b, g, d)
 
 
@@ -549,12 +555,50 @@ def _random_sliding_system(rng):
     return PiecewiseSystem(X, Y, name="random-sliding")
 
 
-def check_sliding_tangency(n_sims=100, seed=0, cfg=None, tol=1e-10):
+def _stick_slip_system(F, v0, c):
+    """Dry-friction oscillator X = (z + v0, -c*y + 0.05*x, -x - F + 0.15*z),
+    Y the same with +F: it slides on -F < x < F and leaves at the visible
+    Y fold x = F."""
+
+    def oscillator(sign):
+        return VectorField3(
+            Poly3({(0, 0, 1): 1.0, (0, 0, 0): v0}),
+            Poly3({(0, 1, 0): -c, (1, 0, 0): 0.05}),
+            Poly3({(1, 0, 0): -1.0, (0, 0, 0): sign * F, (0, 0, 1): 0.15}),
+        )
+
+    box = Box(-10.0, 10.0, -10.0, 10.0, -10.0, 10.0)
+    return PiecewiseSystem(oscillator(-1.0), oscillator(+1.0), box, "stick-slip")
+
+
+def _sliding_runs(rng, n_sims, n_stick_slip, cfg):
+    """(system, start, horizon, config) of each simulation: random sliding
+    systems first, then stick-slip systems started in their sliding strip."""
+    for _ in range(n_sims):
+        system = _random_sliding_system(rng)
+        p0 = (
+            rng.uniform(-0.5, 0.5),
+            rng.uniform(-0.5, 0.5),
+            rng.uniform(0.2, 0.6),
+        )
+        yield system, p0, 4.0, cfg
+    for _ in range(n_stick_slip):
+        F, v0, c = rng.uniform(0.5, 1.5), rng.uniform(0.5, 1.0), rng.uniform(0.05, 0.3)
+        system = _stick_slip_system(F, v0, c)
+        p0 = (rng.uniform(-0.5 * F, 0.5 * F), rng.uniform(-1.0, 1.0), 0.0)
+        yield system, p0, 8.0, replace(cfg, box=system.box)
+
+
+def check_sliding_tangency(n_sims=100, seed=0, cfg=None, tol=1e-10, n_stick_slip=4):
     """Along every sliding segment |z| and the sliding velocity's normal
     component stay at tolerance zero, every sample lies in the stable
     sliding region {Xf <= 0 <= Yf}, and every sliding segment that switches
     mode leaves at a visible fold (|Xf| <= tol with X2f > 0, or |Yf| <= tol
-    with Y2f < 0)."""
+    with Y2f < 0).
+
+    The random sliding systems never slide off a fold, so ``n_stick_slip``
+    dry-friction systems, which leave sliding at x = F, follow them; the
+    exit check fails unless some segment exits."""
     cfg = cfg or IntegratorConfig()
     rng = np.random.default_rng(seed)
     worst_z = 0.0
@@ -563,18 +607,12 @@ def check_sliding_tangency(n_sims=100, seed=0, cfg=None, tol=1e-10):
     sliding_samples = 0
     exits = 0
     bad_exits = 0
-    for _ in range(n_sims):
-        system = _random_sliding_system(rng)
+    for system, p0, horizon, run_cfg in _sliding_runs(rng, n_sims, n_stick_slip, cfg):
         xf = system.xf.compiled()
         yf = system.yf.compiled()
         xz = system.X.cz.compiled()
         yz = system.Y.cz.compiled()
-        p0 = (
-            rng.uniform(-0.5, 0.5),
-            rng.uniform(-0.5, 0.5),
-            rng.uniform(0.2, 0.6),
-        )
-        traj = filippov_trajectory(system, p0, 4.0, cfg)
+        traj = filippov_trajectory(system, p0, horizon, run_cfg)
         for seg in traj.segments:
             if seg.mode.value != "sliding":
                 continue
@@ -617,7 +655,7 @@ def check_sliding_tangency(n_sims=100, seed=0, cfg=None, tol=1e-10):
         ),
         CheckResult(
             "sliding exits at visible folds",
-            bad_exits == 0,
+            bad_exits == 0 and exits > 0,
             float(bad_exits),
             0.0,
             f"{bad_exits} of {exits} sliding exits not at a visible fold",

@@ -1,5 +1,13 @@
+import struct
+
 import numpy as np
 import pytest
+
+try:
+    from hypothesis import given
+    from hypothesis import strategies as st
+except ImportError:  # the property tests at the end of this file need hypothesis
+    given = None
 
 from foldatlas.algebra import (
     DegreeCapError,
@@ -192,3 +200,173 @@ class TestNegated:
         for _ in range(200):
             p = tuple(rng.uniform(-2.0, 2.0, size=3))
             assert g(*p) == tuple(-v for v in f(*p))
+
+
+class TestSharedEvaluators:
+    def test_same_shape_no_crosstalk(self):
+        # One shape, two coefficient sets: one factory, two evaluators.
+        def field(c):
+            return VectorField3(
+                Poly3({(0, 0, 0): c, (1, 0, 0): -2.0 * c}),
+                Poly3({(0, 1, 0): 3.0 * c}),
+                Poly3({(2, 0, 1): c, (0, 0, 0): 0.5}),
+            )
+
+        f, g = field(1.0), field(-7.25)
+        f_fn, g_fn = f.compiled(), g.compiled()
+        assert f_fn.__code__ is g_fn.__code__
+        for pt in [(0.3, -1.1, 2.0), (-4.0, 0.5, 0.25)]:
+            assert f_fn(*pt) == f.eval_at(pt)
+            assert g_fn(*pt) == g.eval_at(pt)
+            assert f_fn(*pt) != g_fn(*pt)
+
+    def test_poly_and_field_of_one_shape_do_not_mix(self):
+        p = Poly3({(1, 0, 0): 2.0})
+        field = VectorField3(p, Poly3.zero(), Poly3.zero())
+        assert p.compiled()(3.0, 0.0, 0.0) == 6.0
+        assert field.compiled()(3.0, 0.0, 0.0) == (6.0, 0.0, 0.0)
+
+    def test_coeff_scale_is_memoized(self, monkeypatch):
+        field = random_field(np.random.default_rng(9))
+        expected = max(abs(c) for p in field.components() for c in p.terms.values())
+        calls = []
+        original = Poly3.coeff_scale
+        monkeypatch.setattr(
+            Poly3, "coeff_scale", lambda self: calls.append(self) or original(self)
+        )
+        assert field.coeff_scale() == expected
+        assert field.coeff_scale() == expected
+        assert len(calls) == 3
+
+
+    def test_bitwise_on_random_polys(self):
+        # Coefficients and points of like size: the summation order and the
+        # powers of the literal-coefficient expression show in the bits.
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            n = int(rng.integers(1, 13))
+            exps = [tuple(int(e) for e in rng.multinomial(int(rng.integers(0, 9)), [1 / 3] * 3))
+                    for _ in range(n)]
+            p = Poly3({e: rng.uniform(-2.0, 2.0) for e in exps})
+            field = VectorField3(p, -p, p * p)
+            for pt in rng.uniform(-1.5, 1.5, size=(5, 3)):
+                pt = tuple(float(v) for v in pt)
+                assert _bits(p.compiled()(*pt)) == _bits(_ref_poly_fn(p)(*pt))
+                assert _bits(*field.compiled()(*pt)) == _bits(*_ref_field_fn(field)(*pt))
+
+
+class TestLeanConstructor:
+    def test_product_past_the_cap_raises(self):
+        p12 = Poly3({(6, 6, 0): 1.0, (0, 0, 1): 2.0})
+        assert (p12 * p12).degree() == 24
+        with pytest.raises(DegreeCapError):
+            p12 * p12 * X
+        with pytest.raises(DegreeCapError):
+            lie_derivative(VectorField3(p12 * p12, p12, p12), X * X)
+
+
+# -- bitwise pins and arithmetic properties (hypothesis) -------------------
+
+
+def _ref_expr(p):
+    """The literal-coefficient expression source of ``p``, as compiled
+    before evaluators were shared per shape."""
+    if not p.terms:
+        return "0.0"
+    pieces = []
+    for (i, j, k), c in sorted(p.terms.items()):
+        factors = [repr(c)]
+        for var, e in zip("xyz", (i, j, k)):
+            if e == 1:
+                factors.append(var)
+            elif e > 1:
+                factors.append(f"{var}**{e}")
+        pieces.append("*".join(factors))
+    return " + ".join(pieces)
+
+
+def _ref_compile(src):
+    return eval(compile(src, "<ref>", "eval"), {"__builtins__": {}})
+
+
+def _ref_poly_fn(p):
+    return _ref_compile(f"lambda x, y, z: ({_ref_expr(p)})")
+
+
+def _ref_field_fn(field):
+    return _ref_compile(
+        "lambda x, y, z: (({}), ({}), ({}))".format(*map(_ref_expr, field.components()))
+    )
+
+
+def _bits(*values):
+    return [struct.pack("<d", v) for v in values]
+
+
+def _assert_canonical(p):
+    """``p`` is exactly what the validating constructor makes of its terms."""
+    again = Poly3(p.terms)
+    assert list(p.terms) == list(again.terms)
+    assert _bits(*p.terms.values()) == _bits(*again.terms.values())
+    for exps, c in p.terms.items():
+        assert type(exps) is tuple and len(exps) == 3
+        assert all(type(e) is int and e >= 0 for e in exps)
+        assert type(c) is float and c != 0.0
+
+
+if given is not None:
+    _EXPONENTS = st.integers(0, 8).flatmap(
+        lambda i: st.integers(0, 8 - i).flatmap(
+            lambda j: st.tuples(st.just(i), st.just(j), st.integers(0, 8 - i - j))
+        )
+    )
+    _COEFFS = st.one_of(
+        # Terms of like size, so that a changed summation order shows.
+        st.floats(-10.0, 10.0),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.sampled_from([5e-324, -5e-324, 1e-300, -2.5e-308, 1e300, -1.7976931348623157e308]),
+    )
+    _polys = st.one_of(
+        st.just(Poly3.zero()),
+        st.dictionaries(_EXPONENTS, _COEFFS, max_size=12).map(Poly3),
+        st.dictionaries(_EXPONENTS, _COEFFS, min_size=4, max_size=12).map(Poly3),
+    )
+    _fields = st.builds(VectorField3, _polys, _polys, _polys)
+    _points = st.one_of(
+        st.tuples(*[st.floats(-4.0, 4.0)] * 3),
+        # Wide enough for products to overflow to inf, small enough that
+        # x**8 itself does not raise OverflowError.
+        st.tuples(*[st.floats(-1e30, 1e30)] * 3),
+    )
+    # Drawn points are often 0 or 1, where every order of summation agrees;
+    # at these, terms round and a changed order shows in the last bits.
+    _ROUGH = [(0.1, -0.7, 1.3), (1.0471975511965976, -1.3591409142295225, 0.3)]
+
+    class TestCompiledBitwise:
+        @given(_polys, st.lists(_points, min_size=1, max_size=4))
+        def test_poly(self, p, points):
+            assert p.as_expr() == _ref_expr(p)
+            fn, ref = p.compiled(), _ref_poly_fn(p)
+            for pt in points + _ROUGH:
+                assert _bits(fn(*pt)) == _bits(ref(*pt))
+
+        @given(_fields, st.lists(_points, min_size=1, max_size=4))
+        def test_field_and_negated(self, field, points):
+            for f in (field, field.negated()):
+                fn, ref = f.compiled(), _ref_field_fn(f)
+                for pt in points + _ROUGH:
+                    assert _bits(*fn(*pt)) == _bits(*ref(*pt))
+
+    class TestArithmeticIsCanonical:
+        @given(_polys, _polys, _COEFFS)
+        def test_ring_operations(self, p, q, c):
+            for r in (p + q, p - q, -p, p * q, p + c, c - p, p.scaled(c), p * c, p.subs_z0()):
+                _assert_canonical(r)
+
+        @given(_fields, _polys)
+        def test_calculus(self, field, p):
+            for var in "xyz":
+                _assert_canonical(p.partial(var))
+            _assert_canonical(lie_derivative(field, p))
+            for g in gradient_on_sigma(p):
+                _assert_canonical(g)

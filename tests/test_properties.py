@@ -1,5 +1,6 @@
-"""Property tests: Poly3 ring and Leibniz identities, and the bitwise
-round trip of serialized systems.
+"""Property tests: Poly3 ring and Leibniz identities, the bitwise round
+trip of serialized systems, rescaling invariance of two-fold reports and
+involutivity of the numeric fold map.
 
 Ring identities use small integer coefficients, so every float operation is
 exact and the identities hold with ``==`` rather than up to rounding.
@@ -15,7 +16,16 @@ st = pytest.importorskip("hypothesis.strategies")
 given = hypothesis.given
 
 from foldatlas.algebra import Poly3, VectorField3, lie_derivative  # noqa: E402
-from foldatlas.system import Box, PiecewiseSystem, load_system, serialize_system  # noqa: E402
+from foldatlas.checks import _clear_of_boundaries, _verdict_signature  # noqa: E402
+from foldatlas.foldfold import make_parameters, report_from_params  # noqa: E402
+from foldatlas.integrator import fold_map_numeric  # noqa: E402
+from foldatlas.system import (  # noqa: E402
+    Box,
+    PiecewiseSystem,
+    build_normal_form,
+    load_system,
+    serialize_system,
+)
 
 # Total degree <= 6: triple products stay under the algebra's degree cap
 # and single polynomials under the input cap of serialized systems.
@@ -107,3 +117,63 @@ class TestSerializeRoundTrip:
         assert all(math.isfinite(v) for v in again.box.as_tuple())
         assert again.name == name
         assert serialize_system(again) == text
+
+
+def _report_signature(params):
+    report = report_from_params(params)
+    analysis = report.analysis
+    if analysis is not None:
+        analysis = (
+            analysis.fixed_point_class,
+            analysis.location_contracting,
+            analysis.location_expanding,
+        )
+    return report.region, report.claim, _verdict_signature(report.verdict), analysis
+
+
+class TestRescalingInvariance:
+    """(a, b, g) -> (e a, e b, e^2 g) is a time and space rescaling of the
+    normal form, so no report verdict may change (Jeffrey & Colombo 2009)."""
+
+    @given(
+        st.floats(-3.0, 3.0),
+        st.floats(-3.0, 3.0),
+        st.floats(0.2, 3.0),
+        st.sampled_from([(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)]),
+        st.floats(0.1, 10.0),
+    )
+    def test_report_verdicts(self, a, b, g_abs, signs, e):
+        g, d = signs[0] * g_abs, signs[1]
+        hypothesis.assume(_clear_of_boundaries(a, b, g, d))
+        base = make_parameters(a, b, g, d)
+        scaled = make_parameters(e * a, e * b, e * e * g, d)
+        assert _report_signature(scaled) == _report_signature(base)
+
+
+_SMALL = st.floats(-0.5, 0.5)
+
+
+class TestFoldMapInvolution:
+    """Applied twice, the numeric fold map of an invisible fold returns to
+    its start (Teixeira 1990), also with higher-order terms."""
+
+    @hypothesis.settings(max_examples=15)
+    @given(
+        st.floats(-2.0, 2.0),
+        st.floats(-2.0, 2.0),
+        st.floats(0.3, 2.0),
+        st.tuples(*[_SMALL] * 5),
+        st.sampled_from(["X", "Y"]),
+        st.floats(0.005, 0.1),
+        st.floats(0.0, 2.0 * math.pi),
+    )
+    def test_twice_is_identity(self, a, b, g, hot, side, r, th):
+        system = build_normal_form(a, b, g, -1.0, hot={
+            "cx": [[[1, 0, 0], hot[0]], [[0, 0, 1], hot[1]]],
+            "cy": [[[0, 1, 0], hot[2]]],
+            "cz": [[[2, 0, 0], hot[3]], [[1, 1, 0], hot[4]]],
+        })
+        q = (r * math.cos(th), r * math.sin(th))
+        image = fold_map_numeric(system, side, q)
+        back = fold_map_numeric(system, side, image)
+        assert math.hypot(back[0] - q[0], back[1] - q[1]) <= 1e-6
