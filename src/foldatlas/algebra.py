@@ -37,16 +37,21 @@ def _prune(terms):
     return {e: c for e, c in terms.items() if c != 0.0}
 
 
+def _capped(p, cap):
+    """``p``, or DegreeCapError if its degree exceeds ``cap``."""
+    deg = p.degree()
+    if deg > cap:
+        raise DegreeCapError(f"degree {deg} exceeds cap {cap}")
+    return p
+
+
 def _poly(terms):
     """Poly3 from arithmetic results: int-triple keys, float values and no
     zeros already hold, so only the degree cap is checked."""
     p = object.__new__(Poly3)
     p.terms = terms
     p._fn = None
-    deg = p.degree()
-    if deg > MAX_TOTAL_DEGREE:
-        raise DegreeCapError(f"degree {deg} exceeds cap {MAX_TOTAL_DEGREE}")
-    return p
+    return _capped(p, MAX_TOTAL_DEGREE)
 
 
 def _term(coeff, exps):
@@ -114,9 +119,7 @@ class Poly3:
                     clean[(int(i), int(j), int(k))] = c
         self.terms = clean
         self._fn = None
-        deg = self.degree()
-        if deg > max_degree:
-            raise DegreeCapError(f"degree {deg} exceeds cap {max_degree}")
+        _capped(self, max_degree)
 
     # -- constructors ------------------------------------------------------
 

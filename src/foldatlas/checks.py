@@ -555,6 +555,10 @@ def _random_sliding_system(rng):
     return PiecewiseSystem(X, Y, name="random-sliding")
 
 
+# Dry-friction systems run after the random ones by check_sliding_tangency.
+_STICK_SLIP_RUNS = 4
+
+
 def _stick_slip_system(F, v0, c):
     """Dry-friction oscillator X = (z + v0, -c*y + 0.05*x, -x - F + 0.15*z),
     Y the same with +F: it slides on -F < x < F and leaves at the visible
@@ -571,7 +575,7 @@ def _stick_slip_system(F, v0, c):
     return PiecewiseSystem(oscillator(-1.0), oscillator(+1.0), box, "stick-slip")
 
 
-def _sliding_runs(rng, n_sims, n_stick_slip, cfg):
+def _sliding_runs(rng, n_sims, cfg):
     """(system, start, horizon, config) of each simulation: random sliding
     systems first, then stick-slip systems started in their sliding strip."""
     for _ in range(n_sims):
@@ -582,23 +586,23 @@ def _sliding_runs(rng, n_sims, n_stick_slip, cfg):
             rng.uniform(0.2, 0.6),
         )
         yield system, p0, 4.0, cfg
-    for _ in range(n_stick_slip):
+    for _ in range(_STICK_SLIP_RUNS):
         F, v0, c = rng.uniform(0.5, 1.5), rng.uniform(0.5, 1.0), rng.uniform(0.05, 0.3)
         system = _stick_slip_system(F, v0, c)
         p0 = (rng.uniform(-0.5 * F, 0.5 * F), rng.uniform(-1.0, 1.0), 0.0)
         yield system, p0, 8.0, replace(cfg, box=system.box)
 
 
-def check_sliding_tangency(n_sims=100, seed=0, cfg=None, tol=1e-10, n_stick_slip=4):
+def check_sliding_tangency(n_sims=100, seed=0, cfg=None, tol=1e-10):
     """Along every sliding segment |z| and the sliding velocity's normal
     component stay at tolerance zero, every sample lies in the stable
     sliding region {Xf <= 0 <= Yf}, and every sliding segment that switches
     mode leaves at a visible fold (|Xf| <= tol with X2f > 0, or |Yf| <= tol
     with Y2f < 0).
 
-    The random sliding systems never slide off a fold, so ``n_stick_slip``
-    dry-friction systems, which leave sliding at x = F, follow them; the
-    exit check fails unless some segment exits."""
+    The random sliding systems never slide off a fold, so
+    ``_STICK_SLIP_RUNS`` dry-friction systems, which leave sliding at x = F,
+    follow them; the exit check fails unless some segment exits."""
     cfg = cfg or IntegratorConfig()
     rng = np.random.default_rng(seed)
     worst_z = 0.0
@@ -607,7 +611,7 @@ def check_sliding_tangency(n_sims=100, seed=0, cfg=None, tol=1e-10, n_stick_slip
     sliding_samples = 0
     exits = 0
     bad_exits = 0
-    for system, p0, horizon, run_cfg in _sliding_runs(rng, n_sims, n_stick_slip, cfg):
+    for system, p0, horizon, run_cfg in _sliding_runs(rng, n_sims, cfg):
         xf = system.xf.compiled()
         yf = system.yf.compiled()
         xz = system.X.cz.compiled()

@@ -104,7 +104,8 @@ class TestSlidingExits:
         monkeypatch.setattr(checks, "filippov_trajectory", fake)
         # Only the patched system: the fake exit point is no fold of the
         # stick-slip companions.
-        results = checks.check_sliding_tangency(n_sims=3, seed=0, n_stick_slip=0)
+        monkeypatch.setattr(checks, "_STICK_SLIP_RUNS", 0)
+        results = checks.check_sliding_tangency(n_sims=3, seed=0)
         exits = _by_name(results, "sliding exits at visible folds")
         assert exits.passed is visible
         assert exits.detail == f"{0 if visible else 3} of 3 sliding exits not at a visible fold"
@@ -113,13 +114,15 @@ class TestSlidingExits:
     def test_no_exit_fails(self, monkeypatch):
         fake = TestSlidingMembership._fake_sliding(lambda s: [(0.0, 0.0, 0.0)])
         monkeypatch.setattr(checks, "filippov_trajectory", fake)
-        results = checks.check_sliding_tangency(n_sims=3, seed=0, n_stick_slip=0)
+        monkeypatch.setattr(checks, "_STICK_SLIP_RUNS", 0)
+        results = checks.check_sliding_tangency(n_sims=3, seed=0)
         exits = _by_name(results, "sliding exits at visible folds")
         assert not exits.passed
         assert exits.detail == "0 of 0 sliding exits not at a visible fold"
 
-    def test_stick_slip_systems_exit_at_visible_folds(self):
-        results = checks.check_sliding_tangency(n_sims=0, seed=0, n_stick_slip=2)
+    def test_stick_slip_systems_exit_at_visible_folds(self, monkeypatch):
+        monkeypatch.setattr(checks, "_STICK_SLIP_RUNS", 2)
+        results = checks.check_sliding_tangency(n_sims=0, seed=0)
         assert all(r.passed for r in results)
         exits = _by_name(results, "sliding exits at visible folds")
         n_exits = int(re.match(r"0 of (\d+) sliding exits", exits.detail).group(1))

@@ -6,6 +6,7 @@ import pytest
 
 from foldatlas import integrator
 from foldatlas.algebra import Poly3, VectorField3
+from foldatlas.checks import _stick_slip_system
 from foldatlas.errors import IntegrationFailure, PreconditionError
 from foldatlas.foldfold import make_parameters, return_map_analysis
 from foldatlas.integrator import (
@@ -97,18 +98,9 @@ def hot_normal_form():
 
 
 def dry_friction(F=1.0, v0=0.5, c=0.1):
-    """Dry-friction oscillator: X = (z + v0, -c*y + 0.05*x, -x - F + 0.15*z),
-    Y the same with +F; it slides on -F < x < F and leaves at x = F."""
-
-    def field(sign):
-        return VectorField3(
-            Poly3({(0, 0, 1): 1.0, (0, 0, 0): v0}),
-            Poly3({(0, 1, 0): -c, (1, 0, 0): 0.05}),
-            Poly3({(1, 0, 0): -1.0, (0, 0, 0): sign * F, (0, 0, 1): 0.15}),
-        )
-
-    box = Box(-10, 10, -10, 10, -10, 10)
-    return PiecewiseSystem(field(-1.0), field(+1.0), box, "stick-slip"), box
+    """The dry-friction oscillator of the sliding-tangency check and its box."""
+    system = _stick_slip_system(F, v0, c)
+    return system, system.box
 
 
 class TestStepperBitwise:
