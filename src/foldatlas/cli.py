@@ -173,31 +173,32 @@ class SweepSpec:
             raise MalformedDocumentError("delta must be -1 or 1")
 
 
-def _sweep_row(alpha, beta, gamma, delta):
+def _sweep_row(alpha, beta, gamma, delta, gamma_delta):
+    """One CSV row; ``gamma_delta`` is the sweep's formatted "gamma,delta".
+    Enum ``_value_`` is read directly: ``Enum.value`` is a slow property."""
     report = report_from_params(make_parameters(alpha, beta, gamma, delta))
-    tag = report.region
     analysis = report.analysis  # set exactly for invisible two-folds
     fp_class = ""
     tau = ""
     if analysis is not None:
-        fp_class = analysis.fixed_point_class.value
+        fp_class = analysis.fixed_point_class._value_
         if analysis.fixed_point_class is FixedPointClass.NONHYPERBOLIC_COMPLEX:
             tau = repr(analysis.tau)
     verdict = report.verdict
-    reason = verdict.reason.kind.value if verdict.reason else ""
+    reason = verdict.reason.kind._value_ if verdict.reason else ""
     return (
-        f"{alpha!r},{beta!r},{gamma!r},{int(delta)},{tag.value},{tag.claim.value},"
-        f"{fp_class},{verdict.kind.value},{reason},{tau}"
+        f"{alpha!r},{beta!r},{gamma_delta},{report.region._value_},{report.claim},"
+        f"{fp_class},{verdict.kind._value_},{reason},{tau}"
     )
 
 
 def run_sweep(spec):
-    alphas = np.linspace(*spec.alpha[:2], spec.alpha[2])
-    betas = np.linspace(*spec.beta[:2], spec.beta[2])
+    alphas = np.linspace(*spec.alpha[:2], spec.alpha[2]).tolist()
+    betas = np.linspace(*spec.beta[:2], spec.beta[2]).tolist()
+    gamma, delta = spec.gamma, spec.delta
+    gamma_delta = f"{gamma!r},{int(delta)}"
     header = "alpha,beta,gamma,delta,region,claim,fixed_point_class,verdict,reason,tau"
-    rows = [
-        _sweep_row(float(a), float(b), spec.gamma, spec.delta) for a in alphas for b in betas
-    ]
+    rows = [_sweep_row(a, b, gamma, delta, gamma_delta) for a in alphas for b in betas]
     return header + "\n" + "\n".join(rows) + "\n"
 
 

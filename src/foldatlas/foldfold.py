@@ -38,9 +38,7 @@ from .sigma import (
 from .sliding import (
     BOUNDARY_BAND,
     SlidingRegionTag,
-    classify_hyperbolic_region,
-    classify_parabolic_region,
-    eigenvector,
+    _eigvec2,
     linear_eigensystem,
     mirror_visible_invisible,
     near,
@@ -64,6 +62,11 @@ class NormalParameters:
             raise PreconditionError("delta must be -1 or +1")
         if self.gamma == 0.0:
             raise PreconditionError("gamma must be nonzero")
+        if subtype_from_signs(self.delta, self.gamma) is not self.subtype:
+            raise PreconditionError(
+                f"subtype {self.subtype.value} inconsistent with "
+                f"(delta, sign gamma) = ({int(self.delta)}, {_sign(self.gamma)})"
+            )
 
 
 def make_parameters(alpha, beta, gamma, delta):
@@ -159,11 +162,11 @@ class ReturnMapAnalysis:
     location_expanding: EigvecLocation | None = None
 
 
-def _locate(v, rel=BOUNDARY_BAND):
-    """Quadrant of an eigendirection in the chart where the crossing region
-    is {x*y < 0} and the sliding region is {x*y > 0}."""
-    prod = v[0] * v[1]
-    if abs(prod) <= rel * float(v[0] ** 2 + v[1] ** 2):
+def _locate(x, y, rel=BOUNDARY_BAND):
+    """Quadrant of the eigendirection (x, y) in the chart where the crossing
+    region is {x*y < 0} and the sliding region is {x*y > 0}."""
+    prod = x * y
+    if abs(prod) <= rel * (x * x + y * y):
         return EigvecLocation.ON_TANGENCY
     return EigvecLocation.IN_CROSSING if prod < 0 else EigvecLocation.IN_SLIDING
 
@@ -173,15 +176,18 @@ def return_map_analysis(params, rel=BOUNDARY_BAND):
 
     The linearization is ``A_X @ A_Y = [[-1 + 4ab/g, -2a], [2b/g, -1]]``
     with determinant exactly 1, so the fixed point is a saddle precisely
-    when |trace| > 2, equivalently when ``a*b*(a*b - g) > 0``.
+    when |trace| > 2, equivalently when ``a*b*(a*b - g) > 0``.  The matrix
+    and its eigen-data are computed on plain floats; only the returned
+    matrix and eigenvectors are arrays.
     """
     if params.subtype is not FoldFoldSubtype.INVISIBLE:
         raise PreconditionError("return map analysis needs an invisible two-fold")
-    a, b, g = params.alpha, params.beta, params.gamma
-    ax, ay = analytic_involutions(params)
-    m = ax @ ay
-    trace = m[0, 0] + m[1, 1]
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    a2 = 2.0 * params.alpha
+    m10 = 2.0 * params.beta / params.gamma
+    m00, m01, m11 = -1.0 + a2 * m10, -a2, -1.0
+    m = np.array(((m00, m01), (m10, m11)))
+    trace = m00 + m11
+    det = m00 * m11 - m01 * m10
     if near(trace, 2.0, rel):
         return ReturnMapAnalysis(
             m, trace, det, (complex(1.0), complex(1.0)), FixedPointClass.NONHYPERBOLIC_UNIT
@@ -204,18 +210,18 @@ def return_map_analysis(params, rel=BOUNDARY_BAND):
     s = math.sqrt(trace * trace - 4.0)
     big = math.copysign((abs(trace) + s) / 2.0, trace)
     small = math.copysign(2.0 / (abs(trace) + s), trace)
-    v_small = eigenvector(m, small)
-    v_big = eigenvector(m, big)
+    v_small = _eigvec2(m00, m01, m10, m11, small)
+    v_big = _eigvec2(m00, m01, m10, m11, big)
     return ReturnMapAnalysis(
         m,
         trace,
         det,
         (complex(small), complex(big)),
         FixedPointClass.SADDLE,
-        v_contracting=v_small,
-        v_expanding=v_big,
-        location_contracting=_locate(v_small, rel),
-        location_expanding=_locate(v_big, rel),
+        v_contracting=np.array(v_small),
+        v_expanding=np.array(v_big),
+        location_contracting=_locate(*v_small, rel),
+        location_expanding=_locate(*v_big, rel),
     )
 
 
@@ -386,8 +392,7 @@ def _tsingularity_verdict(params, rel):
     )
 
 
-def _visible_verdict(params, rel):
-    tag = classify_hyperbolic_region(params.alpha, params.beta, params.gamma, rel)
+def _visible_verdict(params, tag):
     if tag is SlidingRegionTag.BIFURCATION_BOUNDARY:
         return StabilityVerdict(
             VerdictKind.BOUNDARY_DEGENERATE,
@@ -396,16 +401,15 @@ def _visible_verdict(params, rel):
         )
     return StabilityVerdict(
         VerdictKind.STABLE,
-        class_descriptor=("visible-two-fold", tag.value),
+        class_descriptor=("visible-two-fold", tag._value_),
         params=params,
     )
 
 
-def _parabolic_core_verdict(params, original, rel):
+def _parabolic_core_verdict(params, original, tag, rel):
     """Verdict in invisible-visible coordinates (``original`` keeps the
-    caller's parameters for reporting)."""
+    caller's parameters for reporting, ``tag`` is their region)."""
     a, b, g = params.alpha, params.beta, params.gamma
-    tag = classify_parabolic_region(a, b, g, rel)
     if tag is SlidingRegionTag.BIFURCATION_BOUNDARY:
         if _strictly_outside_parabolic(a, b, g):
             return StabilityVerdict(
@@ -456,7 +460,7 @@ def _parabolic_core_verdict(params, original, rel):
         VerdictKind.STABLE,
         class_descriptor=(
             "parabolic-two-fold",
-            tag.value,
+            tag._value_,
             _sign(a),
             _sign(a + b),
             _sign(coeffs.T_coeff),
@@ -486,14 +490,19 @@ def _strictly_outside_parabolic(a, b, g, margin=1e-7):
 
 def verdict_from_params(params, rel=BOUNDARY_BAND):
     """Structural-stability verdict of a two-fold from its normal parameters."""
+    return _verdict(params, sliding_region_class(params, rel), rel)
+
+
+def _verdict(params, tag, rel):
+    """Verdict given the sliding region ``tag`` of ``params``."""
     sub = params.subtype
     if sub is FoldFoldSubtype.INVISIBLE:
         return _tsingularity_verdict(params, rel)
     if sub is FoldFoldSubtype.VISIBLE_VISIBLE:
-        return _visible_verdict(params, rel)
+        return _visible_verdict(params, tag)
     if sub is FoldFoldSubtype.INVISIBLE_VISIBLE:
-        return _parabolic_core_verdict(params, params, rel)
-    return _parabolic_core_verdict(mirror_parameters(params), params, rel)
+        return _parabolic_core_verdict(params, params, tag, rel)
+    return _parabolic_core_verdict(mirror_parameters(params), params, tag, rel)
 
 
 def stability_verdict(system, point, tol=None, rel=BOUNDARY_BAND):
@@ -873,12 +882,12 @@ class FoldFoldReport:
 
 
 def report_from_params(params, rel=BOUNDARY_BAND):
-    verdict = verdict_from_params(params, rel)
     region = sliding_region_class(params, rel)
+    verdict = _verdict(params, region, rel)
     return FoldFoldReport(
         params=params,
         region=region,
-        claim=region.claim.value,
+        claim=region.claim._value_,
         verdict=verdict,
         analysis=verdict.analysis,
         moduli=verdict.moduli,

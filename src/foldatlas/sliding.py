@@ -101,22 +101,30 @@ class EigenSystem:
     vectors: list | None  # real eigenvectors (unit), or None when complex
 
 
+def _eigvec2(m00, m01, m10, m11, lam):
+    """Unit eigenvector ``(x, y)`` of ``[[m00, m01], [m10, m11]]`` for its
+    real eigenvalue ``lam``, taken orthogonal to the larger row of
+    ``m - lam*I``; all arithmetic is on plain floats."""
+    r0, r1 = m00 - lam, m01
+    s0, s1 = m10, m11 - lam
+    if r0 * r0 + r1 * r1 < s0 * s0 + s1 * s1:
+        r0, r1 = s0, s1
+    n = math.hypot(r0, r1)
+    return (-r1 / n, r0 / n) if n > 0 else (1.0, 0.0)
+
+
 def eigenvector(m, lam):
     """Unit eigenvector of the 2x2 matrix ``m`` for its real eigenvalue
     ``lam``, taken orthogonal to the larger row of ``m - lam*I``."""
-    r1 = (m[0, 0] - lam, m[0, 1])
-    r2 = (m[1, 0], m[1, 1] - lam)
-    row = r1 if r1[0] ** 2 + r1[1] ** 2 >= r2[0] ** 2 + r2[1] ** 2 else r2
-    v = np.array([-row[1], row[0]])
-    n = np.linalg.norm(v)
-    return v / n if n > 0 else np.array([1.0, 0.0])
+    (m00, m01), (m10, m11) = np.asarray(m, dtype=float).tolist()
+    return np.array(_eigvec2(m00, m01, m10, m11, float(lam)))
 
 
 def linear_eigensystem(matrix):
     """Eigenvalues/eigenvectors of a real 2x2 matrix in closed form."""
-    m = np.asarray(matrix, dtype=float)
-    t = m[0, 0] + m[1, 1]
-    d = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    (m00, m01), (m10, m11) = np.asarray(matrix, dtype=float).tolist()
+    t = m00 + m11
+    d = m00 * m11 - m01 * m10
     disc = t * t - 4.0 * d
     if disc < 0.0:
         im = math.sqrt(-disc) / 2.0
@@ -132,7 +140,7 @@ def linear_eigensystem(matrix):
     vals = sorted((small, big))
     return EigenSystem(
         values=(complex(vals[0]), complex(vals[1])),
-        vectors=[eigenvector(m, lam) for lam in vals],
+        vectors=[np.array(_eigvec2(m00, m01, m10, m11, lam)) for lam in vals],
     )
 
 
@@ -267,7 +275,6 @@ def mirror_visible_invisible(alpha, beta, gamma):
 
 def sliding_region_class(params, rel=BOUNDARY_BAND):
     """Parameter-space region of the sliding dynamics at a two-fold point."""
-    _check_subtype_consistency(params)
     a, b, g = params.alpha, params.beta, params.gamma
     sub = params.subtype
     if sub is FoldFoldSubtype.INVISIBLE:
@@ -277,21 +284,6 @@ def sliding_region_class(params, rel=BOUNDARY_BAND):
     if sub is FoldFoldSubtype.INVISIBLE_VISIBLE:
         return classify_parabolic_region(a, b, g, rel)
     return classify_parabolic_region(*mirror_visible_invisible(a, b, g), rel=rel)
-
-
-def _check_subtype_consistency(params):
-    expected = {
-        FoldFoldSubtype.INVISIBLE: (-1, 1),
-        FoldFoldSubtype.VISIBLE_VISIBLE: (1, -1),
-        FoldFoldSubtype.INVISIBLE_VISIBLE: (-1, -1),
-        FoldFoldSubtype.VISIBLE_INVISIBLE: (1, 1),
-    }[params.subtype]
-    got = (int(math.copysign(1, params.delta)), int(math.copysign(1, params.gamma)))
-    if got != expected:
-        raise PreconditionError(
-            f"subtype {params.subtype.value} inconsistent with "
-            f"(delta, sign gamma) = {got}"
-        )
 
 
 # ---------------------------------------------------------------------------

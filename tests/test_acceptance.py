@@ -24,7 +24,9 @@ from foldatlas.checks import (
 def _report(number, label, results):
     passed = all(r.passed for r in results)
     detail = "; ".join(
-        f"{r.name}: {r.residual:.3g} (tol {r.threshold:.3g})" for r in results
+        f"{r.name}: {r.residual:.3g} (tol {r.threshold:.3g}"
+        + (f"; {r.detail})" if r.detail else ")")
+        for r in results
     )
     print(f"{'PASS' if passed else 'FAIL'} criterion {number} [{label}] {detail}")
     assert passed, f"criterion {number} failed: {detail}"

@@ -1,8 +1,9 @@
+import hashlib
 import json
 
 import pytest
 
-from foldatlas.cli import main
+from foldatlas.cli import SweepSpec, main, run_sweep
 from foldatlas.foldfold import FixedPointClass, make_parameters, return_map_analysis
 from foldatlas.sigma import FoldFoldSubtype
 from foldatlas.sliding import sliding_region_class
@@ -124,6 +125,20 @@ class TestSweep:
                 if analysis.fixed_point_class is FixedPointClass.NONHYPERBOLIC_COMPLEX:
                     tau = repr(analysis.tau)
             assert (row[6], row[9]) == (fp_class, tau)
+
+
+    def test_label_columns_pinned(self):
+        # SHA-256 over every line, header included, of the four 101x101
+        # atlases, keeping the first nine fields (all but tau, which follows
+        # the last bits of the return-map trace).
+        digest = hashlib.sha256()
+        for gamma, delta in [(1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, 1.0)]:
+            text = run_sweep(SweepSpec((-3.0, 3.0, 101), (-3.0, 3.0, 101), gamma, delta))
+            for line in text.splitlines():
+                digest.update((",".join(line.split(",")[:9]) + "\n").encode())
+        assert digest.hexdigest() == (
+            "45626ffc14b386d636e288afb47fd511f10b6418032ace0860f647a27a0032d4"
+        )
 
 
 class TestSimulate:

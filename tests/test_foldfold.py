@@ -8,6 +8,7 @@ from foldatlas.foldfold import (
     EigvecLocation,
     FixedPointClass,
     InstabilityReason,
+    NormalParameters,
     VerdictKind,
     analytic_involutions,
     connection_region,
@@ -25,7 +26,7 @@ from foldatlas.foldfold import (
     web_scan,
 )
 from foldatlas.sigma import FoldFoldSubtype
-from foldatlas.sliding import SlidingRegionTag
+from foldatlas.sliding import SlidingRegionTag, _eigvec2, eigenvector, linear_eigensystem
 from foldatlas.system import build_normal_form
 
 
@@ -77,6 +78,34 @@ class TestNormalParameterExtraction:
         system = build_normal_form(-1.0, -1.0, 1.0, -1.0)
         with pytest.raises(PreconditionError):
             normal_parameters(system, (0.5, 0.5, 0.0))
+
+
+# (delta, sign gamma) of each subtype
+_SUBTYPE_SIGNS = {
+    FoldFoldSubtype.INVISIBLE: (-1.0, 1.0),
+    FoldFoldSubtype.VISIBLE_VISIBLE: (1.0, -1.0),
+    FoldFoldSubtype.INVISIBLE_VISIBLE: (-1.0, -1.0),
+    FoldFoldSubtype.VISIBLE_INVISIBLE: (1.0, 1.0),
+}
+_INCONSISTENT = [
+    (sub, d, sg)
+    for sub, signs in _SUBTYPE_SIGNS.items()
+    for d in (-1.0, 1.0)
+    for sg in (-1.0, 1.0)
+    if (d, sg) != signs
+]
+
+
+class TestSubtypeValidation:
+    @pytest.mark.parametrize("subtype,delta,sign_gamma", _INCONSISTENT)
+    def test_inconsistent_subtype_rejected(self, subtype, delta, sign_gamma):
+        with pytest.raises(PreconditionError):
+            NormalParameters(1.0, 2.0, 0.7 * sign_gamma, delta, subtype)
+
+    def test_consistent_subtypes_accepted(self):
+        assert len(_INCONSISTENT) == 12
+        for sub, (d, sg) in _SUBTYPE_SIGNS.items():
+            assert NormalParameters(1.0, 2.0, 0.7 * sg, d, sub).subtype is sub
 
 
 class TestInvolutions:
@@ -160,6 +189,67 @@ class TestReturnMapAnalysis:
     def test_requires_invisible(self):
         with pytest.raises(PreconditionError):
             return_map_analysis(make_parameters(1.0, -1.0, -1.0, 1.0))
+
+
+def _draw_invisible(rng, saddle, margin=1e-6):
+    """(a, b, g) of an invisible two-fold whose return map is a saddle, or
+    has complex eigenvalues, clear of the boundaries by ``margin``."""
+    while True:
+        a, b = rng.uniform(-3.0, 3.0, size=2)
+        g = rng.uniform(0.2, 3.0)
+        crit = a * b * (a * b - g)
+        if (crit > margin) if saddle else (crit < -margin):
+            return float(a), float(b), float(g)
+
+
+def check_float_core(a, b, g):
+    """The return map of (a, b, g) against its plain-float formula, and its
+    eigen-data against the defining equations."""
+    analysis = return_map_analysis(make_parameters(a, b, g, -1.0))
+    c = 2.0 * b / g
+    entries = (-1.0 + (2.0 * a) * c, -2.0 * a, c, -1.0)
+    assert analysis.matrix.tolist() == [list(entries[:2]), list(entries[2:])]
+    m00, m01, m10, m11 = entries
+    assert analysis.trace == m00 + m11
+    assert analysis.det == m00 * m11 - m01 * m10
+    if analysis.fixed_point_class is FixedPointClass.NONHYPERBOLIC_COMPLEX:
+        assert analysis.v_contracting is None and analysis.v_expanding is None
+        for lam in analysis.eigenvalues:
+            assert abs(lam) == pytest.approx(1.0, abs=1e-12)
+        return analysis
+    assert analysis.fixed_point_class is FixedPointClass.SADDLE
+    lam_c, lam_e = (lam.real for lam in analysis.eigenvalues)
+    assert abs(lam_c) < 1.0 < abs(lam_e)
+    bound = 1e-12 * (1.0 + max(abs(e) for e in entries))
+    for v, lam in ((analysis.v_contracting, lam_c), (analysis.v_expanding, lam_e)):
+        assert abs(math.hypot(*v) - 1.0) <= 1e-15
+        assert np.linalg.norm(analysis.matrix @ v - lam * v) <= bound
+        # the public wrappers return bitwise what the float helper returns
+        assert v.tolist() == list(_eigvec2(*entries, lam))
+        assert eigenvector(analysis.matrix, lam).tolist() == v.tolist()
+    eig = linear_eigensystem(analysis.matrix)
+    for w, lam in zip(eig.vectors, eig.values):
+        assert w.tolist() == list(_eigvec2(*entries, lam.real))
+    return analysis
+
+
+class TestFloatCore:
+    def test_random_saddles(self):
+        rng = np.random.default_rng(31)
+        for _ in range(2000):
+            check_float_core(*_draw_invisible(rng, saddle=True))
+
+    def test_random_complex(self):
+        rng = np.random.default_rng(32)
+        for _ in range(2000):
+            check_float_core(*_draw_invisible(rng, saddle=False))
+
+    def test_wide_scales(self):
+        rng = np.random.default_rng(33)
+        for _ in range(500):
+            a, b, g = _draw_invisible(rng, saddle=True)
+            e = 10.0 ** rng.uniform(-3.0, 3.0)
+            check_float_core(e * a, e * b, e * e * g)
 
 
 class TestDeMeloPalis:

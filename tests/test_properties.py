@@ -1,6 +1,6 @@
 """Property tests: Poly3 ring and Leibniz identities, the bitwise round
-trip of serialized systems, rescaling invariance of two-fold reports and
-involutivity of the numeric fold map.
+trip of serialized systems, rescaling invariance of two-fold reports, the
+plain-float return map and involutivity of the numeric fold map.
 
 Ring identities use small integer coefficients, so every float operation is
 exact and the identities hold with ``==`` rather than up to rounding.
@@ -26,6 +26,7 @@ from foldatlas.system import (  # noqa: E402
     load_system,
     serialize_system,
 )
+from test_foldfold import check_float_core  # noqa: E402
 
 # Total degree <= 6: triple products stay under the algebra's degree cap
 # and single polynomials under the input cap of serialized systems.
@@ -148,6 +149,16 @@ class TestRescalingInvariance:
         base = make_parameters(a, b, g, d)
         scaled = make_parameters(e * a, e * b, e * e * g, d)
         assert _report_signature(scaled) == _report_signature(base)
+
+
+class TestFloatCore:
+    """The closed-form return map is the plain-float formula, and its saddle
+    eigenvectors are unit and satisfy their own eigenvalue equations."""
+
+    @given(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.floats(0.2, 3.0))
+    def test_return_map(self, a, b, g):
+        hypothesis.assume(abs(a * b * (a * b - g)) > 1e-6)
+        check_float_core(a, b, g)
 
 
 _SMALL = st.floats(-0.5, 0.5)

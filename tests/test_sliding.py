@@ -176,10 +176,10 @@ class TestRegionClass:
         assert tag is sliding_region_class(make_parameters(a, b, g, -1.0))
 
     def test_subtype_consistency_enforced(self):
+        # rejected at construction, so no region call can see such parameters
         params = make_parameters(1.0, 1.0, 1.0, -1.0)  # invisible
-        bad = type(params)(1.0, 1.0, 1.0, -1.0, subtype=list(type(params.subtype))[0])
         with pytest.raises(PreconditionError):
-            sliding_region_class(bad)
+            type(params)(1.0, 1.0, 1.0, -1.0, subtype=list(type(params.subtype))[0])
 
     def test_rescaling_invariance(self):
         rng = np.random.default_rng(9)
