@@ -273,16 +273,6 @@ POLY_Z = Poly3.variable("z")
 SWITCHING_FUNCTION = POLY_Z
 
 
-def poly_eval(p, point):
-    """Evaluate ``p`` at a point of R^3."""
-    return p.eval_at(point)
-
-
-def poly_partial(p, var):
-    """Exact formal partial derivative with respect to ``var``."""
-    return p.partial(var)
-
-
 class VectorField3:
     """Polynomial vector field on R^3 with components (cx, cy, cz)."""
 

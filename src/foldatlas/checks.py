@@ -15,8 +15,11 @@ import numpy as np
 
 from .errors import IntegrationFailure, PreconditionError
 from .foldfold import (
+    DiaboloReport,
     EigvecLocation,
     FixedPointClass,
+    _DIABOLO_CAP,
+    _iterate_seeds,
     demelo_palis,
     make_parameters,
     normal_parameters,
@@ -234,13 +237,19 @@ def check_involution_ground_truth(
 # Sliding spectra per region
 
 
-def _draw_re1(rng):
+def _draw_stable_elliptic(rng, margin=1e-3):
     while True:
         g = rng.uniform(0.2, 3.0)
         a = -rng.uniform(0.05, 3.0)
         b = -rng.uniform(0.05, 3.0)
-        if a * b - g > 1e-6:
-            return a, b, g, -1.0, SlidingRegionTag.RE1
+        if a * b - g > margin:
+            return a, b, g
+
+
+def _draw_re1(rng):
+    return *_draw_stable_elliptic(rng, margin=1e-6), -1.0, SlidingRegionTag.RE1
+
+
 def _draw_rh1(rng):
     while True:
         g = rng.uniform(-3.0, -0.2)
@@ -248,6 +257,8 @@ def _draw_rh1(rng):
         b = rng.uniform(-3.0, -0.05)
         if a * b - g < -1e-6:
             return a, b, g, 1.0, SlidingRegionTag.RH1
+
+
 def _draw_rp1(rng):
     while True:
         g = rng.uniform(-3.0, -0.2)
@@ -405,15 +416,6 @@ def check_demelo_palis(n=10000, seed=0, tol=1e-12):
 # Diabolo invariance
 
 
-def _draw_stable_elliptic(rng, margin=1e-3):
-    while True:
-        g = rng.uniform(0.2, 3.0)
-        a = -rng.uniform(0.05, 3.0)
-        b = -rng.uniform(0.05, 3.0)
-        if a * b - g > margin:
-            return a, b, g
-
-
 def check_diabolo(
     n_draws=100, n_systems=10, seeds_per_system=100, cfg=None, seed=0
 ):
@@ -432,43 +434,24 @@ def check_diabolo(
             and analysis.location_expanding is EigvecLocation.IN_CROSSING
         ):
             bad_vectors += 1
-    violations = 0
-    seeds_run = 0
-    escaped = 0
-    failed = 0
-    exhausted = 0
-    max_iterations = 0
-    stol = 1e-11
     # Iteration systems need a clear saddle margin so orbits leave the box
     # in a bounded number of return-map applications.
     iteration_draws = [t for t in draws if t[0] * t[1] - t[2] > 0.3][:n_systems]
     while len(iteration_draws) < n_systems:
         a, b, g = _draw_stable_elliptic(rng, margin=0.3)
         iteration_draws.append((a, b, g))
+    outcomes = DiaboloReport(True)
     for a, b, g in iteration_draws:
         system = build_normal_form(a, b, g, -1.0)
-        for _ in range(seeds_per_system):
-            q = (-rng.uniform(0.01, 0.1), -rng.uniform(0.01, 0.1))
-            seeds_run += 1
-            current = q
-            iterations = 0
-            for _ in range(200):
-                try:
-                    current = return_map_numeric(system, current, cfg)
-                except IntegrationFailure:
-                    failed += 1  # an intermediate arc left the analysis window
-                    break
-                iterations += 1
-                if max(abs(current[0]), abs(current[1])) > 1.0:
-                    escaped += 1
-                    break
-                # stable sliding in this chart is the open first quadrant
-                if current[0] > stol and current[1] > stol:
-                    violations += 1
-                    break
-            else:
-                exhausted += 1
-            max_iterations = max(max_iterations, iterations)
+        starts = [
+            (-rng.uniform(0.01, 0.1), -rng.uniform(0.01, 0.1))
+            for _ in range(seeds_per_system)
+        ]
+        _iterate_seeds(system, starts, cfg, outcomes)
+    by_status = ", ".join(
+        f"{status.value} {outcomes.failed[status]}" for status in FlightStatus
+        if status in outcomes.failed
+    )
     return [
         CheckResult(
             "diabolo eigenvectors in crossing",
@@ -479,12 +462,15 @@ def check_diabolo(
         ),
         CheckResult(
             "diabolo sliding separation",
-            violations == 0,
-            float(violations),
+            outcomes.violations == 0,
+            float(outcomes.violations),
             0.0,
-            f"{seeds_run} iterated unstable-sliding seeds: {escaped} escaped, "
-            f"{failed} stopped by a failed flight, {exhausted} reached 200 iterations; "
-            f"at most {max_iterations} iterations",
+            f"{outcomes.seeds_run} iterated unstable-sliding seeds: "
+            f"{outcomes.escaped} escaped, "
+            f"{sum(outcomes.failed.values())} stopped by a failed flight, "
+            f"{outcomes.exhausted} reached {_DIABOLO_CAP} iterations; "
+            f"at most {outcomes.max_iterations} iterations"
+            + (f" (failed flights: {by_status})" if by_status else ""),
         ),
     ]
 
@@ -509,13 +495,13 @@ def check_parabolic_coefficients(n=30, seed=0, radius=1e-3, rel_tol=1e-5):
         system = build_normal_form(a, b, g, -1.0)
         fld = normalized_sliding_field(system)
         f0 = fld.compiled()
-        ax = np.array([[1.0, -2.0 * a], [0.0, -1.0]])
 
         def d_num(x, y):
-            v0 = np.array(f0(x, y))
-            qx, qy = ax @ np.array([x, y])
-            v1 = ax @ np.array(f0(qx, qy))
-            return v0[0] * v1[1] - v0[1] * v1[0]
+            # determinant of f0 against its transport by the X involution
+            # (x, y) -> (x - 2a y, -y)
+            u0, w0 = f0(x, y)
+            u1, w1 = f0(x - 2.0 * a * y, -y)
+            return u0 * -w1 - w0 * (u1 - 2.0 * a * w1)
 
         for th in np.linspace(0.4, math.pi - 0.4, 7):
             x, y = radius * math.cos(th), radius * math.sin(th)
@@ -714,13 +700,17 @@ def _analytic_sliding_tag(a, b, g, d):
     return "boundary"
 
 
-def _cell_has_boundary(corner_vals):
-    """True if any classification-boundary function changes sign over the
-    cell corners (or vanishes there)."""
-    for vals in corner_vals:
-        if min(vals) <= 0.0 <= max(vals):
-            return True
-    return False
+def _cell_has_boundary(a, b, da, db, boundary_values):
+    """True if a classification-boundary function changes sign over the
+    corners of the da x db cell centred on (a, b), or vanishes there;
+    ``boundary_values(alpha, beta)`` returns the tuple of function values."""
+    corners = [
+        boundary_values(a - da / 2, b - db / 2),
+        boundary_values(a + da / 2, b - db / 2),
+        boundary_values(a - da / 2, b + db / 2),
+        boundary_values(a + da / 2, b + db / 2),
+    ]
+    return any(min(vals) <= 0.0 <= max(vals) for vals in zip(*corners))
 
 
 def check_return_map_atlas(resolution=200, gamma=1.0):
@@ -738,21 +728,9 @@ def check_return_map_atlas(resolution=200, gamma=1.0):
             got = _return_map_cell(analysis)
             seen.add(got)
             want = _analytic_return_map_cell(a, b, gamma)
-            if got == want:
-                continue
-            corners = [
-                (a - da / 2, b - db / 2),
-                (a + da / 2, b - db / 2),
-                (a - da / 2, b + db / 2),
-                (a + da / 2, b + db / 2),
-            ]
-            boundary_fns = [
-                [ca for ca, cb in corners],
-                [cb for ca, cb in corners],
-                [ca * cb for ca, cb in corners],
-                [ca * cb - gamma for ca, cb in corners],
-            ]
-            if not _cell_has_boundary(boundary_fns):
+            if got != want and not _cell_has_boundary(
+                a, b, da, db, lambda ca, cb: (ca, cb, ca * cb, ca * cb - gamma)
+            ):
                 bad += 1
     complete = seen >= {"I", "II", "III", "IV", "NH"}
     return [
@@ -773,13 +751,18 @@ def check_sliding_atlas(resolution=200):
         (-1.0, 1.0, {"RH1", "RH2"}),
         (-1.0, -1.0, {"RP1", "RP2", "RP3", "RP4"}),
     )
+    alphas = np.linspace(-3.0, 3.0, resolution)
+    betas = np.linspace(-3.0, 3.0, resolution)
+    da = alphas[1] - alphas[0]
+    db = betas[1] - betas[0]
     bad = 0
     detail = []
     for gamma, delta, expect_cells in cases:
-        alphas = np.linspace(-3.0, 3.0, resolution)
-        betas = np.linspace(-3.0, 3.0, resolution)
-        da = alphas[1] - alphas[0]
-        db = betas[1] - betas[0]
+        root = 2.0 * math.sqrt(-gamma) if gamma < 0 else 0.0
+
+        def boundary_values(ca, cb):
+            return (ca, cb, ca * cb - gamma, ca + cb, (cb - ca) + root)
+
         seen = set()
         for a in alphas:
             for b in betas:
@@ -787,23 +770,7 @@ def check_sliding_atlas(resolution=200):
                 got = tag.value
                 seen.add(got)
                 want = _analytic_sliding_tag(a, b, gamma, delta)
-                if got == want:
-                    continue
-                corners = [
-                    (a - da / 2, b - db / 2),
-                    (a + da / 2, b - db / 2),
-                    (a - da / 2, b + db / 2),
-                    (a + da / 2, b + db / 2),
-                ]
-                root = 2.0 * math.sqrt(-gamma) if gamma < 0 else 0.0
-                boundary_fns = [
-                    [ca for ca, cb in corners],
-                    [cb for ca, cb in corners],
-                    [ca * cb - gamma for ca, cb in corners],
-                    [ca + cb for ca, cb in corners],
-                    [(cb - ca) + root for ca, cb in corners],
-                ]
-                if not _cell_has_boundary(boundary_fns):
+                if got != want and not _cell_has_boundary(a, b, da, db, boundary_values):
                     bad += 1
         if not expect_cells <= seen:
             bad += 1

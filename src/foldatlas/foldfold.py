@@ -13,7 +13,7 @@ along Y.  All verdicts are invariant under the residual rescaling
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -38,8 +38,8 @@ from .sigma import (
 from .sliding import (
     BOUNDARY_BAND,
     SlidingRegionTag,
+    _classify_equilibrium,
     _eigvec2,
-    linear_eigensystem,
     mirror_visible_invisible,
     near,
     normalized_sliding_field,
@@ -549,14 +549,10 @@ def _sliding_point_verdict(system, point, cls, tol):
         )
     xf, yf = cls.witness
     jac = fld.jacobian_at(point[0], point[1]) / (yf - xf)
-    eig = linear_eigensystem(jac)
-    t = jac[0, 0] + jac[1, 1]
-    d = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
-    jac_scale = 1.0 + float(np.max(np.abs(jac)))
-    hyperbolic = abs(d) > tol * jac_scale**2 and (
-        t * t - 4.0 * d >= 0.0 or abs(t) > tol * jac_scale
-    )
+    _, values, hyperbolic = _classify_equilibrium(jac, tol)
     if hyperbolic:
+        t = jac[0, 0] + jac[1, 1]
+        d = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
         return StabilityVerdict(
             VerdictKind.STABLE,
             class_descriptor=(
@@ -571,7 +567,7 @@ def _sliding_point_verdict(system, point, cls, tol):
         VerdictKind.UNSTABLE,
         reason=Reason(
             InstabilityReason.SLIDING_BIFURCATION,
-            detail=f"non-hyperbolic pseudo-equilibrium (eigenvalues {eig.values})",
+            detail=f"non-hyperbolic pseudo-equilibrium (eigenvalues {values})",
         ),
     )
 
@@ -652,8 +648,18 @@ def parabolic_transversality(params):
 # Numeric diagnostics: invariant double cone and foliation web
 
 
+# Seed iteration: at most this many return-map applications per seed, and a
+# landing point counts as stable sliding outside this Lie-derivative band.
+_DIABOLO_CAP = 200
+_DIABOLO_BAND = 1e-11
+
+
 @dataclass
 class DiaboloReport:
+    """Diabolo checks at one T-singularity.  Each iterated seed ends in one
+    of ``violations``, ``escaped``, ``exhausted`` or ``failed`` (a count per
+    :class:`FlightStatus`)."""
+
     applicable: bool
     reason: str = ""
     eigenvectors_in_crossing: bool = False
@@ -661,20 +667,50 @@ class DiaboloReport:
     reversibility_ratios: list | None = None
     seeds_run: int = 0
     violations: int = 0
+    escaped: int = 0
+    exhausted: int = 0
+    failed: dict = field(default_factory=dict)
+    max_iterations: int = 0
 
 
-def _sample_unstable_sliding_seeds(system, point, n, radius, rng, tol):
-    xf_fn = system.xf.compiled()
-    yf_fn = system.yf.compiled()
+def _iterate_seeds(system, seeds, cfg, report):
+    """Apply the numeric return map to each seed until its image lands in
+    stable sliding (a violation), leaves ``cfg.box`` (escaped), a flight fails
+    or ``_DIABOLO_CAP`` maps are done (exhausted); add the outcomes to
+    ``report``."""
+    for current in seeds:
+        report.seeds_run += 1
+        iterations = 0
+        for _ in range(_DIABOLO_CAP):
+            try:
+                current = return_map_numeric(system, current, cfg)
+            except IntegrationFailure as exc:
+                report.failed[exc.status] = report.failed.get(exc.status, 0) + 1
+                break
+            iterations += 1
+            q = (current[0], current[1], 0.0)
+            if not cfg.box.contains(q):
+                report.escaped += 1
+                break
+            if classify_point(system, q, _DIABOLO_BAND).kind is SigmaKind.STABLE_SLIDING:
+                report.violations += 1
+                break
+        else:
+            report.exhausted += 1
+        report.max_iterations = max(report.max_iterations, iterations)
+    return report
+
+
+def _sample_unstable_sliding_seeds(system, point, n, radius, rng):
     seeds = []
     attempts = 0
     while len(seeds) < n and attempts < 200 * n:
         attempts += 1
         theta = rng.uniform(0.0, 2.0 * math.pi)
         r = radius * (0.2 + 0.8 * rng.random())
-        q = (point[0] + r * math.cos(theta), point[1] + r * math.sin(theta))
-        if xf_fn(q[0], q[1], 0.0) > tol and yf_fn(q[0], q[1], 0.0) < -tol:
-            seeds.append(q)
+        q = (point[0] + r * math.cos(theta), point[1] + r * math.sin(theta), 0.0)
+        if classify_point(system, q).kind is SigmaKind.UNSTABLE_SLIDING:
+            seeds.append(q[:2])
     return seeds
 
 
@@ -685,7 +721,7 @@ def diabolo_check(system, point, cfg=None, n_seeds=50, seed=0, radius=0.05):
     numeric X-fold map carries points near the expanding manifold onto the
     contracting one to second order (reversibility); (iii) iterated
     unstable-sliding seeds never enter stable sliding before leaving the
-    analysis window.
+    analysis box.
     """
     cfg = cfg or IntegratorConfig()
     params = normal_parameters(system, point)
@@ -700,7 +736,6 @@ def diabolo_check(system, point, cfg=None, n_seeds=50, seed=0, radius=0.05):
         and analysis.location_expanding is EigvecLocation.IN_CROSSING
     )
 
-    tol = default_tolerance(system)
     ratios = []
     v_u = analysis.v_expanding
     v_s = analysis.v_contracting
@@ -718,35 +753,14 @@ def diabolo_check(system, point, cfg=None, n_seeds=50, seed=0, radius=0.05):
     )
 
     rng = np.random.default_rng(seed)
-    xf_fn = system.xf.compiled()
-    yf_fn = system.yf.compiled()
-    escape = 0.75 * cfg.box.scale()
-    seeds = _sample_unstable_sliding_seeds(system, point, n_seeds, radius, rng, tol)
-    violations = 0
-    for q in seeds:
-        current = q
-        for _ in range(120):
-            try:
-                current = return_map_numeric(system, current, cfg)
-            except IntegrationFailure:
-                break  # an arc left the analysis window
-            dx = current[0] - point[0]
-            dy = current[1] - point[1]
-            if max(abs(dx), abs(dy)) > escape:
-                break
-            xf = xf_fn(current[0], current[1], 0.0)
-            yf = yf_fn(current[0], current[1], 0.0)
-            if xf < -tol and yf > tol:
-                violations += 1
-                break
-    return DiaboloReport(
+    seeds = _sample_unstable_sliding_seeds(system, point, n_seeds, radius, rng)
+    report = DiaboloReport(
         applicable=True,
         eigenvectors_in_crossing=locs_ok,
         reversibility_ok=rev_ok,
         reversibility_ratios=ratios,
-        seeds_run=len(seeds),
-        violations=violations,
     )
+    return _iterate_seeds(system, seeds, cfg, report)
 
 
 @dataclass

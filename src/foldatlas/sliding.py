@@ -113,13 +113,6 @@ def _eigvec2(m00, m01, m10, m11, lam):
     return (-r1 / n, r0 / n) if n > 0 else (1.0, 0.0)
 
 
-def eigenvector(m, lam):
-    """Unit eigenvector of the 2x2 matrix ``m`` for its real eigenvalue
-    ``lam``, taken orthogonal to the larger row of ``m - lam*I``."""
-    (m00, m01), (m10, m11) = np.asarray(m, dtype=float).tolist()
-    return np.array(_eigvec2(m00, m01, m10, m11, float(lam)))
-
-
 def linear_eigensystem(matrix):
     """Eigenvalues/eigenvectors of a real 2x2 matrix in closed form."""
     (m00, m01), (m10, m11) = np.asarray(matrix, dtype=float).tolist()

@@ -3,8 +3,9 @@ import re
 import numpy as np
 import pytest
 
-from foldatlas import checks
+from foldatlas import checks, foldfold
 from foldatlas.algebra import Poly3, VectorField3
+from foldatlas.errors import IntegrationFailure
 from foldatlas.integrator import (
     FlightStatus,
     IntegratorConfig,
@@ -38,9 +39,13 @@ class TestReturnMapGridFailures:
 
 
 class TestDiaboloCounts:
-    def test_every_seed_has_one_outcome(self):
+    @staticmethod
+    def _separation():
         results = checks.check_diabolo(n_draws=5, n_systems=2, seeds_per_system=10, seed=3)
-        sep = _by_name(results, "diabolo sliding separation")
+        return _by_name(results, "diabolo sliding separation")
+
+    def test_every_seed_has_one_outcome(self):
+        sep = self._separation()
         m = re.search(
             r"(\d+) iterated unstable-sliding seeds: (\d+) escaped, "
             r"(\d+) stopped by a failed flight, (\d+) reached 200 iterations; "
@@ -51,6 +56,27 @@ class TestDiaboloCounts:
         assert seeds == 20
         assert escaped + failed + exhausted + int(sep.residual) == seeds
         assert 0 <= most <= 200
+        by_status = re.search(r"\(failed flights: (.*)\)$", sep.detail)
+        listed = by_status.group(1).split(", ") if by_status else []
+        assert sum(int(item.rsplit(" ", 1)[1]) for item in listed) == failed
+
+    def test_landing_in_stable_sliding_fails(self, monkeypatch):
+        # the first quadrant is stable sliding of every normal form with delta = -1
+        monkeypatch.setattr(foldfold, "return_map_numeric", lambda s, q, cfg=None: (0.5, 0.5))
+        sep = self._separation()
+        assert not sep.passed
+        assert sep.residual == 20.0
+        assert "20 iterated unstable-sliding seeds: 0 escaped, 0 stopped" in sep.detail
+
+    def test_failed_flights_counted_by_status(self, monkeypatch):
+        def time_out(system, q, cfg=None):
+            raise IntegrationFailure(FlightStatus.TIME_OUT)
+
+        monkeypatch.setattr(foldfold, "return_map_numeric", time_out)
+        sep = self._separation()
+        assert sep.passed
+        assert "0 escaped, 20 stopped by a failed flight" in sep.detail
+        assert sep.detail.endswith("at most 0 iterations (failed flights: time-out 20)")
 
 
 class TestSlidingMembership:

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from foldatlas.errors import PreconditionError
+from foldatlas import foldfold
+from foldatlas.algebra import Poly3, VectorField3
+from foldatlas.errors import IntegrationFailure, PreconditionError
 from foldatlas.foldfold import (
     EigvecLocation,
     FixedPointClass,
@@ -25,9 +27,10 @@ from foldatlas.foldfold import (
     verdict_from_params,
     web_scan,
 )
+from foldatlas.integrator import FlightStatus
 from foldatlas.sigma import FoldFoldSubtype
-from foldatlas.sliding import SlidingRegionTag, _eigvec2, eigenvector, linear_eigensystem
-from foldatlas.system import build_normal_form
+from foldatlas.sliding import SlidingRegionTag, _eigvec2, linear_eigensystem
+from foldatlas.system import PiecewiseSystem, build_normal_form
 
 
 class TestNormalParameterExtraction:
@@ -224,9 +227,8 @@ def check_float_core(a, b, g):
     for v, lam in ((analysis.v_contracting, lam_c), (analysis.v_expanding, lam_e)):
         assert abs(math.hypot(*v) - 1.0) <= 1e-15
         assert np.linalg.norm(analysis.matrix @ v - lam * v) <= bound
-        # the public wrappers return bitwise what the float helper returns
+        # the analysis returns bitwise what the float helper returns
         assert v.tolist() == list(_eigvec2(*entries, lam))
-        assert eigenvector(analysis.matrix, lam).tolist() == v.tolist()
     eig = linear_eigensystem(analysis.matrix)
     for w, lam in zip(eig.vectors, eig.values):
         assert w.tolist() == list(_eigvec2(*entries, lam.real))
@@ -406,6 +408,31 @@ class TestSystemLevelVerdicts:
         assert v.kind is VerdictKind.STABLE
         assert "tangential" in v.class_descriptor
 
+    @staticmethod
+    def _pseudo_equilibrium_system(cx, cy):
+        """X = (cx, cy, -1), Y = (0, 0, 1): the plane is stable sliding and the
+        normalized sliding field is (cx, cy), zero at the origin."""
+        X = VectorField3(Poly3(cx), Poly3(cy), Poly3.constant(-1.0))
+        Y = VectorField3(Poly3.zero(), Poly3.zero(), Poly3.constant(1.0))
+        return PiecewiseSystem(X, Y)
+
+    def test_hyperbolic_pseudo_equilibrium(self):
+        # sliding field (x, y) / 2: an unstable node
+        system = self._pseudo_equilibrium_system({(1, 0, 0): 1.0}, {(0, 1, 0): 1.0})
+        v = stability_verdict(system, (0.0, 0.0, 0.0))
+        assert v.kind is VerdictKind.STABLE
+        assert v.class_descriptor == (
+            "regular-regular", "stable-sliding", "hyperbolic-pseudo-equilibrium", 1, 1
+        )
+
+    def test_non_hyperbolic_pseudo_equilibrium(self):
+        # sliding field (y, -x) / 2: a linear centre
+        system = self._pseudo_equilibrium_system({(0, 1, 0): 1.0}, {(1, 0, 0): -1.0})
+        v = stability_verdict(system, (0.0, 0.0, 0.0))
+        assert v.kind is VerdictKind.UNSTABLE
+        assert v.reason.kind is InstabilityReason.SLIDING_BIFURCATION
+        assert "non-hyperbolic pseudo-equilibrium" in v.reason.detail
+
     def test_t_singularity_through_system(self):
         system = build_normal_form(-2.0, -1.0, 1.0, -1.0)
         v = stability_verdict(system, (0.0, 0.0, 0.0))
@@ -463,6 +490,35 @@ class TestNumericDiagnostics:
         assert report.eigenvectors_in_crossing
         assert report.reversibility_ok
         assert report.violations == 0
+        assert self._outcomes(report) == report.seeds_run == 10
+        assert 0 <= report.max_iterations <= 200
+
+    @staticmethod
+    def _outcomes(report):
+        """Seeds with a recorded end: each seed has exactly one."""
+        return (
+            report.escaped + report.exhausted + report.violations
+            + sum(report.failed.values())
+        )
+
+    def test_diabolo_landing_in_stable_sliding_is_a_violation(self, monkeypatch):
+        # (0.5, 0.5) has Xf = -y < 0 < Yf = x: stable sliding
+        monkeypatch.setattr(foldfold, "return_map_numeric", lambda s, q, cfg=None: (0.5, 0.5))
+        system = build_normal_form(-2.0, -1.0, 1.0, -1.0)
+        report = diabolo_check(system, (0.0, 0.0, 0.0), n_seeds=10, seed=1)
+        assert report.violations == report.seeds_run == 10
+        assert report.max_iterations == 1
+
+    def test_diabolo_failed_flights_by_status(self, monkeypatch):
+        def time_out(system, q, cfg=None):
+            raise IntegrationFailure(FlightStatus.TIME_OUT)
+
+        monkeypatch.setattr(foldfold, "return_map_numeric", time_out)
+        system = build_normal_form(-2.0, -1.0, 1.0, -1.0)
+        report = diabolo_check(system, (0.0, 0.0, 0.0), n_seeds=10, seed=1)
+        assert report.failed == {FlightStatus.TIME_OUT: 10}
+        assert self._outcomes(report) == report.seeds_run == 10
+        assert report.max_iterations == 0
 
     def test_diabolo_not_applicable(self):
         system = build_normal_form(1.0, -1.0, 2.0, -1.0)
