@@ -13,6 +13,11 @@ shape with an earlier one only pays for binding its coefficients.  The
 evaluator computes the same terms, powers and left-to-right sums as
 ``as_expr``, so it returns bitwise the same floats as compiling that
 expression with literal coefficients.
+
+``lie_derivative`` is one pass over plain dicts that gives the same bits and
+term order as the composed arithmetic ``cx * g.partial("x") + cy *
+g.partial("y") + cz * g.partial("z")``; later products and sums depend on
+that order, so it is kept.
 """
 
 from __future__ import annotations
@@ -34,24 +39,37 @@ class DegreeCapError(ValueError):
 
 
 def _prune(terms):
-    return {e: c for e, c in terms.items() if c != 0.0}
+    """``terms`` without exact zeros; ``terms`` itself when it has none."""
+    if 0.0 in terms.values():
+        return {e: c for e, c in terms.items() if c != 0.0}
+    return terms
 
 
-def _capped(p, cap):
-    """``p``, or DegreeCapError if its degree exceeds ``cap``."""
-    deg = p.degree()
+def _degree(terms):
+    return max(map(sum, terms)) if terms else 0
+
+
+def _capped(terms, cap=MAX_TOTAL_DEGREE):
+    """``terms``, or DegreeCapError if their total degree exceeds ``cap``."""
+    deg = _degree(terms)
     if deg > cap:
         raise DegreeCapError(f"degree {deg} exceeds cap {cap}")
+    return terms
+
+
+def _new(terms):
+    """Poly3 holding ``terms`` as given: int-triple keys, float values, no
+    zeros and a degree within the cap must already hold."""
+    p = object.__new__(Poly3)
+    p.terms = terms
+    p._fn = None
     return p
 
 
 def _poly(terms):
-    """Poly3 from arithmetic results: int-triple keys, float values and no
-    zeros already hold, so only the degree cap is checked."""
-    p = object.__new__(Poly3)
-    p.terms = terms
-    p._fn = None
-    return _capped(p, MAX_TOTAL_DEGREE)
+    """Poly3 from arithmetic results: everything but the degree cap already
+    holds, so only the cap is checked."""
+    return _new(_capped(terms))
 
 
 def _term(coeff, exps):
@@ -117,9 +135,8 @@ class Poly3:
                 c = float(coeff)
                 if c != 0.0:
                     clean[(int(i), int(j), int(k))] = c
-        self.terms = clean
+        self.terms = _capped(clean, max_degree)
         self._fn = None
-        _capped(self, max_degree)
 
     # -- constructors ------------------------------------------------------
 
@@ -138,21 +155,10 @@ class Poly3:
         exps[idx] = 1
         return cls({tuple(exps): 1.0})
 
-    @classmethod
-    def from_terms(cls, pairs):
-        """Build from an iterable of ``((i, j, k), coefficient)`` pairs."""
-        acc = {}
-        for exps, coeff in pairs:
-            key = tuple(int(e) for e in exps)
-            acc[key] = acc.get(key, 0.0) + float(coeff)
-        return cls(acc)
-
     # -- queries -----------------------------------------------------------
 
     def degree(self):
-        if not self.terms:
-            return 0
-        return max(i + j + k for (i, j, k) in self.terms)
+        return _degree(self.terms)
 
     def is_zero(self):
         return not self.terms
@@ -166,9 +172,17 @@ class Poly3:
         return sorted(self.terms.items())
 
     def eval(self, x, y, z):
+        # c * x**i * y**j * z**k with the factors of exponent 0 left out:
+        # v**0 == 1.0 and c * 1.0 == c exactly, so the bits do not change.
         total = 0.0
         for (i, j, k), c in self.terms.items():
-            total += c * x**i * y**j * z**k
+            if i:
+                c *= x**i
+            if j:
+                c *= y**j
+            if k:
+                c *= z**k
+            total += c
         return total
 
     def eval_at(self, point):
@@ -334,12 +348,44 @@ def lie_derivative(field, g):
     Iterating implements higher-order and mixed derivatives, e.g.
     ``lie_derivative(X, lie_derivative(X, f))`` is the second derivative of f
     along X.
+
+    One pass with the bits, term order and DegreeCapError of
+    ``field.cx * g.partial("x") + ... + field.cz * g.partial("z")``.
     """
-    return (
-        field.cx * g.partial("x")
-        + field.cy * g.partial("y")
-        + field.cz * g.partial("z")
+    terms = g.terms
+    # The partials as ``partial`` builds them: distinct terms differentiate
+    # to distinct terms, so no key repeats.
+    grads = (
+        {(i - 1, j, k): c * i for (i, j, k), c in terms.items() if i},
+        {(i, j - 1, k): c * j for (i, j, k), c in terms.items() if j},
+        {(i, j, k - 1): c * k for (i, j, k), c in terms.items() if k},
     )
+    # A product has degree at most deg(comp) + deg(g) - 1, so only a
+    # component of degree above ``room`` can take it past the cap, and the
+    # sum, whose terms all come from the products, stays within it.
+    room = MAX_TOTAL_DEGREE + 1 - _degree(terms)
+    total = {}
+    for comp, grad in zip((field.cx, field.cy, field.cz), grads):
+        if not grad:
+            continue
+        # comp * grad in the loop order of __mul__ ...
+        prod = {}
+        for (i1, j1, k1), c1 in comp.terms.items():
+            for (i2, j2, k2), c2 in grad.items():
+                key = (i1 + i2, j1 + j2, k1 + k2)
+                prod[key] = prod.get(key, 0.0) + c1 * c2
+        prod = _prune(prod)
+        if _degree(comp.terms) > room:
+            _capped(prod)
+        # ... merged as __add__ merges: a key that cancels is dropped, so a
+        # later product appends it at the end again.
+        for e, c in prod.items():
+            s = total.get(e, 0.0) + c
+            if s != 0.0:
+                total[e] = s
+            else:
+                del total[e]
+    return _new(total)
 
 
 def gradient_on_sigma(g):

@@ -12,6 +12,7 @@ along Y.  All verdicts are invariant under the residual rescaling
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -45,6 +46,8 @@ from .sliding import (
     normalized_sliding_field,
     sliding_region_class,
 )
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -815,13 +818,13 @@ def web_scan(system, point, n=2, cfg=None, radii=None):
         base = q
         for _ in range(i):
             base = phi2_inv(base)
-        vec = np.array(f0(base[0], base[1]))
+        vx, vy = f0(base[0], base[1])
         pt = base
         for _ in range(i):
-            jac = jacobian_numeric(phi2, pt, h=1e-4)
-            vec = jac @ vec
+            (m00, m01), (m10, m11) = jacobian_numeric(phi2, pt, h=1e-4).tolist()
+            vx, vy = m00 * vx + m01 * vy, m10 * vx + m11 * vy
             pt = phi2(pt)
-        return vec
+        return vx, vy
 
     def fit_quadratic(ts, ds):
         # d(t) ~ A t^2 + B t^3: least squares for (A, B); returns A and
@@ -844,6 +847,7 @@ def web_scan(system, point, n=2, cfg=None, radii=None):
     directions = [("contracting", analysis.v_contracting),
                   ("expanding", analysis.v_expanding)]
     estimates = {}
+    failure = None
     for widen in (1.0, 3.0):
         try:
             estimates = {}
@@ -865,10 +869,16 @@ def web_scan(system, point, n=2, cfg=None, radii=None):
                             ok = False
             if ok:
                 break
-        except IntegrationFailure:
-            ok = False
+        except IntegrationFailure as exc:
+            failure = exc.status
+            log.info(
+                "web scan: flight failed (%s) at radii %s",
+                failure.value,
+                tuple(widen * r for r in base_radii),
+            )
     else:
-        raise PreconditionError("web scan fit unstable even after widening radii")
+        last = f" (last flight failure: {failure.value})" if failure is not None else ""
+        raise PreconditionError(f"web scan fit unstable even after widening radii{last}")
     scale = 1.0 + max(fld.px.coeff_scale(), fld.py.coeff_scale())
     transversal = sorted(
         {(i, j) for (i, j, _), a in estimates.items() if abs(a) > 1e-6 * scale}

@@ -14,7 +14,6 @@ from enum import Enum
 
 import numpy as np
 
-from .algebra import gradient_on_sigma
 from .errors import PreconditionError
 
 
@@ -207,8 +206,9 @@ def fold_transversality(system, point, tol=None):
         raise PreconditionError("not a two-fold candidate: Xf or Yf nonzero")
     if abs(system.x2f.eval_at(point)) <= tol or abs(system.y2f.eval_at(point)) <= tol:
         raise PreconditionError("fold second derivative vanishes")
-    gx = [g.eval_at(point) for g in gradient_on_sigma(system.xf)]
-    gy = [g.eval_at(point) for g in gradient_on_sigma(system.yf)]
+    grad_xf, grad_yf = system.fold_gradients
+    gx = [g.eval_at(point) for g in grad_xf]
+    gy = [g.eval_at(point) for g in grad_yf]
     det = gx[0] * gy[1] - gx[1] * gy[0]
     scale = 1.0 + max(abs(v) for v in gx + gy)
     return TransversalityWitness(abs(det) > 1e-9 * scale, det)

@@ -21,7 +21,10 @@ from .algebra import (
     Poly3,
     SWITCHING_FUNCTION,
     VectorField3,
+    _poly,
+    _prune,
     finite_coefficients,
+    gradient_on_sigma,
     lie_derivative,
 )
 from .errors import (
@@ -141,6 +144,11 @@ class PiecewiseSystem:
         """Mixed derivative: d(Xf) along Y."""
         return lie_derivative(self.Y, self.xf)
 
+    @cached_property
+    def fold_gradients(self):
+        """Planar gradients of Xf and of Yf on the switching plane."""
+        return gradient_on_sigma(self.xf), gradient_on_sigma(self.yf)
+
     def coeff_scale(self):
         return max(self.X.coeff_scale(), self.Y.coeff_scale())
 
@@ -233,7 +241,7 @@ class SystemDescriptor:
 def _parse_component(entries, where):
     if not isinstance(entries, list):
         raise MalformedDocumentError(f"{where}: expected a list of terms")
-    pairs = []
+    terms = {}
     for entry in entries:
         try:
             exps, coeff = entry
@@ -247,16 +255,20 @@ def _parse_component(entries, where):
                 )
         if not isinstance(coeff, (int, float)) or isinstance(coeff, bool):
             raise MalformedDocumentError(f"{where}: coefficient must be a number")
-        if not math.isfinite(float(coeff)):
+        c = float(coeff)
+        if not math.isfinite(c):
             raise NonFiniteCoefficientError(f"{where}: non-finite coefficient")
-        pairs.append(((i, j, k), float(coeff)))
+        # int() stores a boolean exponent as 0 or 1; repeated terms add up
+        key = (int(i), int(j), int(k))
+        terms[key] = terms.get(key, 0.0) + c
     try:
-        poly = Poly3.from_terms(pairs)
+        poly = _poly(_prune(terms))
     except DegreeCapError as exc:
         raise DegreeCapExceededError(f"{where}: {exc}") from exc
-    if poly.degree() > INPUT_DEGREE_CAP:
+    deg = poly.degree()
+    if deg > INPUT_DEGREE_CAP:
         raise DegreeCapExceededError(
-            f"{where}: degree {poly.degree()} exceeds input cap {INPUT_DEGREE_CAP}"
+            f"{where}: degree {deg} exceeds input cap {INPUT_DEGREE_CAP}"
         )
     return poly
 

@@ -1,3 +1,5 @@
+import itertools
+import math
 import struct
 
 import numpy as np
@@ -10,6 +12,7 @@ except ImportError:  # the property tests at the end of this file need hypothesi
     given = None
 
 from foldatlas.algebra import (
+    MAX_TOTAL_DEGREE,
     DegreeCapError,
     Poly3,
     VectorField3,
@@ -55,6 +58,28 @@ class TestEval:
 
     def test_zero_polynomial(self):
         assert Poly3.zero().eval_at((4.0, -7.0, 0.3)) == 0.0
+
+    def test_bitwise_at_special_coordinates(self):
+        # eval leaves out the factors of exponent 0; against the full product,
+        # the bits and any OverflowError (1e300**2) must be the same.
+        def ref(p, x, y, z):
+            total = 0.0
+            for (i, j, k), c in p.terms.items():
+                total += c * x**i * y**j * z**k
+            return total
+
+        def outcome(fn, *args):
+            try:
+                return _bits(fn(*args))
+            except OverflowError:
+                return "overflow"
+
+        rng = np.random.default_rng(31)
+        values = [0.0, -0.0, 1e300, -1e300, math.inf, -math.inf, 0.7]
+        for _ in range(30):
+            p = random_poly(rng, 3)
+            for pt in itertools.product(values, repeat=3):
+                assert outcome(p.eval, *pt) == outcome(ref, p, *pt)
 
     def test_compiled_matches_eval(self):
         rng = np.random.default_rng(3)
@@ -179,10 +204,6 @@ class TestHousekeeping:
         assert (1, 0, 0) in p.terms and (0, 0, 1) not in p.terms
         assert (0, 0, 1) in q.terms
 
-    def test_from_terms_merges_duplicates(self):
-        p = Poly3.from_terms([((1, 0, 0), 1.0), ((1, 0, 0), 2.0)])
-        assert p == Poly3({(1, 0, 0): 3.0})
-
 
 class TestNegated:
     def test_memoized(self):
@@ -261,6 +282,78 @@ class TestLeanConstructor:
             p12 * p12 * X
         with pytest.raises(DegreeCapError):
             lie_derivative(VectorField3(p12 * p12, p12, p12), X * X)
+
+
+def _ref_lie(field, g):
+    """The composed arithmetic that ``lie_derivative`` matches."""
+    return field.cx * g.partial("x") + field.cy * g.partial("y") + field.cz * g.partial("z")
+
+
+def _assert_identical(p, q):
+    """Same keys in the same order, same key and value types, same bits."""
+    assert list(p.terms) == list(q.terms)
+    assert [type(e) for k in p.terms for e in k] == [type(e) for k in q.terms for e in k]
+    assert [type(c) for c in p.terms.values()] == [type(c) for c in q.terms.values()]
+    assert _bits(*p.terms.values()) == _bits(*q.terms.values())
+
+
+class TestLieDerivativeOnePass:
+    def _field_with_hot_terms(self, rng):
+        # degree-1 parts plus higher-order terms, coefficients of like size
+        return VectorField3(*(random_poly(rng, 1) + random_poly(rng, 3, 0.3) for _ in "xyz"))
+
+    def test_seeded_pin(self):
+        rng = np.random.default_rng(2026)
+        pairs = []
+        for _ in range(25):
+            fx, fy = self._field_with_hot_terms(rng), self._field_with_hot_terms(rng)
+            xf, yf = lie_derivative(fx, Z), lie_derivative(fy, Z)
+            chain = [Z, xf, yf, lie_derivative(fx, xf), lie_derivative(fy, yf),
+                     lie_derivative(fx, yf), lie_derivative(fy, xf)]
+            pairs += [(field, g) for field in (fx, fy) for g in chain]
+
+        def ints():
+            # small integer coefficients: terms cancel in products and sums
+            return Poly3({e: float(rng.integers(-2, 3)) for e in random_poly(rng, 2).terms})
+
+        for _ in range(60):
+            pairs.append((VectorField3(ints(), ints(), ints()), ints() * ints()))
+        empty = Poly3.zero()
+        pairs += [
+            (VectorField3(Y, X, empty), X * X - Y * Y),  # cancels to zero
+            (VectorField3(empty, empty, empty), X * Y * Z),
+            (VectorField3(X, empty, empty), Y * Z),
+            (VectorField3(X, Y, Z), empty),
+        ]
+        assert len(pairs) >= 200
+        for field, g in pairs:
+            _assert_identical(lie_derivative(field, g), _ref_lie(field, g))
+
+    def test_exact_cancellation(self):
+        assert lie_derivative(VectorField3(Y, X, Poly3.zero()), X * X - Y * Y).is_zero()
+
+    def test_cancelled_term_reappears_last(self):
+        # x and -y cancel the xyz term; z brings it back after x.
+        g = X * Y * Z + X
+        got = lie_derivative(VectorField3(X, -Y, Z), g)
+        assert list(got.terms.items()) == [((1, 0, 0), 1.0), ((1, 1, 1), 1.0)]
+        _assert_identical(got, _ref_lie(VectorField3(X, -Y, Z), g))
+
+    def test_product_over_the_cap_raises(self):
+        # Both products have degree 25 and cancel in the sum; the composed
+        # arithmetic raises on the first, and so must the one pass.
+        x12y12 = Poly3({(12, 12, 0): 1.0})
+        field = VectorField3(x12y12, Poly3({(11, 13, 0): -1.0}), Poly3.zero())
+        with pytest.raises(DegreeCapError) as ref:
+            _ref_lie(field, X * Y)
+        with pytest.raises(DegreeCapError) as got:
+            lie_derivative(field, X * Y)
+        assert str(got.value) == str(ref.value) == f"degree 25 exceeds cap {MAX_TOTAL_DEGREE}"
+        # one degree lower the product is at the cap and allowed
+        field = VectorField3(Poly3({(12, 11, 0): 1.0}), Z, Z)
+        at_cap = lie_derivative(field, X * Y)
+        assert at_cap.degree() == MAX_TOTAL_DEGREE
+        _assert_identical(at_cap, _ref_lie(field, X * Y))
 
 
 # -- bitwise pins and arithmetic properties (hypothesis) -------------------
@@ -354,6 +447,11 @@ if given is not None:
                 fn, ref = f.compiled(), _ref_field_fn(f)
                 for pt in points + _ROUGH:
                     assert _bits(*fn(*pt)) == _bits(*ref(*pt))
+
+    class TestLieDerivativeMatchesArithmetic:
+        @given(_fields, _polys)
+        def test_one_pass(self, field, g):
+            _assert_identical(lie_derivative(field, g), _ref_lie(field, g))
 
     class TestArithmeticIsCanonical:
         @given(_polys, _polys, _COEFFS)

@@ -21,6 +21,32 @@ def _by_name(results, name):
     return result
 
 
+class TestSaddleDichotomyDraws:
+    def test_block_draws_match_scalar_draws(self, monkeypatch):
+        n, seed, margin = 2000, 5, 1e-6
+        seen = []
+        make = checks.make_parameters
+
+        def recording(a, b, g, d):
+            seen.append((a, b, g))
+            return make(a, b, g, d)
+
+        monkeypatch.setattr(checks, "make_parameters", recording)
+        checks.check_saddle_dichotomy(n=n, seed=seed, margin=margin)
+        rng = np.random.default_rng(seed)
+        expected = []
+        while len(expected) < n:
+            a = rng.uniform(-3.0, 3.0)
+            b = rng.uniform(-3.0, 3.0)
+            g = rng.uniform(0.2, 3.0)
+            if abs(a * b * (a * b - g)) > margin:
+                expected.append((a, b, g))
+        assert [tuple(map(float.hex, t)) for t in seen] == [
+            tuple(map(float.hex, t)) for t in expected
+        ]
+        assert all(type(v) is float for t in seen for v in t)
+
+
 class TestReturnMapGridFailures:
     def test_failed_flights_are_counted(self):
         results = checks.check_return_map_grid(

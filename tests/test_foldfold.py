@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -536,6 +537,20 @@ class TestNumericDiagnostics:
         report = web_scan(system, (0.0, 0.0, 0.0), n=0)
         assert report.applicable
         assert report.transversal_pairs == []
+
+    def test_web_scan_names_the_failed_flight(self, monkeypatch, caplog):
+        def left_box(*args, **kwargs):
+            raise IntegrationFailure(FlightStatus.LEFT_BOX)
+
+        monkeypatch.setattr(foldfold, "return_map_numeric", left_box)
+        system = build_normal_form(2.0, 2.0, 1.0, -1.0)
+        with caplog.at_level(logging.INFO, logger="foldatlas.foldfold"):
+            with pytest.raises(PreconditionError, match="left-box"):
+                web_scan(system, (0.0, 0.0, 0.0), n=1)
+        failures = [r for r in caplog.records if r.name == "foldatlas.foldfold"]
+        # one record per widening of the radii
+        assert len(failures) == 2
+        assert all("left-box" in r.getMessage() for r in failures)
 
     def test_web_scan_not_applicable(self):
         system = build_normal_form(-2.0, -1.0, 1.0, -1.0)

@@ -96,6 +96,50 @@ class TestLoadSystem:
         with pytest.raises(MalformedDocumentError):
             load_system(json.dumps(doc))
 
+    def _with_x_cx(self, terms):
+        doc = json.loads(normal_form_doc())
+        doc["X"]["cx"] = terms
+        return load_system(json.dumps(doc)).X.cx.terms
+
+    def test_duplicate_terms_summed(self):
+        terms = self._with_x_cx(
+            [[[0, 1, 0], 0.5], [[1, 0, 0], 1.0], [[0, 1, 0], 0.25], [[1, 0, 0], 2.0]]
+        )
+        # one entry per monomial, where the monomial first appeared
+        assert list(terms.items()) == [((0, 1, 0), 0.75), ((1, 0, 0), 3.0)]
+
+    def test_terms_summing_to_zero_dropped(self):
+        terms = self._with_x_cx(
+            [[[0, 0, 2], 1.5], [[0, 1, 0], 2.0], [[0, 0, 2], -1.5], [[9, 0, 0], 1.0],
+             [[9, 0, 0], -1.0]]
+        )
+        # the dropped degree-9 term does not count against the input cap
+        assert terms == {(0, 1, 0): 2.0}
+
+    def test_boolean_exponent_stored_as_int(self):
+        terms = self._with_x_cx([[[True, 0, False], 2.0], [[1, 0, 0], 0.5]])
+        assert terms == {(1, 0, 0): 2.5}
+        assert all(type(e) is int for exps in terms for e in exps)
+        assert all(type(c) is float for c in terms.values())
+
+    def test_error_messages(self):
+        cases = [
+            ([[[30, 0, 0], 1.0]], DegreeCapExceededError, "X.cx: degree 30 exceeds cap 24"),
+            ([[[9, 0, 0], 1.0]], DegreeCapExceededError,
+             "X.cx: degree 9 exceeds input cap 8"),
+            ([[[1, 0, 0], "a"]], MalformedDocumentError, "X.cx: coefficient must be a number"),
+            ([[[1, 0, 0], True]], MalformedDocumentError, "X.cx: coefficient must be a number"),
+            ([[[1, 0], 1.0]], MalformedDocumentError, "X.cx: bad term [[1, 0], 1.0]"),
+            ([[[1.0, 0, 0], 1.0]], MalformedDocumentError,
+             "X.cx: exponents must be non-negative integers"),
+            ("x", MalformedDocumentError, "X.cx: expected a list of terms"),
+        ]
+        for terms, cls, message in cases:
+            with pytest.raises(cls) as info:
+                self._with_x_cx(terms)
+            assert type(info.value) is cls
+            assert str(info.value) == message
+
     def test_round_trip_bitwise(self):
         system = load_system(normal_form_doc(alpha=-0.1234567890123456))
         text = serialize_system(system)
