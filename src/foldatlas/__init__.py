@@ -26,6 +26,7 @@ from .foldfold import (
     NormalParameters,
     ReturnMapAnalysis,
     StabilityVerdict,
+    SurfacePointReport,
     VerdictKind,
     analytic_involutions,
     connection_region,
@@ -38,6 +39,7 @@ from .foldfold import (
     parabolic_transversality,
     return_map_analysis,
     stability_verdict,
+    surface_point_report,
     verdict_from_params,
     web_scan,
 )

@@ -49,11 +49,11 @@ def _degree(terms):
     return max(map(sum, terms)) if terms else 0
 
 
-def _capped(terms, cap=MAX_TOTAL_DEGREE):
-    """``terms``, or DegreeCapError if their total degree exceeds ``cap``."""
+def _capped(terms):
+    """``terms``, or DegreeCapError if their total degree exceeds the cap."""
     deg = _degree(terms)
-    if deg > cap:
-        raise DegreeCapError(f"degree {deg} exceeds cap {cap}")
+    if deg > MAX_TOTAL_DEGREE:
+        raise DegreeCapError(f"degree {deg} exceeds cap {MAX_TOTAL_DEGREE}")
     return terms
 
 
@@ -125,7 +125,7 @@ class Poly3:
 
     __slots__ = ("terms", "_fn")
 
-    def __init__(self, terms=None, max_degree=MAX_TOTAL_DEGREE):
+    def __init__(self, terms=None):
         clean = {}
         if terms:
             for exps, coeff in terms.items():
@@ -135,7 +135,7 @@ class Poly3:
                 c = float(coeff)
                 if c != 0.0:
                     clean[(int(i), int(j), int(k))] = c
-        self.terms = _capped(clean, max_degree)
+        self.terms = _capped(clean)
         self._fn = None
 
     # -- constructors ------------------------------------------------------
@@ -302,9 +302,6 @@ class VectorField3:
 
     def components(self):
         return (self.cx, self.cy, self.cz)
-
-    def lie(self, g):
-        return lie_derivative(self, g)
 
     def eval_at(self, point):
         return (self.cx.eval_at(point), self.cy.eval_at(point), self.cz.eval_at(point))

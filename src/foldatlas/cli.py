@@ -21,14 +21,14 @@ from . import checks
 from .errors import MalformedDocumentError, ToolError, VerificationFailure
 from .foldfold import (
     FixedPointClass,
+    InstabilityReason,
     make_parameters,
-    normal_parameters,
     report_from_params,
     return_map_analysis,  # noqa: F401  bound here for perfbench's binding test
-    stability_verdict,
+    surface_point_report,
 )
 from .integrator import IntegratorConfig, filippov_trajectory
-from .sigma import SigmaKind, classify_point, default_tolerance, tangency_type
+from .sigma import default_tolerance, tangency_curves
 from .system import Box, load_system, validate
 
 
@@ -102,7 +102,8 @@ def cmd_classify(args):
     system = _read_system(args.system)
     point = _parse_floats(args.point, 3, "--point")
     tol = args.tol if args.tol is not None else default_tolerance(system)
-    cls = classify_point(system, point, tol)
+    result = surface_point_report(system, point, tol)
+    cls = result.classification
     report = {
         "system": system.name,
         "point": list(point),
@@ -113,33 +114,23 @@ def cmd_classify(args):
         },
         "validation_warnings": validate(system, grid=21).warnings,
     }
-    if cls.kind is SigmaKind.TANGENCY:
-        info = tangency_type(system, point, tol)
-        report["tangency"] = _jsonable(info)
-        if info.ttype.value == "fold-fold":
-            params = normal_parameters(system, point, tol)
-            ff = report_from_params(params)
-            report["foldfold"] = {
-                "normal_parameters": _jsonable(params),
-                "region": ff.region.value,
-                "claim": ff.claim,
-                "return_map": _jsonable(ff.analysis),
-                "verdict": _jsonable(ff.verdict),
-                "moduli": _jsonable(ff.moduli),
-            }
-            if ff.moduli is not None:
-                from .foldfold import InstabilityReason
-
-                report["foldfold"]["obstruction"] = (
-                    InstabilityReason.MODULI_FOLIATION.value
-                )
-        else:
-            report["verdict"] = _jsonable(stability_verdict(system, point, tol))
+    if result.tangency is not None:
+        report["tangency"] = _jsonable(result.tangency)
+    ff = result.foldfold
+    if ff is None:
+        report["verdict"] = _jsonable(result.verdict)
     else:
-        report["verdict"] = _jsonable(stability_verdict(system, point, tol))
+        report["foldfold"] = {
+            "normal_parameters": _jsonable(ff.params),
+            "region": ff.region.value,
+            "claim": ff.claim,
+            "return_map": _jsonable(ff.analysis),
+            "verdict": _jsonable(ff.verdict),
+            "moduli": _jsonable(ff.moduli),
+        }
+        if ff.moduli is not None:
+            report["foldfold"]["obstruction"] = InstabilityReason.MODULI_FOLIATION.value
     if args.curves:
-        from .sigma import tangency_curves
-
         curves = tangency_curves(system)
         report["tangency_curves"] = {
             side: [

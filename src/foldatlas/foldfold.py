@@ -7,7 +7,9 @@ Every decision reduces to inequalities in the normal parameters
 derivatives of the switching function along the two fields, delta is the
 sign of the second derivative along X and gamma carries the sign of the one
 along Y.  All verdicts are invariant under the residual rescaling
-(alpha, beta, gamma) -> (e*alpha, e*beta, e^2*gamma), e > 0.
+(alpha, beta, gamma) -> (e*alpha, e*beta, e^2*gamma), e > 0.  Sides within
+the fixed relative band ``sliding.BOUNDARY_BAND`` of each other count as equal.
+``surface_point_report`` is the one classification pass at a surface point.
 """
 
 from __future__ import annotations
@@ -29,8 +31,11 @@ from .integrator import (
 )
 from .sigma import (
     FoldFoldSubtype,
+    SigmaClassification,
     SigmaKind,
+    TangencyInfo,
     TangencyType,
+    _refine_tangency,
     classify_point,
     default_tolerance,
     subtype_from_signs,
@@ -48,6 +53,11 @@ from .sliding import (
 )
 
 log = logging.getLogger(__name__)
+
+# Largest denominator of a reported tau/pi convergent; relative distance from
+# the parabolic wedge's edges within which a point is not strictly outside.
+_MAX_DENOMINATOR = 10**6
+_OUTSIDE_MARGIN = 1e-7
 
 
 @dataclass(frozen=True)
@@ -94,16 +104,18 @@ def normal_parameters(system, point, tol=None):
     rescaled representative, and every downstream verdict is invariant under
     that rescaling.
     """
-    tol = default_tolerance(system) if tol is None else tol
     info = tangency_type(system, point, tol)
     if info.ttype is not TangencyType.FOLD_FOLD:
         raise PreconditionError(
             f"not a two-fold point: tangency type is {info.ttype.value} ({info.detail})"
         )
+    return _two_fold_parameters(system, point, info)
+
+
+def _two_fold_parameters(system, point, info):
+    """Normal parameters at a point already refined to the fold-fold ``info``."""
     x2 = system.x2f.eval_at(point)
     y2 = system.y2f.eval_at(point)
-    if abs(x2) <= tol or abs(y2) <= tol:
-        raise PreconditionError("degenerate two-fold: a second derivative vanishes")
     denom = math.sqrt(abs(x2) * abs(y2))
     delta = math.copysign(1.0, x2)
     gamma = math.copysign(1.0, y2)
@@ -165,16 +177,16 @@ class ReturnMapAnalysis:
     location_expanding: EigvecLocation | None = None
 
 
-def _locate(x, y, rel=BOUNDARY_BAND):
+def _locate(x, y):
     """Quadrant of the eigendirection (x, y) in the chart where the crossing
     region is {x*y < 0} and the sliding region is {x*y > 0}."""
     prod = x * y
-    if abs(prod) <= rel * (x * x + y * y):
+    if abs(prod) <= BOUNDARY_BAND * (x * x + y * y):
         return EigvecLocation.ON_TANGENCY
     return EigvecLocation.IN_CROSSING if prod < 0 else EigvecLocation.IN_SLIDING
 
 
-def return_map_analysis(params, rel=BOUNDARY_BAND):
+def return_map_analysis(params):
     """Spectral analysis of the first-return map at a T-singularity.
 
     The linearization is ``A_X @ A_Y = [[-1 + 4ab/g, -2a], [2b/g, -1]]``
@@ -191,11 +203,11 @@ def return_map_analysis(params, rel=BOUNDARY_BAND):
     m = np.array(((m00, m01), (m10, m11)))
     trace = m00 + m11
     det = m00 * m11 - m01 * m10
-    if near(trace, 2.0, rel):
+    if near(trace, 2.0):
         return ReturnMapAnalysis(
             m, trace, det, (complex(1.0), complex(1.0)), FixedPointClass.NONHYPERBOLIC_UNIT
         )
-    if near(trace, -2.0, rel):
+    if near(trace, -2.0):
         return ReturnMapAnalysis(
             m,
             trace,
@@ -223,8 +235,8 @@ def return_map_analysis(params, rel=BOUNDARY_BAND):
         FixedPointClass.SADDLE,
         v_contracting=np.array(v_small),
         v_expanding=np.array(v_big),
-        location_contracting=_locate(*v_small, rel),
-        location_expanding=_locate(*v_big, rel),
+        location_contracting=_locate(*v_small),
+        location_expanding=_locate(*v_big),
     )
 
 
@@ -255,8 +267,8 @@ class ModuliInfo:
     leaf_id: float
 
 
-def _convergents(x, max_den=10**6):
-    """Continued-fraction convergents p/q of x with q <= max_den."""
+def _convergents(x):
+    """Continued-fraction convergents p/q of x with q <= ``_MAX_DENOMINATOR``."""
     out = []
     h_prev, h_prev2 = 1, 0
     k_prev, k_prev2 = 0, 1
@@ -265,7 +277,7 @@ def _convergents(x, max_den=10**6):
         a = math.floor(value)
         h = a * h_prev + h_prev2
         k = a * k_prev + k_prev2
-        if k > max_den:
+        if k > _MAX_DENOMINATOR:
             break
         if h != 0 or k != 1:  # skip the trivial 0/1 head for x in (0, 1)
             out.append((int(h), int(k)))
@@ -331,42 +343,39 @@ def _sign(v):
     return int(math.copysign(1.0, v))
 
 
-def _tsingularity_verdict(params, rel):
-    analysis = return_map_analysis(params, rel)
+def _tsingularity_verdict(params):
+    analysis = return_map_analysis(params)
+
+    def verdict(kind, **fields):
+        return StabilityVerdict(kind, analysis=analysis, params=params, **fields)
+
     cls = analysis.fixed_point_class
     if cls is FixedPointClass.NONHYPERBOLIC_UNIT:
-        return StabilityVerdict(
+        return verdict(
             VerdictKind.BOUNDARY_DEGENERATE,
             witness="unit-eigenvalue boundary: alpha*beta equals gamma within tolerance",
-            analysis=analysis,
-            params=params,
         )
     if cls is FixedPointClass.PARABOLIC_BOUNDARY:
-        return StabilityVerdict(
+        return verdict(
             VerdictKind.UNSTABLE,
             reason=Reason(
                 InstabilityReason.NON_HYPERBOLIC_RETURN_MAP,
                 detail="double eigenvalue -1 (alpha*beta = 0 boundary)",
             ),
-            analysis=analysis,
-            params=params,
         )
     if cls is FixedPointClass.NONHYPERBOLIC_COMPLEX:
-        moduli = moduli_info(analysis)
-        return StabilityVerdict(
+        return verdict(
             VerdictKind.UNSTABLE,
             reason=Reason(
                 InstabilityReason.NON_HYPERBOLIC_RETURN_MAP,
                 tau=analysis.tau,
                 detail="unit-circle complex eigenvalues; tau labels the moduli leaf",
             ),
-            moduli=moduli,
-            analysis=analysis,
-            params=params,
+            moduli=moduli_info(analysis),
         )
     locs = (analysis.location_contracting, analysis.location_expanding)
     if all(loc is EigvecLocation.IN_CROSSING for loc in locs):
-        return StabilityVerdict(
+        return verdict(
             VerdictKind.STABLE,
             class_descriptor=(
                 "T-singularity",
@@ -374,24 +383,18 @@ def _tsingularity_verdict(params, rel):
                 _sign(params.alpha),
                 _sign(params.beta),
             ),
-            analysis=analysis,
-            params=params,
         )
     if any(loc is EigvecLocation.ON_TANGENCY for loc in locs):
-        return StabilityVerdict(
+        return verdict(
             VerdictKind.BOUNDARY_DEGENERATE,
             witness="saddle eigenvector on the tangency set",
-            analysis=analysis,
-            params=params,
         )
-    return StabilityVerdict(
+    return verdict(
         VerdictKind.UNSTABLE,
         reason=Reason(
             InstabilityReason.INVARIANT_MANIFOLD_IN_SLIDING,
             detail="a saddle manifold meets the sliding region",
         ),
-        analysis=analysis,
-        params=params,
     )
 
 
@@ -409,7 +412,7 @@ def _visible_verdict(params, tag):
     )
 
 
-def _parabolic_core_verdict(params, original, tag, rel):
+def _parabolic_core_verdict(params, original, tag):
     """Verdict in invisible-visible coordinates (``original`` keeps the
     caller's parameters for reporting, ``tag`` is their region)."""
     a, b, g = params.alpha, params.beta, params.gamma
@@ -429,36 +432,22 @@ def _parabolic_core_verdict(params, original, tag, rel):
             params=original,
         )
     coeffs = parabolic_transversality(params)
-    if near(a, 0.0, rel):
-        return StabilityVerdict(
-            VerdictKind.UNSTABLE,
-            reason=Reason(
-                InstabilityReason.TRANSVERSALITY_FAILURE,
-                which="alpha",
-                detail="fold image of the visible tangency line is tangent to it",
-            ),
-            params=original,
-        )
-    if near(coeffs.T_coeff, 0.0, rel):
-        return StabilityVerdict(
-            VerdictKind.UNSTABLE,
-            reason=Reason(
-                InstabilityReason.TRANSVERSALITY_FAILURE,
-                which="T",
-                detail="sliding field tangent to the fold image curve",
-            ),
-            params=original,
-        )
-    if a > 0.0 and near(a + b, 0.0, rel):
-        return StabilityVerdict(
-            VerdictKind.UNSTABLE,
-            reason=Reason(
-                InstabilityReason.TRANSVERSALITY_FAILURE,
-                which="D",
-                detail="sliding field parallel to its fold transport on the connection region",
-            ),
-            params=original,
-        )
+    failure = InstabilityReason.TRANSVERSALITY_FAILURE
+    # The transversality conditions in reporting order; the first one that
+    # fails on the boundary band names the failure.
+    for which, fails, detail in (
+        ("alpha", near(a, 0.0),
+         "fold image of the visible tangency line is tangent to it"),
+        ("T", near(coeffs.T_coeff, 0.0),
+         "sliding field tangent to the fold image curve"),
+        ("D", a > 0.0 and near(a + b, 0.0),
+         "sliding field parallel to its fold transport on the connection region"),
+    ):
+        if fails:
+            return StabilityVerdict(
+                VerdictKind.UNSTABLE, reason=Reason(failure, which, detail=detail),
+                params=original,
+            )
     return StabilityVerdict(
         VerdictKind.STABLE,
         class_descriptor=(
@@ -472,7 +461,7 @@ def _parabolic_core_verdict(params, original, tag, rel):
     )
 
 
-def _strictly_outside_parabolic(a, b, g, margin=1e-7):
+def _strictly_outside_parabolic(a, b, g):
     """True when (a, b, g) lies in the open complement of the four regions.
 
     Below the hyperbola a*b = g every parameter is covered by a region, so
@@ -482,63 +471,40 @@ def _strictly_outside_parabolic(a, b, g, margin=1e-7):
     ab = a * b
     root = 2.0 * math.sqrt(-g)
     w = (b - a) + root
-    if abs(ab - g) <= margin * (1.0 + abs(ab) + abs(g)):
+    if abs(ab - g) <= _OUTSIDE_MARGIN * (1.0 + abs(ab) + abs(g)):
         return False
-    if abs(w) <= margin * (1.0 + abs(b - a) + root):
+    if abs(w) <= _OUTSIDE_MARGIN * (1.0 + abs(b - a) + root):
         return False
     if ab < g or w < 0.0:
         return False
     return True
 
 
-def verdict_from_params(params, rel=BOUNDARY_BAND):
+def verdict_from_params(params):
     """Structural-stability verdict of a two-fold from its normal parameters."""
-    return _verdict(params, sliding_region_class(params, rel), rel)
+    return _verdict(params, sliding_region_class(params))
 
 
-def _verdict(params, tag, rel):
+def _verdict(params, tag):
     """Verdict given the sliding region ``tag`` of ``params``."""
     sub = params.subtype
     if sub is FoldFoldSubtype.INVISIBLE:
-        return _tsingularity_verdict(params, rel)
+        return _tsingularity_verdict(params)
     if sub is FoldFoldSubtype.VISIBLE_VISIBLE:
         return _visible_verdict(params, tag)
     if sub is FoldFoldSubtype.INVISIBLE_VISIBLE:
-        return _parabolic_core_verdict(params, params, tag, rel)
-    return _parabolic_core_verdict(mirror_parameters(params), params, tag, rel)
+        return _parabolic_core_verdict(params, params, tag)
+    return _parabolic_core_verdict(mirror_parameters(params), params, tag)
 
 
-def stability_verdict(system, point, tol=None, rel=BOUNDARY_BAND):
+def stability_verdict(system, point, tol=None):
     """Verdict at an arbitrary surface point.
 
     Crossing points, regular sliding points, hyperbolic pseudo-equilibria and
     fold/cusp-regular tangencies are stable; two-folds dispatch on the normal
     parameters; degenerate tangencies report a boundary verdict.
     """
-    tol = default_tolerance(system) if tol is None else tol
-    cls = classify_point(system, point, tol)
-    if cls.kind is SigmaKind.CROSSING:
-        return StabilityVerdict(
-            VerdictKind.STABLE, class_descriptor=("regular-regular", "crossing")
-        )
-    if cls.kind in (SigmaKind.STABLE_SLIDING, SigmaKind.UNSTABLE_SLIDING):
-        return _sliding_point_verdict(system, point, cls, tol)
-    info = tangency_type(system, point, tol)
-    if info.ttype in (
-        TangencyType.FOLD_REGULAR,
-        TangencyType.REGULAR_FOLD,
-        TangencyType.CUSP_REGULAR,
-        TangencyType.REGULAR_CUSP,
-    ):
-        return StabilityVerdict(
-            VerdictKind.STABLE, class_descriptor=("tangential", info.ttype.value)
-        )
-    if info.ttype is TangencyType.DEGENERATE:
-        return StabilityVerdict(
-            VerdictKind.BOUNDARY_DEGENERATE,
-            witness=f"degenerate tangency: {info.detail}",
-        )
-    return verdict_from_params(normal_parameters(system, point, tol), rel)
+    return surface_point_report(system, point, tol).verdict
 
 
 def _sliding_point_verdict(system, point, cls, tol):
@@ -587,7 +553,7 @@ class ConnectionReport:
     description: str
 
 
-def connection_region(params, rel=BOUNDARY_BAND):
+def connection_region(params):
     """Do orbits of the invisible fold connect the two sliding regions?
 
     Connections exist precisely when the effective ``alpha`` is positive: the
@@ -602,7 +568,7 @@ def connection_region(params, rel=BOUNDARY_BAND):
         raise PreconditionError("connection region applies to parabolic two-folds")
     a = params.alpha
     direction = (-2.0 * a, -1.0)
-    if near(a, 0.0, rel):
+    if near(a, 0.0):
         return ConnectionReport(
             exists=None,
             degenerate=True,
@@ -905,9 +871,9 @@ class FoldFoldReport:
     moduli: ModuliInfo | None
 
 
-def report_from_params(params, rel=BOUNDARY_BAND):
-    region = sliding_region_class(params, rel)
-    verdict = _verdict(params, region, rel)
+def report_from_params(params):
+    region = sliding_region_class(params)
+    verdict = _verdict(params, region)
     return FoldFoldReport(
         params=params,
         region=region,
@@ -918,7 +884,46 @@ def report_from_params(params, rel=BOUNDARY_BAND):
     )
 
 
-def foldfold_report(system, point, tol=None, rel=BOUNDARY_BAND):
+def foldfold_report(system, point, tol=None):
     """Full two-fold report for a surface point of a concrete system."""
-    params = normal_parameters(system, point, tol)
-    return report_from_params(params, rel)
+    return report_from_params(normal_parameters(system, point, tol))
+
+
+@dataclass
+class SurfacePointReport:
+    """One classification pass at a surface point: ``tangency`` is set on the
+    tangency band, ``foldfold`` at two-folds (its verdict is ``verdict``)."""
+
+    classification: SigmaClassification
+    tangency: TangencyInfo | None
+    foldfold: FoldFoldReport | None
+    verdict: StabilityVerdict
+
+
+def surface_point_report(system, point, tol=None):
+    """Classify a surface point once: sign table, tangency refinement, then
+    the two-fold report or the point's verdict."""
+    tol = default_tolerance(system) if tol is None else tol
+    cls = classify_point(system, point, tol)
+    info = report = None
+    if cls.kind is SigmaKind.CROSSING:
+        verdict = StabilityVerdict(
+            VerdictKind.STABLE, class_descriptor=("regular-regular", "crossing")
+        )
+    elif cls.kind is not SigmaKind.TANGENCY:
+        verdict = _sliding_point_verdict(system, point, cls, tol)
+    else:
+        info = _refine_tangency(system, point, cls.witness, tol)
+        if info.ttype is TangencyType.FOLD_FOLD:
+            report = report_from_params(_two_fold_parameters(system, point, info))
+            verdict = report.verdict
+        elif info.ttype is TangencyType.DEGENERATE:
+            verdict = StabilityVerdict(
+                VerdictKind.BOUNDARY_DEGENERATE,
+                witness=f"degenerate tangency: {info.detail}",
+            )
+        else:
+            verdict = StabilityVerdict(
+                VerdictKind.STABLE, class_descriptor=("tangential", info.ttype.value)
+            )
+    return SurfacePointReport(cls, info, report, verdict)

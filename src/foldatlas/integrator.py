@@ -427,14 +427,14 @@ def _integrate(f, y0, cfg, events, t_limit, outside=None, h0=None, collect=None)
                 elif ev.expected_sign != 0 and v * ev.expected_sign < 0 and v != 0.0:
                     # shallow arc crossed the surface without ever arming
                     found = _refine_event(f, ev, y, k1, y_new, k_last, h, v, cfg)
-                    if found is not None and (hit is None or found[0] < hit[1]):
+                    if hit is None or found[0] < hit[1]:
                         hit = (ev, found[0], found[1])
                 else:
                     ev.last = v
                 continue
             if ev.last * v <= 0.0 and (ev.last != 0.0 or v != 0.0):
                 found = _refine_event(f, ev, y, k1, y_new, k_last, h, v, cfg)
-                if found is not None and (hit is None or found[0] < hit[1]):
+                if hit is None or found[0] < hit[1]:
                     hit = (ev, found[0], found[1])
             ev.last = v
         if hit is not None:

@@ -3,7 +3,8 @@
 The plane {z = 0} splits into crossing, stable-sliding and unstable-sliding
 regions by the signs of the first Lie derivatives Xf and Yf, with a tolerance
 band assigned to tangency.  Tangency points are refined into fold / cusp /
-fold-fold types using Lie derivatives up to third order.
+fold-fold types using Lie derivatives up to third order; both the cusp and
+the fold-fold tests reduce to one planar 2x2 gradient determinant.
 """
 
 from __future__ import annotations
@@ -14,7 +15,11 @@ from enum import Enum
 
 import numpy as np
 
+from .algebra import gradient_on_sigma
 from .errors import PreconditionError
+
+# Newton corrections per tangency-curve point before the point is given up.
+_CORRECTOR_CAP = 30
 
 
 class SigmaKind(Enum):
@@ -69,7 +74,6 @@ class TangencyInfo:
 class SigmaClassification:
     kind: SigmaKind
     witness: tuple  # (Xf(p), Yf(p))
-    tangency: TangencyInfo | None = None
 
 
 def default_tolerance(system):
@@ -98,23 +102,21 @@ def classify_point(system, point, tol=None):
     return SigmaClassification(SigmaKind.UNSTABLE_SLIDING, witness)
 
 
+def _gradient_det(grad_a, grad_b, point):
+    """2x2 determinant of two planar gradients (pairs of polynomials) at the
+    point, and the largest magnitude among its four entries."""
+    ax, ay = grad_a[0].eval_at(point), grad_a[1].eval_at(point)
+    bx, by = grad_b[0].eval_at(point), grad_b[1].eval_at(point)
+    return ax * by - ay * bx, max(abs(ax), abs(ay), abs(bx), abs(by))
+
+
 def _fold_or_cusp(system, point, tol, side):
     """Refine a single-field tangency into fold / cusp / degenerate."""
     if side == "X":
-        second, third, first_poly, second_poly = (
-            system.x2f,
-            system.x3f,
-            system.xf,
-            system.x2f,
-        )
+        first, second, third = system.xf, system.x2f, system.x3f
         fold_type, cusp_type = TangencyType.FOLD_REGULAR, TangencyType.CUSP_REGULAR
     else:
-        second, third, first_poly, second_poly = (
-            system.y2f,
-            system.y3f,
-            system.yf,
-            system.y2f,
-        )
+        first, second, third = system.yf, system.y2f, system.y3f
         fold_type, cusp_type = TangencyType.REGULAR_FOLD, TangencyType.REGULAR_CUSP
     s2 = second.eval_at(point)
     if abs(s2) > tol:
@@ -124,19 +126,9 @@ def _fold_or_cusp(system, point, tol, side):
         return TangencyInfo(
             TangencyType.DEGENERATE, detail="third derivative vanishes"
         )
-    # Cusp needs {df, d(Xf), d(X^2 f)} linearly independent at the point.
-    rows = [np.array([0.0, 0.0, 1.0])]
-    for poly in (first_poly, second_poly):
-        rows.append(
-            np.array(
-                [
-                    poly.partial("x").eval_at(point),
-                    poly.partial("y").eval_at(point),
-                    poly.partial("z").eval_at(point),
-                ]
-            )
-        )
-    det = float(np.linalg.det(np.array(rows)))
+    # Cusp needs {df, d(Xf), d(X^2 f)} linearly independent at the point;
+    # with df = (0, 0, 1) that is the planar determinant of the last two.
+    det, _ = _gradient_det(gradient_on_sigma(first), gradient_on_sigma(second), point)
     if abs(det) <= 1e-9 * (1.0 + system.coeff_scale()):
         return TangencyInfo(
             TangencyType.DEGENERATE, detail=f"gradient independence fails ({det:.3g})"
@@ -150,12 +142,15 @@ def tangency_type(system, point, tol=None):
     cls = classify_point(system, point, tol)
     if cls.kind is not SigmaKind.TANGENCY:
         raise PreconditionError("point is not in the tangency band")
-    xf, yf = cls.witness
-    x_tangent = abs(xf) <= tol
-    y_tangent = abs(yf) <= tol
-    if x_tangent and not y_tangent:
+    return _refine_tangency(system, point, cls.witness, tol)
+
+
+def _refine_tangency(system, point, witness, tol):
+    """Tangency type at a point whose ``witness`` (Xf, Yf) is in the band."""
+    xf, yf = witness
+    if abs(yf) > tol:  # only X is tangent
         return _fold_or_cusp(system, point, tol, "X")
-    if y_tangent and not x_tangent:
+    if abs(xf) > tol:  # only Y is tangent
         return _fold_or_cusp(system, point, tol, "Y")
 
     # Both fields tangent: candidate fold-fold.
@@ -171,8 +166,7 @@ def tangency_type(system, point, tol=None):
         return TangencyInfo(
             TangencyType.DEGENERATE, detail="a fold is degenerate (second derivative 0)"
         )
-    witness = fold_transversality(system, point, tol)
-    if not witness.transversal:
+    if not _fold_witness(system, point).transversal:
         return TangencyInfo(
             TangencyType.DEGENERATE,
             transversal=False,
@@ -206,12 +200,13 @@ def fold_transversality(system, point, tol=None):
         raise PreconditionError("not a two-fold candidate: Xf or Yf nonzero")
     if abs(system.x2f.eval_at(point)) <= tol or abs(system.y2f.eval_at(point)) <= tol:
         raise PreconditionError("fold second derivative vanishes")
-    grad_xf, grad_yf = system.fold_gradients
-    gx = [g.eval_at(point) for g in grad_xf]
-    gy = [g.eval_at(point) for g in grad_yf]
-    det = gx[0] * gy[1] - gx[1] * gy[0]
-    scale = 1.0 + max(abs(v) for v in gx + gy)
-    return TransversalityWitness(abs(det) > 1e-9 * scale, det)
+    return _fold_witness(system, point)
+
+
+def _fold_witness(system, point):
+    """``fold_transversality`` without its precondition checks."""
+    det, size = _gradient_det(*system.fold_gradients, point)
+    return TransversalityWitness(abs(det) > 1e-9 * (1.0 + size), det)
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +220,7 @@ class Curve:
     complete: bool = True
 
 
-def _trace_zero_set(poly, box, step, corrector_cap=30):
+def _trace_zero_set(poly, box, step):
     """Predictor-corrector continuation of {poly = 0} on the box's z-slice."""
     g = poly.subs_z0()
     if g.is_zero():
@@ -239,7 +234,7 @@ def _trace_zero_set(poly, box, step, corrector_cap=30):
 
     def correct(q):
         x, y = q
-        for _ in range(corrector_cap):
+        for _ in range(_CORRECTOR_CAP):
             v = gfn(x, y, 0.0)
             if abs(v) <= ctol:
                 return (x, y)

@@ -4,7 +4,8 @@ Inside the sliding region the motion is governed by the convex combination
 of X and Y tangent to the plane (the sliding field).  Its polynomial
 rescaling ``Yf*X - Xf*Y`` (the normalized sliding field) shares phase
 portraits with it, up to orientation on the unstable-sliding side, and is
-the object all region classifications evaluate on.
+the object all region classifications evaluate on.  Region boundaries are
+decided within the one fixed relative band ``BOUNDARY_BAND``.
 """
 
 from __future__ import annotations
@@ -21,6 +22,9 @@ from .errors import DenominatorZeroError, PreconditionError
 from .sigma import FoldFoldSubtype, TangencyType, default_tolerance, tangency_type
 
 log = logging.getLogger(__name__)
+
+# |Yf - Xf| at or below this counts as a vanishing sliding denominator.
+_DENOMINATOR_FLOOR = 1e-14
 
 
 @dataclass
@@ -56,9 +60,9 @@ class SlidingField:
     numerator: PlanarField
     denominator: Poly3
 
-    def eval(self, x, y, floor=1e-14):
+    def eval(self, x, y):
         den = self.denominator.eval(x, y, 0.0)
-        if abs(den) <= floor:
+        if abs(den) <= _DENOMINATOR_FLOOR:
             raise DenominatorZeroError(
                 f"sliding denominator vanishes at ({x:.6g}, {y:.6g})"
             )
@@ -195,20 +199,21 @@ _TAG_TO_CLAIM = {
 }
 
 #: Relative width of the band around region boundaries that is reported as
-#: BIFURCATION_BOUNDARY instead of an open region.
+#: BIFURCATION_BOUNDARY instead of an open region.  It is the one band of
+#: every region and verdict predicate; no caller can override it.
 BOUNDARY_BAND = 1e-9
 
 
-def near(u, v, rel):
-    """True when ``u`` and ``v`` agree within the relative band ``rel``."""
-    return abs(u - v) <= rel * (1.0 + abs(u) + abs(v))
+def near(u, v):
+    """True when ``u`` and ``v`` agree within the relative ``BOUNDARY_BAND``."""
+    return abs(u - v) <= BOUNDARY_BAND * (1.0 + abs(u) + abs(v))
 
 
-def classify_elliptic_region(alpha, beta, gamma, rel=BOUNDARY_BAND):
+def classify_elliptic_region(alpha, beta, gamma):
     """Region for gamma > 0: RE1 = {alpha*beta > gamma, alpha < 0, beta < 0},
     RE2 = complement of its closure."""
     ab = alpha * beta
-    if near(ab, gamma, rel):
+    if near(ab, gamma):
         # Only the alpha < 0 branch of the hyperbola bounds RE1.
         return SlidingRegionTag.BIFURCATION_BOUNDARY if alpha < 0 else SlidingRegionTag.RE2
     if ab > gamma:
@@ -216,27 +221,27 @@ def classify_elliptic_region(alpha, beta, gamma, rel=BOUNDARY_BAND):
     return SlidingRegionTag.RE2
 
 
-def classify_hyperbolic_region(alpha, beta, gamma, rel=BOUNDARY_BAND):
+def classify_hyperbolic_region(alpha, beta, gamma):
     """Region for gamma < 0: RH1 = {alpha*beta < gamma, alpha > 0, beta < 0},
     RH2 = complement of its closure."""
     ab = alpha * beta
-    if near(ab, gamma, rel):
+    if near(ab, gamma):
         return SlidingRegionTag.BIFURCATION_BOUNDARY if alpha > 0 else SlidingRegionTag.RH2
     if ab < gamma:
         return SlidingRegionTag.RH1 if alpha > 0 else SlidingRegionTag.RH2
     return SlidingRegionTag.RH2
 
 
-def classify_parabolic_region(alpha, beta, gamma, rel=BOUNDARY_BAND):
+def classify_parabolic_region(alpha, beta, gamma):
     """Regions for gamma < 0 (invisible-visible parameters)."""
     ab = alpha * beta
     root = 2.0 * math.sqrt(-gamma)
     w = (beta - alpha) + root  # > 0 means beta - alpha > -2 sqrt(-gamma)
     v = alpha + beta
-    s_boundary = near(ab, gamma, rel)
-    w_boundary = near(beta - alpha, -root, rel)
-    v_boundary = near(v, 0.0, rel)
-    u_boundary = near(alpha, 0.0, rel)
+    s_boundary = near(ab, gamma)
+    w_boundary = near(beta - alpha, -root)
+    v_boundary = near(v, 0.0)
+    u_boundary = near(alpha, 0.0)
     if not s_boundary and ab < gamma:
         if not w_boundary and w > 0.0:
             return SlidingRegionTag.RP1
@@ -266,17 +271,17 @@ def mirror_visible_invisible(alpha, beta, gamma):
     return (-beta / r, alpha / r, -1.0)
 
 
-def sliding_region_class(params, rel=BOUNDARY_BAND):
+def sliding_region_class(params):
     """Parameter-space region of the sliding dynamics at a two-fold point."""
     a, b, g = params.alpha, params.beta, params.gamma
     sub = params.subtype
     if sub is FoldFoldSubtype.INVISIBLE:
-        return classify_elliptic_region(a, b, g, rel)
+        return classify_elliptic_region(a, b, g)
     if sub is FoldFoldSubtype.VISIBLE_VISIBLE:
-        return classify_hyperbolic_region(a, b, g, rel)
+        return classify_hyperbolic_region(a, b, g)
     if sub is FoldFoldSubtype.INVISIBLE_VISIBLE:
-        return classify_parabolic_region(a, b, g, rel)
-    return classify_parabolic_region(*mirror_visible_invisible(a, b, g), rel=rel)
+        return classify_parabolic_region(a, b, g)
+    return classify_parabolic_region(*mirror_visible_invisible(a, b, g))
 
 
 # ---------------------------------------------------------------------------

@@ -255,7 +255,10 @@ def _parse_component(entries, where):
                 )
         if not isinstance(coeff, (int, float)) or isinstance(coeff, bool):
             raise MalformedDocumentError(f"{where}: coefficient must be a number")
-        c = float(coeff)
+        try:
+            c = float(coeff)
+        except OverflowError:  # an integer beyond the float range
+            c = math.inf
         if not math.isfinite(c):
             raise NonFiniteCoefficientError(f"{where}: non-finite coefficient")
         # int() stores a boolean exponent as 0 or 1; repeated terms add up

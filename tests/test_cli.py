@@ -3,11 +3,18 @@ import json
 
 import pytest
 
-from foldatlas.cli import SweepSpec, main, run_sweep
-from foldatlas.foldfold import FixedPointClass, make_parameters, return_map_analysis
+from foldatlas import sigma
+from foldatlas.algebra import Poly3, VectorField3
+from foldatlas.cli import SweepSpec, _jsonable, main, run_sweep
+from foldatlas.foldfold import (
+    FixedPointClass,
+    make_parameters,
+    return_map_analysis,
+    stability_verdict,
+)
 from foldatlas.sigma import FoldFoldSubtype
 from foldatlas.sliding import sliding_region_class
-from foldatlas.system import build_normal_form, serialize_system
+from foldatlas.system import PiecewiseSystem, build_normal_form, load_system, serialize_system
 
 
 @pytest.fixture
@@ -24,13 +31,68 @@ def parabolic_file(tmp_path):
     return str(path)
 
 
+def _classify(path, point, tmp_path):
+    """``classify`` JSON report of ``point`` (text "x,y,z") on a system file,
+    checked to carry ``stability_verdict``'s verdict for that point."""
+    out = tmp_path / "report.json"
+    assert main(["classify", path, "--point", point, "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    with open(path, encoding="utf-8") as fh:
+        system = load_system(fh.read())
+    p = tuple(float(v) for v in point.split(","))
+    verdict = report["foldfold"]["verdict"] if "foldfold" in report else report["verdict"]
+    assert verdict == _jsonable(stability_verdict(system, p))
+    return report
+
+
+def _field(cx, cy, cz):
+    return VectorField3(
+        *(c if isinstance(c, Poly3) else Poly3.constant(c) for c in (cx, cy, cz))
+    )
+
+
+_X, _Y = Poly3.variable("x"), Poly3.variable("y")
+_UNIT_Z = _field(0.0, 0.0, 1.0)
+
+# Point kinds not covered by the fixtures above:
+# name -> (system, point, classification kind, tangency type, fold-fold subtype).
+VERDICT_CASES = {
+    "stable-sliding": (
+        build_normal_form(-2.0, -1.0, 1.0, -1.0), "1,1,0", "stable-sliding", None, None
+    ),
+    "unstable-sliding": (
+        build_normal_form(-2.0, -1.0, 1.0, -1.0), "-1,-1,0", "unstable-sliding", None, None
+    ),
+    "fold-regular": (
+        build_normal_form(-2.0, -1.0, 1.0, -1.0), "0.5,0,0", "tangency", "fold-regular", None
+    ),
+    "regular-fold": (
+        build_normal_form(-2.0, -1.0, 1.0, -1.0), "0,0.5,0", "tangency", "regular-fold", None
+    ),
+    "cusp-regular": (
+        PiecewiseSystem(_field(1.0, 0.0, _Y + _X * _X), _UNIT_Z), "0,0,0", "tangency",
+        "cusp-regular", None,
+    ),
+    "degenerate": (
+        PiecewiseSystem(_field(0.0, 1.0, _Y * _Y), _UNIT_Z), "0,0,0", "tangency",
+        "degenerate", None,
+    ),
+    "visible-visible": (
+        build_normal_form(0.8, -0.6, -1.0, 1.0), "0,0,0", "tangency", "fold-fold",
+        "visible-visible",
+    ),
+    "visible-invisible": (
+        build_normal_form(0.5, 0.3, 1.0, 1.0), "0,0,0", "tangency", "fold-fold",
+        "visible-invisible",
+    ),
+}
+
+
 class TestClassify:
     def test_t_singularity_report(self, elliptic_file, tmp_path, capsys):
-        out = tmp_path / "report.json"
-        rc = main(["classify", elliptic_file, "--point", "0,0,0", "--out", str(out)])
-        assert rc == 0
-        report = json.loads(out.read_text())
+        report = _classify(elliptic_file, "0,0,0", tmp_path)
         assert report["classification"]["kind"] == "tangency"
+        assert report["tangency"]["subtype"] == "invisible"
         ff = report["foldfold"]
         assert ff["normal_parameters"]["alpha"] == -2.0
         assert ff["region"] == "RE1"
@@ -39,23 +101,42 @@ class TestClassify:
         assert ff["return_map"]["trace"] == pytest.approx(6.0)
 
     def test_parabolic_unstable(self, parabolic_file, tmp_path):
-        out = tmp_path / "report.json"
-        rc = main(["classify", parabolic_file, "--point", "0,0,0", "--out", str(out)])
-        assert rc == 0
-        report = json.loads(out.read_text())
+        report = _classify(parabolic_file, "0,0,0", tmp_path)
+        assert report["tangency"]["subtype"] == "invisible-visible"
         ff = report["foldfold"]
         assert ff["verdict"]["kind"] == "unstable"
         assert ff["verdict"]["reason"]["which"] == "T"
         assert ff["region"] == "RP1"
 
     def test_regular_point_report(self, elliptic_file, tmp_path):
-        out = tmp_path / "report.json"
-        rc = main(["classify", elliptic_file, "--point", "1,-1,0", "--out", str(out)])
-        assert rc == 0
-        report = json.loads(out.read_text())
+        report = _classify(elliptic_file, "1,-1,0", tmp_path)
         assert report["classification"]["kind"] == "crossing"
         assert "foldfold" not in report
         assert report["verdict"]["kind"] == "stable"
+
+    @pytest.mark.parametrize("case", sorted(VERDICT_CASES))
+    def test_verdict_matches_stability_verdict(self, case, tmp_path):
+        system, point, kind, ttype, subtype = VERDICT_CASES[case]
+        path = tmp_path / "system.json"
+        path.write_text(serialize_system(system))
+        report = _classify(str(path), point, tmp_path)
+        assert report["classification"]["kind"] == kind
+        tangency = report.get("tangency", {})
+        assert (tangency.get("ttype"), tangency.get("subtype")) == (ttype, subtype)
+        assert ("foldfold" in report) == (ttype == "fold-fold")
+
+    def test_two_fold_classified_in_one_pass(self, tmp_path, call_counts, ci_normal_form):
+        path = tmp_path / "normal-form.json"
+        path.write_text(serialize_system(ci_normal_form))
+        counts = call_counts(sigma, "classify_point", "_refine_tangency", "_gradient_det")
+        call_counts(Poly3, "eval")
+        out = tmp_path / "report.json"
+        assert main(["classify", str(path), "--point", "0,0,0", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["tangency"]["ttype"] == "fold-fold"
+        assert counts["classify_point"] == 1
+        assert counts["_refine_tangency"] == 1
+        assert counts["_gradient_det"] == 1
+        assert counts["eval"] <= 18
 
     def test_missing_file_exit_2(self, capsys):
         assert main(["classify", "/nonexistent.json", "--point", "0,0,0"]) == 2
@@ -70,6 +151,14 @@ class TestClassify:
         bad = tmp_path / "bad.json"
         bad.write_text("{")
         assert main(["classify", str(bad), "--point", "0,0,0"]) == 2
+
+    def test_integer_coefficient_beyond_float_range_exit_2(self, tmp_path, capsys):
+        doc = json.loads(serialize_system(build_normal_form(-2.0, -1.0, 1.0, -1.0)))
+        doc["X"]["cx"] = [[[0, 0, 0], 10**400]]
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        assert main(["classify", str(path), "--point", "0,0,0"]) == 2
+        assert "X.cx: non-finite coefficient" in capsys.readouterr().err
 
 
 class TestSweep:

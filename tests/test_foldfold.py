@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from foldatlas import foldfold
+from foldatlas import foldfold, sigma
 from foldatlas.algebra import Poly3, VectorField3
 from foldatlas.errors import IntegrationFailure, PreconditionError
 from foldatlas.foldfold import (
@@ -438,6 +438,18 @@ class TestSystemLevelVerdicts:
         system = build_normal_form(-2.0, -1.0, 1.0, -1.0)
         v = stability_verdict(system, (0.0, 0.0, 0.0))
         assert v.kind is VerdictKind.STABLE
+
+    def test_two_fold_classified_in_one_pass(self, call_counts, ci_normal_form):
+        # One sign table, one tangency refinement, one gradient determinant,
+        # and no Lie derivative evaluated twice beyond the second derivatives.
+        counts = call_counts(sigma, "classify_point", "_refine_tangency", "_gradient_det")
+        call_counts(Poly3, "eval")
+        v = stability_verdict(ci_normal_form, (0.0, 0.0, 0.0))
+        assert v.params.subtype is FoldFoldSubtype.INVISIBLE
+        assert counts["classify_point"] == 1
+        assert counts["_refine_tangency"] == 1
+        assert counts["_gradient_det"] == 1
+        assert counts["eval"] <= 18
 
     def test_report_aggregation(self):
         report = report_from_params(make_parameters(-2.0, -1.0, 1.0, -1.0))

@@ -129,6 +129,9 @@ class TestLoadSystem:
              "X.cx: degree 9 exceeds input cap 8"),
             ([[[1, 0, 0], "a"]], MalformedDocumentError, "X.cx: coefficient must be a number"),
             ([[[1, 0, 0], True]], MalformedDocumentError, "X.cx: coefficient must be a number"),
+            # a JSON integer beyond the float range, not the float literal 1e400
+            ([[[0, 0, 0], 10**400]], NonFiniteCoefficientError,
+             "X.cx: non-finite coefficient"),
             ([[[1, 0], 1.0]], MalformedDocumentError, "X.cx: bad term [[1, 0], 1.0]"),
             ([[[1.0, 0, 0], 1.0]], MalformedDocumentError,
              "X.cx: exponents must be non-negative integers"),
