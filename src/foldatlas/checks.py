@@ -9,7 +9,7 @@ runs reduced sample counts; the acceptance tests run the full ones.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,8 +22,8 @@ from .foldfold import (
     _iterate_seeds,
     demelo_palis,
     make_parameters,
-    normal_parameters,
     return_map_analysis,
+    surface_point_report,
     verdict_from_params,
 )
 from .integrator import (
@@ -41,7 +41,6 @@ from .sliding import (
     sliding_region_class,
 )
 from .algebra import Poly3, VectorField3
-from .sigma import FoldFoldSubtype, TangencyType, tangency_type
 from .system import Box, PiecewiseSystem, build_normal_form
 
 
@@ -70,14 +69,12 @@ def check_return_map_grid(
     n_beta=50,
     gammas=(0.5, 1.0, 1.5, 2.0, 3.0),
     h=1e-3,
-    cfg=None,
     det_tol=1e-12,
     entry_tol=1e-4,
     min_fraction=0.99,
 ):
     """Closed-form return-map matrix: det == 1, and the central-difference
     Jacobian of the integrated return map matches it entrywise."""
-    cfg = cfg or IntegratorConfig()
     alphas = np.linspace(-3.0, 3.0, n_alpha)
     betas = np.linspace(-3.0, 3.0, n_beta)
     worst_det = 0.0
@@ -94,7 +91,7 @@ def check_return_map_grid(
                 system = build_normal_form(a, b, g, -1.0)
                 try:
                     jac = jacobian_numeric(
-                        lambda q: return_map_numeric(system, q, cfg), (0.0, 0.0), h
+                        lambda q: return_map_numeric(system, q), (0.0, 0.0), h
                     )
                 except IntegrationFailure:
                     failed += 1
@@ -211,10 +208,9 @@ def check_eigenvector_locations(n_per_cell=10000, seed=0):
 
 
 def check_involution_ground_truth(
-    n_alpha=20, n_points=40, cfg=None, seed=0, tol=1e-7, double_tol=1e-6
+    n_alpha=20, n_points=40, seed=0, tol=1e-7, double_tol=1e-6
 ):
     """Numeric X-fold map against (x - 2*a*y, -y), and its involutivity."""
-    cfg = cfg or IntegratorConfig()
     rng = np.random.default_rng(seed)
     worst = 0.0
     worst_double = 0.0
@@ -224,10 +220,10 @@ def check_involution_ground_truth(
             r = 0.1 * math.sqrt(rng.random())
             th = rng.uniform(0.0, 2.0 * math.pi)
             q = (r * math.cos(th), r * math.sin(th))
-            image = fold_map_numeric(system, "X", q, cfg)
+            image = fold_map_numeric(system, "X", q)
             exact = (q[0] - 2.0 * a * q[1], -q[1])
             worst = max(worst, math.hypot(image[0] - exact[0], image[1] - exact[1]))
-            back = fold_map_numeric(system, "X", image, cfg)
+            back = fold_map_numeric(system, "X", image)
             worst_double = max(
                 worst_double, math.hypot(back[0] - q[0], back[1] - q[1])
             )
@@ -422,12 +418,9 @@ def check_demelo_palis(n=10000, seed=0, tol=1e-12):
 # Diabolo invariance
 
 
-def check_diabolo(
-    n_draws=100, n_systems=10, seeds_per_system=100, cfg=None, seed=0
-):
+def check_diabolo(n_draws=100, n_systems=10, seeds_per_system=100, seed=0):
     """Stable T-singularities: eigenvectors in the crossing region and no
     unstable-to-stable sliding communication under return-map iteration."""
-    cfg = cfg or IntegratorConfig()
     rng = np.random.default_rng(seed)
     bad_vectors = 0
     draws = []
@@ -453,7 +446,7 @@ def check_diabolo(
             (-rng.uniform(0.01, 0.1), -rng.uniform(0.01, 0.1))
             for _ in range(seeds_per_system)
         ]
-        _iterate_seeds(system, starts, cfg, outcomes)
+        _iterate_seeds(system, starts, outcomes)
     by_status = ", ".join(
         f"{status.value} {outcomes.failed[status]}" for status in FlightStatus
         if status in outcomes.failed
@@ -567,9 +560,9 @@ def _stick_slip_system(F, v0, c):
     return PiecewiseSystem(oscillator(-1.0), oscillator(+1.0), box, "stick-slip")
 
 
-def _sliding_runs(rng, n_sims, cfg):
-    """(system, start, horizon, config) of each simulation: random sliding
-    systems first, then stick-slip systems started in their sliding strip."""
+def _sliding_runs(rng, n_sims):
+    """(system, start, horizon) of each simulation: random sliding systems
+    first, then stick-slip systems started in their sliding strip."""
     for _ in range(n_sims):
         system = _random_sliding_system(rng)
         p0 = (
@@ -577,15 +570,15 @@ def _sliding_runs(rng, n_sims, cfg):
             rng.uniform(-0.5, 0.5),
             rng.uniform(0.2, 0.6),
         )
-        yield system, p0, 4.0, cfg
+        yield system, p0, 4.0
     for _ in range(_STICK_SLIP_RUNS):
         F, v0, c = rng.uniform(0.5, 1.5), rng.uniform(0.5, 1.0), rng.uniform(0.05, 0.3)
         system = _stick_slip_system(F, v0, c)
         p0 = (rng.uniform(-0.5 * F, 0.5 * F), rng.uniform(-1.0, 1.0), 0.0)
-        yield system, p0, 8.0, replace(cfg, box=system.box)
+        yield system, p0, 8.0
 
 
-def check_sliding_tangency(n_sims=100, seed=0, cfg=None, tol=1e-10):
+def check_sliding_tangency(n_sims=100, seed=0, tol=1e-10):
     """Along every sliding segment |z| and the sliding velocity's normal
     component stay at tolerance zero, every sample lies in the stable
     sliding region {Xf <= 0 <= Yf}, and every sliding segment that switches
@@ -595,7 +588,6 @@ def check_sliding_tangency(n_sims=100, seed=0, cfg=None, tol=1e-10):
     The random sliding systems never slide off a fold, so
     ``_STICK_SLIP_RUNS`` dry-friction systems, which leave sliding at x = F,
     follow them; the exit check fails unless some segment exits."""
-    cfg = cfg or IntegratorConfig()
     rng = np.random.default_rng(seed)
     worst_z = 0.0
     worst_vz = 0.0
@@ -603,12 +595,12 @@ def check_sliding_tangency(n_sims=100, seed=0, cfg=None, tol=1e-10):
     sliding_samples = 0
     exits = 0
     bad_exits = 0
-    for system, p0, horizon, run_cfg in _sliding_runs(rng, n_sims, cfg):
+    for system, p0, horizon in _sliding_runs(rng, n_sims):
         xf = system.xf.compiled()
         yf = system.yf.compiled()
         xz = system.X.cz.compiled()
         yz = system.Y.cz.compiled()
-        traj = filippov_trajectory(system, p0, horizon, run_cfg)
+        traj = filippov_trajectory(system, p0, horizon, IntegratorConfig(box=system.box))
         for seg in traj.segments:
             if seg.mode.value != "sliding":
                 continue
@@ -801,19 +793,20 @@ def check_system(system, point, seed=0):
     the classification, numeric involutivity of both fold maps and the
     numeric return-map spectrum against the extracted normal parameters."""
     cfg = IntegratorConfig(box=system.box)
-    results = []
+    two_fold = None
     try:
-        info = tangency_type(system, point)
-        is_two_fold = info.ttype is TangencyType.FOLD_FOLD
-        detail = info.ttype.value
+        surface = surface_point_report(system, point)
     except PreconditionError as exc:
-        is_two_fold = False
         detail = str(exc)
-    results.append(
-        CheckResult("two-fold classification", is_two_fold, 0.0 if is_two_fold else 1.0,
-                    0.0, detail)
-    )
-    if not is_two_fold:
+    else:
+        two_fold = surface.foldfold
+        info = surface.tangency
+        detail = "point is not in the tangency band" if info is None else info.ttype.value
+    results = [
+        CheckResult("two-fold classification", two_fold is not None,
+                    0.0 if two_fold is not None else 1.0, 0.0, detail)
+    ]
+    if two_fold is None:
         return results
 
     rng = np.random.default_rng(seed)
@@ -840,7 +833,6 @@ def check_system(system, point, seed=0):
             )
         )
 
-    params = normal_parameters(system, point)
     try:
         jac = jacobian_numeric(
             lambda q: return_map_numeric(system, q, cfg),
@@ -852,8 +844,8 @@ def check_system(system, point, seed=0):
             CheckResult("return-map determinant", abs(det - 1.0) <= 1e-6,
                         abs(det - 1.0), 1e-6)
         )
-        if params.subtype is FoldFoldSubtype.INVISIBLE:
-            analysis = return_map_analysis(params)
+        analysis = two_fold.analysis  # set exactly for invisible two-folds
+        if analysis is not None:
             tr = jac[0, 0] + jac[1, 1]
             results.append(
                 CheckResult(

@@ -54,12 +54,18 @@ def _jsonable(obj):
     return str(obj)
 
 
+def _finite(value, what):
+    if not math.isfinite(value):
+        raise MalformedDocumentError(f"{what} must be finite")
+    return value
+
+
 def _parse_floats(text, n, what):
     parts = text.split(",")
     if len(parts) != n:
         raise MalformedDocumentError(f"{what} needs {n} comma-separated numbers")
     try:
-        return tuple(float(p) for p in parts)
+        return tuple(_finite(float(p), what) for p in parts)
     except ValueError as exc:
         raise MalformedDocumentError(f"{what}: {exc}") from exc
 
@@ -101,7 +107,7 @@ def _write_out(text, out):
 def cmd_classify(args):
     system = _read_system(args.system)
     point = _parse_floats(args.point, 3, "--point")
-    tol = args.tol if args.tol is not None else default_tolerance(system)
+    tol = _finite(args.tol, "--tol") if args.tol is not None else default_tolerance(system)
     result = surface_point_report(system, point, tol)
     cls = result.classification
     report = {
@@ -212,12 +218,13 @@ def cmd_sweep(args):
 def cmd_simulate(args):
     system = _read_system(args.system)
     p0 = _parse_floats(args.p0, 3, "--p0")
+    horizon = _finite(args.T, "--T")
     box = Box.from_sequence(_parse_floats(args.box, 6, "--box")) if args.box else system.box
     cfg = IntegratorConfig(box=box)
-    traj = filippov_trajectory(system, p0, args.T, cfg)
+    traj = filippov_trajectory(system, p0, horizon, cfg)
     lines = ["segment,mode,terminal,t,x,y,z"]
     for i, seg in enumerate(traj.segments):
-        for t, p in zip(seg.times, seg.points):
+        for t, p in zip(seg.times.tolist(), seg.points.tolist()):
             lines.append(
                 f"{i},{seg.mode.value},{seg.terminal.value},"
                 f"{t!r},{p[0]!r},{p[1]!r},{p[2]!r}"
@@ -232,6 +239,7 @@ def cmd_simulate(args):
 
 
 def cmd_verify(args):
+    _finite(args.scale, "--scale")
     if args.suite == "none" and not args.system:
         print("no checks selected")
         return 0

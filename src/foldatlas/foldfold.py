@@ -23,7 +23,6 @@ import numpy as np
 
 from .errors import IntegrationFailure, PreconditionError
 from .integrator import (
-    IntegratorConfig,
     fold_map_numeric,
     inverse_return_map_numeric,
     jacobian_numeric,
@@ -51,6 +50,7 @@ from .sliding import (
     normalized_sliding_field,
     sliding_region_class,
 )
+from .system import DEFAULT_BOX
 
 log = logging.getLogger(__name__)
 
@@ -93,7 +93,7 @@ def make_parameters(alpha, beta, gamma, delta):
     )
 
 
-def normal_parameters(system, point, tol=None):
+def normal_parameters(system, point):
     """Extract normal parameters of a two-fold point of an arbitrary system.
 
     Time-rescaling each field so both second derivatives have unit size
@@ -104,7 +104,7 @@ def normal_parameters(system, point, tol=None):
     rescaled representative, and every downstream verdict is invariant under
     that rescaling.
     """
-    info = tangency_type(system, point, tol)
+    info = tangency_type(system, point)
     if info.ttype is not TangencyType.FOLD_FOLD:
         raise PreconditionError(
             f"not a two-fold point: tangency type is {info.ttype.value} ({info.detail})"
@@ -497,14 +497,14 @@ def _verdict(params, tag):
     return _parabolic_core_verdict(mirror_parameters(params), params, tag)
 
 
-def stability_verdict(system, point, tol=None):
+def stability_verdict(system, point):
     """Verdict at an arbitrary surface point.
 
     Crossing points, regular sliding points, hyperbolic pseudo-equilibria and
     fold/cusp-regular tangencies are stable; two-folds dispatch on the normal
     parameters; degenerate tangencies report a boundary verdict.
     """
-    return surface_point_report(system, point, tol).verdict
+    return surface_point_report(system, point).verdict
 
 
 def _sliding_point_verdict(system, point, cls, tol):
@@ -619,8 +619,11 @@ def parabolic_transversality(params):
 
 # Seed iteration: at most this many return-map applications per seed, and a
 # landing point counts as stable sliding outside this Lie-derivative band.
+# ``diabolo_check`` probes reversibility and draws its seeds within this
+# distance of the two-fold.
 _DIABOLO_CAP = 200
 _DIABOLO_BAND = 1e-11
+_DIABOLO_RADIUS = 0.05
 
 
 @dataclass
@@ -642,9 +645,9 @@ class DiaboloReport:
     max_iterations: int = 0
 
 
-def _iterate_seeds(system, seeds, cfg, report):
+def _iterate_seeds(system, seeds, report):
     """Apply the numeric return map to each seed until its image lands in
-    stable sliding (a violation), leaves ``cfg.box`` (escaped), a flight fails
+    stable sliding (a violation), leaves ``DEFAULT_BOX`` (escaped), a flight fails
     or ``_DIABOLO_CAP`` maps are done (exhausted); add the outcomes to
     ``report``."""
     for current in seeds:
@@ -652,13 +655,13 @@ def _iterate_seeds(system, seeds, cfg, report):
         iterations = 0
         for _ in range(_DIABOLO_CAP):
             try:
-                current = return_map_numeric(system, current, cfg)
+                current = return_map_numeric(system, current)
             except IntegrationFailure as exc:
                 report.failed[exc.status] = report.failed.get(exc.status, 0) + 1
                 break
             iterations += 1
             q = (current[0], current[1], 0.0)
-            if not cfg.box.contains(q):
+            if not DEFAULT_BOX.contains(q):
                 report.escaped += 1
                 break
             if classify_point(system, q, _DIABOLO_BAND).kind is SigmaKind.STABLE_SLIDING:
@@ -670,20 +673,20 @@ def _iterate_seeds(system, seeds, cfg, report):
     return report
 
 
-def _sample_unstable_sliding_seeds(system, point, n, radius, rng):
+def _sample_unstable_sliding_seeds(system, point, n, rng):
     seeds = []
     attempts = 0
     while len(seeds) < n and attempts < 200 * n:
         attempts += 1
         theta = rng.uniform(0.0, 2.0 * math.pi)
-        r = radius * (0.2 + 0.8 * rng.random())
+        r = _DIABOLO_RADIUS * (0.2 + 0.8 * rng.random())
         q = (point[0] + r * math.cos(theta), point[1] + r * math.sin(theta), 0.0)
         if classify_point(system, q).kind is SigmaKind.UNSTABLE_SLIDING:
             seeds.append(q[:2])
     return seeds
 
 
-def diabolo_check(system, point, cfg=None, n_seeds=50, seed=0, radius=0.05):
+def diabolo_check(system, point, n_seeds=50, seed=0):
     """Checks on the invariant double cone of a stable T-singularity.
 
     (i) both saddle eigendirections lie in the crossing region; (ii) the
@@ -692,7 +695,6 @@ def diabolo_check(system, point, cfg=None, n_seeds=50, seed=0, radius=0.05):
     unstable-sliding seeds never enter stable sliding before leaving the
     analysis box.
     """
-    cfg = cfg or IntegratorConfig()
     params = normal_parameters(system, point)
     if params.subtype is not FoldFoldSubtype.INVISIBLE:
         return DiaboloReport(False, reason="not a T-singularity")
@@ -708,10 +710,10 @@ def diabolo_check(system, point, cfg=None, n_seeds=50, seed=0, radius=0.05):
     ratios = []
     v_u = analysis.v_expanding
     v_s = analysis.v_contracting
-    for r in (radius / 4, radius / 2, radius):
+    for r in (_DIABOLO_RADIUS / 4, _DIABOLO_RADIUS / 2, _DIABOLO_RADIUS):
         for sign in (1.0, -1.0):
             q = (point[0] + sign * r * v_u[0], point[1] + sign * r * v_u[1])
-            w = fold_map_numeric(system, "X", q, cfg)
+            w = fold_map_numeric(system, "X", q)
             d = abs(
                 v_s[0] * (w[1] - point[1]) - v_s[1] * (w[0] - point[0])
             )  # distance to the contracting line
@@ -722,14 +724,14 @@ def diabolo_check(system, point, cfg=None, n_seeds=50, seed=0, radius=0.05):
     )
 
     rng = np.random.default_rng(seed)
-    seeds = _sample_unstable_sliding_seeds(system, point, n_seeds, radius, rng)
+    seeds = _sample_unstable_sliding_seeds(system, point, n_seeds, rng)
     report = DiaboloReport(
         applicable=True,
         eigenvectors_in_crossing=locs_ok,
         reversibility_ok=rev_ok,
         reversibility_ratios=ratios,
     )
-    return _iterate_seeds(system, seeds, cfg, report)
+    return _iterate_seeds(system, seeds, report)
 
 
 @dataclass
@@ -741,7 +743,7 @@ class WebScanReport:
     radii: tuple = ()
 
 
-def web_scan(system, point, n=2, cfg=None, radii=None):
+def web_scan(system, point, n=2):
     """Pairwise transversality of return-map transports of the sliding field.
 
     For a saddle T-singularity with an invariant manifold inside the sliding
@@ -750,7 +752,6 @@ def web_scan(system, point, n=2, cfg=None, radii=None):
     to second order along the eigendirections, and its quadratic coefficient
     decides transversality of the resulting foliations.
     """
-    cfg = cfg or IntegratorConfig()
     params = normal_parameters(system, point)
     if params.subtype is not FoldFoldSubtype.INVISIBLE:
         return WebScanReport(False, reason="not a T-singularity")
@@ -772,12 +773,10 @@ def web_scan(system, point, n=2, cfg=None, radii=None):
     px, py = point[0], point[1]
 
     def phi2(q):
-        return return_map_numeric(system, return_map_numeric(system, q, cfg), cfg)
+        return return_map_numeric(system, return_map_numeric(system, q))
 
     def phi2_inv(q):
-        return inverse_return_map_numeric(
-            system, inverse_return_map_numeric(system, q, cfg), cfg
-        )
+        return inverse_return_map_numeric(system, inverse_return_map_numeric(system, q))
 
     def transported(i, q):
         """(phi^{2i})-pushforward of the sliding field evaluated at q."""
@@ -806,10 +805,7 @@ def web_scan(system, point, n=2, cfg=None, radii=None):
     # shrink accordingly to keep the pulled-back base points in the chart.
     mu = max(abs(v) for v in analysis.eigenvalues)
     shrink = min(1.0, 0.25 / mu ** (2 * n))
-    if radii is None:
-        base_radii = tuple(shrink * r for r in (0.004, 0.008, 0.016, 0.032))
-    else:
-        base_radii = tuple(radii)
+    base_radii = tuple(shrink * r for r in (0.004, 0.008, 0.016, 0.032))
     directions = [("contracting", analysis.v_contracting),
                   ("expanding", analysis.v_expanding)]
     estimates = {}
@@ -884,9 +880,9 @@ def report_from_params(params):
     )
 
 
-def foldfold_report(system, point, tol=None):
+def foldfold_report(system, point):
     """Full two-fold report for a surface point of a concrete system."""
-    return report_from_params(normal_parameters(system, point, tol))
+    return report_from_params(normal_parameters(system, point))
 
 
 @dataclass

@@ -7,8 +7,8 @@ own cubic Hermite interpolant (Hairer, Norsett & Wanner, Solving ODEs I,
 II.6), at no field evaluation and to the interpolant's floating-point
 resolution, and polished on re-integrated states: Newton on the rate
 dz/dt = f_z for the plane, secant for the sliding events, down to
-``1e-3 * event_tol`` where possible.  A bisection from the bracket start
-guarantees |g| <= ``event_tol`` when the polish falls short.  The returned
+``1e-3 * _EVENT_TOL`` where possible.  A bisection from the bracket start
+guarantees |g| <= ``_EVENT_TOL`` when the polish falls short.  The returned
 event state is always re-integrated, never interpolated.  The step is
 written out per state dimension (3 components for free flights, 2 for the
 sliding field) on unpacked scalars, with the sums in tableau order.
@@ -28,6 +28,7 @@ import numpy as np
 
 from .algebra import lie_derivative
 from .errors import IntegrationFailure, PreconditionError
+from .sigma import default_tolerance
 from .system import DEFAULT_BOX
 
 # Dormand-Prince 5(4) tableau (FSAL): stage rows A, fifth-order weights B,
@@ -45,21 +46,24 @@ _E1, _E2, _E3, _E4, _E5, _E6, _E7 = (
 )
 
 
+# Step-size control (relative and absolute error weights), the event
+# residual |g| every located event meets, the horizon of a flight to the
+# plane, accepted-plus-rejected steps per flight and segments per Filippov
+# trajectory.
+_REL_TOL = 1e-10
+_ABS_TOL = 1e-12
+_EVENT_TOL = 1e-12
+_MAX_TIME = 100.0
+_MAX_STEPS = 50000
+_MAX_SEGMENTS = 2000
+
+
 @dataclass(frozen=True)
 class IntegratorConfig:
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
-    event_tol: float = 1e-12
-    max_time: float = 100.0
-    box: object = DEFAULT_BOX
-    max_steps: int = 50000
+    """The analysis box: it bounds Filippov trajectories and sizes the guard
+    square of flights to the plane."""
 
-    def __post_init__(self):
-        for name in ("rel_tol", "abs_tol", "event_tol", "max_time"):
-            if getattr(self, name) <= 0.0:
-                raise PreconditionError(f"{name} must be positive")
-        if self.max_steps <= 0:
-            raise PreconditionError("max_steps must be positive")
+    box: object = DEFAULT_BOX
 
 
 class FlightStatus(Enum):
@@ -193,22 +197,22 @@ def _rk_step(f, y, h, k1):
     return y_new, k7, err
 
 
-def _error_norm(err, y, y_new, atol, rtol):
+def _error_norm(err, y, y_new):
     """RMS of the error vector, each component scaled by
-    ``atol + rtol * max(|y|, |y_new|)``, summed in order from 0.0."""
+    ``_ABS_TOL + _REL_TOL * max(|y|, |y_new|)``, summed in order from 0.0."""
     if len(err) == 3:
         e0, e1, e2 = err
         a0, a1, a2 = abs(y[0]), abs(y[1]), abs(y[2])
         b0, b1, b2 = abs(y_new[0]), abs(y_new[1]), abs(y_new[2])
-        r0 = e0 / (atol + rtol * (b0 if b0 > a0 else a0))
-        r1 = e1 / (atol + rtol * (b1 if b1 > a1 else a1))
-        r2 = e2 / (atol + rtol * (b2 if b2 > a2 else a2))
+        r0 = e0 / (_ABS_TOL + _REL_TOL * (b0 if b0 > a0 else a0))
+        r1 = e1 / (_ABS_TOL + _REL_TOL * (b1 if b1 > a1 else a1))
+        r2 = e2 / (_ABS_TOL + _REL_TOL * (b2 if b2 > a2 else a2))
         return math.sqrt((0.0 + r0 * r0 + r1 * r1 + r2 * r2) / 3)
     e0, e1 = err
     a0, a1 = abs(y[0]), abs(y[1])
     b0, b1 = abs(y_new[0]), abs(y_new[1])
-    r0 = e0 / (atol + rtol * (b0 if b0 > a0 else a0))
-    r1 = e1 / (atol + rtol * (b1 if b1 > a1 else a1))
+    r0 = e0 / (_ABS_TOL + _REL_TOL * (b0 if b0 > a0 else a0))
+    r1 = e1 / (_ABS_TOL + _REL_TOL * (b1 if b1 > a1 else a1))
     return math.sqrt((0.0 + r0 * r0 + r1 * r1) / 2)
 
 
@@ -253,17 +257,17 @@ def _sigma_event(direction):
     )
 
 
-def _eval_within_step(f, y_left, k_left, dt, atol, rtol, depth=0):
+def _eval_within_step(f, y_left, k_left, dt, depth=0):
     """State at offset ``dt`` (of either sign) from ``y_left``, by
     error-controlled re-integration (split recursively until the embedded
     estimate passes)."""
     y_new, _, err = _rk_step(f, y_left, dt, k_left)
     if depth >= 18 or abs(dt) < 1e-15:
         return y_new
-    if _error_norm(err, y_left, y_new, atol, rtol) <= 1.0:
+    if _error_norm(err, y_left, y_new) <= 1.0:
         return y_new
-    mid = _eval_within_step(f, y_left, k_left, dt / 2.0, atol, rtol, depth + 1)
-    return _eval_within_step(f, mid, f(*mid), dt / 2.0, atol, rtol, depth + 1)
+    mid = _eval_within_step(f, y_left, k_left, dt / 2.0, depth + 1)
+    return _eval_within_step(f, mid, f(*mid), dt / 2.0, depth + 1)
 
 
 def _hermite(y0, k0, y1, k1, h, t):
@@ -316,17 +320,17 @@ def _interpolant_root(event, y0, k0, y1, k1, h, g0, g1):
     return t
 
 
-def _refine_event(f, event, y_left, k_left, y_right, k_right, h, g_right, cfg):
+def _refine_event(f, event, y_left, k_left, y_right, k_right, h, g_right):
     """Locate the event inside the accepted step from ``(y_left, k_left)``
     to ``(y_right, k_right)``; returns ``(dt, state, g)``.
 
     The event time is first found on the step's cubic Hermite interpolant
     (to its floating-point resolution, at no field evaluation), and the
     state there is re-integrated from the bracket start.  While |g|
-    exceeds ``1e-3 * event_tol`` the time is corrected and the state
+    exceeds ``1e-3 * _EVENT_TOL`` the time is corrected and the state
     re-integrated from the current candidate, inside the sign bracket:
     Newton steps when the event has a rate (the plane z = 0), secant steps
-    otherwise.  If that ends above ``event_tol``, bisection re-integrated
+    otherwise.  If that ends above ``_EVENT_TOL``, bisection re-integrated
     from the bracket start takes over.  Every candidate is a re-integrated
     state, never an interpolated one.
     """
@@ -338,14 +342,13 @@ def _refine_event(f, event, y_left, k_left, y_right, k_right, h, g_right, cfg):
         lo_sign = -1.0
     else:
         lo_sign = float(event.expected_sign) or -math.copysign(1.0, g_right)
-    atol, rtol = cfg.abs_tol, cfg.rel_tol
-    stretch_goal = 1e-3 * cfg.event_tol
+    stretch_goal = 1e-3 * _EVENT_TOL
     best = None
     dt = math.nan
     if g_lo * g_right < 0.0:
         dt = _interpolant_root(event, y_left, k_left, y_right, k_right, h, g_lo, g_right)
     if 0.0 < dt < h:
-        y_c = _eval_within_step(f, y_left, k_left, dt, atol, rtol)
+        y_c = _eval_within_step(f, y_left, k_left, dt)
         v = event.fn(y_c)
         best = (dt, y_c, v)
         # The first secant partner is the bracket end across the root.
@@ -368,19 +371,19 @@ def _refine_event(f, event, y_left, k_left, y_right, k_right, h, g_right, cfg):
             if not lo < cand < hi:
                 break
             t_prev, v_prev = dt, v
-            y_c = _eval_within_step(f, y_c, k_c, cand - dt, atol, rtol)
+            y_c = _eval_within_step(f, y_c, k_c, cand - dt)
             dt = cand
             v = event.fn(y_c)
             if abs(v) < abs(best[2]):
                 best = (dt, y_c, v)
-    if best is None or abs(best[2]) > cfg.event_tol:
+    if best is None or abs(best[2]) > _EVENT_TOL:
         for _ in range(120):
             mid = 0.5 * (lo + hi)
-            y_c = _eval_within_step(f, y_left, k_left, mid, atol, rtol)
+            y_c = _eval_within_step(f, y_left, k_left, mid)
             v = event.fn(y_c)
             if best is None or abs(v) < abs(best[2]):
                 best = (mid, y_c, v)
-            if abs(v) <= cfg.event_tol or hi - lo <= 1e-16 * max(1.0, h):
+            if abs(v) <= _EVENT_TOL or hi - lo <= 1e-16 * max(1.0, h):
                 break
             if v * lo_sign > 0.0:
                 lo = mid
@@ -389,7 +392,7 @@ def _refine_event(f, event, y_left, k_left, y_right, k_right, h, g_right, cfg):
     return best
 
 
-def _integrate(f, y0, cfg, events, t_limit, outside=None, h0=None, collect=None):
+def _integrate(f, y0, events, t_limit, outside=None, h0=None, collect=None):
     """Drive the stepper until an event, a guard violation, or the horizon."""
     y = tuple(float(v) for v in y0)
     k1 = f(*y)
@@ -405,13 +408,13 @@ def _integrate(f, y0, cfg, events, t_limit, outside=None, h0=None, collect=None)
         if t_limit - t <= 1e-15 * max(1.0, t_limit):
             return FlightResult(FlightStatus.TIME_OUT, y, t)
         steps += 1
-        if steps > cfg.max_steps:
+        if steps > _MAX_STEPS:
             return FlightResult(FlightStatus.STEP_LIMIT, y, t)
         h = min(h, t_limit - t)
         if h < 1e-15:
             return FlightResult(FlightStatus.TIME_OUT, y, t)
         y_new, k_last, err = _rk_step(f, y, h, k1)
-        err_norm = _error_norm(err, y, y_new, cfg.abs_tol, cfg.rel_tol)
+        err_norm = _error_norm(err, y, y_new)
         if err_norm > 1.0:
             h *= max(0.2, 0.9 * err_norm ** -0.2)
             continue
@@ -426,14 +429,14 @@ def _integrate(f, y0, cfg, events, t_limit, outside=None, h0=None, collect=None)
                     ev.last = v
                 elif ev.expected_sign != 0 and v * ev.expected_sign < 0 and v != 0.0:
                     # shallow arc crossed the surface without ever arming
-                    found = _refine_event(f, ev, y, k1, y_new, k_last, h, v, cfg)
+                    found = _refine_event(f, ev, y, k1, y_new, k_last, h, v)
                     if hit is None or found[0] < hit[1]:
                         hit = (ev, found[0], found[1])
                 else:
                     ev.last = v
                 continue
             if ev.last * v <= 0.0 and (ev.last != 0.0 or v != 0.0):
-                found = _refine_event(f, ev, y, k1, y_new, k_last, h, v, cfg)
+                found = _refine_event(f, ev, y, k1, y_new, k_last, h, v)
                 if hit is None or found[0] < hit[1]:
                     hit = (ev, found[0], found[1])
             ev.last = v
@@ -502,9 +505,8 @@ def integrate_to_sigma(field, q0, direction, cfg=None, h0=None):
     return _integrate(
         f,
         (q0[0], q0[1], 0.0),
-        cfg,
         [ev],
-        t_limit=cfg.max_time,
+        t_limit=_MAX_TIME,
         outside=_guard_outside((q0[0], q0[1], 0.0), radius),
         h0=h0,
     )
@@ -644,7 +646,7 @@ def _mode_on_sigma(system, q3, tol):
     return None, FlightStatus.UNSTABLE_SLIDING
 
 
-def filippov_trajectory(system, p0, horizon, cfg=None, max_segments=2000):
+def filippov_trajectory(system, p0, horizon, cfg=None):
     """Piecewise trajectory with free flights, crossings and sliding.
 
     A negative ``horizon`` integrates the time-reversed system (this is the
@@ -653,17 +655,14 @@ def filippov_trajectory(system, p0, horizon, cfg=None, max_segments=2000):
     """
     cfg = cfg or IntegratorConfig()
     if horizon < 0:
-        rev = filippov_trajectory(
-            system.time_reversed(), p0, -horizon, cfg, max_segments
-        )
+        rev = filippov_trajectory(system.time_reversed(), p0, -horizon, cfg)
         for seg in rev.segments:
             seg.times = -seg.times
         rev.total_time = -rev.total_time
         return rev
 
-    tol = 1e-9 * (1.0 + system.coeff_scale())
+    tol = default_tolerance(system)
     box = cfg.box
-    den_floor = 1e-9 * (1.0 + system.coeff_scale())
     traj = Trajectory()
     p = (float(p0[0]), float(p0[1]), float(p0[2]))
     if p[2] > tol:
@@ -687,7 +686,7 @@ def filippov_trajectory(system, p0, horizon, cfg=None, max_segments=2000):
     def outside_box(y):
         return not box.contains(y)
 
-    while len(traj.segments) < max_segments:
+    while len(traj.segments) < _MAX_SEGMENTS:
         remaining = horizon - t_now
         if remaining <= 1e-14 * max(1.0, horizon):
             _append_marker(traj, t_now, p, mode, FlightStatus.TIME_OUT)
@@ -700,7 +699,6 @@ def filippov_trajectory(system, p0, horizon, cfg=None, max_segments=2000):
             out = _integrate(
                 fld.compiled(),
                 p,
-                cfg,
                 [ev],
                 t_limit=remaining,
                 outside=outside_box,
@@ -729,13 +727,13 @@ def filippov_trajectory(system, p0, horizon, cfg=None, max_segments=2000):
                     (yf * xv[1] - xf * yv[1]) / den,
                 )
 
-            arm = 10.0 * max(cfg.event_tol, tol)
+            arm = 10.0 * max(_EVENT_TOL, tol)
             events = [
                 _Event("sx", lambda y: xf_fn(y[0], y[1], 0.0), arm_eps=arm),
                 _Event("sy", lambda y: yf_fn(y[0], y[1], 0.0), arm_eps=arm),
                 _Event(
                     "den",
-                    lambda y: yf_fn(y[0], y[1], 0.0) - xf_fn(y[0], y[1], 0.0) - den_floor,
+                    lambda y: yf_fn(y[0], y[1], 0.0) - xf_fn(y[0], y[1], 0.0) - tol,
                     arm_eps=0.0,
                 ),
             ]
@@ -743,7 +741,6 @@ def filippov_trajectory(system, p0, horizon, cfg=None, max_segments=2000):
             out = _integrate(
                 f2,
                 (p[0], p[1]),
-                cfg,
                 events,
                 t_limit=remaining,
                 outside=lambda y: not box.contains((y[0], y[1], 0.0)),

@@ -18,8 +18,10 @@ import numpy as np
 from .algebra import gradient_on_sigma
 from .errors import PreconditionError
 
-# Newton corrections per tangency-curve point before the point is given up.
+# Newton corrections per tangency-curve point before the point is given up;
+# tangency-curve step as a fraction of the box's larger planar side.
 _CORRECTOR_CAP = 30
+_CURVE_STEP = 1e-2
 
 
 class SigmaKind(Enum):
@@ -129,16 +131,16 @@ def _fold_or_cusp(system, point, tol, side):
     # Cusp needs {df, d(Xf), d(X^2 f)} linearly independent at the point;
     # with df = (0, 0, 1) that is the planar determinant of the last two.
     det, _ = _gradient_det(gradient_on_sigma(first), gradient_on_sigma(second), point)
-    if abs(det) <= 1e-9 * (1.0 + system.coeff_scale()):
+    if abs(det) <= default_tolerance(system):
         return TangencyInfo(
             TangencyType.DEGENERATE, detail=f"gradient independence fails ({det:.3g})"
         )
     return TangencyInfo(cusp_type, detail=f"third derivative {s3:.6g}")
 
 
-def tangency_type(system, point, tol=None):
+def tangency_type(system, point):
     """Classify a tangency point (fold / cusp / fold-fold / degenerate)."""
-    tol = default_tolerance(system) if tol is None else tol
+    tol = default_tolerance(system)
     cls = classify_point(system, point, tol)
     if cls.kind is not SigmaKind.TANGENCY:
         raise PreconditionError("point is not in the tangency band")
@@ -186,13 +188,13 @@ class TransversalityWitness:
     determinant: float
 
 
-def fold_transversality(system, point, tol=None):
+def fold_transversality(system, point):
     """Do the tangency curves of X and Y cross transversally at the point?
 
     Tests linear independence of the planar gradients of Xf and Yf; the
     witness is the 2x2 determinant.
     """
-    tol = default_tolerance(system) if tol is None else tol
+    tol = default_tolerance(system)
     _require_on_sigma(point, tol)
     xf = system.xf.eval_at(point)
     yf = system.yf.eval_at(point)
@@ -220,7 +222,7 @@ class Curve:
     complete: bool = True
 
 
-def _trace_zero_set(poly, box, step):
+def _trace_zero_set(poly, box):
     """Predictor-corrector continuation of {poly = 0} on the box's z-slice."""
     g = poly.subs_z0()
     if g.is_zero():
@@ -230,7 +232,7 @@ def _trace_zero_set(poly, box, step):
     gy = g.partial("y").compiled()
     scale = 1.0 + g.coeff_scale()
     ctol = 1e-12 * scale
-    h = step * max(box.xmax - box.xmin, box.ymax - box.ymin)
+    h = _CURVE_STEP * max(box.xmax - box.xmin, box.ymax - box.ymin)
 
     def correct(q):
         x, y = q
@@ -345,15 +347,14 @@ def _trace_zero_set(poly, box, step):
     return curves
 
 
-def tangency_curves(system, box=None, step=1e-2):
-    """Sampled tangency curves of both fields on the switching plane.
+def tangency_curves(system):
+    """Sampled tangency curves of both fields on the system's box.
 
     Returns ``{"X": [Curve...], "Y": [Curve...]}``.  Curves that hit a
     degenerate (zero-gradient) point are returned partially with
     ``complete=False``.
     """
-    box = system.box if box is None else box
     return {
-        "X": _trace_zero_set(system.xf, box, step),
-        "Y": _trace_zero_set(system.yf, box, step),
+        "X": _trace_zero_set(system.xf, system.box),
+        "Y": _trace_zero_set(system.yf, system.box),
     }

@@ -23,8 +23,10 @@ from .sigma import FoldFoldSubtype, TangencyType, default_tolerance, tangency_ty
 
 log = logging.getLogger(__name__)
 
-# |Yf - Xf| at or below this counts as a vanishing sliding denominator.
+# |Yf - Xf| at or below this counts as a vanishing sliding denominator;
+# seeds per box side of the pseudo-equilibrium search.
 _DENOMINATOR_FLOOR = 1e-14
+_SEED_GRID = 41
 
 
 @dataclass
@@ -315,16 +317,17 @@ def _classify_equilibrium(jac, rel=1e-9):
     return kind, eig.values, True
 
 
-def pseudo_equilibria(system, box=None, grid=41, tol=None):
+def pseudo_equilibria(system):
     """Zeros of the normalized sliding field inside the sliding region.
 
-    Grid-seeded Newton search; zeros on the tangency set are excluded, and
+    Newton search seeded on a ``_SEED_GRID`` x ``_SEED_GRID`` grid over the
+    system's box; zeros on the tangency set are excluded, and
     each survivor is labeled by the linear type of the sliding field (the
     normalized field's Jacobian divided by the positive/negative
     reparametrization factor).
     """
-    box = system.box if box is None else box
-    tol = default_tolerance(system) if tol is None else tol
+    box = system.box
+    tol = default_tolerance(system)
     fld = normalized_sliding_field(system)
     fn = fld.compiled()
     jac_rows = fld.jacobian_polys()
@@ -334,8 +337,8 @@ def pseudo_equilibria(system, box=None, grid=41, tol=None):
     scale = 1.0 + max(fld.px.coeff_scale(), fld.py.coeff_scale())
 
     results = []
-    xs = np.linspace(box.xmin, box.xmax, grid)
-    ys = np.linspace(box.ymin, box.ymax, grid)
+    xs = np.linspace(box.xmin, box.xmax, _SEED_GRID)
+    ys = np.linspace(box.ymin, box.ymax, _SEED_GRID)
     for x0 in xs:
         for y0 in ys:
             x, y = float(x0), float(y0)
@@ -392,14 +395,13 @@ class ContactReport:
     second: float
 
 
-def boundary_contact(system, point, tol=None):
+def boundary_contact(system, point):
     """Contact order of the extended sliding field with the tangency line.
 
     At a fold-regular boundary point the sliding field crosses the boundary
     (transverse); at a cusp-regular point it meets it quadratically.
     """
-    tol = default_tolerance(system) if tol is None else tol
-    info = tangency_type(system, point, tol)
+    info = tangency_type(system, point)
     if info.ttype in (TangencyType.FOLD_REGULAR, TangencyType.CUSP_REGULAR):
         g = system.xf.subs_z0()
     elif info.ttype in (TangencyType.REGULAR_FOLD, TangencyType.REGULAR_CUSP):

@@ -3,12 +3,11 @@ import re
 import numpy as np
 import pytest
 
-from foldatlas import checks, foldfold
+from foldatlas import checks, foldfold, integrator
 from foldatlas.algebra import Poly3, VectorField3
 from foldatlas.errors import IntegrationFailure
 from foldatlas.integrator import (
     FlightStatus,
-    IntegratorConfig,
     Mode,
     Trajectory,
     TrajectorySegment,
@@ -48,10 +47,9 @@ class TestSaddleDichotomyDraws:
 
 
 class TestReturnMapGridFailures:
-    def test_failed_flights_are_counted(self):
-        results = checks.check_return_map_grid(
-            n_alpha=2, n_beta=2, gammas=(1.0,), cfg=IntegratorConfig(max_steps=1)
-        )
+    def test_failed_flights_are_counted(self, monkeypatch):
+        monkeypatch.setattr(integrator, "_MAX_STEPS", 1)
+        results = checks.check_return_map_grid(n_alpha=2, n_beta=2, gammas=(1.0,))
         jac = _by_name(results, "return-map numeric Jacobian")
         failed = re.search(r"(\d+) grid points with a failed flight", jac.detail)
         assert int(failed.group(1)) == 4

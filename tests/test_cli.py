@@ -12,6 +12,7 @@ from foldatlas.foldfold import (
     return_map_analysis,
     stability_verdict,
 )
+from foldatlas.integrator import filippov_trajectory
 from foldatlas.sigma import FoldFoldSubtype
 from foldatlas.sliding import sliding_region_class
 from foldatlas.system import PiecewiseSystem, build_normal_form, load_system, serialize_system
@@ -144,6 +145,13 @@ class TestClassify:
     def test_bad_point_exit_2(self, elliptic_file):
         assert main(["classify", elliptic_file, "--point", "1,2"]) == 2
 
+    @pytest.mark.parametrize("option,value", [("--point", "nan,0,0"), ("--point", "0,0,nan"),
+                                              ("--point", "inf,0,0"), ("--tol", "nan")])
+    def test_non_finite_input_exit_2(self, elliptic_file, option, value, capsys):
+        args = {"--point": "0,0,0", option: value}
+        assert main(["classify", elliptic_file, *(t for kv in args.items() for t in kv)]) == 2
+        assert f"{option} must be finite" in capsys.readouterr().err
+
     def test_off_surface_exit_3(self, elliptic_file):
         assert main(["classify", elliptic_file, "--point", "0,0,0.5"]) == 3
 
@@ -231,9 +239,10 @@ class TestSweep:
 
 
 class TestSimulate:
-    def test_trajectory_csv(self, tmp_path):
-        sys_path = tmp_path / "const.json"
-        sys_path.write_text(
+    @pytest.fixture
+    def const_file(self, tmp_path):
+        path = tmp_path / "const.json"
+        path.write_text(
             json.dumps(
                 {
                     "name": "const",
@@ -243,19 +252,52 @@ class TestSimulate:
                 }
             )
         )
+        return str(path)
+
+    @pytest.mark.parametrize("system_file,p0,horizon,modes", [
+        ("const_file", "0,0,0.5", "5", {"flow+", "sliding"}),  # fall, then slide
+        ("elliptic_file", "0.1,0.2,0.5", "0.5", {"flow+"}),  # free flight
+        ("elliptic_file", "0.3,0.3,0", "10", {"sliding"}),  # into the two-fold
+        ("elliptic_file", "-0.5,-0.5,0", "-1", {"sliding"}),  # negative horizon
+    ])
+    def test_trajectory_csv(self, request, tmp_path, system_file, p0, horizon, modes):
+        # Every numeric cell parses with float() to the bits of the sample.
+        path = request.getfixturevalue(system_file)
         out = tmp_path / "traj.csv"
-        rc = main(["simulate", str(sys_path), "--p0", "0,0,0.5", "--T", "5",
-                   "--out", str(out)])
-        assert rc == 0
-        lines = out.read_text().strip().splitlines()
+        assert main(["simulate", path, "--p0", p0, "--T", horizon, "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
         assert lines[0] == "segment,mode,terminal,t,x,y,z"
-        modes = {line.split(",")[1] for line in lines[1:] if not line.startswith("#")}
-        assert "flow+" in modes and "sliding" in modes
+        rows = [line.split(",") for line in lines[1:-1]]
+        assert {row[1] for row in rows} == modes
+        with open(path, encoding="utf-8") as fh:
+            system = load_system(fh.read())
+        traj = filippov_trajectory(
+            system, tuple(float(v) for v in p0.split(",")), float(horizon)
+        )
+        expected = [
+            [str(i), seg.mode.value, seg.terminal.value, t.hex(), *(v.hex() for v in p)]
+            for i, seg in enumerate(traj.segments)
+            for t, p in zip(seg.times.tolist(), seg.points.tolist())
+        ]
+        assert [row[:3] + [float(v).hex() for v in row[3:]] for row in rows] == expected
+        assert lines[-1] == f"# status={traj.status} total_time={traj.total_time!r}"
+
+    @pytest.mark.parametrize("option,value", [("--T", "inf"), ("--T", "nan"),
+                                              ("--p0", "0,nan,0.5")])
+    def test_non_finite_input_exit_2(self, elliptic_file, option, value, capsys):
+        args = {"--p0": "0,0,0.5", "--T": "1", option: value}
+        assert main(["simulate", elliptic_file, *(t for kv in args.items() for t in kv)]) == 2
+        assert f"{option} must be finite" in capsys.readouterr().err
 
 
 class TestVerify:
     def test_none_suite(self, capsys):
         assert main(["verify", "--suite", "none"]) == 0
+
+    @pytest.mark.parametrize("scale", ["nan", "inf"])
+    def test_non_finite_scale_exit_2(self, scale, capsys):
+        assert main(["verify", "--suite", "regions", "--scale", scale]) == 2
+        assert "--scale must be finite" in capsys.readouterr().err
 
     def test_small_suite(self, capsys):
         rc = main(["verify", "--suite", "sliding", "--scale", "0.12", "--seed", "1"])
@@ -268,6 +310,25 @@ class TestVerify:
         assert rc == 0
         out = capsys.readouterr().out
         assert "two-fold classification" in out
+
+    def test_system_mode_classifies_once(self, tmp_path, call_counts, ci_normal_form,
+                                         capsys):
+        path = tmp_path / "normal-form.json"
+        path.write_text(serialize_system(ci_normal_form))
+        counts = call_counts(sigma, "classify_point", "_refine_tangency")
+        assert main(["verify", str(path), "--suite", "none"]) == 0
+        assert "PASS  return-map trace vs normal parameters" in capsys.readouterr().out
+        assert counts == {"classify_point": 1, "_refine_tangency": 1}
+
+    @pytest.mark.parametrize("point,detail", [
+        ("0.5,0.5,0", "point is not in the tangency band"),
+        ("0.3,0,0", "fold-regular"),
+        ("0,0,0.5", "point (0.0, 0.0, 0.5) is not on the switching plane"),
+    ])
+    def test_system_mode_names_a_non_two_fold(self, elliptic_file, point, detail, capsys):
+        assert main(["verify", elliptic_file, "--point", point, "--suite", "none"]) == 4
+        (line,) = capsys.readouterr().out.splitlines()
+        assert line.startswith("FAIL  two-fold classification") and line.endswith(detail)
 
     def test_corrupted_system_fails(self, tmp_path, capsys):
         # flip the normal component of Y: its fold turns visible, the Y-fold

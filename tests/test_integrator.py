@@ -1,3 +1,4 @@
+import hashlib
 import math
 import struct
 
@@ -22,8 +23,6 @@ from foldatlas.integrator import (
     return_map_numeric,
 )
 from foldatlas.system import Box, PiecewiseSystem, build_normal_form
-
-CFG = IntegratorConfig()
 
 # Reference Dormand-Prince step: the generic tableau loop the written-out
 # stepper replaced, kept here to pin that stepper bit for bit.
@@ -114,8 +113,8 @@ class TestStepperBitwise:
         assert _bits(*y_new) == _bits(*ry_new)
         assert _bits(*k_last) == _bits(*rk_last)
         assert _bits(*err) == _bits(*rerr)
-        norm = _error_norm(err, y, y_new, CFG.abs_tol, CFG.rel_tol)
-        ref = _ref_error_norm(rerr, y, ry_new, CFG.abs_tol, CFG.rel_tol)
+        norm = _error_norm(err, y, y_new)
+        ref = _ref_error_norm(rerr, y, ry_new, integrator._ABS_TOL, integrator._REL_TOL)
         assert _bits(norm) == _bits(ref)
 
     def test_random_3d_states(self):
@@ -190,44 +189,44 @@ class TestIntegrateToSigma:
     def test_quadratic_arc_closed_form(self):
         # X = (-1, 1, -y): from (0, -0.1, 0) the arc returns at t = 0.2
         system = build_normal_form(-1.0, -1.0, 1.0, -1.0)
-        res = integrate_to_sigma(system.X, (0.0, -0.1, 0.0), +1, CFG)
+        res = integrate_to_sigma(system.X, (0.0, -0.1, 0.0), +1)
         assert res.status is FlightStatus.HIT_SIGMA
         assert res.time == pytest.approx(0.2, abs=1e-9)
         assert res.point[0] == pytest.approx(-0.2, abs=1e-8)
         assert res.point[1] == pytest.approx(0.1, abs=1e-8)
-        assert abs(res.point[2]) <= CFG.event_tol
+        assert abs(res.point[2]) <= integrator._EVENT_TOL
 
     def test_wrong_direction_no_return(self):
         system = build_normal_form(-1.0, -1.0, 1.0, -1.0)
-        res = integrate_to_sigma(system.X, (0.0, 0.1, 0.0), +1, CFG)
+        res = integrate_to_sigma(system.X, (0.0, 0.1, 0.0), +1)
         assert res.status is FlightStatus.NO_RETURN
 
     def test_monotone_field_never_returns(self):
         field = const_field(0.0, 0.0, 1.0)
-        res = integrate_to_sigma(field, (0.0, 0.0, 0.0), +1, CFG)
+        res = integrate_to_sigma(field, (0.0, 0.0, 0.0), +1)
         assert res.status in (FlightStatus.LEFT_BOX, FlightStatus.TIME_OUT)
 
     def test_off_surface_start_rejected(self):
         with pytest.raises(PreconditionError):
-            integrate_to_sigma(const_field(0, 0, 1), (0.0, 0.0, 0.5), +1, CFG)
+            integrate_to_sigma(const_field(0, 0, 1), (0.0, 0.0, 0.5), +1)
 
 
 class TestFoldMap:
     def test_matches_analytic_formula(self):
         system = build_normal_form(-1.0, -1.0, 1.0, -1.0)
-        image = fold_map_numeric(system, "X", (0.0, -0.1), CFG)
+        image = fold_map_numeric(system, "X", (0.0, -0.1))
         assert image[0] == pytest.approx(-0.2, abs=1e-7)
         assert image[1] == pytest.approx(0.1, abs=1e-7)
 
     def test_fixed_on_tangency_line(self):
         system = build_normal_form(-1.0, -1.0, 1.0, -1.0)
-        assert fold_map_numeric(system, "X", (0.3, 0.0), CFG) == (0.3, 0.0)
+        assert fold_map_numeric(system, "X", (0.3, 0.0)) == (0.3, 0.0)
 
     def test_involution(self):
         system = build_normal_form(-1.0, -1.0, 1.0, -1.0)
         q = (0.05, -0.07)
-        image = fold_map_numeric(system, "X", q, CFG)
-        back = fold_map_numeric(system, "X", image, CFG)
+        image = fold_map_numeric(system, "X", q)
+        back = fold_map_numeric(system, "X", image)
         assert math.hypot(back[0] - q[0], back[1] - q[1]) <= 2e-7
 
     def test_involution_tight_sampled(self):
@@ -237,20 +236,20 @@ class TestFoldMap:
         worst = 0.0
         for _ in range(1000):
             q = (rng.uniform(-0.1, 0.1), rng.choice((-1, 1)) * rng.uniform(0.01, 0.1))
-            image = fold_map_numeric(system, "X", q, CFG)
-            back = fold_map_numeric(system, "X", image, CFG)
+            image = fold_map_numeric(system, "X", q)
+            back = fold_map_numeric(system, "X", image)
             worst = max(worst, math.hypot(back[0] - q[0], back[1] - q[1]))
-        assert worst <= 10.0 * CFG.event_tol
+        assert worst <= 10.0 * integrator._EVENT_TOL
 
     def test_visible_fold_fails(self):
         system = build_normal_form(0.5, 0.5, -1.0, 1.0)  # X fold visible
         with pytest.raises(IntegrationFailure):
-            fold_map_numeric(system, "X", (0.0, -0.05), CFG)
+            fold_map_numeric(system, "X", (0.0, -0.05))
 
     def test_failure_status_is_flight_status(self):
         system = build_normal_form(0.5, 0.5, -1.0, 1.0)  # X fold visible
         with pytest.raises(IntegrationFailure) as info:
-            fold_map_numeric(system, "X", (0.0, -0.05), CFG)
+            fold_map_numeric(system, "X", (0.0, -0.05))
         assert isinstance(info.value.status, FlightStatus)
 
 
@@ -259,14 +258,14 @@ class TestReturnMap:
         system = build_normal_form(-1.0, -1.0, 1.0, -1.0)
         analysis = return_map_analysis(make_parameters(-1.0, -1.0, 1.0, -1.0))
         q = (0.01, -0.01)
-        image = return_map_numeric(system, q, CFG)
+        image = return_map_numeric(system, q)
         predicted = analysis.matrix @ np.array(q)
         assert math.hypot(image[0] - predicted[0], image[1] - predicted[1]) <= 1e-5
 
     def test_origin_fixed(self):
         system = build_normal_form(-1.0, -1.0, 1.0, -1.0)
-        image = return_map_numeric(system, (0.0, 0.0), CFG)
-        assert math.hypot(*image) <= 10 * CFG.event_tol
+        image = return_map_numeric(system, (0.0, 0.0))
+        assert math.hypot(*image) <= 10 * integrator._EVENT_TOL
 
     def test_iterated_growth_rate(self):
         # saddle (-2, -1, 1): expansion per full map is 3 + 2 sqrt(2)
@@ -277,7 +276,7 @@ class TestReturnMap:
         q = (1e-3 * v[0], 1e-3 * v[1])
         radii = [math.hypot(*q)]
         for _ in range(4):
-            q = return_map_numeric(system, q, CFG)
+            q = return_map_numeric(system, q)
             radii.append(math.hypot(*q))
         growth = [radii[i + 1] / radii[i] for i in range(4)]
         for g in growth:
@@ -287,12 +286,12 @@ class TestReturnMap:
 class TestJacobian:
     def test_return_map_jacobian(self):
         system = build_normal_form(-1.0, -1.0, 0.5, -1.0)
-        jac = jacobian_numeric(lambda q: return_map_numeric(system, q, CFG), (0.0, 0.0), 1e-3)
+        jac = jacobian_numeric(lambda q: return_map_numeric(system, q), (0.0, 0.0), 1e-3)
         assert np.max(np.abs(jac - np.array([[7.0, 2.0], [-4.0, -1.0]]))) <= 1e-4
 
     def test_fold_map_jacobian(self):
         system = build_normal_form(-1.0, -1.0, 1.0, -1.0)
-        jac = jacobian_numeric(lambda q: fold_map_numeric(system, "X", q, CFG), (0.0, 0.0), 1e-3)
+        jac = jacobian_numeric(lambda q: fold_map_numeric(system, "X", q), (0.0, 0.0), 1e-3)
         assert np.max(np.abs(jac - np.array([[1.0, 2.0], [0.0, -1.0]]))) <= 1e-6
 
     def test_identity_map(self):
@@ -306,7 +305,7 @@ class TestJacobian:
                     system = build_normal_form(a, b, g, -1.0)
                     analysis = return_map_analysis(make_parameters(a, b, g, -1.0))
                     jac = jacobian_numeric(
-                        lambda q: return_map_numeric(system, q, CFG), (0.0, 0.0), 1e-3
+                        lambda q: return_map_numeric(system, q), (0.0, 0.0), 1e-3
                     )
                     assert np.max(np.abs(jac - analysis.matrix)) <= max(1e-4, 10 * 1e-6)
 
@@ -322,7 +321,7 @@ class TestReversibility:
         v_s = analysis.v_contracting
         for r in (0.01, 0.02, 0.04):
             q = (r * v_u[0], r * v_u[1])
-            w = fold_map_numeric(system, "X", q, CFG)
+            w = fold_map_numeric(system, "X", q)
             dist = abs(v_s[0] * w[1] - v_s[1] * w[0])
             assert dist <= max(5.0 * r * r, 1e-9)
 
@@ -330,7 +329,7 @@ class TestReversibility:
 class TestTrajectory:
     def test_fall_and_slide(self):
         Z = PiecewiseSystem(const_field(1, 0, -1), const_field(0, 1, 1))
-        traj = filippov_trajectory(Z, (0.0, 0.0, 0.5), 5.0, CFG)
+        traj = filippov_trajectory(Z, (0.0, 0.0, 0.5), 5.0)
         assert traj.segments[0].mode is Mode.FLOW_PLUS
         hit = traj.segments[0].points[-1]
         assert hit[0] == pytest.approx(0.5, abs=1e-9)
@@ -344,28 +343,28 @@ class TestTrajectory:
     def test_crossing_alternation_matches_fold_maps(self):
         system = build_normal_form(-1.0, -1.0, 1.0, -1.0)
         q0 = (0.05, -0.04, 0.0)  # crossing: Xf = 0.04 > 0, Yf = 0.05 > 0
-        traj = filippov_trajectory(system, q0, 10.0, CFG)
+        traj = filippov_trajectory(system, q0, 10.0)
         hits = [seg.points[-1] for seg in traj.segments if seg.terminal is FlightStatus.MODE_SWITCH]
-        phi_x = fold_map_numeric(system, "X", (q0[0], q0[1]), CFG)
+        phi_x = fold_map_numeric(system, "X", (q0[0], q0[1]))
         assert hits[0][0] == pytest.approx(phi_x[0], abs=1e-8)
         assert hits[0][1] == pytest.approx(phi_x[1], abs=1e-8)
-        phi_yx = fold_map_numeric(system, "Y", phi_x, CFG)
+        phi_yx = fold_map_numeric(system, "Y", phi_x)
         assert hits[1][0] == pytest.approx(phi_yx[0], abs=1e-8)
         assert hits[1][1] == pytest.approx(phi_yx[1], abs=1e-8)
 
     def test_never_hits_sigma(self):
         Z = PiecewiseSystem(const_field(0, 0, 1), const_field(0, 1, 1))
-        traj = filippov_trajectory(Z, (0.0, 0.0, 0.5), 2.0, CFG)
+        traj = filippov_trajectory(Z, (0.0, 0.0, 0.5), 2.0)
         assert traj.segments[-1].terminal in (FlightStatus.LEFT_BOX, FlightStatus.TIME_OUT)
 
     def test_unstable_sliding_start_flagged(self):
         system = build_normal_form(-1.0, -1.0, 1.0, -1.0)
-        traj = filippov_trajectory(system, (-0.5, -0.5, 0.0), 2.0, CFG)
+        traj = filippov_trajectory(system, (-0.5, -0.5, 0.0), 2.0)
         assert traj.status == FlightStatus.UNSTABLE_SLIDING.value
 
     def test_start_at_two_fold_reaches_tangency(self):
         system = build_normal_form(-1.0, -1.0, 1.0, -1.0)
-        traj = filippov_trajectory(system, (0.0, 0.0, 0.0), 2.0, CFG)
+        traj = filippov_trajectory(system, (0.0, 0.0, 0.0), 2.0)
         assert traj.status == FlightStatus.REACHED_TANGENCY.value
         assert len(traj.segments) == 1
         seg = traj.segments[0]
@@ -376,7 +375,7 @@ class TestTrajectory:
 
     def test_reverse_time_enters_unstable_sliding(self):
         system = build_normal_form(-1.0, -1.0, 1.0, -1.0)
-        traj = filippov_trajectory(system, (-0.5, -0.5, 0.0), -1.0, CFG)
+        traj = filippov_trajectory(system, (-0.5, -0.5, 0.0), -1.0)
         modes = [seg.mode for seg in traj.segments]
         assert Mode.SLIDING in modes
         assert traj.total_time < 0
@@ -384,34 +383,34 @@ class TestTrajectory:
     def test_visible_fold_exit(self):
         X = VectorField3(Poly3.constant(0.0), Poly3.constant(-1.0), Poly3({(0, 1, 0): -1.0}))
         Z = PiecewiseSystem(X, const_field(0, 0, 1))
-        traj = filippov_trajectory(Z, (0.0, 0.5, 0.0), 3.0, CFG)
+        traj = filippov_trajectory(Z, (0.0, 0.5, 0.0), 3.0)
         assert traj.segments[0].mode is Mode.SLIDING
         assert traj.segments[0].terminal is FlightStatus.MODE_SWITCH
         assert traj.segments[1].mode is Mode.FLOW_PLUS
 
     def test_mode_consistent_with_z_sign(self):
         system = build_normal_form(-2.0, -1.0, 1.0, -1.0)
-        traj = filippov_trajectory(system, (0.05, -0.04, 0.0), 5.0, CFG)
+        traj = filippov_trajectory(system, (0.05, -0.04, 0.0), 5.0)
         for seg in traj.segments:
             z = seg.points[:, 2]
             if seg.mode is Mode.FLOW_PLUS:
-                assert np.min(z) >= -CFG.event_tol * 10
+                assert np.min(z) >= -integrator._EVENT_TOL * 10
             elif seg.mode is Mode.FLOW_MINUS:
-                assert np.max(z) <= CFG.event_tol * 10
+                assert np.max(z) <= integrator._EVENT_TOL * 10
             else:
                 assert np.max(np.abs(z)) == 0.0
 
     def test_junction_continuity(self):
         system = build_normal_form(-2.0, -1.0, 1.0, -1.0)
-        traj = filippov_trajectory(system, (0.05, -0.04, 0.0), 5.0, CFG)
+        traj = filippov_trajectory(system, (0.05, -0.04, 0.0), 5.0)
         for prev, nxt in zip(traj.segments, traj.segments[1:]):
             gap = np.linalg.norm(prev.points[-1] - nxt.points[0])
-            assert gap <= 10 * CFG.event_tol
+            assert gap <= 10 * integrator._EVENT_TOL
 
     def test_sliding_into_t_singularity_terminates(self):
         # inside RE1 the sliding orbit reaches the two-fold in finite time
         system = build_normal_form(-2.0, -1.0, 1.0, -1.0)
-        traj = filippov_trajectory(system, (0.3, 0.3, 0.0), 10.0, CFG)
+        traj = filippov_trajectory(system, (0.3, 0.3, 0.0), 10.0)
         assert traj.segments[0].mode is Mode.SLIDING
         assert traj.segments[-1].terminal in (
             FlightStatus.REACHED_TANGENCY,
@@ -421,13 +420,53 @@ class TestTrajectory:
         assert math.hypot(end[0], end[1]) <= 1e-3
 
 
-class TestConfig:
-    def test_positive_validation(self):
-        with pytest.raises(PreconditionError):
-            IntegratorConfig(rel_tol=-1.0)
-        with pytest.raises(PreconditionError):
-            IntegratorConfig(max_time=0.0)
+class TestOutputsPinned:
+    """SHA-256 over ``float.hex`` of numeric return-map Jacobians and of
+    Filippov trajectories, so that a change to the step control, the event
+    locator or one of their constants cannot pass unnoticed."""
 
+    DIGEST = "bdf52f338533378b0161c5b359f8018c911dc2a9cc4f3fef28474b1c727794b0"
+
+    @staticmethod
+    def _feed(digest, values):
+        digest.update((",".join(float(v).hex() for v in values) + ";").encode())
+
+    def test_jacobians_and_trajectories(self):
+        digest = hashlib.sha256()
+        for a in (-2.0, -0.7, 0.4, 1.3, 2.5):
+            for b in (-1.4, 0.9):
+                for g in (0.5, 2.0):
+                    system = build_normal_form(a, b, g, -1.0)
+                    jac = jacobian_numeric(
+                        lambda q: return_map_numeric(system, q), (0.0, 0.0), 1e-3
+                    )
+                    self._feed(digest, jac.ravel().tolist())
+        elliptic = build_normal_form(-2.0, -1.0, 1.0, -1.0)
+        invisible = build_normal_form(-1.0, -1.0, 1.0, -1.0)
+        stick_slip, box = dry_friction()
+        runs = [
+            filippov_trajectory(invisible, (0.05, -0.04, 0.0), 10.0),  # free flights
+            filippov_trajectory(elliptic, (0.3, 0.3, 0.0), 10.0),  # sliding
+            filippov_trajectory(stick_slip, (0.2, 0.3, 0.0), 12.0, IntegratorConfig(box=box)),
+            filippov_trajectory(invisible, (-0.5, -0.5, 0.0), -1.0),  # negative horizon
+        ]
+        for traj in runs:
+            for seg in traj.segments:
+                digest.update(f"{seg.mode.value},{seg.terminal.value};".encode())
+                self._feed(digest, seg.times.tolist())
+                self._feed(digest, seg.points.ravel().tolist())
+            digest.update(traj.status.encode())
+            self._feed(digest, [traj.total_time])
+        exits = [
+            (seg.mode, nxt.mode)
+            for seg, nxt in zip(runs[2].segments, runs[2].segments[1:])
+        ]
+        assert (Mode.SLIDING, Mode.FLOW_MINUS) in exits
+        assert Mode.SLIDING in {seg.mode for seg in runs[1].segments + runs[3].segments}
+        assert digest.hexdigest() == self.DIGEST
+
+
+class TestConfig:
     def test_custom_box(self):
         cfg = IntegratorConfig(box=Box(-2, 2, -2, 2, -2, 2))
         Z = PiecewiseSystem(const_field(1, 0, -1), const_field(0, 1, 1))
@@ -449,10 +488,10 @@ def _record_refinements(monkeypatch):
             inside[-1] += 1
         return real_step(*args)
 
-    def refine(f, event, y_left, k_left, y_right, k_right, h, g_right, cfg):
+    def refine(f, event, y_left, k_left, y_right, k_right, h, g_right):
         inside.append(0)
         try:
-            found = real_refine(f, event, y_left, k_left, y_right, k_right, h, g_right, cfg)
+            found = real_refine(f, event, y_left, k_left, y_right, k_right, h, g_right)
         finally:
             steps = inside.pop()
         events.append((h, found, steps, event.name))
@@ -464,12 +503,12 @@ def _record_refinements(monkeypatch):
 
 
 class TestEventLocator:
-    STRETCH = 1e-3 * CFG.event_tol
+    STRETCH = 1e-3 * integrator._EVENT_TOL
 
     @staticmethod
     def _hot_flight():
         # Y flight below the plane from Yf = x < 0 back to {z = 0}.
-        return integrate_to_sigma(hot_normal_form().Y, (-0.15, 0.05, 0.0), -1, CFG)
+        return integrate_to_sigma(hot_normal_form().Y, (-0.15, 0.05, 0.0), -1)
 
     @staticmethod
     def _stick_slip_run():
@@ -499,7 +538,7 @@ class TestEventLocator:
         res = self._hot_flight()
         (h, (dt, state, g), steps, _), = events
         assert 0.0 < dt < h
-        assert abs(res.point[2]) <= CFG.event_tol and state == res.point
+        assert abs(res.point[2]) <= integrator._EVENT_TOL and state == res.point
         assert math.hypot(
             res.point[0] - reference.point[0], res.point[1] - reference.point[1]
         ) <= 1e-9
@@ -523,7 +562,7 @@ class TestEventLocator:
         sliding = [e for e in events if e[3] in ("sx", "sy")]
         assert sliding
         for h, (dt, _, g), _, _ in sliding:
-            assert 0.0 < dt < h and abs(g) <= CFG.event_tol
+            assert 0.0 < dt < h and abs(g) <= integrator._EVENT_TOL
         exit_ref = reference.segments[0].points[-1]
         exit_new = traj.segments[0].points[-1]
         assert np.max(np.abs(exit_new - exit_ref)) <= 1e-9
@@ -544,14 +583,14 @@ class TestScipyRoute:
         plane.terminal = True
         plane.direction = -direction
         sol = solve_ivp(
-            lambda t, y: f(*y), (0.0, CFG.max_time), q,
+            lambda t, y: f(*y), (0.0, integrator._MAX_TIME), q,
             method="DOP853", rtol=1e-12, atol=1e-14, events=plane,
         )
         (point,) = sol.y_events[0]
         return point
 
     def _assert_agree(self, field, q, direction):
-        res = integrate_to_sigma(field, q, direction, CFG)
+        res = integrate_to_sigma(field, q, direction)
         assert res.status is FlightStatus.HIT_SIGMA
         ref = self._scipy_return(field, q, direction)
         assert math.hypot(res.point[0] - ref[0], res.point[1] - ref[1]) <= 1e-8
