@@ -108,6 +108,8 @@ def cmd_classify(args):
     system = _read_system(args.system)
     point = _parse_floats(args.point, 3, "--point")
     tol = _finite(args.tol, "--tol") if args.tol is not None else default_tolerance(system)
+    if tol < 0.0:
+        raise MalformedDocumentError("--tol must be >= 0")
     result = surface_point_report(system, point, tol)
     cls = result.classification
     report = {

@@ -11,7 +11,10 @@ dz/dt = f_z for the plane, secant for the sliding events, down to
 guarantees |g| <= ``_EVENT_TOL`` when the polish falls short.  The returned
 event state is always re-integrated, never interpolated.  The step is
 written out per state dimension (3 components for free flights, 2 for the
-sliding field) on unpacked scalars, with the sums in tableau order.
+sliding field) on unpacked scalars, with the sums in tableau order, and
+returns its scaled error norm rather than the error vector.  The plane event
+is the z-component alone, so its interpolant root evaluates only that
+component; the sliding events evaluate the whole interpolated state.
 
 The fold maps and the first-return map realized here are compared against
 their closed-form counterparts by the verification suites; nothing in this
@@ -66,6 +69,9 @@ class IntegratorConfig:
     box: object = DEFAULT_BOX
 
 
+_DEFAULT_CONFIG = IntegratorConfig()
+
+
 class FlightStatus(Enum):
     """How a flight or a trajectory segment ended.
 
@@ -101,13 +107,15 @@ class FlightResult:
 
 
 def _rk_step(f, y, h, k1):
-    """One Dormand-Prince step: returns (y_new, k_last, error_vector).
+    """One Dormand-Prince step: returns (y_new, k_last, err_norm).
 
     The stages are written out for 3-component states (free flights) and
     2-component states (the sliding field).  Every weighted sum adds its
     terms in tableau order starting from 0.0, zero weights included, so the
     step matches the generic tableau loop kept in tests/test_integrator.py
-    bit for bit.  ``kSi`` is component ``i`` of stage ``S``.
+    bit for bit.  ``kSi`` is component ``i`` of stage ``S``.  ``err_norm``
+    is the RMS of the error components ``ri``, each scaled by
+    ``_ABS_TOL + _REL_TOL * max(|y|, |y_new|)`` and summed in order from 0.0.
     """
     if len(y) == 3:
         y0, y1, y2 = y
@@ -140,25 +148,26 @@ def _rk_step(f, y, h, k1):
             y2 + h * (0.0 + _A61 * k12 + _A62 * k22 + _A63 * k32 + _A64 * k42
                       + _A65 * k52),
         )
-        y_new = (
-            y0 + h * (0.0 + _B1 * k10 + _B2 * k20 + _B3 * k30 + _B4 * k40
-                      + _B5 * k50 + _B6 * k60),
-            y1 + h * (0.0 + _B1 * k11 + _B2 * k21 + _B3 * k31 + _B4 * k41
-                      + _B5 * k51 + _B6 * k61),
-            y2 + h * (0.0 + _B1 * k12 + _B2 * k22 + _B3 * k32 + _B4 * k42
-                      + _B5 * k52 + _B6 * k62),
-        )
-        k7 = f(*y_new)
+        n0 = y0 + h * (0.0 + _B1 * k10 + _B2 * k20 + _B3 * k30 + _B4 * k40
+                       + _B5 * k50 + _B6 * k60)
+        n1 = y1 + h * (0.0 + _B1 * k11 + _B2 * k21 + _B3 * k31 + _B4 * k41
+                       + _B5 * k51 + _B6 * k61)
+        n2 = y2 + h * (0.0 + _B1 * k12 + _B2 * k22 + _B3 * k32 + _B4 * k42
+                       + _B5 * k52 + _B6 * k62)
+        k7 = f(n0, n1, n2)
         k70, k71, k72 = k7
-        err = (
-            h * (0.0 + _E1 * k10 + _E2 * k20 + _E3 * k30 + _E4 * k40
-                 + _E5 * k50 + _E6 * k60 + _E7 * k70),
-            h * (0.0 + _E1 * k11 + _E2 * k21 + _E3 * k31 + _E4 * k41
-                 + _E5 * k51 + _E6 * k61 + _E7 * k71),
-            h * (0.0 + _E1 * k12 + _E2 * k22 + _E3 * k32 + _E4 * k42
-                 + _E5 * k52 + _E6 * k62 + _E7 * k72),
-        )
-        return y_new, k7, err
+        a0, a1, a2 = abs(y0), abs(y1), abs(y2)
+        b0, b1, b2 = abs(n0), abs(n1), abs(n2)
+        r0 = h * (0.0 + _E1 * k10 + _E2 * k20 + _E3 * k30 + _E4 * k40
+                  + _E5 * k50 + _E6 * k60 + _E7 * k70) / (
+            _ABS_TOL + _REL_TOL * (b0 if b0 > a0 else a0))
+        r1 = h * (0.0 + _E1 * k11 + _E2 * k21 + _E3 * k31 + _E4 * k41
+                  + _E5 * k51 + _E6 * k61 + _E7 * k71) / (
+            _ABS_TOL + _REL_TOL * (b1 if b1 > a1 else a1))
+        r2 = h * (0.0 + _E1 * k12 + _E2 * k22 + _E3 * k32 + _E4 * k42
+                  + _E5 * k52 + _E6 * k62 + _E7 * k72) / (
+            _ABS_TOL + _REL_TOL * (b2 if b2 > a2 else a2))
+        return (n0, n1, n2), k7, math.sqrt((0.0 + r0 * r0 + r1 * r1 + r2 * r2) / 3)
     y0, y1 = y
     k10, k11 = k1
     k20, k21 = f(y0 + h * (0.0 + _A21 * k10), y1 + h * (0.0 + _A21 * k11))
@@ -180,40 +189,21 @@ def _rk_step(f, y, h, k1):
         y1 + h * (0.0 + _A61 * k11 + _A62 * k21 + _A63 * k31 + _A64 * k41
                   + _A65 * k51),
     )
-    y_new = (
-        y0 + h * (0.0 + _B1 * k10 + _B2 * k20 + _B3 * k30 + _B4 * k40
-                  + _B5 * k50 + _B6 * k60),
-        y1 + h * (0.0 + _B1 * k11 + _B2 * k21 + _B3 * k31 + _B4 * k41
-                  + _B5 * k51 + _B6 * k61),
-    )
-    k7 = f(*y_new)
+    n0 = y0 + h * (0.0 + _B1 * k10 + _B2 * k20 + _B3 * k30 + _B4 * k40
+                   + _B5 * k50 + _B6 * k60)
+    n1 = y1 + h * (0.0 + _B1 * k11 + _B2 * k21 + _B3 * k31 + _B4 * k41
+                   + _B5 * k51 + _B6 * k61)
+    k7 = f(n0, n1)
     k70, k71 = k7
-    err = (
-        h * (0.0 + _E1 * k10 + _E2 * k20 + _E3 * k30 + _E4 * k40
-             + _E5 * k50 + _E6 * k60 + _E7 * k70),
-        h * (0.0 + _E1 * k11 + _E2 * k21 + _E3 * k31 + _E4 * k41
-             + _E5 * k51 + _E6 * k61 + _E7 * k71),
-    )
-    return y_new, k7, err
-
-
-def _error_norm(err, y, y_new):
-    """RMS of the error vector, each component scaled by
-    ``_ABS_TOL + _REL_TOL * max(|y|, |y_new|)``, summed in order from 0.0."""
-    if len(err) == 3:
-        e0, e1, e2 = err
-        a0, a1, a2 = abs(y[0]), abs(y[1]), abs(y[2])
-        b0, b1, b2 = abs(y_new[0]), abs(y_new[1]), abs(y_new[2])
-        r0 = e0 / (_ABS_TOL + _REL_TOL * (b0 if b0 > a0 else a0))
-        r1 = e1 / (_ABS_TOL + _REL_TOL * (b1 if b1 > a1 else a1))
-        r2 = e2 / (_ABS_TOL + _REL_TOL * (b2 if b2 > a2 else a2))
-        return math.sqrt((0.0 + r0 * r0 + r1 * r1 + r2 * r2) / 3)
-    e0, e1 = err
-    a0, a1 = abs(y[0]), abs(y[1])
-    b0, b1 = abs(y_new[0]), abs(y_new[1])
-    r0 = e0 / (_ABS_TOL + _REL_TOL * (b0 if b0 > a0 else a0))
-    r1 = e1 / (_ABS_TOL + _REL_TOL * (b1 if b1 > a1 else a1))
-    return math.sqrt((0.0 + r0 * r0 + r1 * r1) / 2)
+    a0, a1 = abs(y0), abs(y1)
+    b0, b1 = abs(n0), abs(n1)
+    r0 = h * (0.0 + _E1 * k10 + _E2 * k20 + _E3 * k30 + _E4 * k40
+              + _E5 * k50 + _E6 * k60 + _E7 * k70) / (
+        _ABS_TOL + _REL_TOL * (b0 if b0 > a0 else a0))
+    r1 = h * (0.0 + _E1 * k11 + _E2 * k21 + _E3 * k31 + _E4 * k41
+              + _E5 * k51 + _E6 * k61 + _E7 * k71) / (
+        _ABS_TOL + _REL_TOL * (b1 if b1 > a1 else a1))
+    return (n0, n1), k7, math.sqrt((0.0 + r0 * r0 + r1 * r1) / 2)
 
 
 class _Event:
@@ -228,9 +218,12 @@ class _Event:
 
     ``rate``, when given, maps the field value at a state to dg/dt there;
     the locator then polishes by Newton steps instead of secant steps.
+    ``component``, when set, says that g is that state component alone, so
+    the interpolant root evaluates only it.
     """
 
-    __slots__ = ("name", "fn", "arm_eps", "expected_sign", "rate", "armed", "last")
+    __slots__ = ("name", "fn", "arm_eps", "expected_sign", "rate", "component",
+                 "armed", "last")
 
     def __init__(self, name, fn, arm_eps, expected_sign=0, rate=None):
         self.name = name
@@ -238,6 +231,7 @@ class _Event:
         self.arm_eps = arm_eps
         self.expected_sign = expected_sign
         self.rate = rate
+        self.component = None
         self.armed = False
         self.last = 0.0
 
@@ -251,20 +245,20 @@ class _Event:
 
 def _sigma_event(direction):
     """Return to the plane z = 0 from the half-space of sign ``direction``."""
-    return _Event(
+    ev = _Event(
         "sigma", lambda y: y[2], arm_eps=1e-13, expected_sign=direction,
         rate=lambda k: k[2],
     )
+    ev.component = 2
+    return ev
 
 
 def _eval_within_step(f, y_left, k_left, dt, depth=0):
     """State at offset ``dt`` (of either sign) from ``y_left``, by
     error-controlled re-integration (split recursively until the embedded
     estimate passes)."""
-    y_new, _, err = _rk_step(f, y_left, dt, k_left)
-    if depth >= 18 or abs(dt) < 1e-15:
-        return y_new
-    if _error_norm(err, y_left, y_new) <= 1.0:
+    y_new, _, err_norm = _rk_step(f, y_left, dt, k_left)
+    if depth >= 18 or abs(dt) < 1e-15 or err_norm <= 1.0:
         return y_new
     mid = _eval_within_step(f, y_left, k_left, dt / 2.0, depth + 1)
     return _eval_within_step(f, mid, f(*mid), dt / 2.0, depth + 1)
@@ -300,15 +294,25 @@ def _interpolant_root(event, y0, k0, y1, k1, h, g0, g1):
     one, the value at the far bracket end is scaled down, which stops the
     one-sided stall of plain regula falsi.  It uses no field evaluation, so
     it runs to the interpolant's floating-point resolution: an exact zero,
-    or a secant point that no longer moves off the bracket ends.
+    or a secant point that no longer moves off the bracket ends.  An event
+    on one state component evaluates that component alone, in ``_hermite``'s
+    operation order.
     """
+    i = event.component
+    if i is not None:
+        c0, dc, d0, d1 = y0[i], y1[i] - y0[i], k0[i], k1[i]
     a, ga, b, gb = 0.0, g0, h, g1  # b is the newest point, a across the root
     t = b
     for _ in range(100):
         t = b - gb * (b - a) / (gb - ga)
         if t == a or t == b:
             break
-        g = event.fn(_hermite(y0, k0, y1, k1, h, t))
+        if i is None:
+            g = event.fn(_hermite(y0, k0, y1, k1, h, t))
+        else:
+            s = t / h
+            r = 1.0 - s
+            g = c0 + s * s * (3.0 - 2.0 * s) * dc + s * r * r * h * d0 + -s * s * r * h * d1
         if g == 0.0:
             break
         if (g > 0.0) == (gb > 0.0):
@@ -413,8 +417,7 @@ def _integrate(f, y0, events, t_limit, outside=None, h0=None, collect=None):
         h = min(h, t_limit - t)
         if h < 1e-15:
             return FlightResult(FlightStatus.TIME_OUT, y, t)
-        y_new, k_last, err = _rk_step(f, y, h, k1)
-        err_norm = _error_norm(err, y, y_new)
+        y_new, k_last, err_norm = _rk_step(f, y, h, k1)
         if err_norm > 1.0:
             h *= max(0.2, 0.9 * err_norm ** -0.2)
             continue
@@ -487,9 +490,8 @@ def integrate_to_sigma(field, q0, direction, cfg=None, h0=None):
     flight fails with NO_RETURN.  LEFT_BOX and TIME_OUT report orbits that
     escape or stall without returning.
     """
-    cfg = cfg or IntegratorConfig()
-    scale = 1.0 + field.coeff_scale()
-    tol = 1e-9 * scale
+    cfg = cfg or _DEFAULT_CONFIG
+    tol = default_tolerance(field)
     if abs(q0[2]) > tol:
         raise PreconditionError("flight must start on the switching plane")
     s = field.cz.eval_at(q0)
@@ -529,13 +531,11 @@ def fold_map_numeric(system, side, q, cfg=None):
     lies.  Failures (visible-fold side, escaping orbits) raise
     :class:`IntegrationFailure`.
     """
-    cfg = cfg or IntegratorConfig()
     field, second, halfspace = _fold_side(system, side)
     x, y = float(q[0]), float(q[1])
     point = (x, y, 0.0)
     s = field.cz.eval_at(point)
-    tol = 1e-9 * (1.0 + field.coeff_scale())
-    if abs(s) <= tol:
+    if abs(s) <= default_tolerance(field):
         return (x, y)
     forward = (s > 0.0) if side == "X" else (s < 0.0)
     use = field if forward else field.negated()
@@ -553,14 +553,12 @@ def fold_map_numeric(system, side, q, cfg=None):
 
 def return_map_numeric(system, q, cfg=None):
     """First-return map: fold map of Y followed by fold map of X."""
-    cfg = cfg or IntegratorConfig()
     mid = fold_map_numeric(system, "Y", q, cfg)
     return fold_map_numeric(system, "X", mid, cfg)
 
 
 def inverse_return_map_numeric(system, q, cfg=None):
     """Inverse of the first-return map (the folds applied in reverse order)."""
-    cfg = cfg or IntegratorConfig()
     mid = fold_map_numeric(system, "X", q, cfg)
     return fold_map_numeric(system, "Y", mid, cfg)
 
@@ -653,7 +651,7 @@ def filippov_trajectory(system, p0, horizon, cfg=None):
     only way unstable sliding is ever entered, matching the forward-time
     convention that trajectories never slide on the unstable side).
     """
-    cfg = cfg or IntegratorConfig()
+    cfg = cfg or _DEFAULT_CONFIG
     if horizon < 0:
         rev = filippov_trajectory(system.time_reversed(), p0, -horizon, cfg)
         for seg in rev.segments:

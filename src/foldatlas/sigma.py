@@ -79,7 +79,8 @@ class SigmaClassification:
 
 
 def default_tolerance(system):
-    """Zero band for Lie-derivative values: 1e-9 scaled by coefficient size."""
+    """Zero band for Lie-derivative values of a system or field: 1e-9
+    scaled by coefficient size."""
     return 1e-9 * (1.0 + system.coeff_scale())
 
 

@@ -19,7 +19,6 @@ import numpy as np
 from .algebra import (
     DegreeCapError,
     Poly3,
-    SWITCHING_FUNCTION,
     VectorField3,
     _poly,
     _prune,
@@ -99,7 +98,8 @@ class PiecewiseSystem:
     """A pair Z = (X, Y) of vector fields split by the plane {z = 0}.
 
     Immutable after construction; Lie derivatives of the switching function
-    are computed lazily and cached, so concurrent readers are safe.
+    are computed lazily and cached, so concurrent readers are safe.  Since
+    f = z, the first ones are the fields' z-components: Xf = X_z, Yf = Y_z.
     """
 
     def __init__(self, X, Y, box=DEFAULT_BOX, name="system"):
@@ -110,13 +110,13 @@ class PiecewiseSystem:
 
     # First and higher Lie derivatives of f(x,y,z) = z along X and Y.
 
-    @cached_property
+    @property
     def xf(self):
-        return lie_derivative(self.X, SWITCHING_FUNCTION)
+        return self.X.cz
 
-    @cached_property
+    @property
     def yf(self):
-        return lie_derivative(self.Y, SWITCHING_FUNCTION)
+        return self.Y.cz
 
     @cached_property
     def x2f(self):

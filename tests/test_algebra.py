@@ -13,12 +13,14 @@ except ImportError:  # the property tests at the end of this file need hypothesi
 
 from foldatlas.algebra import (
     MAX_TOTAL_DEGREE,
+    SWITCHING_FUNCTION,
     DegreeCapError,
     Poly3,
     VectorField3,
     gradient_on_sigma,
     lie_derivative,
 )
+from foldatlas.system import PiecewiseSystem, build_normal_form, load_system, serialize_system
 
 
 def p_const(c):
@@ -354,6 +356,50 @@ class TestLieDerivativeOnePass:
         at_cap = lie_derivative(field, X * Y)
         assert at_cap.degree() == MAX_TOTAL_DEGREE
         _assert_identical(at_cap, _ref_lie(field, X * Y))
+
+
+class TestFirstLieDerivativesAreZComponents:
+    """``PiecewiseSystem.xf`` and ``yf`` are the z-components themselves:
+    f = z, so the Lie derivative along a field is its z-component, bit for
+    bit."""
+
+    # signed zeros (pruned), extremes, a subnormal, integers, plain values
+    COEFFS = [0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300, 5e-324, 3, -2, 0.5, -1.75]
+
+    def _random_poly(self, rng):
+        terms = {}
+        for _ in range(int(rng.integers(0, 9))):
+            exps = tuple(int(e) for e in rng.integers(0, 4, size=3))
+            if rng.random() < 0.5:
+                terms[exps] = self.COEFFS[int(rng.integers(len(self.COEFFS)))]
+            else:
+                terms[exps] = float(rng.normal(scale=10.0 ** rng.integers(-5, 6)))
+        return Poly3(terms)
+
+    @staticmethod
+    def _assert_matches(system):
+        _assert_identical(system.xf, lie_derivative(system.X, SWITCHING_FUNCTION))
+        _assert_identical(system.yf, lie_derivative(system.Y, SWITCHING_FUNCTION))
+
+    def test_seeded_random_fields(self):
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            fx, fy = (VectorField3(*(self._random_poly(rng) for _ in "xyz")) for _ in "XY")
+            self._assert_matches(PiecewiseSystem(fx, fy))
+            # arithmetic results and negated fields skip the validating constructor
+            self._assert_matches(PiecewiseSystem(
+                VectorField3(fx.cx, fx.cy, fx.cz * fy.cz - fx.cz), fx.negated()
+            ))
+
+    def test_normal_forms_with_higher_order_terms(self):
+        hot = {"cx": [[[0, 1, 0], 0.2]], "cy": [[[1, 0, 0], -0.1]],
+               "cz": [[[2, 0, 0], 0.3], [[0, 1, 1], 0.1], [[0, 0, 2], -1e-300]]}
+        for alpha, beta, gamma, delta in [(-0.6, 1.2, 0.8, -1.0), (2.0, -1.5, -0.4, 1.0)]:
+            for extra in (None, hot):
+                system = build_normal_form(alpha, beta, gamma, delta, hot=extra)
+                self._assert_matches(system)
+                self._assert_matches(system.time_reversed())
+                self._assert_matches(load_system(serialize_system(system)))
 
 
 # -- bitwise pins and arithmetic properties (hypothesis) -------------------

@@ -152,6 +152,11 @@ class TestClassify:
         assert main(["classify", elliptic_file, *(t for kv in args.items() for t in kv)]) == 2
         assert f"{option} must be finite" in capsys.readouterr().err
 
+    def test_negative_tol_exit_2(self, elliptic_file, capsys):
+        # a negative band is an input error, not a verdict on the point
+        assert main(["classify", elliptic_file, "--point", "0,0,0", "--tol", "-1"]) == 2
+        assert "--tol must be >= 0" in capsys.readouterr().err
+
     def test_off_surface_exit_3(self, elliptic_file):
         assert main(["classify", elliptic_file, "--point", "0,0,0.5"]) == 3
 

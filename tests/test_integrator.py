@@ -14,7 +14,6 @@ from foldatlas.integrator import (
     FlightStatus,
     IntegratorConfig,
     Mode,
-    _error_norm,
     _rk_step,
     filippov_trajectory,
     fold_map_numeric,
@@ -107,13 +106,13 @@ class TestStepperBitwise:
 
     @staticmethod
     def _assert_same(f, y, h):
+        # The step returns the norm, not the error vector, so the norm of
+        # the reference error vector is what pins the error weights.
         k1 = f(*y)
-        y_new, k_last, err = _rk_step(f, y, h, k1)
+        y_new, k_last, norm = _rk_step(f, y, h, k1)
         ry_new, rk_last, rerr = _ref_rk_step(f, y, h, k1)
         assert _bits(*y_new) == _bits(*ry_new)
         assert _bits(*k_last) == _bits(*rk_last)
-        assert _bits(*err) == _bits(*rerr)
-        norm = _error_norm(err, y, y_new)
         ref = _ref_error_norm(rerr, y, ry_new, integrator._ABS_TOL, integrator._REL_TOL)
         assert _bits(norm) == _bits(ref)
 
@@ -181,8 +180,8 @@ class TestStepperBitwise:
                 f = field(dim, j, (j + 1) % dim)
                 y = (0.0,) * dim
                 self._assert_same(f, y, 1.0)
-                y_new, _, err = _rk_step(f, y, 1.0, f(*y))
-                assert math.isnan(y_new[j]) and math.isnan(err[j])
+                y_new, _, norm = _rk_step(f, y, 1.0, f(*y))
+                assert math.isnan(y_new[j]) and math.isnan(norm)
 
 
 class TestIntegrateToSigma:
@@ -566,6 +565,87 @@ class TestEventLocator:
         exit_ref = reference.segments[0].points[-1]
         exit_new = traj.segments[0].points[-1]
         assert np.max(np.abs(exit_new - exit_ref)) <= 1e-9
+
+
+class TestPlaneRootOneComponent:
+    """The plane event's interpolant root reads the z-component alone; it
+    must equal, bit for bit, the root found through ``event.fn`` on the full
+    interpolated state."""
+
+    @staticmethod
+    def _generic_plane_event():
+        # the plane event without its component: goes through _hermite
+        return integrator._Event("z", lambda y: y[2], arm_eps=0.0)
+
+    def _assert_same_root(self, event, y0, k0, y1, k1, h, g0, g1):
+        assert event.component == 2
+        got = integrator._interpolant_root(event, y0, k0, y1, k1, h, g0, g1)
+        ref = integrator._interpolant_root(
+            self._generic_plane_event(), y0, k0, y1, k1, h, g0, g1
+        )
+        assert _bits(got) == _bits(ref)
+        return got
+
+    def test_seeded_random_brackets(self):
+        rng = np.random.default_rng(31)
+        for _ in range(2000):
+            h = float(10.0 ** rng.uniform(-8, 0)) * float(rng.choice((-1.0, 1.0)))
+            y0, k0, y1, k1 = (
+                tuple(float(v) for v in rng.normal(scale=10.0 ** rng.uniform(-6, 1), size=3))
+                for _ in range(4)
+            )
+            if y0[2] * y1[2] >= 0.0:
+                y1 = (y1[0], y1[1], -y1[2])
+            if y0[2] * y1[2] >= 0.0:
+                continue
+            event = integrator._sigma_event(1 if y0[2] > 0.0 else -1)
+            t = self._assert_same_root(event, y0, k0, y1, k1, h, y0[2], y1[2])
+            assert min(0.0, h) <= t <= max(0.0, h)
+
+    def test_hot_normal_form_flights(self, monkeypatch):
+        calls = []
+        real = integrator._interpolant_root
+
+        def record(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(integrator, "_interpolant_root", record)
+        system = hot_normal_form()
+        for x in (-0.2, -0.07, 0.03, 0.15):
+            for y in (-0.12, -0.02, 0.05, 0.1):
+                fold_map_numeric(system, "Y", (x, y))
+                fold_map_numeric(system, "X", (x, y))
+        monkeypatch.undo()
+        assert len(calls) == 32
+        for args in calls:
+            self._assert_same_root(*args)
+
+
+class TestWorkCounts:
+    """One numeric Jacobian of the return map on a delta = -1 normal form:
+    6 flights (two of the eight fold maps start on the Y tangency line),
+    24 Dormand-Prince steps and 150 field evaluations.  Flights are counted
+    at ``integrate_to_sigma``, where perfbench's tracer also counts them."""
+
+    @pytest.mark.parametrize("params", [(-0.7, 1.3, 0.9), (2.5, -1.4, 0.5)])
+    def test_return_map_jacobian(self, monkeypatch, call_counts, params):
+        counts = call_counts(integrator, "integrate_to_sigma", "_rk_step")
+        real_compiled = VectorField3.compiled
+
+        def compiled(field):
+            fn = real_compiled(field)
+
+            def counted(x, y, z):
+                counts["field_evals"] += 1
+                return fn(x, y, z)
+
+            return counted
+
+        monkeypatch.setattr(VectorField3, "compiled", compiled)
+        system = build_normal_form(*params, -1.0)
+        jacobian_numeric(lambda q: return_map_numeric(system, q), (0.0, 0.0), 1e-3)
+        assert counts == {"integrate_to_sigma": 6, "_rk_step": 24, "field_evals": 150}
 
 
 class TestScipyRoute:
