@@ -28,10 +28,7 @@ from .foldfold import (
     StabilityVerdict,
     SurfacePointReport,
     VerdictKind,
-    analytic_involutions,
-    connection_region,
     demelo_palis,
-    diabolo_check,
     foldfold_report,
     make_parameters,
     moduli_info,
@@ -41,7 +38,6 @@ from .foldfold import (
     stability_verdict,
     surface_point_report,
     verdict_from_params,
-    web_scan,
 )
 from .integrator import (
     FlightStatus,
@@ -65,7 +61,6 @@ from .sigma import (
     tangency_type,
 )
 from .sliding import (
-    PlanarField,
     SlidingRegionTag,
     boundary_contact,
     foldfold_sliding_linearization,

@@ -2,24 +2,24 @@
 
 Each check pits an independent route against the implementation: numeric
 flights against closed-form involutions, random draws against sign tables,
-sweeps against analytic region predicates.  The CLI ``verify`` subcommand
+sweeps against analytic region predicates.  The closed-form route
+(``foldfold``) never integrates; every numeric loop that tests it, the
+diabolo seed iteration included, lives here.  The CLI ``verify`` subcommand
 runs reduced sample counts; the acceptance tests run the full ones.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import IntegrationFailure, PreconditionError
 from .foldfold import (
-    DiaboloReport,
     EigvecLocation,
     FixedPointClass,
-    _DIABOLO_CAP,
-    _iterate_seeds,
     demelo_palis,
     make_parameters,
     return_map_analysis,
@@ -34,6 +34,7 @@ from .integrator import (
     return_map_numeric,
     filippov_trajectory,
 )
+from .sigma import SigmaKind, classify_point
 from .sliding import (
     SlidingRegionTag,
     foldfold_sliding_linearization,
@@ -41,7 +42,7 @@ from .sliding import (
     sliding_region_class,
 )
 from .algebra import Poly3, VectorField3
-from .system import Box, PiecewiseSystem, build_normal_form
+from .system import DEFAULT_BOX, Box, PiecewiseSystem, build_normal_form
 
 
 @dataclass
@@ -418,9 +419,94 @@ def check_demelo_palis(n=10000, seed=0, tol=1e-12):
 # Diabolo invariance
 
 
+# Seed iteration: at most this many return-map applications per seed, and a
+# landing point counts as stable sliding outside this Lie-derivative band.
+_DIABOLO_CAP = 200
+_DIABOLO_BAND = 1e-11
+# Reversibility probe: distances r along the expanding direction, and the
+# bound on the X-fold image's distance to the contracting line over r^2.
+_REVERSIBILITY_RADII = (0.0125, 0.025, 0.05)
+_REVERSIBILITY_TOL = 1e-3
+# Contracting cone: seed distances along the contracting direction (both
+# signs), the return maps a seed must make, and the share of seeds that must.
+_CONE_RADII = tuple(np.logspace(-6.0, -2.0, 10).tolist())
+_CONE_MIN_ITERATIONS = 10
+_CONE_MIN_FRACTION = 0.9
+
+
+@dataclass
+class DiaboloReport:
+    """Outcomes of iterated seeds.  Each seed ends in one of ``violations``,
+    ``escaped``, ``exhausted`` or ``failed`` (a count per
+    :class:`FlightStatus`); ``iterations`` holds each seed's number of
+    return maps."""
+
+    violations: int = 0
+    escaped: int = 0
+    exhausted: int = 0
+    failed: dict = field(default_factory=dict)
+    iterations: list = field(default_factory=list)
+
+    def outcomes(self):
+        by_status = ", ".join(
+            f"{status.value} {self.failed[status]}" for status in FlightStatus
+            if status in self.failed
+        )
+        return (
+            f"{self.escaped} escaped, "
+            f"{sum(self.failed.values())} stopped by a failed flight, "
+            f"{self.exhausted} reached {_DIABOLO_CAP} iterations; "
+            f"at most {max(self.iterations, default=0)} iterations"
+            + (f" (failed flights: {by_status})" if by_status else "")
+        )
+
+
+def _iterate_seeds(system, seeds, report):
+    """Apply the numeric return map to each seed until its image lands in
+    stable sliding (a violation), leaves ``DEFAULT_BOX`` (escaped), a flight fails
+    or ``_DIABOLO_CAP`` maps are done (exhausted); add the outcomes to
+    ``report``."""
+    for current in seeds:
+        iterations = 0
+        for _ in range(_DIABOLO_CAP):
+            try:
+                current = return_map_numeric(system, current)
+            except IntegrationFailure as exc:
+                report.failed[exc.status] = report.failed.get(exc.status, 0) + 1
+                break
+            iterations += 1
+            q = (current[0], current[1], 0.0)
+            if not DEFAULT_BOX.contains(q):
+                report.escaped += 1
+                break
+            if classify_point(system, q, _DIABOLO_BAND).kind is SigmaKind.STABLE_SLIDING:
+                report.violations += 1
+                break
+        else:
+            report.exhausted += 1
+        report.iterations.append(iterations)
+
+
+def _reversal_residual(system, analysis):
+    """Largest distance of the X-fold image of a point at distance r from
+    the two-fold along the expanding direction (both signs) to the
+    contracting line, over r^2.  The X-fold involution swaps the saddle's
+    two eigenlines, so this is second order in r."""
+    ux, uy = analysis.v_expanding.tolist()
+    sx, sy = analysis.v_contracting.tolist()
+    worst = 0.0
+    for r in _REVERSIBILITY_RADII:
+        for sign in (1.0, -1.0):
+            wx, wy = fold_map_numeric(system, "X", (sign * r * ux, sign * r * uy))
+            worst = max(worst, abs(sx * wy - sy * wx) / (r * r))
+    return worst
+
+
 def check_diabolo(n_draws=100, n_systems=10, seeds_per_system=100, seed=0):
-    """Stable T-singularities: eigenvectors in the crossing region and no
-    unstable-to-stable sliding communication under return-map iteration."""
+    """Stable T-singularities: eigenvectors in the crossing region, no
+    unstable-to-stable sliding communication under return-map iteration, the
+    X-fold map carrying the expanding line onto the contracting one, and
+    seeds on the contracting line making many return maps before they stop."""
     rng = np.random.default_rng(seed)
     bad_vectors = 0
     draws = []
@@ -439,7 +525,10 @@ def check_diabolo(n_draws=100, n_systems=10, seeds_per_system=100, seed=0):
     while len(iteration_draws) < n_systems:
         a, b, g = _draw_stable_elliptic(rng, margin=0.3)
         iteration_draws.append((a, b, g))
-    outcomes = DiaboloReport(True)
+    outcomes = DiaboloReport()
+    cone = DiaboloReport()
+    worst_reversal = 0.0
+    reversal_failures = 0
     for a, b, g in iteration_draws:
         system = build_normal_form(a, b, g, -1.0)
         starts = [
@@ -447,10 +536,17 @@ def check_diabolo(n_draws=100, n_systems=10, seeds_per_system=100, seed=0):
             for _ in range(seeds_per_system)
         ]
         _iterate_seeds(system, starts, outcomes)
-    by_status = ", ".join(
-        f"{status.value} {outcomes.failed[status]}" for status in FlightStatus
-        if status in outcomes.failed
-    )
+        analysis = return_map_analysis(make_parameters(a, b, g, -1.0))
+        try:
+            worst_reversal = max(worst_reversal, _reversal_residual(system, analysis))
+        except IntegrationFailure:
+            reversal_failures += 1
+        vx, vy = analysis.v_contracting.tolist()
+        cone_starts = [(s * r * vx, s * r * vy) for r in _CONE_RADII for s in (1.0, -1.0)]
+        _iterate_seeds(system, cone_starts, cone)
+    long_runs = sum(n >= _CONE_MIN_ITERATIONS for n in cone.iterations)
+    cone_fraction = long_runs / len(cone.iterations) if cone.iterations else 0.0
+    histogram = dict(sorted(Counter(cone.iterations).items()))
     return [
         CheckResult(
             "diabolo eigenvectors in crossing",
@@ -464,12 +560,26 @@ def check_diabolo(n_draws=100, n_systems=10, seeds_per_system=100, seed=0):
             outcomes.violations == 0,
             float(outcomes.violations),
             0.0,
-            f"{outcomes.seeds_run} iterated unstable-sliding seeds: "
-            f"{outcomes.escaped} escaped, "
-            f"{sum(outcomes.failed.values())} stopped by a failed flight, "
-            f"{outcomes.exhausted} reached {_DIABOLO_CAP} iterations; "
-            f"at most {outcomes.max_iterations} iterations"
-            + (f" (failed flights: {by_status})" if by_status else ""),
+            f"{len(outcomes.iterations)} iterated unstable-sliding seeds: "
+            + outcomes.outcomes(),
+        ),
+        CheckResult(
+            "diabolo reversibility",
+            reversal_failures == 0 and worst_reversal <= _REVERSIBILITY_TOL,
+            worst_reversal,
+            _REVERSIBILITY_TOL,
+            f"{n_systems} systems, X-fold images of points at r in "
+            f"{_REVERSIBILITY_RADII} along the expanding direction; "
+            f"{reversal_failures} systems with a failed fold map",
+        ),
+        CheckResult(
+            "diabolo contracting cone",
+            cone_fraction >= _CONE_MIN_FRACTION,
+            1.0 - cone_fraction,
+            1.0 - _CONE_MIN_FRACTION,
+            f"{long_runs}/{len(cone.iterations)} seeds on the contracting line made "
+            f">= {_CONE_MIN_ITERATIONS} return maps; iteration histogram {histogram}; "
+            f"{cone.violations} landed in stable sliding, " + cone.outcomes(),
         ),
     ]
 

@@ -94,8 +94,11 @@ def _read_system(path):
 
 def _write_out(text, out):
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise MalformedDocumentError(f"cannot write {out}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -242,6 +245,8 @@ def cmd_simulate(args):
 
 def cmd_verify(args):
     _finite(args.scale, "--scale")
+    if args.seed < 0:
+        raise MalformedDocumentError("--seed must be >= 0")
     if args.suite == "none" and not args.system:
         print("no checks selected")
         return 0

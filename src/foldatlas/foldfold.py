@@ -1,6 +1,7 @@
-"""Two-fold singularity analysis: normal parameters, the pair of fold
-involutions, first-return-map eigenanalysis, structural-stability verdicts
-and moduli diagnostics.
+"""Closed-form two-fold singularity analysis: normal parameters,
+first-return-map eigenanalysis, structural-stability verdicts and moduli
+diagnostics.  Nothing here integrates: the numeric route lives in
+``integrator`` and ``checks`` compares the two.
 
 Every decision reduces to inequalities in the normal parameters
 (alpha, beta, gamma, delta): alpha and beta are the rescaled mixed second
@@ -14,20 +15,13 @@ the fixed relative band ``sliding.BOUNDARY_BAND`` of each other count as equal.
 
 from __future__ import annotations
 
-import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .errors import IntegrationFailure, PreconditionError
-from .integrator import (
-    fold_map_numeric,
-    inverse_return_map_numeric,
-    jacobian_numeric,
-    return_map_numeric,
-)
+from .errors import PreconditionError
 from .sigma import (
     FoldFoldSubtype,
     SigmaClassification,
@@ -50,9 +44,6 @@ from .sliding import (
     normalized_sliding_field,
     sliding_region_class,
 )
-from .system import DEFAULT_BOX
-
-log = logging.getLogger(__name__)
 
 # Largest denominator of a reported tau/pi convergent; relative distance from
 # the parabolic wedge's edges within which a point is not strictly outside.
@@ -133,21 +124,7 @@ def mirror_parameters(params):
 
 
 # ---------------------------------------------------------------------------
-# Involutions and the first-return map
-
-
-def analytic_involutions(params):
-    """Linear parts of the two fold involutions on the plane.
-
-    ``A_X = [[1, -2a], [0, -1]]`` and ``A_Y = [[-1, 0], [-2b/g, 1]]``; both
-    square to the identity and have determinant -1.
-    """
-    a, b, g = params.alpha, params.beta, params.gamma
-    if g == 0.0:
-        raise PreconditionError("gamma must be nonzero")
-    ax = np.array([[1.0, -2.0 * a], [0.0, -1.0]])
-    ay = np.array([[-1.0, 0.0], [-2.0 * b / g, 1.0]])
-    return ax, ay
+# The first-return map
 
 
 class FixedPointClass(Enum):
@@ -542,50 +519,7 @@ def _sliding_point_verdict(system, point, cls, tol):
 
 
 # ---------------------------------------------------------------------------
-# Connection region and parabolic transversality coefficients
-
-
-@dataclass
-class ConnectionReport:
-    exists: bool | None
-    degenerate: bool
-    direction: tuple
-    description: str
-
-
-def connection_region(params):
-    """Do orbits of the invisible fold connect the two sliding regions?
-
-    Connections exist precisely when the effective ``alpha`` is positive: the
-    involution then maps the visible fold's tangency line into the sliding
-    region, carrying a wedge of unstable sliding into stable sliding.  At
-    ``alpha = 0`` the image is tangent to the line and the question
-    degenerates.
-    """
-    if params.subtype is FoldFoldSubtype.VISIBLE_INVISIBLE:
-        params = mirror_parameters(params)
-    if params.subtype is not FoldFoldSubtype.INVISIBLE_VISIBLE:
-        raise PreconditionError("connection region applies to parabolic two-folds")
-    a = params.alpha
-    direction = (-2.0 * a, -1.0)
-    if near(a, 0.0):
-        return ConnectionReport(
-            exists=None,
-            degenerate=True,
-            direction=direction,
-            description="fold image tangent to the visible tangency line (alpha = 0)",
-        )
-    exists = a > 0.0
-    side = "inside" if exists else "outside"
-    return ConnectionReport(
-        exists=exists,
-        degenerate=False,
-        direction=direction,
-        description=(
-            f"fold image of the visible tangency line points along {direction}, "
-            f"{side} the sliding region"
-        ),
-    )
+# Parabolic transversality coefficients
 
 
 @dataclass
@@ -610,246 +544,6 @@ def parabolic_transversality(params):
     return TransversalityCoefficients(
         D_coeff=-2.0 * (a + b) * (a * b - g),
         T_coeff=2.0 * a * (a + b) - g,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Numeric diagnostics: invariant double cone and foliation web
-
-
-# Seed iteration: at most this many return-map applications per seed, and a
-# landing point counts as stable sliding outside this Lie-derivative band.
-# ``diabolo_check`` probes reversibility and draws its seeds within this
-# distance of the two-fold.
-_DIABOLO_CAP = 200
-_DIABOLO_BAND = 1e-11
-_DIABOLO_RADIUS = 0.05
-
-
-@dataclass
-class DiaboloReport:
-    """Diabolo checks at one T-singularity.  Each iterated seed ends in one
-    of ``violations``, ``escaped``, ``exhausted`` or ``failed`` (a count per
-    :class:`FlightStatus`)."""
-
-    applicable: bool
-    reason: str = ""
-    eigenvectors_in_crossing: bool = False
-    reversibility_ok: bool = False
-    reversibility_ratios: list | None = None
-    seeds_run: int = 0
-    violations: int = 0
-    escaped: int = 0
-    exhausted: int = 0
-    failed: dict = field(default_factory=dict)
-    max_iterations: int = 0
-
-
-def _iterate_seeds(system, seeds, report):
-    """Apply the numeric return map to each seed until its image lands in
-    stable sliding (a violation), leaves ``DEFAULT_BOX`` (escaped), a flight fails
-    or ``_DIABOLO_CAP`` maps are done (exhausted); add the outcomes to
-    ``report``."""
-    for current in seeds:
-        report.seeds_run += 1
-        iterations = 0
-        for _ in range(_DIABOLO_CAP):
-            try:
-                current = return_map_numeric(system, current)
-            except IntegrationFailure as exc:
-                report.failed[exc.status] = report.failed.get(exc.status, 0) + 1
-                break
-            iterations += 1
-            q = (current[0], current[1], 0.0)
-            if not DEFAULT_BOX.contains(q):
-                report.escaped += 1
-                break
-            if classify_point(system, q, _DIABOLO_BAND).kind is SigmaKind.STABLE_SLIDING:
-                report.violations += 1
-                break
-        else:
-            report.exhausted += 1
-        report.max_iterations = max(report.max_iterations, iterations)
-    return report
-
-
-def _sample_unstable_sliding_seeds(system, point, n, rng):
-    seeds = []
-    attempts = 0
-    while len(seeds) < n and attempts < 200 * n:
-        attempts += 1
-        theta = rng.uniform(0.0, 2.0 * math.pi)
-        r = _DIABOLO_RADIUS * (0.2 + 0.8 * rng.random())
-        q = (point[0] + r * math.cos(theta), point[1] + r * math.sin(theta), 0.0)
-        if classify_point(system, q).kind is SigmaKind.UNSTABLE_SLIDING:
-            seeds.append(q[:2])
-    return seeds
-
-
-def diabolo_check(system, point, n_seeds=50, seed=0):
-    """Checks on the invariant double cone of a stable T-singularity.
-
-    (i) both saddle eigendirections lie in the crossing region; (ii) the
-    numeric X-fold map carries points near the expanding manifold onto the
-    contracting one to second order (reversibility); (iii) iterated
-    unstable-sliding seeds never enter stable sliding before leaving the
-    analysis box.
-    """
-    params = normal_parameters(system, point)
-    if params.subtype is not FoldFoldSubtype.INVISIBLE:
-        return DiaboloReport(False, reason="not a T-singularity")
-    verdict = verdict_from_params(params)
-    if not verdict.stable():
-        return DiaboloReport(False, reason=f"not stable: {verdict.kind.value}")
-    analysis = verdict.analysis
-    locs_ok = (
-        analysis.location_contracting is EigvecLocation.IN_CROSSING
-        and analysis.location_expanding is EigvecLocation.IN_CROSSING
-    )
-
-    ratios = []
-    v_u = analysis.v_expanding
-    v_s = analysis.v_contracting
-    for r in (_DIABOLO_RADIUS / 4, _DIABOLO_RADIUS / 2, _DIABOLO_RADIUS):
-        for sign in (1.0, -1.0):
-            q = (point[0] + sign * r * v_u[0], point[1] + sign * r * v_u[1])
-            w = fold_map_numeric(system, "X", q)
-            d = abs(
-                v_s[0] * (w[1] - point[1]) - v_s[1] * (w[0] - point[0])
-            )  # distance to the contracting line
-            ratios.append(d / (r * r))
-    finite = [r for r in ratios if math.isfinite(r)]
-    rev_ok = bool(finite) and (
-        max(finite) <= 1e-3 or max(finite) <= 10.0 * (1.0 + min(finite))
-    )
-
-    rng = np.random.default_rng(seed)
-    seeds = _sample_unstable_sliding_seeds(system, point, n_seeds, rng)
-    report = DiaboloReport(
-        applicable=True,
-        eigenvectors_in_crossing=locs_ok,
-        reversibility_ok=rev_ok,
-        reversibility_ratios=ratios,
-    )
-    return _iterate_seeds(system, seeds, report)
-
-
-@dataclass
-class WebScanReport:
-    applicable: bool
-    reason: str = ""
-    estimates: dict | None = None  # (i, j, branch) -> fitted quadratic coefficient
-    transversal_pairs: list | None = None
-    radii: tuple = ()
-
-
-def web_scan(system, point, n=2):
-    """Pairwise transversality of return-map transports of the sliding field.
-
-    For a saddle T-singularity with an invariant manifold inside the sliding
-    region, the even return-map iterates push the normalized sliding field
-    onto overlapping domains; the determinant of any two transports vanishes
-    to second order along the eigendirections, and its quadratic coefficient
-    decides transversality of the resulting foliations.
-    """
-    params = normal_parameters(system, point)
-    if params.subtype is not FoldFoldSubtype.INVISIBLE:
-        return WebScanReport(False, reason="not a T-singularity")
-    analysis = return_map_analysis(params)
-    if analysis.fixed_point_class is not FixedPointClass.SADDLE:
-        return WebScanReport(False, reason="return map is not a saddle")
-    in_sliding = [
-        loc
-        for loc in (analysis.location_contracting, analysis.location_expanding)
-        if loc is EigvecLocation.IN_SLIDING
-    ]
-    if not in_sliding:
-        return WebScanReport(False, reason="no invariant manifold in the sliding region")
-    if n < 1:
-        return WebScanReport(True, estimates={}, transversal_pairs=[], radii=())
-
-    fld = normalized_sliding_field(system)
-    f0 = fld.compiled()
-    px, py = point[0], point[1]
-
-    def phi2(q):
-        return return_map_numeric(system, return_map_numeric(system, q))
-
-    def phi2_inv(q):
-        return inverse_return_map_numeric(system, inverse_return_map_numeric(system, q))
-
-    def transported(i, q):
-        """(phi^{2i})-pushforward of the sliding field evaluated at q."""
-        base = q
-        for _ in range(i):
-            base = phi2_inv(base)
-        vx, vy = f0(base[0], base[1])
-        pt = base
-        for _ in range(i):
-            (m00, m01), (m10, m11) = jacobian_numeric(phi2, pt, h=1e-4).tolist()
-            vx, vy = m00 * vx + m01 * vy, m10 * vx + m11 * vy
-            pt = phi2(pt)
-        return vx, vy
-
-    def fit_quadratic(ts, ds):
-        # d(t) ~ A t^2 + B t^3: least squares for (A, B); returns A and
-        # the relative residual of the fit.
-        M = np.array([[t * t, t * t * t] for t in ts])
-        coef, *_ = np.linalg.lstsq(M, np.array(ds), rcond=None)
-        resid = np.linalg.norm(M @ coef - np.array(ds))
-        scale = np.linalg.norm(ds) + 1e-300
-        return coef[0], resid / scale
-
-    # Backward iteration expands along the contracting manifold by the
-    # squared expanding eigenvalue per step, so the sampling radii must
-    # shrink accordingly to keep the pulled-back base points in the chart.
-    mu = max(abs(v) for v in analysis.eigenvalues)
-    shrink = min(1.0, 0.25 / mu ** (2 * n))
-    base_radii = tuple(shrink * r for r in (0.004, 0.008, 0.016, 0.032))
-    directions = [("contracting", analysis.v_contracting),
-                  ("expanding", analysis.v_expanding)]
-    estimates = {}
-    failure = None
-    for widen in (1.0, 3.0):
-        try:
-            estimates = {}
-            ok = True
-            for label, v in directions:
-                for i in range(0, n + 1):
-                    for j in range(i + 1, n + 1):
-                        ts, ds = [], []
-                        for r in base_radii:
-                            t = widen * r
-                            q = (px + t * v[0], py + t * v[1])
-                            fi = transported(i, q)
-                            fj = transported(j, q)
-                            ds.append(fi[0] * fj[1] - fi[1] * fj[0])
-                            ts.append(t)
-                        a_est, resid = fit_quadratic(ts, ds)
-                        estimates[(i, j, label)] = a_est
-                        if resid > 0.5:
-                            ok = False
-            if ok:
-                break
-        except IntegrationFailure as exc:
-            failure = exc.status
-            log.info(
-                "web scan: flight failed (%s) at radii %s",
-                failure.value,
-                tuple(widen * r for r in base_radii),
-            )
-    else:
-        last = f" (last flight failure: {failure.value})" if failure is not None else ""
-        raise PreconditionError(f"web scan fit unstable even after widening radii{last}")
-    scale = 1.0 + max(fld.px.coeff_scale(), fld.py.coeff_scale())
-    transversal = sorted(
-        {(i, j) for (i, j, _), a in estimates.items() if abs(a) > 1e-6 * scale}
-    )
-    return WebScanReport(
-        True,
-        estimates=estimates,
-        transversal_pairs=transversal,
-        radii=tuple(widen * r for r in base_radii),
     )
 
 

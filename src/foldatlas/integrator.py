@@ -557,12 +557,6 @@ def return_map_numeric(system, q, cfg=None):
     return fold_map_numeric(system, "X", mid, cfg)
 
 
-def inverse_return_map_numeric(system, q, cfg=None):
-    """Inverse of the first-return map (the folds applied in reverse order)."""
-    mid = fold_map_numeric(system, "X", q, cfg)
-    return fold_map_numeric(system, "Y", mid, cfg)
-
-
 def jacobian_numeric(map_fn, q, h=1e-3):
     """Central-difference Jacobian of a planar map at ``q``."""
     x, y = float(q[0]), float(q[1])

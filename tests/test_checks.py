@@ -1,9 +1,10 @@
+import dataclasses
 import re
 
 import numpy as np
 import pytest
 
-from foldatlas import checks, foldfold, integrator
+from foldatlas import checks, integrator
 from foldatlas.algebra import Poly3, VectorField3
 from foldatlas.errors import IntegrationFailure
 from foldatlas.integrator import (
@@ -12,6 +13,7 @@ from foldatlas.integrator import (
     Trajectory,
     TrajectorySegment,
 )
+from foldatlas.sliding import _eigvec2
 from foldatlas.system import PiecewiseSystem
 
 
@@ -86,7 +88,7 @@ class TestDiaboloCounts:
 
     def test_landing_in_stable_sliding_fails(self, monkeypatch):
         # the first quadrant is stable sliding of every normal form with delta = -1
-        monkeypatch.setattr(foldfold, "return_map_numeric", lambda s, q, cfg=None: (0.5, 0.5))
+        monkeypatch.setattr(checks, "return_map_numeric", lambda s, q, cfg=None: (0.5, 0.5))
         sep = self._separation()
         assert not sep.passed
         assert sep.residual == 20.0
@@ -96,11 +98,81 @@ class TestDiaboloCounts:
         def time_out(system, q, cfg=None):
             raise IntegrationFailure(FlightStatus.TIME_OUT)
 
-        monkeypatch.setattr(foldfold, "return_map_numeric", time_out)
+        monkeypatch.setattr(checks, "return_map_numeric", time_out)
         sep = self._separation()
         assert sep.passed
         assert "0 escaped, 20 stopped by a failed flight" in sep.detail
         assert sep.detail.endswith("at most 0 iterations (failed flights: time-out 20)")
+
+
+class TestDiaboloCompanions:
+    """The reversibility and contracting-cone rows of criterion 8 pass on
+    the closed-form eigendirections and fail on wrong ones."""
+
+    @staticmethod
+    def _patch_vectors(monkeypatch, vectors):
+        """Replace the closed-form (v_contracting, v_expanding) by
+        ``vectors(analysis)``."""
+        exact = checks.return_map_analysis
+
+        def patched(params):
+            analysis = exact(params)
+            v_contracting, v_expanding = vectors(analysis)
+            return dataclasses.replace(
+                analysis, v_contracting=v_contracting, v_expanding=v_expanding
+            )
+
+        monkeypatch.setattr(checks, "return_map_analysis", patched)
+
+    @staticmethod
+    def _rows():
+        results = checks.check_diabolo(n_draws=5, n_systems=2, seeds_per_system=10, seed=3)
+        return (
+            _by_name(results, "diabolo reversibility"),
+            _by_name(results, "diabolo contracting cone"),
+        )
+
+    def test_closed_form_directions_pass(self):
+        reversibility, cone = self._rows()
+        assert reversibility.passed and reversibility.residual <= 1e-10
+        assert cone.passed
+        m = re.match(r"(\d+)/(\d+) seeds on the contracting line", cone.detail)
+        assert int(m.group(2)) == 40  # 10 radii x 2 signs x 2 systems
+        counts = re.search(r"iteration histogram \{(.*)\}", cone.detail).group(1)
+        assert sum(int(c.split(": ")[1]) for c in counts.split(", ")) == 40
+
+    def test_swapped_directions_fail_the_cone(self, monkeypatch):
+        # The X-fold map swaps the two eigenlines, so the reversibility probe
+        # cannot tell them apart; seeds on the expanding line leave quickly.
+        self._patch_vectors(monkeypatch, lambda a: (a.v_expanding, a.v_contracting))
+        reversibility, cone = self._rows()
+        assert reversibility.passed
+        assert not cone.passed
+        assert cone.residual > cone.threshold
+
+    def test_transposed_eigenvectors_fail_reversibility(self, monkeypatch):
+        def transposed(analysis):
+            (m00, m01), (m10, m11) = analysis.matrix.tolist()
+            small, big = (v.real for v in analysis.eigenvalues)
+            return (
+                np.array(_eigvec2(m00, m10, m01, m11, small)),
+                np.array(_eigvec2(m00, m10, m01, m11, big)),
+            )
+
+        self._patch_vectors(monkeypatch, transposed)
+        reversibility, cone = self._rows()
+        assert not reversibility.passed
+        assert reversibility.residual > 1.0
+        assert not cone.passed
+
+    def test_failed_fold_map_fails_reversibility(self, monkeypatch):
+        def left_box(system, side, q, cfg=None):
+            raise IntegrationFailure(FlightStatus.LEFT_BOX)
+
+        monkeypatch.setattr(checks, "fold_map_numeric", left_box)
+        reversibility, _ = self._rows()
+        assert not reversibility.passed
+        assert "2 systems with a failed fold map" in reversibility.detail
 
 
 class TestSlidingMembership:

@@ -206,6 +206,13 @@ class TestSweep:
             assert row[6] == "saddle"
             assert row[7] == "stable"
 
+    def test_unwritable_out_exit_2(self, tmp_path, capsys):
+        # --out names a directory, which cannot be opened for writing
+        rc = main(["sweep", "--alpha", "-1:1:2", "--beta", "-1:1:2", "--gamma", "1",
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {tmp_path}: ")
+
     def test_bad_range_exit_2(self):
         assert main(["sweep", "--alpha", "3:1:5", "--beta", "-1:1:5", "--gamma", "1"]) == 2
         assert main(["sweep", "--alpha", "-1:1:1", "--beta", "-1:1:5", "--gamma", "1"]) == 2
@@ -303,6 +310,11 @@ class TestVerify:
     def test_non_finite_scale_exit_2(self, scale, capsys):
         assert main(["verify", "--suite", "regions", "--scale", scale]) == 2
         assert "--scale must be finite" in capsys.readouterr().err
+
+    def test_negative_seed_exit_2(self, capsys):
+        assert main(["verify", "--suite", "regions", "--seed", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: --seed must be >= 0\n"
 
     def test_small_suite(self, capsys):
         rc = main(["verify", "--suite", "sliding", "--scale", "0.12", "--seed", "1"])

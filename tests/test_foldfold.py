@@ -1,4 +1,4 @@
-import logging
+import ast
 import math
 
 import numpy as np
@@ -6,17 +6,14 @@ import pytest
 
 from foldatlas import foldfold, sigma
 from foldatlas.algebra import Poly3, VectorField3
-from foldatlas.errors import IntegrationFailure, PreconditionError
+from foldatlas.errors import PreconditionError
 from foldatlas.foldfold import (
     EigvecLocation,
     FixedPointClass,
     InstabilityReason,
     NormalParameters,
     VerdictKind,
-    analytic_involutions,
-    connection_region,
     demelo_palis,
-    diabolo_check,
     make_parameters,
     mirror_parameters,
     moduli_info,
@@ -26,9 +23,7 @@ from foldatlas.foldfold import (
     return_map_analysis,
     stability_verdict,
     verdict_from_params,
-    web_scan,
 )
-from foldatlas.integrator import FlightStatus
 from foldatlas.sigma import FoldFoldSubtype
 from foldatlas.sliding import SlidingRegionTag, _eigvec2, linear_eigensystem
 from foldatlas.system import PiecewiseSystem, build_normal_form
@@ -110,45 +105,6 @@ class TestSubtypeValidation:
         assert len(_INCONSISTENT) == 12
         for sub, (d, sg) in _SUBTYPE_SIGNS.items():
             assert NormalParameters(1.0, 2.0, 0.7 * sg, d, sub).subtype is sub
-
-
-class TestInvolutions:
-    def test_example_matrices(self):
-        ax, _ = analytic_involutions(make_parameters(-1.0, 0.3, 1.0, -1.0))
-        assert np.allclose(ax, [[1.0, 2.0], [0.0, -1.0]])
-        assert np.allclose(ax @ ax, np.eye(2))
-        _, ay = analytic_involutions(make_parameters(0.3, -1.0, 1.0, -1.0))
-        assert np.allclose(ay, [[-1.0, 0.0], [2.0, 1.0]])
-        assert np.linalg.det(ay) == pytest.approx(-1.0)
-
-    def test_alpha_zero_fixes_x_axis(self):
-        ax, _ = analytic_involutions(make_parameters(0.0, 1.0, 1.0, -1.0))
-        assert np.allclose(ax, np.diag([1.0, -1.0]))
-
-    def test_involution_identities_random(self):
-        rng = np.random.default_rng(4)
-        for _ in range(200):
-            a, b = rng.uniform(-3, 3, size=2)
-            g = rng.uniform(0.2, 3.0)
-            ax, ay = analytic_involutions(make_parameters(a, b, g, -1.0))
-            assert np.allclose(ax @ ax, np.eye(2), atol=1e-12)
-            assert np.allclose(ay @ ay, np.eye(2), atol=1e-12)
-            assert np.linalg.det(ax) == pytest.approx(-1.0, abs=1e-12)
-            assert np.linalg.det(ay) == pytest.approx(-1.0, abs=1e-12)
-
-    def test_composition_identities(self):
-        # phi^n o phi_X = phi_X o phi^-n at the linear level
-        rng = np.random.default_rng(14)
-        for _ in range(100):
-            a, b = rng.uniform(-3, 3, size=2)
-            g = rng.uniform(0.2, 3.0)
-            ax, ay = analytic_involutions(make_parameters(a, b, g, -1.0))
-            m = ax @ ay
-            minv = np.linalg.inv(m)
-            for n in (1, 2, 3):
-                lhs = np.linalg.matrix_power(m, n) @ ax
-                rhs = ax @ np.linalg.matrix_power(minv, n)
-                assert np.allclose(lhs, rhs, atol=1e-10 * max(1, np.abs(lhs).max()))
 
 
 class TestReturnMapAnalysis:
@@ -459,31 +415,6 @@ class TestSystemLevelVerdicts:
         assert report.analysis.trace == pytest.approx(6.0)
 
 
-class TestConnectionRegion:
-    def test_exists(self):
-        rep = connection_region(make_parameters(1.0, 1.0, -1.0, -1.0))
-        assert rep.exists is True
-        assert rep.direction == (-2.0, -1.0)
-
-    def test_not_exists(self):
-        rep = connection_region(make_parameters(-1.0, 1.0, -1.0, -1.0))
-        assert rep.exists is False
-
-    def test_degenerate(self):
-        rep = connection_region(make_parameters(0.0, 1.0, -1.0, -1.0))
-        assert rep.exists is None
-        assert rep.degenerate
-
-    def test_mirrored_input(self):
-        # visible-invisible: connections iff beta < 0
-        assert connection_region(make_parameters(1.0, -2.0, 1.0, 1.0)).exists is True
-        assert connection_region(make_parameters(1.0, 2.0, 1.0, 1.0)).exists is False
-
-    def test_wrong_subtype(self):
-        with pytest.raises(PreconditionError):
-            connection_region(make_parameters(-1.0, -1.0, 1.0, -1.0))
-
-
 class TestParabolicTransversality:
     def test_examples(self):
         c = parabolic_transversality(make_parameters(1.0, 1.0, -1.0, -1.0))
@@ -495,76 +426,18 @@ class TestParabolicTransversality:
         assert c.T_coeff == pytest.approx(0.0)
 
 
-class TestNumericDiagnostics:
-    def test_diabolo_pass(self):
-        system = build_normal_form(-2.0, -1.0, 1.0, -1.0)
-        report = diabolo_check(system, (0.0, 0.0, 0.0), n_seeds=10, seed=1)
-        assert report.applicable
-        assert report.eigenvectors_in_crossing
-        assert report.reversibility_ok
-        assert report.violations == 0
-        assert self._outcomes(report) == report.seeds_run == 10
-        assert 0 <= report.max_iterations <= 200
-
-    @staticmethod
-    def _outcomes(report):
-        """Seeds with a recorded end: each seed has exactly one."""
-        return (
-            report.escaped + report.exhausted + report.violations
-            + sum(report.failed.values())
-        )
-
-    def test_diabolo_landing_in_stable_sliding_is_a_violation(self, monkeypatch):
-        # (0.5, 0.5) has Xf = -y < 0 < Yf = x: stable sliding
-        monkeypatch.setattr(foldfold, "return_map_numeric", lambda s, q, cfg=None: (0.5, 0.5))
-        system = build_normal_form(-2.0, -1.0, 1.0, -1.0)
-        report = diabolo_check(system, (0.0, 0.0, 0.0), n_seeds=10, seed=1)
-        assert report.violations == report.seeds_run == 10
-        assert report.max_iterations == 1
-
-    def test_diabolo_failed_flights_by_status(self, monkeypatch):
-        def time_out(system, q, cfg=None):
-            raise IntegrationFailure(FlightStatus.TIME_OUT)
-
-        monkeypatch.setattr(foldfold, "return_map_numeric", time_out)
-        system = build_normal_form(-2.0, -1.0, 1.0, -1.0)
-        report = diabolo_check(system, (0.0, 0.0, 0.0), n_seeds=10, seed=1)
-        assert report.failed == {FlightStatus.TIME_OUT: 10}
-        assert self._outcomes(report) == report.seeds_run == 10
-        assert report.max_iterations == 0
-
-    def test_diabolo_not_applicable(self):
-        system = build_normal_form(1.0, -1.0, 2.0, -1.0)
-        report = diabolo_check(system, (0.0, 0.0, 0.0))
-        assert not report.applicable
-
-    def test_web_scan_applicable(self):
-        system = build_normal_form(2.0, 2.0, 1.0, -1.0)
-        report = web_scan(system, (0.0, 0.0, 0.0), n=1)
-        assert report.applicable
-        assert (0, 1) in report.transversal_pairs
-
-    def test_web_scan_trivial(self):
-        system = build_normal_form(2.0, 2.0, 1.0, -1.0)
-        report = web_scan(system, (0.0, 0.0, 0.0), n=0)
-        assert report.applicable
-        assert report.transversal_pairs == []
-
-    def test_web_scan_names_the_failed_flight(self, monkeypatch, caplog):
-        def left_box(*args, **kwargs):
-            raise IntegrationFailure(FlightStatus.LEFT_BOX)
-
-        monkeypatch.setattr(foldfold, "return_map_numeric", left_box)
-        system = build_normal_form(2.0, 2.0, 1.0, -1.0)
-        with caplog.at_level(logging.INFO, logger="foldatlas.foldfold"):
-            with pytest.raises(PreconditionError, match="left-box"):
-                web_scan(system, (0.0, 0.0, 0.0), n=1)
-        failures = [r for r in caplog.records if r.name == "foldatlas.foldfold"]
-        # one record per widening of the radii
-        assert len(failures) == 2
-        assert all("left-box" in r.getMessage() for r in failures)
-
-    def test_web_scan_not_applicable(self):
-        system = build_normal_form(-2.0, -1.0, 1.0, -1.0)
-        report = web_scan(system, (0.0, 0.0, 0.0))
-        assert not report.applicable
+class TestRouteIndependence:
+    def test_foldfold_imports_nothing_from_integrator(self):
+        # The closed-form route must not reach the numeric one it is checked
+        # against.
+        with open(foldfold.__file__, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                imported.add("." * node.level + (node.module or ""))
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+        assert ".sigma" in imported
+        assert not {".integrator", "integrator", "foldatlas.integrator"} & imported
