@@ -165,6 +165,23 @@ class TestDiaboloCompanions:
         assert reversibility.residual > 1.0
         assert not cone.passed
 
+    def test_alpha_off_by_one_percent_fails_reversibility(self, monkeypatch):
+        exact = checks.return_map_analysis
+
+        def perturbed(params):
+            analysis = exact(
+                checks.make_parameters(
+                    1.01 * params.alpha, params.beta, params.gamma, params.delta
+                )
+            )
+            return dataclasses.replace(exact(params), v_contracting=analysis.v_contracting,
+                                       v_expanding=analysis.v_expanding)
+
+        monkeypatch.setattr(checks, "return_map_analysis", perturbed)
+        reversibility, _ = self._rows()
+        assert not reversibility.passed
+        assert reversibility.residual > reversibility.threshold
+
     def test_failed_fold_map_fails_reversibility(self, monkeypatch):
         def left_box(system, side, q, cfg=None):
             raise IntegrationFailure(FlightStatus.LEFT_BOX)

@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from foldatlas import foldfold, sigma
+from foldatlas import checks, foldfold, sigma
 from foldatlas.algebra import Poly3, VectorField3
-from foldatlas.errors import PreconditionError
+from foldatlas.errors import IntegrationFailure, PreconditionError
 from foldatlas.foldfold import (
     EigvecLocation,
     FixedPointClass,
@@ -24,7 +24,8 @@ from foldatlas.foldfold import (
     stability_verdict,
     verdict_from_params,
 )
-from foldatlas.sigma import FoldFoldSubtype
+from foldatlas.integrator import FlightStatus, fold_map_numeric, jacobian_numeric
+from foldatlas.sigma import FoldFoldSubtype, SigmaKind, classify_point
 from foldatlas.sliding import SlidingRegionTag, _eigvec2, linear_eigensystem
 from foldatlas.system import PiecewiseSystem, build_normal_form
 
@@ -105,6 +106,61 @@ class TestSubtypeValidation:
         assert len(_INCONSISTENT) == 12
         for sub, (d, sg) in _SUBTYPE_SIGNS.items():
             assert NormalParameters(1.0, 2.0, 0.7 * sg, d, sub).subtype is sub
+
+
+def _fold_matrix(system, side, q=(0.01, 0.02)):
+    """Central-difference Jacobian of the numeric fold involution."""
+    return jacobian_numeric(lambda p: fold_map_numeric(system, side, p), q)
+
+
+class TestInvolutions:
+    """The fold involutions A_X, A_Y whose product is the closed-form return
+    matrix, read off the numeric fold maps of the normal form."""
+
+    def test_example_matrices(self):
+        ax = _fold_matrix(build_normal_form(-1.0, 0.3, 1.0, -1.0), "X")
+        assert np.allclose(ax, [[1.0, 2.0], [0.0, -1.0]], atol=1e-7)
+        assert np.allclose(ax @ ax, np.eye(2), atol=1e-7)
+        ay = _fold_matrix(build_normal_form(0.3, -1.0, 1.0, -1.0), "Y")
+        assert np.allclose(ay, [[-1.0, 0.0], [2.0, 1.0]], atol=1e-7)
+        assert np.linalg.det(ay) == pytest.approx(-1.0, abs=1e-7)
+
+    def test_alpha_zero_fixes_x_axis(self):
+        system = build_normal_form(0.0, 1.0, 1.0, -1.0)
+        for x in (-0.05, 0.03):
+            assert fold_map_numeric(system, "X", (x, 0.0)) == (x, 0.0)
+        ax = _fold_matrix(system, "X", (0.03, 0.0))
+        assert np.allclose(ax, np.diag([1.0, -1.0]), atol=1e-7)
+
+    def test_involution_identities_random(self):
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            a, b = rng.uniform(-3, 3, size=2)
+            g = rng.uniform(0.2, 3.0)
+            system = build_normal_form(a, b, g, -1.0)
+            q = tuple(rng.uniform(-0.05, 0.05, size=2))
+            for side in ("X", "Y"):
+                back = fold_map_numeric(system, side, fold_map_numeric(system, side, q))
+                assert math.hypot(back[0] - q[0], back[1] - q[1]) <= 1e-6
+                det = np.linalg.det(_fold_matrix(system, side))
+                assert det == pytest.approx(-1.0, abs=1e-6)
+
+    def test_composition_identities(self):
+        # M = A_X A_Y, and phi^n o phi_X = phi_X o phi^-n at the linear level
+        rng = np.random.default_rng(14)
+        for _ in range(10):
+            a, b = rng.uniform(-3, 3, size=2)
+            g = rng.uniform(0.2, 3.0)
+            system = build_normal_form(a, b, g, -1.0)
+            ax = _fold_matrix(system, "X")
+            ay = _fold_matrix(system, "Y")
+            m = return_map_analysis(make_parameters(a, b, g, -1.0)).matrix
+            assert np.allclose(ax @ ay, m, atol=1e-6 * max(1.0, np.abs(m).max()))
+            minv = np.linalg.inv(m)
+            for n in (1, 2, 3):
+                lhs = np.linalg.matrix_power(m, n) @ ax
+                rhs = ax @ np.linalg.matrix_power(minv, n)
+                assert np.allclose(lhs, rhs, atol=1e-6 * max(1, np.abs(lhs).max()))
 
 
 class TestReturnMapAnalysis:
@@ -415,6 +471,58 @@ class TestSystemLevelVerdicts:
         assert report.analysis.trace == pytest.approx(6.0)
 
 
+class TestConnectionRegion:
+    """Orbits of the invisible fold connect the two sliding regions precisely
+    when its involution carries the visible tangency line into sliding, which
+    for invisible-visible parameters is when alpha > 0 (the sign the parabolic
+    verdict's class descriptor carries)."""
+
+    @staticmethod
+    def _image_kinds(alpha, beta, gamma, delta):
+        """Sigma kinds of the invisible fold's images of two points on the
+        visible fold's tangency line, one on each side of the two-fold."""
+        system = build_normal_form(alpha, beta, gamma, delta)
+        side = "X" if delta < 0 else "Y"  # the invisible fold
+        kinds = set()
+        for t in (0.05, -0.05):
+            q = (0.0, t) if side == "X" else (t, 0.0)
+            x, y = fold_map_numeric(system, side, q)
+            kinds.add(classify_point(system, (x, y, 0.0)).kind)
+        return kinds
+
+    def test_exists(self):
+        kinds = self._image_kinds(1.0, 1.0, -1.0, -1.0)
+        assert kinds == {SigmaKind.STABLE_SLIDING, SigmaKind.UNSTABLE_SLIDING}
+        # the image line points along (-2 alpha, -1)
+        x, y = fold_map_numeric(build_normal_form(1.0, 1.0, -1.0, -1.0), "X", (0.0, 0.05))
+        assert (x, y) == pytest.approx((-0.1, -0.05), abs=1e-9)
+
+    def test_not_exists(self):
+        assert self._image_kinds(-1.0, 1.0, -1.0, -1.0) == {SigmaKind.CROSSING}
+
+    def test_degenerate(self):
+        # alpha = 0: the image stays on the visible tangency line
+        assert self._image_kinds(0.0, 1.0, -1.0, -1.0) == {SigmaKind.TANGENCY}
+
+    def test_mirrored_input(self):
+        # visible-invisible: connections iff beta < 0, i.e. mirrored alpha > 0
+        connected = make_parameters(1.0, -2.0, 1.0, 1.0)
+        assert mirror_parameters(connected).alpha > 0.0
+        assert SigmaKind.STABLE_SLIDING in self._image_kinds(1.0, -2.0, 1.0, 1.0)
+        apart = make_parameters(1.0, 2.0, 1.0, 1.0)
+        assert mirror_parameters(apart).alpha < 0.0
+        assert self._image_kinds(1.0, 2.0, 1.0, 1.0) == {SigmaKind.CROSSING}
+        assert verdict_from_params(apart).class_descriptor[2] == -1
+
+    def test_wrong_subtype(self):
+        # a visible-visible two-fold has no involution to carry the line
+        system = build_normal_form(1.0, -1.0, -1.0, 1.0)
+        with pytest.raises(IntegrationFailure):
+            fold_map_numeric(system, "X", (0.0, 0.05))
+        with pytest.raises(PreconditionError):
+            parabolic_transversality(make_parameters(-1.0, -1.0, 1.0, -1.0))
+
+
 class TestParabolicTransversality:
     def test_examples(self):
         c = parabolic_transversality(make_parameters(1.0, 1.0, -1.0, -1.0))
@@ -424,6 +532,57 @@ class TestParabolicTransversality:
         assert c.D_coeff == pytest.approx(0.0)
         c = parabolic_transversality(make_parameters(-1.0, 1.5, -1.0, -1.0))
         assert c.T_coeff == pytest.approx(0.0)
+
+
+class TestNumericDiagnostics:
+    """The seed loop of criterion 8 on one stable T-singularity."""
+
+    SYSTEM = (-2.0, -1.0, 1.0, -1.0)
+
+    @classmethod
+    def _iterate(cls, n_seeds=10):
+        rng = np.random.default_rng(1)
+        # (-, -) is unstable sliding of every normal form with delta = -1
+        seeds = [(-rng.uniform(0.01, 0.1), -rng.uniform(0.01, 0.1)) for _ in range(n_seeds)]
+        report = checks.DiaboloReport()
+        checks._iterate_seeds(build_normal_form(*cls.SYSTEM), seeds, report)
+        return report
+
+    @staticmethod
+    def _outcomes(report):
+        """Seeds with a recorded end: each seed has exactly one."""
+        return (
+            report.escaped + report.exhausted + report.violations
+            + sum(report.failed.values())
+        )
+
+    def test_diabolo_pass(self):
+        analysis = return_map_analysis(make_parameters(*self.SYSTEM))
+        assert analysis.location_contracting is EigvecLocation.IN_CROSSING
+        assert analysis.location_expanding is EigvecLocation.IN_CROSSING
+        system = build_normal_form(*self.SYSTEM)
+        assert checks._reversal_residual(system, analysis) <= 1e-3
+        report = self._iterate()
+        assert report.violations == 0
+        assert self._outcomes(report) == len(report.iterations) == 10
+        assert 0 <= max(report.iterations) <= 200
+
+    def test_diabolo_landing_in_stable_sliding_is_a_violation(self, monkeypatch):
+        # (0.5, 0.5) has Xf = -y < 0 < Yf = x: stable sliding
+        monkeypatch.setattr(checks, "return_map_numeric", lambda s, q, cfg=None: (0.5, 0.5))
+        report = self._iterate()
+        assert report.violations == len(report.iterations) == 10
+        assert report.iterations == [1] * 10
+
+    def test_diabolo_failed_flights_by_status(self, monkeypatch):
+        def time_out(system, q, cfg=None):
+            raise IntegrationFailure(FlightStatus.TIME_OUT)
+
+        monkeypatch.setattr(checks, "return_map_numeric", time_out)
+        report = self._iterate()
+        assert report.failed == {FlightStatus.TIME_OUT: 10}
+        assert self._outcomes(report) == len(report.iterations) == 10
+        assert report.iterations == [0] * 10
 
 
 class TestRouteIndependence:
