@@ -254,14 +254,6 @@ class Poly3:
     def __hash__(self):
         return hash(tuple(self.items()))
 
-    def approx_equal(self, other, tol=1e-12):
-        keys = set(self.terms) | set(other.terms)
-        scale = 1.0 + max(self.coeff_scale(), other.coeff_scale())
-        return all(
-            abs(self.terms.get(k, 0.0) - other.terms.get(k, 0.0)) <= tol * scale
-            for k in keys
-        )
-
     def as_expr(self):
         """Python expression string in x, y, z with literal coefficients;
         ``compiled()`` evaluates exactly this expression."""
@@ -279,12 +271,8 @@ class Poly3:
         return f"Poly3({self.as_expr()})"
 
 
-POLY_X = Poly3.variable("x")
-POLY_Y = Poly3.variable("y")
-POLY_Z = Poly3.variable("z")
-
 #: The switching function f(x, y, z) = z, fixed package-wide.
-SWITCHING_FUNCTION = POLY_Z
+SWITCHING_FUNCTION = Poly3.variable("z")
 
 
 class VectorField3:

@@ -61,19 +61,32 @@ class CheckResult:
         )
 
 
+# Every bound and probe setting that has one value; the acceptance test pins
+# them.  _DRAW_MARGIN keeps draws of (a, b, g) off the boundary they are
+# drawn against: a*b*(a*b - g) = 0 for saddles, a*b = g for sliding regions.
+_DRAW_MARGIN = 1e-6
+_JACOBIAN_STEP = 1e-3  # central-difference step (criterion 1, check_system)
+_DET_TOL = 1e-12  # criterion 1: |det - 1| of the closed-form matrix
+_ENTRY_TOL = 1e-4  # criterion 1: numeric minus closed form, per entry
+_MIN_MATCHED_FRACTION = 0.99  # criterion 1: grid points with every entry within
+_IMAGE_TOL = 1e-7  # criterion 4: X-fold image against (x - 2*a*y, -y)
+_DOUBLE_TOL = 1e-6  # criterion 4: second X-fold image against the start
+_ATLAS_GAMMA = 1.0  # criterion 5: gamma of the return-map atlas
+_PARABOLIC_RADIUS = 1e-3  # criterion 7: distance of the samples from the two-fold
+_PARABOLIC_REL_TOL = 1e-5  # criterion 7: relative error of both coefficients
+_RATIO_TOL = 1e-12  # criterion 9: |ratio + 1| of the saddle moduli
+_BOUNDARY_MARGIN = 1e-4  # criterion 10: draws clear every decision boundary by this
+_RESCALING_FACTORS = (0.1, 0.5, 2.0, 10.0)  # criterion 10: e of (e a, e b, e^2 g)
+# Criterion 11: |z|, normal sliding velocity and max(Xf, -Yf) on sliding
+# segments, and the zero band of Xf and Yf where a sliding segment exits.
+_SLIDING_TOL = 1e-10
+
+
 # ---------------------------------------------------------------------------
 # Return-map formula vs numeric Jacobian
 
 
-def check_return_map_grid(
-    n_alpha=50,
-    n_beta=50,
-    gammas=(0.5, 1.0, 1.5, 2.0, 3.0),
-    h=1e-3,
-    det_tol=1e-12,
-    entry_tol=1e-4,
-    min_fraction=0.99,
-):
+def check_return_map_grid(n_alpha=50, n_beta=50, gammas=(0.5, 1.0, 1.5, 2.0, 3.0)):
     """Closed-form return-map matrix: det == 1, and the central-difference
     Jacobian of the integrated return map matches it entrywise."""
     alphas = np.linspace(-3.0, 3.0, n_alpha)
@@ -92,14 +105,15 @@ def check_return_map_grid(
                 system = build_normal_form(a, b, g, -1.0)
                 try:
                     jac = jacobian_numeric(
-                        lambda q: return_map_numeric(system, q), (0.0, 0.0), h
+                        lambda q: return_map_numeric(system, q), (0.0, 0.0),
+                        _JACOBIAN_STEP,
                     )
                 except IntegrationFailure:
                     failed += 1
                     continue
                 returned += 1
                 diff = float(np.max(np.abs(jac - analysis.matrix)))
-                if diff <= entry_tol:
+                if diff <= _ENTRY_TOL:
                     matched += 1
                 worst_entry = max(worst_entry, diff)
     total = n_alpha * n_beta * len(gammas)
@@ -107,16 +121,16 @@ def check_return_map_grid(
     results = [
         CheckResult(
             "return-map determinant",
-            worst_det <= det_tol,
+            worst_det <= _DET_TOL,
             worst_det,
-            det_tol,
+            _DET_TOL,
             f"{total} grid points",
         ),
         CheckResult(
             "return-map numeric Jacobian",
-            fraction >= min_fraction and returned > 0,
+            fraction >= _MIN_MATCHED_FRACTION and returned > 0,
             1.0 - fraction,
-            1.0 - min_fraction,
+            1.0 - _MIN_MATCHED_FRACTION,
             f"matched {matched}/{returned}, {failed} grid points with a failed flight "
             f"(worst entry diff {worst_entry:.3e})",
         ),
@@ -132,7 +146,7 @@ def check_return_map_grid(
 _DRAW_BLOCK = 4096
 
 
-def check_saddle_dichotomy(n=100000, seed=0, margin=1e-6):
+def check_saddle_dichotomy(n=100000, seed=0):
     """Hyperbolicity of the return map matches sign(a*b*(a*b - g)) exactly."""
     rng = np.random.default_rng(seed)
     disagreements = 0
@@ -144,7 +158,7 @@ def check_saddle_dichotomy(n=100000, seed=0, margin=1e-6):
         block = rng.uniform((-3.0, -3.0, 0.2), (3.0, 3.0, 3.0), size=(rows, 3))
         for a, b, g in block.tolist():
             crit = a * b * (a * b - g)
-            if abs(crit) <= margin:
+            if abs(crit) <= _DRAW_MARGIN:
                 continue
             count += 1
             analysis = return_map_analysis(make_parameters(a, b, g, -1.0))
@@ -171,12 +185,12 @@ _CELL_EXPECTATION = {
 }
 
 
-def _draw_saddle_in_cell(rng, sa, sb, margin=1e-6):
+def _draw_saddle_in_cell(rng, sa, sb):
     while True:
         a = sa * rng.uniform(0.05, 3.0)
         b = sb * rng.uniform(0.05, 3.0)
         g = rng.uniform(0.2, 3.0)
-        if a * b * (a * b - g) > margin:
+        if a * b * (a * b - g) > _DRAW_MARGIN:
             return a, b, g
 
 
@@ -208,9 +222,7 @@ def check_eigenvector_locations(n_per_cell=10000, seed=0):
 # Involution ground truth
 
 
-def check_involution_ground_truth(
-    n_alpha=20, n_points=40, seed=0, tol=1e-7, double_tol=1e-6
-):
+def check_involution_ground_truth(n_alpha=20, n_points=40, seed=0):
     """Numeric X-fold map against (x - 2*a*y, -y), and its involutivity."""
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -229,9 +241,9 @@ def check_involution_ground_truth(
                 worst_double, math.hypot(back[0] - q[0], back[1] - q[1])
             )
     return [
-        CheckResult("fold-map ground truth", worst <= tol, worst, tol),
+        CheckResult("fold-map ground truth", worst <= _IMAGE_TOL, worst, _IMAGE_TOL),
         CheckResult(
-            "fold-map involutivity", worst_double <= double_tol, worst_double, double_tol
+            "fold-map involutivity", worst_double <= _DOUBLE_TOL, worst_double, _DOUBLE_TOL
         ),
     ]
 
@@ -250,7 +262,7 @@ def _draw_stable_elliptic(rng, margin=1e-3):
 
 
 def _draw_re1(rng):
-    return *_draw_stable_elliptic(rng, margin=1e-6), -1.0, SlidingRegionTag.RE1
+    return *_draw_stable_elliptic(rng, margin=_DRAW_MARGIN), -1.0, SlidingRegionTag.RE1
 
 
 def _draw_rh1(rng):
@@ -258,7 +270,7 @@ def _draw_rh1(rng):
         g = rng.uniform(-3.0, -0.2)
         a = rng.uniform(0.05, 3.0)
         b = rng.uniform(-3.0, -0.05)
-        if a * b - g < -1e-6:
+        if a * b - g < -_DRAW_MARGIN:
             return a, b, g, 1.0, SlidingRegionTag.RH1
 
 
@@ -267,7 +279,7 @@ def _draw_rp1(rng):
         g = rng.uniform(-3.0, -0.2)
         a = -rng.uniform(0.05, 3.0)
         b = (g / a) * rng.uniform(1.1, 3.0)
-        if abs(b) > 3.0 or a * b - g > -1e-6:
+        if abs(b) > 3.0 or a * b - g > -_DRAW_MARGIN:
             continue
         return a, b, g, -1.0, SlidingRegionTag.RP1
 
@@ -319,11 +331,12 @@ def check_region_spectra(n_per_region=10000, seed=0):
 # Rescaling invariance
 
 
-def _clear_of_boundaries(a, b, g, d, margin=1e-4):
-    """True when (a, b, g, d) lies at least ``margin`` away from every
-    decision boundary of the verdicts and region tags."""
+def _clear_of_boundaries(a, b, g, d):
+    """True when (a, b, g, d) lies at least ``_BOUNDARY_MARGIN`` away from
+    every decision boundary of the verdicts and region tags."""
     if min(abs(a), abs(b)) < 1e-3:
         return False
+    margin = _BOUNDARY_MARGIN
     ab = a * b
     clear = (
         abs(ab - g) > margin
@@ -344,14 +357,14 @@ def _clear_of_boundaries(a, b, g, d, margin=1e-4):
     return clear
 
 
-def _draw_any_foldfold(rng, margin=1e-4):
+def _draw_any_foldfold(rng):
     """Draw parameters of any subtype, bounded away from decision boundaries."""
     while True:
         d = rng.choice((-1.0, 1.0))
         g = rng.choice((-1.0, 1.0)) * rng.uniform(0.2, 3.0)
         a = rng.uniform(-3.0, 3.0)
         b = rng.uniform(-3.0, 3.0)
-        if _clear_of_boundaries(a, b, g, d, margin):
+        if _clear_of_boundaries(a, b, g, d):
             return make_parameters(a, b, g, d)
 
 
@@ -362,7 +375,7 @@ def _verdict_signature(verdict):
     return (verdict.kind, reason, verdict.class_descriptor)
 
 
-def check_rescaling_invariance(n=10000, factors=(0.1, 0.5, 2.0, 10.0), seed=0):
+def check_rescaling_invariance(n=10000, seed=0):
     """Verdict and region tag survive (a, b, g) -> (e a, e b, e^2 g)."""
     rng = np.random.default_rng(seed)
     changes = 0
@@ -372,7 +385,7 @@ def check_rescaling_invariance(n=10000, factors=(0.1, 0.5, 2.0, 10.0), seed=0):
             sliding_region_class(params),
             _verdict_signature(verdict_from_params(params)),
         )
-        for e in factors:
+        for e in _RESCALING_FACTORS:
             scaled = make_parameters(
                 e * params.alpha, e * params.beta, e * e * params.gamma, params.delta
             )
@@ -388,7 +401,7 @@ def check_rescaling_invariance(n=10000, factors=(0.1, 0.5, 2.0, 10.0), seed=0):
             changes == 0,
             float(changes),
             0.0,
-            f"{n} draws x {len(factors)} factors",
+            f"{n} draws x {len(_RESCALING_FACTORS)} factors",
         )
     ]
 
@@ -397,7 +410,7 @@ def check_rescaling_invariance(n=10000, factors=(0.1, 0.5, 2.0, 10.0), seed=0):
 # Saddle moduli ratio
 
 
-def check_demelo_palis(n=10000, seed=0, tol=1e-12):
+def check_demelo_palis(n=10000, seed=0):
     rng = np.random.default_rng(seed)
     worst = 0.0
     count = 0
@@ -405,13 +418,14 @@ def check_demelo_palis(n=10000, seed=0, tol=1e-12):
         a = rng.uniform(-3.0, 3.0)
         b = rng.uniform(-3.0, 3.0)
         g = rng.uniform(0.2, 3.0)
-        if a * b * (a * b - g) <= 1e-6:
+        if a * b * (a * b - g) <= _DRAW_MARGIN:
             continue
         count += 1
         analysis = return_map_analysis(make_parameters(a, b, g, -1.0))
         worst = max(worst, abs(demelo_palis(analysis) + 1.0))
     return [
-        CheckResult("saddle moduli ratio = -1", worst <= tol, worst, tol, f"{n} draws")
+        CheckResult("saddle moduli ratio = -1", worst <= _RATIO_TOL, worst, _RATIO_TOL,
+                    f"{n} draws")
     ]
 
 
@@ -588,7 +602,7 @@ def check_diabolo(n_draws=100, n_systems=10, seeds_per_system=100, seed=0):
 # Parabolic transversality coefficients
 
 
-def check_parabolic_coefficients(n=30, seed=0, radius=1e-3, rel_tol=1e-5):
+def check_parabolic_coefficients(n=30, seed=0):
     """Numeric sampling of the two transversality functions on normal forms
     converges to -2(a+b)(ab-g) and 2a(a+b)-g."""
     rng = np.random.default_rng(seed)
@@ -613,19 +627,19 @@ def check_parabolic_coefficients(n=30, seed=0, radius=1e-3, rel_tol=1e-5):
             return u0 * -w1 - w0 * (u1 - 2.0 * a * w1)
 
         for th in np.linspace(0.4, math.pi - 0.4, 7):
-            x, y = radius * math.cos(th), radius * math.sin(th)
+            x, y = _PARABOLIC_RADIUS * math.cos(th), _PARABOLIC_RADIUS * math.sin(th)
             worst = max(worst, abs(d_num(x, y) / (y * y) - d_exact) / abs(d_exact))
-        for y in (radius, -radius):
+        for y in (_PARABOLIC_RADIUS, -_PARABOLIC_RADIUS):
             fx, fy = f0(-2.0 * a * y, -y)
             t_num = (fx * 1.0 + fy * (-2.0 * a)) / y
             worst = max(worst, abs(t_num - t_exact) / abs(t_exact))
     return [
         CheckResult(
             "parabolic transversality coefficients",
-            worst <= rel_tol,
+            worst <= _PARABOLIC_REL_TOL,
             worst,
-            rel_tol,
-            f"{n} parameter draws, radius {radius:g}",
+            _PARABOLIC_REL_TOL,
+            f"{n} parameter draws, radius {_PARABOLIC_RADIUS:g}",
         )
     ]
 
@@ -688,12 +702,12 @@ def _sliding_runs(rng, n_sims):
         yield system, p0, 8.0
 
 
-def check_sliding_tangency(n_sims=100, seed=0, tol=1e-10):
+def check_sliding_tangency(n_sims=100, seed=0):
     """Along every sliding segment |z| and the sliding velocity's normal
     component stay at tolerance zero, every sample lies in the stable
     sliding region {Xf <= 0 <= Yf}, and every sliding segment that switches
-    mode leaves at a visible fold (|Xf| <= tol with X2f > 0, or |Yf| <= tol
-    with Y2f < 0).
+    mode leaves at a visible fold (|Xf| <= ``_SLIDING_TOL`` with X2f > 0, or
+    |Yf| <= ``_SLIDING_TOL`` with Y2f < 0).
 
     The random sliding systems never slide off a fold, so
     ``_STICK_SLIP_RUNS`` dry-friction systems, which leave sliding at x = F,
@@ -726,29 +740,29 @@ def check_sliding_tangency(n_sims=100, seed=0, tol=1e-10):
                 exits += 1
                 x, y, _ = seg.points[-1]
                 q = (x, y, 0.0)
-                visible_x = abs(xf(*q)) <= tol and system.x2f.eval_at(q) > 0.0
-                visible_y = abs(yf(*q)) <= tol and system.y2f.eval_at(q) < 0.0
+                visible_x = abs(xf(*q)) <= _SLIDING_TOL and system.x2f.eval_at(q) > 0.0
+                visible_y = abs(yf(*q)) <= _SLIDING_TOL and system.y2f.eval_at(q) < 0.0
                 if not (visible_x or visible_y):
                     bad_exits += 1
     return [
         CheckResult(
             "sliding |z|",
-            worst_z <= tol and sliding_samples > 0,
+            worst_z <= _SLIDING_TOL and sliding_samples > 0,
             worst_z,
-            tol,
+            _SLIDING_TOL,
             f"{sliding_samples} sliding samples",
         ),
         CheckResult(
             "sliding normal velocity",
-            worst_vz <= tol and sliding_samples > 0,
+            worst_vz <= _SLIDING_TOL and sliding_samples > 0,
             worst_vz,
-            tol,
+            _SLIDING_TOL,
         ),
         CheckResult(
             "sliding region membership",
-            worst_outside <= tol and sliding_samples > 0,
+            worst_outside <= _SLIDING_TOL and sliding_samples > 0,
             worst_outside,
-            tol,
+            _SLIDING_TOL,
             f"worst max(Xf, -Yf) over {sliding_samples} sliding samples",
         ),
         CheckResult(
@@ -821,7 +835,7 @@ def _cell_has_boundary(a, b, da, db, boundary_values):
     return any(min(vals) <= 0.0 <= max(vals) for vals in zip(*corners))
 
 
-def check_return_map_atlas(resolution=200, gamma=1.0):
+def check_return_map_atlas(resolution=200):
     """The (alpha, beta) sweep reproduces the four saddle cells plus the
     non-hyperbolic band, with boundaries localized within one grid cell."""
     alphas = np.linspace(-3.0, 3.0, resolution)
@@ -832,12 +846,12 @@ def check_return_map_atlas(resolution=200, gamma=1.0):
     seen = set()
     for a in alphas:
         for b in betas:
-            analysis = return_map_analysis(make_parameters(a, b, gamma, -1.0))
+            analysis = return_map_analysis(make_parameters(a, b, _ATLAS_GAMMA, -1.0))
             got = _return_map_cell(analysis)
             seen.add(got)
-            want = _analytic_return_map_cell(a, b, gamma)
+            want = _analytic_return_map_cell(a, b, _ATLAS_GAMMA)
             if got != want and not _cell_has_boundary(
-                a, b, da, db, lambda ca, cb: (ca, cb, ca * cb, ca * cb - gamma)
+                a, b, da, db, lambda ca, cb: (ca, cb, ca * cb, ca * cb - _ATLAS_GAMMA)
             ):
                 bad += 1
     complete = seen >= {"I", "II", "III", "IV", "NH"}
@@ -902,7 +916,6 @@ def check_system(system, point, seed=0):
     """Consistency checks for one concrete system at a two-fold candidate:
     the classification, numeric involutivity of both fold maps and the
     numeric return-map spectrum against the extracted normal parameters."""
-    cfg = IntegratorConfig(box=system.box)
     two_fold = None
     try:
         surface = surface_point_report(system, point)
@@ -929,9 +942,7 @@ def check_system(system, point, seed=0):
                 point[1] + rng.uniform(-0.05, 0.05),
             )
             try:
-                back = fold_map_numeric(
-                    system, side, fold_map_numeric(system, side, q, cfg), cfg
-                )
+                back = fold_map_numeric(system, side, fold_map_numeric(system, side, q))
                 worst = max(worst, math.hypot(back[0] - q[0], back[1] - q[1]))
             except IntegrationFailure:
                 failures += 1
@@ -945,9 +956,7 @@ def check_system(system, point, seed=0):
 
     try:
         jac = jacobian_numeric(
-            lambda q: return_map_numeric(system, q, cfg),
-            (point[0], point[1]),
-            1e-3,
+            lambda q: return_map_numeric(system, q), (point[0], point[1]), _JACOBIAN_STEP
         )
         det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
         results.append(
@@ -976,6 +985,8 @@ def check_system(system, point, seed=0):
 # Suite registry
 
 
+MAX_BASE_COUNT = 20000  # largest sample count of a suite at scale 1 (saddle draws)
+
 SUITES = {
     "involutions": lambda scale=1.0, seed=0: (
         check_involution_ground_truth(
@@ -988,7 +999,7 @@ SUITES = {
         )
     ),
     "regions": lambda scale=1.0, seed=0: (
-        check_saddle_dichotomy(n=max(100, int(20000 * scale)), seed=seed)
+        check_saddle_dichotomy(n=max(100, int(MAX_BASE_COUNT * scale)), seed=seed)
         + check_eigenvector_locations(n_per_cell=max(50, int(2000 * scale)), seed=seed)
         + check_region_spectra(n_per_region=max(50, int(2000 * scale)), seed=seed)
         + check_rescaling_invariance(n=max(50, int(2000 * scale)), seed=seed)

@@ -123,7 +123,7 @@ def cmd_classify(args):
             "kind": cls.kind.value,
             "witness": {"Xf": cls.witness[0], "Yf": cls.witness[1]},
         },
-        "validation_warnings": validate(system, grid=21).warnings,
+        "validation_warnings": validate(system).warnings,
     }
     if result.tangency is not None:
         report["tangency"] = _jsonable(result.tangency)
@@ -244,7 +244,11 @@ def cmd_simulate(args):
 
 
 def cmd_verify(args):
-    _finite(args.scale, "--scale")
+    scale = _finite(args.scale, "--scale")
+    if not scale > 0.0:
+        raise MalformedDocumentError("--scale must be > 0")
+    if not math.isfinite(scale * checks.MAX_BASE_COUNT):
+        raise MalformedDocumentError(f"--scale {scale:g} gives non-finite sample counts")
     if args.seed < 0:
         raise MalformedDocumentError("--seed must be >= 0")
     if args.suite == "none" and not args.system:

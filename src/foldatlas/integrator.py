@@ -63,13 +63,9 @@ _MAX_SEGMENTS = 2000
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """The analysis box: it bounds Filippov trajectories and sizes the guard
-    square of flights to the plane."""
+    """The box that bounds a Filippov trajectory."""
 
     box: object = DEFAULT_BOX
-
-
-_DEFAULT_CONFIG = IntegratorConfig()
 
 
 class FlightStatus(Enum):
@@ -481,16 +477,16 @@ def _guard_outside(center, radius):
     return outside
 
 
-def integrate_to_sigma(field, q0, direction, cfg=None, h0=None):
+def integrate_to_sigma(field, q0, direction, box=DEFAULT_BOX, h0=None):
     """First return of the orbit through ``q0`` (on {z=0}) to the plane.
 
     ``direction`` is +1 for an excursion into {z > 0}, -1 for {z < 0}.  If
     the field points into the opposite half-space at ``q0`` (judged by the
     z-component, or by its derivative along the field when that is zero) the
     flight fails with NO_RETURN.  LEFT_BOX and TIME_OUT report orbits that
-    escape or stall without returning.
+    escape or stall without returning; the guard cube around ``q0`` has
+    half-width 1.5 times the longest side of ``box``.
     """
-    cfg = cfg or _DEFAULT_CONFIG
     tol = default_tolerance(field)
     if abs(q0[2]) > tol:
         raise PreconditionError("flight must start on the switching plane")
@@ -503,7 +499,7 @@ def integrate_to_sigma(field, q0, direction, cfg=None, h0=None):
             return FlightResult(FlightStatus.NO_RETURN, time=0.0)
     f = field.compiled()
     ev = _sigma_event(direction)
-    radius = 1.5 * max(cfg.box.scale(), 1e-6)
+    radius = 1.5 * max(box.scale(), 1e-6)
     return _integrate(
         f,
         (q0[0], q0[1], 0.0),
@@ -522,14 +518,14 @@ def _fold_side(system, side):
     raise PreconditionError("side must be 'X' or 'Y'")
 
 
-def fold_map_numeric(system, side, q, cfg=None):
+def fold_map_numeric(system, side, q):
     """Numeric fold involution on the plane for the chosen field.
 
     Points on the field's tangency line map to themselves; elsewhere the
     orbit arc through the field's half-space is integrated, forwards or
     backwards in time depending on which side of the tangency line ``q``
-    lies.  Failures (visible-fold side, escaping orbits) raise
-    :class:`IntegrationFailure`.
+    lies, with a guard square sized by ``system.box``.  Failures
+    (visible-fold side, escaping orbits) raise :class:`IntegrationFailure`.
     """
     field, second, halfspace = _fold_side(system, side)
     x, y = float(q[0]), float(q[1])
@@ -543,7 +539,7 @@ def fold_map_numeric(system, side, q, cfg=None):
     h0 = None
     if abs(s2) > 1e-12:
         h0 = max(abs(s) / abs(s2) / 4.0, 1e-12)
-    res = integrate_to_sigma(use, point, halfspace, cfg, h0=h0)
+    res = integrate_to_sigma(use, point, halfspace, system.box, h0=h0)
     if not res.ok():
         raise IntegrationFailure(
             res.status, f"fold map {side} failed at ({x:.6g}, {y:.6g}): {res.status}"
@@ -551,10 +547,10 @@ def fold_map_numeric(system, side, q, cfg=None):
     return (res.point[0], res.point[1])
 
 
-def return_map_numeric(system, q, cfg=None):
+def return_map_numeric(system, q):
     """First-return map: fold map of Y followed by fold map of X."""
-    mid = fold_map_numeric(system, "Y", q, cfg)
-    return fold_map_numeric(system, "X", mid, cfg)
+    mid = fold_map_numeric(system, "Y", q)
+    return fold_map_numeric(system, "X", mid)
 
 
 def jacobian_numeric(map_fn, q, h=1e-3):
@@ -643,9 +639,9 @@ def filippov_trajectory(system, p0, horizon, cfg=None):
 
     A negative ``horizon`` integrates the time-reversed system (this is the
     only way unstable sliding is ever entered, matching the forward-time
-    convention that trajectories never slide on the unstable side).
+    convention that trajectories never slide on the unstable side).  It
+    stops where it leaves ``cfg.box``, or ``DEFAULT_BOX`` without ``cfg``.
     """
-    cfg = cfg or _DEFAULT_CONFIG
     if horizon < 0:
         rev = filippov_trajectory(system.time_reversed(), p0, -horizon, cfg)
         for seg in rev.segments:
@@ -654,7 +650,7 @@ def filippov_trajectory(system, p0, horizon, cfg=None):
         return rev
 
     tol = default_tolerance(system)
-    box = cfg.box
+    box = cfg.box if cfg else DEFAULT_BOX
     traj = Trajectory()
     p = (float(p0[0]), float(p0[1]), float(p0[2]))
     if p[2] > tol:

@@ -164,10 +164,6 @@ class PiecewiseSystem:
         compiled evaluators)."""
         return self._reversed
 
-    def swapped(self):
-        """System (Y, X): used by the sliding-kind symmetry property."""
-        return PiecewiseSystem(self.Y, self.X, self.box, self.name + "(swapped)")
-
     def __repr__(self):
         return f"PiecewiseSystem({self.name!r})"
 
@@ -297,7 +293,7 @@ def serialize_system(system):
 # Normal form builder
 
 
-def build_normal_form(alpha, beta, gamma, delta, hot=None, box=DEFAULT_BOX):
+def build_normal_form(alpha, beta, gamma, delta, hot=None):
     """Fold-fold normal form with the singularity at the origin.
 
     X = (alpha, 1, delta*y) and Y = (gamma, beta, x) + optional higher-order
@@ -342,7 +338,7 @@ def build_normal_form(alpha, beta, gamma, delta, hot=None, box=DEFAULT_BOX):
             y_comps[idx] = y_comps[idx] + extra
     Y = VectorField3(*y_comps)
     name = f"normal-form(alpha={alpha}, beta={beta}, gamma={gamma}, delta={int(delta)})"
-    return PiecewiseSystem(X, Y, box, name)
+    return PiecewiseSystem(X, Y, DEFAULT_BOX, name)
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +358,11 @@ class ValidationReport:
         return not self.warnings
 
 
-def _field_zeros_on_sigma(f, box, grid=41, tol=1e-10):
+_ZERO_GRID = 21  # seeds per axis of the search for field zeros on {z=0}
+_ZERO_TOL = 1e-10  # a zero's residual over 1 + the field's coefficient scale
+
+
+def _field_zeros_on_sigma(f, box):
     """Grid-seeded Gauss-Newton search for zeros of a field on {z=0}."""
     fn = f.compiled()
     jac_polys = [
@@ -370,8 +370,8 @@ def _field_zeros_on_sigma(f, box, grid=41, tol=1e-10):
         for comp in f.components()
     ]
     jac_fns = [[p.compiled() for p in row] for row in jac_polys]
-    xs = np.linspace(box.xmin, box.xmax, grid)
-    ys = np.linspace(box.ymin, box.ymax, grid)
+    xs = np.linspace(box.xmin, box.xmax, _ZERO_GRID)
+    ys = np.linspace(box.ymin, box.ymax, _ZERO_GRID)
     found = []
     scale = 1.0 + f.coeff_scale()
     for x0 in xs:
@@ -383,7 +383,7 @@ def _field_zeros_on_sigma(f, box, grid=41, tol=1e-10):
             x, y = float(x0), float(y0)
             for _ in range(25):
                 r = np.array(fn(x, y, 0.0))
-                if np.linalg.norm(r) <= tol * scale:
+                if np.linalg.norm(r) <= _ZERO_TOL * scale:
                     break
                 J = np.array([[cell(x, y, 0.0) for cell in row] for row in jac_fns])
                 JtJ = J.T @ J
@@ -394,13 +394,13 @@ def _field_zeros_on_sigma(f, box, grid=41, tol=1e-10):
             else:
                 continue
             r = np.array(fn(x, y, 0.0))
-            if np.linalg.norm(r) <= tol * scale and box.contains((x, y, 0.0), pad=1e-9):
+            if np.linalg.norm(r) <= _ZERO_TOL * scale and box.contains((x, y, 0.0), pad=1e-9):
                 if all(math.hypot(x - px, y - py) > 1e-6 for px, py in found):
                     found.append((x, y))
     return found
 
 
-def validate(system, grid=41, tol=1e-10):
+def validate(system):
     """Sanity report: degree caps, box geometry, field zeros on the surface.
 
     A field vanishing on the switching surface violates the precondition of
@@ -426,7 +426,7 @@ def validate(system, grid=41, tol=1e-10):
             report.warnings.append(f"{label} has non-finite coefficients")
             continue
         if report.sigma_area > 0.0:
-            zeros = _field_zeros_on_sigma(f, system.box, grid=grid, tol=tol)
+            zeros = _field_zeros_on_sigma(f, system.box)
             if zeros:
                 report.vanishing_points[label] = zeros
                 report.warnings.append(

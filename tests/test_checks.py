@@ -1,4 +1,6 @@
 import dataclasses
+import importlib
+import inspect
 import re
 
 import numpy as np
@@ -24,7 +26,7 @@ def _by_name(results, name):
 
 class TestSaddleDichotomyDraws:
     def test_block_draws_match_scalar_draws(self, monkeypatch):
-        n, seed, margin = 2000, 5, 1e-6
+        n, seed = 2000, 5
         seen = []
         make = checks.make_parameters
 
@@ -33,14 +35,14 @@ class TestSaddleDichotomyDraws:
             return make(a, b, g, d)
 
         monkeypatch.setattr(checks, "make_parameters", recording)
-        checks.check_saddle_dichotomy(n=n, seed=seed, margin=margin)
+        checks.check_saddle_dichotomy(n=n, seed=seed)
         rng = np.random.default_rng(seed)
         expected = []
         while len(expected) < n:
             a = rng.uniform(-3.0, 3.0)
             b = rng.uniform(-3.0, 3.0)
             g = rng.uniform(0.2, 3.0)
-            if abs(a * b * (a * b - g)) > margin:
+            if abs(a * b * (a * b - g)) > checks._DRAW_MARGIN:
                 expected.append((a, b, g))
         assert [tuple(map(float.hex, t)) for t in seen] == [
             tuple(map(float.hex, t)) for t in expected
@@ -88,14 +90,14 @@ class TestDiaboloCounts:
 
     def test_landing_in_stable_sliding_fails(self, monkeypatch):
         # the first quadrant is stable sliding of every normal form with delta = -1
-        monkeypatch.setattr(checks, "return_map_numeric", lambda s, q, cfg=None: (0.5, 0.5))
+        monkeypatch.setattr(checks, "return_map_numeric", lambda s, q: (0.5, 0.5))
         sep = self._separation()
         assert not sep.passed
         assert sep.residual == 20.0
         assert "20 iterated unstable-sliding seeds: 0 escaped, 0 stopped" in sep.detail
 
     def test_failed_flights_counted_by_status(self, monkeypatch):
-        def time_out(system, q, cfg=None):
+        def time_out(system, q):
             raise IntegrationFailure(FlightStatus.TIME_OUT)
 
         monkeypatch.setattr(checks, "return_map_numeric", time_out)
@@ -183,7 +185,7 @@ class TestDiaboloCompanions:
         assert reversibility.residual > reversibility.threshold
 
     def test_failed_fold_map_fails_reversibility(self, monkeypatch):
-        def left_box(system, side, q, cfg=None):
+        def left_box(system, side, q):
             raise IntegrationFailure(FlightStatus.LEFT_BOX)
 
         monkeypatch.setattr(checks, "fold_map_numeric", left_box)
@@ -266,3 +268,23 @@ class TestSlidingExits:
         exits = _by_name(results, "sliding exits at visible folds")
         n_exits = int(re.match(r"0 of (\d+) sliding exits", exits.detail).group(1))
         assert n_exits >= 2
+
+
+class TestSettableValues:
+    """Defaulted parameters of the module-level functions plus the
+    ``IntegratorConfig`` fields: each is a value a caller can set.  A knob
+    with one value in use is a module constant instead, so the count only
+    grows when a second value is in use."""
+
+    MODULES = ("algebra", "system", "sigma", "sliding", "foldfold", "integrator",
+               "checks", "cli")
+
+    def test_at_most_44(self):
+        count = len(dataclasses.fields(integrator.IntegratorConfig))
+        for short in self.MODULES:
+            module = importlib.import_module(f"foldatlas.{short}")
+            for fn in vars(module).values():
+                if inspect.isfunction(fn) and fn.__module__ == module.__name__:
+                    params = inspect.signature(fn).parameters.values()
+                    count += sum(p.default is not inspect.Parameter.empty for p in params)
+        assert count <= 44

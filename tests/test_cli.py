@@ -306,10 +306,16 @@ class TestVerify:
     def test_none_suite(self, capsys):
         assert main(["verify", "--suite", "none"]) == 0
 
-    @pytest.mark.parametrize("scale", ["nan", "inf"])
+    @pytest.mark.parametrize("scale", ["nan", "inf", "0", "-1", "1e308"])
     def test_non_finite_scale_exit_2(self, scale, capsys):
+        # 1e308 is finite, but 20000 * 1e308 samples is not; no suite runs
         assert main(["verify", "--suite", "regions", "--scale", scale]) == 2
-        assert "--scale must be finite" in capsys.readouterr().err
+        message = {
+            "0": "error: --scale must be > 0\n",
+            "-1": "error: --scale must be > 0\n",
+            "1e308": "error: --scale 1e+308 gives non-finite sample counts\n",
+        }.get(scale, "error: --scale must be finite\n")
+        assert capsys.readouterr().err == message
 
     def test_negative_seed_exit_2(self, capsys):
         assert main(["verify", "--suite", "regions", "--seed", "-1"]) == 2

@@ -569,13 +569,13 @@ class TestNumericDiagnostics:
 
     def test_diabolo_landing_in_stable_sliding_is_a_violation(self, monkeypatch):
         # (0.5, 0.5) has Xf = -y < 0 < Yf = x: stable sliding
-        monkeypatch.setattr(checks, "return_map_numeric", lambda s, q, cfg=None: (0.5, 0.5))
+        monkeypatch.setattr(checks, "return_map_numeric", lambda s, q: (0.5, 0.5))
         report = self._iterate()
         assert report.violations == len(report.iterations) == 10
         assert report.iterations == [1] * 10
 
     def test_diabolo_failed_flights_by_status(self, monkeypatch):
-        def time_out(system, q, cfg=None):
+        def time_out(system, q):
             raise IntegrationFailure(FlightStatus.TIME_OUT)
 
         monkeypatch.setattr(checks, "return_map_numeric", time_out)

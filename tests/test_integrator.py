@@ -474,6 +474,15 @@ class TestConfig:
         assert traj.segments[-1].terminal is FlightStatus.LEFT_BOX
         assert max(abs(end[0]), abs(end[1])) > 2.0
 
+    def test_fold_map_guard_follows_system_box(self):
+        # The X arc from (0, -0.1) reaches y = 0.1; a box of side 0.02 guards
+        # the flight at 0.03 from the start, so the arc leaves the guard.
+        nf = build_normal_form(-1.0, -1.0, 1.0, -1.0)
+        small = PiecewiseSystem(nf.X, nf.Y, Box(-0.01, 0.01, -0.01, 0.01, -0.01, 0.01))
+        with pytest.raises(IntegrationFailure) as exc:
+            fold_map_numeric(small, "X", (0.0, -0.1))
+        assert exc.value.status is FlightStatus.LEFT_BOX
+
 
 def _record_refinements(monkeypatch):
     """Wrap the locator: one ``(h, found, rk_steps, event_name)`` per event,

@@ -67,7 +67,7 @@ class TestClassifyPoint:
                 assert cls.kind is SigmaKind.UNSTABLE_SLIDING
 
     def test_swap_symmetry(self):
-        swapped = ELLIPTIC.swapped()
+        swapped = PiecewiseSystem(ELLIPTIC.Y, ELLIPTIC.X, ELLIPTIC.box)
         rng = np.random.default_rng(1)
         swap = {
             SigmaKind.STABLE_SLIDING: SigmaKind.UNSTABLE_SLIDING,
