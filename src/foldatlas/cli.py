@@ -29,7 +29,7 @@ from .foldfold import (
 )
 from .integrator import IntegratorConfig, filippov_trajectory
 from .sigma import default_tolerance, tangency_curves
-from .system import Box, load_system, validate
+from .system import Box, _require_usable_box, load_system, validate
 
 
 def _jsonable(obj):
@@ -224,7 +224,10 @@ def cmd_simulate(args):
     system = _read_system(args.system)
     p0 = _parse_floats(args.p0, 3, "--p0")
     horizon = _finite(args.T, "--T")
-    box = Box.from_sequence(_parse_floats(args.box, 6, "--box")) if args.box else system.box
+    box = system.box
+    if args.box:
+        box = Box.from_sequence(_parse_floats(args.box, 6, "--box"))
+        _require_usable_box(box)
     cfg = IntegratorConfig(box=box)
     traj = filippov_trajectory(system, p0, horizon, cfg)
     lines = ["segment,mode,terminal,t,x,y,z"]

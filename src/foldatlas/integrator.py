@@ -16,6 +16,12 @@ returns its scaled error norm rather than the error vector.  The plane event
 is the z-component alone, so its interpolant root evaluates only that
 component; the sliding events evaluate the whole interpolated state.
 
+The driver loop reads the plane event as the state component ``y_new[2]``,
+guards with closures over the box bounds and collects samples as parallel
+lists of times and state tuples, one array conversion each per segment.
+The sliding field takes Xf and Yf as the z-components of X and Y.  A
+Filippov trajectory must start inside its box.
+
 The fold maps and the first-return map realized here are compared against
 their closed-form counterparts by the verification suites; nothing in this
 module consults those formulas.
@@ -393,24 +399,31 @@ def _refine_event(f, event, y_left, k_left, y_right, k_right, h, g_right):
 
 
 def _integrate(f, y0, events, t_limit, outside=None, h0=None, collect=None):
-    """Drive the stepper until an event, a guard violation, or the horizon."""
+    """Drive the stepper until an event, a guard violation, or the horizon;
+    ``collect`` is a pair of lists ``(times, states)`` or None.  The clamps
+    keep ``min``/``max``'s NaN rule: the first argument wins against NaN."""
     y = tuple(float(v) for v in y0)
     k1 = f(*y)
     t = 0.0
     h = h0 if h0 else min(1e-4, 0.25 * t_limit)
     err_prev = 1.0
+    end_band = 1e-15 * max(1.0, t_limit)
     for ev in events:
         ev.observe_initial(y)
     if collect is not None:
-        collect.append((t, y))
+        times, states = collect
+        times.append(t)
+        states.append(y)
     steps = 0
     while True:
-        if t_limit - t <= 1e-15 * max(1.0, t_limit):
+        remaining = t_limit - t
+        if remaining <= end_band:
             return FlightResult(FlightStatus.TIME_OUT, y, t)
         steps += 1
         if steps > _MAX_STEPS:
             return FlightResult(FlightStatus.STEP_LIMIT, y, t)
-        h = min(h, t_limit - t)
+        if remaining < h:
+            h = remaining
         if h < 1e-15:
             return FlightResult(FlightStatus.TIME_OUT, y, t)
         y_new, k_last, err_norm = _rk_step(f, y, h, k1)
@@ -420,7 +433,8 @@ def _integrate(f, y0, events, t_limit, outside=None, h0=None, collect=None):
         # Event scan on the accepted step.
         hit = None
         for ev in events:
-            v = ev.fn(y_new)
+            i = ev.component
+            v = ev.fn(y_new) if i is None else y_new[i]
             if not ev.armed:
                 aligned = ev.expected_sign == 0 or v * ev.expected_sign > 0
                 if abs(v) > ev.arm_eps and aligned:
@@ -443,21 +457,27 @@ def _integrate(f, y0, events, t_limit, outside=None, h0=None, collect=None):
             ev, dt, y_ev = hit
             t_ev = t + dt
             if collect is not None:
-                collect.append((t_ev, y_ev))
+                times.append(t_ev)
+                states.append(y_ev)
             return FlightResult(FlightStatus.HIT_SIGMA, y_ev, t_ev, ev.name)
         if outside is not None and outside(y_new):
             if collect is not None:
-                collect.append((t + h, y_new))
+                times.append(t + h)
+                states.append(y_new)
             return FlightResult(FlightStatus.LEFT_BOX, y_new, t + h)
         t += h
         y = y_new
         k1 = k_last
         if collect is not None:
-            collect.append((t, y))
-        # PI controller on the accepted step.
-        factor = 0.9 * err_norm ** -0.14 * err_prev ** 0.08 if err_norm > 0 else 5.0
-        h *= min(5.0, max(0.2, factor))
-        err_prev = max(err_norm, 1e-10)
+            times.append(t)
+            states.append(y)
+        # PI controller on the accepted step, its factor clamped to [0.2, 5].
+        if err_norm > 0:
+            factor = 0.9 * err_norm ** -0.14 * err_prev ** 0.08
+            h *= (factor if factor < 5.0 else 5.0) if factor > 0.2 else 0.2
+        else:
+            h *= 5.0
+        err_prev = 1e-10 if err_norm < 1e-10 else err_norm
 
 
 # ---------------------------------------------------------------------------
@@ -650,9 +670,18 @@ def filippov_trajectory(system, p0, horizon, cfg=None):
         return rev
 
     tol = default_tolerance(system)
-    box = cfg.box if cfg else DEFAULT_BOX
+    xmin, xmax, ymin, ymax, zmin, zmax = (cfg.box if cfg else DEFAULT_BOX).as_tuple()
+
+    def outside_box(y):
+        return not (xmin <= y[0] <= xmax and ymin <= y[1] <= ymax and zmin <= y[2] <= zmax)
+
+    def outside_slice(y):  # a sliding state (x, y) on the plane z = 0
+        return not (xmin <= y[0] <= xmax and ymin <= y[1] <= ymax and zmin <= 0.0 <= zmax)
+
     traj = Trajectory()
     p = (float(p0[0]), float(p0[1]), float(p0[2]))
+    if outside_box(p):
+        raise PreconditionError(f"trajectory start {p} lies outside its box")
     if p[2] > tol:
         mode, stop = Mode.FLOW_PLUS, None
     elif p[2] < -tol:
@@ -671,17 +700,25 @@ def filippov_trajectory(system, p0, horizon, cfg=None):
     x_fn = system.X.compiled()
     y_fn = system.Y.compiled()
 
-    def outside_box(y):
-        return not box.contains(y)
+    def f2(u, v):
+        # Xf and Yf are the z-components of X and Y
+        xv = x_fn(u, v, 0.0)
+        yv = y_fn(u, v, 0.0)
+        xf, yf = xv[2], yv[2]
+        den = yf - xf
+        return (
+            (yf * xv[0] - xf * yv[0]) / den,
+            (yf * xv[1] - xf * yv[1]) / den,
+        )
 
     while len(traj.segments) < _MAX_SEGMENTS:
         remaining = horizon - t_now
         if remaining <= 1e-14 * max(1.0, horizon):
             _append_marker(traj, t_now, p, mode, FlightStatus.TIME_OUT)
             break
+        times, states = [], []
         if mode in (Mode.FLOW_PLUS, Mode.FLOW_MINUS):
             fld = system.X if mode is Mode.FLOW_PLUS else system.Y
-            samples = []
             side = 1 if mode is Mode.FLOW_PLUS else -1
             ev = _sigma_event(side)
             out = _integrate(
@@ -690,10 +727,10 @@ def filippov_trajectory(system, p0, horizon, cfg=None):
                 [ev],
                 t_limit=remaining,
                 outside=outside_box,
-                collect=samples,
+                collect=(times, states),
             )
             seg_end, next_mode = _flight_outcome(system, out, tol)
-            _append_segment(traj, t_now, samples, mode, seg_end)
+            _append_segment(traj, t_now, times, states, mode, seg_end)
             t_now += out.time
             p = (
                 out.point[0],
@@ -704,17 +741,6 @@ def filippov_trajectory(system, p0, horizon, cfg=None):
                 break
             mode = next_mode
         else:  # sliding on {z = 0}
-            def f2(u, v):
-                xf = xf_fn(u, v, 0.0)
-                yf = yf_fn(u, v, 0.0)
-                den = yf - xf
-                xv = x_fn(u, v, 0.0)
-                yv = y_fn(u, v, 0.0)
-                return (
-                    (yf * xv[0] - xf * yv[0]) / den,
-                    (yf * xv[1] - xf * yv[1]) / den,
-                )
-
             arm = 10.0 * max(_EVENT_TOL, tol)
             events = [
                 _Event("sx", lambda y: xf_fn(y[0], y[1], 0.0), arm_eps=arm),
@@ -725,19 +751,17 @@ def filippov_trajectory(system, p0, horizon, cfg=None):
                     arm_eps=0.0,
                 ),
             ]
-            samples = []
             out = _integrate(
                 f2,
                 (p[0], p[1]),
                 events,
                 t_limit=remaining,
-                outside=lambda y: not box.contains((y[0], y[1], 0.0)),
-                collect=samples,
+                outside=outside_slice,
+                collect=(times, states),
             )
-            samples3 = [(t, (y[0], y[1], 0.0)) for t, y in samples]
             q3 = (out.point[0], out.point[1], 0.0)
             seg_end, next_mode = _sliding_outcome(system, out, q3, tol)
-            _append_segment(traj, t_now, samples3, Mode.SLIDING, seg_end)
+            _append_segment(traj, t_now, times, states, Mode.SLIDING, seg_end)
             t_now += out.time
             p = q3
             if next_mode is None:
@@ -777,12 +801,11 @@ def _sliding_outcome(system, out, q3, tol):
     return FlightStatus.MODE_SWITCH, exit_mode
 
 
-def _append_segment(traj, t_offset, samples, mode, terminal):
-    if not samples:
-        return
-    times = np.array([t_offset + t for t, _ in samples])
-    points = np.array([list(y) for _, y in samples])
-    traj.segments.append(TrajectorySegment(mode, times, points, terminal))
+def _append_segment(traj, t_offset, times, states, mode, terminal):
+    """Append one flight's samples; sliding states (x, y) get z = 0.0."""
+    points = np.zeros((len(states), 3))
+    points[:, :len(states[0])] = states
+    traj.segments.append(TrajectorySegment(mode, t_offset + np.array(times), points, terminal))
 
 
 def _append_marker(traj, t_now, p, mode, terminal):

@@ -401,6 +401,18 @@ class TestFirstLieDerivativesAreZComponents:
                 VectorField3(fx.cx, fx.cy, fx.cz * fy.cz - fx.cz), fx.negated()
             ))
 
+    def test_field_z_component_is_cz_evaluator(self):
+        # The sliding field reads Xf and Yf as component 2 of the compiled
+        # X and Y, so that component must equal cz.compiled() bit for bit.
+        rng = np.random.default_rng(14)
+        points = [(0.0, -0.0, 0.0), (-0.0, 0.0, -0.0), (1.0, -1.0, 0.5)]
+        for _ in range(300):
+            field = VectorField3(*(self._random_poly(rng) for _ in "xyz"))
+            for fld in (field, field.negated()):
+                f, g = fld.compiled(), fld.cz.compiled()
+                for pt in points + [tuple(rng.uniform(-1.5, 1.5, size=3).tolist())]:
+                    assert _bits(f(*pt)[2]) == _bits(g(*pt))
+
     def test_normal_forms_with_higher_order_terms(self):
         hot = {"cx": [[[0, 1, 0], 0.2]], "cy": [[[1, 0, 0], -0.1]],
                "cz": [[[2, 0, 0], 0.3], [[0, 1, 1], 0.1], [[0, 0, 2], -1e-300]]}

@@ -1,11 +1,13 @@
 import hashlib
 import json
+import re
 
 import pytest
 
 from foldatlas import sigma
 from foldatlas.algebra import Poly3, VectorField3
 from foldatlas.cli import SweepSpec, _jsonable, main, run_sweep
+from foldatlas.errors import EmptyBoxError
 from foldatlas.foldfold import (
     FixedPointClass,
     make_parameters,
@@ -300,6 +302,31 @@ class TestSimulate:
         args = {"--p0": "0,0,0.5", "--T": "1", option: value}
         assert main(["simulate", elliptic_file, *(t for kv in args.items() for t in kv)]) == 2
         assert f"{option} must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("box,message", [
+        ("1,-1,-1,1,-1,1", "box has no volume"),
+        ("0,0,0,0,0,0", "box has no volume"),
+        ("-1,1,-1,1,0.5,1", "box does not contain a slice of {z=0} with area"),
+    ])
+    def test_unusable_box_exit_2(self, const_file, tmp_path, box, message, capsys):
+        # the same EmptyBoxError as the box of a system document
+        out = tmp_path / "traj.csv"
+        rc = main(["simulate", const_file, "--p0", "0,0,0.5", "--box", box, "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+        doc = json.loads(open(const_file, encoding="utf-8").read())
+        doc["box"] = [float(v) for v in box.split(",")]
+        with pytest.raises(EmptyBoxError, match=re.escape(message)):
+            load_system(json.dumps(doc))
+
+    @pytest.mark.parametrize("p0,box", [("5,0,0.5", None), ("0,0,0.5", "1,2,-1,1,-1,1")])
+    def test_start_outside_box_exit_3(self, const_file, tmp_path, p0, box, capsys):
+        out = tmp_path / "traj.csv"
+        args = ["simulate", const_file, "--p0", p0, "--out", str(out)]
+        assert main(args + (["--box", box] if box else [])) == 3
+        assert "lies outside its box" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestVerify:

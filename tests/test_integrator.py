@@ -406,6 +406,21 @@ class TestTrajectory:
             gap = np.linalg.norm(prev.points[-1] - nxt.points[0])
             assert gap <= 10 * integrator._EVENT_TOL
 
+    @pytest.mark.parametrize("p0,horizon", [((5.0, 0.0, 0.5), 2.0), ((0.0, 0.0, 1.5), 2.0),
+                                            ((0.5, -1.5, 0.0), -2.0)])
+    def test_start_outside_box_rejected(self, monkeypatch, p0, horizon):
+        Z = PiecewiseSystem(const_field(1, 0, -1), const_field(0, 1, 1))
+        steps = []
+        monkeypatch.setattr(integrator, "_rk_step", lambda *args: steps.append(args))
+        with pytest.raises(PreconditionError, match="outside its box"):
+            filippov_trajectory(Z, p0, horizon)
+        assert steps == []
+
+    def test_start_on_box_face_accepted(self):
+        Z = PiecewiseSystem(const_field(1, 0, -1), const_field(0, 1, 1))
+        traj = filippov_trajectory(Z, (0.0, 0.0, 1.0), 0.5)
+        assert traj.status == FlightStatus.TIME_OUT.value
+
     def test_sliding_into_t_singularity_terminates(self):
         # inside RE1 the sliding orbit reaches the two-fold in finite time
         system = build_normal_form(-2.0, -1.0, 1.0, -1.0)
@@ -655,6 +670,76 @@ class TestWorkCounts:
         system = build_normal_form(*params, -1.0)
         jacobian_numeric(lambda q: return_map_numeric(system, q), (0.0, 0.0), 1e-3)
         assert counts == {"integrate_to_sigma": 6, "_rk_step": 24, "field_evals": 150}
+
+    def test_stick_slip_trajectory(self, call_counts):
+        # slide, slip below the plane, slide, slip to the horizon: every
+        # accepted step is one sample, and the three events (two sliding
+        # exits, one return to the plane) take no extra step to locate
+        counts = call_counts(integrator, "_rk_step", "_refine_event")
+        system, box = dry_friction()
+        traj = filippov_trajectory(system, (0.2, 0.3, 0.0), 12.0, IntegratorConfig(box=box))
+        assert counts == {"_rk_step": 355, "_refine_event": 3}
+        assert [(seg.mode, seg.terminal, len(seg.times)) for seg in traj.segments] == [
+            (Mode.SLIDING, FlightStatus.MODE_SWITCH, 20),
+            (Mode.FLOW_MINUS, FlightStatus.MODE_SWITCH, 186),
+            (Mode.SLIDING, FlightStatus.MODE_SWITCH, 18),
+            (Mode.FLOW_MINUS, FlightStatus.TIME_OUT, 131),
+        ]
+
+
+class TestNonFiniteErrorNorm:
+    """Flights on dx/dt = x*y from x = 1e306: x overflows, the stages turn
+    infinite and the error norm NaN.  A NaN norm is accepted and grows the
+    step fivefold, because the step control's clamps keep ``min``/``max``'s
+    rule that the first argument wins against NaN.  Step sizes, states and
+    samples are pinned by SHA-256 over ``float.hex``."""
+
+    BIG = Box(-1e308, 1e308, -1e308, 1e308, -1e308, 1e308)  # scale overflows
+    FLIGHT_DIGEST = "2d52d570f49cc17ad1739482f917a8f115545c38b328cac42dd63e14d8823d1e"
+    TRAJECTORY_DIGEST = "62e81d8448141a12f1cc397e2453743e4835d68e74f698f33e46a878e250a01c"
+
+    @staticmethod
+    def _field(cz):
+        return VectorField3(Poly3({(1, 1, 0): 1.0}), Poly3.constant(1.0), cz)
+
+    @staticmethod
+    def _digest(values):
+        return hashlib.sha256(",".join(float(v).hex() for v in values).encode()).hexdigest()
+
+    def test_flight_grows_fivefold_to_the_horizon(self, monkeypatch):
+        steps = []
+        real = integrator._rk_step
+
+        def step(f, y, h, k1):
+            out = real(f, y, h, k1)
+            steps.append((h, out[2]))
+            return out
+
+        monkeypatch.setattr(integrator, "_rk_step", step)
+        # dz/dt = 1 never returns, and the guard cube of an overflowing box
+        # scale is unbounded, so the flight runs to the time horizon
+        res = integrate_to_sigma(self._field(Poly3.constant(1.0)), (1e306, 1.0, 0.0), 1,
+                                 self.BIG)
+        assert res.status is FlightStatus.TIME_OUT and res.time == integrator._MAX_TIME
+        assert math.isnan(res.point[0])
+        first_nan = next(i for i, (_, err) in enumerate(steps) if math.isnan(err))
+        assert (first_nan, len(steps)) == (69, 76)
+        assert all(math.isnan(err) for _, err in steps[first_nan:])
+        hs = [h for h, _ in steps[first_nan:]]
+        assert all(b == 5.0 * a for a, b in zip(hs, hs[1:-1]))
+        assert self._digest([v for h_err in steps for v in h_err] + list(res.point)) == (
+            self.FLIGHT_DIGEST)
+
+    def test_trajectory_leaves_box_at_overflow(self):
+        X = self._field(Poly3({(0, 0, 0): 2.0, (0, 1, 0): -1.0}))
+        system = PiecewiseSystem(X, const_field(0, 0, 1), self.BIG)
+        traj = filippov_trajectory(system, (1e306, 1.0, 0.5), 5.0, IntegratorConfig(box=self.BIG))
+        (seg,) = traj.segments
+        assert (traj.status, seg.mode, len(seg.times)) == ("left-box", Mode.FLOW_PLUS, 71)
+        assert traj.total_time == seg.times[-1]
+        assert seg.points[-1][0] == math.inf and np.isfinite(seg.points[:-1]).all()
+        assert self._digest(seg.times.tolist() + seg.points.ravel().tolist()) == (
+            self.TRAJECTORY_DIGEST)
 
 
 class TestScipyRoute:
