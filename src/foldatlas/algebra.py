@@ -9,9 +9,10 @@ Hot numeric loops call compiled evaluators.  Python source is generated and
 compiled once per *monomial shape* (the sorted exponent triples of each
 component) into a factory that binds coefficients to an evaluator; a small
 private LRU keeps the factories, so a new system whose polynomials share a
-shape with an earlier one only pays for binding its coefficients.  The
-evaluator computes the same terms, powers and left-to-right sums as
-``as_expr``, so it returns bitwise the same floats as compiling that
+shape with an earlier one only pays for binding its coefficients.  A vector
+field keeps that shape pass (``shape()``); the integrator's step kernels bind
+from it too.  The evaluator computes the same terms, powers and left-to-right
+sums as ``as_expr``, so it returns bitwise the same floats as compiling that
 expression with literal coefficients.
 
 ``lie_derivative`` is one pass over plain dicts that gives the same bits and
@@ -83,10 +84,9 @@ def _term(coeff, exps):
     return "*".join(factors)
 
 
-@functools.lru_cache(maxsize=512)
-def _factory(shapes):
-    """``lambda c0, ..., cn: lambda x, y, z: ...`` for a tuple of component
-    shapes: one shape gives a scalar evaluator, several give a tuple."""
+def shape_source(shapes):
+    """Coefficient names ``c0, ..., cn`` and one expression in x, y, z per
+    component shape: the evaluator's source, for code that inlines it."""
     names = []
     exprs = []
     for shape in shapes:
@@ -95,6 +95,14 @@ def _factory(shapes):
             terms.append(_term(f"c{len(names)}", exps))
             names.append(f"c{len(names)}")
         exprs.append(" + ".join(terms) if terms else "0.0")
+    return names, exprs
+
+
+@functools.lru_cache(maxsize=512)
+def _factory(shapes):
+    """``lambda c0, ..., cn: lambda x, y, z: ...`` for a tuple of component
+    shapes: one shape gives a scalar evaluator, several give a tuple."""
+    names, exprs = shape_source(shapes)
     body = f"({exprs[0]})" if len(exprs) == 1 else "({})".format(
         ", ".join(f"({e})" for e in exprs)
     )
@@ -103,15 +111,15 @@ def _factory(shapes):
     return eval(compile(src, "<poly3>", "eval"), {"__builtins__": {}})
 
 
-def _bind(polys):
-    """Evaluator of ``polys`` from the factory of their shapes."""
+def _shape(polys):
+    """The monomial shapes of ``polys`` and their coefficients in order."""
     shapes = []
     coeffs = []
     for p in polys:
         items = p.items()
         shapes.append(tuple(e for e, _ in items))
         coeffs.extend(c for _, c in items)
-    return _factory(tuple(shapes))(*coeffs)
+    return tuple(shapes), coeffs
 
 
 class Poly3:
@@ -264,7 +272,8 @@ class Poly3:
     def compiled(self):
         """Cached evaluator ``f(x, y, z) -> float`` for hot numeric loops."""
         if self._fn is None:
-            self._fn = _bind((self,))
+            shapes, coeffs = _shape((self,))
+            self._fn = _factory(shapes)(*coeffs)
         return self._fn
 
     def __repr__(self):
@@ -278,13 +287,15 @@ SWITCHING_FUNCTION = Poly3.variable("z")
 class VectorField3:
     """Polynomial vector field on R^3 with components (cx, cy, cz)."""
 
-    __slots__ = ("cx", "cy", "cz", "_fn", "_neg", "_scale")
+    __slots__ = ("cx", "cy", "cz", "_fn", "_shape", "_kernel", "_neg", "_scale")
 
     def __init__(self, cx, cy, cz):
         self.cx = cx
         self.cy = cy
         self.cz = cz
         self._fn = None
+        self._shape = None
+        self._kernel = None
         self._neg = None
         self._scale = None
 
@@ -309,11 +320,27 @@ class VectorField3:
             self._neg = VectorField3(-self.cx, -self.cy, -self.cz)
         return self._neg
 
+    def shape(self):
+        """Cached ``(shapes, coefficients)``: the one pass over the components
+        that the evaluator and the integrator's step kernel bind from."""
+        if self._shape is None:
+            self._shape = _shape(self.components())
+        return self._shape
+
     def compiled(self):
         """Cached evaluator ``f(x, y, z) -> (fx, fy, fz)``."""
         if self._fn is None:
-            self._fn = _bind(self.components())
+            shapes, coeffs = self.shape()
+            self._fn = _factory(shapes)(*coeffs)
         return self._fn
+
+    def kernel(self, factory):
+        """Cached ``factory(shapes)(*coefficients)`` on ``shape()``: generated
+        per-shape code, the integrator's step kernel."""
+        if self._kernel is None:
+            shapes, coeffs = self.shape()
+            self._kernel = factory(shapes)(*coeffs)
+        return self._kernel
 
     def __eq__(self, other):
         return (

@@ -9,18 +9,25 @@ resolution, and polished on re-integrated states: Newton on the rate
 dz/dt = f_z for the plane, secant for the sliding events, down to
 ``1e-3 * _EVENT_TOL`` where possible.  A bisection from the bracket start
 guarantees |g| <= ``_EVENT_TOL`` when the polish falls short.  The returned
-event state is always re-integrated, never interpolated.  The step is
-written out per state dimension (3 components for free flights, 2 for the
-sliding field) on unpacked scalars, with the sums in tableau order, and
-returns its scaled error norm rather than the error vector.  The plane event
+event state is always re-integrated, never interpolated.  The plane event
 is the z-component alone, so its interpolant root evaluates only that
 component; the sliding events evaluate the whole interpolated state.
 
+Every step is generated from one template over the tableau, on unpacked
+scalars with the sums in tableau order, and returns its scaled error norm
+rather than the error vector.  Only the stage evaluations vary: a call of
+any callable field (``_rk_step``), or the field written out inline.  A
+polynomial field's kernel and the sliding field's kernel (X and Y at z = 0,
+with Xf and Yf their z-components) are compiled once per monomial shape
+into a bounded LRU and bind the coefficients from the same shape pass as
+the field's evaluator.  Free flights, their event refinement and the
+sliding phase all step through these kernels.
+
 The driver loop reads the plane event as the state component ``y_new[2]``,
-guards with closures over the box bounds and collects samples as parallel
-lists of times and state tuples, one array conversion each per segment.
-The sliding field takes Xf and Yf as the z-components of X and Y.  A
-Filippov trajectory must start inside its box.
+guards with closures over the box bounds, under which a NaN state is
+outside, and collects samples as parallel lists of times and state tuples,
+one array conversion each per segment.  A Filippov trajectory must start
+inside its box.
 
 The fold maps and the first-return map realized here are compared against
 their closed-form counterparts by the verification suites; nothing in this
@@ -29,30 +36,29 @@ module consults those formulas.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .algebra import lie_derivative
+from .algebra import lie_derivative, shape_source
 from .errors import IntegrationFailure, PreconditionError
 from .sigma import default_tolerance
 from .system import DEFAULT_BOX
 
 # Dormand-Prince 5(4) tableau (FSAL): stage rows A, fifth-order weights B,
 # and error weights E (fifth minus fourth order).
-_A21 = 1 / 5
-_A31, _A32 = 3 / 40, 9 / 40
-_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
-_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
-_A61, _A62, _A63, _A64, _A65 = (
-    9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656,
+_A = (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
 )
-_B1, _B2, _B3, _B4, _B5, _B6 = 35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
-_E1, _E2, _E3, _E4, _E5, _E6, _E7 = (
-    71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40,
-)
+_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
+_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
 
 
 # Step-size control (relative and absolute error weights), the event
@@ -108,104 +114,117 @@ class FlightResult:
 # Core stepper
 
 
-def _rk_step(f, y, h, k1):
-    """One Dormand-Prince step: returns (y_new, k_last, err_norm).
+def _step_lines(dim, stage):
+    """Body of one Dormand-Prince step on ``dim``-component states: from the
+    state ``s``, the step ``h`` and the first stage ``k1`` to ``return
+    (y_new, k_last, err_norm)``.
 
-    The stages are written out for 3-component states (free flights) and
-    2-component states (the sliding field).  Every weighted sum adds its
-    terms in tableau order starting from 0.0, zero weights included, so the
-    step matches the generic tableau loop kept in tests/test_integrator.py
-    bit for bit.  ``kSi`` is component ``i`` of stage ``S``.  ``err_norm``
-    is the RMS of the error components ``ri``, each scaled by
-    ``_ABS_TOL + _REL_TOL * max(|y|, |y_new|)`` and summed in order from 0.0.
+    ``stage(args, outs)`` gives the lines that set the names ``outs`` to the
+    field at the state expressions ``args``; it is the only part that varies
+    between kernels.  ``kSi`` is component ``i`` of stage ``S``.  Every
+    weighted sum adds its terms in tableau order starting from 0.0, zero
+    weights included, so a step matches the generic tableau loop kept in
+    tests/test_integrator.py bit for bit.  ``err_norm`` is the RMS of the
+    error components ``ri``, each scaled by ``_ABS_TOL + _REL_TOL * max(|y|,
+    |y_new|)`` and summed in order from 0.0.
     """
-    if len(y) == 3:
-        y0, y1, y2 = y
-        k10, k11, k12 = k1
-        k20, k21, k22 = f(
-            y0 + h * (0.0 + _A21 * k10),
-            y1 + h * (0.0 + _A21 * k11),
-            y2 + h * (0.0 + _A21 * k12),
-        )
-        k30, k31, k32 = f(
-            y0 + h * (0.0 + _A31 * k10 + _A32 * k20),
-            y1 + h * (0.0 + _A31 * k11 + _A32 * k21),
-            y2 + h * (0.0 + _A31 * k12 + _A32 * k22),
-        )
-        k40, k41, k42 = f(
-            y0 + h * (0.0 + _A41 * k10 + _A42 * k20 + _A43 * k30),
-            y1 + h * (0.0 + _A41 * k11 + _A42 * k21 + _A43 * k31),
-            y2 + h * (0.0 + _A41 * k12 + _A42 * k22 + _A43 * k32),
-        )
-        k50, k51, k52 = f(
-            y0 + h * (0.0 + _A51 * k10 + _A52 * k20 + _A53 * k30 + _A54 * k40),
-            y1 + h * (0.0 + _A51 * k11 + _A52 * k21 + _A53 * k31 + _A54 * k41),
-            y2 + h * (0.0 + _A51 * k12 + _A52 * k22 + _A53 * k32 + _A54 * k42),
-        )
-        k60, k61, k62 = f(
-            y0 + h * (0.0 + _A61 * k10 + _A62 * k20 + _A63 * k30 + _A64 * k40
-                      + _A65 * k50),
-            y1 + h * (0.0 + _A61 * k11 + _A62 * k21 + _A63 * k31 + _A64 * k41
-                      + _A65 * k51),
-            y2 + h * (0.0 + _A61 * k12 + _A62 * k22 + _A63 * k32 + _A64 * k42
-                      + _A65 * k52),
-        )
-        n0 = y0 + h * (0.0 + _B1 * k10 + _B2 * k20 + _B3 * k30 + _B4 * k40
-                       + _B5 * k50 + _B6 * k60)
-        n1 = y1 + h * (0.0 + _B1 * k11 + _B2 * k21 + _B3 * k31 + _B4 * k41
-                       + _B5 * k51 + _B6 * k61)
-        n2 = y2 + h * (0.0 + _B1 * k12 + _B2 * k22 + _B3 * k32 + _B4 * k42
-                       + _B5 * k52 + _B6 * k62)
-        k7 = f(n0, n1, n2)
-        k70, k71, k72 = k7
-        a0, a1, a2 = abs(y0), abs(y1), abs(y2)
-        b0, b1, b2 = abs(n0), abs(n1), abs(n2)
-        r0 = h * (0.0 + _E1 * k10 + _E2 * k20 + _E3 * k30 + _E4 * k40
-                  + _E5 * k50 + _E6 * k60 + _E7 * k70) / (
-            _ABS_TOL + _REL_TOL * (b0 if b0 > a0 else a0))
-        r1 = h * (0.0 + _E1 * k11 + _E2 * k21 + _E3 * k31 + _E4 * k41
-                  + _E5 * k51 + _E6 * k61 + _E7 * k71) / (
-            _ABS_TOL + _REL_TOL * (b1 if b1 > a1 else a1))
-        r2 = h * (0.0 + _E1 * k12 + _E2 * k22 + _E3 * k32 + _E4 * k42
-                  + _E5 * k52 + _E6 * k62 + _E7 * k72) / (
-            _ABS_TOL + _REL_TOL * (b2 if b2 > a2 else a2))
-        return (n0, n1, n2), k7, math.sqrt((0.0 + r0 * r0 + r1 * r1 + r2 * r2) / 3)
-    y0, y1 = y
-    k10, k11 = k1
-    k20, k21 = f(y0 + h * (0.0 + _A21 * k10), y1 + h * (0.0 + _A21 * k11))
-    k30, k31 = f(
-        y0 + h * (0.0 + _A31 * k10 + _A32 * k20),
-        y1 + h * (0.0 + _A31 * k11 + _A32 * k21),
-    )
-    k40, k41 = f(
-        y0 + h * (0.0 + _A41 * k10 + _A42 * k20 + _A43 * k30),
-        y1 + h * (0.0 + _A41 * k11 + _A42 * k21 + _A43 * k31),
-    )
-    k50, k51 = f(
-        y0 + h * (0.0 + _A51 * k10 + _A52 * k20 + _A53 * k30 + _A54 * k40),
-        y1 + h * (0.0 + _A51 * k11 + _A52 * k21 + _A53 * k31 + _A54 * k41),
-    )
-    k60, k61 = f(
-        y0 + h * (0.0 + _A61 * k10 + _A62 * k20 + _A63 * k30 + _A64 * k40
-                  + _A65 * k50),
-        y1 + h * (0.0 + _A61 * k11 + _A62 * k21 + _A63 * k31 + _A64 * k41
-                  + _A65 * k51),
-    )
-    n0 = y0 + h * (0.0 + _B1 * k10 + _B2 * k20 + _B3 * k30 + _B4 * k40
-                   + _B5 * k50 + _B6 * k60)
-    n1 = y1 + h * (0.0 + _B1 * k11 + _B2 * k21 + _B3 * k31 + _B4 * k41
-                   + _B5 * k51 + _B6 * k61)
-    k7 = f(n0, n1)
-    k70, k71 = k7
-    a0, a1 = abs(y0), abs(y1)
-    b0, b1 = abs(n0), abs(n1)
-    r0 = h * (0.0 + _E1 * k10 + _E2 * k20 + _E3 * k30 + _E4 * k40
-              + _E5 * k50 + _E6 * k60 + _E7 * k70) / (
-        _ABS_TOL + _REL_TOL * (b0 if b0 > a0 else a0))
-    r1 = h * (0.0 + _E1 * k11 + _E2 * k21 + _E3 * k31 + _E4 * k41
-              + _E5 * k51 + _E6 * k61 + _E7 * k71) / (
-        _ABS_TOL + _REL_TOL * (b1 if b1 > a1 else a1))
-    return (n0, n1), k7, math.sqrt((0.0 + r0 * r0 + r1 * r1) / 2)
+    comps = range(dim)
+
+    def weighted(row, i):
+        return "h * (0.0" + "".join(f" + {w!r} * k{j + 1}{i}" for j, w in enumerate(row)) + ")"
+
+    def names(prefix):
+        return [f"{prefix}{i}" for i in comps]
+
+    lines = [f"{', '.join(names('y'))}, = s", f"{', '.join(names('k1'))}, = k1"]
+    for n, row in enumerate(_A, start=2):
+        lines += stage([f"y{i} + {weighted(row, i)}" for i in comps], names(f"k{n}"))
+    lines += [f"n{i} = y{i} + {weighted(_B, i)}" for i in comps]
+    lines += stage(names("n"), names("k7"))
+    for i in comps:
+        lines += [
+            f"a = abs(y{i})",
+            f"b = abs(n{i})",
+            f"r{i} = {weighted(_E, i)} / (_ABS_TOL + _REL_TOL * (b if b > a else a))",
+        ]
+    squares = " + ".join(f"r{i} * r{i}" for i in comps)
+    return lines + [
+        f"return ({', '.join(names('n'))},), ({', '.join(names('k7'))},), "
+        f"math.sqrt((0.0 + {squares}) / {dim})"
+    ]
+
+
+def _def(signature, body):
+    return [f"def {signature}:"] + ["    " + line for line in body]
+
+
+def _compile(lines, name):
+    """The function ``name`` defined by the generated ``lines``; the source
+    holds generated names, integer exponents and tableau constants only."""
+    ns = {}
+    exec(compile("\n".join(lines), "<dormand-prince>", "exec"), globals(), ns)
+    return ns[name]
+
+
+def _call_stage(args, outs):
+    return [f"{', '.join(outs)}, = f({', '.join(args)})"]
+
+
+@functools.cache
+def _call_step(dim):
+    return _compile(_def("step(f, s, h, k1)", _step_lines(dim, _call_stage)), "step")
+
+
+def _rk_step(f, y, h, k1):
+    """One Dormand-Prince step of any callable field ``f`` on a 3- or
+    2-component state: returns (y_new, k_last, err_norm)."""
+    return _call_step(len(y))(f, y, h, k1)
+
+
+@functools.lru_cache(maxsize=512)
+def _flight_factory(shapes):
+    """``bind(c0, ..., cn) -> step(y, h, k1)`` for a polynomial field of the
+    component ``shapes``: the field is written out inline in every stage."""
+    params, exprs = shape_source(shapes)
+
+    def stage(args, outs):
+        return [f"x, y, z = {', '.join(args)}"] + [f"{o} = {e}" for o, e in zip(outs, exprs)]
+
+    step = _def("step(s, h, k1)", _step_lines(3, stage))
+    return _compile(_def(f"bind({', '.join(params)})", step + ["return step"]), "bind")
+
+
+@functools.lru_cache(maxsize=512)
+def _sliding_factory(shapes):
+    """``bind(c0, ..., cn) -> (field(x, y), step(y, h, k1))`` for the sliding
+    field of X and Y, whose component ``shapes`` come in that order: the
+    combination ``((Yf*X0 - Xf*Y0)/den, (Yf*X1 - Xf*Y1)/den)``, den = Yf -
+    Xf, of X and Y at z = 0, written out inline."""
+    params, (x0, x1, xf, y0, y1, yf) = shape_source(shapes)
+
+    def stage(args, outs):
+        u, v = outs
+        return [
+            f"x, y = {', '.join(args)}", f"p0 = {x0}", f"p1 = {x1}", f"pf = {xf}",
+            f"q0 = {y0}", f"q1 = {y1}", f"qf = {yf}", "den = qf - pf",
+            f"{u} = (qf * p0 - pf * q0) / den", f"{v} = (qf * p1 - pf * q1) / den",
+        ]
+
+    evaluator = _def("field(x, y)", ["z = 0.0", *stage(["x", "y"], ["u", "v"]), "return (u, v)"])
+    step = _def("step(s, h, k1)", ["z = 0.0", *_step_lines(2, stage)])
+    bind = _def(f"bind({', '.join(params)})", evaluator + step + ["return field, step"])
+    return _compile(bind, "bind")
+
+
+def _flight_kernel(field):
+    """The step kernel of a polynomial field, cached on it."""
+    return field.kernel(_flight_factory)
+
+
+def _sliding_kernel(system):
+    """``(field, step)`` of the sliding field of ``system`` on z = 0."""
+    (x_shapes, x_coeffs), (y_shapes, y_coeffs) = system.X.shape(), system.Y.shape()
+    return _sliding_factory(x_shapes + y_shapes)(*x_coeffs, *y_coeffs)
 
 
 class _Event:
@@ -255,36 +274,26 @@ def _sigma_event(direction):
     return ev
 
 
-def _eval_within_step(f, y_left, k_left, dt, depth=0):
+def _eval_within_step(f, step, y_left, k_left, dt, depth=0):
     """State at offset ``dt`` (of either sign) from ``y_left``, by
-    error-controlled re-integration (split recursively until the embedded
-    estimate passes)."""
-    y_new, _, err_norm = _rk_step(f, y_left, dt, k_left)
+    error-controlled re-integration with the kernel ``step`` of the field
+    ``f`` (split recursively until the embedded estimate passes)."""
+    y_new, _, err_norm = step(y_left, dt, k_left)
     if depth >= 18 or abs(dt) < 1e-15 or err_norm <= 1.0:
         return y_new
-    mid = _eval_within_step(f, y_left, k_left, dt / 2.0, depth + 1)
-    return _eval_within_step(f, mid, f(*mid), dt / 2.0, depth + 1)
+    mid = _eval_within_step(f, step, y_left, k_left, dt / 2.0, depth + 1)
+    return _eval_within_step(f, step, mid, f(*mid), dt / 2.0, depth + 1)
 
 
 def _hermite(y0, k0, y1, k1, h, t):
     """State at offset ``t`` on the cubic Hermite interpolant of a step of
-    size ``h`` from ``(y0, k0)`` to ``(y1, k1)`` (values and slopes),
-    written out for 3- and 2-component states like the stepper."""
+    size ``h`` from ``(y0, k0)`` to ``(y1, k1)`` (values and slopes)."""
     s = t / h
     r = 1.0 - s
     w = s * s * (3.0 - 2.0 * s)
     v0 = s * r * r * h
     v1 = -s * s * r * h
-    if len(y0) == 3:
-        return (
-            y0[0] + w * (y1[0] - y0[0]) + v0 * k0[0] + v1 * k1[0],
-            y0[1] + w * (y1[1] - y0[1]) + v0 * k0[1] + v1 * k1[1],
-            y0[2] + w * (y1[2] - y0[2]) + v0 * k0[2] + v1 * k1[2],
-        )
-    return (
-        y0[0] + w * (y1[0] - y0[0]) + v0 * k0[0] + v1 * k1[0],
-        y0[1] + w * (y1[1] - y0[1]) + v0 * k0[1] + v1 * k1[1],
-    )
+    return tuple(a + w * (b - a) + v0 * c + v1 * d for a, b, c, d in zip(y0, y1, k0, k1))
 
 
 def _interpolant_root(event, y0, k0, y1, k1, h, g0, g1):
@@ -326,7 +335,7 @@ def _interpolant_root(event, y0, k0, y1, k1, h, g0, g1):
     return t
 
 
-def _refine_event(f, event, y_left, k_left, y_right, k_right, h, g_right):
+def _refine_event(f, step, event, y_left, k_left, y_right, k_right, h, g_right):
     """Locate the event inside the accepted step from ``(y_left, k_left)``
     to ``(y_right, k_right)``; returns ``(dt, state, g)``.
 
@@ -354,7 +363,7 @@ def _refine_event(f, event, y_left, k_left, y_right, k_right, h, g_right):
     if g_lo * g_right < 0.0:
         dt = _interpolant_root(event, y_left, k_left, y_right, k_right, h, g_lo, g_right)
     if 0.0 < dt < h:
-        y_c = _eval_within_step(f, y_left, k_left, dt)
+        y_c = _eval_within_step(f, step, y_left, k_left, dt)
         v = event.fn(y_c)
         best = (dt, y_c, v)
         # The first secant partner is the bracket end across the root.
@@ -377,7 +386,7 @@ def _refine_event(f, event, y_left, k_left, y_right, k_right, h, g_right):
             if not lo < cand < hi:
                 break
             t_prev, v_prev = dt, v
-            y_c = _eval_within_step(f, y_c, k_c, cand - dt)
+            y_c = _eval_within_step(f, step, y_c, k_c, cand - dt)
             dt = cand
             v = event.fn(y_c)
             if abs(v) < abs(best[2]):
@@ -385,7 +394,7 @@ def _refine_event(f, event, y_left, k_left, y_right, k_right, h, g_right):
     if best is None or abs(best[2]) > _EVENT_TOL:
         for _ in range(120):
             mid = 0.5 * (lo + hi)
-            y_c = _eval_within_step(f, y_left, k_left, mid)
+            y_c = _eval_within_step(f, step, y_left, k_left, mid)
             v = event.fn(y_c)
             if best is None or abs(v) < abs(best[2]):
                 best = (mid, y_c, v)
@@ -398,9 +407,10 @@ def _refine_event(f, event, y_left, k_left, y_right, k_right, h, g_right):
     return best
 
 
-def _integrate(f, y0, events, t_limit, outside=None, h0=None, collect=None):
-    """Drive the stepper until an event, a guard violation, or the horizon;
-    ``collect`` is a pair of lists ``(times, states)`` or None.  The clamps
+def _integrate(f, step, y0, events, t_limit, outside=None, h0=None, collect=None):
+    """Drive the kernel ``step`` of the field ``f`` until an event, a guard
+    violation, or the horizon; ``collect`` is a pair of lists ``(times,
+    states)`` or None.  The clamps
     keep ``min``/``max``'s NaN rule: the first argument wins against NaN."""
     y = tuple(float(v) for v in y0)
     k1 = f(*y)
@@ -426,7 +436,7 @@ def _integrate(f, y0, events, t_limit, outside=None, h0=None, collect=None):
             h = remaining
         if h < 1e-15:
             return FlightResult(FlightStatus.TIME_OUT, y, t)
-        y_new, k_last, err_norm = _rk_step(f, y, h, k1)
+        y_new, k_last, err_norm = step(y, h, k1)
         if err_norm > 1.0:
             h *= max(0.2, 0.9 * err_norm ** -0.2)
             continue
@@ -442,14 +452,14 @@ def _integrate(f, y0, events, t_limit, outside=None, h0=None, collect=None):
                     ev.last = v
                 elif ev.expected_sign != 0 and v * ev.expected_sign < 0 and v != 0.0:
                     # shallow arc crossed the surface without ever arming
-                    found = _refine_event(f, ev, y, k1, y_new, k_last, h, v)
+                    found = _refine_event(f, step, ev, y, k1, y_new, k_last, h, v)
                     if hit is None or found[0] < hit[1]:
                         hit = (ev, found[0], found[1])
                 else:
                     ev.last = v
                 continue
             if ev.last * v <= 0.0 and (ev.last != 0.0 or v != 0.0):
-                found = _refine_event(f, ev, y, k1, y_new, k_last, h, v)
+                found = _refine_event(f, step, ev, y, k1, y_new, k_last, h, v)
                 if hit is None or found[0] < hit[1]:
                     hit = (ev, found[0], found[1])
             ev.last = v
@@ -488,10 +498,11 @@ def _guard_outside(center, radius):
     cx, cy, cz = center
 
     def outside(y):
-        return (
-            abs(y[0] - cx) > radius
-            or abs(y[1] - cy) > radius
-            or abs(y[2] - cz) > radius
+        # a negated "inside", so that a NaN component is outside
+        return not (
+            abs(y[0] - cx) <= radius
+            and abs(y[1] - cy) <= radius
+            and abs(y[2] - cz) <= radius
         )
 
     return outside
@@ -517,17 +528,11 @@ def integrate_to_sigma(field, q0, direction, box=DEFAULT_BOX, h0=None):
         s2 = lie_derivative(field, field.cz).eval_at(q0)
         if s2 * direction < tol:
             return FlightResult(FlightStatus.NO_RETURN, time=0.0)
-    f = field.compiled()
     ev = _sigma_event(direction)
     radius = 1.5 * max(box.scale(), 1e-6)
-    return _integrate(
-        f,
-        (q0[0], q0[1], 0.0),
-        [ev],
-        t_limit=_MAX_TIME,
-        outside=_guard_outside((q0[0], q0[1], 0.0), radius),
-        h0=h0,
-    )
+    start = (q0[0], q0[1], 0.0)
+    return _integrate(field.compiled(), _flight_kernel(field), start, [ev], t_limit=_MAX_TIME,
+                      outside=_guard_outside(start, radius), h0=h0)
 
 
 def _fold_side(system, side):
@@ -626,13 +631,9 @@ def _tangency_exit(system, q3, tol):
     if abs(xf) <= tol and abs(yf) <= tol:
         return None
     if abs(xf) <= tol:
-        if system.x2f.eval_at(q3) > tol:
-            return Mode.FLOW_PLUS
-        return None
+        return Mode.FLOW_PLUS if system.x2f.eval_at(q3) > tol else None
     if abs(yf) <= tol:
-        if system.y2f.eval_at(q3) < -tol:
-            return Mode.FLOW_MINUS
-        return None
+        return Mode.FLOW_MINUS if system.y2f.eval_at(q3) < -tol else None
     return None
 
 
@@ -697,19 +698,7 @@ def filippov_trajectory(system, p0, horizon, cfg=None):
     t_now = 0.0
     xf_fn = system.xf.compiled()
     yf_fn = system.yf.compiled()
-    x_fn = system.X.compiled()
-    y_fn = system.Y.compiled()
-
-    def f2(u, v):
-        # Xf and Yf are the z-components of X and Y
-        xv = x_fn(u, v, 0.0)
-        yv = y_fn(u, v, 0.0)
-        xf, yf = xv[2], yv[2]
-        den = yf - xf
-        return (
-            (yf * xv[0] - xf * yv[0]) / den,
-            (yf * xv[1] - xf * yv[1]) / den,
-        )
+    sliding = None  # the sliding field and its kernel, bound on first use
 
     while len(traj.segments) < _MAX_SEGMENTS:
         remaining = horizon - t_now
@@ -721,14 +710,8 @@ def filippov_trajectory(system, p0, horizon, cfg=None):
             fld = system.X if mode is Mode.FLOW_PLUS else system.Y
             side = 1 if mode is Mode.FLOW_PLUS else -1
             ev = _sigma_event(side)
-            out = _integrate(
-                fld.compiled(),
-                p,
-                [ev],
-                t_limit=remaining,
-                outside=outside_box,
-                collect=(times, states),
-            )
+            out = _integrate(fld.compiled(), _flight_kernel(fld), p, [ev], t_limit=remaining,
+                             outside=outside_box, collect=(times, states))
             seg_end, next_mode = _flight_outcome(system, out, tol)
             _append_segment(traj, t_now, times, states, mode, seg_end)
             t_now += out.time
@@ -751,14 +734,10 @@ def filippov_trajectory(system, p0, horizon, cfg=None):
                     arm_eps=0.0,
                 ),
             ]
-            out = _integrate(
-                f2,
-                (p[0], p[1]),
-                events,
-                t_limit=remaining,
-                outside=outside_slice,
-                collect=(times, states),
-            )
+            if sliding is None:
+                sliding = _sliding_kernel(system)
+            out = _integrate(*sliding, (p[0], p[1]), events, t_limit=remaining,
+                             outside=outside_slice, collect=(times, states))
             q3 = (out.point[0], out.point[1], 0.0)
             seg_end, next_mode = _sliding_outcome(system, out, q3, tol)
             _append_segment(traj, t_now, times, states, Mode.SLIDING, seg_end)
@@ -809,11 +788,4 @@ def _append_segment(traj, t_offset, times, states, mode, terminal):
 
 
 def _append_marker(traj, t_now, p, mode, terminal):
-    traj.segments.append(
-        TrajectorySegment(
-            mode,
-            np.array([t_now]),
-            np.array([list(p)]),
-            terminal,
-        )
-    )
+    traj.segments.append(TrajectorySegment(mode, np.array([t_now]), np.array([list(p)]), terminal))

@@ -1,4 +1,6 @@
+import collections
 import hashlib
+import itertools
 import math
 import struct
 
@@ -105,11 +107,15 @@ class TestStepperBitwise:
     STEPS = [10.0 ** e for e in range(-12, 1)] + [3.7e-7, 0.013, 0.61]
 
     @staticmethod
-    def _assert_same(f, y, h):
+    def _call(f):
+        return lambda y, h, k1: _rk_step(f, y, h, k1)
+
+    @staticmethod
+    def _assert_same(step, f, y, h):
         # The step returns the norm, not the error vector, so the norm of
         # the reference error vector is what pins the error weights.
         k1 = f(*y)
-        y_new, k_last, norm = _rk_step(f, y, h, k1)
+        y_new, k_last, norm = step(y, h, k1)
         ry_new, rk_last, rerr = _ref_rk_step(f, y, h, k1)
         assert _bits(*y_new) == _bits(*ry_new)
         assert _bits(*k_last) == _bits(*rk_last)
@@ -117,20 +123,79 @@ class TestStepperBitwise:
         assert _bits(norm) == _bits(ref)
 
     def test_random_3d_states(self):
+        # the evaluator called stage by stage, and the field's own kernel
         rng = np.random.default_rng(21)
         fields = [
-            build_normal_form(-0.7, 1.3, 0.9, -1.0).X.compiled(),
+            build_normal_form(-0.7, 1.3, 0.9, -1.0).X,
             VectorField3(
                 Poly3({(2, 0, 0): 0.8, (0, 1, 1): -1.3, (0, 0, 0): 0.2}),
                 Poly3({(1, 1, 0): 2.1, (0, 0, 3): -0.4}),
                 Poly3({(0, 2, 0): -1.0, (1, 0, 1): 0.7, (0, 0, 0): -0.3}),
-            ).compiled(),
+            ),
+            hot_normal_form().Y,
+            dry_friction()[0].X,
         ]
-        for f in fields:
+        for field in fields:
+            f = field.compiled()
+            kernel = integrator._flight_kernel(field)
             for h in self.STEPS:
                 for _ in range(20):
                     y = tuple(float(v) for v in rng.normal(scale=2.0, size=3))
-                    self._assert_same(f, y, h)
+                    self._assert_same(self._call(f), f, y, h)
+                    self._assert_same(kernel, f, y, h)
+
+    @staticmethod
+    def _ref_sliding_field(system):
+        # The sliding field as a closure over the evaluators of X and Y.
+        x_fn, y_fn = system.X.compiled(), system.Y.compiled()
+
+        def f2(u, v):
+            xv = x_fn(u, v, 0.0)
+            yv = y_fn(u, v, 0.0)
+            xf, yf = xv[2], yv[2]
+            den = yf - xf
+            return ((yf * xv[0] - xf * yv[0]) / den, (yf * xv[1] - xf * yv[1]) / den)
+
+        return f2
+
+    def test_sliding_kernel_random_states(self):
+        rng = np.random.default_rng(24)
+        systems = [build_normal_form(-2.0, -1.0, 1.0, -1.0), hot_normal_form(), dry_friction()[0]]
+        for system in systems:
+            f2 = self._ref_sliding_field(system)
+            field, step = integrator._sliding_kernel(system)
+            for h in self.STEPS:
+                for _ in range(20):
+                    y = tuple(float(v) for v in rng.normal(scale=2.0, size=2))
+                    assert _bits(*field(*y)) == _bits(*f2(*y))
+                    self._assert_same(step, f2, y, h)
+
+    def test_polynomial_negative_zero_stage(self):
+        # -1.0*x at x = 0.0 is -0.0; the kernel keeps every signed zero
+        # the evaluator gives, down to k_last.
+        field = VectorField3(
+            Poly3({(1, 0, 0): -1.0}),
+            Poly3({(0, 1, 0): -1.0, (1, 0, 0): 1.0}),
+            Poly3({(0, 0, 1): -1.0, (1, 1, 0): -1.0}),
+        )
+        f = field.compiled()
+        step = integrator._flight_kernel(field)
+        for y in itertools.product((0.0, -0.0), repeat=3):
+            for h in self.STEPS:
+                self._assert_same(step, f, y, h)
+        _, k_last, _ = step((0.0, 0.0, 0.0), 1.0, f(0.0, 0.0, 0.0))
+        assert _bits(*k_last) == _bits(-0.0, 0.0, -0.0)
+
+    def test_polynomial_overflow_meets_zero_weights(self):
+        # The cubic x*y*z is finite at the state and infinite from the
+        # second stage on; the zero weights b2 and e2 turn it into NaN.
+        field = VectorField3(Poly3.constant(1.0), Poly3.zero(), Poly3({(1, 1, 1): 1.0}))
+        f = field.compiled()
+        step = integrator._flight_kernel(field)
+        y = (1.7, 1e154, 1e154)
+        self._assert_same(step, f, y, 1.0)
+        y_new, _, norm = step(y, 1.0, f(*y))
+        assert math.isfinite(f(*y)[2]) and math.isnan(y_new[2]) and math.isnan(norm)
 
     def test_random_2d_states(self):
         rng = np.random.default_rng(22)
@@ -141,7 +206,7 @@ class TestStepperBitwise:
         for h in self.STEPS:
             for _ in range(20):
                 y = tuple(float(v) for v in rng.normal(scale=2.0, size=2))
-                self._assert_same(f2, y, h)
+                self._assert_same(self._call(f2), f2, y, h)
 
     def test_negative_zero_component(self):
         # From y = -0.0 the field keeps every component but r at -0.0, so
@@ -159,7 +224,8 @@ class TestStepperBitwise:
         for dim in (3, 2):
             for r in range(dim):
                 for h in self.STEPS:
-                    self._assert_same(field(dim, r), (-0.0,) * dim, h)
+                    f = field(dim, r)
+                    self._assert_same(self._call(f), f, (-0.0,) * dim, h)
 
     def test_non_finite_stage_meets_zero_weights(self):
         # Component j of k2 alone is infinite: the field moves the state
@@ -179,9 +245,45 @@ class TestStepperBitwise:
             for j in range(dim):
                 f = field(dim, j, (j + 1) % dim)
                 y = (0.0,) * dim
-                self._assert_same(f, y, 1.0)
+                self._assert_same(self._call(f), f, y, 1.0)
                 y_new, _, norm = _rk_step(f, y, 1.0, f(*y))
                 assert math.isnan(y_new[j]) and math.isnan(norm)
+
+
+class TestKernelCache:
+    @staticmethod
+    def _field(c):
+        # a shape no other test compiles
+        return VectorField3(
+            Poly3({(5, 2, 1): c, (0, 0, 0): 0.5 * c}), Poly3({(0, 4, 3): -c}), Poly3({(3, 0, 5): c})
+        )
+
+    def test_same_shape_shares_one_factory(self, monkeypatch):
+        sources = []
+        real = integrator._compile
+
+        def compile_(lines, name):
+            sources.append("\n".join(lines))
+            return real(lines, name)
+
+        monkeypatch.setattr(integrator, "_compile", compile_)
+        coeffs = (0.123456789, -2.718281828)
+        a, b = (self._field(c) for c in coeffs)
+        step_a = integrator._flight_kernel(a)
+        before = integrator._flight_factory.cache_info()
+        step_b = integrator._flight_kernel(b)
+        after = integrator._flight_factory.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+        assert len(sources) == 1
+        y = (0.3, -0.2, 0.1)
+        assert step_a(y, 0.01, a.compiled()(*y)) != step_b(y, 0.01, b.compiled()(*y))
+        for c in coeffs:
+            for v in (c, 0.5 * c, -c):
+                assert repr(v) not in sources[0]
+
+    def test_kernel_cached_on_field(self):
+        field = self._field(1.25)
+        assert integrator._flight_kernel(field) is integrator._flight_kernel(field)
 
 
 class TestIntegrateToSigma:
@@ -410,11 +512,10 @@ class TestTrajectory:
                                             ((0.5, -1.5, 0.0), -2.0)])
     def test_start_outside_box_rejected(self, monkeypatch, p0, horizon):
         Z = PiecewiseSystem(const_field(1, 0, -1), const_field(0, 1, 1))
-        steps = []
-        monkeypatch.setattr(integrator, "_rk_step", lambda *args: steps.append(args))
+        counts = _count_kernel_steps(monkeypatch, collections.Counter())
         with pytest.raises(PreconditionError, match="outside its box"):
             filippov_trajectory(Z, p0, horizon)
-        assert steps == []
+        assert counts == {}
 
     def test_start_on_box_face_accepted(self):
         Z = PiecewiseSystem(const_field(1, 0, -1), const_field(0, 1, 1))
@@ -499,28 +600,48 @@ class TestConfig:
         assert exc.value.status is FlightStatus.LEFT_BOX
 
 
+def _count_kernel_steps(monkeypatch, counts):
+    """Wrap the step kernels the driver binds (free-flight and sliding):
+    each step adds 1 to ``counts["kernel_steps"]`` and 6 to
+    ``counts["field_evals"]``, the stages it writes out.  Returns
+    ``counts``."""
+    flight, sliding = integrator._flight_kernel, integrator._sliding_kernel
+
+    def counted(step):
+        def wrapper(y, h, k1):
+            counts["kernel_steps"] += 1
+            counts["field_evals"] += 6
+            return step(y, h, k1)
+
+        return wrapper
+
+    def sliding_kernel(system):
+        f, step = sliding(system)
+        return f, counted(step)
+
+    monkeypatch.setattr(integrator, "_flight_kernel", lambda field: counted(flight(field)))
+    monkeypatch.setattr(integrator, "_sliding_kernel", sliding_kernel)
+    return counts
+
+
 def _record_refinements(monkeypatch):
-    """Wrap the locator: one ``(h, found, rk_steps, event_name)`` per event,
-    counting the ``_rk_step`` calls made inside ``_refine_event``."""
+    """Wrap the locator: one ``(h, found, kernel_steps, event_name)`` per
+    event, counting the calls of the kernel the driver hands to
+    ``_refine_event``."""
     events = []
-    inside = []
-    real_step, real_refine = integrator._rk_step, integrator._refine_event
+    real_refine = integrator._refine_event
 
-    def step(*args):
-        if inside:
-            inside[-1] += 1
-        return real_step(*args)
+    def refine(f, step, event, y_left, k_left, y_right, k_right, h, g_right):
+        counts = collections.Counter()
 
-    def refine(f, event, y_left, k_left, y_right, k_right, h, g_right):
-        inside.append(0)
-        try:
-            found = real_refine(f, event, y_left, k_left, y_right, k_right, h, g_right)
-        finally:
-            steps = inside.pop()
-        events.append((h, found, steps, event.name))
+        def counted(*args):
+            counts["steps"] += 1
+            return step(*args)
+
+        found = real_refine(f, counted, event, y_left, k_left, y_right, k_right, h, g_right)
+        events.append((h, found, counts["steps"], event.name))
         return found
 
-    monkeypatch.setattr(integrator, "_rk_step", step)
     monkeypatch.setattr(integrator, "_refine_event", refine)
     return events
 
@@ -649,12 +770,13 @@ class TestPlaneRootOneComponent:
 class TestWorkCounts:
     """One numeric Jacobian of the return map on a delta = -1 normal form:
     6 flights (two of the eight fold maps start on the Y tangency line),
-    24 Dormand-Prince steps and 150 field evaluations.  Flights are counted
-    at ``integrate_to_sigma``, where perfbench's tracer also counts them."""
+    24 Dormand-Prince steps and 150 field evaluations: the calls of the
+    compiled evaluator plus 6 for each kernel step.  Flights are counted at
+    ``integrate_to_sigma``, where perfbench's tracer also counts them."""
 
     @pytest.mark.parametrize("params", [(-0.7, 1.3, 0.9), (2.5, -1.4, 0.5)])
     def test_return_map_jacobian(self, monkeypatch, call_counts, params):
-        counts = call_counts(integrator, "integrate_to_sigma", "_rk_step")
+        counts = _count_kernel_steps(monkeypatch, call_counts(integrator, "integrate_to_sigma"))
         real_compiled = VectorField3.compiled
 
         def compiled(field):
@@ -669,16 +791,16 @@ class TestWorkCounts:
         monkeypatch.setattr(VectorField3, "compiled", compiled)
         system = build_normal_form(*params, -1.0)
         jacobian_numeric(lambda q: return_map_numeric(system, q), (0.0, 0.0), 1e-3)
-        assert counts == {"integrate_to_sigma": 6, "_rk_step": 24, "field_evals": 150}
+        assert counts == {"integrate_to_sigma": 6, "kernel_steps": 24, "field_evals": 150}
 
-    def test_stick_slip_trajectory(self, call_counts):
+    def test_stick_slip_trajectory(self, monkeypatch, call_counts):
         # slide, slip below the plane, slide, slip to the horizon: every
         # accepted step is one sample, and the three events (two sliding
         # exits, one return to the plane) take no extra step to locate
-        counts = call_counts(integrator, "_rk_step", "_refine_event")
+        counts = _count_kernel_steps(monkeypatch, call_counts(integrator, "_refine_event"))
         system, box = dry_friction()
         traj = filippov_trajectory(system, (0.2, 0.3, 0.0), 12.0, IntegratorConfig(box=box))
-        assert counts == {"_rk_step": 355, "_refine_event": 3}
+        assert (counts["kernel_steps"], counts["_refine_event"]) == (355, 3)
         assert [(seg.mode, seg.terminal, len(seg.times)) for seg in traj.segments] == [
             (Mode.SLIDING, FlightStatus.MODE_SWITCH, 20),
             (Mode.FLOW_MINUS, FlightStatus.MODE_SWITCH, 186),
@@ -691,8 +813,9 @@ class TestNonFiniteErrorNorm:
     """Flights on dx/dt = x*y from x = 1e306: x overflows, the stages turn
     infinite and the error norm NaN.  A NaN norm is accepted and grows the
     step fivefold, because the step control's clamps keep ``min``/``max``'s
-    rule that the first argument wins against NaN.  Step sizes, states and
-    samples are pinned by SHA-256 over ``float.hex``."""
+    rule that the first argument wins against NaN.  Both guards end a
+    flight at its first NaN state.  Step sizes, states and samples are
+    pinned by SHA-256 over ``float.hex``."""
 
     BIG = Box(-1e308, 1e308, -1e308, 1e308, -1e308, 1e308)  # scale overflows
     FLIGHT_DIGEST = "2d52d570f49cc17ad1739482f917a8f115545c38b328cac42dd63e14d8823d1e"
@@ -706,20 +829,20 @@ class TestNonFiniteErrorNorm:
     def _digest(values):
         return hashlib.sha256(",".join(float(v).hex() for v in values).encode()).hexdigest()
 
-    def test_flight_grows_fivefold_to_the_horizon(self, monkeypatch):
+    def test_flight_grows_fivefold_to_the_horizon(self):
         steps = []
-        real = integrator._rk_step
+        field = self._field(Poly3.constant(1.0))
+        kernel = integrator._flight_kernel(field)
 
-        def step(f, y, h, k1):
-            out = real(f, y, h, k1)
+        def step(y, h, k1):
+            out = kernel(y, h, k1)
             steps.append((h, out[2]))
             return out
 
-        monkeypatch.setattr(integrator, "_rk_step", step)
-        # dz/dt = 1 never returns, and the guard cube of an overflowing box
-        # scale is unbounded, so the flight runs to the time horizon
-        res = integrate_to_sigma(self._field(Poly3.constant(1.0)), (1e306, 1.0, 0.0), 1,
-                                 self.BIG)
+        # dz/dt = 1 never returns and the driver runs with no guard, so the
+        # flight runs to the time horizon
+        res = integrator._integrate(field.compiled(), step, (1e306, 1.0, 0.0),
+                                    [integrator._sigma_event(1)], integrator._MAX_TIME)
         assert res.status is FlightStatus.TIME_OUT and res.time == integrator._MAX_TIME
         assert math.isnan(res.point[0])
         first_nan = next(i for i, (_, err) in enumerate(steps) if math.isnan(err))
@@ -729,6 +852,16 @@ class TestNonFiniteErrorNorm:
         assert all(b == 5.0 * a for a, b in zip(hs, hs[1:-1]))
         assert self._digest([v for h_err in steps for v in h_err] + list(res.point)) == (
             self.FLIGHT_DIGEST)
+
+    def test_flight_leaves_guard_at_nan(self, monkeypatch):
+        # dz/dt = 2 - y returns to the plane at t = 2, after x overflowed:
+        # the guard cube, unbounded for this box, ends the flight at the
+        # first NaN state instead of refining an event on NaN states
+        counts = _count_kernel_steps(monkeypatch, collections.Counter())
+        field = self._field(Poly3({(0, 0, 0): 2.0, (0, 1, 0): -1.0}))
+        res = integrate_to_sigma(field, (1e306, 1.0, 0.0), 1, self.BIG)
+        assert res.status is FlightStatus.LEFT_BOX and math.isnan(res.point[0])
+        assert counts["kernel_steps"] < 100
 
     def test_trajectory_leaves_box_at_overflow(self):
         X = self._field(Poly3({(0, 0, 0): 2.0, (0, 1, 0): -1.0}))
