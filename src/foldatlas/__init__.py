@@ -10,7 +10,6 @@ every analytic verdict.
 from .algebra import Poly3, VectorField3, gradient_on_sigma, lie_derivative
 from .errors import (
     DegreeCapExceededError,
-    DenominatorZeroError,
     EmptyBoxError,
     IntegrationFailure,
     InputFormatError,
@@ -35,7 +34,6 @@ from .foldfold import (
     normal_parameters,
     parabolic_transversality,
     return_map_analysis,
-    stability_verdict,
     surface_point_report,
     verdict_from_params,
 )
@@ -56,17 +54,13 @@ from .sigma import (
     SigmaKind,
     TangencyType,
     classify_point,
-    fold_transversality,
     tangency_curves,
     tangency_type,
 )
 from .sliding import (
     SlidingRegionTag,
-    boundary_contact,
     foldfold_sliding_linearization,
     normalized_sliding_field,
-    pseudo_equilibria,
-    sliding_field,
     sliding_region_class,
 )
 from .system import (

@@ -39,10 +39,6 @@ class PreconditionError(ToolError):
     exit_code = 3
 
 
-class DenominatorZeroError(PreconditionError):
-    """Sliding field evaluated where the denominator vanishes."""
-
-
 class IntegrationFailure(PreconditionError):
     """A numeric flight did not produce the requested event.
 

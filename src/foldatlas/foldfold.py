@@ -37,8 +37,8 @@ from .sigma import (
 from .sliding import (
     BOUNDARY_BAND,
     SlidingRegionTag,
-    _classify_equilibrium,
     _eigvec2,
+    linear_eigensystem,
     mirror_visible_invisible,
     near,
     normalized_sliding_field,
@@ -312,9 +312,6 @@ class StabilityVerdict:
     analysis: ReturnMapAnalysis | None = None
     params: NormalParameters | None = None
 
-    def stable(self):
-        return self.kind is VerdictKind.STABLE
-
 
 def _sign(v):
     return int(math.copysign(1.0, v))
@@ -474,17 +471,11 @@ def _verdict(params, tag):
     return _parabolic_core_verdict(mirror_parameters(params), params, tag)
 
 
-def stability_verdict(system, point):
-    """Verdict at an arbitrary surface point.
-
-    Crossing points, regular sliding points, hyperbolic pseudo-equilibria and
-    fold/cusp-regular tangencies are stable; two-folds dispatch on the normal
-    parameters; degenerate tangencies report a boundary verdict.
-    """
-    return surface_point_report(system, point).verdict
-
-
 def _sliding_point_verdict(system, point, cls, tol):
+    """Verdict at a sliding point: stable where the sliding field does not
+    vanish or has a hyperbolic zero; a zero with a determinant or, at a focus,
+    a trace within ``tol`` of 0 (relative to the Jacobian's size) is a
+    sliding bifurcation."""
     fld = normalized_sliding_field(system)
     value = fld.eval(point[0], point[1])
     scale = 1.0 + max(fld.px.coeff_scale(), fld.py.coeff_scale())
@@ -495,10 +486,14 @@ def _sliding_point_verdict(system, point, cls, tol):
         )
     xf, yf = cls.witness
     jac = fld.jacobian_at(point[0], point[1]) / (yf - xf)
-    _, values, hyperbolic = _classify_equilibrium(jac, tol)
+    t = jac[0, 0] + jac[1, 1]
+    d = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
+    size = 1.0 + float(np.max(np.abs(jac)))
+    # Comparisons with NaN are False, so a NaN Jacobian counts as hyperbolic.
+    hyperbolic = not abs(d) <= tol * size * size and (
+        d < 0.0 or t * t - 4.0 * d >= 0.0 or not abs(t) <= tol * size
+    )
     if hyperbolic:
-        t = jac[0, 0] + jac[1, 1]
-        d = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
         return StabilityVerdict(
             VerdictKind.STABLE,
             class_descriptor=(
@@ -513,7 +508,8 @@ def _sliding_point_verdict(system, point, cls, tol):
         VerdictKind.UNSTABLE,
         reason=Reason(
             InstabilityReason.SLIDING_BIFURCATION,
-            detail=f"non-hyperbolic pseudo-equilibrium (eigenvalues {values})",
+            detail="non-hyperbolic pseudo-equilibrium "
+            f"(eigenvalues {linear_eigensystem(jac).values})",
         ),
     )
 

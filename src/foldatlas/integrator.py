@@ -15,13 +15,13 @@ component; the sliding events evaluate the whole interpolated state.
 
 Every step is generated from one template over the tableau, on unpacked
 scalars with the sums in tableau order, and returns its scaled error norm
-rather than the error vector.  Only the stage evaluations vary: a call of
-any callable field (``_rk_step``), or the field written out inline.  A
-polynomial field's kernel and the sliding field's kernel (X and Y at z = 0,
-with Xf and Yf their z-components) are compiled once per monomial shape
-into a bounded LRU and bind the coefficients from the same shape pass as
-the field's evaluator.  Free flights, their event refinement and the
-sliding phase all step through these kernels.
+rather than the error vector.  Only the stage evaluations vary; the
+kernels write the field out inline in each of them.  A polynomial field's
+kernel and the sliding field's kernel (X and Y at z = 0, with Xf and Yf
+their z-components) are compiled once per monomial shape into a bounded
+LRU and bind the coefficients from the same shape pass as the field's
+evaluator.  Free flights, their event refinement and the sliding phase all
+step through these kernels.
 
 The driver loop reads the plane event as the state component ``y_new[2]``,
 guards with closures over the box bounds, under which a NaN state is
@@ -164,21 +164,6 @@ def _compile(lines, name):
     ns = {}
     exec(compile("\n".join(lines), "<dormand-prince>", "exec"), globals(), ns)
     return ns[name]
-
-
-def _call_stage(args, outs):
-    return [f"{', '.join(outs)}, = f({', '.join(args)})"]
-
-
-@functools.cache
-def _call_step(dim):
-    return _compile(_def("step(f, s, h, k1)", _step_lines(dim, _call_stage)), "step")
-
-
-def _rk_step(f, y, h, k1):
-    """One Dormand-Prince step of any callable field ``f`` on a 3- or
-    2-component state: returns (y_new, k_last, err_norm)."""
-    return _call_step(len(y))(f, y, h, k1)
 
 
 @functools.lru_cache(maxsize=512)

@@ -84,15 +84,11 @@ def default_tolerance(system):
     return 1e-9 * (1.0 + system.coeff_scale())
 
 
-def _require_on_sigma(point, tol):
-    if abs(point[2]) > tol:
-        raise PreconditionError(f"point {point} is not on the switching plane")
-
-
 def classify_point(system, point, tol=None):
     """Sign-table verdict at a surface point; |value| <= tol counts as zero."""
     tol = default_tolerance(system) if tol is None else tol
-    _require_on_sigma(point, tol)
+    if abs(point[2]) > tol:
+        raise PreconditionError(f"point {point} is not on the switching plane")
     xf = system.xf.eval_at(point)
     yf = system.yf.eval_at(point)
     witness = (xf, yf)
@@ -169,7 +165,8 @@ def _refine_tangency(system, point, witness, tol):
         return TangencyInfo(
             TangencyType.DEGENERATE, detail="a fold is degenerate (second derivative 0)"
         )
-    if not _fold_witness(system, point).transversal:
+    det, size = _gradient_det(*system.fold_gradients, point)
+    if not abs(det) > 1e-9 * (1.0 + size):  # a NaN determinant is not transversal
         return TangencyInfo(
             TangencyType.DEGENERATE,
             transversal=False,
@@ -181,35 +178,6 @@ def _refine_tangency(system, point, witness, tol):
         transversal=True,
         detail=f"X2f={x2:.6g}, Y2f={y2:.6g}",
     )
-
-
-@dataclass
-class TransversalityWitness:
-    transversal: bool
-    determinant: float
-
-
-def fold_transversality(system, point):
-    """Do the tangency curves of X and Y cross transversally at the point?
-
-    Tests linear independence of the planar gradients of Xf and Yf; the
-    witness is the 2x2 determinant.
-    """
-    tol = default_tolerance(system)
-    _require_on_sigma(point, tol)
-    xf = system.xf.eval_at(point)
-    yf = system.yf.eval_at(point)
-    if abs(xf) > tol or abs(yf) > tol:
-        raise PreconditionError("not a two-fold candidate: Xf or Yf nonzero")
-    if abs(system.x2f.eval_at(point)) <= tol or abs(system.y2f.eval_at(point)) <= tol:
-        raise PreconditionError("fold second derivative vanishes")
-    return _fold_witness(system, point)
-
-
-def _fold_witness(system, point):
-    """``fold_transversality`` without its precondition checks."""
-    det, size = _gradient_det(*system.fold_gradients, point)
-    return TransversalityWitness(abs(det) > 1e-9 * (1.0 + size), det)
 
 
 # ---------------------------------------------------------------------------

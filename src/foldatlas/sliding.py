@@ -1,32 +1,26 @@
 """Sliding dynamics on the switching plane.
 
 Inside the sliding region the motion is governed by the convex combination
-of X and Y tangent to the plane (the sliding field).  Its polynomial
-rescaling ``Yf*X - Xf*Y`` (the normalized sliding field) shares phase
-portraits with it, up to orientation on the unstable-sliding side, and is
-the object all region classifications evaluate on.  Region boundaries are
-decided within the one fixed relative band ``BOUNDARY_BAND``.
+of X and Y tangent to the plane, the sliding field ``(Yf*X - Xf*Y) / (Yf -
+Xf)``; the integrator writes it out inline in its sliding kernel.  Its
+polynomial numerator, the normalized sliding field, shares phase portraits
+with it, up to orientation on the unstable-sliding side, and is the object
+the region classifications and the surface-point verdicts evaluate on.
+Region boundaries are decided within the one fixed relative band
+``BOUNDARY_BAND``.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .algebra import Poly3, gradient_on_sigma
-from .errors import DenominatorZeroError, PreconditionError
-from .sigma import FoldFoldSubtype, TangencyType, default_tolerance, tangency_type
-
-log = logging.getLogger(__name__)
-
-# |Yf - Xf| at or below this counts as a vanishing sliding denominator;
-# seeds per box side of the pseudo-equilibrium search.
-_DENOMINATOR_FLOOR = 1e-14
-_SEED_GRID = 41
+from .algebra import Poly3
+from .errors import PreconditionError
+from .sigma import FoldFoldSubtype
 
 
 @dataclass
@@ -44,57 +38,26 @@ class PlanarField:
         fy = self.py.compiled()
         return lambda x, y: (fx(x, y, 0.0), fy(x, y, 0.0))
 
-    def jacobian_polys(self):
-        return (
-            (self.px.partial("x"), self.px.partial("y")),
-            (self.py.partial("x"), self.py.partial("y")),
-        )
-
     def jacobian_at(self, x, y):
-        rows = self.jacobian_polys()
+        rows = ((self.px.partial("x"), self.px.partial("y")),
+                (self.py.partial("x"), self.py.partial("y")))
         return np.array([[p.eval(x, y, 0.0) for p in row] for row in rows])
-
-
-@dataclass
-class SlidingField:
-    """Rational sliding field: numerator pair over the denominator Yf - Xf."""
-
-    numerator: PlanarField
-    denominator: Poly3
-
-    def eval(self, x, y):
-        den = self.denominator.eval(x, y, 0.0)
-        if abs(den) <= _DENOMINATOR_FLOOR:
-            raise DenominatorZeroError(
-                f"sliding denominator vanishes at ({x:.6g}, {y:.6g})"
-            )
-        nx, ny = self.numerator.eval(x, y)
-        return (nx / den, ny / den)
-
-
-def sliding_field(system):
-    """Filippov sliding field on {z = 0} as a rational planar field.
-
-    The numerator's z-component ``Yf*Xf - Xf*Yf`` cancels identically, which
-    is exactly the statement that the field is tangent to the plane; only the
-    planar pair is returned.
-    """
-    xf = system.xf.subs_z0()
-    yf = system.yf.subs_z0()
-    num = PlanarField(
-        px=yf * system.X.cx.subs_z0() - xf * system.Y.cx.subs_z0(),
-        py=yf * system.X.cy.subs_z0() - xf * system.Y.cy.subs_z0(),
-    )
-    return SlidingField(numerator=num, denominator=yf - xf)
 
 
 def normalized_sliding_field(system):
     """Polynomial rescaling ``Yf*X - Xf*Y`` of the sliding field on {z=0}.
 
     Positive reparametrization of the sliding field on the stable-sliding
-    region, negative on the unstable one.
+    region, negative on the unstable one.  The z-component ``Yf*Xf - Xf*Yf``
+    cancels identically, which is exactly the statement that the field is
+    tangent to the plane; only the planar pair is returned.
     """
-    return sliding_field(system).numerator
+    xf = system.xf.subs_z0()
+    yf = system.yf.subs_z0()
+    return PlanarField(
+        px=yf * system.X.cx.subs_z0() - xf * system.Y.cx.subs_z0(),
+        py=yf * system.X.cy.subs_z0() - xf * system.Y.cy.subs_z0(),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -284,141 +247,3 @@ def sliding_region_class(params):
     if sub is FoldFoldSubtype.INVISIBLE_VISIBLE:
         return classify_parabolic_region(a, b, g)
     return classify_parabolic_region(*mirror_visible_invisible(a, b, g))
-
-
-# ---------------------------------------------------------------------------
-# Pseudo-equilibria
-
-
-@dataclass
-class PseudoEquilibrium:
-    point: tuple
-    kind: str
-    eigenvalues: tuple
-    hyperbolic: bool
-
-
-def _classify_equilibrium(jac, rel=1e-9):
-    t = jac[0, 0] + jac[1, 1]
-    d = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
-    scale = 1.0 + float(np.max(np.abs(jac)))
-    eig = linear_eigensystem(jac)
-    if abs(d) <= rel * scale * scale:
-        return "non-hyperbolic", eig.values, False
-    if d < 0.0:
-        return "saddle", eig.values, True
-    disc = t * t - 4.0 * d
-    if disc >= 0.0:
-        kind = "stable-node" if t < 0.0 else "unstable-node"
-        return kind, eig.values, True
-    if abs(t) <= rel * scale:
-        return "non-hyperbolic", eig.values, False
-    kind = "stable-focus" if t < 0.0 else "unstable-focus"
-    return kind, eig.values, True
-
-
-def pseudo_equilibria(system):
-    """Zeros of the normalized sliding field inside the sliding region.
-
-    Newton search seeded on a ``_SEED_GRID`` x ``_SEED_GRID`` grid over the
-    system's box; zeros on the tangency set are excluded, and
-    each survivor is labeled by the linear type of the sliding field (the
-    normalized field's Jacobian divided by the positive/negative
-    reparametrization factor).
-    """
-    box = system.box
-    tol = default_tolerance(system)
-    fld = normalized_sliding_field(system)
-    fn = fld.compiled()
-    jac_rows = fld.jacobian_polys()
-    jac_fns = [[p.compiled() for p in row] for row in jac_rows]
-    xf_fn = system.xf.compiled()
-    yf_fn = system.yf.compiled()
-    scale = 1.0 + max(fld.px.coeff_scale(), fld.py.coeff_scale())
-
-    results = []
-    xs = np.linspace(box.xmin, box.xmax, _SEED_GRID)
-    ys = np.linspace(box.ymin, box.ymax, _SEED_GRID)
-    for x0 in xs:
-        for y0 in ys:
-            x, y = float(x0), float(y0)
-            ok = False
-            for _ in range(40):
-                fx, fy = fn(x, y)
-                if math.hypot(fx, fy) <= 1e-11 * scale:
-                    ok = True
-                    break
-                J = np.array([[cell(x, y, 0.0) for cell in row] for row in jac_fns])
-                det = J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
-                if abs(det) < 1e-16 * scale * scale:
-                    break
-                x, y = (
-                    x - (J[1, 1] * fx - J[0, 1] * fy) / det,
-                    y - (-J[1, 0] * fx + J[0, 0] * fy) / det,
-                )
-            if not ok:
-                log.debug("pseudo-equilibrium seed (%g, %g) did not converge", x0, y0)
-                continue
-            if not box.contains((x, y, 0.0), pad=1e-9):
-                continue
-            if any(math.hypot(x - p.point[0], y - p.point[1]) < 1e-7 for p in results):
-                continue
-            xf = xf_fn(x, y, 0.0)
-            yf = yf_fn(x, y, 0.0)
-            if abs(xf) <= tol or abs(yf) <= tol or xf * yf > 0.0:
-                continue  # on the tangency set, or not a sliding point
-            J = np.array([[cell(x, y, 0.0) for cell in row] for row in jac_fns])
-            J = J / (yf - xf)  # Jacobian of the true sliding field at its zero
-            kind, eig, hyp = _classify_equilibrium(J)
-            results.append(
-                PseudoEquilibrium(point=(x, y), kind=kind, eigenvalues=eig,
-                                  hyperbolic=hyp)
-            )
-    results.sort(key=lambda p: p.point)
-    return results
-
-
-# ---------------------------------------------------------------------------
-# Contact order of the sliding field with the region boundary
-
-
-class ContactOrder(Enum):
-    TRANSVERSE = "transverse"
-    QUADRATIC = "quadratic"
-    DEGENERATE = "degenerate"
-
-
-@dataclass
-class ContactReport:
-    order: ContactOrder
-    first: float
-    second: float
-
-
-def boundary_contact(system, point):
-    """Contact order of the extended sliding field with the tangency line.
-
-    At a fold-regular boundary point the sliding field crosses the boundary
-    (transverse); at a cusp-regular point it meets it quadratically.
-    """
-    info = tangency_type(system, point)
-    if info.ttype in (TangencyType.FOLD_REGULAR, TangencyType.CUSP_REGULAR):
-        g = system.xf.subs_z0()
-    elif info.ttype in (TangencyType.REGULAR_FOLD, TangencyType.REGULAR_CUSP):
-        g = system.yf.subs_z0()
-    else:
-        raise PreconditionError(
-            f"boundary contact needs a fold/cusp-regular point, got {info.ttype.value}"
-        )
-    fld = normalized_sliding_field(system)
-    gx, gy = gradient_on_sigma(g)
-    first_poly = fld.px * gx + fld.py * gy
-    c1 = first_poly.eval_at(point)
-    scale = 1.0 + max(fld.px.coeff_scale(), fld.py.coeff_scale(), g.coeff_scale())
-    if abs(c1) > 1e-9 * scale:
-        return ContactReport(ContactOrder.TRANSVERSE, c1, float("nan"))
-    fx, fy = gradient_on_sigma(first_poly)
-    c2 = (fld.px * fx + fld.py * fy).eval_at(point)
-    if abs(c2) > 1e-9 * scale:
-        return ContactReport(ContactOrder.QUADRATIC, c1, c2)
-    return ContactReport(ContactOrder.DEGENERATE, c1, c2)

@@ -12,7 +12,7 @@ from foldatlas.foldfold import (
     FixedPointClass,
     make_parameters,
     return_map_analysis,
-    stability_verdict,
+    surface_point_report,
 )
 from foldatlas.integrator import filippov_trajectory
 from foldatlas.sigma import FoldFoldSubtype
@@ -36,7 +36,7 @@ def parabolic_file(tmp_path):
 
 def _classify(path, point, tmp_path):
     """``classify`` JSON report of ``point`` (text "x,y,z") on a system file,
-    checked to carry ``stability_verdict``'s verdict for that point."""
+    checked to carry ``surface_point_report``'s verdict for that point."""
     out = tmp_path / "report.json"
     assert main(["classify", path, "--point", point, "--out", str(out)]) == 0
     report = json.loads(out.read_text())
@@ -44,7 +44,7 @@ def _classify(path, point, tmp_path):
         system = load_system(fh.read())
     p = tuple(float(v) for v in point.split(","))
     verdict = report["foldfold"]["verdict"] if "foldfold" in report else report["verdict"]
-    assert verdict == _jsonable(stability_verdict(system, p))
+    assert verdict == _jsonable(surface_point_report(system, p).verdict)
     return report
 
 

@@ -21,7 +21,7 @@ from foldatlas.foldfold import (
     parabolic_transversality,
     report_from_params,
     return_map_analysis,
-    stability_verdict,
+    surface_point_report,
     verdict_from_params,
 )
 from foldatlas.integrator import FlightStatus, fold_map_numeric, jacobian_numeric
@@ -405,19 +405,19 @@ class TestOpenness:
 class TestSystemLevelVerdicts:
     def test_crossing_point(self):
         system = build_normal_form(-2.0, -1.0, 1.0, -1.0)
-        v = stability_verdict(system, (1.0, -1.0, 0.0))
+        v = surface_point_report(system, (1.0, -1.0, 0.0)).verdict
         assert v.kind is VerdictKind.STABLE
         assert "crossing" in v.class_descriptor
 
     def test_regular_sliding_point(self):
         system = build_normal_form(-2.0, -1.0, 1.0, -1.0)
-        v = stability_verdict(system, (1.0, 1.0, 0.0))
+        v = surface_point_report(system, (1.0, 1.0, 0.0)).verdict
         assert v.kind is VerdictKind.STABLE
         assert "regular-sliding" in v.class_descriptor
 
     def test_fold_regular_stable(self):
         system = build_normal_form(-2.0, -1.0, 1.0, -1.0)
-        v = stability_verdict(system, (0.5, 0.0, 0.0))
+        v = surface_point_report(system, (0.5, 0.0, 0.0)).verdict
         assert v.kind is VerdictKind.STABLE
         assert "tangential" in v.class_descriptor
 
@@ -429,26 +429,39 @@ class TestSystemLevelVerdicts:
         Y = VectorField3(Poly3.zero(), Poly3.zero(), Poly3.constant(1.0))
         return PiecewiseSystem(X, Y)
 
-    def test_hyperbolic_pseudo_equilibrium(self):
-        # sliding field (x, y) / 2: an unstable node
-        system = self._pseudo_equilibrium_system({(1, 0, 0): 1.0}, {(0, 1, 0): 1.0})
-        v = stability_verdict(system, (0.0, 0.0, 0.0))
-        assert v.kind is VerdictKind.STABLE
-        assert v.class_descriptor == (
-            "regular-regular", "stable-sliding", "hyperbolic-pseudo-equilibrium", 1, 1
-        )
+    # (cx, cy) -> descriptor tail of a hyperbolic pseudo-equilibrium, or the
+    # eigenvalues a non-hyperbolic one reports
+    PSEUDO_EQUILIBRIA = {
+        "unstable-node": ({(1, 0, 0): 1.0}, {(0, 1, 0): 1.0}, (1, 1)),
+        "saddle": ({(1, 0, 0): 1.0}, {(0, 1, 0): -1.0}, (-1, 0)),
+        "stable-focus": ({(1, 0, 0): -1.0, (0, 1, 0): 1.0},
+                         {(1, 0, 0): -1.0, (0, 1, 0): -1.0}, (1, -1)),
+        "centre": ({(0, 1, 0): 1.0}, {(1, 0, 0): -1.0}, "(-0.5j, 0.5j)"),
+        "zero-determinant": ({(1, 0, 0): 1.0}, {}, "(0j, (0.5+0j))"),
+    }
 
-    def test_non_hyperbolic_pseudo_equilibrium(self):
-        # sliding field (y, -x) / 2: a linear centre
-        system = self._pseudo_equilibrium_system({(0, 1, 0): 1.0}, {(1, 0, 0): -1.0})
-        v = stability_verdict(system, (0.0, 0.0, 0.0))
-        assert v.kind is VerdictKind.UNSTABLE
-        assert v.reason.kind is InstabilityReason.SLIDING_BIFURCATION
-        assert "non-hyperbolic pseudo-equilibrium" in v.reason.detail
+    @pytest.mark.parametrize("case", sorted(PSEUDO_EQUILIBRIA))
+    def test_pseudo_equilibrium(self, case):
+        # the sliding field is (cx, cy) / 2 at the origin, a zero of it
+        cx, cy, expected = self.PSEUDO_EQUILIBRIA[case]
+        system = self._pseudo_equilibrium_system(cx, cy)
+        v = surface_point_report(system, (0.0, 0.0, 0.0)).verdict
+        if isinstance(expected, tuple):
+            assert v.kind is VerdictKind.STABLE
+            assert v.class_descriptor == (
+                "regular-regular", "stable-sliding", "hyperbolic-pseudo-equilibrium",
+                *expected,
+            )
+        else:
+            assert v.kind is VerdictKind.UNSTABLE
+            assert v.reason.kind is InstabilityReason.SLIDING_BIFURCATION
+            assert v.reason.detail == (
+                f"non-hyperbolic pseudo-equilibrium (eigenvalues {expected})"
+            )
 
     def test_t_singularity_through_system(self):
         system = build_normal_form(-2.0, -1.0, 1.0, -1.0)
-        v = stability_verdict(system, (0.0, 0.0, 0.0))
+        v = surface_point_report(system, (0.0, 0.0, 0.0)).verdict
         assert v.kind is VerdictKind.STABLE
 
     def test_two_fold_classified_in_one_pass(self, call_counts, ci_normal_form):
@@ -456,7 +469,7 @@ class TestSystemLevelVerdicts:
         # and no Lie derivative evaluated twice beyond the second derivatives.
         counts = call_counts(sigma, "classify_point", "_refine_tangency", "_gradient_det")
         call_counts(Poly3, "eval")
-        v = stability_verdict(ci_normal_form, (0.0, 0.0, 0.0))
+        v = surface_point_report(ci_normal_form, (0.0, 0.0, 0.0)).verdict
         assert v.params.subtype is FoldFoldSubtype.INVISIBLE
         assert counts["classify_point"] == 1
         assert counts["_refine_tangency"] == 1

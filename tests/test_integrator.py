@@ -1,4 +1,5 @@
 import collections
+import functools
 import hashlib
 import itertools
 import math
@@ -16,7 +17,6 @@ from foldatlas.integrator import (
     FlightStatus,
     IntegratorConfig,
     Mode,
-    _rk_step,
     filippov_trajectory,
     fold_map_numeric,
     integrate_to_sigma,
@@ -64,6 +64,23 @@ def _ref_rk_step(f, y, h, k1):
         h * _plain_sum(e * k[i] for e, k in zip(_DP_E, ks)) for i in range(len(y))
     )
     return y_new, ks[6], err
+
+
+def _call_stage(args, outs):
+    return [f"{', '.join(outs)}, = f({', '.join(args)})"]
+
+
+@functools.cache
+def _call_step(dim):
+    body = integrator._step_lines(dim, _call_stage)
+    return integrator._compile(integrator._def("step(f, s, h, k1)", body), "step")
+
+
+def _rk_step(f, y, h, k1):
+    """One Dormand-Prince step of any callable field ``f`` on a 3- or
+    2-component state, generated from the kernels' template: returns (y_new,
+    k_last, err_norm)."""
+    return _call_step(len(y))(f, y, h, k1)
 
 
 def _ref_error_norm(err, y, y_new, atol, rtol):

@@ -7,8 +7,8 @@ from foldatlas.sigma import (
     FoldFoldSubtype,
     SigmaKind,
     TangencyType,
+    _gradient_det,
     classify_point,
-    fold_transversality,
     tangency_curves,
     tangency_type,
 )
@@ -137,10 +137,19 @@ class TestTangencyType:
 
 
 class TestFoldTransversality:
+    """Transversality of the tangency lines at a fold-fold point, with the
+    planar gradient determinant of Xf and Yf that decides it."""
+
+    ORIGIN = (0.0, 0.0, 0.0)
+
+    def _det(self, system):
+        return _gradient_det(*system.fold_gradients, self.ORIGIN)[0]
+
     def test_elliptic_transversal(self):
-        witness = fold_transversality(ELLIPTIC, (0.0, 0.0, 0.0))
-        assert witness.transversal
-        assert witness.determinant == pytest.approx(1.0)
+        info = tangency_type(ELLIPTIC, self.ORIGIN)
+        assert info.ttype is TangencyType.FOLD_FOLD
+        assert info.transversal
+        assert self._det(ELLIPTIC) == pytest.approx(1.0)
 
     def test_parallel_tangency_lines(self):
         # Yf = y + x^2 has the same tangent line direction as Xf = -y.
@@ -148,21 +157,19 @@ class TestFoldTransversality:
             field(-1.0, 1.0, Poly3({(0, 1, 0): -1.0})),
             field(1.0, -1.0, Y_VAR + X_VAR * X_VAR),
         )
-        witness = fold_transversality(Z, (0.0, 0.0, 0.0))
-        assert not witness.transversal
-        assert witness.determinant == pytest.approx(0.0, abs=1e-12)
+        info = tangency_type(Z, self.ORIGIN)
+        assert info.ttype is TangencyType.DEGENERATE
+        assert not info.transversal
+        assert self._det(Z) == pytest.approx(0.0, abs=1e-12)
 
     def test_higher_order_terms_ignored_at_origin(self):
         system = build_normal_form(
             -1.0, -1.0, 1.0, -1.0, hot={"cz": [[[1, 1, 0], 1.0]]}
         )
-        witness = fold_transversality(system, (0.0, 0.0, 0.0))
-        assert witness.transversal
-        assert witness.determinant == pytest.approx(1.0)
-
-    def test_precondition(self):
-        with pytest.raises(PreconditionError):
-            fold_transversality(ELLIPTIC, (0.5, 0.5, 0.0))
+        info = tangency_type(system, self.ORIGIN)
+        assert info.ttype is TangencyType.FOLD_FOLD
+        assert info.transversal
+        assert self._det(system) == pytest.approx(1.0)
 
 
 class TestTangencyCurves:

@@ -4,18 +4,15 @@ import numpy as np
 import pytest
 
 from foldatlas.algebra import Poly3, VectorField3
-from foldatlas.errors import DenominatorZeroError, PreconditionError
+from foldatlas.errors import PreconditionError
 from foldatlas.foldfold import make_parameters
+from foldatlas.integrator import _sliding_kernel
 from foldatlas.sliding import (
-    ContactOrder,
     SlidingRegionTag,
-    boundary_contact,
     foldfold_sliding_linearization,
     linear_eigensystem,
     mirror_visible_invisible,
     normalized_sliding_field,
-    pseudo_equilibria,
-    sliding_field,
     sliding_region_class,
 )
 from foldatlas.system import PiecewiseSystem, build_normal_form
@@ -28,19 +25,16 @@ def const_field(cx, cy, cz):
 
 
 class TestSlidingField:
+    """The rational sliding field, as the sliding kernel's evaluator."""
+
     def test_constant_fields(self):
         Z = PiecewiseSystem(const_field(1, 0, -1), const_field(0, 1, 1))
-        fld = sliding_field(Z)
-        assert fld.eval(0.3, -0.2) == (0.5, 0.5)
+        fld, _ = _sliding_kernel(Z)
+        assert fld(0.3, -0.2) == (0.5, 0.5)
 
     def test_elliptic_point(self):
-        fld = sliding_field(ELLIPTIC)
-        assert fld.eval(1.0, 1.0) == (0.0, 0.0)
-
-    def test_denominator_zero(self):
-        Z = PiecewiseSystem(const_field(1, 0, 1), const_field(0, 1, 1))
-        with pytest.raises(DenominatorZeroError):
-            sliding_field(Z).eval(0.0, 0.0)
+        fld, _ = _sliding_kernel(ELLIPTIC)
+        assert fld(1.0, 1.0) == (0.0, 0.0)
 
     def test_tangency_identity_symbolic(self):
         # z-component of the numerator cancels identically
@@ -68,7 +62,7 @@ class TestSlidingField:
 
     def test_reparametrization_sign(self):
         rng = np.random.default_rng(6)
-        fld = sliding_field(ELLIPTIC)
+        fld, _ = _sliding_kernel(ELLIPTIC)
         nrm = normalized_sliding_field(ELLIPTIC)
         checked = 0
         while checked < 1000:
@@ -79,7 +73,7 @@ class TestSlidingField:
                 continue
             checked += 1
             factor = yf - xf
-            fz = fld.eval(x, y)
+            fz = fld(x, y)
             fn = nrm.eval(x, y)
             assert fn[0] == pytest.approx(factor * fz[0], rel=1e-12, abs=1e-12)
             assert fn[1] == pytest.approx(factor * fz[1], rel=1e-12, abs=1e-12)
@@ -197,57 +191,3 @@ class TestRegionClass:
             for e in (0.1, 0.5, 2.0, 10.0):
                 scaled = sliding_region_class(make_parameters(e * a, e * b, e * e * g, d))
                 assert scaled is base
-
-
-class TestPseudoEquilibria:
-    def test_generic_elliptic_empty(self):
-        # the only zero of the linear part is the two-fold itself, which sits
-        # on the tangency set and is excluded
-        system = build_normal_form(-2.0, -1.0, 1.0, -1.0)
-        assert pseudo_equilibria(system) == []
-
-    def test_constructed_node(self):
-        X = VectorField3(
-            Poly3({(1, 0, 0): 1.0, (0, 0, 0): -0.5}),
-            Poly3({(0, 1, 0): 1.0, (0, 0, 0): -0.5}),
-            Poly3.constant(-1.0),
-        )
-        Y = const_field(0.0, 0.0, 1.0)
-        found = pseudo_equilibria(PiecewiseSystem(X, Y))
-        assert len(found) == 1
-        eq = found[0]
-        assert eq.point[0] == pytest.approx(0.5, abs=1e-9)
-        assert eq.point[1] == pytest.approx(0.5, abs=1e-9)
-        assert eq.kind == "unstable-node"
-        assert eq.hyperbolic
-
-    def test_constant_fields_no_zeros(self):
-        Z = PiecewiseSystem(const_field(1, 0, -1), const_field(0, 1, 1))
-        assert pseudo_equilibria(Z) == []
-
-
-class TestBoundaryContact:
-    def test_fold_regular_transverse(self):
-        Z = PiecewiseSystem(
-            VectorField3(Poly3.constant(0), Poly3.constant(1), Poly3({(0, 1, 0): -1.0})),
-            const_field(0, 0, 1),
-        )
-        report = boundary_contact(Z, (0.0, 0.0, 0.0))
-        assert report.order is ContactOrder.TRANSVERSE
-        assert abs(report.first) == pytest.approx(1.0)
-
-    def test_cusp_regular_quadratic(self):
-        X = VectorField3(
-            Poly3.constant(1.0),
-            Poly3.constant(0.0),
-            Poly3({(0, 1, 0): 1.0, (2, 0, 0): 1.0}),  # Xf = y + x^2
-        )
-        Z = PiecewiseSystem(X, const_field(0, 0, 1))
-        report = boundary_contact(Z, (0.0, 0.0, 0.0))
-        assert report.order is ContactOrder.QUADRATIC
-        assert report.second == pytest.approx(2.0)
-
-    def test_no_tangency_rejected(self):
-        Z = PiecewiseSystem(const_field(1, 0, -1), const_field(0, 1, 1))
-        with pytest.raises(PreconditionError):
-            boundary_contact(Z, (0.0, 0.0, 0.0))
