@@ -122,6 +122,45 @@ class TestTangencyType:
         info = tangency_type(Z, (0.0, 0.0, 0.0))
         assert info.ttype is TangencyType.REGULAR_FOLD
 
+    def test_regular_cusp(self):
+        # the mirror of test_cusp_regular: Yf = y + x^2 with X transverse
+        Z = PiecewiseSystem(
+            field(0.0, 0.0, -1.0), field(1.0, 0.0, Y_VAR + X_VAR * X_VAR)
+        )
+        info = tangency_type(Z, (0.0, 0.0, 0.0))
+        assert info.ttype is TangencyType.REGULAR_CUSP
+        assert info.detail == "third derivative 2"
+
+    def test_third_derivative_vanishes(self):
+        # Xf = -y^3: the second and third derivatives both vanish at the origin
+        Z = PiecewiseSystem(
+            field(0.0, 1.0, Poly3({(0, 3, 0): -1.0})), field(0.0, 0.0, 1.0)
+        )
+        info = tangency_type(Z, (0.0, 0.0, 0.0))
+        assert info.ttype is TangencyType.DEGENERATE
+        assert info.detail == "third derivative vanishes"
+
+    def test_vanishing_field_at_two_fold(self):
+        # both fields tangent, and X = (0, 0, -y) is zero at the origin
+        Z = PiecewiseSystem(
+            field(0.0, 0.0, Poly3({(0, 1, 0): -1.0})), field(0.0, 1.0, X_VAR)
+        )
+        info = tangency_type(Z, (0.0, 0.0, 0.0))
+        assert info.ttype is TangencyType.DEGENERATE
+        assert info.detail == "a field vanishes at the point"
+        assert not info.transversal
+
+    def test_degenerate_fold_at_two_fold(self):
+        # both fields tangent, but X = (1, 0, -y) flows along its tangency
+        # line, so X^2 f = 0 there
+        Z = PiecewiseSystem(
+            field(1.0, 0.0, Poly3({(0, 1, 0): -1.0})), field(1.0, 0.0, X_VAR)
+        )
+        info = tangency_type(Z, (0.0, 0.0, 0.0))
+        assert info.ttype is TangencyType.DEGENERATE
+        assert info.detail == "a fold is degenerate (second derivative 0)"
+        assert not info.transversal
+
     def test_subtype_table(self):
         expected = {
             (-1.0, 1.0): FoldFoldSubtype.INVISIBLE,
@@ -170,6 +209,11 @@ class TestFoldTransversality:
         assert info.ttype is TangencyType.FOLD_FOLD
         assert info.transversal
         assert self._det(system) == pytest.approx(1.0)
+
+    def test_precondition(self):
+        # the transversality test sits behind tangency_type's band check
+        with pytest.raises(PreconditionError, match="not in the tangency band"):
+            tangency_type(ELLIPTIC, (0.5, 0.5, 0.0))
 
 
 class TestTangencyCurves:

@@ -36,6 +36,14 @@ class TestSlidingField:
         fld, _ = _sliding_kernel(ELLIPTIC)
         assert fld(1.0, 1.0) == (0.0, 0.0)
 
+    def test_denominator_zero(self):
+        # Yf - Xf = 0 at every point: the evaluator raises rather than return
+        # a non-finite field (the driver stops at the denominator event first)
+        Z = PiecewiseSystem(const_field(1, 0, 1), const_field(0, 1, 1))
+        fld, _ = _sliding_kernel(Z)
+        with pytest.raises(ZeroDivisionError):
+            fld(0.0, 0.0)
+
     def test_tangency_identity_symbolic(self):
         # z-component of the numerator cancels identically
         rng = np.random.default_rng(5)
