@@ -35,7 +35,6 @@ from .foldfold import (
     parabolic_transversality,
     return_map_analysis,
     surface_point_report,
-    verdict_from_params,
 )
 from .integrator import (
     FlightStatus,
@@ -66,7 +65,6 @@ from .sliding import (
 from .system import (
     Box,
     PiecewiseSystem,
-    SystemDescriptor,
     build_normal_form,
     load_system,
     serialize_system,

@@ -22,9 +22,9 @@ from .foldfold import (
     FixedPointClass,
     demelo_palis,
     make_parameters,
+    report_from_params,
     return_map_analysis,
     surface_point_report,
-    verdict_from_params,
 )
 from .integrator import (
     FlightStatus,
@@ -375,25 +375,24 @@ def _verdict_signature(verdict):
     return (verdict.kind, reason, verdict.class_descriptor)
 
 
+def _signature(params):
+    """Region tag and verdict signature of ``params``."""
+    report = report_from_params(params)
+    return report.region, _verdict_signature(report.verdict)
+
+
 def check_rescaling_invariance(n=10000, seed=0):
     """Verdict and region tag survive (a, b, g) -> (e a, e b, e^2 g)."""
     rng = np.random.default_rng(seed)
     changes = 0
     for _ in range(n):
         params = _draw_any_foldfold(rng)
-        base = (
-            sliding_region_class(params),
-            _verdict_signature(verdict_from_params(params)),
-        )
+        base = _signature(params)
         for e in _RESCALING_FACTORS:
             scaled = make_parameters(
                 e * params.alpha, e * params.beta, e * e * params.gamma, params.delta
             )
-            got = (
-                sliding_region_class(scaled),
-                _verdict_signature(verdict_from_params(scaled)),
-            )
-            if got != base:
+            if _signature(scaled) != base:
                 changes += 1
     return [
         CheckResult(
@@ -442,9 +441,10 @@ _DIABOLO_BAND = 1e-11
 _REVERSIBILITY_RADII = (0.0125, 0.025, 0.05)
 _REVERSIBILITY_TOL = 1e-3
 # Contracting cone: seed distances along the contracting direction (both
-# signs), the return maps a seed must make, and the share of seeds that must.
+# signs), each with a twin at the same distance and sign on the expanding
+# direction, and the share of seeds that must make more return maps than
+# their twins.
 _CONE_RADII = tuple(np.logspace(-6.0, -2.0, 10).tolist())
-_CONE_MIN_ITERATIONS = 10
 _CONE_MIN_FRACTION = 0.9
 
 
@@ -520,7 +520,8 @@ def check_diabolo(n_draws=100, n_systems=10, seeds_per_system=100, seed=0):
     """Stable T-singularities: eigenvectors in the crossing region, no
     unstable-to-stable sliding communication under return-map iteration, the
     X-fold map carrying the expanding line onto the contracting one, and
-    seeds on the contracting line making many return maps before they stop."""
+    seeds on the contracting line making more return maps than their twins
+    on the expanding line."""
     rng = np.random.default_rng(seed)
     bad_vectors = 0
     draws = []
@@ -541,6 +542,7 @@ def check_diabolo(n_draws=100, n_systems=10, seeds_per_system=100, seed=0):
         iteration_draws.append((a, b, g))
     outcomes = DiaboloReport()
     cone = DiaboloReport()
+    twins = DiaboloReport()
     worst_reversal = 0.0
     reversal_failures = 0
     for a, b, g in iteration_draws:
@@ -555,10 +557,11 @@ def check_diabolo(n_draws=100, n_systems=10, seeds_per_system=100, seed=0):
             worst_reversal = max(worst_reversal, _reversal_residual(system, analysis))
         except IntegrationFailure:
             reversal_failures += 1
-        vx, vy = analysis.v_contracting.tolist()
-        cone_starts = [(s * r * vx, s * r * vy) for r in _CONE_RADII for s in (1.0, -1.0)]
-        _iterate_seeds(system, cone_starts, cone)
-    long_runs = sum(n >= _CONE_MIN_ITERATIONS for n in cone.iterations)
+        for vector, report in ((analysis.v_contracting, cone), (analysis.v_expanding, twins)):
+            vx, vy = vector.tolist()
+            starts = [(s * r * vx, s * r * vy) for r in _CONE_RADII for s in (1.0, -1.0)]
+            _iterate_seeds(system, starts, report)
+    long_runs = sum(n > m for n, m in zip(cone.iterations, twins.iterations))
     cone_fraction = long_runs / len(cone.iterations) if cone.iterations else 0.0
     histogram = dict(sorted(Counter(cone.iterations).items()))
     return [
@@ -592,7 +595,8 @@ def check_diabolo(n_draws=100, n_systems=10, seeds_per_system=100, seed=0):
             1.0 - cone_fraction,
             1.0 - _CONE_MIN_FRACTION,
             f"{long_runs}/{len(cone.iterations)} seeds on the contracting line made "
-            f">= {_CONE_MIN_ITERATIONS} return maps; iteration histogram {histogram}; "
+            f"more return maps than their twins on the expanding line (at most "
+            f"{max(twins.iterations, default=0)}); iteration histogram {histogram}; "
             f"{cone.violations} landed in stable sliding, " + cone.outcomes(),
         ),
     ]

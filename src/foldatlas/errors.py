@@ -14,23 +14,22 @@ class InputFormatError(ToolError):
     """Base class for problems with a system document."""
 
     exit_code = 2
-    code = "input-format"
 
 
 class MalformedDocumentError(InputFormatError):
-    code = "malformed-document"
+    """Input that does not parse: JSON, document keys, terms or option values."""
 
 
 class NonFiniteCoefficientError(InputFormatError):
-    code = "non-finite-coefficient"
+    """A coefficient is infinite or NaN."""
 
 
 class DegreeCapExceededError(InputFormatError):
-    code = "degree-cap-exceeded"
+    """A component exceeds the input degree cap."""
 
 
 class EmptyBoxError(InputFormatError):
-    code = "empty-box"
+    """The box has no volume or no slice of the switching plane."""
 
 
 class PreconditionError(ToolError):

@@ -37,18 +37,14 @@ from .sigma import (
 from .sliding import (
     BOUNDARY_BAND,
     SlidingRegionTag,
-    _eigvec2,
-    linear_eigensystem,
     mirror_visible_invisible,
     near,
     normalized_sliding_field,
     sliding_region_class,
 )
 
-# Largest denominator of a reported tau/pi convergent; relative distance from
-# the parabolic wedge's edges within which a point is not strictly outside.
+# Largest denominator of a reported tau/pi convergent.
 _MAX_DENOMINATOR = 10**6
-_OUTSIDE_MARGIN = 1e-7
 
 
 @dataclass(frozen=True)
@@ -154,6 +150,18 @@ class ReturnMapAnalysis:
     location_expanding: EigvecLocation | None = None
 
 
+def _eigvec2(m00, m01, m10, m11, lam):
+    """Unit eigenvector ``(x, y)`` of ``[[m00, m01], [m10, m11]]`` for its
+    real eigenvalue ``lam``, taken orthogonal to the larger row of
+    ``m - lam*I``; all arithmetic is on plain floats."""
+    r0, r1 = m00 - lam, m01
+    s0, s1 = m10, m11 - lam
+    if r0 * r0 + r1 * r1 < s0 * s0 + s1 * s1:
+        r0, r1 = s0, s1
+    n = math.hypot(r0, r1)
+    return (-r1 / n, r0 / n) if n > 0 else (1.0, 0.0)
+
+
 def _locate(x, y):
     """Quadrant of the eigendirection (x, y) in the chart where the crossing
     region is {x*y < 0} and the sliding region is {x*y > 0}."""
@@ -241,7 +249,6 @@ class ModuliInfo:
     tau: float
     tau_over_pi: float
     convergents: list  # rational approximations (p, q) of tau/pi, q <= 1e6
-    leaf_id: float
 
 
 def _convergents(x):
@@ -272,8 +279,7 @@ def moduli_info(analysis):
         raise PreconditionError("moduli are defined for the complex-eigenvalue case")
     tau = analysis.tau
     ratio = tau / math.pi
-    return ModuliInfo(tau=tau, tau_over_pi=ratio, convergents=_convergents(ratio),
-                      leaf_id=tau)
+    return ModuliInfo(tau=tau, tau_over_pi=ratio, convergents=_convergents(ratio))
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +304,6 @@ class InstabilityReason(Enum):
 class Reason:
     kind: InstabilityReason
     which: str | None = None  # failed condition for transversality failures
-    tau: float | None = None
     detail: str = ""
 
 
@@ -308,29 +313,21 @@ class StabilityVerdict:
     reason: Reason | None = None
     class_descriptor: tuple | None = None
     witness: str | None = None
-    moduli: ModuliInfo | None = None
-    analysis: ReturnMapAnalysis | None = None
-    params: NormalParameters | None = None
 
 
 def _sign(v):
     return int(math.copysign(1.0, v))
 
 
-def _tsingularity_verdict(params):
-    analysis = return_map_analysis(params)
-
-    def verdict(kind, **fields):
-        return StabilityVerdict(kind, analysis=analysis, params=params, **fields)
-
+def _tsingularity_verdict(params, analysis):
     cls = analysis.fixed_point_class
     if cls is FixedPointClass.NONHYPERBOLIC_UNIT:
-        return verdict(
+        return StabilityVerdict(
             VerdictKind.BOUNDARY_DEGENERATE,
             witness="unit-eigenvalue boundary: alpha*beta equals gamma within tolerance",
         )
     if cls is FixedPointClass.PARABOLIC_BOUNDARY:
-        return verdict(
+        return StabilityVerdict(
             VerdictKind.UNSTABLE,
             reason=Reason(
                 InstabilityReason.NON_HYPERBOLIC_RETURN_MAP,
@@ -338,18 +335,16 @@ def _tsingularity_verdict(params):
             ),
         )
     if cls is FixedPointClass.NONHYPERBOLIC_COMPLEX:
-        return verdict(
+        return StabilityVerdict(
             VerdictKind.UNSTABLE,
             reason=Reason(
                 InstabilityReason.NON_HYPERBOLIC_RETURN_MAP,
-                tau=analysis.tau,
                 detail="unit-circle complex eigenvalues; tau labels the moduli leaf",
             ),
-            moduli=moduli_info(analysis),
         )
     locs = (analysis.location_contracting, analysis.location_expanding)
     if all(loc is EigvecLocation.IN_CROSSING for loc in locs):
-        return verdict(
+        return StabilityVerdict(
             VerdictKind.STABLE,
             class_descriptor=(
                 "T-singularity",
@@ -359,11 +354,11 @@ def _tsingularity_verdict(params):
             ),
         )
     if any(loc is EigvecLocation.ON_TANGENCY for loc in locs):
-        return verdict(
+        return StabilityVerdict(
             VerdictKind.BOUNDARY_DEGENERATE,
             witness="saddle eigenvector on the tangency set",
         )
-    return verdict(
+    return StabilityVerdict(
         VerdictKind.UNSTABLE,
         reason=Reason(
             InstabilityReason.INVARIANT_MANIFOLD_IN_SLIDING,
@@ -372,23 +367,20 @@ def _tsingularity_verdict(params):
     )
 
 
-def _visible_verdict(params, tag):
+def _visible_verdict(tag):
     if tag is SlidingRegionTag.BIFURCATION_BOUNDARY:
         return StabilityVerdict(
             VerdictKind.BOUNDARY_DEGENERATE,
             witness="on the sliding-node boundary (alpha*beta = gamma, alpha > 0)",
-            params=params,
         )
     return StabilityVerdict(
-        VerdictKind.STABLE,
-        class_descriptor=("visible-two-fold", tag._value_),
-        params=params,
+        VerdictKind.STABLE, class_descriptor=("visible-two-fold", tag._value_)
     )
 
 
-def _parabolic_core_verdict(params, original, tag):
-    """Verdict in invisible-visible coordinates (``original`` keeps the
-    caller's parameters for reporting, ``tag`` is their region)."""
+def _parabolic_core_verdict(params, tag):
+    """Verdict from invisible-visible ``params``; ``tag`` is the region of
+    the caller's parameters."""
     a, b, g = params.alpha, params.beta, params.gamma
     if tag is SlidingRegionTag.BIFURCATION_BOUNDARY:
         if _strictly_outside_parabolic(a, b, g):
@@ -398,12 +390,9 @@ def _parabolic_core_verdict(params, original, tag):
                     InstabilityReason.SLIDING_BIFURCATION,
                     detail="sliding dynamics outside all generic regions",
                 ),
-                params=original,
             )
         return StabilityVerdict(
-            VerdictKind.BOUNDARY_DEGENERATE,
-            witness="on a sliding-region boundary",
-            params=original,
+            VerdictKind.BOUNDARY_DEGENERATE, witness="on a sliding-region boundary"
         )
     coeffs = parabolic_transversality(params)
     failure = InstabilityReason.TRANSVERSALITY_FAILURE
@@ -419,8 +408,7 @@ def _parabolic_core_verdict(params, original, tag):
     ):
         if fails:
             return StabilityVerdict(
-                VerdictKind.UNSTABLE, reason=Reason(failure, which, detail=detail),
-                params=original,
+                VerdictKind.UNSTABLE, reason=Reason(failure, which, detail=detail)
             )
     return StabilityVerdict(
         VerdictKind.STABLE,
@@ -431,7 +419,6 @@ def _parabolic_core_verdict(params, original, tag):
             _sign(a + b),
             _sign(coeffs.T_coeff),
         ),
-        params=original,
     )
 
 
@@ -440,35 +427,14 @@ def _strictly_outside_parabolic(a, b, g):
 
     Below the hyperbola a*b = g every parameter is covered by a region, so
     the complement is the wedge {a*b > g, b - a > -2 sqrt(-g)} together with
-    the boundaries; only the open wedge counts as strictly outside.
+    the boundaries; only the open wedge, clear of both edges by the boundary
+    band, counts as strictly outside.
     """
     ab = a * b
     root = 2.0 * math.sqrt(-g)
-    w = (b - a) + root
-    if abs(ab - g) <= _OUTSIDE_MARGIN * (1.0 + abs(ab) + abs(g)):
+    if near(ab, g) or near(b - a, -root):
         return False
-    if abs(w) <= _OUTSIDE_MARGIN * (1.0 + abs(b - a) + root):
-        return False
-    if ab < g or w < 0.0:
-        return False
-    return True
-
-
-def verdict_from_params(params):
-    """Structural-stability verdict of a two-fold from its normal parameters."""
-    return _verdict(params, sliding_region_class(params))
-
-
-def _verdict(params, tag):
-    """Verdict given the sliding region ``tag`` of ``params``."""
-    sub = params.subtype
-    if sub is FoldFoldSubtype.INVISIBLE:
-        return _tsingularity_verdict(params)
-    if sub is FoldFoldSubtype.VISIBLE_VISIBLE:
-        return _visible_verdict(params, tag)
-    if sub is FoldFoldSubtype.INVISIBLE_VISIBLE:
-        return _parabolic_core_verdict(params, params, tag)
-    return _parabolic_core_verdict(mirror_parameters(params), params, tag)
+    return ab > g and (b - a) + root > 0.0
 
 
 def _sliding_point_verdict(system, point, cls, tol):
@@ -508,8 +474,7 @@ def _sliding_point_verdict(system, point, cls, tol):
         VerdictKind.UNSTABLE,
         reason=Reason(
             InstabilityReason.SLIDING_BIFURCATION,
-            detail="non-hyperbolic pseudo-equilibrium "
-            f"(eigenvalues {linear_eigensystem(jac).values})",
+            detail=f"non-hyperbolic pseudo-equilibrium (trace {t}, determinant {d})",
         ),
     )
 
@@ -558,16 +523,24 @@ class FoldFoldReport:
 
 
 def report_from_params(params):
+    """Two-fold report from normal parameters: region, verdict and, at a
+    T-singularity, the return-map analysis (and its moduli when the
+    eigenvalues are on the unit circle), each computed once."""
     region = sliding_region_class(params)
-    verdict = _verdict(params, region)
-    return FoldFoldReport(
-        params=params,
-        region=region,
-        claim=region.claim._value_,
-        verdict=verdict,
-        analysis=verdict.analysis,
-        moduli=verdict.moduli,
-    )
+    analysis = moduli = None
+    sub = params.subtype
+    if sub is FoldFoldSubtype.INVISIBLE:
+        analysis = return_map_analysis(params)
+        verdict = _tsingularity_verdict(params, analysis)
+        if analysis.fixed_point_class is FixedPointClass.NONHYPERBOLIC_COMPLEX:
+            moduli = moduli_info(analysis)
+    elif sub is FoldFoldSubtype.VISIBLE_VISIBLE:
+        verdict = _visible_verdict(region)
+    elif sub is FoldFoldSubtype.INVISIBLE_VISIBLE:
+        verdict = _parabolic_core_verdict(params, region)
+    else:
+        verdict = _parabolic_core_verdict(mirror_parameters(params), region)
+    return FoldFoldReport(params, region, region.claim._value_, verdict, analysis, moduli)
 
 
 def foldfold_report(system, point):

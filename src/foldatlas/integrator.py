@@ -603,33 +603,24 @@ class Trajectory:
     total_time: float = 0.0
 
 
-def _tangency_exit(system, q3, tol):
-    """Continuation out of a sliding-boundary point.
+def _mode_on_sigma(system, q3, tol):
+    """Mode that follows the point ``q3`` of the plane, as ``(mode, None)``,
+    or ``(None, status)`` when the trajectory stops there.
 
-    A forward sliding orbit can only leave through a fold line where the
-    corresponding field's fold is visible; the exit arc is tangent to the
-    plane and belongs to that field.  Anything else (cusp contact, fold-fold
-    corner, invisible fold) terminates the trajectory.
+    On a fold line the orbit can only go on along the arc tangent to the
+    plane of the field whose fold is visible there; a fold-fold corner, a
+    cusp contact or an invisible fold stops it.
     """
     xf = system.xf.eval_at(q3)
     yf = system.yf.eval_at(q3)
-    if abs(xf) <= tol and abs(yf) <= tol:
-        return None
-    if abs(xf) <= tol:
-        return Mode.FLOW_PLUS if system.x2f.eval_at(q3) > tol else None
-    if abs(yf) <= tol:
-        return Mode.FLOW_MINUS if system.y2f.eval_at(q3) < -tol else None
-    return None
-
-
-def _mode_on_sigma(system, q3, tol):
-    """Mode that follows the point ``q3`` of the plane, as ``(mode, None)``,
-    or ``(None, status)`` when the trajectory stops there."""
-    xf = system.xf.eval_at(q3)
-    yf = system.yf.eval_at(q3)
-    if abs(xf) <= tol or abs(yf) <= tol:
-        mode = _tangency_exit(system, q3, tol)
-        return mode, FlightStatus.REACHED_TANGENCY if mode is None else None
+    x_fold = abs(xf) <= tol
+    y_fold = abs(yf) <= tol
+    if x_fold and not y_fold and system.x2f.eval_at(q3) > tol:
+        return Mode.FLOW_PLUS, None
+    if y_fold and not x_fold and system.y2f.eval_at(q3) < -tol:
+        return Mode.FLOW_MINUS, None
+    if x_fold or y_fold:
+        return None, FlightStatus.REACHED_TANGENCY
     if xf > 0.0 and yf > 0.0:
         return Mode.FLOW_PLUS, None
     if xf < 0.0 and yf < 0.0:
@@ -638,6 +629,30 @@ def _mode_on_sigma(system, q3, tol):
         return Mode.SLIDING, None
     # Unstable sliding: forward time never enters it.
     return None, FlightStatus.UNSTABLE_SLIDING
+
+
+def _segment_end(system, out, mode, tol):
+    """Terminal status of a ``mode`` segment that ended with ``out``, and
+    the mode that follows it (None when the trajectory stops).
+
+    A sliding segment ends on a fold line (events ``sx``/``sy``) or where
+    the sliding denominator vanishes (``den``): at a fold-fold point that is
+    a tangency, elsewhere a blow-up.
+    """
+    if out.status is not FlightStatus.HIT_SIGMA:
+        return out.status, None
+    q3 = (out.point[0], out.point[1], 0.0)
+    if mode is Mode.SLIDING:
+        xf = system.xf.eval_at(q3)
+        yf = system.yf.eval_at(q3)
+        if out.event == "den":
+            if abs(xf) <= 10 * tol and abs(yf) <= 10 * tol:
+                return FlightStatus.REACHED_TANGENCY, None
+            return FlightStatus.DENOMINATOR_BLOWUP, None
+        if abs(xf) > tol and abs(yf) > tol:  # the fold event missed the fold line
+            return FlightStatus.REACHED_TANGENCY, None
+    next_mode, stop = _mode_on_sigma(system, q3, tol)
+    return (FlightStatus.MODE_SWITCH, next_mode) if stop is None else (stop, None)
 
 
 def filippov_trajectory(system, p0, horizon, cfg=None):
@@ -690,26 +705,11 @@ def filippov_trajectory(system, p0, horizon, cfg=None):
         if remaining <= 1e-14 * max(1.0, horizon):
             _append_marker(traj, t_now, p, mode, FlightStatus.TIME_OUT)
             break
-        times, states = [], []
-        if mode in (Mode.FLOW_PLUS, Mode.FLOW_MINUS):
-            fld = system.X if mode is Mode.FLOW_PLUS else system.Y
-            side = 1 if mode is Mode.FLOW_PLUS else -1
-            ev = _sigma_event(side)
-            out = _integrate(fld.compiled(), _flight_kernel(fld), p, [ev], t_limit=remaining,
-                             outside=outside_box, collect=(times, states))
-            seg_end, next_mode = _flight_outcome(system, out, tol)
-            _append_segment(traj, t_now, times, states, mode, seg_end)
-            t_now += out.time
-            p = (
-                out.point[0],
-                out.point[1],
-                0.0 if seg_end is FlightStatus.MODE_SWITCH else out.point[2],
-            )
-            if next_mode is None:
-                break
-            mode = next_mode
-        else:  # sliding on {z = 0}
+        if mode is Mode.SLIDING:  # on {z = 0}, with state (x, y)
+            if sliding is None:
+                sliding = _sliding_kernel(system)
             arm = 10.0 * max(_EVENT_TOL, tol)
+            kernel, start, outside = sliding, (p[0], p[1]), outside_slice
             events = [
                 _Event("sx", lambda y: xf_fn(y[0], y[1], 0.0), arm_eps=arm),
                 _Event("sy", lambda y: yf_fn(y[0], y[1], 0.0), arm_eps=arm),
@@ -719,18 +719,21 @@ def filippov_trajectory(system, p0, horizon, cfg=None):
                     arm_eps=0.0,
                 ),
             ]
-            if sliding is None:
-                sliding = _sliding_kernel(system)
-            out = _integrate(*sliding, (p[0], p[1]), events, t_limit=remaining,
-                             outside=outside_slice, collect=(times, states))
-            q3 = (out.point[0], out.point[1], 0.0)
-            seg_end, next_mode = _sliding_outcome(system, out, q3, tol)
-            _append_segment(traj, t_now, times, states, Mode.SLIDING, seg_end)
-            t_now += out.time
-            p = q3
-            if next_mode is None:
-                break
-            mode = next_mode
+        else:
+            fld = system.X if mode is Mode.FLOW_PLUS else system.Y
+            kernel, start, outside = (fld.compiled(), _flight_kernel(fld)), p, outside_box
+            events = [_sigma_event(1 if mode is Mode.FLOW_PLUS else -1)]
+        times, states = [], []
+        out = _integrate(*kernel, start, events, t_limit=remaining, outside=outside,
+                         collect=(times, states))
+        seg_end, next_mode = _segment_end(system, out, mode, tol)
+        _append_segment(traj, t_now, times, states, mode, seg_end)
+        t_now += out.time
+        on_plane = mode is Mode.SLIDING or seg_end is FlightStatus.MODE_SWITCH
+        p = (out.point[0], out.point[1], 0.0 if on_plane else out.point[2])
+        if next_mode is None:
+            break
+        mode = next_mode
     else:
         traj.status = FlightStatus.STEP_LIMIT.value
         traj.total_time = t_now
@@ -739,30 +742,6 @@ def filippov_trajectory(system, p0, horizon, cfg=None):
     traj.status = traj.segments[-1].terminal.value
     traj.total_time = t_now
     return traj
-
-
-def _flight_outcome(system, out, tol):
-    if out.status is not FlightStatus.HIT_SIGMA:
-        return out.status, None
-    mode, stop = _mode_on_sigma(system, (out.point[0], out.point[1], 0.0), tol)
-    return (FlightStatus.MODE_SWITCH, mode) if stop is None else (stop, None)
-
-
-def _sliding_outcome(system, out, q3, tol):
-    if out.status is not FlightStatus.HIT_SIGMA:
-        return out.status, None
-    if out.event == "den":
-        xf = system.xf.eval_at(q3)
-        yf = system.yf.eval_at(q3)
-        near_tangency = abs(xf) <= 10 * tol and abs(yf) <= 10 * tol
-        return (
-            FlightStatus.REACHED_TANGENCY if near_tangency else FlightStatus.DENOMINATOR_BLOWUP,
-            None,
-        )
-    exit_mode = _tangency_exit(system, q3, tol)
-    if exit_mode is None:
-        return FlightStatus.REACHED_TANGENCY, None
-    return FlightStatus.MODE_SWITCH, exit_mode
 
 
 def _append_segment(traj, t_offset, times, states, mode, terminal):

@@ -60,52 +60,6 @@ def normalized_sliding_field(system):
     )
 
 
-# ---------------------------------------------------------------------------
-# Closed-form 2x2 eigenanalysis
-
-
-@dataclass
-class EigenSystem:
-    values: tuple  # pair of complex numbers
-    vectors: list | None  # real eigenvectors (unit), or None when complex
-
-
-def _eigvec2(m00, m01, m10, m11, lam):
-    """Unit eigenvector ``(x, y)`` of ``[[m00, m01], [m10, m11]]`` for its
-    real eigenvalue ``lam``, taken orthogonal to the larger row of
-    ``m - lam*I``; all arithmetic is on plain floats."""
-    r0, r1 = m00 - lam, m01
-    s0, s1 = m10, m11 - lam
-    if r0 * r0 + r1 * r1 < s0 * s0 + s1 * s1:
-        r0, r1 = s0, s1
-    n = math.hypot(r0, r1)
-    return (-r1 / n, r0 / n) if n > 0 else (1.0, 0.0)
-
-
-def linear_eigensystem(matrix):
-    """Eigenvalues/eigenvectors of a real 2x2 matrix in closed form."""
-    (m00, m01), (m10, m11) = np.asarray(matrix, dtype=float).tolist()
-    t = m00 + m11
-    d = m00 * m11 - m01 * m10
-    disc = t * t - 4.0 * d
-    if disc < 0.0:
-        im = math.sqrt(-disc) / 2.0
-        return EigenSystem(values=(complex(t / 2.0, -im), complex(t / 2.0, im)),
-                           vectors=None)
-    s = math.sqrt(disc)
-    if t >= 0.0:
-        big = (t + s) / 2.0
-    else:
-        big = (t - s) / 2.0
-    # The smaller root via the product avoids cancellation for |t| >> 1.
-    small = d / big if big != 0.0 else (t - s) / 2.0
-    vals = sorted((small, big))
-    return EigenSystem(
-        values=(complex(vals[0]), complex(vals[1])),
-        vectors=[np.array(_eigvec2(m00, m01, m10, m11, lam)) for lam in vals],
-    )
-
-
 def foldfold_sliding_linearization(params):
     """Linear part of the normalized sliding field at a two-fold point.
 

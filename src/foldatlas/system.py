@@ -169,69 +169,7 @@ class PiecewiseSystem:
 
 
 # ---------------------------------------------------------------------------
-# Descriptor (JSON) layer
-
-
-@dataclass
-class SystemDescriptor:
-    """Plain-data form of a system, mirroring the JSON document schema."""
-
-    name: str
-    box: list
-    X: dict
-    Y: dict
-
-    def to_system(self):
-        fields = {}
-        for label, raw in (("X", self.X), ("Y", self.Y)):
-            comps = []
-            for key in _COMPONENT_KEYS:
-                comps.append(_parse_component(raw.get(key, []), f"{label}.{key}"))
-            fields[label] = VectorField3(*comps)
-        box = Box.from_sequence(self.box)
-        _require_usable_box(box)
-        return PiecewiseSystem(fields["X"], fields["Y"], box, self.name)
-
-    @classmethod
-    def from_system(cls, system):
-        def dump_field(f):
-            return {
-                key: [[list(e), c] for e, c in poly.items()]
-                for key, poly in zip(_COMPONENT_KEYS, f.components())
-            }
-
-        return cls(
-            name=system.name,
-            box=list(system.box.as_tuple()),
-            X=dump_field(system.X),
-            Y=dump_field(system.Y),
-        )
-
-    def to_json(self):
-        return json.dumps(
-            {"name": self.name, "box": self.box, "X": self.X, "Y": self.Y},
-            indent=2,
-        )
-
-    @classmethod
-    def from_json(cls, text):
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise MalformedDocumentError(f"invalid JSON: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise MalformedDocumentError("document root must be an object")
-        missing = {"name", "box", "X", "Y"} - set(doc)
-        if missing:
-            raise MalformedDocumentError(f"missing keys: {sorted(missing)}")
-        if not isinstance(doc["name"], str):
-            raise MalformedDocumentError("name must be a string")
-        for label in ("X", "Y"):
-            if not isinstance(doc[label], dict):
-                raise MalformedDocumentError(f"{label} must be an object")
-        if not isinstance(doc["box"], list):
-            raise MalformedDocumentError("box must be a list")
-        return cls(name=doc["name"], box=doc["box"], X=doc["X"], Y=doc["Y"])
+# JSON documents
 
 
 def _parse_component(entries, where):
@@ -281,12 +219,43 @@ def _require_usable_box(box):
 
 def load_system(text):
     """Parse a JSON document into a validated :class:`PiecewiseSystem`."""
-    return SystemDescriptor.from_json(text).to_system()
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise MalformedDocumentError(f"invalid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise MalformedDocumentError("document root must be an object")
+    missing = {"name", "box", "X", "Y"} - set(doc)
+    if missing:
+        raise MalformedDocumentError(f"missing keys: {sorted(missing)}")
+    if not isinstance(doc["name"], str):
+        raise MalformedDocumentError("name must be a string")
+    for label in ("X", "Y"):
+        if not isinstance(doc[label], dict):
+            raise MalformedDocumentError(f"{label} must be an object")
+    if not isinstance(doc["box"], list):
+        raise MalformedDocumentError("box must be a list")
+    X, Y = [
+        VectorField3(*[
+            _parse_component(doc[label].get(key, []), f"{label}.{key}")
+            for key in _COMPONENT_KEYS
+        ])
+        for label in ("X", "Y")
+    ]
+    box = Box.from_sequence(doc["box"])
+    _require_usable_box(box)
+    return PiecewiseSystem(X, Y, box, doc["name"])
 
 
 def serialize_system(system):
     """Inverse of :func:`load_system`; coefficients round-trip bitwise."""
-    return SystemDescriptor.from_system(system).to_json()
+    doc = {"name": system.name, "box": list(system.box.as_tuple())}
+    for label, f in (("X", system.X), ("Y", system.Y)):
+        doc[label] = {
+            key: [[list(e), c] for e, c in poly.items()]
+            for key, poly in zip(_COMPONENT_KEYS, f.components())
+        }
+    return json.dumps(doc, indent=2)
 
 
 # ---------------------------------------------------------------------------

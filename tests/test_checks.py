@@ -15,7 +15,7 @@ from foldatlas.integrator import (
     Trajectory,
     TrajectorySegment,
 )
-from foldatlas.sliding import _eigvec2
+from foldatlas.foldfold import _eigvec2
 from foldatlas.system import PiecewiseSystem
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import re
 
 import pytest
@@ -110,6 +111,17 @@ class TestClassify:
         assert ff["verdict"]["kind"] == "unstable"
         assert ff["verdict"]["reason"]["which"] == "T"
         assert ff["region"] == "RP1"
+
+    def test_complex_t_singularity_reports_each_part_once(self, tmp_path):
+        # trace 0: the return map has eigenvalues +-i, so tau = pi/2
+        path = tmp_path / "complex.json"
+        path.write_text(serialize_system(build_normal_form(1.0, 1.0, 2.0, -1.0)))
+        report = _classify(str(path), "0,0,0", tmp_path)
+        ff = report["foldfold"]
+        assert set(ff["verdict"]) == {"kind", "reason", "class_descriptor", "witness"}
+        assert ff["return_map"]["fixed_point_class"] == "nonhyperbolic-complex"
+        assert ff["moduli"]["tau"] == pytest.approx(math.pi / 2.0)
+        assert json.dumps(report).count('"moduli"') == 1
 
     def test_regular_point_report(self, elliptic_file, tmp_path):
         report = _classify(elliptic_file, "1,-1,0", tmp_path)
