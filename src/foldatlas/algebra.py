@@ -116,9 +116,11 @@ def _shape(polys):
     shapes = []
     coeffs = []
     for p in polys:
-        items = p.items()
-        shapes.append(tuple(e for e, _ in items))
-        coeffs.extend(c for _, c in items)
+        # the keys are distinct, so sorting them orders the terms as items()
+        terms = p.terms
+        exps = sorted(terms)
+        shapes.append(tuple(exps))
+        coeffs += [terms[e] for e in exps]
     return tuple(shapes), coeffs
 
 
@@ -154,7 +156,8 @@ class Poly3:
 
     @classmethod
     def constant(cls, c):
-        return cls({(0, 0, 0): float(c)})
+        c = float(c)  # the conversion and zero pruning of __init__, without its loop
+        return _new({(0, 0, 0): c} if c != 0.0 else {})
 
     @classmethod
     def variable(cls, name):
@@ -174,7 +177,7 @@ class Poly3:
     def coeff_scale(self):
         if not self.terms:
             return 0.0
-        return max(abs(c) for c in self.terms.values())
+        return max(map(abs, self.terms.values()))
 
     def items(self):
         return sorted(self.terms.items())
@@ -311,13 +314,20 @@ class VectorField3:
     def coeff_scale(self):
         """Cached largest coefficient magnitude of the three components."""
         if self._scale is None:
-            self._scale = max(p.coeff_scale() for p in self.components())
+            self._scale = max(self.cx.coeff_scale(), self.cy.coeff_scale(), self.cz.coeff_scale())
         return self._scale
 
     def negated(self):
-        """Cached ``-field``, so backward flights share one compiled evaluator."""
+        """Cached ``-field``, so backward flights share one compiled evaluator.
+        It shares this field's shape and coefficient scale: same terms, same
+        order, exactly negated coefficients."""
         if self._neg is None:
-            self._neg = VectorField3(-self.cx, -self.cy, -self.cz)
+            neg = VectorField3(*(_new({e: -c for e, c in p.terms.items()})
+                                 for p in self.components()))
+            shapes, coeffs = self.shape()
+            neg._shape = (shapes, [-c for c in coeffs])
+            neg._scale = self.coeff_scale()
+            self._neg = neg
         return self._neg
 
     def shape(self):

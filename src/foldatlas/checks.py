@@ -34,7 +34,7 @@ from .integrator import (
     return_map_numeric,
     filippov_trajectory,
 )
-from .sigma import SigmaKind, classify_point
+from .sigma import FoldFoldSubtype, SigmaKind, classify_point
 from .sliding import (
     SlidingRegionTag,
     foldfold_sliding_linearization,
@@ -916,10 +916,47 @@ def check_sliding_atlas(resolution=200):
 # One concrete system
 
 
+def _involution_row(system, side, point, seeds):
+    """The fold map of an invisible fold, applied twice, returns each seed."""
+    worst = 0.0
+    failures = 0
+    for q in seeds:
+        try:
+            back = fold_map_numeric(system, side, fold_map_numeric(system, side, q))
+            worst = max(worst, math.hypot(back[0] - q[0], back[1] - q[1]))
+        except IntegrationFailure:
+            failures += 1
+    return CheckResult(f"{side}-fold involution", failures == 0 and worst <= 1e-6, worst, 1e-6,
+                       f"{failures} failed flights" if failures else "")
+
+
+def _non_return_row(system, side, point, seeds):
+    """No flight of a visible fold's field comes back to the plane; a seed
+    where the field enters the plane is first mirrored through ``point``,
+    across the fold line, to where it leaves."""
+    field, leaving = (system.X, 1.0) if side == "X" else (system.Y, -1.0)
+    returned = 0
+    for q in seeds:
+        if field.cz.eval(q[0], q[1], 0.0) * leaving < 0.0:
+            q = (2.0 * point[0] - q[0], 2.0 * point[1] - q[1])
+        try:
+            fold_map_numeric(system, side, q)
+            returned += 1
+        except IntegrationFailure:
+            pass
+    return CheckResult(f"{side}-fold non-return", returned == 0, float(returned), 0.0,
+                       f"{returned} of {len(seeds)} flights returned")
+
+
 def check_system(system, point, seed=0):
     """Consistency checks for one concrete system at a two-fold candidate:
-    the classification, numeric involutivity of both fold maps and the
-    numeric return-map spectrum against the extracted normal parameters."""
+    the classification, then the rows its closed-form subtype calls for.
+    An invisible fold's numeric fold map must be an involution.  Flights of
+    a visible fold's field from seeds near its fold line, on the side where
+    the field leaves the plane, must not return to it inside the guard of
+    ``fold_map_numeric``.  The numeric return-map spectrum is
+    checked against the normal parameters at an invisible two-fold only.
+    The classification row names every row that does not apply."""
     two_fold = None
     try:
         surface = surface_point_report(system, point)
@@ -929,55 +966,43 @@ def check_system(system, point, seed=0):
         two_fold = surface.foldfold
         info = surface.tangency
         detail = "point is not in the tangency band" if info is None else info.ttype.value
-    results = [
-        CheckResult("two-fold classification", two_fold is not None,
-                    0.0 if two_fold is not None else 1.0, 0.0, detail)
-    ]
     if two_fold is None:
-        return results
+        return [CheckResult("two-fold classification", False, 1.0, 0.0, detail)]
+
+    sub = two_fold.params.subtype
+    visible = {
+        "X": sub in (FoldFoldSubtype.VISIBLE_VISIBLE, FoldFoldSubtype.VISIBLE_INVISIBLE),
+        "Y": sub in (FoldFoldSubtype.VISIBLE_VISIBLE, FoldFoldSubtype.INVISIBLE_VISIBLE),
+    }
+    skipped = [f"{side}-fold {'involution' if visible[side] else 'non-return'}" for side in "XY"]
+    if sub is not FoldFoldSubtype.INVISIBLE:
+        skipped += ["return-map determinant", "return-map trace vs normal parameters"]
+    results = [
+        CheckResult("two-fold classification", True, 0.0, 0.0,
+                    f"{detail} ({sub.value}); not applicable: {', '.join(skipped)}")
+    ]
 
     rng = np.random.default_rng(seed)
     for side in ("X", "Y"):
-        worst = 0.0
-        failures = 0
-        for _ in range(25):
-            q = (
-                point[0] + rng.uniform(-0.05, 0.05),
-                point[1] + rng.uniform(-0.05, 0.05),
-            )
-            try:
-                back = fold_map_numeric(system, side, fold_map_numeric(system, side, q))
-                worst = max(worst, math.hypot(back[0] - q[0], back[1] - q[1]))
-            except IntegrationFailure:
-                failures += 1
-        passed = failures == 0 and worst <= 1e-6
-        results.append(
-            CheckResult(
-                f"{side}-fold involution", passed, worst, 1e-6,
-                f"{failures} failed flights" if failures else "",
-            )
-        )
+        seeds = [(point[0] + rng.uniform(-0.05, 0.05), point[1] + rng.uniform(-0.05, 0.05))
+                 for _ in range(25)]
+        row = _non_return_row if visible[side] else _involution_row
+        results.append(row(system, side, point, seeds))
+    if sub is not FoldFoldSubtype.INVISIBLE:
+        return results
 
     try:
         jac = jacobian_numeric(
             lambda q: return_map_numeric(system, q), (point[0], point[1]), _JACOBIAN_STEP
         )
         det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
-        results.append(
-            CheckResult("return-map determinant", abs(det - 1.0) <= 1e-6,
-                        abs(det - 1.0), 1e-6)
-        )
-        analysis = two_fold.analysis  # set exactly for invisible two-folds
-        if analysis is not None:
-            tr = jac[0, 0] + jac[1, 1]
-            results.append(
-                CheckResult(
-                    "return-map trace vs normal parameters",
-                    abs(tr - analysis.trace) <= 1e-3,
-                    abs(tr - analysis.trace),
-                    1e-3,
-                )
-            )
+        tr = jac[0, 0] + jac[1, 1]
+        trace = two_fold.analysis.trace  # set exactly for invisible two-folds
+        results += [
+            CheckResult("return-map determinant", abs(det - 1.0) <= 1e-6, abs(det - 1.0), 1e-6),
+            CheckResult("return-map trace vs normal parameters", abs(tr - trace) <= 1e-3,
+                        abs(tr - trace), 1e-3),
+        ]
     except IntegrationFailure as exc:
         results.append(
             CheckResult("return-map spectrum", False, 1.0, 0.0, str(exc))

@@ -40,6 +40,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import itemgetter
 
 import numpy as np
 
@@ -169,11 +170,15 @@ def _compile(lines, name):
 @functools.lru_cache(maxsize=512)
 def _flight_factory(shapes):
     """``bind(c0, ..., cn) -> step(y, h, k1)`` for a polynomial field of the
-    component ``shapes``: the field is written out inline in every stage."""
+    component ``shapes``: the field is written out inline in every stage.  A
+    stage sets only the coordinates that some monomial reads; the others
+    would be computed and dropped."""
     params, exprs = shape_source(shapes)
+    read = [any(e[i] for shape in shapes for e in shape) for i in range(3)]
 
     def stage(args, outs):
-        return [f"x, y, z = {', '.join(args)}"] + [f"{o} = {e}" for o, e in zip(outs, exprs)]
+        sets = [f"{v} = {a}" for v, a, r in zip("xyz", args, read) if r]
+        return sets + [f"{o} = {e}" for o, e in zip(outs, exprs)]
 
     step = _def("step(s, h, k1)", _step_lines(3, stage))
     return _compile(_def(f"bind({', '.join(params)})", step + ["return step"]), "bind")
@@ -249,12 +254,12 @@ class _Event:
         )
 
 
+_Z = itemgetter(2)  # the plane event's value at a state, and its rate at a field value
+
+
 def _sigma_event(direction):
     """Return to the plane z = 0 from the half-space of sign ``direction``."""
-    ev = _Event(
-        "sigma", lambda y: y[2], arm_eps=1e-13, expected_sign=direction,
-        rate=lambda k: k[2],
-    )
+    ev = _Event("sigma", _Z, arm_eps=1e-13, expected_sign=direction, rate=_Z)
     ev.component = 2
     return ev
 
@@ -397,7 +402,7 @@ def _integrate(f, step, y0, events, t_limit, outside=None, h0=None, collect=None
     violation, or the horizon; ``collect`` is a pair of lists ``(times,
     states)`` or None.  The clamps
     keep ``min``/``max``'s NaN rule: the first argument wins against NaN."""
-    y = tuple(float(v) for v in y0)
+    y = tuple(map(float, y0))
     k1 = f(*y)
     t = 0.0
     h = h0 if h0 else min(1e-4, 0.25 * t_limit)
@@ -506,7 +511,7 @@ def integrate_to_sigma(field, q0, direction, box=DEFAULT_BOX, h0=None):
     tol = default_tolerance(field)
     if abs(q0[2]) > tol:
         raise PreconditionError("flight must start on the switching plane")
-    s = field.cz.eval_at(q0)
+    s = field.cz.eval(q0[0], q0[1], q0[2])
     if s * direction < -tol:
         return FlightResult(FlightStatus.NO_RETURN, time=0.0)
     if abs(s) <= tol:
@@ -540,12 +545,12 @@ def fold_map_numeric(system, side, q):
     field, second, halfspace = _fold_side(system, side)
     x, y = float(q[0]), float(q[1])
     point = (x, y, 0.0)
-    s = field.cz.eval_at(point)
+    s = field.cz.eval(x, y, 0.0)
     if abs(s) <= default_tolerance(field):
         return (x, y)
     forward = (s > 0.0) if side == "X" else (s < 0.0)
     use = field if forward else field.negated()
-    s2 = second.eval_at(point)
+    s2 = second.eval(x, y, 0.0)
     h0 = None
     if abs(s2) > 1e-12:
         h0 = max(abs(s) / abs(s2) / 4.0, 1e-12)

@@ -17,9 +17,11 @@ from foldatlas.algebra import (
     DegreeCapError,
     Poly3,
     VectorField3,
+    _shape,
     gradient_on_sigma,
     lie_derivative,
 )
+from foldatlas import integrator
 from foldatlas.system import PiecewiseSystem, build_normal_form, load_system, serialize_system
 
 
@@ -231,6 +233,46 @@ class TestNegated:
         for _ in range(200):
             p = tuple(rng.uniform(-2.0, 2.0, size=3))
             assert g(*p) == tuple(-v for v in f(*p))
+
+    def test_derived_field_matches_built_one(self):
+        # negated() derives its shape and scale from the parent's; a field
+        # built from the negated components recomputes both
+        rng = np.random.default_rng(23)
+        for max_degree in (1, 3, 6):
+            for _ in range(4):
+                field = random_field(rng, max_degree)
+                neg = field.negated()
+                built = VectorField3(-field.cx, -field.cy, -field.cz)
+                for p, q in zip(neg.components(), built.components()):
+                    assert list(p.terms) == list(q.terms)
+                    assert _bits(*p.terms.values()) == _bits(*q.terms.values())
+                assert neg.shape()[0] == built.shape()[0]
+                assert _bits(*neg.shape()[1]) == _bits(*built.shape()[1])
+                assert neg.coeff_scale() == built.coeff_scale()
+                f = built.compiled()
+                steps = integrator._flight_kernel(neg), integrator._flight_kernel(built)
+                for _ in range(1000 // 12):
+                    y = tuple(float(v) for v in rng.normal(scale=0.5, size=3))
+                    h = float(10.0 ** rng.uniform(-6.0, -1.0))
+                    k1 = f(*y)
+                    assert _step_hexes(steps[0], y, h, k1) == _step_hexes(steps[1], y, h, k1)
+
+    def test_shape_pass_matches_items(self):
+        rng = np.random.default_rng(24)
+        polys = [Poly3.zero()] + [random_poly(rng, d) for d in (0, 1, 2, 4, 6, 8) for _ in range(3)]
+        shapes, coeffs = _shape(polys)
+        assert shapes == tuple(tuple(e for e, _ in p.items()) for p in polys)
+        assert _bits(*coeffs) == _bits(*(c for p in polys for _, c in p.items()))
+
+
+def _step_hexes(step, y, h, k1):
+    """``float.hex`` of every number a kernel step returns, or its overflow
+    (a large state can take ``x**6`` past the float range)."""
+    try:
+        y_new, k_last, err_norm = step(y, h, k1)
+    except OverflowError:
+        return "overflow"
+    return [v.hex() for v in (*y_new, *k_last, err_norm)]
 
 
 class TestSharedEvaluators:

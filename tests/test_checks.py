@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from foldatlas import checks, integrator
+from foldatlas import checks, foldfold, integrator, sigma
 from foldatlas.algebra import Poly3, VectorField3
 from foldatlas.errors import IntegrationFailure
 from foldatlas.integrator import (
@@ -16,7 +16,7 @@ from foldatlas.integrator import (
     TrajectorySegment,
 )
 from foldatlas.foldfold import _eigvec2
-from foldatlas.system import PiecewiseSystem
+from foldatlas.system import PiecewiseSystem, build_normal_form
 
 
 def _by_name(results, name):
@@ -268,6 +268,60 @@ class TestSlidingExits:
         exits = _by_name(results, "sliding exits at visible folds")
         n_exits = int(re.match(r"0 of (\d+) sliding exits", exits.detail).group(1))
         assert n_exits >= 2
+
+
+class TestSystemRows:
+    """``check_system`` picks its numeric rows from the closed-form subtype:
+    involution rows for invisible folds, non-return rows for visible ones
+    and the return-map rows at the invisible two-fold only."""
+
+    ROWS = {  # (gamma sign, delta): the rows that apply
+        (1.0, -1.0): ["X-fold involution", "Y-fold involution", "return-map determinant",
+                      "return-map trace vs normal parameters"],
+        (1.0, 1.0): ["X-fold non-return", "Y-fold involution"],
+        (-1.0, 1.0): ["X-fold non-return", "Y-fold non-return"],
+        (-1.0, -1.0): ["X-fold involution", "Y-fold non-return"],
+    }
+    ALL = ["X-fold involution", "X-fold non-return", "Y-fold involution", "Y-fold non-return",
+           "return-map determinant", "return-map trace vs normal parameters"]
+
+    @pytest.mark.parametrize("sign,delta", list(ROWS))
+    def test_seeded_sample_of_each_subtype(self, sign, delta):
+        rng = np.random.default_rng(41)
+        for k in range(6):
+            alpha, beta = rng.uniform(-2.0, 2.0, size=2)
+            gamma = sign * rng.uniform(0.3, 2.0)
+            system = build_normal_form(alpha, beta, gamma, delta)
+            results = checks.check_system(system, (0.0, 0.0, 0.0), seed=k)
+            assert all(r.passed for r in results), [r.row() for r in results]
+            rows = self.ROWS[(sign, delta)]
+            assert [r.name for r in results[1:]] == rows
+            skipped = results[0].detail.split("; not applicable: ")[1].split(", ")
+            assert sorted(rows + skipped) == sorted(self.ALL)
+
+    @pytest.mark.parametrize("flip,sign,delta,failing", [
+        ("X", 1.0, 1.0, "X-fold involution"),
+        ("X", -1.0, 1.0, "X-fold involution"),
+        ("X", -1.0, -1.0, "X-fold non-return"),
+        ("Y", 1.0, 1.0, "Y-fold non-return"),
+        ("Y", -1.0, -1.0, "Y-fold involution"),
+    ])
+    def test_wrong_visibility_fails_a_numeric_row(self, monkeypatch, flip, sign, delta,
+                                                  failing):
+        # the whole closed-form route reports one fold with the wrong
+        # visibility, so the classification agrees with itself and only the
+        # numeric rows can see it
+        real = sigma.subtype_from_signs
+        signs = {"X": (-1.0, 1.0), "Y": (1.0, -1.0)}[flip]
+
+        def wrong(x2, y2):
+            return real(signs[0] * x2, signs[1] * y2)
+
+        monkeypatch.setattr(sigma, "subtype_from_signs", wrong)
+        monkeypatch.setattr(foldfold, "subtype_from_signs", wrong)
+        results = checks.check_system(build_normal_form(0.3, 0.5, sign, delta), (0.0, 0.0, 0.0))
+        assert results[0].passed
+        assert not _by_name(results, failing).passed
 
 
 class TestSettableValues:

@@ -392,16 +392,26 @@ class TestVerify:
         (line,) = capsys.readouterr().out.splitlines()
         assert line.startswith("FAIL  two-fold classification") and line.endswith(detail)
 
-    def test_corrupted_system_fails(self, tmp_path, capsys):
-        # flip the normal component of Y: its fold turns visible, the Y-fold
-        # flights cannot return, and verification exits nonzero
-        from foldatlas.algebra import VectorField3
+    # (gamma, delta) of the four two-fold subtypes of the normal form
+    SUBTYPES = [(1.0, -1.0), (1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0)]
 
-        system = build_normal_form(-2.0, -1.0, 1.0, -1.0)
-        bad_y = VectorField3(system.Y.cx, system.Y.cy, -system.Y.cz)
-        corrupted = system.__class__(system.X, bad_y, system.box, "bad")
-        path = tmp_path / "bad.json"
-        path.write_text(serialize_system(corrupted))
-        rc = main(["verify", str(path), "--suite", "none"])
-        assert rc == 4
+    @pytest.mark.parametrize("gamma,delta", SUBTYPES)
+    def test_every_subtype_passes(self, tmp_path, gamma, delta, capsys):
+        path = tmp_path / "normal-form.json"
+        path.write_text(serialize_system(build_normal_form(0.3, 0.5, gamma, delta)))
+        assert main(["verify", str(path), "--suite", "none"]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flip", "XY")
+    @pytest.mark.parametrize("gamma,delta", SUBTYPES)
+    def test_wrong_visibility_fails(self, tmp_path, monkeypatch, gamma, delta, flip, capsys):
+        # the program reports one fold with the wrong visibility; the system
+        # is valid, so verification must exit 4 on it
+        real = sigma.subtype_from_signs
+        signs = {"X": (-1.0, 1.0), "Y": (1.0, -1.0)}[flip]
+        monkeypatch.setattr(sigma, "subtype_from_signs",
+                            lambda x2, y2: real(signs[0] * x2, signs[1] * y2))
+        path = tmp_path / "normal-form.json"
+        path.write_text(serialize_system(build_normal_form(0.3, 0.5, gamma, delta)))
+        assert main(["verify", str(path), "--suite", "none"]) == 4
         assert "FAIL" in capsys.readouterr().out

@@ -791,7 +791,9 @@ class TestWorkCounts:
     compiled evaluator plus 6 for each kernel step.  Flights are counted at
     ``integrate_to_sigma``, where perfbench's tracer also counts them."""
 
-    @pytest.mark.parametrize("params", [(-0.7, 1.3, 0.9), (2.5, -1.4, 0.5)])
+    @pytest.mark.parametrize("params", [
+        (-0.7, 1.3, 0.9), (2.5, -1.4, 0.5), (-1.0, -1.0, 1.0), (0.4, 0.9, 2.0), (-2.0, -1.4, 0.5),
+    ])
     def test_return_map_jacobian(self, monkeypatch, call_counts, params):
         counts = _count_kernel_steps(monkeypatch, call_counts(integrator, "integrate_to_sigma"))
         real_compiled = VectorField3.compiled
