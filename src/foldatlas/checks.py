@@ -4,8 +4,10 @@ Each check pits an independent route against the implementation: numeric
 flights against closed-form involutions, random draws against sign tables,
 sweeps against analytic region predicates.  The closed-form route
 (``foldfold``) never integrates; every numeric loop that tests it, the
-diabolo seed iteration included, lives here.  The CLI ``verify`` subcommand
-runs reduced sample counts; the acceptance tests run the full ones.
+diabolo seed iteration included, lives here.  A check takes its sample
+sizes and seed without defaults: the acceptance sizes are written only in
+``tests/test_acceptance.py``, which pins them, and the reduced sizes of the
+CLI ``verify`` subcommand only in ``SUITES``.
 """
 
 from __future__ import annotations
@@ -22,13 +24,13 @@ from .foldfold import (
     FixedPointClass,
     demelo_palis,
     make_parameters,
+    parabolic_transversality,
     report_from_params,
     return_map_analysis,
     surface_point_report,
 )
 from .integrator import (
     FlightStatus,
-    IntegratorConfig,
     fold_map_numeric,
     jacobian_numeric,
     return_map_numeric,
@@ -61,9 +63,10 @@ class CheckResult:
         )
 
 
-# Every bound and probe setting that has one value; the acceptance test pins
-# them.  _DRAW_MARGIN keeps draws of (a, b, g) off the boundary they are
-# drawn against: a*b*(a*b - g) = 0 for saddles, a*b = g for sliding regions.
+# Every bound and probe setting that has one value; tests/test_acceptance.py
+# pins them (check_system's in tests/test_checks.py).  _DRAW_MARGIN keeps
+# draws of (a, b, g) off the boundary they are drawn against:
+# a*b*(a*b - g) = 0 for saddles, a*b = g for sliding regions.
 _DRAW_MARGIN = 1e-6
 _JACOBIAN_STEP = 1e-3  # central-difference step (criterion 1, check_system)
 _DET_TOL = 1e-12  # criterion 1: |det - 1| of the closed-form matrix
@@ -80,13 +83,21 @@ _RESCALING_FACTORS = (0.1, 0.5, 2.0, 10.0)  # criterion 10: e of (e a, e b, e^2 
 # Criterion 11: |z|, normal sliding velocity and max(Xf, -Yf) on sliding
 # segments, and the zero band of Xf and Yf where a sliding segment exits.
 _SLIDING_TOL = 1e-10
+# check_system: |det - 1| and the trace error of its numeric return map.
+_SYSTEM_DET_TOL = 1e-6
+_SYSTEM_TRACE_TOL = 1e-3
+
+
+def _count_row(name, count, detail):
+    """A row that passes when none of ``count`` cases went wrong."""
+    return CheckResult(name, count == 0, float(count), 0.0, detail)
 
 
 # ---------------------------------------------------------------------------
 # Return-map formula vs numeric Jacobian
 
 
-def check_return_map_grid(n_alpha=50, n_beta=50, gammas=(0.5, 1.0, 1.5, 2.0, 3.0)):
+def check_return_map_grid(n_alpha, n_beta, gammas):
     """Closed-form return-map matrix: det == 1, and the central-difference
     Jacobian of the integrated return map matches it entrywise."""
     alphas = np.linspace(-3.0, 3.0, n_alpha)
@@ -118,14 +129,9 @@ def check_return_map_grid(n_alpha=50, n_beta=50, gammas=(0.5, 1.0, 1.5, 2.0, 3.0
                 worst_entry = max(worst_entry, diff)
     total = n_alpha * n_beta * len(gammas)
     fraction = matched / returned if returned else 0.0
-    results = [
-        CheckResult(
-            "return-map determinant",
-            worst_det <= _DET_TOL,
-            worst_det,
-            _DET_TOL,
-            f"{total} grid points",
-        ),
+    return [
+        CheckResult("return-map determinant", worst_det <= _DET_TOL, worst_det, _DET_TOL,
+                    f"{total} grid points"),
         CheckResult(
             "return-map numeric Jacobian",
             fraction >= _MIN_MATCHED_FRACTION and returned > 0,
@@ -135,7 +141,6 @@ def check_return_map_grid(n_alpha=50, n_beta=50, gammas=(0.5, 1.0, 1.5, 2.0, 3.0
             f"(worst entry diff {worst_entry:.3e})",
         ),
     ]
-    return results
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +151,7 @@ def check_return_map_grid(n_alpha=50, n_beta=50, gammas=(0.5, 1.0, 1.5, 2.0, 3.0
 _DRAW_BLOCK = 4096
 
 
-def check_saddle_dichotomy(n=100000, seed=0):
+def check_saddle_dichotomy(n, seed):
     """Hyperbolicity of the return map matches sign(a*b*(a*b - g)) exactly."""
     rng = np.random.default_rng(seed)
     disagreements = 0
@@ -165,15 +170,7 @@ def check_saddle_dichotomy(n=100000, seed=0):
             is_saddle = analysis.fixed_point_class is FixedPointClass.SADDLE
             if is_saddle != (crit > 0.0):
                 disagreements += 1
-    return [
-        CheckResult(
-            "saddle dichotomy",
-            disagreements == 0,
-            float(disagreements),
-            0.0,
-            f"{count} draws",
-        )
-    ]
+    return [_count_row("saddle dichotomy", disagreements, f"{count} draws")]
 
 
 _CELL_EXPECTATION = {
@@ -194,7 +191,7 @@ def _draw_saddle_in_cell(rng, sa, sb):
             return a, b, g
 
 
-def check_eigenvector_locations(n_per_cell=10000, seed=0):
+def check_eigenvector_locations(n_per_cell, seed):
     """Saddle eigenvector placement agrees with the sign-cell table."""
     rng = np.random.default_rng(seed)
     mismatches = 0
@@ -207,22 +204,15 @@ def check_eigenvector_locations(n_per_cell=10000, seed=0):
             got = (analysis.location_contracting, analysis.location_expanding)
             if got != expected:
                 mismatches += 1
-    return [
-        CheckResult(
-            "eigenvector location table",
-            mismatches == 0,
-            float(mismatches),
-            0.0,
-            f"{total} saddle draws over 4 sign cells",
-        )
-    ]
+    return [_count_row("eigenvector location table", mismatches,
+                       f"{total} saddle draws over 4 sign cells")]
 
 
 # ---------------------------------------------------------------------------
 # Involution ground truth
 
 
-def check_involution_ground_truth(n_alpha=20, n_points=40, seed=0):
+def check_involution_ground_truth(n_alpha, n_points, seed):
     """Numeric X-fold map against (x - 2*a*y, -y), and its involutivity."""
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -284,47 +274,36 @@ def _draw_rp1(rng):
         return a, b, g, -1.0, SlidingRegionTag.RP1
 
 
-def check_region_spectra(n_per_region=10000, seed=0):
-    """Sign table of the sliding linearization per region.
+# Each region's draw and the sign table of its sliding linearization, as a
+# predicate of (det, trace, discriminant): RE1 is a stable node, RH1 its time
+# reversal and RP1 a saddle.
+_REGION_SPECTRA = (
+    (_draw_re1, lambda det, tr, disc: det > 0 and tr < 0 and disc > 0),
+    (_draw_rh1, lambda det, tr, disc: det > 0 and tr > 0 and disc > 0),
+    (_draw_rp1, lambda det, tr, disc: det < 0),
+)
 
-    RE1: stable node (det > 0, trace < 0, real); RH1: its time reversal
-    (det > 0, trace > 0, real); RP1: saddle (det < 0).
-    """
+
+def check_region_spectra(n_per_region, seed):
+    """Sign table of the sliding linearization per region."""
     rng = np.random.default_rng(seed)
     violations = 0
     total = 0
-    for draw, want in (
-        (_draw_re1, ("node-", None)),
-        (_draw_rh1, ("node+", None)),
-        (_draw_rp1, ("saddle", None)),
-    ):
+    for draw, spectrum in _REGION_SPECTRA:
         for _ in range(n_per_region):
             a, b, g, d, tag = draw(rng)
             params = make_parameters(a, b, g, d)
+            total += 1
             if sliding_region_class(params) is not tag:
                 violations += 1
-                total += 1
                 continue
             m = foldfold_sliding_linearization(params)
             det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
             tr = m[0, 0] + m[1, 1]
-            disc = tr * tr - 4.0 * det
-            total += 1
-            if want[0] == "node-" and not (det > 0 and tr < 0 and disc > 0):
+            if not spectrum(det, tr, tr * tr - 4.0 * det):
                 violations += 1
-            elif want[0] == "node+" and not (det > 0 and tr > 0 and disc > 0):
-                violations += 1
-            elif want[0] == "saddle" and not det < 0:
-                violations += 1
-    return [
-        CheckResult(
-            "region spectra sign table",
-            violations == 0,
-            float(violations),
-            0.0,
-            f"{total} draws over RE1/RH1/RP1",
-        )
-    ]
+    return [_count_row("region spectra sign table", violations,
+                       f"{total} draws over RE1/RH1/RP1")]
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +360,7 @@ def _signature(params):
     return report.region, _verdict_signature(report.verdict)
 
 
-def check_rescaling_invariance(n=10000, seed=0):
+def check_rescaling_invariance(n, seed):
     """Verdict and region tag survive (a, b, g) -> (e a, e b, e^2 g)."""
     rng = np.random.default_rng(seed)
     changes = 0
@@ -394,22 +373,15 @@ def check_rescaling_invariance(n=10000, seed=0):
             )
             if _signature(scaled) != base:
                 changes += 1
-    return [
-        CheckResult(
-            "rescaling invariance",
-            changes == 0,
-            float(changes),
-            0.0,
-            f"{n} draws x {len(_RESCALING_FACTORS)} factors",
-        )
-    ]
+    return [_count_row("rescaling invariance", changes,
+                       f"{n} draws x {len(_RESCALING_FACTORS)} factors")]
 
 
 # ---------------------------------------------------------------------------
 # Saddle moduli ratio
 
 
-def check_demelo_palis(n=10000, seed=0):
+def check_demelo_palis(n, seed):
     rng = np.random.default_rng(seed)
     worst = 0.0
     count = 0
@@ -516,7 +488,7 @@ def _reversal_residual(system, analysis):
     return worst
 
 
-def check_diabolo(n_draws=100, n_systems=10, seeds_per_system=100, seed=0):
+def check_diabolo(n_draws, n_systems, seeds_per_system, seed):
     """Stable T-singularities: eigenvectors in the crossing region, no
     unstable-to-stable sliding communication under return-map iteration, the
     X-fold map carrying the expanding line onto the contracting one, and
@@ -565,18 +537,10 @@ def check_diabolo(n_draws=100, n_systems=10, seeds_per_system=100, seed=0):
     cone_fraction = long_runs / len(cone.iterations) if cone.iterations else 0.0
     histogram = dict(sorted(Counter(cone.iterations).items()))
     return [
-        CheckResult(
-            "diabolo eigenvectors in crossing",
-            bad_vectors == 0,
-            float(bad_vectors),
-            0.0,
-            f"{n_draws} stable draws",
-        ),
-        CheckResult(
+        _count_row("diabolo eigenvectors in crossing", bad_vectors, f"{n_draws} stable draws"),
+        _count_row(
             "diabolo sliding separation",
-            outcomes.violations == 0,
-            float(outcomes.violations),
-            0.0,
+            outcomes.violations,
             f"{len(outcomes.iterations)} iterated unstable-sliding seeds: "
             + outcomes.outcomes(),
         ),
@@ -606,9 +570,10 @@ def check_diabolo(n_draws=100, n_systems=10, seeds_per_system=100, seed=0):
 # Parabolic transversality coefficients
 
 
-def check_parabolic_coefficients(n=30, seed=0):
+def check_parabolic_coefficients(n, seed):
     """Numeric sampling of the two transversality functions on normal forms
-    converges to -2(a+b)(ab-g) and 2a(a+b)-g."""
+    converges to -2(a+b)(ab-g) and 2a(a+b)-g, and to the coefficients
+    ``parabolic_transversality`` reports."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n):
@@ -619,6 +584,7 @@ def check_parabolic_coefficients(n=30, seed=0):
         t_exact = 2.0 * a * (a + b) - g
         if abs(d_exact) < 1e-2 or abs(t_exact) < 1e-2:
             continue
+        coeffs = parabolic_transversality(make_parameters(a, b, g, -1.0))
         system = build_normal_form(a, b, g, -1.0)
         fld = normalized_sliding_field(system)
         f0 = fld.compiled()
@@ -632,11 +598,14 @@ def check_parabolic_coefficients(n=30, seed=0):
 
         for th in np.linspace(0.4, math.pi - 0.4, 7):
             x, y = _PARABOLIC_RADIUS * math.cos(th), _PARABOLIC_RADIUS * math.sin(th)
-            worst = max(worst, abs(d_num(x, y) / (y * y) - d_exact) / abs(d_exact))
+            d = d_num(x, y) / (y * y)
+            worst = max(worst, abs(d - d_exact) / abs(d_exact),
+                        abs(d - coeffs.D_coeff) / abs(d_exact))
         for y in (_PARABOLIC_RADIUS, -_PARABOLIC_RADIUS):
             fx, fy = f0(-2.0 * a * y, -y)
             t_num = (fx * 1.0 + fy * (-2.0 * a)) / y
-            worst = max(worst, abs(t_num - t_exact) / abs(t_exact))
+            worst = max(worst, abs(t_num - t_exact) / abs(t_exact),
+                        abs(t_num - coeffs.T_coeff) / abs(t_exact))
     return [
         CheckResult(
             "parabolic transversality coefficients",
@@ -706,7 +675,7 @@ def _sliding_runs(rng, n_sims):
         yield system, p0, 8.0
 
 
-def check_sliding_tangency(n_sims=100, seed=0):
+def check_sliding_tangency(n_sims, seed):
     """Along every sliding segment |z| and the sliding velocity's normal
     component stay at tolerance zero, every sample lies in the stable
     sliding region {Xf <= 0 <= Yf}, and every sliding segment that switches
@@ -728,7 +697,7 @@ def check_sliding_tangency(n_sims=100, seed=0):
         yf = system.yf.compiled()
         xz = system.X.cz.compiled()
         yz = system.Y.cz.compiled()
-        traj = filippov_trajectory(system, p0, horizon, IntegratorConfig(box=system.box))
+        traj = filippov_trajectory(system, p0, horizon)
         for seg in traj.segments:
             if seg.mode.value != "sliding":
                 continue
@@ -826,90 +795,79 @@ def _analytic_sliding_tag(a, b, g, d):
     return "boundary"
 
 
-def _cell_has_boundary(a, b, da, db, boundary_values):
+def _cell_has_boundary(a, b, step, boundary_values):
     """True if a classification-boundary function changes sign over the
-    corners of the da x db cell centred on (a, b), or vanishes there;
+    corners of the step x step cell centred on (a, b), or vanishes there;
     ``boundary_values(alpha, beta)`` returns the tuple of function values."""
     corners = [
-        boundary_values(a - da / 2, b - db / 2),
-        boundary_values(a + da / 2, b - db / 2),
-        boundary_values(a - da / 2, b + db / 2),
-        boundary_values(a + da / 2, b + db / 2),
+        boundary_values(a - step / 2, b - step / 2),
+        boundary_values(a + step / 2, b - step / 2),
+        boundary_values(a - step / 2, b + step / 2),
+        boundary_values(a + step / 2, b + step / 2),
     ]
     return any(min(vals) <= 0.0 <= max(vals) for vals in zip(*corners))
 
 
-def check_return_map_atlas(resolution=200):
-    """The (alpha, beta) sweep reproduces the four saddle cells plus the
-    non-hyperbolic band, with boundaries localized within one grid cell."""
-    alphas = np.linspace(-3.0, 3.0, resolution)
-    betas = np.linspace(-3.0, 3.0, resolution)
-    da = alphas[1] - alphas[0]
-    db = betas[1] - betas[0]
+def _sweep(resolution, label, oracle, boundary_values):
+    """Compare the library's ``label(alpha, beta)`` with the analytic
+    ``oracle(alpha, beta)`` on a resolution x resolution grid over [-3, 3]^2.
+    Returns the number of cells that disagree with no boundary through them,
+    and the set of labels seen."""
+    grid = np.linspace(-3.0, 3.0, resolution)
+    step = grid[1] - grid[0]
     bad = 0
     seen = set()
-    for a in alphas:
-        for b in betas:
-            analysis = return_map_analysis(make_parameters(a, b, _ATLAS_GAMMA, -1.0))
-            got = _return_map_cell(analysis)
+    for a in grid:
+        for b in grid:
+            got = label(a, b)
             seen.add(got)
-            want = _analytic_return_map_cell(a, b, _ATLAS_GAMMA)
-            if got != want and not _cell_has_boundary(
-                a, b, da, db, lambda ca, cb: (ca, cb, ca * cb, ca * cb - _ATLAS_GAMMA)
-            ):
+            if got != oracle(a, b) and not _cell_has_boundary(a, b, step, boundary_values):
                 bad += 1
-    complete = seen >= {"I", "II", "III", "IV", "NH"}
-    return [
-        CheckResult(
-            "return-map atlas",
-            bad == 0 and complete,
-            float(bad),
-            0.0,
-            f"{resolution}x{resolution} cells; observed cells {sorted(seen)}",
-        )
-    ]
+    return bad, seen
 
 
-def check_sliding_atlas(resolution=200):
-    """Sliding sweeps reproduce the RE/RH/RP cell structures."""
+def check_return_map_atlas(resolution):
+    """The (alpha, beta) sweep reproduces the four saddle cells plus the
+    non-hyperbolic band, with boundaries localized within one grid cell; a
+    missing cell counts as one more bad cell."""
+    bad, seen = _sweep(
+        resolution,
+        lambda a, b: _return_map_cell(
+            return_map_analysis(make_parameters(a, b, _ATLAS_GAMMA, -1.0))
+        ),
+        lambda a, b: _analytic_return_map_cell(a, b, _ATLAS_GAMMA),
+        lambda ca, cb: (ca, cb, ca * cb, ca * cb - _ATLAS_GAMMA),
+    )
+    if not seen >= {"I", "II", "III", "IV", "NH"}:
+        bad += 1
+    return [_count_row("return-map atlas", bad,
+                       f"{resolution}x{resolution} cells; observed cells {sorted(seen)}")]
+
+
+def check_sliding_atlas(resolution):
+    """Sliding sweeps reproduce the RE/RH/RP cell structures; each case
+    with a missing cell counts as one more bad cell."""
     cases = (
         (1.0, -1.0, {"RE1", "RE2"}),
         (-1.0, 1.0, {"RH1", "RH2"}),
         (-1.0, -1.0, {"RP1", "RP2", "RP3", "RP4"}),
     )
-    alphas = np.linspace(-3.0, 3.0, resolution)
-    betas = np.linspace(-3.0, 3.0, resolution)
-    da = alphas[1] - alphas[0]
-    db = betas[1] - betas[0]
     bad = 0
     detail = []
     for gamma, delta, expect_cells in cases:
         root = 2.0 * math.sqrt(-gamma) if gamma < 0 else 0.0
-
-        def boundary_values(ca, cb):
-            return (ca, cb, ca * cb - gamma, ca + cb, (cb - ca) + root)
-
-        seen = set()
-        for a in alphas:
-            for b in betas:
-                tag = sliding_region_class(make_parameters(a, b, gamma, delta))
-                got = tag.value
-                seen.add(got)
-                want = _analytic_sliding_tag(a, b, gamma, delta)
-                if got != want and not _cell_has_boundary(a, b, da, db, boundary_values):
-                    bad += 1
+        case_bad, seen = _sweep(
+            resolution,
+            lambda a, b: sliding_region_class(make_parameters(a, b, gamma, delta)).value,
+            lambda a, b: _analytic_sliding_tag(a, b, gamma, delta),
+            lambda ca, cb: (ca, cb, ca * cb - gamma, ca + cb, (cb - ca) + root),
+        )
+        bad += case_bad
         if not expect_cells <= seen:
             bad += 1
             detail.append(f"missing cells for gamma={gamma}: {expect_cells - seen}")
-    return [
-        CheckResult(
-            "sliding atlas",
-            bad == 0,
-            float(bad),
-            0.0,
-            "; ".join(detail) if detail else "RE/RH/RP structures reproduced",
-        )
-    ]
+    return [_count_row("sliding atlas", bad,
+                       "; ".join(detail) if detail else "RE/RH/RP structures reproduced")]
 
 
 # ---------------------------------------------------------------------------
@@ -926,8 +884,8 @@ def _involution_row(system, side, point, seeds):
             worst = max(worst, math.hypot(back[0] - q[0], back[1] - q[1]))
         except IntegrationFailure:
             failures += 1
-    return CheckResult(f"{side}-fold involution", failures == 0 and worst <= 1e-6, worst, 1e-6,
-                       f"{failures} failed flights" if failures else "")
+    return CheckResult(f"{side}-fold involution", failures == 0 and worst <= _DOUBLE_TOL,
+                       worst, _DOUBLE_TOL, f"{failures} failed flights" if failures else "")
 
 
 def _non_return_row(system, side, point, seeds):
@@ -999,9 +957,10 @@ def check_system(system, point, seed=0):
         tr = jac[0, 0] + jac[1, 1]
         trace = two_fold.analysis.trace  # set exactly for invisible two-folds
         results += [
-            CheckResult("return-map determinant", abs(det - 1.0) <= 1e-6, abs(det - 1.0), 1e-6),
-            CheckResult("return-map trace vs normal parameters", abs(tr - trace) <= 1e-3,
-                        abs(tr - trace), 1e-3),
+            CheckResult("return-map determinant", abs(det - 1.0) <= _SYSTEM_DET_TOL,
+                        abs(det - 1.0), _SYSTEM_DET_TOL),
+            CheckResult("return-map trace vs normal parameters",
+                        abs(tr - trace) <= _SYSTEM_TRACE_TOL, abs(tr - trace), _SYSTEM_TRACE_TOL),
         ]
     except IntegrationFailure as exc:
         results.append(
@@ -1017,7 +976,7 @@ def check_system(system, point, seed=0):
 MAX_BASE_COUNT = 20000  # largest sample count of a suite at scale 1 (saddle draws)
 
 SUITES = {
-    "involutions": lambda scale=1.0, seed=0: (
+    "involutions": lambda scale, seed: (
         check_involution_ground_truth(
             n_alpha=max(4, int(20 * scale)), n_points=max(5, int(40 * scale)), seed=seed
         )
@@ -1027,7 +986,7 @@ SUITES = {
             gammas=(0.5, 2.0),
         )
     ),
-    "regions": lambda scale=1.0, seed=0: (
+    "regions": lambda scale, seed: (
         check_saddle_dichotomy(n=max(100, int(MAX_BASE_COUNT * scale)), seed=seed)
         + check_eigenvector_locations(n_per_cell=max(50, int(2000 * scale)), seed=seed)
         + check_region_spectra(n_per_region=max(50, int(2000 * scale)), seed=seed)
@@ -1037,19 +996,19 @@ SUITES = {
         + check_sliding_atlas(resolution=max(20, int(60 * scale)))
         + check_parabolic_coefficients(n=max(5, int(15 * scale)), seed=seed)
     ),
-    "diabolo": lambda scale=1.0, seed=0: check_diabolo(
+    "diabolo": lambda scale, seed: check_diabolo(
         n_draws=max(5, int(40 * scale)),
         n_systems=max(2, int(4 * scale)),
         seeds_per_system=max(5, int(25 * scale)),
         seed=seed,
     ),
-    "sliding": lambda scale=1.0, seed=0: check_sliding_tangency(
+    "sliding": lambda scale, seed: check_sliding_tangency(
         n_sims=max(5, int(30 * scale)), seed=seed
     ),
 }
 
 
-def run_suites(names, scale=1.0, seed=0):
+def run_suites(names, scale, seed):
     results = []
     for name in names:
         results.extend(SUITES[name](scale=scale, seed=seed))

@@ -224,11 +224,11 @@ def cmd_simulate(args):
     system = _read_system(args.system)
     p0 = _parse_floats(args.p0, 3, "--p0")
     horizon = _finite(args.T, "--T")
-    box = system.box
+    cfg = None  # the trajectory stops at system.box
     if args.box:
         box = Box.from_sequence(_parse_floats(args.box, 6, "--box"))
         _require_usable_box(box)
-    cfg = IntegratorConfig(box=box)
+        cfg = IntegratorConfig(box=box)
     traj = filippov_trajectory(system, p0, horizon, cfg)
     lines = ["segment,mode,terminal,t,x,y,z"]
     for i, seg in enumerate(traj.segments):

@@ -666,7 +666,7 @@ def filippov_trajectory(system, p0, horizon, cfg=None):
     A negative ``horizon`` integrates the time-reversed system (this is the
     only way unstable sliding is ever entered, matching the forward-time
     convention that trajectories never slide on the unstable side).  It
-    stops where it leaves ``cfg.box``, or ``DEFAULT_BOX`` without ``cfg``.
+    stops where it leaves ``cfg.box``, or ``system.box`` without ``cfg``.
     """
     if horizon < 0:
         rev = filippov_trajectory(system.time_reversed(), p0, -horizon, cfg)
@@ -676,7 +676,7 @@ def filippov_trajectory(system, p0, horizon, cfg=None):
         return rev
 
     tol = default_tolerance(system)
-    xmin, xmax, ymin, ymax, zmin, zmax = (cfg.box if cfg else DEFAULT_BOX).as_tuple()
+    xmin, xmax, ymin, ymax, zmin, zmax = (cfg.box if cfg else system.box).as_tuple()
 
     def outside_box(y):
         return not (xmin <= y[0] <= xmax and ymin <= y[1] <= ymax and zmin <= y[2] <= zmax)

@@ -285,6 +285,15 @@ class TestSystemRows:
     ALL = ["X-fold involution", "X-fold non-return", "Y-fold involution", "Y-fold non-return",
            "return-map determinant", "return-map trace vs normal parameters"]
 
+    def test_bounds_are_pinned(self):
+        results = checks.check_system(build_normal_form(0.3, 0.5, 1.0, -1.0), (0.0, 0.0, 0.0))
+        assert {r.name: r.threshold for r in results[1:]} == {
+            "X-fold involution": 1e-6,
+            "Y-fold involution": 1e-6,
+            "return-map determinant": 1e-6,
+            "return-map trace vs normal parameters": 1e-3,
+        }
+
     @pytest.mark.parametrize("sign,delta", list(ROWS))
     def test_seeded_sample_of_each_subtype(self, sign, delta):
         rng = np.random.default_rng(41)
@@ -324,6 +333,69 @@ class TestSystemRows:
         assert not _by_name(results, failing).passed
 
 
+class TestSuites:
+    """Every ``verify`` suite runs through its ``SUITES`` entry, which
+    passes every sample size and seed, and returns its rows."""
+
+    ROWS = {
+        "involutions": ["fold-map ground truth", "fold-map involutivity",
+                        "return-map determinant", "return-map numeric Jacobian"],
+        "regions": ["saddle dichotomy", "eigenvector location table",
+                    "region spectra sign table", "rescaling invariance",
+                    "saddle moduli ratio = -1", "return-map atlas", "sliding atlas",
+                    "parabolic transversality coefficients"],
+        "diabolo": ["diabolo eigenvectors in crossing", "diabolo sliding separation",
+                    "diabolo reversibility", "diabolo contracting cone"],
+        "sliding": ["sliding |z|", "sliding normal velocity", "sliding region membership",
+                    "sliding exits at visible folds"],
+    }
+
+    @pytest.mark.parametrize("name", list(checks.SUITES))
+    def test_suite_passes_with_its_rows(self, name):
+        results = checks.run_suites([name], scale=0.01, seed=0)
+        assert [r.name for r in results] == self.ROWS[name]
+        assert all(r.passed for r in results), [r.row() for r in results]
+
+
+class TestAtlasMissingCells:
+    """An atlas that misses a cell counts it as one more bad cell."""
+
+    def test_return_map_atlas_missing_cell(self, monkeypatch):
+        monkeypatch.setattr(checks, "_return_map_cell", lambda analysis: "NH")
+        monkeypatch.setattr(checks, "_analytic_return_map_cell", lambda a, b, g: "NH")
+        (row,) = checks.check_return_map_atlas(10)
+        assert (row.passed, row.residual) == (False, 1.0)
+        assert row.detail == "10x10 cells; observed cells ['NH']"
+
+    def test_sliding_atlas_missing_cells(self, monkeypatch):
+        boundary = checks.SlidingRegionTag.BIFURCATION_BOUNDARY
+        monkeypatch.setattr(checks, "_analytic_sliding_tag", lambda a, b, g, d: "boundary")
+        monkeypatch.setattr(checks, "sliding_region_class", lambda params: boundary)
+        (row,) = checks.check_sliding_atlas(10)
+        assert (row.passed, row.residual) == (False, 3.0)
+        assert row.detail.count("missing cells for gamma=") == 3
+
+
+class TestParabolicAgainstLibrary:
+    """Criterion 7 compares its numeric coefficients with the closed form
+    ``foldfold.parabolic_transversality`` reports, so a wrong coefficient
+    there fails the row."""
+
+    @pytest.mark.parametrize("mutant", [
+        lambda a, b, g: (-2.0 * (a + b) * (a * b + g), 2.0 * a * (a + b) - g),
+        lambda a, b, g: (-2.0 * (a + b) * (a * b - g), 2.0 * a * (a - b) - g),
+    ])
+    def test_wrong_coefficient_fails(self, monkeypatch, mutant):
+        def wrong(params):
+            d, t = mutant(params.alpha, params.beta, params.gamma)
+            return foldfold.TransversalityCoefficients(D_coeff=d, T_coeff=t)
+
+        monkeypatch.setattr(checks, "parabolic_transversality", wrong)
+        (row,) = checks.check_parabolic_coefficients(n=10, seed=70)
+        assert not row.passed
+        assert row.residual > 1.0
+
+
 class TestSettableValues:
     """Defaulted parameters of the module-level functions plus the
     ``IntegratorConfig`` fields: each is a value a caller can set.  A knob
@@ -333,7 +405,7 @@ class TestSettableValues:
     MODULES = ("algebra", "system", "sigma", "sliding", "foldfold", "integrator",
                "checks", "cli")
 
-    def test_at_most_43(self):
+    def test_at_most_15(self):
         count = len(dataclasses.fields(integrator.IntegratorConfig))
         for short in self.MODULES:
             module = importlib.import_module(f"foldatlas.{short}")
@@ -341,4 +413,4 @@ class TestSettableValues:
                 if inspect.isfunction(fn) and fn.__module__ == module.__name__:
                     params = inspect.signature(fn).parameters.values()
                     count += sum(p.default is not inspect.Parameter.empty for p in params)
-        assert count <= 43
+        assert count <= 15

@@ -607,6 +607,14 @@ class TestConfig:
         assert traj.segments[-1].terminal is FlightStatus.LEFT_BOX
         assert max(abs(end[0]), abs(end[1])) > 2.0
 
+    def test_trajectory_without_cfg_stops_at_system_box(self):
+        Z = PiecewiseSystem(const_field(1, 0, -1), const_field(0, 1, 1),
+                            Box(-2, 2, -2, 2, -2, 2))
+        traj = filippov_trajectory(Z, (0.0, 0.0, 0.5), 50.0)
+        end = traj.segments[-1].points[-1]
+        assert traj.segments[-1].terminal is FlightStatus.LEFT_BOX
+        assert max(abs(end[0]), abs(end[1])) > 2.0
+
     def test_fold_map_guard_follows_system_box(self):
         # The X arc from (0, -0.1) reaches y = 0.1; a box of side 0.02 guards
         # the flight at 0.03 from the start, so the arc leaves the guard.
