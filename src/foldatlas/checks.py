@@ -31,6 +31,8 @@ from .foldfold import (
 )
 from .integrator import (
     FlightStatus,
+    Mode,
+    _sliding_kernel,
     fold_map_numeric,
     jacobian_numeric,
     return_map_numeric,
@@ -80,8 +82,9 @@ _PARABOLIC_REL_TOL = 1e-5  # criterion 7: relative error of both coefficients
 _RATIO_TOL = 1e-12  # criterion 9: |ratio + 1| of the saddle moduli
 _BOUNDARY_MARGIN = 1e-4  # criterion 10: draws clear every decision boundary by this
 _RESCALING_FACTORS = (0.1, 0.5, 2.0, 10.0)  # criterion 10: e of (e a, e b, e^2 g)
-# Criterion 11: |z|, normal sliding velocity and max(Xf, -Yf) on sliding
-# segments, and the zero band of Xf and Yf where a sliding segment exits.
+# Criterion 11: |z| where a flow enters sliding, the sliding field's relative
+# error, max(Xf, -Yf) on sliding segments, and the zero band of Xf and Yf
+# where a sliding segment exits.
 _SLIDING_TOL = 1e-10
 # check_system: |det - 1| and the trace error of its numeric return map.
 _SYSTEM_DET_TOL = 1e-6
@@ -676,38 +679,43 @@ def _sliding_runs(rng, n_sims):
 
 
 def check_sliding_tangency(n_sims, seed):
-    """Along every sliding segment |z| and the sliding velocity's normal
-    component stay at tolerance zero, every sample lies in the stable
-    sliding region {Xf <= 0 <= Yf}, and every sliding segment that switches
-    mode leaves at a visible fold (|Xf| <= ``_SLIDING_TOL`` with X2f > 0, or
-    |Yf| <= ``_SLIDING_TOL`` with Y2f < 0).
+    """Every flow segment that enters sliding ends on the plane (|z| <=
+    ``_SLIDING_TOL``), the integrator's sliding field times Yf - Xf equals
+    the polynomial ``normalized_sliding_field`` at every sliding sample
+    (relative to 1 + |value|), every sample lies in the stable sliding region
+    {Xf <= 0 <= Yf}, and every sliding segment that switches mode leaves at
+    a visible fold (|Xf| <= ``_SLIDING_TOL`` with X2f > 0, or |Yf| <=
+    ``_SLIDING_TOL`` with Y2f < 0).
 
     The random sliding systems never slide off a fold, so
     ``_STICK_SLIP_RUNS`` dry-friction systems, which leave sliding at x = F,
     follow them; the exit check fails unless some segment exits."""
     rng = np.random.default_rng(seed)
-    worst_z = 0.0
-    worst_vz = 0.0
+    worst_entry = 0.0
+    worst_field = 0.0
     worst_outside = 0.0
+    entries = 0
     sliding_samples = 0
     exits = 0
     bad_exits = 0
     for system, p0, horizon in _sliding_runs(rng, n_sims):
         xf = system.xf.compiled()
         yf = system.yf.compiled()
-        xz = system.X.cz.compiled()
-        yz = system.Y.cz.compiled()
+        sliding_field = _sliding_kernel(system)[0]
+        normalized = normalized_sliding_field(system)
         traj = filippov_trajectory(system, p0, horizon)
-        for seg in traj.segments:
-            if seg.mode.value != "sliding":
+        for before, seg in zip([None] + traj.segments, traj.segments):
+            if seg.mode is not Mode.SLIDING:
                 continue
-            for point in seg.points:
-                x, y, z = point
+            if before is not None:  # a flow segment that enters sliding
+                entries += 1
+                worst_entry = max(worst_entry, abs(before.points[-1][2]))
+            for x, y, _ in seg.points:
                 sliding_samples += 1
-                worst_z = max(worst_z, abs(z))
                 a, c = xf(x, y, 0.0), yf(x, y, 0.0)
-                vz = (c * xz(x, y, 0.0) - a * yz(x, y, 0.0)) / (c - a)
-                worst_vz = max(worst_vz, abs(vz))
+                for got, ref in zip(sliding_field(x, y), (normalized.px, normalized.py)):
+                    value = ref.eval(x, y, 0.0)
+                    worst_field = max(worst_field, abs(got * (c - a) - value) / (1.0 + abs(value)))
                 worst_outside = max(worst_outside, a, -c)
             if seg.terminal is FlightStatus.MODE_SWITCH:
                 exits += 1
@@ -719,17 +727,18 @@ def check_sliding_tangency(n_sims, seed):
                     bad_exits += 1
     return [
         CheckResult(
-            "sliding |z|",
-            worst_z <= _SLIDING_TOL and sliding_samples > 0,
-            worst_z,
+            "sliding entry |z|",
+            worst_entry <= _SLIDING_TOL and entries > 0,
+            worst_entry,
             _SLIDING_TOL,
-            f"{sliding_samples} sliding samples",
+            f"worst |z| over {entries} entries into sliding",
         ),
         CheckResult(
-            "sliding normal velocity",
-            worst_vz <= _SLIDING_TOL and sliding_samples > 0,
-            worst_vz,
+            "sliding field vs normalized field",
+            worst_field <= _SLIDING_TOL and sliding_samples > 0,
+            worst_field,
             _SLIDING_TOL,
+            f"worst relative error over {sliding_samples} sliding samples",
         ),
         CheckResult(
             "sliding region membership",

@@ -270,7 +270,8 @@ def cmd_verify(args):
     csv_lines = ["name,passed,residual,threshold,detail"]
     for r in results:
         csv_lines.append(
-            f"{r.name},{int(r.passed)},{r.residual!r},{r.threshold!r},\"{r.detail}\""
+            f"{r.name},{int(r.passed)},{float(r.residual)!r},{float(r.threshold)!r},"
+            f"\"{r.detail}\""
         )
     print("\n".join(lines))
     if args.out:

@@ -5,13 +5,14 @@ Free flights in either half-space use an explicit adaptive Dormand-Prince
 change over an accepted step.  The event time is then found on that step's
 own cubic Hermite interpolant (Hairer, Norsett & Wanner, Solving ODEs I,
 II.6), at no field evaluation and to the interpolant's floating-point
-resolution, and polished on re-integrated states: Newton on the rate
-dz/dt = f_z for the plane, secant for the sliding events, down to
-``1e-3 * _EVENT_TOL`` where possible.  A bisection from the bracket start
-guarantees |g| <= ``_EVENT_TOL`` when the polish falls short.  The returned
-event state is always re-integrated, never interpolated.  The plane event
-is the z-component alone, so its interpolant root evaluates only that
-component; the sliding events evaluate the whole interpolated state.
+resolution, and polished on re-integrated states down to ``1e-3 *
+_EVENT_TOL`` where possible.  An event on one state component, the plane
+z = 0, polishes by Newton with that component of the field, dz/dt = f_z, as
+slope; the sliding events polish by secant steps.  A bisection from the
+bracket start guarantees |g| <= ``_EVENT_TOL`` when the polish falls short.
+The returned event state is always re-integrated, never interpolated.  The
+plane event's interpolant root evaluates only its component; the sliding
+events evaluate the whole interpolated state.
 
 Every step is generated from one template over the tableau, on unpacked
 scalars with the sums in tableau order, and returns its scaled error norm
@@ -227,41 +228,36 @@ class _Event:
     ``expected_sign``) still fires, so unresolvably shallow arcs terminate at
     the correct crossing instead of escaping.
 
-    ``rate``, when given, maps the field value at a state to dg/dt there;
-    the locator then polishes by Newton steps instead of secant steps.
-    ``component``, when set, says that g is that state component alone, so
-    the interpolant root evaluates only it.
+    ``component``, when set, says that g is that state component alone: the
+    interpolant root evaluates only it, and the locator polishes by Newton
+    steps whose slope dg/dt is that component of the field.  Other events
+    polish by secant steps.
     """
 
-    __slots__ = ("name", "fn", "arm_eps", "expected_sign", "rate", "component",
-                 "armed", "last")
+    __slots__ = ("name", "fn", "arm_eps", "expected_sign", "component", "armed", "last")
 
-    def __init__(self, name, fn, arm_eps, expected_sign=0, rate=None):
+    def __init__(self, name, fn, arm_eps, expected_sign=0, component=None):
         self.name = name
         self.fn = fn
         self.arm_eps = arm_eps
         self.expected_sign = expected_sign
-        self.rate = rate
-        self.component = None
+        self.component = component
         self.armed = False
         self.last = 0.0
 
     def observe_initial(self, y):
-        v = self.fn(y)
-        self.last = v
+        self.last = v = self.fn(y)
         self.armed = abs(v) > self.arm_eps and (
             self.expected_sign == 0 or v * self.expected_sign > 0
         )
 
 
-_Z = itemgetter(2)  # the plane event's value at a state, and its rate at a field value
+_Z = itemgetter(2)  # the plane event's value at a state
 
 
 def _sigma_event(direction):
     """Return to the plane z = 0 from the half-space of sign ``direction``."""
-    ev = _Event("sigma", _Z, arm_eps=1e-13, expected_sign=direction, rate=_Z)
-    ev.component = 2
-    return ev
+    return _Event("sigma", _Z, arm_eps=1e-13, expected_sign=direction, component=2)
 
 
 def _eval_within_step(f, step, y_left, k_left, dt, depth=0):
@@ -334,10 +330,11 @@ def _refine_event(f, step, event, y_left, k_left, y_right, k_right, h, g_right):
     state there is re-integrated from the bracket start.  While |g|
     exceeds ``1e-3 * _EVENT_TOL`` the time is corrected and the state
     re-integrated from the current candidate, inside the sign bracket:
-    Newton steps when the event has a rate (the plane z = 0), secant steps
-    otherwise.  If that ends above ``_EVENT_TOL``, bisection re-integrated
-    from the bracket start takes over.  Every candidate is a re-integrated
-    state, never an interpolated one.
+    Newton steps when the event is one state component (the plane z = 0),
+    with that component of the field as slope, secant steps otherwise.  If
+    that ends above ``_EVENT_TOL``, bisection re-integrated from the bracket
+    start takes over.  Every candidate is a re-integrated state, never an
+    interpolated one.
     """
     lo, hi = 0.0, h
     g_lo = event.last
@@ -366,10 +363,8 @@ def _refine_event(f, step, event, y_left, k_left, y_right, k_right, h, g_right):
             else:
                 hi = dt
             k_c = f(*y_c)
-            if event.rate is not None:
-                slope = event.rate(k_c)
-            else:
-                slope = (v - v_prev) / (dt - t_prev)
+            i = event.component
+            slope = (v - v_prev) / (dt - t_prev) if i is None else k_c[i]
             if slope == 0.0:
                 break
             cand = dt - v / slope
@@ -430,25 +425,20 @@ def _integrate(f, step, y0, events, t_limit, outside=None, h0=None, collect=None
         if err_norm > 1.0:
             h *= max(0.2, 0.9 * err_norm ** -0.2)
             continue
-        # Event scan on the accepted step.
+        # Event scan on the accepted step: an armed event fires on a sign
+        # change, an unarmed one on a shallow arc that reached the far side.
         hit = None
         for ev in events:
             i = ev.component
             v = ev.fn(y_new) if i is None else y_new[i]
-            if not ev.armed:
-                aligned = ev.expected_sign == 0 or v * ev.expected_sign > 0
-                if abs(v) > ev.arm_eps and aligned:
-                    ev.armed = True
-                    ev.last = v
-                elif ev.expected_sign != 0 and v * ev.expected_sign < 0 and v != 0.0:
-                    # shallow arc crossed the surface without ever arming
-                    found = _refine_event(f, step, ev, y, k1, y_new, k_last, h, v)
-                    if hit is None or found[0] < hit[1]:
-                        hit = (ev, found[0], found[1])
-                else:
-                    ev.last = v
-                continue
-            if ev.last * v <= 0.0 and (ev.last != 0.0 or v != 0.0):
+            if ev.armed:
+                crossed = ev.last * v <= 0.0 and (ev.last != 0.0 or v != 0.0)
+            elif abs(v) > ev.arm_eps and (ev.expected_sign == 0 or v * ev.expected_sign > 0):
+                ev.armed = True
+                crossed = False
+            else:
+                crossed = v * ev.expected_sign < 0
+            if crossed:
                 found = _refine_event(f, step, ev, y, k1, y_new, k_last, h, v)
                 if hit is None or found[0] < hit[1]:
                     hit = (ev, found[0], found[1])

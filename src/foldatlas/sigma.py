@@ -5,6 +5,9 @@ regions by the signs of the first Lie derivatives Xf and Yf, with a tolerance
 band assigned to tangency.  Tangency points are refined into fold / cusp /
 fold-fold types using Lie derivatives up to third order; both the cusp and
 the fold-fold tests reduce to one planar 2x2 gradient determinant.
+
+Tangency curves are traced from grid seeds by one predictor-corrector march,
+forward along the seed's tangent, then backward unless the curve closed.
 """
 
 from __future__ import annotations
@@ -197,8 +200,7 @@ def _trace_zero_set(poly, box):
     if g.is_zero():
         return []
     gfn = g.compiled()
-    gx = g.partial("x").compiled()
-    gy = g.partial("y").compiled()
+    gx, gy = (g.partial(var).compiled() for var in "xy")
     scale = 1.0 + g.coeff_scale()
     ctol = 1e-12 * scale
     h = _CURVE_STEP * max(box.xmax - box.xmin, box.ymax - box.ymin)
@@ -220,9 +222,7 @@ def _trace_zero_set(poly, box):
     def tangent(q):
         dx, dy = gx(q[0], q[1], 0.0), gy(q[0], q[1], 0.0)
         n = math.hypot(dx, dy)
-        if n < 1e-14 * scale:
-            return None
-        return (-dy / n, dx / n)
+        return None if n < 1e-14 * scale else (-dy / n, dx / n)
 
     # Seeds: sign changes along grid edges, then corrector polish.
     n_grid = 41
@@ -236,81 +236,60 @@ def _trace_zero_set(poly, box):
             if abs(v0) <= ctol:
                 seeds.append((xs[i], ys[j]))
                 continue
-            for di, dj in ((1, 0), (0, 1)):
-                ii, jj = i + di, j + dj
-                if ii >= n_grid or jj >= n_grid:
-                    continue
-                v1 = vals[ii, jj]
-                if v0 * v1 < 0.0:
-                    t = v0 / (v0 - v1)
-                    seeds.append(
-                        (
-                            xs[i] + t * (xs[ii] - xs[i]),
-                            ys[j] + t * (ys[jj] - ys[j]),
-                        )
-                    )
+            for ii, jj in ((i + 1, j), (i, j + 1)):
+                if ii < n_grid and jj < n_grid and v0 * vals[ii, jj] < 0.0:
+                    t = v0 / (v0 - vals[ii, jj])
+                    seeds.append((xs[i] + t * (xs[ii] - xs[i]), ys[j] + t * (ys[jj] - ys[j])))
+
+    max_steps = int(8 * (box.scale() / h)) + 10
+
+    def march(q0, t_prev):
+        """``(points, closed, complete)`` of the march from ``q0`` towards
+        the unit tangent ``t_prev``: it ends on leaving the box, on coming
+        back to ``q0`` (closed) or where a tangent or corrector fails."""
+        pts = [q0]
+        q = q0
+        for _ in range(max_steps):
+            t = tangent(q)
+            if t is None:
+                return pts, False, False
+            if t[0] * t_prev[0] + t[1] * t_prev[1] < 0.0:
+                t = (-t[0], -t[1])
+            q = correct((q[0] + h * t[0], q[1] + h * t[1]))
+            if q is None:
+                return pts, False, False
+            pts.append(q)
+            t_prev = t
+            if not box.contains((q[0], q[1], 0.0)):
+                break
+            if len(pts) > 5 and math.hypot(q[0] - q0[0], q[1] - q0[1]) < 0.6 * h:
+                return pts, True, True
+        return pts, False, True
 
     curves = []
     visited = []
-
-    def near_visited(q):
-        return any(math.hypot(q[0] - p[0], q[1] - p[1]) < 0.75 * h for p in visited)
-
-    max_steps = int(8 * (box.scale() / h)) + 10
     for seed in seeds:
         q0 = correct(seed)
         if q0 is None or not box.contains((q0[0], q0[1], 0.0), pad=h):
             continue
-        if near_visited(q0):
+        if any(math.hypot(q0[0] - p[0], q0[1] - p[1]) < 0.75 * h for p in visited):
             continue
-        branches = []
-        closed = False
-        complete = True
-        for orientation in (1.0, -1.0):
-            pts = [q0]
-            t_prev = tangent(q0)
-            if t_prev is None:
-                complete = False
-                break
-            t_prev = (orientation * t_prev[0], orientation * t_prev[1])
-            q = q0
-            for _ in range(max_steps):
-                t = tangent(q)
-                if t is None:
-                    complete = False
-                    break
-                if t[0] * t_prev[0] + t[1] * t_prev[1] < 0.0:
-                    t = (-t[0], -t[1])
-                pred = (q[0] + h * t[0], q[1] + h * t[1])
-                nxt = correct(pred)
-                if nxt is None:
-                    complete = False
-                    break
-                pts.append(nxt)
-                t_prev = t
-                q = nxt
-                if not box.contains((q[0], q[1], 0.0)):
-                    break
-                if len(pts) > 5 and math.hypot(q[0] - q0[0], q[1] - q0[1]) < 0.6 * h:
-                    closed = True
-                    break
-            branches.append(pts)
-            if closed:
-                break
-        if not branches or (len(branches[0]) < 2 and not closed):
+        # Forward, then backward unless the forward march closed.  A
+        # backward march that closes keeps the forward branch alone.
+        t0 = tangent(q0)
+        fwd, closed, complete = ([q0], False, False) if t0 is None else march(q0, t0)
+        chain = fwd
+        if t0 is not None and not closed:
+            back, closed, back_complete = march(q0, (-t0[0], -t0[1]))
+            complete = complete and back_complete
+            if not closed:
+                chain = back[:0:-1] + fwd
+        if len(fwd) < 2 and not closed:
             # Continuation could not leave the seed (zero gradient on the
-            # set): keep a flagged single-point marker instead of dropping it.
-            if abs(gfn(q0[0], q0[1], 0.0)) <= ctol:
-                visited.append(q0)
-                curves.append(
-                    Curve(points=np.array([q0]), closed=False, complete=False)
-                )
-            continue
-        if closed:
-            chain = branches[0]
-        else:
-            back = branches[1] if len(branches) > 1 else [q0]
-            chain = list(reversed(back[1:])) + branches[0]
+            # set): keep an incomplete single-point marker if q0 is on the set.
+            if abs(gfn(q0[0], q0[1], 0.0)) > ctol:
+                continue
+            chain = fwd
         visited.extend(chain)
         curves.append(Curve(points=np.array(chain), closed=closed, complete=complete))
     return curves

@@ -117,8 +117,8 @@ def test_criterion_10_rescaling_invariance():
 def test_criterion_11_sliding_tangency():
     results = check_sliding_tangency(n_sims=100, seed=110)
     _report(11, "sliding tangency", results, {
-        "sliding |z|": 1e-10,
-        "sliding normal velocity": 1e-10,
+        "sliding entry |z|": 1e-10,
+        "sliding field vs normalized field": 1e-10,
         "sliding region membership": 1e-10,
         "sliding exits at visible folds": 0.0,
     })

@@ -197,12 +197,16 @@ class TestDiaboloCompanions:
 class TestSlidingMembership:
     @staticmethod
     def _fake_sliding(points):
+        # a flow segment that enters sliding at the first point, then slides
         def fake(system, p0, horizon, cfg=None):
             pts = np.array([list(p) for p in points(system)])
+            flow = TrajectorySegment(
+                Mode.FLOW_PLUS, np.zeros(1), pts[:1], FlightStatus.MODE_SWITCH
+            )
             seg = TrajectorySegment(
                 Mode.SLIDING, np.arange(len(pts), dtype=float), pts, FlightStatus.TIME_OUT
             )
-            return Trajectory([seg], FlightStatus.TIME_OUT.value, float(horizon))
+            return Trajectory([flow, seg], FlightStatus.TIME_OUT.value, float(horizon))
 
         return fake
 
@@ -215,8 +219,11 @@ class TestSlidingMembership:
         member = _by_name(results, "sliding region membership")
         assert not member.passed
         assert member.residual > member.threshold
-        assert _by_name(results, "sliding |z|").passed
-        assert _by_name(results, "sliding normal velocity").passed
+        # The entry row still passes.  The field row is asserted on sliding
+        # samples below: these are crossing points, where Yf - Xf cancels
+        # (stick-slip has Xf, Yf ~ -1e6 and Yf - Xf = 2F), so its relative
+        # error reaches ~1e-10.
+        assert _by_name(results, "sliding entry |z|").passed
 
     def test_sample_inside_sliding_region_passes(self, monkeypatch):
         inside = [(0.0, 0.0, 0.0)]
@@ -224,6 +231,8 @@ class TestSlidingMembership:
         results = checks.check_sliding_tangency(n_sims=3, seed=0)
         member = _by_name(results, "sliding region membership")
         assert member.passed and member.residual == 0.0
+        assert _by_name(results, "sliding entry |z|").passed
+        assert _by_name(results, "sliding field vs normalized field").passed
 
 
 class TestSlidingExits:
@@ -346,8 +355,8 @@ class TestSuites:
                     "parabolic transversality coefficients"],
         "diabolo": ["diabolo eigenvectors in crossing", "diabolo sliding separation",
                     "diabolo reversibility", "diabolo contracting cone"],
-        "sliding": ["sliding |z|", "sliding normal velocity", "sliding region membership",
-                    "sliding exits at visible folds"],
+        "sliding": ["sliding entry |z|", "sliding field vs normalized field",
+                    "sliding region membership", "sliding exits at visible folds"],
     }
 
     @pytest.mark.parametrize("name", list(checks.SUITES))
@@ -374,6 +383,26 @@ class TestAtlasMissingCells:
         (row,) = checks.check_sliding_atlas(10)
         assert (row.passed, row.residual) == (False, 3.0)
         assert row.detail.count("missing cells for gamma=") == 3
+
+
+class TestAtlasBoundaryFallback:
+    """At resolution 61 some grid points fall on a classification boundary,
+    where the library's label and the analytic oracle may differ.  The sweep
+    excuses such a cell only when ``_cell_has_boundary`` finds a boundary
+    through it; at resolutions 200 and 20 no grid point needs it."""
+
+    def test_resolution_61(self, monkeypatch):
+        excused = []
+        real = checks._cell_has_boundary
+
+        def recorded(*args):
+            excused.append(real(*args))
+            return excused[-1]
+
+        monkeypatch.setattr(checks, "_cell_has_boundary", recorded)
+        rows = checks.check_return_map_atlas(61) + checks.check_sliding_atlas(61)
+        assert all(r.passed for r in rows), [r.row() for r in rows]
+        assert excused == [True] * 28
 
 
 class TestParabolicAgainstLibrary:

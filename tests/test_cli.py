@@ -123,6 +123,21 @@ class TestClassify:
         assert ff["moduli"]["tau"] == pytest.approx(math.pi / 2.0)
         assert json.dumps(report).count('"moduli"') == 1
 
+    def test_tangency_curves(self, elliptic_file, tmp_path):
+        # the elliptic normal form's fold lines are the axes y = 0 and x = 0
+        out = tmp_path / "report.json"
+        assert main(["classify", elliptic_file, "--point", "0,0,0", "--curves",
+                     "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        with open(elliptic_file, encoding="utf-8") as fh:
+            expected = sigma.tangency_curves(load_system(fh.read()))
+        assert set(report["tangency_curves"]) == {"X", "Y"}
+        for side, axis in (("X", 1), ("Y", 0)):
+            (curve,) = report["tangency_curves"][side]
+            (traced,) = expected[side]
+            assert curve == {"points": traced.points.tolist(), "closed": False, "complete": True}
+            assert max(abs(p[axis]) for p in curve["points"]) <= 1e-10
+
     def test_regular_point_report(self, elliptic_file, tmp_path):
         report = _classify(elliptic_file, "1,-1,0", tmp_path)
         assert report["classification"]["kind"] == "crossing"
@@ -372,6 +387,29 @@ class TestVerify:
         assert rc == 0
         out = capsys.readouterr().out
         assert "two-fold classification" in out
+
+    def test_system_mode_with_suite(self, elliptic_file, capsys):
+        # the system rows, then the rows of the named suite
+        rc = main(["verify", elliptic_file, "--suite", "involutions", "--scale", "0.01"])
+        names = [line.split(": ")[0] for line in capsys.readouterr().out.splitlines()]
+        assert rc == 0
+        assert names == ["PASS  " + n for n in (
+            "two-fold classification", "X-fold involution", "Y-fold involution",
+            "return-map determinant", "return-map trace vs normal parameters",
+            "fold-map ground truth", "fold-map involutivity", "return-map determinant",
+            "return-map numeric Jacobian")]
+
+    def test_out_csv(self, elliptic_file, tmp_path, capsys):
+        out = tmp_path / "verify.csv"
+        assert main(["verify", elliptic_file, "--suite", "none", "--out", str(out)]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        lines = out.read_text().splitlines()
+        assert lines[0] == "name,passed,residual,threshold,detail"
+        assert len(lines) == len(rows) + 1
+        for row, line in zip(rows, lines[1:]):
+            name, passed, residual, threshold, _ = line.split(",", 4)
+            assert row.startswith(f"PASS  {name}: ") and passed == "1"
+            assert math.isfinite(float(residual)) and math.isfinite(float(threshold))
 
     def test_system_mode_classifies_once(self, tmp_path, call_counts, ci_normal_form,
                                          capsys):

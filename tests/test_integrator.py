@@ -328,6 +328,43 @@ class TestIntegrateToSigma:
         with pytest.raises(PreconditionError):
             integrate_to_sigma(const_field(0, 0, 1), (0.0, 0.0, 0.5), +1)
 
+    @pytest.mark.parametrize("cx", [-1.0, 1.0])
+    def test_start_on_fold_line(self, cx):
+        # X = (cx, 0, x - x^3) is tangent to the plane at the origin, with
+        # X^2f = cx.  Invisible (cx < 0): no flight.  Visible (cx > 0): the
+        # arc z = t^2/2 - t^4/4 flies up and comes back at t = sqrt(2).
+        field = VectorField3(Poly3.constant(cx), Poly3.zero(),
+                             Poly3({(1, 0, 0): 1.0, (3, 0, 0): -1.0}))
+        res = integrate_to_sigma(field, (0.0, 0.0, 0.0), +1)
+        if cx < 0.0:
+            assert res.status is FlightStatus.NO_RETURN and res.time == 0.0
+        else:
+            assert res.status is FlightStatus.HIT_SIGMA
+            assert res.time == pytest.approx(math.sqrt(2.0), abs=1e-9)
+            assert res.point[0] == pytest.approx(math.sqrt(2.0), abs=1e-9)
+            assert abs(res.point[2]) <= integrator._EVENT_TOL
+
+
+class TestEvalWithinStep:
+    def test_failed_error_test_splits_the_step(self):
+        # One DP5 step of the rotation x' = -y, y' = x over dt = 1 fails the
+        # error test, so the step is halved until each part passes; the
+        # result must match the exact (cos 1, sin 1).
+        field = VectorField3(Poly3({(0, 1, 0): -1.0}), Poly3({(1, 0, 0): 1.0}), Poly3.zero())
+        f, step = field.compiled(), integrator._flight_kernel(field)
+        y0 = (1.0, 0.0, 0.0)
+        assert step(y0, 1.0, f(*y0))[2] > 1.0
+        calls = []
+
+        def counted(*args):
+            calls.append(args[1])
+            return step(*args)
+
+        y1 = integrator._eval_within_step(f, counted, y0, f(*y0), 1.0)
+        assert len(calls) > 2 and min(calls) < 1.0
+        assert y1[0] == pytest.approx(math.cos(1.0), abs=1e-9)
+        assert y1[1] == pytest.approx(math.sin(1.0), abs=1e-9)
+
 
 class TestFoldMap:
     def test_matches_analytic_formula(self):
@@ -533,6 +570,38 @@ class TestTrajectory:
         with pytest.raises(PreconditionError, match="outside its box"):
             filippov_trajectory(Z, p0, horizon)
         assert counts == {}
+
+    def test_start_below_sigma(self):
+        # Y = (0, 1, 1) lifts (0, 0, -0.5) to the plane at (0, 0.5, 0) in time
+        # 0.5, where Xf = -1 < 0 < Yf = 1: it slides on.
+        Z = PiecewiseSystem(const_field(1, 0, -1), const_field(0, 1, 1))
+        traj = filippov_trajectory(Z, (0.0, 0.0, -0.5), 1.0)
+        first = traj.segments[0]
+        assert first.mode is Mode.FLOW_MINUS and first.terminal is FlightStatus.MODE_SWITCH
+        assert np.max(first.points[:, 2]) <= integrator._EVENT_TOL
+        assert first.times[-1] == pytest.approx(0.5, abs=1e-9)
+        assert first.points[-1][1] == pytest.approx(0.5, abs=1e-9)
+        assert traj.segments[1].mode is Mode.SLIDING
+
+    def test_zero_horizon_is_one_time_out_marker(self):
+        Z = PiecewiseSystem(const_field(1, 0, -1), const_field(0, 1, 1))
+        traj = filippov_trajectory(Z, (0.1, 0.2, 0.5), 0.0)
+        (seg,) = traj.segments
+        assert seg.mode is Mode.FLOW_PLUS and seg.terminal is FlightStatus.TIME_OUT
+        assert seg.times.tolist() == [0.0] and seg.points.tolist() == [[0.1, 0.2, 0.5]]
+        assert traj.status == FlightStatus.TIME_OUT.value and traj.total_time == 0.0
+
+    def test_segment_cap_is_step_limit(self):
+        # X = (0, -1, y) and Y = (0, 1, y): parabolic arcs of time 1 from
+        # y = 0.5 to y = -0.5 above the plane and back below it, crossing the
+        # plane twice per period, so the horizon outlasts the segment cap.
+        X = VectorField3(Poly3.zero(), Poly3.constant(-1.0), Poly3({(0, 1, 0): 1.0}))
+        Y = VectorField3(Poly3.zero(), Poly3.constant(1.0), Poly3({(0, 1, 0): 1.0}))
+        traj = filippov_trajectory(PiecewiseSystem(X, Y), (0.0, 0.5, 0.0), 1e4)
+        assert len(traj.segments) == integrator._MAX_SEGMENTS
+        assert traj.status == FlightStatus.STEP_LIMIT.value
+        assert {seg.terminal for seg in traj.segments} == {FlightStatus.MODE_SWITCH}
+        assert traj.total_time == pytest.approx(integrator._MAX_SEGMENTS, rel=1e-12)
 
     def test_start_on_box_face_accepted(self):
         Z = PiecewiseSystem(const_field(1, 0, -1), const_field(0, 1, 1))

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -251,3 +253,60 @@ class TestTangencyCurves:
         curves = tangency_curves(Z)["X"]
         assert curves
         assert all(not c.complete for c in curves)
+
+
+def _sides(xf, yf):
+    """A system whose fold lines on {z = 0} are the zero sets of ``xf`` and
+    ``yf`` on the default box."""
+    return PiecewiseSystem(field(1.0, 0.0, xf), field(0.0, 1.0, yf))
+
+
+def _curve_family():
+    one = Poly3.constant
+    circle = X_VAR * X_VAR + Y_VAR * Y_VAR - one(0.25)
+    right = (X_VAR - one(0.5)) * (X_VAR - one(0.5)) + Y_VAR * Y_VAR - one(0.04)
+    left = (X_VAR + one(0.5)) * (X_VAR + one(0.5)) + Y_VAR * Y_VAR - one(0.04)
+    # X: a closed curve, Y: two closed components; X leaves the box, Y is a
+    # singular crossing; X has a cusp, Y gives x^2 markers; X has no zero.
+    family = [
+        _sides(circle, right * left),
+        _sides(X_VAR - one(0.3) * Y_VAR - one(0.1), X_VAR * Y_VAR),
+        _sides(Y_VAR * Y_VAR - X_VAR * X_VAR * X_VAR, X_VAR * X_VAR),
+        _sides(one(1.0) + X_VAR * X_VAR + Y_VAR * Y_VAR, X_VAR * Y_VAR * Y_VAR - Y_VAR + one(0.2)),
+        build_normal_form(-1.0, -1.0, 1.0, -1.0, hot={"cz": [[[0, 2, 0], 1.0]]}),
+    ]
+    rng = np.random.default_rng(20)
+    cubic = [(i, j, 0) for i in range(4) for j in range(4 - i)]
+    for _ in range(12):  # 24 random cubics
+        xf, yf = (Poly3(dict(zip(cubic, rng.uniform(-1.0, 1.0, len(cubic))))) for _ in range(2))
+        family.append(_sides(xf, yf))
+    return family
+
+
+class TestTangencyCurvesPinned:
+    """Every traced point, bit for bit, with each curve's ``closed`` and
+    ``complete`` flags, per side and in order, over a fixed family: closed
+    curves, curves that leave the box, a singular crossing, a cusp, x^2
+    markers, a polynomial with no zero and 24 seeded random cubics."""
+
+    DIGEST = "cef5b3c304ee306b9c755877db9ba5b8d22be04299b1c84765b60165a9a6b568"
+
+    def test_digest(self):
+        digest = hashlib.sha256()
+        for system in _curve_family():
+            for side, curves in tangency_curves(system).items():
+                digest.update(side.encode())
+                for curve in curves:
+                    digest.update(f"{curve.closed},{curve.complete};".encode())
+                    for x, y in curve.points:
+                        digest.update(f"{float(x).hex()},{float(y).hex()};".encode())
+        assert digest.hexdigest() == self.DIGEST
+
+    def test_family_shapes(self):
+        curves = [tangency_curves(system) for system in _curve_family()[:4]]
+        assert [c.closed for c in curves[0]["X"]] == [True]
+        assert [c.closed for c in curves[0]["Y"]] == [True, True]
+        assert [c.closed for c in curves[1]["X"]] == [False]
+        assert len(curves[1]["Y"]) == 4 and not any(c.complete for c in curves[1]["Y"][:2])
+        assert all(len(c.points) == 1 and not c.complete for c in curves[2]["Y"])
+        assert curves[3]["X"] == []
