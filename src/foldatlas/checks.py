@@ -57,6 +57,11 @@ class CheckResult:
     threshold: float
     detail: str = ""
 
+    def __post_init__(self):  # a non-finite residual measures nothing
+        if not math.isfinite(self.residual):
+            self.passed = False
+            self.detail = "non-finite residual" + (f"; {self.detail}" if self.detail else "")
+
     def row(self):
         status = "PASS" if self.passed else "FAIL"
         return (
@@ -91,6 +96,11 @@ _SYSTEM_DET_TOL = 1e-6
 _SYSTEM_TRACE_TOL = 1e-3
 
 
+def _worst(*values):
+    """Largest residual of ``values``; NaN if any is NaN, which ``max`` drops."""
+    return math.nan if any(map(math.isnan, values)) else max(values)
+
+
 def _count_row(name, count, detail):
     """A row that passes when none of ``count`` cases went wrong."""
     return CheckResult(name, count == 0, float(count), 0.0, detail)
@@ -115,7 +125,7 @@ def check_return_map_grid(n_alpha, n_beta, gammas):
             for b in betas:
                 params = make_parameters(a, b, g, -1.0)
                 analysis = return_map_analysis(params)
-                worst_det = max(worst_det, abs(analysis.det - 1.0))
+                worst_det = _worst(worst_det, abs(analysis.det - 1.0))
                 system = build_normal_form(a, b, g, -1.0)
                 try:
                     jac = jacobian_numeric(
@@ -129,7 +139,7 @@ def check_return_map_grid(n_alpha, n_beta, gammas):
                 diff = float(np.max(np.abs(jac - analysis.matrix)))
                 if diff <= _ENTRY_TOL:
                     matched += 1
-                worst_entry = max(worst_entry, diff)
+                worst_entry = _worst(worst_entry, diff)
     total = n_alpha * n_beta * len(gammas)
     fraction = matched / returned if returned else 0.0
     return [
@@ -228,11 +238,9 @@ def check_involution_ground_truth(n_alpha, n_points, seed):
             q = (r * math.cos(th), r * math.sin(th))
             image = fold_map_numeric(system, "X", q)
             exact = (q[0] - 2.0 * a * q[1], -q[1])
-            worst = max(worst, math.hypot(image[0] - exact[0], image[1] - exact[1]))
+            worst = _worst(worst, math.hypot(image[0] - exact[0], image[1] - exact[1]))
             back = fold_map_numeric(system, "X", image)
-            worst_double = max(
-                worst_double, math.hypot(back[0] - q[0], back[1] - q[1])
-            )
+            worst_double = _worst(worst_double, math.hypot(back[0] - q[0], back[1] - q[1]))
     return [
         CheckResult("fold-map ground truth", worst <= _IMAGE_TOL, worst, _IMAGE_TOL),
         CheckResult(
@@ -396,7 +404,7 @@ def check_demelo_palis(n, seed):
             continue
         count += 1
         analysis = return_map_analysis(make_parameters(a, b, g, -1.0))
-        worst = max(worst, abs(demelo_palis(analysis) + 1.0))
+        worst = _worst(worst, abs(demelo_palis(analysis) + 1.0))
     return [
         CheckResult("saddle moduli ratio = -1", worst <= _RATIO_TOL, worst, _RATIO_TOL,
                     f"{n} draws")
@@ -426,24 +434,25 @@ _CONE_MIN_FRACTION = 0.9
 @dataclass
 class DiaboloReport:
     """Outcomes of iterated seeds.  Each seed ends in one of ``violations``,
-    ``escaped``, ``exhausted`` or ``failed`` (a count per
-    :class:`FlightStatus`); ``iterations`` holds each seed's number of
-    return maps."""
+    ``escaped``, ``exhausted``, ``failed`` (a count per :class:`FlightStatus`)
+    or ``nonfinite`` (a failed flight that returned a non-finite image);
+    ``iterations`` holds each seed's number of return maps."""
 
     violations: int = 0
     escaped: int = 0
     exhausted: int = 0
     failed: dict = field(default_factory=dict)
+    nonfinite: int = 0
     iterations: list = field(default_factory=list)
 
     def outcomes(self):
-        by_status = ", ".join(
-            f"{status.value} {self.failed[status]}" for status in FlightStatus
-            if status in self.failed
-        )
+        counts = [(s.value, self.failed[s]) for s in FlightStatus if s in self.failed]
+        if self.nonfinite:
+            counts.append(("non-finite image", self.nonfinite))
+        by_status = ", ".join(f"{name} {n}" for name, n in counts)
         return (
             f"{self.escaped} escaped, "
-            f"{sum(self.failed.values())} stopped by a failed flight, "
+            f"{sum(self.failed.values()) + self.nonfinite} stopped by a failed flight, "
             f"{self.exhausted} reached {_DIABOLO_CAP} iterations; "
             f"at most {max(self.iterations, default=0)} iterations"
             + (f" (failed flights: {by_status})" if by_status else "")
@@ -452,9 +461,9 @@ class DiaboloReport:
 
 def _iterate_seeds(system, seeds, report):
     """Apply the numeric return map to each seed until its image lands in
-    stable sliding (a violation), leaves ``DEFAULT_BOX`` (escaped), a flight fails
-    or ``_DIABOLO_CAP`` maps are done (exhausted); add the outcomes to
-    ``report``."""
+    stable sliding (a violation), leaves ``DEFAULT_BOX`` (escaped), a flight
+    fails or returns a non-finite image, or ``_DIABOLO_CAP`` maps are done
+    (exhausted); add the outcomes to ``report``."""
     for current in seeds:
         iterations = 0
         for _ in range(_DIABOLO_CAP):
@@ -462,6 +471,9 @@ def _iterate_seeds(system, seeds, report):
                 current = return_map_numeric(system, current)
             except IntegrationFailure as exc:
                 report.failed[exc.status] = report.failed.get(exc.status, 0) + 1
+                break
+            if not (math.isfinite(current[0]) and math.isfinite(current[1])):
+                report.nonfinite += 1
                 break
             iterations += 1
             q = (current[0], current[1], 0.0)
@@ -487,7 +499,7 @@ def _reversal_residual(system, analysis):
     for r in _REVERSIBILITY_RADII:
         for sign in (1.0, -1.0):
             wx, wy = fold_map_numeric(system, "X", (sign * r * ux, sign * r * uy))
-            worst = max(worst, abs(sx * wy - sy * wx) / (r * r))
+            worst = _worst(worst, abs(sx * wy - sy * wx) / (r * r))
     return worst
 
 
@@ -529,7 +541,7 @@ def check_diabolo(n_draws, n_systems, seeds_per_system, seed):
         _iterate_seeds(system, starts, outcomes)
         analysis = return_map_analysis(make_parameters(a, b, g, -1.0))
         try:
-            worst_reversal = max(worst_reversal, _reversal_residual(system, analysis))
+            worst_reversal = _worst(worst_reversal, _reversal_residual(system, analysis))
         except IntegrationFailure:
             reversal_failures += 1
         for vector, report in ((analysis.v_contracting, cone), (analysis.v_expanding, twins)):
@@ -541,9 +553,10 @@ def check_diabolo(n_draws, n_systems, seeds_per_system, seed):
     histogram = dict(sorted(Counter(cone.iterations).items()))
     return [
         _count_row("diabolo eigenvectors in crossing", bad_vectors, f"{n_draws} stable draws"),
+        # A seed with a non-finite image may have landed in stable sliding.
         _count_row(
             "diabolo sliding separation",
-            outcomes.violations,
+            outcomes.violations + outcomes.nonfinite,
             f"{len(outcomes.iterations)} iterated unstable-sliding seeds: "
             + outcomes.outcomes(),
         ),
@@ -602,13 +615,13 @@ def check_parabolic_coefficients(n, seed):
         for th in np.linspace(0.4, math.pi - 0.4, 7):
             x, y = _PARABOLIC_RADIUS * math.cos(th), _PARABOLIC_RADIUS * math.sin(th)
             d = d_num(x, y) / (y * y)
-            worst = max(worst, abs(d - d_exact) / abs(d_exact),
-                        abs(d - coeffs.D_coeff) / abs(d_exact))
+            worst = _worst(worst, abs(d - d_exact) / abs(d_exact),
+                           abs(d - coeffs.D_coeff) / abs(d_exact))
         for y in (_PARABOLIC_RADIUS, -_PARABOLIC_RADIUS):
             fx, fy = f0(-2.0 * a * y, -y)
             t_num = (fx * 1.0 + fy * (-2.0 * a)) / y
-            worst = max(worst, abs(t_num - t_exact) / abs(t_exact),
-                        abs(t_num - coeffs.T_coeff) / abs(t_exact))
+            worst = _worst(worst, abs(t_num - t_exact) / abs(t_exact),
+                           abs(t_num - coeffs.T_coeff) / abs(t_exact))
     return [
         CheckResult(
             "parabolic transversality coefficients",
@@ -709,14 +722,15 @@ def check_sliding_tangency(n_sims, seed):
                 continue
             if before is not None:  # a flow segment that enters sliding
                 entries += 1
-                worst_entry = max(worst_entry, abs(before.points[-1][2]))
+                worst_entry = _worst(worst_entry, abs(before.points[-1][2]))
             for x, y, _ in seg.points:
                 sliding_samples += 1
                 a, c = xf(x, y, 0.0), yf(x, y, 0.0)
                 for got, ref in zip(sliding_field(x, y), (normalized.px, normalized.py)):
                     value = ref.eval(x, y, 0.0)
-                    worst_field = max(worst_field, abs(got * (c - a) - value) / (1.0 + abs(value)))
-                worst_outside = max(worst_outside, a, -c)
+                    error = abs(got * (c - a) - value) / (1.0 + abs(value))
+                    worst_field = _worst(worst_field, error)
+                worst_outside = _worst(worst_outside, a, -c)
             if seg.terminal is FlightStatus.MODE_SWITCH:
                 exits += 1
                 x, y, _ = seg.points[-1]
@@ -890,7 +904,7 @@ def _involution_row(system, side, point, seeds):
     for q in seeds:
         try:
             back = fold_map_numeric(system, side, fold_map_numeric(system, side, q))
-            worst = max(worst, math.hypot(back[0] - q[0], back[1] - q[1]))
+            worst = _worst(worst, math.hypot(back[0] - q[0], back[1] - q[1]))
         except IntegrationFailure:
             failures += 1
     return CheckResult(f"{side}-fold involution", failures == 0 and worst <= _DOUBLE_TOL,
@@ -972,9 +986,7 @@ def check_system(system, point, seed=0):
                         abs(tr - trace) <= _SYSTEM_TRACE_TOL, abs(tr - trace), _SYSTEM_TRACE_TOL),
         ]
     except IntegrationFailure as exc:
-        results.append(
-            CheckResult("return-map spectrum", False, 1.0, 0.0, str(exc))
-        )
+        results.append(CheckResult("return-map spectrum", False, 1.0, 0.0, str(exc)))
     return results
 
 

@@ -175,8 +175,8 @@ class SweepSpec:
             raise MalformedDocumentError("delta must be -1 or 1")
 
 
-def _sweep_row(alpha, beta, gamma, delta, gamma_delta):
-    """One CSV row; ``gamma_delta`` is the sweep's formatted "gamma,delta".
+def _sweep_row(alpha, beta, gamma, delta, coords):
+    """One CSV row; ``coords`` is its formatted "alpha,beta,gamma,delta,".
     Enum ``_value_`` is read directly: ``Enum.value`` is a slow property."""
     report = report_from_params(make_parameters(alpha, beta, gamma, delta))
     analysis = report.analysis  # set exactly for invisible two-folds
@@ -189,19 +189,22 @@ def _sweep_row(alpha, beta, gamma, delta, gamma_delta):
     verdict = report.verdict
     reason = verdict.reason.kind._value_ if verdict.reason else ""
     return (
-        f"{alpha!r},{beta!r},{gamma_delta},{report.region._value_},{report.claim},"
+        f"{coords}{report.region._value_},{report.claim},"
         f"{fp_class},{verdict.kind._value_},{reason},{tau}"
     )
 
 
 def run_sweep(spec):
+    """The atlas CSV; each alpha and each beta is formatted once."""
     alphas = np.linspace(*spec.alpha[:2], spec.alpha[2]).tolist()
     betas = np.linspace(*spec.beta[:2], spec.beta[2]).tolist()
     gamma, delta = spec.gamma, spec.delta
-    gamma_delta = f"{gamma!r},{int(delta)}"
-    header = "alpha,beta,gamma,delta,region,claim,fixed_point_class,verdict,reason,tau"
-    rows = [_sweep_row(a, b, gamma, delta, gamma_delta) for a in alphas for b in betas]
-    return header + "\n" + "\n".join(rows) + "\n"
+    beta_cols = [(b, f",{b!r},{gamma!r},{int(delta)},") for b in betas]
+    rows = ["alpha,beta,gamma,delta,region,claim,fixed_point_class,verdict,reason,tau"]
+    for a in alphas:
+        a_text = repr(a)
+        rows += [_sweep_row(a, b, gamma, delta, a_text + cols) for b, cols in beta_cols]
+    return "\n".join(rows) + "\n"
 
 
 def cmd_sweep(args):

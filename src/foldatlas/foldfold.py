@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -47,9 +48,10 @@ from .sliding import (
 _MAX_DENOMINATOR = 10**6
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class NormalParameters:
-    """Coefficients of the two-fold normal form at the singular point."""
+    """Coefficients of the two-fold normal form at the singular point,
+    validated when built and immutable by convention."""
 
     alpha: float
     beta: float
@@ -342,8 +344,8 @@ def _tsingularity_verdict(params, analysis):
                 detail="unit-circle complex eigenvalues; tau labels the moduli leaf",
             ),
         )
-    locs = (analysis.location_contracting, analysis.location_expanding)
-    if all(loc is EigvecLocation.IN_CROSSING for loc in locs):
+    c, e = analysis.location_contracting, analysis.location_expanding
+    if c is EigvecLocation.IN_CROSSING and e is EigvecLocation.IN_CROSSING:
         return StabilityVerdict(
             VerdictKind.STABLE,
             class_descriptor=(
@@ -353,7 +355,7 @@ def _tsingularity_verdict(params, analysis):
                 _sign(params.beta),
             ),
         )
-    if any(loc is EigvecLocation.ON_TANGENCY for loc in locs):
+    if c is EigvecLocation.ON_TANGENCY or e is EigvecLocation.ON_TANGENCY:
         return StabilityVerdict(
             VerdictKind.BOUNDARY_DEGENERATE,
             witness="saddle eigenvector on the tangency set",
@@ -379,8 +381,7 @@ def _visible_verdict(tag):
 
 
 def _parabolic_core_verdict(params, tag):
-    """Verdict from invisible-visible ``params``; ``tag`` is the region of
-    the caller's parameters."""
+    """Verdict from invisible-visible ``params`` and their region ``tag``."""
     a, b, g = params.alpha, params.beta, params.gamma
     if tag is SlidingRegionTag.BIFURCATION_BOUNDARY:
         if _strictly_outside_parabolic(a, b, g):
@@ -394,31 +395,30 @@ def _parabolic_core_verdict(params, tag):
         return StabilityVerdict(
             VerdictKind.BOUNDARY_DEGENERATE, witness="on a sliding-region boundary"
         )
-    coeffs = parabolic_transversality(params)
-    failure = InstabilityReason.TRANSVERSALITY_FAILURE
+    t_coeff = parabolic_transversality(params).T_coeff
     # The transversality conditions in reporting order; the first one that
     # fails on the boundary band names the failure.
-    for which, fails, detail in (
-        ("alpha", near(a, 0.0),
-         "fold image of the visible tangency line is tangent to it"),
-        ("T", near(coeffs.T_coeff, 0.0),
-         "sliding field tangent to the fold image curve"),
-        ("D", a > 0.0 and near(a + b, 0.0),
-         "sliding field parallel to its fold transport on the connection region"),
-    ):
-        if fails:
-            return StabilityVerdict(
-                VerdictKind.UNSTABLE, reason=Reason(failure, which, detail=detail)
-            )
+    if near(a, 0.0):
+        which, detail = "alpha", "fold image of the visible tangency line is tangent to it"
+    elif near(t_coeff, 0.0):
+        which, detail = "T", "sliding field tangent to the fold image curve"
+    elif a > 0.0 and near(a + b, 0.0):
+        which = "D"
+        detail = "sliding field parallel to its fold transport on the connection region"
+    else:
+        return StabilityVerdict(
+            VerdictKind.STABLE,
+            class_descriptor=(
+                "parabolic-two-fold",
+                tag._value_,
+                _sign(a),
+                _sign(a + b),
+                _sign(t_coeff),
+            ),
+        )
     return StabilityVerdict(
-        VerdictKind.STABLE,
-        class_descriptor=(
-            "parabolic-two-fold",
-            tag._value_,
-            _sign(a),
-            _sign(a + b),
-            _sign(coeffs.T_coeff),
-        ),
+        VerdictKind.UNSTABLE,
+        reason=Reason(InstabilityReason.TRANSVERSALITY_FAILURE, which, detail=detail),
     )
 
 
@@ -519,28 +519,34 @@ class FoldFoldReport:
     claim: int
     verdict: StabilityVerdict
     analysis: ReturnMapAnalysis | None
-    moduli: ModuliInfo | None
+
+    @cached_property
+    def moduli(self):
+        """Moduli of a complex-eigenvalue T-singularity, computed when first
+        read; None for every other two-fold."""
+        analysis = self.analysis
+        if analysis and analysis.fixed_point_class is FixedPointClass.NONHYPERBOLIC_COMPLEX:
+            return moduli_info(analysis)
+        return None
 
 
 def report_from_params(params):
-    """Two-fold report from normal parameters: region, verdict and, at a
-    T-singularity, the return-map analysis (and its moduli when the
-    eigenvalues are on the unit circle), each computed once."""
-    region = sliding_region_class(params)
-    analysis = moduli = None
+    """Two-fold report from normal parameters (validated when built,
+    immutable by convention): region, verdict and, at a T-singularity, the
+    return-map analysis, each computed once; moduli are computed when first
+    read.  A visible-invisible point is mirrored once, for region and verdict."""
     sub = params.subtype
+    core = mirror_parameters(params) if sub is FoldFoldSubtype.VISIBLE_INVISIBLE else params
+    region = sliding_region_class(core)
+    analysis = None
     if sub is FoldFoldSubtype.INVISIBLE:
         analysis = return_map_analysis(params)
         verdict = _tsingularity_verdict(params, analysis)
-        if analysis.fixed_point_class is FixedPointClass.NONHYPERBOLIC_COMPLEX:
-            moduli = moduli_info(analysis)
     elif sub is FoldFoldSubtype.VISIBLE_VISIBLE:
         verdict = _visible_verdict(region)
-    elif sub is FoldFoldSubtype.INVISIBLE_VISIBLE:
-        verdict = _parabolic_core_verdict(params, region)
     else:
-        verdict = _parabolic_core_verdict(mirror_parameters(params), region)
-    return FoldFoldReport(params, region, region.claim._value_, verdict, analysis, moduli)
+        verdict = _parabolic_core_verdict(core, region)
+    return FoldFoldReport(params, region, region.claim._value_, verdict, analysis)
 
 
 def foldfold_report(system, point):

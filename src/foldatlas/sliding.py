@@ -152,28 +152,22 @@ def classify_hyperbolic_region(alpha, beta, gamma):
 
 
 def classify_parabolic_region(alpha, beta, gamma):
-    """Regions for gamma < 0 (invisible-visible parameters)."""
+    """Regions for gamma < 0 (invisible-visible parameters).  Each boundary
+    band is tested only on the branch that reads it."""
     ab = alpha * beta
     root = 2.0 * math.sqrt(-gamma)
+    if near(ab, gamma):
+        return SlidingRegionTag.BIFURCATION_BOUNDARY
     w = (beta - alpha) + root  # > 0 means beta - alpha > -2 sqrt(-gamma)
-    v = alpha + beta
-    s_boundary = near(ab, gamma)
-    w_boundary = near(beta - alpha, -root)
-    v_boundary = near(v, 0.0)
-    u_boundary = near(alpha, 0.0)
-    if not s_boundary and ab < gamma:
-        if not w_boundary and w > 0.0:
+    if ab < gamma:
+        if w > 0.0 and not near(beta - alpha, -root):
             return SlidingRegionTag.RP1
-        if not u_boundary and alpha > 0.0:
+        if alpha > 0.0 and not near(alpha, 0.0):
             return SlidingRegionTag.RP2
-        return SlidingRegionTag.BIFURCATION_BOUNDARY
-    if not s_boundary and ab > gamma:
-        if not w_boundary and w < 0.0:
-            if not v_boundary and v > 0.0:
-                return SlidingRegionTag.RP3
-            if not v_boundary and v < 0.0:
-                return SlidingRegionTag.RP4
-        return SlidingRegionTag.BIFURCATION_BOUNDARY
+    elif ab > gamma and w < 0.0 and not near(beta - alpha, -root):
+        v = alpha + beta
+        if not near(v, 0.0):
+            return SlidingRegionTag.RP3 if v > 0.0 else SlidingRegionTag.RP4
     return SlidingRegionTag.BIFURCATION_BOUNDARY
 
 

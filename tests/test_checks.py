@@ -1,6 +1,7 @@
 import dataclasses
 import importlib
 import inspect
+import math
 import re
 
 import numpy as np
@@ -340,6 +341,119 @@ class TestSystemRows:
         results = checks.check_system(build_normal_form(0.3, 0.5, sign, delta), (0.0, 0.0, 0.0))
         assert results[0].passed
         assert not _by_name(results, failing).passed
+
+
+def _nan_trajectory(real):
+    """``filippov_trajectory`` with every sample replaced by NaN."""
+
+    def patched(system, p0, horizon, cfg=None):
+        traj = real(system, p0, horizon, cfg)
+        for seg in traj.segments:
+            seg.points = np.full_like(seg.points, np.nan)
+        return traj
+
+    return patched
+
+
+class TestNonFiniteResiduals:
+    """A numeric primitive that returns NaN fails every row that reads it:
+    ``max`` drops a NaN residual, so the rows fold residuals with
+    ``_worst``, a non-finite residual never passes, and a non-finite
+    return-map image is a failed flight, not an escape."""
+
+    CHECKS = {  # group -> the rows of a small run
+        "involutions": lambda: checks.check_involution_ground_truth(
+            n_alpha=2, n_points=2, seed=0),
+        "grid": lambda: checks.check_return_map_grid(n_alpha=2, n_beta=2, gammas=(1.0,)),
+        "diabolo": lambda: checks.check_diabolo(
+            n_draws=5, n_systems=2, seeds_per_system=5, seed=3),
+        "sliding": lambda: checks.check_sliding_tangency(n_sims=1, seed=0),
+        "invisible system": lambda: checks.check_system(
+            build_normal_form(0.3, 0.5, 1.0, -1.0), (0.0, 0.0, 0.0)),
+        "visible system": lambda: checks.check_system(
+            build_normal_form(0.3, 0.5, -1.0, 1.0), (0.0, 0.0, 0.0)),
+    }
+    RETURN_MAP_READERS = {
+        ("grid", "return-map numeric Jacobian"),
+        ("diabolo", "diabolo sliding separation"),
+        ("diabolo", "diabolo contracting cone"),
+        ("invisible system", "return-map determinant"),
+        ("invisible system", "return-map trace vs normal parameters"),
+    }
+    PATCHES = {  # primitive -> (NaN replacement given the real one, rows that read it)
+        "fold_map_numeric": (
+            lambda real: lambda system, side, q: (math.nan, math.nan),
+            RETURN_MAP_READERS | {
+                ("involutions", "fold-map ground truth"),
+                ("involutions", "fold-map involutivity"),
+                ("diabolo", "diabolo reversibility"),
+                ("invisible system", "X-fold involution"),
+                ("invisible system", "Y-fold involution"),
+                ("visible system", "X-fold non-return"),
+                ("visible system", "Y-fold non-return"),
+            },
+        ),
+        "return_map_numeric": (
+            lambda real: lambda system, q: (math.nan, math.nan),
+            RETURN_MAP_READERS,
+        ),
+        "jacobian_numeric": (
+            lambda real: lambda map_fn, q, h: np.full((2, 2), np.nan),
+            {
+                ("grid", "return-map numeric Jacobian"),
+                ("invisible system", "return-map determinant"),
+                ("invisible system", "return-map trace vs normal parameters"),
+            },
+        ),
+        "filippov_trajectory": (
+            _nan_trajectory,
+            {("sliding", name) for name in (
+                "sliding entry |z|", "sliding field vs normalized field",
+                "sliding region membership", "sliding exits at visible folds")},
+        ),
+    }
+
+    def _rows(self):
+        return {(group, r.name): r for group, run in self.CHECKS.items() for r in run()}
+
+    def test_rows_pass_on_the_real_primitives(self):
+        rows = self._rows()
+        assert all(r.passed for r in rows.values()), [r.row() for r in rows.values()]
+
+    @pytest.mark.parametrize("primitive", list(PATCHES))
+    def test_nan_primitive_fails_its_readers(self, monkeypatch, primitive):
+        make_fake, readers = self.PATCHES[primitive]
+        fake = make_fake(getattr(integrator, primitive))
+        # integrator.return_map_numeric calls the fold map through its module
+        for module in (checks, integrator):
+            monkeypatch.setattr(module, primitive, fake)
+        rows = self._rows()
+        assert readers <= set(rows)
+        failed = {key for key, r in rows.items() if not r.passed}
+        assert failed == readers, [rows[key].row() for key in failed ^ readers]
+        for r in rows.values():
+            if not math.isfinite(r.residual):
+                assert r.detail.startswith("non-finite residual"), r.row()
+
+    def test_nan_image_is_a_failed_flight(self, monkeypatch):
+        monkeypatch.setattr(checks, "return_map_numeric", lambda s, q: (math.nan, 0.0))
+        results = checks.check_diabolo(n_draws=5, n_systems=2, seeds_per_system=10, seed=3)
+        sep = _by_name(results, "diabolo sliding separation")
+        assert not sep.passed and sep.residual == 20.0
+        assert "0 escaped, 20 stopped by a failed flight" in sep.detail
+        assert sep.detail.endswith("(failed flights: non-finite image 20)")
+
+    def test_worst_keeps_nan_in_any_place(self):
+        assert checks._worst(0.0, 2.0, 1.0) == 2.0
+        for values in ((math.nan, 1.0), (1.0, math.nan), (0.0, 3.0, math.nan)):
+            assert math.isnan(checks._worst(*values))
+
+    def test_non_finite_residual_fails(self):
+        for residual in (math.nan, math.inf):
+            result = checks.CheckResult("row", True, residual, 1.0, "3 draws")
+            assert not result.passed
+            assert result.detail == "non-finite residual; 3 draws"
+        assert checks.CheckResult("row", True, math.nan, 1.0).detail == "non-finite residual"
 
 
 class TestSuites:

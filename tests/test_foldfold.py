@@ -26,7 +26,7 @@ from foldatlas.foldfold import (
 )
 from foldatlas.integrator import FlightStatus, fold_map_numeric, jacobian_numeric
 from foldatlas.sigma import FoldFoldSubtype, SigmaKind, classify_point
-from foldatlas.sliding import SlidingRegionTag
+from foldatlas.sliding import BOUNDARY_BAND, SlidingRegionTag, mirror_visible_invisible, near
 from foldatlas.system import PiecewiseSystem, build_normal_form
 
 
@@ -309,6 +309,31 @@ class TestModuli:
         best = info.convergents[-1]
         assert abs(info.tau_over_pi - best[0] / best[1]) < 1e-6
 
+    @pytest.mark.parametrize("a,b,g,d,fp_class", [
+        (-2.0, -1.0, 1.0, -1.0, FixedPointClass.SADDLE),
+        (-1.0, -1.0, 1.0, -1.0, FixedPointClass.NONHYPERBOLIC_UNIT),  # a*b = g
+        (0.0, 1.0, 1.0, -1.0, FixedPointClass.PARABOLIC_BOUNDARY),  # a*b = 0
+        (1.0, -1.0, -1.0, 1.0, None),  # visible-visible
+        (1.0, 1.0, -1.0, -1.0, None),  # invisible-visible
+        (1.0, 1.0, 1.0, 1.0, None),  # visible-invisible
+    ])
+    def test_report_has_none_off_the_complex_case(self, a, b, g, d, fp_class):
+        report = report_from_params(make_parameters(a, b, g, d))
+        assert (report.analysis and report.analysis.fixed_point_class) == fp_class
+        assert report.moduli is None
+
+    def test_report_computes_moduli_when_first_read(self, monkeypatch):
+        calls = []
+        real = foldfold.moduli_info
+        monkeypatch.setattr(foldfold, "moduli_info", lambda a: calls.append(a) or real(a))
+        report = report_from_params(make_parameters(0.9, 0.7, 1.7, -1.0))
+        assert report.analysis.fixed_point_class is FixedPointClass.NONHYPERBOLIC_COMPLEX
+        assert calls == []
+        first = report.moduli
+        assert first == moduli_info(report.analysis)
+        assert report.moduli is first
+        assert calls == [report.analysis]
+
 
 class TestVerdicts:
     def test_stable_t_singularity(self):
@@ -385,6 +410,104 @@ class TestVerdicts:
         mirrored = mirror_parameters(params)
         kinds = {report_from_params(p).verdict.kind for p in (params, mirrored)}
         assert len(kinds) == 1
+
+
+def _band_region(a, b, g):
+    """Parabolic region by the rules that evaluate every boundary band first."""
+    ab = a * b
+    root = 2.0 * math.sqrt(-g)
+    w = (b - a) + root
+    v = a + b
+    s_band, w_band, v_band, u_band = near(ab, g), near(b - a, -root), near(v, 0.0), near(a, 0.0)
+    if not s_band and ab < g:
+        if not w_band and w > 0.0:
+            return "RP1"
+        if not u_band and a > 0.0:
+            return "RP2"
+        return "boundary"
+    if not s_band and ab > g:
+        if not w_band and w < 0.0:
+            if not v_band and v > 0.0:
+                return "RP3"
+            if not v_band and v < 0.0:
+                return "RP4"
+    return "boundary"
+
+
+def _band_reason(a, b, g, tag):
+    """(verdict kind, reason kind, failed condition) of invisible-visible
+    (a, b, g) in region ``tag``, with every transversality band evaluated
+    before the first failure is picked."""
+    if tag == "boundary":
+        ab, root = a * b, 2.0 * math.sqrt(-g)
+        outside = not (near(ab, g) or near(b - a, -root)) and ab > g and (b - a) + root > 0.0
+        if outside:
+            return "unstable", "sliding-bifurcation", None
+        return "boundary-degenerate", None, None
+    fails = {
+        "alpha": near(a, 0.0),
+        "T": near(2.0 * a * (a + b) - g, 0.0),
+        "D": a > 0.0 and near(a + b, 0.0),
+    }
+    for which, failed in fails.items():
+        if failed:
+            return "unstable", "transversality-failure", which
+    return "stable", None, None
+
+
+def _band_points():
+    """Invisible-visible (a, b, g) at +-0.5 and +-2 band widths off each of
+    the boundaries a*b = g, b - a = -2 sqrt(-g), a + b = 0 and a = 0."""
+    points = []
+    for g in (-1.0, -0.6):
+        root = 2.0 * math.sqrt(-g)
+        for k in (-2.0, -0.5, 0.5, 2.0):
+            for t in (-2.5, -0.7, 0.4, 1.9):
+                points += [
+                    (t, g / t + k * BOUNDARY_BAND * (1.0 + 2.0 * abs(g)) / t, g),
+                    (t, t - root + k * BOUNDARY_BAND * (1.0 + 2.0 * root), g),
+                    (t, -t + k * BOUNDARY_BAND, g),
+                    (k * BOUNDARY_BAND, t, g),
+                ]
+    return points
+
+
+class TestBoundaryBandDecisions:
+    """Inside the boundary band, the region tags and the parabolic verdicts
+    agree with rules that evaluate every band before they branch, on
+    invisible-visible points and on visible-invisible points that mirror
+    to them."""
+
+    @pytest.mark.parametrize("mirrored", [False, True])
+    def test_parabolic_points_in_the_band(self, mirrored):
+        seen = set()
+        for a, b, g in _band_points():
+            if mirrored:
+                # (2b/s, -2a/s, 4) mirrors to (a/s, b/s, -1) ~ (a, b, g), s = sqrt(-g)
+                s = math.sqrt(-g)
+                params = make_parameters(2.0 * b / s, -2.0 * a / s, 4.0, 1.0)
+                core = mirror_visible_invisible(params.alpha, params.beta, params.gamma)
+            else:
+                params = make_parameters(a, b, g, -1.0)
+                core = (a, b, g)
+            report = report_from_params(params)
+            reason = report.verdict.reason
+            got = (
+                report.region.value,
+                report.verdict.kind.value,
+                reason and reason.kind.value,
+                reason and reason.which,
+            )
+            tag = _band_region(*core)
+            assert got == (tag, *_band_reason(*core, tag)), (params, core)
+            seen.add(got)
+        assert {got[0] for got in seen} == {"RP1", "RP2", "RP3", "RP4", "boundary"}
+        assert {got[1:] for got in seen} >= {
+            ("unstable", "transversality-failure", "alpha"),
+            ("unstable", "transversality-failure", "D"),
+            ("boundary-degenerate", None, None),
+            ("unstable", "sliding-bifurcation", None),
+        }
 
 
 class TestOpenness:
