@@ -134,7 +134,7 @@ def cmd_classify(args):
         report["foldfold"] = {
             "normal_parameters": _jsonable(ff.params),
             "region": ff.region.value,
-            "claim": ff.claim,
+            "claim": ff.region.claim._value_,
             "return_map": _jsonable(ff.analysis),
             "verdict": _jsonable(ff.verdict),
             "moduli": _jsonable(ff.moduli),
@@ -186,10 +186,10 @@ def _sweep_row(alpha, beta, gamma, delta, coords):
         fp_class = analysis.fixed_point_class._value_
         if analysis.fixed_point_class is FixedPointClass.NONHYPERBOLIC_COMPLEX:
             tau = repr(analysis.tau)
-    verdict = report.verdict
+    region, verdict = report.region, report.verdict
     reason = verdict.reason.kind._value_ if verdict.reason else ""
     return (
-        f"{coords}{report.region._value_},{report.claim},"
+        f"{coords}{region._value_},{region.claim._value_},"
         f"{fp_class},{verdict.kind._value_},{reason},{tau}"
     )
 

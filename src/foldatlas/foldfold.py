@@ -16,7 +16,7 @@ the fixed relative band ``sliding.BOUNDARY_BAND`` of each other count as equal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 
@@ -41,6 +41,7 @@ from .sliding import (
     mirror_visible_invisible,
     near,
     normalized_sliding_field,
+    parabolic_cell,
     sliding_region_class,
 )
 
@@ -50,36 +51,27 @@ _MAX_DENOMINATOR = 10**6
 
 @dataclass(slots=True)
 class NormalParameters:
-    """Coefficients of the two-fold normal form at the singular point,
-    validated when built and immutable by convention."""
+    """Coefficients of the two-fold normal form at the singular point and the
+    subtype they imply by (delta, sign gamma); validated when built and
+    immutable by convention."""
 
     alpha: float
     beta: float
     gamma: float
     delta: float
-    subtype: FoldFoldSubtype
+    subtype: FoldFoldSubtype = field(init=False)
 
     def __post_init__(self):
         if self.delta not in (-1.0, 1.0, -1, 1):
             raise PreconditionError("delta must be -1 or +1")
-        if self.gamma == 0.0:
-            raise PreconditionError("gamma must be nonzero")
-        if subtype_from_signs(self.delta, self.gamma) is not self.subtype:
-            raise PreconditionError(
-                f"subtype {self.subtype.value} inconsistent with "
-                f"(delta, sign gamma) = ({int(self.delta)}, {_sign(self.gamma)})"
-            )
+        if not abs(self.gamma) > 0.0:
+            raise PreconditionError("gamma must be nonzero and not NaN")
+        self.subtype = subtype_from_signs(self.delta, math.copysign(1.0, self.gamma))
 
 
 def make_parameters(alpha, beta, gamma, delta):
-    """Normal parameters with the subtype implied by (delta, sign gamma)."""
-    return NormalParameters(
-        float(alpha),
-        float(beta),
-        float(gamma),
-        float(delta),
-        subtype_from_signs(math.copysign(1.0, delta), math.copysign(1.0, gamma)),
-    )
+    """Normal parameters from four numbers, each converted to a float."""
+    return NormalParameters(float(alpha), float(beta), float(gamma), float(delta))
 
 
 def normal_parameters(system, point):
@@ -110,7 +102,13 @@ def _two_fold_parameters(system, point, info):
     gamma = math.copysign(1.0, y2)
     alpha = system.xyf.eval_at(point) / denom
     beta = delta * system.yxf.eval_at(point) / denom
-    return NormalParameters(alpha, beta, gamma, delta, info.subtype)
+    params = NormalParameters(alpha, beta, gamma, delta)
+    if params.subtype is not info.subtype:
+        raise PreconditionError(
+            f"tangency subtype {info.subtype.value} disagrees with "
+            f"{params.subtype.value} from (delta, gamma) = ({delta:g}, {gamma:g})"
+        )
+    return params
 
 
 def mirror_parameters(params):
@@ -118,7 +116,7 @@ def mirror_parameters(params):
     if params.subtype is not FoldFoldSubtype.VISIBLE_INVISIBLE:
         raise PreconditionError("mirror applies to visible-invisible points")
     a, b, g = mirror_visible_invisible(params.alpha, params.beta, params.gamma)
-    return NormalParameters(a, b, g, -1.0, FoldFoldSubtype.INVISIBLE_VISIBLE)
+    return NormalParameters(a, b, g, -1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -380,21 +378,21 @@ def _visible_verdict(tag):
     )
 
 
-def _parabolic_core_verdict(params, tag):
-    """Verdict from invisible-visible ``params`` and their region ``tag``."""
-    a, b, g = params.alpha, params.beta, params.gamma
-    if tag is SlidingRegionTag.BIFURCATION_BOUNDARY:
-        if _strictly_outside_parabolic(a, b, g):
-            return StabilityVerdict(
-                VerdictKind.UNSTABLE,
-                reason=Reason(
-                    InstabilityReason.SLIDING_BIFURCATION,
-                    detail="sliding dynamics outside all generic regions",
-                ),
-            )
+def _parabolic_core_verdict(params, cell):
+    """Verdict from invisible-visible ``params`` and their ``parabolic_cell``."""
+    if cell is None:
+        return StabilityVerdict(
+            VerdictKind.UNSTABLE,
+            reason=Reason(
+                InstabilityReason.SLIDING_BIFURCATION,
+                detail="sliding dynamics outside all generic regions",
+            ),
+        )
+    if cell is SlidingRegionTag.BIFURCATION_BOUNDARY:
         return StabilityVerdict(
             VerdictKind.BOUNDARY_DEGENERATE, witness="on a sliding-region boundary"
         )
+    a, b = params.alpha, params.beta
     t_coeff = parabolic_transversality(params).T_coeff
     # The transversality conditions in reporting order; the first one that
     # fails on the boundary band names the failure.
@@ -410,7 +408,7 @@ def _parabolic_core_verdict(params, tag):
             VerdictKind.STABLE,
             class_descriptor=(
                 "parabolic-two-fold",
-                tag._value_,
+                cell._value_,
                 _sign(a),
                 _sign(a + b),
                 _sign(t_coeff),
@@ -420,21 +418,6 @@ def _parabolic_core_verdict(params, tag):
         VerdictKind.UNSTABLE,
         reason=Reason(InstabilityReason.TRANSVERSALITY_FAILURE, which, detail=detail),
     )
-
-
-def _strictly_outside_parabolic(a, b, g):
-    """True when (a, b, g) lies in the open complement of the four regions.
-
-    Below the hyperbola a*b = g every parameter is covered by a region, so
-    the complement is the wedge {a*b > g, b - a > -2 sqrt(-g)} together with
-    the boundaries; only the open wedge, clear of both edges by the boundary
-    band, counts as strictly outside.
-    """
-    ab = a * b
-    root = 2.0 * math.sqrt(-g)
-    if near(ab, g) or near(b - a, -root):
-        return False
-    return ab > g and (b - a) + root > 0.0
 
 
 def _sliding_point_verdict(system, point, cls, tol):
@@ -516,7 +499,6 @@ def parabolic_transversality(params):
 class FoldFoldReport:
     params: NormalParameters
     region: SlidingRegionTag
-    claim: int
     verdict: StabilityVerdict
     analysis: ReturnMapAnalysis | None
 
@@ -536,17 +518,20 @@ def report_from_params(params):
     return-map analysis, each computed once; moduli are computed when first
     read.  A visible-invisible point is mirrored once, for region and verdict."""
     sub = params.subtype
-    core = mirror_parameters(params) if sub is FoldFoldSubtype.VISIBLE_INVISIBLE else params
-    region = sliding_region_class(core)
     analysis = None
     if sub is FoldFoldSubtype.INVISIBLE:
+        region = sliding_region_class(params)
         analysis = return_map_analysis(params)
         verdict = _tsingularity_verdict(params, analysis)
     elif sub is FoldFoldSubtype.VISIBLE_VISIBLE:
+        region = sliding_region_class(params)
         verdict = _visible_verdict(region)
     else:
-        verdict = _parabolic_core_verdict(core, region)
-    return FoldFoldReport(params, region, region.claim._value_, verdict, analysis)
+        core = mirror_parameters(params) if sub is FoldFoldSubtype.VISIBLE_INVISIBLE else params
+        cell = parabolic_cell(core.alpha, core.beta, core.gamma)
+        region = cell or SlidingRegionTag.BIFURCATION_BOUNDARY
+        verdict = _parabolic_core_verdict(core, cell)
+    return FoldFoldReport(params, region, verdict, analysis)
 
 
 def foldfold_report(system, point):

@@ -151,23 +151,25 @@ def classify_hyperbolic_region(alpha, beta, gamma):
     return SlidingRegionTag.RH2
 
 
-def classify_parabolic_region(alpha, beta, gamma):
-    """Regions for gamma < 0 (invisible-visible parameters).  Each boundary
-    band is tested only on the branch that reads it."""
+def parabolic_cell(alpha, beta, gamma):
+    """Cell of invisible-visible parameters (gamma < 0): a region RP1-RP4,
+    BIFURCATION_BOUNDARY within the band of a region boundary, or None in the
+    open wedge {alpha*beta > gamma, beta - alpha > -2 sqrt(-gamma)} that no
+    region covers.  Each band is tested only on the branch where it decides."""
     ab = alpha * beta
     root = 2.0 * math.sqrt(-gamma)
     if near(ab, gamma):
         return SlidingRegionTag.BIFURCATION_BOUNDARY
     w = (beta - alpha) + root  # > 0 means beta - alpha > -2 sqrt(-gamma)
     if ab < gamma:
-        if w > 0.0 and not near(beta - alpha, -root):
+        if w > 0.0:
             return SlidingRegionTag.RP1
         if alpha > 0.0 and not near(alpha, 0.0):
             return SlidingRegionTag.RP2
-    elif ab > gamma and w < 0.0 and not near(beta - alpha, -root):
-        v = alpha + beta
-        if not near(v, 0.0):
-            return SlidingRegionTag.RP3 if v > 0.0 else SlidingRegionTag.RP4
+    elif ab > gamma and not near(beta - alpha, -root):
+        if w > 0.0:
+            return None
+        return SlidingRegionTag.RP3 if alpha + beta > 0.0 else SlidingRegionTag.RP4
     return SlidingRegionTag.BIFURCATION_BOUNDARY
 
 
@@ -185,13 +187,14 @@ def mirror_visible_invisible(alpha, beta, gamma):
 
 
 def sliding_region_class(params):
-    """Parameter-space region of the sliding dynamics at a two-fold point."""
+    """Parameter-space region of the sliding dynamics at a two-fold point;
+    the parabolic wedge that no region covers is a BIFURCATION_BOUNDARY."""
     a, b, g = params.alpha, params.beta, params.gamma
     sub = params.subtype
     if sub is FoldFoldSubtype.INVISIBLE:
         return classify_elliptic_region(a, b, g)
     if sub is FoldFoldSubtype.VISIBLE_VISIBLE:
         return classify_hyperbolic_region(a, b, g)
-    if sub is FoldFoldSubtype.INVISIBLE_VISIBLE:
-        return classify_parabolic_region(a, b, g)
-    return classify_parabolic_region(*mirror_visible_invisible(a, b, g))
+    if sub is FoldFoldSubtype.VISIBLE_INVISIBLE:
+        a, b, g = mirror_visible_invisible(a, b, g)
+    return parabolic_cell(a, b, g) or SlidingRegionTag.BIFURCATION_BOUNDARY

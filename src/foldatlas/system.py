@@ -40,6 +40,17 @@ INPUT_DEGREE_CAP = 8
 _COMPONENT_KEYS = ("cx", "cy", "cz")
 
 
+def _json_number(value):
+    """``value`` as a float (inf for an integer beyond the float range), or
+    None when it is not a number; booleans and strings are not numbers."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return None
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class Box:
     """Axis-aligned analysis window in R^3."""
@@ -53,8 +64,8 @@ class Box:
 
     @classmethod
     def from_sequence(cls, seq):
-        vals = [float(v) for v in seq]
-        if len(vals) != 6 or not all(math.isfinite(v) for v in vals):
+        vals = [_json_number(v) for v in seq]
+        if len(vals) != 6 or not all(v is not None and math.isfinite(v) for v in vals):
             raise MalformedDocumentError("box must be six finite numbers")
         return cls(*vals)
 
@@ -187,12 +198,9 @@ def _parse_component(entries, where):
                 raise MalformedDocumentError(
                     f"{where}: exponents must be non-negative integers"
                 )
-        if not isinstance(coeff, (int, float)) or isinstance(coeff, bool):
+        c = _json_number(coeff)
+        if c is None:
             raise MalformedDocumentError(f"{where}: coefficient must be a number")
-        try:
-            c = float(coeff)
-        except OverflowError:  # an integer beyond the float range
-            c = math.inf
         if not math.isfinite(c):
             raise NonFiniteCoefficientError(f"{where}: non-finite coefficient")
         # int() stores a boolean exponent as 0 or 1; repeated terms add up
@@ -233,6 +241,11 @@ def load_system(text):
     for label in ("X", "Y"):
         if not isinstance(doc[label], dict):
             raise MalformedDocumentError(f"{label} must be an object")
+        unknown = sorted(set(doc[label]) - set(_COMPONENT_KEYS))
+        if unknown:
+            raise MalformedDocumentError(
+                f"{label}: unknown component keys {unknown}; expected cx, cy, cz"
+            )
     if not isinstance(doc["box"], list):
         raise MalformedDocumentError("box must be a list")
     X, Y = [

@@ -202,6 +202,21 @@ class TestClassify:
         assert main(["classify", str(path), "--point", "0,0,0"]) == 2
         assert "X.cx: non-finite coefficient" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad,message", [
+        ("box", "box must be six finite numbers"),
+        ("key", "X: unknown component keys ['cZ']; expected cx, cy, cz"),
+    ])
+    def test_null_box_entry_or_unknown_key_exit_2(self, tmp_path, bad, message, capsys):
+        doc = json.loads(serialize_system(build_normal_form(-2.0, -1.0, 1.0, -1.0)))
+        if bad == "box":
+            doc["box"][0] = None
+        else:
+            doc["X"]["cZ"] = doc["X"].pop("cz")  # a typo that used to mean cz = 0
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["classify", str(path), "--point", "0,0,0"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
 
 class TestSweep:
     def test_smoke_grid(self, tmp_path):

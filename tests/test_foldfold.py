@@ -87,25 +87,46 @@ _SUBTYPE_SIGNS = {
     FoldFoldSubtype.INVISIBLE_VISIBLE: (-1.0, -1.0),
     FoldFoldSubtype.VISIBLE_INVISIBLE: (1.0, 1.0),
 }
-_INCONSISTENT = [
-    (sub, d, sg)
-    for sub, signs in _SUBTYPE_SIGNS.items()
-    for d in (-1.0, 1.0)
-    for sg in (-1.0, 1.0)
-    if (d, sg) != signs
-]
 
 
-class TestSubtypeValidation:
-    @pytest.mark.parametrize("subtype,delta,sign_gamma", _INCONSISTENT)
-    def test_inconsistent_subtype_rejected(self, subtype, delta, sign_gamma):
+class TestSubtypeDerivation:
+    """The subtype is derived from (delta, sign gamma) when the parameters
+    are built; the one place a second derivation meets it is the two-fold
+    extraction, which compares it with the tangency subtype from ``sigma``."""
+
+    @pytest.mark.parametrize("subtype", list(_SUBTYPE_SIGNS))
+    def test_subtype_follows_signs(self, subtype):
+        d, sg = _SUBTYPE_SIGNS[subtype]
+        for g in (0.7 * sg, 1e-300 * sg, math.inf * sg):
+            assert NormalParameters(1.0, 2.0, g, d).subtype is subtype
+            assert make_parameters(1, 2, g, int(d)).subtype is subtype
+
+    def test_subtype_is_not_an_argument(self):
+        with pytest.raises(TypeError):
+            NormalParameters(1.0, 2.0, 0.7, -1.0, FoldFoldSubtype.INVISIBLE)
+        with pytest.raises(TypeError):
+            NormalParameters(1.0, 2.0, 0.7, -1.0, subtype=FoldFoldSubtype.INVISIBLE)
+
+    @pytest.mark.parametrize("delta", [-1.0, 1.0])
+    @pytest.mark.parametrize("gamma", [math.nan, -math.nan, 0.0, -0.0])
+    def test_nan_or_zero_gamma_rejected(self, gamma, delta):
         with pytest.raises(PreconditionError):
-            NormalParameters(1.0, 2.0, 0.7 * sign_gamma, delta, subtype)
+            make_parameters(1.0, 2.0, gamma, delta)
 
-    def test_consistent_subtypes_accepted(self):
-        assert len(_INCONSISTENT) == 12
-        for sub, (d, sg) in _SUBTYPE_SIGNS.items():
-            assert NormalParameters(1.0, 2.0, 0.7 * sg, d, sub).subtype is sub
+    @pytest.mark.parametrize("flip", "XY")
+    @pytest.mark.parametrize("subtype", list(_SUBTYPE_SIGNS))
+    def test_disagreeing_tangency_subtype_raises(self, monkeypatch, subtype, flip):
+        # sigma alone reports one fold with the wrong visibility
+        real = sigma.subtype_from_signs
+        signs = {"X": (-1.0, 1.0), "Y": (1.0, -1.0)}[flip]
+        monkeypatch.setattr(sigma, "subtype_from_signs",
+                            lambda x2, y2: real(signs[0] * x2, signs[1] * y2))
+        d, sg = _SUBTYPE_SIGNS[subtype]
+        system = build_normal_form(0.3, 0.5, sg, d)
+        with pytest.raises(PreconditionError, match="disagrees"):
+            normal_parameters(system, (0.0, 0.0, 0.0))
+        with pytest.raises(PreconditionError, match="disagrees"):
+            surface_point_report(system, (0.0, 0.0, 0.0))
 
 
 def _fold_matrix(system, side, q=(0.01, 0.02)):
@@ -455,11 +476,22 @@ def _band_reason(a, b, g, tag):
     return "stable", None, None
 
 
+# invisible-visible (a, b, g) just inside and just outside the alpha band of
+# RP2, which decides only where |b| > |g| / BOUNDARY_BAND
+_RP2_ALPHA_BAND = [(1e-10, -1e10, -0.5), (2e-9, -1e10, -0.5)]
+
+
 def _band_points():
     """Invisible-visible (a, b, g) at +-0.5 and +-2 band widths off each of
-    the boundaries a*b = g, b - a = -2 sqrt(-g), a + b = 0 and a = 0."""
-    points = []
+    the boundaries a*b = g, b - a = -2 sqrt(-g), a + b = 0 and a = 0; points
+    strictly inside the open wedge; the two sides of RP2's alpha band; and
+    non-finite a or b."""
+    points = [(0.2, 0.2, -1.0), (2.0, 1.0, -1.0), (-0.5, 0.3, -0.6), (1.0, 3.0, -0.6)]
+    points += _RP2_ALPHA_BAND
+    odd = (math.nan, math.inf, -math.inf)
     for g in (-1.0, -0.6):
+        points += [(x, 1.3, g) for x in odd] + [(-0.7, x, g) for x in odd]
+        points += [(x, y, g) for x in odd for y in odd]
         root = 2.0 * math.sqrt(-g)
         for k in (-2.0, -0.5, 0.5, 2.0):
             for t in (-2.5, -0.7, 0.4, 1.9):
@@ -472,6 +504,15 @@ def _band_points():
     return points
 
 
+def _band_params(a, b, g, mirrored):
+    """Parameters of invisible-visible (a, b, g), or of a visible-invisible
+    point that mirrors to (a/s, b/s, -1) ~ (a, b, g), s = sqrt(-g)."""
+    if mirrored:
+        s = math.sqrt(-g)
+        return make_parameters(2.0 * b / s, -2.0 * a / s, 4.0, 1.0)
+    return make_parameters(a, b, g, -1.0)
+
+
 class TestBoundaryBandDecisions:
     """Inside the boundary band, the region tags and the parabolic verdicts
     agree with rules that evaluate every band before they branch, on
@@ -482,13 +523,10 @@ class TestBoundaryBandDecisions:
     def test_parabolic_points_in_the_band(self, mirrored):
         seen = set()
         for a, b, g in _band_points():
+            params = _band_params(a, b, g, mirrored)
             if mirrored:
-                # (2b/s, -2a/s, 4) mirrors to (a/s, b/s, -1) ~ (a, b, g), s = sqrt(-g)
-                s = math.sqrt(-g)
-                params = make_parameters(2.0 * b / s, -2.0 * a / s, 4.0, 1.0)
                 core = mirror_visible_invisible(params.alpha, params.beta, params.gamma)
             else:
-                params = make_parameters(a, b, g, -1.0)
                 core = (a, b, g)
             report = report_from_params(params)
             reason = report.verdict.reason
@@ -508,6 +546,15 @@ class TestBoundaryBandDecisions:
             ("boundary-degenerate", None, None),
             ("unstable", "sliding-bifurcation", None),
         }
+
+    @pytest.mark.parametrize("mirrored", [False, True])
+    def test_rp2_alpha_band_decides(self, mirrored):
+        inside, outside = (
+            report_from_params(_band_params(*point, mirrored)) for point in _RP2_ALPHA_BAND
+        )
+        assert inside.region is SlidingRegionTag.BIFURCATION_BOUNDARY
+        assert inside.verdict.kind is VerdictKind.BOUNDARY_DEGENERATE
+        assert outside.region is SlidingRegionTag.RP2
 
 
 class TestOpenness:
@@ -612,7 +659,7 @@ class TestSystemLevelVerdicts:
     def test_report_aggregation(self):
         report = report_from_params(make_parameters(-2.0, -1.0, 1.0, -1.0))
         assert report.region is SlidingRegionTag.RE1
-        assert report.claim == 1
+        assert report.region.claim.value == 1
         assert report.verdict.kind is VerdictKind.STABLE
         assert report.analysis.trace == pytest.approx(6.0)
 

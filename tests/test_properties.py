@@ -129,7 +129,7 @@ def _report_signature(params):
             analysis.location_contracting,
             analysis.location_expanding,
         )
-    return report.region, report.claim, _verdict_signature(report.verdict), analysis
+    return report.region, _verdict_signature(report.verdict), analysis
 
 
 class TestRescalingInvariance:

@@ -4,16 +4,17 @@ import numpy as np
 import pytest
 
 from foldatlas.algebra import Poly3, VectorField3
-from foldatlas.errors import PreconditionError
-from foldatlas.foldfold import make_parameters
+from foldatlas.foldfold import NormalParameters, make_parameters
 from foldatlas.integrator import _sliding_kernel
 from foldatlas.sliding import (
     SlidingRegionTag,
     foldfold_sliding_linearization,
     mirror_visible_invisible,
     normalized_sliding_field,
+    parabolic_cell,
     sliding_region_class,
 )
+from foldatlas.sigma import FoldFoldSubtype
 from foldatlas.system import PiecewiseSystem, build_normal_form
 
 ELLIPTIC = build_normal_form(-1.0, -1.0, 1.0, -1.0)
@@ -173,11 +174,27 @@ class TestRegionClass:
         tag = sliding_region_class(make_parameters(1.0, -2.0, 4.0, 1.0))
         assert tag is sliding_region_class(make_parameters(a, b, g, -1.0))
 
-    def test_subtype_consistency_enforced(self):
-        # rejected at construction, so no region call can see such parameters
-        params = make_parameters(1.0, 1.0, 1.0, -1.0)  # invisible
-        with pytest.raises(PreconditionError):
-            type(params)(1.0, 1.0, 1.0, -1.0, subtype=list(type(params.subtype))[0])
+    def test_region_follows_the_derived_subtype(self):
+        # no subtype can be passed, so no region call sees one that
+        # contradicts (delta, sign gamma)
+        with pytest.raises(TypeError):
+            NormalParameters(1.0, 1.0, 1.0, -1.0, FoldFoldSubtype.VISIBLE_VISIBLE)
+        params = make_parameters(1.0, 1.0, 1.0, -1.0)
+        assert params.subtype is FoldFoldSubtype.INVISIBLE
+        assert sliding_region_class(params) is SlidingRegionTag.RE2
+
+    def test_parabolic_cell_of_the_wedge(self):
+        # the open wedge is no region: its cell is None, its class a boundary
+        for a, b, g in ((0.2, 0.2, -1.0), (2.0, 1.0, -1.0)):
+            assert parabolic_cell(a, b, g) is None
+            tag = sliding_region_class(make_parameters(a, b, g, -1.0))
+            assert tag is SlidingRegionTag.BIFURCATION_BOUNDARY
+        # on its edges the cell itself is the boundary
+        assert parabolic_cell(0.5, -1.5, -1.0) is SlidingRegionTag.BIFURCATION_BOUNDARY
+        assert parabolic_cell(1.0, -1.0, -1.0) is SlidingRegionTag.BIFURCATION_BOUNDARY
+        for x in (math.nan, math.inf, -math.inf):
+            assert parabolic_cell(x, 1.3, -1.0) is SlidingRegionTag.BIFURCATION_BOUNDARY
+            assert parabolic_cell(-0.7, x, -1.0) is SlidingRegionTag.BIFURCATION_BOUNDARY
 
     def test_rescaling_invariance(self):
         rng = np.random.default_rng(9)

@@ -143,6 +143,25 @@ class TestLoadSystem:
             assert type(info.value) is cls
             assert str(info.value) == message
 
+    @pytest.mark.parametrize("entry", [None, "a", True, False, "1", [1], 10**400])
+    def test_box_entries_must_be_numbers(self, entry):
+        doc = json.loads(normal_form_doc())
+        doc["box"][1] = entry
+        with pytest.raises(MalformedDocumentError, match="box must be six finite numbers"):
+            load_system(json.dumps(doc))
+
+    @pytest.mark.parametrize("key", ["cZ", "cw", "z", ""])
+    def test_unknown_component_key_rejected(self, key):
+        doc = json.loads(normal_form_doc())
+        doc["Y"][key] = [[[0, 0, 0], 1.0]]
+        with pytest.raises(MalformedDocumentError, match="Y: unknown component keys"):
+            load_system(json.dumps(doc))
+
+    def test_missing_component_key_is_zero(self):
+        doc = json.loads(normal_form_doc())
+        del doc["X"]["cy"]
+        assert load_system(json.dumps(doc)).X.cy == Poly3.zero()
+
     def test_round_trip_bitwise(self):
         system = load_system(normal_form_doc(alpha=-0.1234567890123456))
         text = serialize_system(system)
