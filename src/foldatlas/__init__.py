@@ -29,11 +29,12 @@ from .foldfold import (
     VerdictKind,
     demelo_palis,
     foldfold_report,
+    foldfold_sliding_linearization,
     make_parameters,
     moduli_info,
-    normal_parameters,
     parabolic_transversality,
     return_map_analysis,
+    sliding_region_class,
     surface_point_report,
 )
 from .integrator import (
@@ -56,12 +57,7 @@ from .sigma import (
     tangency_curves,
     tangency_type,
 )
-from .sliding import (
-    SlidingRegionTag,
-    foldfold_sliding_linearization,
-    normalized_sliding_field,
-    sliding_region_class,
-)
+from .sliding import SlidingRegionTag, normalized_sliding_field
 from .system import (
     Box,
     PiecewiseSystem,

@@ -23,10 +23,12 @@ from .foldfold import (
     EigvecLocation,
     FixedPointClass,
     demelo_palis,
+    foldfold_sliding_linearization,
     make_parameters,
     parabolic_transversality,
     report_from_params,
     return_map_analysis,
+    sliding_region_class,
     surface_point_report,
 )
 from .integrator import (
@@ -39,12 +41,7 @@ from .integrator import (
     filippov_trajectory,
 )
 from .sigma import FoldFoldSubtype, SigmaKind, classify_point
-from .sliding import (
-    SlidingRegionTag,
-    foldfold_sliding_linearization,
-    normalized_sliding_field,
-    sliding_region_class,
-)
+from .sliding import SlidingRegionTag, normalized_sliding_field
 from .algebra import Poly3, VectorField3
 from .system import DEFAULT_BOX, Box, PiecewiseSystem, build_normal_form
 
@@ -950,11 +947,9 @@ def check_system(system, point, seed=0):
     if two_fold is None:
         return [CheckResult("two-fold classification", False, 1.0, 0.0, detail)]
 
-    sub = two_fold.params.subtype
-    visible = {
-        "X": sub in (FoldFoldSubtype.VISIBLE_VISIBLE, FoldFoldSubtype.VISIBLE_INVISIBLE),
-        "Y": sub in (FoldFoldSubtype.VISIBLE_VISIBLE, FoldFoldSubtype.INVISIBLE_VISIBLE),
-    }
+    params = two_fold.params
+    sub = params.subtype
+    visible = {"X": params.delta > 0, "Y": params.gamma < 0}
     skipped = [f"{side}-fold {'involution' if visible[side] else 'non-return'}" for side in "XY"]
     if sub is not FoldFoldSubtype.INVISIBLE:
         skipped += ["return-map determinant", "return-map trace vs normal parameters"]

@@ -10,7 +10,10 @@ sign of the second derivative along X and gamma carries the sign of the one
 along Y.  All verdicts are invariant under the residual rescaling
 (alpha, beta, gamma) -> (e*alpha, e*beta, e^2*gamma), e > 0.  Sides within
 the fixed relative band ``sliding.BOUNDARY_BAND`` of each other count as equal.
-``surface_point_report`` is the one classification pass at a surface point.
+Only this module reads a ``NormalParameters`` record: the subtype dispatch to
+``sliding``'s region predicates on plain numbers and the one mirror live here.
+``surface_point_report`` is the one classification pass at a surface point,
+and the one route from a point to its normal parameters.
 """
 
 from __future__ import annotations
@@ -33,16 +36,15 @@ from .sigma import (
     classify_point,
     default_tolerance,
     subtype_from_signs,
-    tangency_type,
 )
 from .sliding import (
     BOUNDARY_BAND,
     SlidingRegionTag,
-    mirror_visible_invisible,
+    classify_elliptic_region,
+    classify_hyperbolic_region,
     near,
     normalized_sliding_field,
     parabolic_cell,
-    sliding_region_class,
 )
 
 # Largest denominator of a reported tau/pi convergent.
@@ -74,8 +76,8 @@ def make_parameters(alpha, beta, gamma, delta):
     return NormalParameters(float(alpha), float(beta), float(gamma), float(delta))
 
 
-def normal_parameters(system, point):
-    """Extract normal parameters of a two-fold point of an arbitrary system.
+def _two_fold_parameters(system, point, info):
+    """Normal parameters at a point already refined to the fold-fold ``info``.
 
     Time-rescaling each field so both second derivatives have unit size
     gives ``alpha = XYf / sqrt(|X2f| |Y2f|)``,
@@ -85,16 +87,6 @@ def normal_parameters(system, point):
     rescaled representative, and every downstream verdict is invariant under
     that rescaling.
     """
-    info = tangency_type(system, point)
-    if info.ttype is not TangencyType.FOLD_FOLD:
-        raise PreconditionError(
-            f"not a two-fold point: tangency type is {info.ttype.value} ({info.detail})"
-        )
-    return _two_fold_parameters(system, point, info)
-
-
-def _two_fold_parameters(system, point, info):
-    """Normal parameters at a point already refined to the fold-fold ``info``."""
     x2 = system.x2f.eval_at(point)
     y2 = system.y2f.eval_at(point)
     denom = math.sqrt(abs(x2) * abs(y2))
@@ -112,11 +104,41 @@ def _two_fold_parameters(system, point, info):
 
 
 def mirror_parameters(params):
-    """Invisible-visible representative of a visible-invisible point."""
+    """Invisible-visible representative of a visible-invisible point under
+    the (x, y) swap and z flip, which exchanges the roles of the two fields."""
     if params.subtype is not FoldFoldSubtype.VISIBLE_INVISIBLE:
         raise PreconditionError("mirror applies to visible-invisible points")
-    a, b, g = mirror_visible_invisible(params.alpha, params.beta, params.gamma)
-    return NormalParameters(a, b, g, -1.0)
+    r = math.sqrt(params.gamma)
+    return NormalParameters(-params.beta / r, params.alpha / r, -1.0, -1.0)
+
+
+def _region_cell(params):
+    """``(core, cell)`` of a two-fold: ``core`` is ``params`` or, at a
+    visible-invisible point, its mirror; ``cell`` is the region tag read from
+    it, or None in the open parabolic wedge that no region covers."""
+    sub = params.subtype
+    if sub is FoldFoldSubtype.INVISIBLE:
+        return params, classify_elliptic_region(params.alpha, params.beta, params.gamma)
+    if sub is FoldFoldSubtype.VISIBLE_VISIBLE:
+        return params, classify_hyperbolic_region(params.alpha, params.beta, params.gamma)
+    core = mirror_parameters(params) if sub is FoldFoldSubtype.VISIBLE_INVISIBLE else params
+    return core, parabolic_cell(core.alpha, core.beta, core.gamma)
+
+
+def sliding_region_class(params):
+    """Parameter-space region of the sliding dynamics at a two-fold point;
+    the parabolic wedge that no region covers is a BIFURCATION_BOUNDARY."""
+    return _region_cell(params)[1] or SlidingRegionTag.BIFURCATION_BOUNDARY
+
+
+def foldfold_sliding_linearization(params):
+    """Linear part of the normalized sliding field at a two-fold point.
+
+    In normal coordinates this is ``[[alpha, -delta*gamma], [1, -delta*beta]]``
+    acting on (x, y).
+    """
+    a, b, g, d = params.alpha, params.beta, params.gamma, params.delta
+    return np.array([[a, -d * g], [1.0, -d * b]])
 
 
 # ---------------------------------------------------------------------------
@@ -517,26 +539,31 @@ def report_from_params(params):
     immutable by convention): region, verdict and, at a T-singularity, the
     return-map analysis, each computed once; moduli are computed when first
     read.  A visible-invisible point is mirrored once, for region and verdict."""
+    core, cell = _region_cell(params)
+    region = cell or SlidingRegionTag.BIFURCATION_BOUNDARY
     sub = params.subtype
     analysis = None
     if sub is FoldFoldSubtype.INVISIBLE:
-        region = sliding_region_class(params)
         analysis = return_map_analysis(params)
         verdict = _tsingularity_verdict(params, analysis)
     elif sub is FoldFoldSubtype.VISIBLE_VISIBLE:
-        region = sliding_region_class(params)
         verdict = _visible_verdict(region)
     else:
-        core = mirror_parameters(params) if sub is FoldFoldSubtype.VISIBLE_INVISIBLE else params
-        cell = parabolic_cell(core.alpha, core.beta, core.gamma)
-        region = cell or SlidingRegionTag.BIFURCATION_BOUNDARY
         verdict = _parabolic_core_verdict(core, cell)
     return FoldFoldReport(params, region, verdict, analysis)
 
 
 def foldfold_report(system, point):
-    """Full two-fold report for a surface point of a concrete system."""
-    return report_from_params(normal_parameters(system, point))
+    """Two-fold report of a surface point of a concrete system: the
+    ``foldfold`` part of ``surface_point_report``.  Raises PreconditionError,
+    naming the point's kind or tangency type, where it is no two-fold."""
+    surface = surface_point_report(system, point)
+    if surface.foldfold is None:
+        info = surface.tangency
+        what = (f"tangency type is {info.ttype.value} ({info.detail})" if info is not None
+                else f"kind is {surface.classification.kind.value}")
+        raise PreconditionError(f"not a two-fold point: {what}")
+    return surface.foldfold
 
 
 @dataclass

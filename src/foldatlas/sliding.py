@@ -6,8 +6,11 @@ Xf)``; the integrator writes it out inline in its sliding kernel.  Its
 polynomial numerator, the normalized sliding field, shares phase portraits
 with it, up to orientation on the unstable-sliding side, and is the object
 the region classifications and the surface-point verdicts evaluate on.
-Region boundaries are decided within the one fixed relative band
-``BOUNDARY_BAND``.
+
+The region predicates take plain numbers (alpha, beta, gamma) of one
+subtype each; choosing the predicate from a two-fold's subtype, and
+mirroring a visible-invisible point first, is ``foldfold``'s.  Region
+boundaries are decided within the one fixed relative band ``BOUNDARY_BAND``.
 """
 
 from __future__ import annotations
@@ -19,8 +22,6 @@ from enum import Enum
 import numpy as np
 
 from .algebra import Poly3
-from .errors import PreconditionError
-from .sigma import FoldFoldSubtype
 
 
 @dataclass
@@ -58,18 +59,6 @@ def normalized_sliding_field(system):
         px=yf * system.X.cx.subs_z0() - xf * system.Y.cx.subs_z0(),
         py=yf * system.X.cy.subs_z0() - xf * system.Y.cy.subs_z0(),
     )
-
-
-def foldfold_sliding_linearization(params):
-    """Linear part of the normalized sliding field at a two-fold point.
-
-    In normal coordinates this is ``[[alpha, -delta*gamma], [1, -delta*beta]]``
-    acting on (x, y).
-    """
-    a, b, g, d = params.alpha, params.beta, params.gamma, params.delta
-    if g == 0.0 or d not in (-1, 1, -1.0, 1.0):
-        raise PreconditionError("invalid normal parameters")
-    return np.array([[a, -d * g], [1.0, -d * b]])
 
 
 # ---------------------------------------------------------------------------
@@ -171,30 +160,3 @@ def parabolic_cell(alpha, beta, gamma):
             return None
         return SlidingRegionTag.RP3 if alpha + beta > 0.0 else SlidingRegionTag.RP4
     return SlidingRegionTag.BIFURCATION_BOUNDARY
-
-
-def mirror_visible_invisible(alpha, beta, gamma):
-    """Map visible-invisible parameters (gamma > 0) to the invisible-visible
-    representative obtained by swapping (x, y) and flipping z.
-
-    The swap exchanges the roles of the two fields, so the classification of
-    a visible-invisible point delegates to the mirrored triple.
-    """
-    if gamma <= 0.0:
-        raise PreconditionError("visible-invisible parameters need gamma > 0")
-    r = math.sqrt(gamma)
-    return (-beta / r, alpha / r, -1.0)
-
-
-def sliding_region_class(params):
-    """Parameter-space region of the sliding dynamics at a two-fold point;
-    the parabolic wedge that no region covers is a BIFURCATION_BOUNDARY."""
-    a, b, g = params.alpha, params.beta, params.gamma
-    sub = params.subtype
-    if sub is FoldFoldSubtype.INVISIBLE:
-        return classify_elliptic_region(a, b, g)
-    if sub is FoldFoldSubtype.VISIBLE_VISIBLE:
-        return classify_hyperbolic_region(a, b, g)
-    if sub is FoldFoldSubtype.VISIBLE_INVISIBLE:
-        a, b, g = mirror_visible_invisible(a, b, g)
-    return parabolic_cell(a, b, g) or SlidingRegionTag.BIFURCATION_BOUNDARY

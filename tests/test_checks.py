@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from foldatlas import checks, foldfold, integrator, sigma
+from foldatlas import checks, foldfold, integrator
 from foldatlas.algebra import Poly3, VectorField3
 from foldatlas.errors import IntegrationFailure
 from foldatlas.integrator import (
@@ -327,17 +327,18 @@ class TestSystemRows:
     ])
     def test_wrong_visibility_fails_a_numeric_row(self, monkeypatch, flip, sign, delta,
                                                   failing):
-        # the whole closed-form route reports one fold with the wrong
-        # visibility, so the classification agrees with itself and only the
-        # numeric rows can see it
-        real = sigma.subtype_from_signs
-        signs = {"X": (-1.0, 1.0), "Y": (1.0, -1.0)}[flip]
+        # the two-fold's record carries one fold's second-derivative sign
+        # flipped, so the whole closed-form route reports that fold with the
+        # wrong visibility, the classification agrees with itself and only
+        # the numeric rows can see it
+        real = foldfold._two_fold_parameters
 
-        def wrong(x2, y2):
-            return real(signs[0] * x2, signs[1] * y2)
+        def wrong(system, point, info):
+            p = real(system, point, info)
+            gamma, delta = (p.gamma, -p.delta) if flip == "X" else (-p.gamma, p.delta)
+            return foldfold.NormalParameters(p.alpha, p.beta, gamma, delta)
 
-        monkeypatch.setattr(sigma, "subtype_from_signs", wrong)
-        monkeypatch.setattr(foldfold, "subtype_from_signs", wrong)
+        monkeypatch.setattr(foldfold, "_two_fold_parameters", wrong)
         results = checks.check_system(build_normal_form(0.3, 0.5, sign, delta), (0.0, 0.0, 0.0))
         assert results[0].passed
         assert not _by_name(results, failing).passed

@@ -13,11 +13,11 @@ from foldatlas.foldfold import (
     FixedPointClass,
     make_parameters,
     return_map_analysis,
+    sliding_region_class,
     surface_point_report,
 )
 from foldatlas.integrator import filippov_trajectory
 from foldatlas.sigma import FoldFoldSubtype
-from foldatlas.sliding import sliding_region_class
 from foldatlas.system import PiecewiseSystem, build_normal_form, load_system, serialize_system
 
 
@@ -357,7 +357,8 @@ class TestSimulate:
         assert rc == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
-        doc = json.loads(open(const_file, encoding="utf-8").read())
+        with open(const_file, encoding="utf-8") as fh:
+            doc = json.load(fh)
         doc["box"] = [float(v) for v in box.split(",")]
         with pytest.raises(EmptyBoxError, match=re.escape(message)):
             load_system(json.dumps(doc))

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from foldatlas import checks, foldfold, sigma
+from foldatlas import checks, foldfold, sigma, sliding
 from foldatlas.algebra import Poly3, VectorField3
 from foldatlas.errors import IntegrationFailure, PreconditionError
 from foldatlas.foldfold import (
@@ -14,10 +14,10 @@ from foldatlas.foldfold import (
     NormalParameters,
     VerdictKind,
     demelo_palis,
+    foldfold_report,
     make_parameters,
     mirror_parameters,
     moduli_info,
-    normal_parameters,
     parabolic_transversality,
     report_from_params,
     return_map_analysis,
@@ -26,20 +26,20 @@ from foldatlas.foldfold import (
 )
 from foldatlas.integrator import FlightStatus, fold_map_numeric, jacobian_numeric
 from foldatlas.sigma import FoldFoldSubtype, SigmaKind, classify_point
-from foldatlas.sliding import BOUNDARY_BAND, SlidingRegionTag, mirror_visible_invisible, near
+from foldatlas.sliding import BOUNDARY_BAND, SlidingRegionTag, near
 from foldatlas.system import PiecewiseSystem, build_normal_form
 
 
 class TestNormalParameterExtraction:
     def test_exact_round_trip(self):
         system = build_normal_form(-1.0, -1.0, 1.0, -1.0)
-        p = normal_parameters(system, (0.0, 0.0, 0.0))
+        p = foldfold_report(system, (0.0, 0.0, 0.0)).params
         assert (p.alpha, p.beta, p.gamma, p.delta) == (-1.0, -1.0, 1.0, -1.0)
         assert p.subtype is FoldFoldSubtype.INVISIBLE
 
     def test_gamma_rescaling(self):
         system = build_normal_form(-1.0, -1.0, 0.5, -1.0)
-        p = normal_parameters(system, (0.0, 0.0, 0.0))
+        p = foldfold_report(system, (0.0, 0.0, 0.0)).params
         assert p.alpha == pytest.approx(-math.sqrt(2.0), rel=1e-14)
         assert p.beta == pytest.approx(-math.sqrt(2.0), rel=1e-14)
         assert p.gamma == 1.0
@@ -50,7 +50,7 @@ class TestNormalParameterExtraction:
 
     def test_visible_visible(self):
         system = build_normal_form(1.0, -1.0, -1.0, 1.0)
-        p = normal_parameters(system, (0.0, 0.0, 0.0))
+        p = foldfold_report(system, (0.0, 0.0, 0.0)).params
         assert (p.alpha, p.beta, p.gamma, p.delta) == (1.0, -1.0, -1.0, 1.0)
         assert p.subtype is FoldFoldSubtype.VISIBLE_VISIBLE
 
@@ -68,7 +68,7 @@ class TestNormalParameterExtraction:
                        [[1, 1, 0], float(rng.uniform(-0.5, 0.5))]],
             }
             system = build_normal_form(a, b, g, d, hot=hot)
-            p = normal_parameters(system, (0.0, 0.0, 0.0))
+            p = foldfold_report(system, (0.0, 0.0, 0.0)).params
             assert p.alpha == pytest.approx(a, abs=1e-10)
             assert p.beta == pytest.approx(b, abs=1e-10)
             assert p.gamma == g
@@ -77,7 +77,7 @@ class TestNormalParameterExtraction:
     def test_rejects_non_two_fold(self):
         system = build_normal_form(-1.0, -1.0, 1.0, -1.0)
         with pytest.raises(PreconditionError):
-            normal_parameters(system, (0.5, 0.5, 0.0))
+            foldfold_report(system, (0.5, 0.5, 0.0))
 
 
 # (delta, sign gamma) of each subtype
@@ -124,7 +124,7 @@ class TestSubtypeDerivation:
         d, sg = _SUBTYPE_SIGNS[subtype]
         system = build_normal_form(0.3, 0.5, sg, d)
         with pytest.raises(PreconditionError, match="disagrees"):
-            normal_parameters(system, (0.0, 0.0, 0.0))
+            foldfold_report(system, (0.0, 0.0, 0.0))
         with pytest.raises(PreconditionError, match="disagrees"):
             surface_point_report(system, (0.0, 0.0, 0.0))
 
@@ -432,6 +432,26 @@ class TestVerdicts:
         kinds = {report_from_params(p).verdict.kind for p in (params, mirrored)}
         assert len(kinds) == 1
 
+    @pytest.mark.parametrize("subtype", [s for s in _SUBTYPE_SIGNS
+                                         if s is not FoldFoldSubtype.VISIBLE_INVISIBLE])
+    def test_mirror_rejects_other_subtypes(self, subtype):
+        d, sg = _SUBTYPE_SIGNS[subtype]
+        with pytest.raises(PreconditionError, match="visible-invisible"):
+            mirror_parameters(make_parameters(1.0, -2.0, 4.0 * sg, d))
+
+    def test_saddle_eigenvector_on_the_tangency_set(self):
+        # alpha*beta of order 1e-4 puts the expanding direction within the
+        # band of the x axis; twice that beta leaves it in sliding
+        report = report_from_params(make_parameters(1e7, -1e-11, 1.0, -1.0))
+        assert report.analysis.fixed_point_class is FixedPointClass.SADDLE
+        assert report.analysis.location_expanding is EigvecLocation.ON_TANGENCY
+        assert report.verdict.kind is VerdictKind.BOUNDARY_DEGENERATE
+        assert report.verdict.witness == "saddle eigenvector on the tangency set"
+        report = report_from_params(make_parameters(1e7, -2e-11, 1.0, -1.0))
+        assert report.analysis.location_expanding is EigvecLocation.IN_SLIDING
+        assert report.verdict.kind is VerdictKind.UNSTABLE
+        assert report.verdict.reason.kind is InstabilityReason.INVARIANT_MANIFOLD_IN_SLIDING
+
 
 def _band_region(a, b, g):
     """Parabolic region by the rules that evaluate every boundary band first."""
@@ -525,7 +545,8 @@ class TestBoundaryBandDecisions:
         for a, b, g in _band_points():
             params = _band_params(a, b, g, mirrored)
             if mirrored:
-                core = mirror_visible_invisible(params.alpha, params.beta, params.gamma)
+                m = mirror_parameters(params)
+                core = (m.alpha, m.beta, m.gamma)
             else:
                 core = (a, b, g)
             report = report_from_params(params)
@@ -656,6 +677,29 @@ class TestSystemLevelVerdicts:
         assert counts["_gradient_det"] == 1
         assert counts["eval"] <= 18
 
+    @pytest.mark.parametrize("subtype", list(_SUBTYPE_SIGNS))
+    def test_foldfold_report_reads_the_surface_report(self, subtype):
+        d, sg = _SUBTYPE_SIGNS[subtype]
+        system = build_normal_form(0.3, 0.5, sg, d)
+        got = foldfold_report(system, (0.0, 0.0, 0.0))
+        want = surface_point_report(system, (0.0, 0.0, 0.0)).foldfold
+        assert got.params.subtype is subtype
+        assert (got.params, got.region, got.verdict) == (want.params, want.region, want.verdict)
+        if subtype is FoldFoldSubtype.INVISIBLE:
+            assert np.array_equal(got.analysis.matrix, want.analysis.matrix)
+            assert got.analysis.fixed_point_class is want.analysis.fixed_point_class
+        else:
+            assert got.analysis is want.analysis is None
+
+    @pytest.mark.parametrize("point,named", [
+        ((0.3, 0.0, 0.0), "tangency type is fold-regular"),
+        ((0.5, -0.5, 0.0), "kind is crossing"),
+        ((0.0, 0.0, 0.5), "not on the switching plane"),
+    ])
+    def test_foldfold_report_off_two_folds(self, ci_normal_form, point, named):
+        with pytest.raises(PreconditionError, match=named):
+            foldfold_report(ci_normal_form, point)
+
     def test_report_aggregation(self):
         report = report_from_params(make_parameters(-2.0, -1.0, 1.0, -1.0))
         assert report.region is SlidingRegionTag.RE1
@@ -726,6 +770,12 @@ class TestParabolicTransversality:
         c = parabolic_transversality(make_parameters(-1.0, 1.5, -1.0, -1.0))
         assert c.T_coeff == pytest.approx(0.0)
 
+    def test_visible_invisible_reads_its_mirror(self):
+        params = make_parameters(1.0, -2.0, 4.0, 1.0)
+        c = parabolic_transversality(params)
+        assert c == parabolic_transversality(mirror_parameters(params))
+        assert (c.D_coeff, c.T_coeff) == (-4.5, 4.0)
+
 
 class TestNumericDiagnostics:
     """The seed loop of criterion 8 on one stable T-singularity."""
@@ -793,3 +843,16 @@ class TestRouteIndependence:
                 imported.update(alias.name for alias in node.names)
         assert ".sigma" in imported
         assert not {".integrator", "integrator", "foldatlas.integrator"} & imported
+
+    def test_sliding_imports_only_algebra(self):
+        # The region predicates take plain numbers; reading a two-fold's
+        # record, its subtype and its mirror is foldfold's alone.
+        with open(sliding.__file__, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        package = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.level or "foldatlas" in (node.module or "")):
+                package.add("." * node.level + (node.module or ""))
+            elif isinstance(node, ast.Import):
+                package.update(a.name for a in node.names if a.name.startswith("foldatlas"))
+        assert package == {".algebra"}

@@ -4,16 +4,15 @@ import numpy as np
 import pytest
 
 from foldatlas.algebra import Poly3, VectorField3
-from foldatlas.foldfold import NormalParameters, make_parameters
-from foldatlas.integrator import _sliding_kernel
-from foldatlas.sliding import (
-    SlidingRegionTag,
+from foldatlas.foldfold import (
+    NormalParameters,
     foldfold_sliding_linearization,
-    mirror_visible_invisible,
-    normalized_sliding_field,
-    parabolic_cell,
+    make_parameters,
+    mirror_parameters,
     sliding_region_class,
 )
+from foldatlas.integrator import _sliding_kernel
+from foldatlas.sliding import SlidingRegionTag, normalized_sliding_field, parabolic_cell
 from foldatlas.sigma import FoldFoldSubtype
 from foldatlas.system import PiecewiseSystem, build_normal_form
 
@@ -169,10 +168,10 @@ class TestRegionClass:
         assert tag.claim.value == 8
 
     def test_visible_invisible_mirror(self):
-        a, b, g = mirror_visible_invisible(1.0, -2.0, 4.0)
-        assert (a, b, g) == (1.0, 0.5, -1.0)
-        tag = sliding_region_class(make_parameters(1.0, -2.0, 4.0, 1.0))
-        assert tag is sliding_region_class(make_parameters(a, b, g, -1.0))
+        params = make_parameters(1.0, -2.0, 4.0, 1.0)
+        m = mirror_parameters(params)
+        assert (m.alpha, m.beta, m.gamma, m.delta) == (1.0, 0.5, -1.0, -1.0)
+        assert sliding_region_class(params) is sliding_region_class(m)
 
     def test_region_follows_the_derived_subtype(self):
         # no subtype can be passed, so no region call sees one that
