@@ -113,16 +113,19 @@ def mirror_parameters(params):
 
 
 def _region_cell(params):
-    """``(core, cell)`` of a two-fold: ``core`` is ``params`` or, at a
-    visible-invisible point, its mirror; ``cell`` is the region tag read from
-    it, or None in the open parabolic wedge that no region covers."""
+    """``(core, cell, report)`` of a two-fold, from the one dispatch on its
+    subtype: ``core`` is ``params`` or, at a visible-invisible point, its
+    mirror; ``cell`` is the region tag read from it, or None in the open
+    parabolic wedge that no region covers; ``report(params, core, cell)``
+    builds the subtype's report."""
     sub = params.subtype
+    a, b, g = params.alpha, params.beta, params.gamma
     if sub is FoldFoldSubtype.INVISIBLE:
-        return params, classify_elliptic_region(params.alpha, params.beta, params.gamma)
+        return params, classify_elliptic_region(a, b, g), _tsingularity_report
     if sub is FoldFoldSubtype.VISIBLE_VISIBLE:
-        return params, classify_hyperbolic_region(params.alpha, params.beta, params.gamma)
+        return params, classify_hyperbolic_region(a, b, g), _visible_report
     core = mirror_parameters(params) if sub is FoldFoldSubtype.VISIBLE_INVISIBLE else params
-    return core, parabolic_cell(core.alpha, core.beta, core.gamma)
+    return core, parabolic_cell(core.alpha, core.beta, core.gamma), _parabolic_report
 
 
 def sliding_region_class(params):
@@ -539,18 +542,22 @@ def report_from_params(params):
     immutable by convention): region, verdict and, at a T-singularity, the
     return-map analysis, each computed once; moduli are computed when first
     read.  A visible-invisible point is mirrored once, for region and verdict."""
-    core, cell = _region_cell(params)
-    region = cell or SlidingRegionTag.BIFURCATION_BOUNDARY
-    sub = params.subtype
-    analysis = None
-    if sub is FoldFoldSubtype.INVISIBLE:
-        analysis = return_map_analysis(params)
-        verdict = _tsingularity_verdict(params, analysis)
-    elif sub is FoldFoldSubtype.VISIBLE_VISIBLE:
-        verdict = _visible_verdict(region)
-    else:
-        verdict = _parabolic_core_verdict(core, cell)
-    return FoldFoldReport(params, region, verdict, analysis)
+    core, cell, report = _region_cell(params)
+    return report(params, core, cell)
+
+
+def _tsingularity_report(params, core, cell):
+    analysis = return_map_analysis(params)
+    return FoldFoldReport(params, cell, _tsingularity_verdict(params, analysis), analysis)
+
+
+def _visible_report(params, core, cell):
+    return FoldFoldReport(params, cell, _visible_verdict(cell), None)
+
+
+def _parabolic_report(params, core, cell):
+    verdict = _parabolic_core_verdict(core, cell)
+    return FoldFoldReport(params, cell or SlidingRegionTag.BIFURCATION_BOUNDARY, verdict, None)
 
 
 def foldfold_report(system, point):

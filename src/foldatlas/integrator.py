@@ -15,20 +15,19 @@ plane event's interpolant root evaluates only its component; the sliding
 events evaluate the whole interpolated state.
 
 Every step is generated from one template over the tableau, on unpacked
-scalars with the sums in tableau order, and returns its scaled error norm
-rather than the error vector.  Only the stage evaluations vary; the
-kernels write the field out inline in each of them.  A polynomial field's
-kernel and the sliding field's kernel (X and Y at z = 0, with Xf and Yf
-their z-components) are compiled once per monomial shape into a bounded
+scalars with the sums in tableau order, and computes its scaled error norm
+rather than the error vector.  Only the stage evaluations vary; the code
+writes the field out inline in each of them.  The loop that drives the
+steps is generated around the same step body: step control, the event scan
+(the plane event as the new state's z, the sliding events as the last
+stage's Xf and Yf), the guard, under which a NaN state is outside, and the
+sample collection run inline, and the driver returns to Python only to
+locate a fired event or to stop.  The step kernel and the drivers of a
+polynomial field, and of the sliding field (X and Y at z = 0, with Xf and
+Yf their z-components), are compiled once per monomial shape into a bounded
 LRU and bind the coefficients from the same shape pass as the field's
-evaluator.  Free flights, their event refinement and the sliding phase all
-step through these kernels.
-
-The driver loop reads the plane event as the state component ``y_new[2]``,
-guards with closures over the box bounds, under which a NaN state is
-outside, and collects samples as parallel lists of times and state tuples,
-one array conversion each per segment.  A Filippov trajectory must start
-inside its box.
+evaluator; event refinement steps through the kernels.  A Filippov
+trajectory must start inside its box.
 
 The fold maps and the first-return map realized here are compared against
 their closed-form counterparts by the verification suites; nothing in this
@@ -107,6 +106,8 @@ class FlightResult:
     point: tuple | None = None
     time: float = 0.0
     event: str | None = None  # name of the event that fired, on HIT_SIGMA
+    accepted: int = 0  # steps the driver took that passed the error test
+    rejected: int = 0  # and those that failed it
 
     def ok(self):
         return self.status is FlightStatus.HIT_SIGMA
@@ -116,10 +117,12 @@ class FlightResult:
 # Core stepper
 
 
-def _step_lines(dim, stage):
-    """Body of one Dormand-Prince step on ``dim``-component states: from the
-    state ``s``, the step ``h`` and the first stage ``k1`` to ``return
-    (y_new, k_last, err_norm)``.
+def _step_body(dim, stage):
+    """Lines of one Dormand-Prince step on ``dim``-component states: from the
+    state ``y0, y1, ...``, its magnitudes ``a0, a1, ...``, the step ``h`` and
+    the first stage ``k10, k11, ...`` to the new state ``n0, n1, ...``, its
+    magnitudes ``b0, b1, ...``, its stage ``k70, k71, ...`` and the scaled
+    error norm ``err_norm``, with ``_LOCALS`` bound.
 
     ``stage(args, outs)`` gives the lines that set the names ``outs`` to the
     field at the state expressions ``args``; it is the only part that varies
@@ -135,29 +138,156 @@ def _step_lines(dim, stage):
     def weighted(row, i):
         return "h * (0.0" + "".join(f" + {w!r} * k{j + 1}{i}" for j, w in enumerate(row)) + ")"
 
-    def names(prefix):
-        return [f"{prefix}{i}" for i in comps]
-
-    lines = [f"{', '.join(names('y'))}, = s", f"{', '.join(names('k1'))}, = k1"]
+    lines = []
     for n, row in enumerate(_A, start=2):
-        lines += stage([f"y{i} + {weighted(row, i)}" for i in comps], names(f"k{n}"))
+        lines += stage([f"y{i} + {weighted(row, i)}" for i in comps], _names(f"k{n}", dim))
     lines += [f"n{i} = y{i} + {weighted(_B, i)}" for i in comps]
-    lines += stage(names("n"), names("k7"))
+    lines += stage(_names("n", dim), _names("k7", dim))
     for i in comps:
         lines += [
-            f"a = abs(y{i})",
-            f"b = abs(n{i})",
-            f"r{i} = {weighted(_E, i)} / (_ABS_TOL + _REL_TOL * (b if b > a else a))",
+            f"b{i} = abs(n{i})",
+            f"r{i} = {weighted(_E, i)} / (abs_tol + rel_tol * (b{i} if b{i} > a{i} else a{i}))",
         ]
     squares = " + ".join(f"r{i} * r{i}" for i in comps)
-    return lines + [
-        f"return ({', '.join(names('n'))},), ({', '.join(names('k7'))},), "
-        f"math.sqrt((0.0 + {squares}) / {dim})"
+    return lines + [f"err_norm = sqrt((0.0 + {squares}) / {dim})"]
+
+
+# Further names a step body reads, bound as locals once per kernel or driver call.
+_LOCALS = ["sqrt = math.sqrt", "abs_tol, rel_tol = _ABS_TOL, _REL_TOL"]
+
+
+def _names(prefix, dim):
+    return [f"{prefix}{i}" for i in range(dim)]
+
+
+def _seq(prefix, dim):
+    return ", ".join(_names(prefix, dim))
+
+
+def _step_lines(dim, stage):
+    """Body of the kernel ``step(s, h, k1) -> (y_new, k_last, err_norm)``."""
+    return [
+        f"{_seq('y', dim)}, = s",
+        f"{_seq('k1', dim)}, = k1",
+        *_LOCALS,
+        *(f"a{i} = abs(y{i})" for i in range(dim)),
+        *_step_body(dim, stage),
+        f"return ({_seq('n', dim)},), ({_seq('k7', dim)},), err_norm",
     ]
+
+
+def _drive_lines(dim, stage, params, events, guard, collect):
+    """Body of a driver around ``_step_body``, on the coefficients ``params``:
+    from the state ``s``, the horizon ``t_limit`` and the first step ``h0``
+    (falsy for the default) it steps until an event fires, the state leaves
+    its guard, the horizon passes or ``_MAX_STEPS`` attempts are spent, with
+    the decisions and arithmetic of the reference loop in
+    tests/test_integrator.py.  It returns ``(status, t, point, accepted,
+    rejected, bracket)``; on HIT_SIGMA the bracket is the step ``(y, k1,
+    y_new, k_last, h, fired)`` from ``(t, point)``, with one ``(index,
+    g_before, g_after)`` per fired event, for ``_fly`` to locate.
+
+    An event ``(value, arm_eps, sign)`` is the expression ``value(names)`` at
+    the state ``names``, which may also read what the last ``stage`` set.  It
+    arms once |g| exceeds ``arm_eps`` on the side ``sign`` (None for either),
+    which suppresses the trivial root at the start; armed, it fires on a sign
+    change, unarmed, on reaching the far side, so that an unresolvably
+    shallow arc ends at its crossing.  ``guard`` is ``(setup, inside)``, with
+    ``inside`` false for a NaN new state ``n0, n1, ...``.  With ``collect``
+    every accepted state, and a guard exit, is appended as ``(t, *state)`` to
+    ``samples``.  The clamps keep ``min``/``max``'s rule that the first
+    argument wins against NaN.
+    """
+    y, k1, n, k7 = (_seq(p, dim) for p in ("y", "k1", "n", "k7"))
+    setup, inside = guard
+
+    def arms(g, arm_eps, sign):
+        side = f" and ({sign} == 0 or {g} * {sign} > 0)" if sign else ""
+        return f"abs({g}) > {arm_eps}{side}"
+
+    def stop(status, when, state, uncounted=""):
+        return [f"    return FlightStatus.{status}, {when}, ({state},), "
+                f"steps{uncounted} - rejected, rejected, None"]
+
+    # the sample lines: look up the append, keep an accepted state, keep the
+    # state that left the guard
+    lookup, keep, left = (["keep = samples.append"], [f"keep((t, {y}))"],
+                          [f"    keep((t + h, {n}))"]) if collect else ([], [], [])
+    lines = [f"{''.join(f'{c}, ' for c in params)}= coefficients"] if params else []
+    lines += [setup, f"{y}, = s", *stage(_names("y", dim), _names("k1", dim)), *_LOCALS,
+              *(f"a{i} = abs(y{i})" for i in range(dim)), "t = 0.0",
+              "h = h0 if h0 else min(1e-4, 0.25 * t_limit)", "err_prev = 1.0",
+              "end_band = 1e-15 * max(1.0, t_limit)"]
+    for j, (value, arm_eps, sign) in enumerate(events):
+        lines += [f"last{j} = {value(_names('y', dim))}",
+                  f"armed{j} = {arms(f'last{j}', arm_eps, sign)}"]
+    lines += lookup + keep + ["steps = 0", "rejected = 0", "while True:"]
+    loop = [
+        "remaining = t_limit - t",
+        "if remaining <= end_band:",
+        *stop("TIME_OUT", "t", y),
+        "steps += 1",
+        "if steps > _MAX_STEPS:",
+        *stop("STEP_LIMIT", "t", y, " - 1"),
+        "if remaining < h:",
+        "    h = remaining",
+        "if h < 1e-15:",
+        *stop("TIME_OUT", "t", y, " - 1"),
+        *_step_body(dim, stage),
+        "if err_norm > 1.0:",
+        "    h *= max(0.2, 0.9 * err_norm ** -0.2)",
+        "    rejected += 1",
+        "    continue",
+    ]
+    for j, (value, arm_eps, sign) in enumerate(events):
+        loop += [
+            f"now{j} = {value(_names('n', dim))}",
+            f"if armed{j}:",
+            f"    fired{j} = last{j} * now{j} <= 0.0 and (last{j} != 0.0 or now{j} != 0.0)",
+            f"elif {arms(f'now{j}', arm_eps, sign)}:",
+            f"    armed{j} = True",
+            f"    fired{j} = False",
+            "else:",
+            f"    fired{j} = {f'now{j} * {sign} < 0' if sign else 'False'}",
+        ]
+    js = range(len(events))
+    fired = "".join(f"(fired{j}, {j}, last{j}, now{j}), " for j in js)
+    loop += [
+        f"if {' or '.join(f'fired{j}' for j in js)}:",
+        f"    fired = tuple((j, g0, g1) for hit, j, g0, g1 in ({fired}) if hit)",
+        f"    return FlightStatus.HIT_SIGMA, t, ({y},), steps - rejected, rejected, "
+        f"(({y},), ({k1},), ({n},), ({k7},), h, fired)",
+        *(f"last{j} = now{j}" for j in js),
+        f"if not ({inside}):",
+        *left,
+        *stop("LEFT_BOX", "t + h", n),
+        "t += h",
+        f"{y} = {n}",
+        f"{_seq('a', dim)} = {_seq('b', dim)}",
+        f"{k1} = {k7}",
+        *keep,
+        # PI controller on the accepted step, its factor clamped to [0.2, 5].
+        "if err_norm > 0:",
+        "    factor = 0.9 * err_norm ** -0.14 * err_prev ** 0.08",
+        "    h *= (factor if factor < 5.0 else 5.0) if factor > 0.2 else 0.2",
+        "else:",
+        "    h *= 5.0",
+        "err_prev = 1e-10 if err_norm < 1e-10 else err_norm",
+    ]
+    return lines + ["    " + line for line in loop]
 
 
 def _def(signature, body):
     return [f"def {signature}:"] + ["    " + line for line in body]
+
+
+def _bind(params, functions, names):
+    """``bind(c0, ..., cn)``, which defines the generated ``functions`` on the
+    coefficients, passed to the drivers as the tuple ``coefficients``, and
+    returns those called ``names``."""
+    body = [f"coefficients = ({''.join(f'{c}, ' for c in params)})", *functions,
+            f"return {', '.join(names)}"]
+    return _compile(_def(f"bind({', '.join(params)})", body), "bind")
 
 
 def _compile(lines, name):
@@ -168,12 +298,27 @@ def _compile(lines, name):
     return ns[name]
 
 
+# The return to the plane z = 0 from the side ``d``, armed past |z| = 1e-13,
+# and the guards: the cube of half-width ``radius`` around the start of a
+# fold flight, a trajectory's box and the box's slice z = 0.
+_PLANE = ((lambda s: s[2], "1e-13", "d"),)
+_CUBE = ("cx, cy, cz = s",
+         "abs(n0 - cx) <= radius and abs(n1 - cy) <= radius and abs(n2 - cz) <= radius")
+_BOX = ("xmin, xmax, ymin, ymax, zmin, zmax = box",
+        "xmin <= n0 <= xmax and ymin <= n1 <= ymax and zmin <= n2 <= zmax")
+_SLICE = (_BOX[0], "xmin <= n0 <= xmax and ymin <= n1 <= ymax and zmin <= 0.0 <= zmax")
+
+
 @functools.lru_cache(maxsize=512)
 def _flight_factory(shapes):
-    """``bind(c0, ..., cn) -> step(y, h, k1)`` for a polynomial field of the
-    component ``shapes``: the field is written out inline in every stage.  A
-    stage sets only the coordinates that some monomial reads; the others
-    would be computed and dropped."""
+    """``bind(c0, ..., cn) -> (step, to_sigma, in_box)`` for a polynomial
+    field of the component ``shapes``: the field is written out inline in
+    every stage.  A stage sets only the coordinates that some monomial reads;
+    the others would be computed and dropped.  ``step(s, h, k1)`` is one
+    step; the drivers fly to the plane, ``to_sigma(s, t_limit, h0, d,
+    radius)`` in the cube around ``s`` and ``in_box(s, t_limit, h0, d, box,
+    samples)`` in ``box`` as ``(xmin, xmax, ..., zmax)``, collecting samples.
+    """
     params, exprs = shape_source(shapes)
     read = [any(e[i] for shape in shapes for e in shape) for i in range(3)]
 
@@ -181,16 +326,26 @@ def _flight_factory(shapes):
         sets = [f"{v} = {a}" for v, a, r in zip("xyz", args, read) if r]
         return sets + [f"{o} = {e}" for o, e in zip(outs, exprs)]
 
-    step = _def("step(s, h, k1)", _step_lines(3, stage))
-    return _compile(_def(f"bind({', '.join(params)})", step + ["return step"]), "bind")
+    return _bind(params, [
+        *_def("step(s, h, k1)", _step_lines(3, stage)),
+        *_def("to_sigma(s, t_limit, h0, d, radius)",
+              _drive_lines(3, stage, params, _PLANE, _CUBE, False)),
+        *_def("in_box(s, t_limit, h0, d, box, samples)",
+              _drive_lines(3, stage, params, _PLANE, _BOX, True)),
+    ], ["step", "to_sigma", "in_box"])
 
 
 @functools.lru_cache(maxsize=512)
 def _sliding_factory(shapes):
-    """``bind(c0, ..., cn) -> (field(x, y), step(y, h, k1))`` for the sliding
-    field of X and Y, whose component ``shapes`` come in that order: the
-    combination ``((Yf*X0 - Xf*Y0)/den, (Yf*X1 - Xf*Y1)/den)``, den = Yf -
-    Xf, of X and Y at z = 0, written out inline."""
+    """``bind(c0, ..., cn) -> (field(x, y), step(y, h, k1), slide)`` for the
+    sliding field of X and Y, whose component ``shapes`` come in that order:
+    the combination ``((Yf*X0 - Xf*Y0)/den, (Yf*X1 - Xf*Y1)/den)``, den = Yf
+    - Xf, of X and Y at z = 0, written out inline.  ``slide(s, t_limit, h0,
+    box, tol, arm, samples)`` drives the sliding phase in the slice z = 0 of
+    ``box``, collecting samples, to the first of three events read off the
+    last stage: ``sx`` (Xf = 0) and ``sy`` (Yf = 0), armed past ``arm``, and
+    ``den`` (Yf - Xf - tol = 0).
+    """
     params, (x0, x1, xf, y0, y1, yf) = shape_source(shapes)
 
     def stage(args, outs):
@@ -201,63 +356,46 @@ def _sliding_factory(shapes):
             f"{u} = (qf * p0 - pf * q0) / den", f"{v} = (qf * p1 - pf * q1) / den",
         ]
 
-    evaluator = _def("field(x, y)", ["z = 0.0", *stage(["x", "y"], ["u", "v"]), "return (u, v)"])
-    step = _def("step(s, h, k1)", ["z = 0.0", *_step_lines(2, stage)])
-    bind = _def(f"bind({', '.join(params)})", evaluator + step + ["return field, step"])
-    return _compile(bind, "bind")
+    events = ((lambda s: "pf", "arm", None), (lambda s: "qf", "arm", None),
+              (lambda s: "den - tol", "0.0", None))
+    return _bind(params, [
+        *_def("field(x, y)", ["z = 0.0", *stage(["x", "y"], ["u", "v"]), "return (u, v)"]),
+        *_def("step(s, h, k1)", ["z = 0.0", *_step_lines(2, stage)]),
+        *_def("slide(s, t_limit, h0, box, tol, arm, samples)",
+              ["z = 0.0", *_drive_lines(2, stage, params, events, _SLICE, True)]),
+    ], ["field", "step", "slide"])
 
 
 def _flight_kernel(field):
-    """The step kernel of a polynomial field, cached on it."""
+    """``(step, to_sigma, in_box)`` of a polynomial field, cached on it."""
     return field.kernel(_flight_factory)
 
 
 def _sliding_kernel(system):
-    """``(field, step)`` of the sliding field of ``system`` on z = 0."""
+    """``(field, step, slide)`` of the sliding field of ``system`` on z = 0."""
     (x_shapes, x_coeffs), (y_shapes, y_coeffs) = system.X.shape(), system.Y.shape()
     return _sliding_factory(x_shapes + y_shapes)(*x_coeffs, *y_coeffs)
 
 
+@dataclass(slots=True)
 class _Event:
-    """Terminal event g(y) = 0 detected by sign change between steps.
+    """Terminal event g(y) = 0 as the locator sees it: ``last`` is g at the
+    start of the step that fired it, ``expected_sign`` the side it arms on
+    (0 for either).  ``component``, when set, says that g is that state
+    component alone: the interpolant root evaluates only it, and the locator
+    polishes by Newton steps whose slope dg/dt is that component of the
+    field.  Other events polish by secant steps."""
 
-    Arming suppresses the trivial root at the start of a flight: the event
-    only fires after |g| once exceeded ``arm_eps`` (with the sign of
-    ``expected_sign`` when given).  For excursions whose peak |g| stays below
-    the arming threshold, a value on the far side (opposite to
-    ``expected_sign``) still fires, so unresolvably shallow arcs terminate at
-    the correct crossing instead of escaping.
-
-    ``component``, when set, says that g is that state component alone: the
-    interpolant root evaluates only it, and the locator polishes by Newton
-    steps whose slope dg/dt is that component of the field.  Other events
-    polish by secant steps.
-    """
-
-    __slots__ = ("name", "fn", "arm_eps", "expected_sign", "component", "armed", "last")
-
-    def __init__(self, name, fn, arm_eps, expected_sign=0, component=None):
-        self.name = name
-        self.fn = fn
-        self.arm_eps = arm_eps
-        self.expected_sign = expected_sign
-        self.component = component
-        self.armed = False
-        self.last = 0.0
-
-    def observe_initial(self, y):
-        self.last = v = self.fn(y)
-        self.armed = abs(v) > self.arm_eps and (
-            self.expected_sign == 0 or v * self.expected_sign > 0
-        )
-
-
-_Z = itemgetter(2)  # the plane event's value at a state
+    name: str
+    fn: object
+    expected_sign: int = 0
+    component: int | None = None
+    last: float = 0.0
 
 
 def _sigma_event(direction):
     """Return to the plane z = 0 from the half-space of sign ``direction``."""
-    return _Event("sigma", _Z, arm_eps=1e-13, expected_sign=direction, component=2)
+    return _Event("sigma", itemgetter(2), expected_sign=direction, component=2)
 
 
 def _eval_within_step(f, step, y_left, k_left, dt, depth=0):
@@ -392,100 +530,27 @@ def _refine_event(f, step, event, y_left, k_left, y_right, k_right, h, g_right):
     return best
 
 
-def _integrate(f, step, y0, events, t_limit, outside=None, h0=None, collect=None):
-    """Drive the kernel ``step`` of the field ``f`` until an event, a guard
-    violation, or the horizon; ``collect`` is a pair of lists ``(times,
-    states)`` or None.  The clamps
-    keep ``min``/``max``'s NaN rule: the first argument wins against NaN."""
-    y = tuple(map(float, y0))
-    k1 = f(*y)
-    t = 0.0
-    h = h0 if h0 else min(1e-4, 0.25 * t_limit)
-    err_prev = 1.0
-    end_band = 1e-15 * max(1.0, t_limit)
-    for ev in events:
-        ev.observe_initial(y)
-    if collect is not None:
-        times, states = collect
-        times.append(t)
-        states.append(y)
-    steps = 0
-    while True:
-        remaining = t_limit - t
-        if remaining <= end_band:
-            return FlightResult(FlightStatus.TIME_OUT, y, t)
-        steps += 1
-        if steps > _MAX_STEPS:
-            return FlightResult(FlightStatus.STEP_LIMIT, y, t)
-        if remaining < h:
-            h = remaining
-        if h < 1e-15:
-            return FlightResult(FlightStatus.TIME_OUT, y, t)
-        y_new, k_last, err_norm = step(y, h, k1)
-        if err_norm > 1.0:
-            h *= max(0.2, 0.9 * err_norm ** -0.2)
-            continue
-        # Event scan on the accepted step: an armed event fires on a sign
-        # change, an unarmed one on a shallow arc that reached the far side.
-        hit = None
-        for ev in events:
-            i = ev.component
-            v = ev.fn(y_new) if i is None else y_new[i]
-            if ev.armed:
-                crossed = ev.last * v <= 0.0 and (ev.last != 0.0 or v != 0.0)
-            elif abs(v) > ev.arm_eps and (ev.expected_sign == 0 or v * ev.expected_sign > 0):
-                ev.armed = True
-                crossed = False
-            else:
-                crossed = v * ev.expected_sign < 0
-            if crossed:
-                found = _refine_event(f, step, ev, y, k1, y_new, k_last, h, v)
-                if hit is None or found[0] < hit[1]:
-                    hit = (ev, found[0], found[1])
-            ev.last = v
-        if hit is not None:
-            ev, dt, y_ev = hit
-            t_ev = t + dt
-            if collect is not None:
-                times.append(t_ev)
-                states.append(y_ev)
-            return FlightResult(FlightStatus.HIT_SIGMA, y_ev, t_ev, ev.name)
-        if outside is not None and outside(y_new):
-            if collect is not None:
-                times.append(t + h)
-                states.append(y_new)
-            return FlightResult(FlightStatus.LEFT_BOX, y_new, t + h)
-        t += h
-        y = y_new
-        k1 = k_last
-        if collect is not None:
-            times.append(t)
-            states.append(y)
-        # PI controller on the accepted step, its factor clamped to [0.2, 5].
-        if err_norm > 0:
-            factor = 0.9 * err_norm ** -0.14 * err_prev ** 0.08
-            h *= (factor if factor < 5.0 else 5.0) if factor > 0.2 else 0.2
-        else:
-            h *= 5.0
-        err_prev = 1e-10 if err_norm < 1e-10 else err_norm
+def _fly(f, step, events, drive, *args):
+    """Run the generated driver ``drive(*args)`` and, when it stops on a
+    fired event, locate every event that fired on the step with the kernel
+    ``step`` of the field ``f``; the earliest one wins."""
+    status, t, point, accepted, rejected, bracket = drive(*args)
+    if bracket is None:
+        return FlightResult(status, point, t, None, accepted, rejected)
+    y, k1, y_new, k_last, h, fired = bracket
+    hit = None
+    for j, last, g in fired:
+        ev = events[j]
+        ev.last = last
+        found = _refine_event(f, step, ev, y, k1, y_new, k_last, h, g)
+        if hit is None or found[0] < hit[1]:
+            hit = (ev, found[0], found[1])
+    ev, dt, y_ev = hit
+    return FlightResult(status, y_ev, t + dt, ev.name, accepted, rejected)
 
 
 # ---------------------------------------------------------------------------
 # Flights to the switching plane
-
-
-def _guard_outside(center, radius):
-    cx, cy, cz = center
-
-    def outside(y):
-        # a negated "inside", so that a NaN component is outside
-        return not (
-            abs(y[0] - cx) <= radius
-            and abs(y[1] - cy) <= radius
-            and abs(y[2] - cz) <= radius
-        )
-
-    return outside
 
 
 def integrate_to_sigma(field, q0, direction, box=DEFAULT_BOX, h0=None):
@@ -508,11 +573,11 @@ def integrate_to_sigma(field, q0, direction, box=DEFAULT_BOX, h0=None):
         s2 = lie_derivative(field, field.cz).eval_at(q0)
         if s2 * direction < tol:
             return FlightResult(FlightStatus.NO_RETURN, time=0.0)
-    ev = _sigma_event(direction)
     radius = 1.5 * max(box.scale(), 1e-6)
-    start = (q0[0], q0[1], 0.0)
-    return _integrate(field.compiled(), _flight_kernel(field), start, [ev], t_limit=_MAX_TIME,
-                      outside=_guard_outside(start, radius), h0=h0)
+    step, to_sigma, _ = _flight_kernel(field)
+    start = (float(q0[0]), float(q0[1]), 0.0)
+    return _fly(field.compiled(), step, (_sigma_event(direction),), to_sigma,
+                start, _MAX_TIME, h0, direction, radius)
 
 
 def _fold_side(system, side):
@@ -666,17 +731,12 @@ def filippov_trajectory(system, p0, horizon, cfg=None):
         return rev
 
     tol = default_tolerance(system)
-    xmin, xmax, ymin, ymax, zmin, zmax = (cfg.box if cfg else system.box).as_tuple()
-
-    def outside_box(y):
-        return not (xmin <= y[0] <= xmax and ymin <= y[1] <= ymax and zmin <= y[2] <= zmax)
-
-    def outside_slice(y):  # a sliding state (x, y) on the plane z = 0
-        return not (xmin <= y[0] <= xmax and ymin <= y[1] <= ymax and zmin <= 0.0 <= zmax)
+    bounds = cfg.box if cfg else system.box
+    box = bounds.as_tuple()
 
     traj = Trajectory()
     p = (float(p0[0]), float(p0[1]), float(p0[2]))
-    if outside_box(p):
+    if not bounds.contains(p):
         raise PreconditionError(f"trajectory start {p} lies outside its box")
     if p[2] > tol:
         mode, stop = Mode.FLOW_PLUS, None
@@ -691,38 +751,33 @@ def filippov_trajectory(system, p0, horizon, cfg=None):
         return traj
 
     t_now = 0.0
-    xf_fn = system.xf.compiled()
-    yf_fn = system.yf.compiled()
-    sliding = None  # the sliding field and its kernel, bound on first use
+    sliding = None  # the sliding kernels and events, bound on first use
 
     while len(traj.segments) < _MAX_SEGMENTS:
         remaining = horizon - t_now
         if remaining <= 1e-14 * max(1.0, horizon):
             _append_marker(traj, t_now, p, mode, FlightStatus.TIME_OUT)
             break
+        samples = []
         if mode is Mode.SLIDING:  # on {z = 0}, with state (x, y)
-            if sliding is None:
-                sliding = _sliding_kernel(system)
-            arm = 10.0 * max(_EVENT_TOL, tol)
-            kernel, start, outside = sliding, (p[0], p[1]), outside_slice
-            events = [
-                _Event("sx", lambda y: xf_fn(y[0], y[1], 0.0), arm_eps=arm),
-                _Event("sy", lambda y: yf_fn(y[0], y[1], 0.0), arm_eps=arm),
-                _Event(
-                    "den",
-                    lambda y: yf_fn(y[0], y[1], 0.0) - xf_fn(y[0], y[1], 0.0) - tol,
-                    arm_eps=0.0,
-                ),
-            ]
+            if sliding is None:  # the events as the locator evaluates them
+                xf, yf = system.xf.compiled(), system.yf.compiled()
+                sliding = _sliding_kernel(system), (
+                    _Event("sx", lambda y: xf(y[0], y[1], 0.0)),
+                    _Event("sy", lambda y: yf(y[0], y[1], 0.0)),
+                    _Event("den", lambda y: yf(y[0], y[1], 0.0) - xf(y[0], y[1], 0.0) - tol))
+            (f, step, slide), events = sliding
+            out = _fly(f, step, events, slide, (p[0], p[1]), remaining, None, box, tol,
+                       10.0 * max(_EVENT_TOL, tol), samples)
         else:
-            fld = system.X if mode is Mode.FLOW_PLUS else system.Y
-            kernel, start, outside = (fld.compiled(), _flight_kernel(fld)), p, outside_box
-            events = [_sigma_event(1 if mode is Mode.FLOW_PLUS else -1)]
-        times, states = [], []
-        out = _integrate(*kernel, start, events, t_limit=remaining, outside=outside,
-                         collect=(times, states))
+            fld, d = (system.X, 1) if mode is Mode.FLOW_PLUS else (system.Y, -1)
+            step, _, in_box = _flight_kernel(fld)
+            out = _fly(fld.compiled(), step, (_sigma_event(d),), in_box, p, remaining, None, d,
+                       box, samples)
+        if out.event is not None:
+            samples.append((out.time, *out.point))
         seg_end, next_mode = _segment_end(system, out, mode, tol)
-        _append_segment(traj, t_now, times, states, mode, seg_end)
+        _append_segment(traj, t_now, samples, mode, seg_end)
         t_now += out.time
         on_plane = mode is Mode.SLIDING or seg_end is FlightStatus.MODE_SWITCH
         p = (out.point[0], out.point[1], 0.0 if on_plane else out.point[2])
@@ -739,11 +794,13 @@ def filippov_trajectory(system, p0, horizon, cfg=None):
     return traj
 
 
-def _append_segment(traj, t_offset, times, states, mode, terminal):
-    """Append one flight's samples; sliding states (x, y) get z = 0.0."""
-    points = np.zeros((len(states), 3))
-    points[:, :len(states[0])] = states
-    traj.segments.append(TrajectorySegment(mode, t_offset + np.array(times), points, terminal))
+def _append_segment(traj, t_offset, samples, mode, terminal):
+    """Append one flight's ``(t, *state)`` samples; sliding states (x, y)
+    get z = 0.0."""
+    rows = np.array(samples)
+    points = np.zeros((len(rows), 3))
+    points[:, :rows.shape[1] - 1] = rows[:, 1:]
+    traj.segments.append(TrajectorySegment(mode, t_offset + rows[:, 0], points, terminal))
 
 
 def _append_marker(traj, t_now, p, mode, terminal):

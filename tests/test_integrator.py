@@ -3,6 +3,7 @@ import functools
 import hashlib
 import itertools
 import math
+import operator
 import struct
 
 import numpy as np
@@ -101,6 +102,157 @@ def const_field(cx, cy, cz):
     return VectorField3(Poly3.constant(cx), Poly3.constant(cy), Poly3.constant(cz))
 
 
+# Reference driver: the Python loop that the generated drivers replaced,
+# kept here to pin them bit for bit.  It steps with the production kernel
+# and hands fired events to the production locator.
+
+
+class _RefEvent:
+    """An event of the reference loop: the attributes the locator reads,
+    plus the arming threshold and state that the loop keeps."""
+
+    __slots__ = ("name", "fn", "arm_eps", "expected_sign", "component", "armed", "last")
+
+    def __init__(self, name, fn, arm_eps, expected_sign=0, component=None):
+        self.name = name
+        self.fn = fn
+        self.arm_eps = arm_eps
+        self.expected_sign = expected_sign
+        self.component = component
+        self.armed = False
+        self.last = 0.0
+
+    def observe_initial(self, y):
+        self.last = v = self.fn(y)
+        self.armed = abs(v) > self.arm_eps and (
+            self.expected_sign == 0 or v * self.expected_sign > 0
+        )
+
+
+def _ref_integrate(f, step, y0, events, t_limit, outside=None, h0=None, collect=None):
+    """Drive the kernel ``step`` of the field ``f`` until an event, a guard
+    violation, or the horizon; ``collect`` is a pair of lists ``(times,
+    states)`` or None.  The clamps keep ``min``/``max``'s NaN rule: the
+    first argument wins against NaN."""
+    y = tuple(map(float, y0))
+    k1 = f(*y)
+    t = 0.0
+    h = h0 if h0 else min(1e-4, 0.25 * t_limit)
+    err_prev = 1.0
+    end_band = 1e-15 * max(1.0, t_limit)
+    for ev in events:
+        ev.observe_initial(y)
+    if collect is not None:
+        times, states = collect
+        times.append(t)
+        states.append(y)
+    steps = rejected = 0
+
+    def result(status, point, time, event=None, uncounted=0):
+        accepted = steps - uncounted - rejected
+        return integrator.FlightResult(status, point, time, event, accepted, rejected)
+
+    while True:
+        remaining = t_limit - t
+        if remaining <= end_band:
+            return result(FlightStatus.TIME_OUT, y, t)
+        steps += 1
+        if steps > integrator._MAX_STEPS:
+            return result(FlightStatus.STEP_LIMIT, y, t, uncounted=1)
+        if remaining < h:
+            h = remaining
+        if h < 1e-15:
+            return result(FlightStatus.TIME_OUT, y, t, uncounted=1)
+        y_new, k_last, err_norm = step(y, h, k1)
+        if err_norm > 1.0:
+            h *= max(0.2, 0.9 * err_norm ** -0.2)
+            rejected += 1
+            continue
+        hit = None
+        for ev in events:
+            i = ev.component
+            v = ev.fn(y_new) if i is None else y_new[i]
+            if ev.armed:
+                crossed = ev.last * v <= 0.0 and (ev.last != 0.0 or v != 0.0)
+            elif abs(v) > ev.arm_eps and (ev.expected_sign == 0 or v * ev.expected_sign > 0):
+                ev.armed = True
+                crossed = False
+            else:
+                crossed = v * ev.expected_sign < 0
+            if crossed:
+                found = integrator._refine_event(f, step, ev, y, k1, y_new, k_last, h, v)
+                if hit is None or found[0] < hit[1]:
+                    hit = (ev, found[0], found[1])
+            ev.last = v
+        if hit is not None:
+            ev, dt, y_ev = hit
+            t_ev = t + dt
+            if collect is not None:
+                times.append(t_ev)
+                states.append(y_ev)
+            return result(FlightStatus.HIT_SIGMA, y_ev, t_ev, ev.name)
+        if outside is not None and outside(y_new):
+            if collect is not None:
+                times.append(t + h)
+                states.append(y_new)
+            return result(FlightStatus.LEFT_BOX, y_new, t + h)
+        t += h
+        y = y_new
+        k1 = k_last
+        if collect is not None:
+            times.append(t)
+            states.append(y)
+        if err_norm > 0:
+            factor = 0.9 * err_norm ** -0.14 * err_prev ** 0.08
+            h *= (factor if factor < 5.0 else 5.0) if factor > 0.2 else 0.2
+        else:
+            h *= 5.0
+        err_prev = 1e-10 if err_norm < 1e-10 else err_norm
+
+
+def _ref_cube(center, radius):
+    cx, cy, cz = center
+
+    def outside(y):
+        return not (abs(y[0] - cx) <= radius and abs(y[1] - cy) <= radius
+                    and abs(y[2] - cz) <= radius)
+
+    return outside
+
+
+def _ref_fly(f, step, events, drive, *args):
+    """``integrator._fly`` on the reference loop.  The driver's name tells
+    its arguments, its guard and its events' arming thresholds; a
+    trajectory appends the event sample itself, so it is not collected."""
+    samples = None
+    if drive.__name__ == "to_sigma":
+        start, t_limit, h0, _, radius = args
+        outside, arms = _ref_cube(start, radius), (1e-13,)
+    elif drive.__name__ == "in_box":
+        start, t_limit, h0, _, box, samples = args
+        xmin, xmax, ymin, ymax, zmin, zmax = box
+        arms = (1e-13,)
+
+        def outside(y):
+            return not (xmin <= y[0] <= xmax and ymin <= y[1] <= ymax and zmin <= y[2] <= zmax)
+    else:
+        start, t_limit, h0, box, _, arm, samples = args
+        xmin, xmax, ymin, ymax, zmin, zmax = box
+        arms = (arm, arm, 0.0)
+
+        def outside(y):
+            return not (xmin <= y[0] <= xmax and ymin <= y[1] <= ymax and zmin <= 0.0 <= zmax)
+
+    ref_events = [_RefEvent(ev.name, ev.fn, eps, ev.expected_sign, ev.component)
+                  for ev, eps in zip(events, arms)]
+    collect = None if samples is None else ([], [])
+    res = _ref_integrate(f, step, start, ref_events, t_limit, outside, h0, collect)
+    if samples is not None:
+        rows = [(t, *y) for t, y in zip(*collect)]
+        samples += rows[:-1] if res.ok() else rows
+    return res
+
+
 # Normal form whose Y fold is invisible, with higher-order terms that make
 # the flights non-polynomial in time (so no interpolant is exact on them).
 HOT = {
@@ -154,7 +306,7 @@ class TestStepperBitwise:
         ]
         for field in fields:
             f = field.compiled()
-            kernel = integrator._flight_kernel(field)
+            kernel = integrator._flight_kernel(field)[0]
             for h in self.STEPS:
                 for _ in range(20):
                     y = tuple(float(v) for v in rng.normal(scale=2.0, size=3))
@@ -180,7 +332,7 @@ class TestStepperBitwise:
         systems = [build_normal_form(-2.0, -1.0, 1.0, -1.0), hot_normal_form(), dry_friction()[0]]
         for system in systems:
             f2 = self._ref_sliding_field(system)
-            field, step = integrator._sliding_kernel(system)
+            field, step, _ = integrator._sliding_kernel(system)
             for h in self.STEPS:
                 for _ in range(20):
                     y = tuple(float(v) for v in rng.normal(scale=2.0, size=2))
@@ -196,7 +348,7 @@ class TestStepperBitwise:
             Poly3({(0, 0, 1): -1.0, (1, 1, 0): -1.0}),
         )
         f = field.compiled()
-        step = integrator._flight_kernel(field)
+        step = integrator._flight_kernel(field)[0]
         for y in itertools.product((0.0, -0.0), repeat=3):
             for h in self.STEPS:
                 self._assert_same(step, f, y, h)
@@ -208,7 +360,7 @@ class TestStepperBitwise:
         # second stage on; the zero weights b2 and e2 turn it into NaN.
         field = VectorField3(Poly3.constant(1.0), Poly3.zero(), Poly3({(1, 1, 1): 1.0}))
         f = field.compiled()
-        step = integrator._flight_kernel(field)
+        step = integrator._flight_kernel(field)[0]
         y = (1.7, 1e154, 1e154)
         self._assert_same(step, f, y, 1.0)
         y_new, _, norm = step(y, 1.0, f(*y))
@@ -286,9 +438,9 @@ class TestKernelCache:
         monkeypatch.setattr(integrator, "_compile", compile_)
         coeffs = (0.123456789, -2.718281828)
         a, b = (self._field(c) for c in coeffs)
-        step_a = integrator._flight_kernel(a)
+        step_a = integrator._flight_kernel(a)[0]
         before = integrator._flight_factory.cache_info()
-        step_b = integrator._flight_kernel(b)
+        step_b = integrator._flight_kernel(b)[0]
         after = integrator._flight_factory.cache_info()
         assert (after.hits, after.misses) == (before.hits + 1, before.misses)
         assert len(sources) == 1
@@ -351,7 +503,7 @@ class TestEvalWithinStep:
         # error test, so the step is halved until each part passes; the
         # result must match the exact (cos 1, sin 1).
         field = VectorField3(Poly3({(0, 1, 0): -1.0}), Poly3({(1, 0, 0): 1.0}), Poly3.zero())
-        f, step = field.compiled(), integrator._flight_kernel(field)
+        f, step = field.compiled(), integrator._flight_kernel(field)[0]
         y0 = (1.0, 0.0, 0.0)
         assert step(y0, 1.0, f(*y0))[2] > 1.0
         calls = []
@@ -695,26 +847,42 @@ class TestConfig:
 
 
 def _count_kernel_steps(monkeypatch, counts):
-    """Wrap the step kernels the driver binds (free-flight and sliding):
-    each step adds 1 to ``counts["kernel_steps"]`` and 6 to
-    ``counts["field_evals"]``, the stages it writes out.  Returns
-    ``counts``."""
-    flight, sliding = integrator._flight_kernel, integrator._sliding_kernel
+    """Count Dormand-Prince steps: the accepted and rejected steps that each
+    driver run reports in its ``FlightResult``, and the steps the locator
+    takes through the flight's kernel ``step``.  A step adds 1 to
+    ``counts["kernel_steps"]`` and 6 to ``counts["field_evals"]``, the
+    stages it writes out; a driver run adds 1 more evaluation, the first
+    stage at its start.  Returns ``counts``."""
+    flight, sliding, fly = integrator._flight_kernel, integrator._sliding_kernel, integrator._fly
+
+    def add_steps(n):
+        counts["kernel_steps"] += n
+        counts["field_evals"] += 6 * n
 
     def counted(step):
         def wrapper(y, h, k1):
-            counts["kernel_steps"] += 1
-            counts["field_evals"] += 6
+            add_steps(1)
             return step(y, h, k1)
 
         return wrapper
 
-    def sliding_kernel(system):
-        f, step = sliding(system)
-        return f, counted(step)
+    def counted_fly(f, step, events, drive, *args):
+        res = fly(f, step, events, drive, *args)
+        add_steps(res.accepted + res.rejected)
+        counts["field_evals"] += 1
+        return res
 
-    monkeypatch.setattr(integrator, "_flight_kernel", lambda field: counted(flight(field)))
+    def flight_kernel(field):
+        step, to_sigma, in_box = flight(field)
+        return counted(step), to_sigma, in_box
+
+    def sliding_kernel(system):
+        f, step, slide = sliding(system)
+        return f, counted(step), slide
+
+    monkeypatch.setattr(integrator, "_flight_kernel", flight_kernel)
     monkeypatch.setattr(integrator, "_sliding_kernel", sliding_kernel)
+    monkeypatch.setattr(integrator, "_fly", counted_fly)
     return counts
 
 
@@ -814,7 +982,7 @@ class TestPlaneRootOneComponent:
     @staticmethod
     def _generic_plane_event():
         # the plane event without its component: goes through _hermite
-        return integrator._Event("z", lambda y: y[2], arm_eps=0.0)
+        return integrator._Event("z", lambda y: y[2])
 
     def _assert_same_root(self, event, y0, k0, y1, k1, h, g0, g1):
         assert event.component == 2
@@ -864,8 +1032,9 @@ class TestPlaneRootOneComponent:
 class TestWorkCounts:
     """One numeric Jacobian of the return map on a delta = -1 normal form:
     6 flights (two of the eight fold maps start on the Y tangency line),
-    24 Dormand-Prince steps and 150 field evaluations: the calls of the
-    compiled evaluator plus 6 for each kernel step.  Flights are counted at
+    24 Dormand-Prince steps and 150 field evaluations: 6 for each step, 1
+    at the start of each flight and the calls of the compiled evaluator
+    (the locator's Newton slopes).  Flights are counted at
     ``integrate_to_sigma``, where perfbench's tracer also counts them."""
 
     @pytest.mark.parametrize("params", [
@@ -926,19 +1095,25 @@ class TestNonFiniteErrorNorm:
         return hashlib.sha256(",".join(float(v).hex() for v in values).encode()).hexdigest()
 
     def test_flight_grows_fivefold_to_the_horizon(self):
-        steps = []
         field = self._field(Poly3.constant(1.0))
-        kernel = integrator._flight_kernel(field)
+        f, kernel = field.compiled(), integrator._flight_kernel(field)
+        start = (1e306, 1.0, 0.0)
 
-        def step(y, h, k1):
-            out = kernel(y, h, k1)
-            steps.append((h, out[2]))
-            return out
+        def flight(outside=None):
+            steps = []
 
-        # dz/dt = 1 never returns and the driver runs with no guard, so the
-        # flight runs to the time horizon
-        res = integrator._integrate(field.compiled(), step, (1e306, 1.0, 0.0),
-                                    [integrator._sigma_event(1)], integrator._MAX_TIME)
+            def step(y, h, k1):
+                out = kernel[0](y, h, k1)
+                steps.append((h, out[2]))
+                return out
+
+            event = _RefEvent("sigma", operator.itemgetter(2), 1e-13, 1, 2)
+            res = _ref_integrate(f, step, start, [event], integrator._MAX_TIME, outside)
+            return res, steps
+
+        # dz/dt = 1 never returns and the reference loop runs with no guard,
+        # so the flight runs to the time horizon
+        res, steps = flight()
         assert res.status is FlightStatus.TIME_OUT and res.time == integrator._MAX_TIME
         assert math.isnan(res.point[0])
         first_nan = next(i for i, (_, err) in enumerate(steps) if math.isnan(err))
@@ -948,6 +1123,19 @@ class TestNonFiniteErrorNorm:
         assert all(b == 5.0 * a for a, b in zip(hs, hs[1:-1]))
         assert self._digest([v for h_err in steps for v in h_err] + list(res.point)) == (
             self.FLIGHT_DIGEST)
+        # A generated driver always has a guard, and every guard takes NaN
+        # for outside.  Under an unbounded cube the reference loop takes the
+        # same first steps and leaves at the first NaN state; the driver
+        # ends there too, at the same point and time.
+        guarded, guarded_steps = flight(_ref_cube(start, math.inf))
+        assert guarded.status is FlightStatus.LEFT_BOX and math.isnan(guarded.point[0])
+        assert len(guarded_steps) < len(steps)
+        assert [_bits(*hs) for hs in guarded_steps] == [
+            _bits(*hs) for hs in steps[:len(guarded_steps)]]
+        got = integrator._fly(f, kernel[0], (integrator._sigma_event(1),), kernel[1],
+                              start, integrator._MAX_TIME, None, 1, math.inf)
+        assert (got.status, got.accepted + got.rejected) == (guarded.status, len(guarded_steps))
+        assert _bits(got.time, *got.point) == _bits(guarded.time, *guarded.point)
 
     def test_flight_leaves_guard_at_nan(self, monkeypatch):
         # dz/dt = 2 - y returns to the plane at t = 2, after x overflowed:
@@ -969,6 +1157,163 @@ class TestNonFiniteErrorNorm:
         assert seg.points[-1][0] == math.inf and np.isfinite(seg.points[:-1]).all()
         assert self._digest(seg.times.tolist() + seg.points.ravel().tolist()) == (
             self.TRAJECTORY_DIGEST)
+
+
+class TestGeneratedDriver:
+    """The generated drivers against the reference loop ``_ref_integrate``,
+    flight by flight: the same ``FlightResult`` (status, point, time, event
+    and step counts) and the same samples, bit for bit."""
+
+    @staticmethod
+    def _flights(fly, run, max_steps=None):
+        """``run()`` with ``fly`` in place of ``integrator._fly``: one
+        ``(driver name, result, samples)`` per flight."""
+        flights = []
+
+        def recorded(f, step, events, drive, *args):
+            res = fly(f, step, events, drive, *args)
+            samples = [] if drive.__name__ == "to_sigma" else list(args[-1])
+            flights.append((drive.__name__, res, samples))
+            return res
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(integrator, "_fly", recorded)
+            if max_steps is not None:
+                mp.setattr(integrator, "_MAX_STEPS", max_steps)
+            try:
+                run()
+            except IntegrationFailure:
+                pass
+        return flights
+
+    def _assert_same(self, run, max_steps=None):
+        got = self._flights(integrator._fly, run, max_steps)
+        ref = self._flights(_ref_fly, run, max_steps)
+        assert got and len(got) == len(ref)
+        for (name, res, samples), (ref_name, ref_res, ref_samples) in zip(got, ref):
+            assert (name, res.status, res.event, res.accepted, res.rejected) == (
+                ref_name, ref_res.status, ref_res.event, ref_res.accepted, ref_res.rejected)
+            assert _bits(res.time, *res.point) == _bits(ref_res.time, *ref_res.point)
+            assert [_bits(*row) for row in samples] == [_bits(*row) for row in ref_samples]
+        return [(name, res.status, res.event) for name, res, _ in got]
+
+    def test_plane_flights_both_directions(self):
+        system = hot_normal_form()
+
+        def run():
+            for x in (-0.2, -0.07, 0.03, 0.15):  # fold maps pass h0
+                for y in (-0.12, 0.05):
+                    for side in "XY":
+                        try:
+                            fold_map_numeric(system, side, (x, y))
+                        except IntegrationFailure:
+                            pass
+            integrate_to_sigma(system.X, (0.05, -0.1, 0.0), 1)
+            integrate_to_sigma(system.Y, (-0.1, 0.05, 0.0), -1)
+
+        flights = self._assert_same(run)
+        assert len(flights) == 18
+        assert set(flights) == {("to_sigma", FlightStatus.HIT_SIGMA, "sigma")}
+
+    @pytest.mark.parametrize("direction", [1, -1])
+    def test_unarmed_shallow_arc_fires_on_the_far_side(self, direction):
+        # dz/dt = direction * (1e-8 - x) with dx/dt = 1: z peaks at 5e-17,
+        # below the plane event's arming threshold, before it crosses
+        cz = Poly3({(0, 0, 0): 1e-8 * direction, (1, 0, 0): -1.0 * direction})
+        field = VectorField3(Poly3.constant(1.0), Poly3.zero(), cz)
+        flights = self._assert_same(lambda: integrate_to_sigma(field, (0.0, 0.0, 0.0), direction))
+        assert flights == [("to_sigma", FlightStatus.HIT_SIGMA, "sigma")]
+
+    def test_step_lands_on_the_plane(self):
+        # dz/dt = -1 from this height: the steps 1e-4 * 5**k end exactly at
+        # z = 0.0 on the sixth, where the armed event fires on a zero
+        Z = PiecewiseSystem(const_field(0, 0, -1), const_field(0, 0, 1))
+        located = []
+        real = integrator._refine_event
+
+        def refine(*args):
+            located.append(args[-1])
+            return real(*args)
+
+        start = (0.0, 0.0, 0.39059999999999995)
+        flights = self._assert_same(lambda: filippov_trajectory(Z, start, 1.0))
+        assert flights[0] == ("in_box", FlightStatus.HIT_SIGMA, "sigma")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(integrator, "_refine_event", refine)
+            filippov_trajectory(Z, start, 1.0)
+        assert located[0] == 0.0
+
+    def test_left_box_through_each_guard(self):
+        nf = build_normal_form(-1.0, -1.0, 1.0, -1.0)
+        small = PiecewiseSystem(nf.X, nf.Y, Box(-0.01, 0.01, -0.01, 0.01, -0.01, 0.01))
+        Z = PiecewiseSystem(const_field(1, 0, -1), const_field(0, 1, 1))
+        cube = self._assert_same(lambda: fold_map_numeric(small, "X", (0.0, -0.1)))
+        rising = PiecewiseSystem(const_field(0, 0, 1), const_field(0, 1, 1))
+        box = self._assert_same(lambda: filippov_trajectory(rising, (0.0, 0.0, 0.5), 2.0))
+        # falls to the plane and slides out of the default box
+        flat = self._assert_same(lambda: filippov_trajectory(Z, (0.0, 0.0, 0.5), 5.0))
+        assert cube[-1] == ("to_sigma", FlightStatus.LEFT_BOX, None)
+        assert box[-1] == ("in_box", FlightStatus.LEFT_BOX, None)
+        assert flat == [("in_box", FlightStatus.HIT_SIGMA, "sigma"),
+                        ("slide", FlightStatus.LEFT_BOX, None)]
+
+    def test_time_out_and_step_limit(self):
+        system, box = dry_friction()
+        invisible = build_normal_form(-1.0, -1.0, 1.0, -1.0)
+
+        def run():
+            filippov_trajectory(system, (0.2, 0.3, 0.0), 12.0, IntegratorConfig(box=box))
+            filippov_trajectory(invisible, (-0.5, -0.5, 0.0), -1.0)
+            filippov_trajectory(invisible, (0.05, -0.04, 0.3), 10.0)
+            integrate_to_sigma(system.X, (-1.5, 0.2, 0.0), 1)
+
+        timed = self._assert_same(run)
+        assert ("in_box", FlightStatus.TIME_OUT, None) in timed
+        assert ("slide", FlightStatus.TIME_OUT, None) in timed
+        limited = self._assert_same(run, max_steps=5)
+        assert [(name, status) for name, status, _ in limited] == [
+            ("slide", FlightStatus.STEP_LIMIT), ("slide", FlightStatus.STEP_LIMIT),
+            ("in_box", FlightStatus.STEP_LIMIT), ("to_sigma", FlightStatus.STEP_LIMIT)]
+
+    def test_nan_overflow(self):
+        big = TestNonFiniteErrorNorm.BIG
+        field = TestNonFiniteErrorNorm._field(Poly3({(0, 0, 0): 2.0, (0, 1, 0): -1.0}))
+        system = PiecewiseSystem(field, const_field(0, 0, 1), big)
+
+        def run():
+            integrate_to_sigma(field, (1e306, 1.0, 0.0), 1, big)
+            filippov_trajectory(system, (1e306, 1.0, 0.5), 5.0, IntegratorConfig(box=big))
+
+        assert self._assert_same(run) == [("to_sigma", FlightStatus.LEFT_BOX, None),
+                                          ("in_box", FlightStatus.LEFT_BOX, None)]
+
+    def test_sliding_ends_on_each_event(self, monkeypatch):
+        stick_slip, box = dry_friction()
+        visible = PiecewiseSystem(
+            VectorField3(Poly3.constant(0.0), Poly3.constant(-1.0), Poly3({(0, 1, 0): -1.0})),
+            const_field(0, 0, 1))
+        # Xf = x - 1 and Yf = 1.001 - x: the sliding flow x' = 1 crosses
+        # Xf = 0, Yf = 0 and Yf - Xf = tol in one step, and Xf = 0 first
+        xf = Poly3({(1, 0, 0): 1.0, (0, 0, 0): -1.0})
+        yf = Poly3({(1, 0, 0): -1.0, (0, 0, 0): 1.001})
+        both = PiecewiseSystem(VectorField3(Poly3.constant(1.0), Poly3.zero(), xf),
+                               VectorField3(Poly3.constant(1.0), Poly3.zero(), yf))
+        runs = {
+            "sx": lambda: filippov_trajectory(visible, (0.0, 0.5, 0.0), 3.0),
+            "sy": lambda: filippov_trajectory(
+                stick_slip, (0.2, 0.3, 0.0), 12.0, IntegratorConfig(box=box)),
+            "den": lambda: filippov_trajectory(
+                build_normal_form(-2.0, -1.0, 1.0, -1.0), (0.3, 0.3, 0.0), 10.0),
+            "three": lambda: filippov_trajectory(both, (0.5, 0.0, 0.0), 2.0),
+        }
+        ends = {key: [f for f in self._assert_same(run) if f[0] == "slide"]
+                for key, run in runs.items()}
+        for name in ("sx", "sy", "den"):
+            assert ends[name][0] == ("slide", FlightStatus.HIT_SIGMA, name)
+        assert ends["three"] == [("slide", FlightStatus.HIT_SIGMA, "sx")]
+        located = _record_refinements(monkeypatch)
+        runs["three"]()
+        assert [name for *_, name in located] == ["sx", "sy", "den"]
 
 
 class TestScipyRoute:

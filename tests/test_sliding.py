@@ -28,18 +28,18 @@ class TestSlidingField:
 
     def test_constant_fields(self):
         Z = PiecewiseSystem(const_field(1, 0, -1), const_field(0, 1, 1))
-        fld, _ = _sliding_kernel(Z)
+        fld = _sliding_kernel(Z)[0]
         assert fld(0.3, -0.2) == (0.5, 0.5)
 
     def test_elliptic_point(self):
-        fld, _ = _sliding_kernel(ELLIPTIC)
+        fld = _sliding_kernel(ELLIPTIC)[0]
         assert fld(1.0, 1.0) == (0.0, 0.0)
 
     def test_denominator_zero(self):
         # Yf - Xf = 0 at every point: the evaluator raises rather than return
         # a non-finite field (the driver stops at the denominator event first)
         Z = PiecewiseSystem(const_field(1, 0, 1), const_field(0, 1, 1))
-        fld, _ = _sliding_kernel(Z)
+        fld = _sliding_kernel(Z)[0]
         with pytest.raises(ZeroDivisionError):
             fld(0.0, 0.0)
 
@@ -69,7 +69,7 @@ class TestSlidingField:
 
     def test_reparametrization_sign(self):
         rng = np.random.default_rng(6)
-        fld, _ = _sliding_kernel(ELLIPTIC)
+        fld = _sliding_kernel(ELLIPTIC)[0]
         nrm = normalized_sliding_field(ELLIPTIC)
         checked = 0
         while checked < 1000:
