@@ -283,10 +283,6 @@ class Poly3:
         return f"Poly3({self.as_expr()})"
 
 
-#: The switching function f(x, y, z) = z, fixed package-wide.
-SWITCHING_FUNCTION = Poly3.variable("z")
-
-
 class VectorField3:
     """Polynomial vector field on R^3 with components (cx, cy, cz)."""
 

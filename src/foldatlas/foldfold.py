@@ -112,26 +112,11 @@ def mirror_parameters(params):
     return NormalParameters(-params.beta / r, params.alpha / r, -1.0, -1.0)
 
 
-def _region_cell(params):
-    """``(core, cell, report)`` of a two-fold, from the one dispatch on its
-    subtype: ``core`` is ``params`` or, at a visible-invisible point, its
-    mirror; ``cell`` is the region tag read from it, or None in the open
-    parabolic wedge that no region covers; ``report(params, core, cell)``
-    builds the subtype's report."""
-    sub = params.subtype
-    a, b, g = params.alpha, params.beta, params.gamma
-    if sub is FoldFoldSubtype.INVISIBLE:
-        return params, classify_elliptic_region(a, b, g), _tsingularity_report
-    if sub is FoldFoldSubtype.VISIBLE_VISIBLE:
-        return params, classify_hyperbolic_region(a, b, g), _visible_report
-    core = mirror_parameters(params) if sub is FoldFoldSubtype.VISIBLE_INVISIBLE else params
-    return core, parabolic_cell(core.alpha, core.beta, core.gamma), _parabolic_report
-
-
 def sliding_region_class(params):
-    """Parameter-space region of the sliding dynamics at a two-fold point;
-    the parabolic wedge that no region covers is a BIFURCATION_BOUNDARY."""
-    return _region_cell(params)[1] or SlidingRegionTag.BIFURCATION_BOUNDARY
+    """Parameter-space region of the sliding dynamics at a two-fold point,
+    as its report states it; the parabolic wedge that no region covers is a
+    BIFURCATION_BOUNDARY."""
+    return report_from_params(params).region
 
 
 def foldfold_sliding_linearization(params):
@@ -539,25 +524,24 @@ class FoldFoldReport:
 
 def report_from_params(params):
     """Two-fold report from normal parameters (validated when built,
-    immutable by convention): region, verdict and, at a T-singularity, the
-    return-map analysis, each computed once; moduli are computed when first
-    read.  A visible-invisible point is mirrored once, for region and verdict."""
-    core, cell, report = _region_cell(params)
-    return report(params, core, cell)
-
-
-def _tsingularity_report(params, core, cell):
-    analysis = return_map_analysis(params)
-    return FoldFoldReport(params, cell, _tsingularity_verdict(params, analysis), analysis)
-
-
-def _visible_report(params, core, cell):
-    return FoldFoldReport(params, cell, _visible_verdict(cell), None)
-
-
-def _parabolic_report(params, core, cell):
-    verdict = _parabolic_core_verdict(core, cell)
-    return FoldFoldReport(params, cell or SlidingRegionTag.BIFURCATION_BOUNDARY, verdict, None)
+    immutable by convention), from one dispatch on the subtype: region,
+    verdict and, at a T-singularity, the return-map analysis, each computed
+    once; moduli are computed when first read.  A parabolic point reads its
+    region cell and verdict off its invisible-visible core: the parameters
+    themselves or, at a visible-invisible point, their one mirror."""
+    sub = params.subtype
+    a, b, g = params.alpha, params.beta, params.gamma
+    if sub is FoldFoldSubtype.INVISIBLE:
+        analysis = return_map_analysis(params)
+        return FoldFoldReport(params, classify_elliptic_region(a, b, g),
+                              _tsingularity_verdict(params, analysis), analysis)
+    if sub is FoldFoldSubtype.VISIBLE_VISIBLE:
+        tag = classify_hyperbolic_region(a, b, g)
+        return FoldFoldReport(params, tag, _visible_verdict(tag), None)
+    core = mirror_parameters(params) if sub is FoldFoldSubtype.VISIBLE_INVISIBLE else params
+    cell = parabolic_cell(core.alpha, core.beta, core.gamma)
+    return FoldFoldReport(params, cell or SlidingRegionTag.BIFURCATION_BOUNDARY,
+                          _parabolic_core_verdict(core, cell), None)
 
 
 def foldfold_report(system, point):

@@ -22,11 +22,13 @@ steps is generated around the same step body: step control, the event scan
 (the plane event as the new state's z, the sliding events as the last
 stage's Xf and Yf), the guard, under which a NaN state is outside, and the
 sample collection run inline, and the driver returns to Python only to
-locate a fired event or to stop.  The step kernel and the drivers of a
-polynomial field, and of the sliding field (X and Y at z = 0, with Xf and
-Yf their z-components), are compiled once per monomial shape into a bounded
-LRU and bind the coefficients from the same shape pass as the field's
-evaluator; event refinement steps through the kernels.  A Filippov
+locate a fired event or to stop.  A polynomial field has one driver, which
+flies to the plane inside a box: a trajectory's box, or for a fold flight
+the cube around its start written as a box.  The step kernel and the driver
+of a polynomial field, and of the sliding field (X and Y at z = 0, with Xf
+and Yf their z-components), are compiled once per monomial shape into a
+bounded LRU and bind the coefficients from the same shape pass as the
+field's evaluator; event refinement steps through the kernels.  A Filippov
 trajectory must start inside its box.
 
 The fold maps and the first-return map realized here are compared against
@@ -176,7 +178,7 @@ def _step_lines(dim, stage):
     ]
 
 
-def _drive_lines(dim, stage, params, events, guard, collect):
+def _drive_lines(dim, stage, params, events, guard):
     """Body of a driver around ``_step_body``, on the coefficients ``params``:
     from the state ``s``, the horizon ``t_limit`` and the first step ``h0``
     (falsy for the default) it steps until an event fires, the state leaves
@@ -193,10 +195,10 @@ def _drive_lines(dim, stage, params, events, guard, collect):
     which suppresses the trivial root at the start; armed, it fires on a sign
     change, unarmed, on reaching the far side, so that an unresolvably
     shallow arc ends at its crossing.  ``guard`` is ``(setup, inside)``, with
-    ``inside`` false for a NaN new state ``n0, n1, ...``.  With ``collect``
-    every accepted state, and a guard exit, is appended as ``(t, *state)`` to
-    ``samples``.  The clamps keep ``min``/``max``'s rule that the first
-    argument wins against NaN.
+    ``inside`` false for a NaN new state ``n0, n1, ...``.  Every accepted
+    state, and a guard exit, is appended as ``(t, *state)`` to ``samples``.
+    The clamps keep ``min``/``max``'s rule that the first argument wins
+    against NaN.
     """
     y, k1, n, k7 = (_seq(p, dim) for p in ("y", "k1", "n", "k7"))
     setup, inside = guard
@@ -209,10 +211,6 @@ def _drive_lines(dim, stage, params, events, guard, collect):
         return [f"    return FlightStatus.{status}, {when}, ({state},), "
                 f"steps{uncounted} - rejected, rejected, None"]
 
-    # the sample lines: look up the append, keep an accepted state, keep the
-    # state that left the guard
-    lookup, keep, left = (["keep = samples.append"], [f"keep((t, {y}))"],
-                          [f"    keep((t + h, {n}))"]) if collect else ([], [], [])
     lines = [f"{''.join(f'{c}, ' for c in params)}= coefficients"] if params else []
     lines += [setup, f"{y}, = s", *stage(_names("y", dim), _names("k1", dim)), *_LOCALS,
               *(f"a{i} = abs(y{i})" for i in range(dim)), "t = 0.0",
@@ -221,7 +219,8 @@ def _drive_lines(dim, stage, params, events, guard, collect):
     for j, (value, arm_eps, sign) in enumerate(events):
         lines += [f"last{j} = {value(_names('y', dim))}",
                   f"armed{j} = {arms(f'last{j}', arm_eps, sign)}"]
-    lines += lookup + keep + ["steps = 0", "rejected = 0", "while True:"]
+    lines += ["keep = samples.append", f"keep((t, {y}))", "steps = 0", "rejected = 0",
+              "while True:"]
     loop = [
         "remaining = t_limit - t",
         "if remaining <= end_band:",
@@ -259,13 +258,13 @@ def _drive_lines(dim, stage, params, events, guard, collect):
         f"(({y},), ({k1},), ({n},), ({k7},), h, fired)",
         *(f"last{j} = now{j}" for j in js),
         f"if not ({inside}):",
-        *left,
+        f"    keep((t + h, {n}))",
         *stop("LEFT_BOX", "t + h", n),
         "t += h",
         f"{y} = {n}",
         f"{_seq('a', dim)} = {_seq('b', dim)}",
         f"{k1} = {k7}",
-        *keep,
+        f"keep((t, {y}))",
         # PI controller on the accepted step, its factor clamped to [0.2, 5].
         "if err_norm > 0:",
         "    factor = 0.9 * err_norm ** -0.14 * err_prev ** 0.08",
@@ -299,11 +298,8 @@ def _compile(lines, name):
 
 
 # The return to the plane z = 0 from the side ``d``, armed past |z| = 1e-13,
-# and the guards: the cube of half-width ``radius`` around the start of a
-# fold flight, a trajectory's box and the box's slice z = 0.
+# and the guards: a box and its slice z = 0.
 _PLANE = ((lambda s: s[2], "1e-13", "d"),)
-_CUBE = ("cx, cy, cz = s",
-         "abs(n0 - cx) <= radius and abs(n1 - cy) <= radius and abs(n2 - cz) <= radius")
 _BOX = ("xmin, xmax, ymin, ymax, zmin, zmax = box",
         "xmin <= n0 <= xmax and ymin <= n1 <= ymax and zmin <= n2 <= zmax")
 _SLICE = (_BOX[0], "xmin <= n0 <= xmax and ymin <= n1 <= ymax and zmin <= 0.0 <= zmax")
@@ -311,13 +307,12 @@ _SLICE = (_BOX[0], "xmin <= n0 <= xmax and ymin <= n1 <= ymax and zmin <= 0.0 <=
 
 @functools.lru_cache(maxsize=512)
 def _flight_factory(shapes):
-    """``bind(c0, ..., cn) -> (step, to_sigma, in_box)`` for a polynomial
-    field of the component ``shapes``: the field is written out inline in
-    every stage.  A stage sets only the coordinates that some monomial reads;
-    the others would be computed and dropped.  ``step(s, h, k1)`` is one
-    step; the drivers fly to the plane, ``to_sigma(s, t_limit, h0, d,
-    radius)`` in the cube around ``s`` and ``in_box(s, t_limit, h0, d, box,
-    samples)`` in ``box`` as ``(xmin, xmax, ..., zmax)``, collecting samples.
+    """``bind(c0, ..., cn) -> (step, in_box)`` for a polynomial field of
+    the component ``shapes``: the field is written out inline in every stage.
+    A stage sets only the coordinates that some monomial reads; the others
+    would be computed and dropped.  ``step(s, h, k1)`` is one step; the
+    driver ``in_box(s, t_limit, h0, d, box, samples)`` flies to the plane
+    inside ``box`` as ``(xmin, xmax, ..., zmax)``, collecting samples.
     """
     params, exprs = shape_source(shapes)
     read = [any(e[i] for shape in shapes for e in shape) for i in range(3)]
@@ -328,11 +323,9 @@ def _flight_factory(shapes):
 
     return _bind(params, [
         *_def("step(s, h, k1)", _step_lines(3, stage)),
-        *_def("to_sigma(s, t_limit, h0, d, radius)",
-              _drive_lines(3, stage, params, _PLANE, _CUBE, False)),
         *_def("in_box(s, t_limit, h0, d, box, samples)",
-              _drive_lines(3, stage, params, _PLANE, _BOX, True)),
-    ], ["step", "to_sigma", "in_box"])
+              _drive_lines(3, stage, params, _PLANE, _BOX)),
+    ], ["step", "in_box"])
 
 
 @functools.lru_cache(maxsize=512)
@@ -362,12 +355,12 @@ def _sliding_factory(shapes):
         *_def("field(x, y)", ["z = 0.0", *stage(["x", "y"], ["u", "v"]), "return (u, v)"]),
         *_def("step(s, h, k1)", ["z = 0.0", *_step_lines(2, stage)]),
         *_def("slide(s, t_limit, h0, box, tol, arm, samples)",
-              ["z = 0.0", *_drive_lines(2, stage, params, events, _SLICE, True)]),
+              ["z = 0.0", *_drive_lines(2, stage, params, events, _SLICE)]),
     ], ["field", "step", "slide"])
 
 
 def _flight_kernel(field):
-    """``(step, to_sigma, in_box)`` of a polynomial field, cached on it."""
+    """``(step, in_box)`` of a polynomial field, cached on it."""
     return field.kernel(_flight_factory)
 
 
@@ -407,6 +400,19 @@ def _eval_within_step(f, step, y_left, k_left, dt, depth=0):
         return y_new
     mid = _eval_within_step(f, step, y_left, k_left, dt / 2.0, depth + 1)
     return _eval_within_step(f, step, mid, f(*mid), dt / 2.0, depth + 1)
+
+
+def _probe(f, step, event, y, k, dt):
+    """Re-integrated state at offset ``dt`` from ``(y, k)`` and the event's
+    g there, or ``(None, nan)`` where a stage divides by zero.  Only the
+    sliding field divides, by Yf - Xf, and a stage on Yf = Xf lies at or past
+    a fold line or the ``den`` event, so the locator takes it for a point
+    past the root and never returns it."""
+    try:
+        y_c = _eval_within_step(f, step, y, k, dt)
+    except ZeroDivisionError:
+        return None, math.nan
+    return y_c, event.fn(y_c)
 
 
 def _hermite(y0, k0, y1, k1, h, t):
@@ -472,7 +478,8 @@ def _refine_event(f, step, event, y_left, k_left, y_right, k_right, h, g_right):
     with that component of the field as slope, secant steps otherwise.  If
     that ends above ``_EVENT_TOL``, bisection re-integrated from the bracket
     start takes over.  Every candidate is a re-integrated state, never an
-    interpolated one.
+    interpolated one; one whose re-integration divides by zero (see
+    ``_probe``) closes the bracket from above.
     """
     lo, hi = 0.0, h
     g_lo = event.last
@@ -488,9 +495,9 @@ def _refine_event(f, step, event, y_left, k_left, y_right, k_right, h, g_right):
     if g_lo * g_right < 0.0:
         dt = _interpolant_root(event, y_left, k_left, y_right, k_right, h, g_lo, g_right)
     if 0.0 < dt < h:
-        y_c = _eval_within_step(f, step, y_left, k_left, dt)
-        v = event.fn(y_c)
-        best = (dt, y_c, v)
+        y_c, v = _probe(f, step, event, y_left, k_left, dt)
+        if y_c is not None:
+            best = (dt, y_c, v)
         # The first secant partner is the bracket end across the root.
         t_prev, v_prev = (h, g_right) if v * lo_sign > 0.0 else (0.0, g_lo)
         for _ in range(8):
@@ -500,6 +507,8 @@ def _refine_event(f, step, event, y_left, k_left, y_right, k_right, h, g_right):
                 lo = dt
             else:
                 hi = dt
+            if y_c is None:
+                break
             k_c = f(*y_c)
             i = event.component
             slope = (v - v_prev) / (dt - t_prev) if i is None else k_c[i]
@@ -509,17 +518,15 @@ def _refine_event(f, step, event, y_left, k_left, y_right, k_right, h, g_right):
             if not lo < cand < hi:
                 break
             t_prev, v_prev = dt, v
-            y_c = _eval_within_step(f, step, y_c, k_c, cand - dt)
+            y_c, v = _probe(f, step, event, y_c, k_c, cand - dt)
             dt = cand
-            v = event.fn(y_c)
-            if abs(v) < abs(best[2]):
+            if y_c is not None and abs(v) < abs(best[2]):
                 best = (dt, y_c, v)
     if best is None or abs(best[2]) > _EVENT_TOL:
         for _ in range(120):
             mid = 0.5 * (lo + hi)
-            y_c = _eval_within_step(f, step, y_left, k_left, mid)
-            v = event.fn(y_c)
-            if best is None or abs(v) < abs(best[2]):
+            y_c, v = _probe(f, step, event, y_left, k_left, mid)
+            if y_c is not None and (best is None or abs(v) < abs(best[2])):
                 best = (mid, y_c, v)
             if abs(v) <= _EVENT_TOL or hi - lo <= 1e-16 * max(1.0, h):
                 break
@@ -561,7 +568,8 @@ def integrate_to_sigma(field, q0, direction, box=DEFAULT_BOX, h0=None):
     z-component, or by its derivative along the field when that is zero) the
     flight fails with NO_RETURN.  LEFT_BOX and TIME_OUT report orbits that
     escape or stall without returning; the guard cube around ``q0`` has
-    half-width 1.5 times the longest side of ``box``.
+    half-width 1.5 times the longest side of ``box``, and the flight's
+    samples are dropped.
     """
     tol = default_tolerance(field)
     if abs(q0[2]) > tol:
@@ -573,11 +581,11 @@ def integrate_to_sigma(field, q0, direction, box=DEFAULT_BOX, h0=None):
         s2 = lie_derivative(field, field.cz).eval_at(q0)
         if s2 * direction < tol:
             return FlightResult(FlightStatus.NO_RETURN, time=0.0)
-    radius = 1.5 * max(box.scale(), 1e-6)
-    step, to_sigma, _ = _flight_kernel(field)
-    start = (float(q0[0]), float(q0[1]), 0.0)
-    return _fly(field.compiled(), step, (_sigma_event(direction),), to_sigma,
-                start, _MAX_TIME, h0, direction, radius)
+    r = 1.5 * max(box.scale(), 1e-6)
+    x, y = float(q0[0]), float(q0[1])
+    step, in_box = _flight_kernel(field)
+    return _fly(field.compiled(), step, (_sigma_event(direction),), in_box, (x, y, 0.0),
+                _MAX_TIME, h0, direction, (x - r, x + r, y - r, y + r, -r, r), [])
 
 
 def _fold_side(system, side):
@@ -771,7 +779,7 @@ def filippov_trajectory(system, p0, horizon, cfg=None):
                        10.0 * max(_EVENT_TOL, tol), samples)
         else:
             fld, d = (system.X, 1) if mode is Mode.FLOW_PLUS else (system.Y, -1)
-            step, _, in_box = _flight_kernel(fld)
+            step, in_box = _flight_kernel(fld)
             out = _fly(fld.compiled(), step, (_sigma_event(d),), in_box, p, remaining, None, d,
                        box, samples)
         if out.event is not None:

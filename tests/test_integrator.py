@@ -220,21 +220,30 @@ def _ref_cube(center, radius):
     return outside
 
 
-def _ref_fly(f, step, events, drive, *args):
+def _cube_box(center, radius):
+    """The cube of ``_ref_cube`` around a point of the plane, written as the
+    box that ``integrate_to_sigma`` hands its driver."""
+    x, y, _ = center
+    return (x - radius, x + radius, y - radius, y + radius, -radius, radius)
+
+
+def _ref_fly(f, step, events, drive, *args, cube=False):
     """``integrator._fly`` on the reference loop.  The driver's name tells
-    its arguments, its guard and its events' arming thresholds; a
+    its arguments, its guard and its events' arming thresholds.  With
+    ``cube`` the flight is one of ``integrate_to_sigma``: its box must be
+    the cube around its start, and it runs under ``_ref_cube`` instead.  A
     trajectory appends the event sample itself, so it is not collected."""
-    samples = None
-    if drive.__name__ == "to_sigma":
-        start, t_limit, h0, _, radius = args
-        outside, arms = _ref_cube(start, radius), (1e-13,)
-    elif drive.__name__ == "in_box":
+    if drive.__name__ == "in_box":
         start, t_limit, h0, _, box, samples = args
         xmin, xmax, ymin, ymax, zmin, zmax = box
         arms = (1e-13,)
 
         def outside(y):
             return not (xmin <= y[0] <= xmax and ymin <= y[1] <= ymax and zmin <= y[2] <= zmax)
+
+        if cube:
+            assert start[2] == 0.0 and _bits(*box) == _bits(*_cube_box(start, zmax))
+            outside = _ref_cube(start, zmax)
     else:
         start, t_limit, h0, box, _, arm, samples = args
         xmin, xmax, ymin, ymax, zmin, zmax = box
@@ -245,11 +254,10 @@ def _ref_fly(f, step, events, drive, *args):
 
     ref_events = [_RefEvent(ev.name, ev.fn, eps, ev.expected_sign, ev.component)
                   for ev, eps in zip(events, arms)]
-    collect = None if samples is None else ([], [])
+    collect = ([], [])
     res = _ref_integrate(f, step, start, ref_events, t_limit, outside, h0, collect)
-    if samples is not None:
-        rows = [(t, *y) for t, y in zip(*collect)]
-        samples += rows[:-1] if res.ok() else rows
+    rows = [(t, *y) for t, y in zip(*collect)]
+    samples += rows[:-1] if res.ok() else rows
     return res
 
 
@@ -453,6 +461,10 @@ class TestKernelCache:
     def test_kernel_cached_on_field(self):
         field = self._field(1.25)
         assert integrator._flight_kernel(field) is integrator._flight_kernel(field)
+
+    def test_a_flight_shape_binds_a_step_and_one_driver(self):
+        kernel = integrator._flight_kernel(self._field(0.75))
+        assert [fn.__name__ for fn in kernel] == ["step", "in_box"]
 
 
 class TestIntegrateToSigma:
@@ -772,6 +784,33 @@ class TestTrajectory:
         end = traj.segments[-1].points[-1]
         assert math.hypot(end[0], end[1]) <= 1e-3
 
+    def test_sliding_onto_a_zero_denominator_reaches_tangency(self, monkeypatch):
+        # Xf = x - 1 and Yf = 1 - x: the sliding flow x' = 1 meets both fold
+        # lines at x = 1, where Yf - Xf = 0.  The fold events' interpolant
+        # root lands on x = 1.0 exactly, so re-integrating there divides by
+        # zero; the locator must pass over that state and the den event end
+        # the trajectory at the two-fold.
+        raised = []
+        real = integrator._eval_within_step
+
+        def eval_within_step(*args):
+            try:
+                return real(*args)
+            except ZeroDivisionError:
+                raised.append(args[-1])
+                raise
+
+        monkeypatch.setattr(integrator, "_eval_within_step", eval_within_step)
+        xf = Poly3({(1, 0, 0): 1.0, (0, 0, 0): -1.0})
+        system = PiecewiseSystem(VectorField3(Poly3.constant(1.0), Poly3.zero(), xf),
+                                 VectorField3(Poly3.constant(1.0), Poly3.zero(), -xf))
+        traj = filippov_trajectory(system, (0.5, 0.0, 0.0), 2.0)
+        assert raised
+        assert traj.status == FlightStatus.REACHED_TANGENCY.value
+        (seg,) = traj.segments
+        assert seg.mode is Mode.SLIDING and seg.terminal is FlightStatus.REACHED_TANGENCY
+        assert abs(seg.points[-1][0] - 1.0) <= 1e-8 and traj.total_time == seg.times[-1]
+
 
 class TestOutputsPinned:
     """SHA-256 over ``float.hex`` of numeric return-map Jacobians and of
@@ -873,8 +912,8 @@ def _count_kernel_steps(monkeypatch, counts):
         return res
 
     def flight_kernel(field):
-        step, to_sigma, in_box = flight(field)
-        return counted(step), to_sigma, in_box
+        step, in_box = flight(field)
+        return counted(step), in_box
 
     def sliding_kernel(system):
         f, step, slide = sliding(system)
@@ -1125,15 +1164,16 @@ class TestNonFiniteErrorNorm:
             self.FLIGHT_DIGEST)
         # A generated driver always has a guard, and every guard takes NaN
         # for outside.  Under an unbounded cube the reference loop takes the
-        # same first steps and leaves at the first NaN state; the driver
-        # ends there too, at the same point and time.
+        # same first steps and leaves at the first NaN state; the driver,
+        # under the same cube written as the box (-inf, inf)^3, ends there
+        # too, at the same point and time.
         guarded, guarded_steps = flight(_ref_cube(start, math.inf))
         assert guarded.status is FlightStatus.LEFT_BOX and math.isnan(guarded.point[0])
         assert len(guarded_steps) < len(steps)
         assert [_bits(*hs) for hs in guarded_steps] == [
             _bits(*hs) for hs in steps[:len(guarded_steps)]]
-        got = integrator._fly(f, kernel[0], (integrator._sigma_event(1),), kernel[1],
-                              start, integrator._MAX_TIME, None, 1, math.inf)
+        got = integrator._fly(f, kernel[0], (integrator._sigma_event(1),), kernel[1], start,
+                              integrator._MAX_TIME, None, 1, _cube_box(start, math.inf), [])
         assert (got.status, got.accepted + got.rejected) == (guarded.status, len(guarded_steps))
         assert _bits(got.time, *got.point) == _bits(guarded.time, *guarded.point)
 
@@ -1162,22 +1202,41 @@ class TestNonFiniteErrorNorm:
 class TestGeneratedDriver:
     """The generated drivers against the reference loop ``_ref_integrate``,
     flight by flight: the same ``FlightResult`` (status, point, time, event
-    and step counts) and the same samples, bit for bit."""
+    and step counts) and the same samples, bit for bit.  A flight of
+    ``integrate_to_sigma`` flies the box driver ``in_box`` under the cube
+    around its start written as a box; its reference runs under the cube
+    guard ``_ref_cube``."""
 
     @staticmethod
-    def _flights(fly, run, max_steps=None):
-        """``run()`` with ``fly`` in place of ``integrator._fly``: one
-        ``(driver name, result, samples)`` per flight."""
+    def _flights(reference, run, max_steps=None):
+        """``run()`` on the generated drivers, or on the reference loop with
+        ``reference``: one ``(kind, result, samples)`` per flight, the kind
+        being "integrate_to_sigma" for a flight of that function and the
+        driver's name otherwise.  ``run`` calls ``integrate_to_sigma``
+        through the module, where it is wrapped."""
         flights = []
+        fly, integrate = integrator._fly, integrator.integrate_to_sigma
+        cube = []  # non-empty while integrate_to_sigma runs
+
+        def in_cube(*args, **kwargs):
+            cube.append(True)
+            try:
+                return integrate(*args, **kwargs)
+            finally:
+                cube.pop()
 
         def recorded(f, step, events, drive, *args):
-            res = fly(f, step, events, drive, *args)
-            samples = [] if drive.__name__ == "to_sigma" else list(args[-1])
-            flights.append((drive.__name__, res, samples))
+            if reference:
+                res = _ref_fly(f, step, events, drive, *args, cube=bool(cube))
+            else:
+                res = fly(f, step, events, drive, *args)
+            kind = "integrate_to_sigma" if cube else drive.__name__
+            flights.append((kind, res, list(args[-1])))
             return res
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(integrator, "_fly", recorded)
+            mp.setattr(integrator, "integrate_to_sigma", in_cube)
             if max_steps is not None:
                 mp.setattr(integrator, "_MAX_STEPS", max_steps)
             try:
@@ -1187,8 +1246,8 @@ class TestGeneratedDriver:
         return flights
 
     def _assert_same(self, run, max_steps=None):
-        got = self._flights(integrator._fly, run, max_steps)
-        ref = self._flights(_ref_fly, run, max_steps)
+        got = self._flights(False, run, max_steps)
+        ref = self._flights(True, run, max_steps)
         assert got and len(got) == len(ref)
         for (name, res, samples), (ref_name, ref_res, ref_samples) in zip(got, ref):
             assert (name, res.status, res.event, res.accepted, res.rejected) == (
@@ -1208,12 +1267,12 @@ class TestGeneratedDriver:
                             fold_map_numeric(system, side, (x, y))
                         except IntegrationFailure:
                             pass
-            integrate_to_sigma(system.X, (0.05, -0.1, 0.0), 1)
-            integrate_to_sigma(system.Y, (-0.1, 0.05, 0.0), -1)
+            integrator.integrate_to_sigma(system.X, (0.05, -0.1, 0.0), 1)
+            integrator.integrate_to_sigma(system.Y, (-0.1, 0.05, 0.0), -1)
 
         flights = self._assert_same(run)
         assert len(flights) == 18
-        assert set(flights) == {("to_sigma", FlightStatus.HIT_SIGMA, "sigma")}
+        assert set(flights) == {("integrate_to_sigma", FlightStatus.HIT_SIGMA, "sigma")}
 
     @pytest.mark.parametrize("direction", [1, -1])
     def test_unarmed_shallow_arc_fires_on_the_far_side(self, direction):
@@ -1221,8 +1280,9 @@ class TestGeneratedDriver:
         # below the plane event's arming threshold, before it crosses
         cz = Poly3({(0, 0, 0): 1e-8 * direction, (1, 0, 0): -1.0 * direction})
         field = VectorField3(Poly3.constant(1.0), Poly3.zero(), cz)
-        flights = self._assert_same(lambda: integrate_to_sigma(field, (0.0, 0.0, 0.0), direction))
-        assert flights == [("to_sigma", FlightStatus.HIT_SIGMA, "sigma")]
+        flights = self._assert_same(
+            lambda: integrator.integrate_to_sigma(field, (0.0, 0.0, 0.0), direction))
+        assert flights == [("integrate_to_sigma", FlightStatus.HIT_SIGMA, "sigma")]
 
     def test_step_lands_on_the_plane(self):
         # dz/dt = -1 from this height: the steps 1e-4 * 5**k end exactly at
@@ -1252,7 +1312,7 @@ class TestGeneratedDriver:
         box = self._assert_same(lambda: filippov_trajectory(rising, (0.0, 0.0, 0.5), 2.0))
         # falls to the plane and slides out of the default box
         flat = self._assert_same(lambda: filippov_trajectory(Z, (0.0, 0.0, 0.5), 5.0))
-        assert cube[-1] == ("to_sigma", FlightStatus.LEFT_BOX, None)
+        assert cube[-1] == ("integrate_to_sigma", FlightStatus.LEFT_BOX, None)
         assert box[-1] == ("in_box", FlightStatus.LEFT_BOX, None)
         assert flat == [("in_box", FlightStatus.HIT_SIGMA, "sigma"),
                         ("slide", FlightStatus.LEFT_BOX, None)]
@@ -1265,7 +1325,7 @@ class TestGeneratedDriver:
             filippov_trajectory(system, (0.2, 0.3, 0.0), 12.0, IntegratorConfig(box=box))
             filippov_trajectory(invisible, (-0.5, -0.5, 0.0), -1.0)
             filippov_trajectory(invisible, (0.05, -0.04, 0.3), 10.0)
-            integrate_to_sigma(system.X, (-1.5, 0.2, 0.0), 1)
+            integrator.integrate_to_sigma(system.X, (-1.5, 0.2, 0.0), 1)
 
         timed = self._assert_same(run)
         assert ("in_box", FlightStatus.TIME_OUT, None) in timed
@@ -1273,7 +1333,7 @@ class TestGeneratedDriver:
         limited = self._assert_same(run, max_steps=5)
         assert [(name, status) for name, status, _ in limited] == [
             ("slide", FlightStatus.STEP_LIMIT), ("slide", FlightStatus.STEP_LIMIT),
-            ("in_box", FlightStatus.STEP_LIMIT), ("to_sigma", FlightStatus.STEP_LIMIT)]
+            ("in_box", FlightStatus.STEP_LIMIT), ("integrate_to_sigma", FlightStatus.STEP_LIMIT)]
 
     def test_nan_overflow(self):
         big = TestNonFiniteErrorNorm.BIG
@@ -1281,10 +1341,10 @@ class TestGeneratedDriver:
         system = PiecewiseSystem(field, const_field(0, 0, 1), big)
 
         def run():
-            integrate_to_sigma(field, (1e306, 1.0, 0.0), 1, big)
+            integrator.integrate_to_sigma(field, (1e306, 1.0, 0.0), 1, big)
             filippov_trajectory(system, (1e306, 1.0, 0.5), 5.0, IntegratorConfig(box=big))
 
-        assert self._assert_same(run) == [("to_sigma", FlightStatus.LEFT_BOX, None),
+        assert self._assert_same(run) == [("integrate_to_sigma", FlightStatus.LEFT_BOX, None),
                                           ("in_box", FlightStatus.LEFT_BOX, None)]
 
     def test_sliding_ends_on_each_event(self, monkeypatch):
