@@ -17,19 +17,22 @@ events evaluate the whole interpolated state.
 Every step is generated from one template over the tableau, on unpacked
 scalars with the sums in tableau order, and computes its scaled error norm
 rather than the error vector.  Only the stage evaluations vary; the code
-writes the field out inline in each of them.  The loop that drives the
+writes the field out inline in each of them.  A polynomial component that
+is one constant, or zero, is the same at every stage, so its weighted sums
+are added up once per coefficient binding.  The loop that drives the
 steps is generated around the same step body: step control, the event scan
 (the plane event as the new state's z, the sliding events as the last
 stage's Xf and Yf), the guard, under which a NaN state is outside, and the
 sample collection run inline, and the driver returns to Python only to
 locate a fired event or to stop.  A polynomial field has one driver, which
 flies to the plane inside a box: a trajectory's box, or for a fold flight
-the cube around its start written as a box.  The step kernel and the driver
-of a polynomial field, and of the sliding field (X and Y at z = 0, with Xf
-and Yf their z-components), are compiled once per monomial shape into a
-bounded LRU and bind the coefficients from the same shape pass as the
-field's evaluator; event refinement steps through the kernels.  A Filippov
-trajectory must start inside its box.
+the cube around its start written as a box.  The evaluator, the step kernel
+and the driver of a polynomial field, and of the sliding field (X and Y at
+z = 0, with Xf and Yf their z-components), are compiled once per monomial
+shape into a bounded LRU and bind the coefficients from the field's one
+shape pass; event refinement steps through the kernels and takes its
+slopes from their evaluator.  The events are immutable, so flights share
+them.  A Filippov trajectory must start inside its box.
 
 The fold maps and the first-return map realized here are compared against
 their closed-form counterparts by the verification suites; nothing in this
@@ -119,7 +122,18 @@ class FlightResult:
 # Core stepper
 
 
-def _step_body(dim, stage):
+# The weighted sums of a step by name: the stage rows of ``_A`` (stages 2-6),
+# the fifth-order row ``_B`` and the error row ``_E``.
+_ROWS = {**{f"w{n}": row for n, row in enumerate(_A, start=2)}, "wb": _B, "we": _E}
+
+
+def _weighted(row, k):
+    """``(0.0 + w1 * k(1) + w2 * k(2) + ...)`` over the weights ``row``, in
+    tableau order, zero weights included."""
+    return "(0.0" + "".join(f" + {w!r} * {k(j)}" for j, w in enumerate(row, start=1)) + ")"
+
+
+def _step_body(dim, stage, const):
     """Lines of one Dormand-Prince step on ``dim``-component states: from the
     state ``y0, y1, ...``, its magnitudes ``a0, a1, ...``, the step ``h`` and
     the first stage ``k10, k11, ...`` to the new state ``n0, n1, ...``, its
@@ -127,31 +141,45 @@ def _step_body(dim, stage):
     error norm ``err_norm``, with ``_LOCALS`` bound.
 
     ``stage(args, outs)`` gives the lines that set the names ``outs`` to the
-    field at the state expressions ``args``; it is the only part that varies
-    between kernels.  ``kSi`` is component ``i`` of stage ``S``.  Every
-    weighted sum adds its terms in tableau order starting from 0.0, zero
-    weights included, so a step matches the generic tableau loop kept in
-    tests/test_integrator.py bit for bit.  ``err_norm`` is the RMS of the
-    error components ``ri``, each scaled by ``_ABS_TOL + _REL_TOL * max(|y|,
-    |y_new|)`` and summed in order from 0.0.
+    field at the state expressions ``args``, skipping a None name; it is the
+    only part that varies between kernels.  ``kSi`` is component ``i`` of
+    stage ``S``.  Every weighted sum adds its terms in tableau order starting
+    from 0.0, zero weights included, so a step matches the generic tableau
+    loop kept in tests/test_integrator.py bit for bit.  A component ``i`` in
+    ``const`` has the same value at every stage, so each of its sums is the
+    same float at every step: the step reads it as ``<name>_i``, bound once
+    by ``_constant_sums``, and stages 2-6 leave ``kSi`` unset.  ``err_norm``
+    is the RMS of the error components ``ri``, each scaled by ``_ABS_TOL +
+    _REL_TOL * max(|y|, |y_new|)`` and summed in order from 0.0.
     """
     comps = range(dim)
 
-    def weighted(row, i):
-        return "h * (0.0" + "".join(f" + {w!r} * k{j + 1}{i}" for j, w in enumerate(row)) + ")"
+    def weighted(name, i):
+        if i in const:
+            return f"h * {name}_{i}"
+        return "h * " + _weighted(_ROWS[name], lambda j: f"k{j}{i}")
 
     lines = []
-    for n, row in enumerate(_A, start=2):
-        lines += stage([f"y{i} + {weighted(row, i)}" for i in comps], _names(f"k{n}", dim))
-    lines += [f"n{i} = y{i} + {weighted(_B, i)}" for i in comps]
+    for n in range(2, len(_A) + 2):
+        outs = [None if i in const else f"k{n}{i}" for i in comps]
+        lines += stage([f"y{i} + {weighted(f'w{n}', i)}" for i in comps], outs)
+    lines += [f"n{i} = y{i} + {weighted('wb', i)}" for i in comps]
     lines += stage(_names("n", dim), _names("k7", dim))
     for i in comps:
         lines += [
             f"b{i} = abs(n{i})",
-            f"r{i} = {weighted(_E, i)} / (abs_tol + rel_tol * (b{i} if b{i} > a{i} else a{i}))",
+            f"r{i} = {weighted('we', i)} / (abs_tol + rel_tol * (b{i} if b{i} > a{i} else a{i}))",
         ]
     squares = " + ".join(f"r{i} * r{i}" for i in comps)
     return lines + [f"err_norm = sqrt((0.0 + {squares}) / {dim})"]
+
+
+def _constant_sums(const, exprs):
+    """Lines that bind every weighted sum of ``_step_body`` over each
+    component ``i`` in ``const``, whose every stage is ``exprs[i]``: the sum
+    the step would add up, in its order."""
+    return [f"{name}_{i} = {_weighted(row, lambda j: exprs[i])}"
+            for i in const for name, row in _ROWS.items()]
 
 
 # Further names a step body reads, bound as locals once per kernel or driver call.
@@ -166,28 +194,30 @@ def _seq(prefix, dim):
     return ", ".join(_names(prefix, dim))
 
 
-def _step_lines(dim, stage):
-    """Body of the kernel ``step(s, h, k1) -> (y_new, k_last, err_norm)``."""
+def _step_lines(dim, stage, const):
+    """Body of the kernel ``step(s, h, k1) -> (y_new, k_last, err_norm)``.
+    ``k1`` must be the field at ``s``: a component in ``const`` reads its
+    coefficient in place of ``k1``."""
     return [
         f"{_seq('y', dim)}, = s",
         f"{_seq('k1', dim)}, = k1",
         *_LOCALS,
         *(f"a{i} = abs(y{i})" for i in range(dim)),
-        *_step_body(dim, stage),
+        *_step_body(dim, stage, const),
         f"return ({_seq('n', dim)},), ({_seq('k7', dim)},), err_norm",
     ]
 
 
-def _drive_lines(dim, stage, params, events, guard):
-    """Body of a driver around ``_step_body``, on the coefficients ``params``:
-    from the state ``s``, the horizon ``t_limit`` and the first step ``h0``
-    (falsy for the default) it steps until an event fires, the state leaves
-    its guard, the horizon passes or ``_MAX_STEPS`` attempts are spent, with
-    the decisions and arithmetic of the reference loop in
-    tests/test_integrator.py.  It returns ``(status, t, point, accepted,
-    rejected, bracket)``; on HIT_SIGMA the bracket is the step ``(y, k1,
-    y_new, k_last, h, fired)`` from ``(t, point)``, with one ``(index,
-    g_before, g_after)`` per fired event, for ``_fly`` to locate.
+def _drive_lines(dim, stage, const, params, events, guard):
+    """Body of a driver around ``_step_body``, on the coefficients ``params``
+    and the constant components ``const``: from the state ``s``, the horizon
+    ``t_limit`` and the first step ``h0`` (falsy for the default) it steps
+    until an event fires, the state leaves its guard, the horizon passes or
+    ``_MAX_STEPS`` attempts are spent, with the decisions and arithmetic of
+    the reference loop in tests/test_integrator.py.  It returns ``(status,
+    t, point, accepted, rejected, bracket)``; on HIT_SIGMA the bracket is the
+    step ``(y, k1, y_new, k_last, h, fired)`` from ``(t, point)``, with one
+    ``(index, g_before, g_after)`` per fired event, for ``_fly`` to locate.
 
     An event ``(value, arm_eps, sign)`` is the expression ``value(names)`` at
     the state ``names``, which may also read what the last ``stage`` set.  It
@@ -232,7 +262,7 @@ def _drive_lines(dim, stage, params, events, guard):
         "    h = remaining",
         "if h < 1e-15:",
         *stop("TIME_OUT", "t", y, " - 1"),
-        *_step_body(dim, stage),
+        *_step_body(dim, stage, const),
         "if err_norm > 1.0:",
         "    h *= max(0.2, 0.9 * err_norm ** -0.2)",
         "    rejected += 1",
@@ -281,9 +311,9 @@ def _def(signature, body):
 
 
 def _bind(params, functions, names):
-    """``bind(c0, ..., cn)``, which defines the generated ``functions`` on the
-    coefficients, passed to the drivers as the tuple ``coefficients``, and
-    returns those called ``names``."""
+    """``bind(c0, ..., cn)``, which runs the generated lines ``functions`` on
+    the coefficients, passed to the drivers as the tuple ``coefficients``,
+    and returns the functions they define called ``names``."""
     body = [f"coefficients = ({''.join(f'{c}, ' for c in params)})", *functions,
             f"return {', '.join(names)}"]
     return _compile(_def(f"bind({', '.join(params)})", body), "bind")
@@ -307,25 +337,32 @@ _SLICE = (_BOX[0], "xmin <= n0 <= xmax and ymin <= n1 <= ymax and zmin <= 0.0 <=
 
 @functools.lru_cache(maxsize=512)
 def _flight_factory(shapes):
-    """``bind(c0, ..., cn) -> (step, in_box)`` for a polynomial field of
-    the component ``shapes``: the field is written out inline in every stage.
-    A stage sets only the coordinates that some monomial reads; the others
-    would be computed and dropped.  ``step(s, h, k1)`` is one step; the
-    driver ``in_box(s, t_limit, h0, d, box, samples)`` flies to the plane
-    inside ``box`` as ``(xmin, xmax, ..., zmax)``, collecting samples.
+    """``bind(c0, ..., cn) -> (field, step, in_box)`` for a polynomial field
+    of the component ``shapes``: ``field(x, y, z)`` evaluates the same
+    expressions as ``VectorField3.compiled()``, and they are written out
+    inline in every stage.  A stage sets only the coordinates that some
+    monomial reads; the others would be computed and dropped.  A component
+    whose shape is the constant monomial or empty is constant: ``bind``
+    adds up its weighted sums once (``_constant_sums``).  ``step(s, h, k1)``
+    is one step, from ``k1`` the field at ``s``; the driver ``in_box(s,
+    t_limit, h0, d, box, samples)`` flies to the plane inside ``box`` as
+    ``(xmin, xmax, ..., zmax)``, collecting samples.
     """
     params, exprs = shape_source(shapes)
     read = [any(e[i] for shape in shapes for e in shape) for i in range(3)]
+    const = [i for i, shape in enumerate(shapes) if shape in ((), ((0, 0, 0),))]
 
     def stage(args, outs):
         sets = [f"{v} = {a}" for v, a, r in zip("xyz", args, read) if r]
-        return sets + [f"{o} = {e}" for o, e in zip(outs, exprs)]
+        return sets + [f"{o} = {e}" for o, e in zip(outs, exprs) if o]
 
     return _bind(params, [
-        *_def("step(s, h, k1)", _step_lines(3, stage)),
+        *_constant_sums(const, exprs),
+        *_def("field(x, y, z)", [f"return ({', '.join(exprs)})"]),
+        *_def("step(s, h, k1)", _step_lines(3, stage, const)),
         *_def("in_box(s, t_limit, h0, d, box, samples)",
-              _drive_lines(3, stage, params, _PLANE, _BOX)),
-    ], ["step", "in_box"])
+              _drive_lines(3, stage, const, params, _PLANE, _BOX)),
+    ], ["field", "step", "in_box"])
 
 
 @functools.lru_cache(maxsize=512)
@@ -353,14 +390,14 @@ def _sliding_factory(shapes):
               (lambda s: "den - tol", "0.0", None))
     return _bind(params, [
         *_def("field(x, y)", ["z = 0.0", *stage(["x", "y"], ["u", "v"]), "return (u, v)"]),
-        *_def("step(s, h, k1)", ["z = 0.0", *_step_lines(2, stage)]),
+        *_def("step(s, h, k1)", ["z = 0.0", *_step_lines(2, stage, ())]),
         *_def("slide(s, t_limit, h0, box, tol, arm, samples)",
-              ["z = 0.0", *_drive_lines(2, stage, params, events, _SLICE)]),
+              ["z = 0.0", *_drive_lines(2, stage, (), params, events, _SLICE)]),
     ], ["field", "step", "slide"])
 
 
 def _flight_kernel(field):
-    """``(step, in_box)`` of a polynomial field, cached on it."""
+    """``(field, step, in_box)`` of a polynomial field, cached on it."""
     return field.kernel(_flight_factory)
 
 
@@ -370,25 +407,22 @@ def _sliding_kernel(system):
     return _sliding_factory(x_shapes + y_shapes)(*x_coeffs, *y_coeffs)
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True)
 class _Event:
-    """Terminal event g(y) = 0 as the locator sees it: ``last`` is g at the
-    start of the step that fired it, ``expected_sign`` the side it arms on
-    (0 for either).  ``component``, when set, says that g is that state
-    component alone: the interpolant root evaluates only it, and the locator
-    polishes by Newton steps whose slope dg/dt is that component of the
-    field.  Other events polish by secant steps."""
+    """Terminal event g(y) = 0 as the locator sees it: ``expected_sign`` is
+    the side it arms on (0 for either).  ``component``, when set, says that
+    g is that state component alone: the interpolant root evaluates only it,
+    and the locator polishes by Newton steps whose slope dg/dt is that
+    component of the field.  Other events polish by secant steps."""
 
     name: str
     fn: object
     expected_sign: int = 0
     component: int | None = None
-    last: float = 0.0
 
 
-def _sigma_event(direction):
-    """Return to the plane z = 0 from the half-space of sign ``direction``."""
-    return _Event("sigma", itemgetter(2), expected_sign=direction, component=2)
+# The return to the plane z = 0 from the half-space of sign d, by d.
+_SIGMA_EVENTS = {d: (_Event("sigma", itemgetter(2), d, 2),) for d in (1, -1)}
 
 
 def _eval_within_step(f, step, y_left, k_left, dt, depth=0):
@@ -465,9 +499,10 @@ def _interpolant_root(event, y0, k0, y1, k1, h, g0, g1):
     return t
 
 
-def _refine_event(f, step, event, y_left, k_left, y_right, k_right, h, g_right):
+def _refine_event(f, step, event, y_left, k_left, y_right, k_right, h, g_left, g_right):
     """Locate the event inside the accepted step from ``(y_left, k_left)``
-    to ``(y_right, k_right)``; returns ``(dt, state, g)``.
+    to ``(y_right, k_right)``, where g is ``g_left`` and ``g_right``;
+    returns ``(dt, state, g)``.
 
     The event time is first found on the step's cubic Hermite interpolant
     (to its floating-point resolution, at no field evaluation), and the
@@ -482,7 +517,7 @@ def _refine_event(f, step, event, y_left, k_left, y_right, k_right, h, g_right):
     ``_probe``) closes the bracket from above.
     """
     lo, hi = 0.0, h
-    g_lo = event.last
+    g_lo = g_left
     if g_lo > 0.0:
         lo_sign = 1.0
     elif g_lo < 0.0:
@@ -548,8 +583,7 @@ def _fly(f, step, events, drive, *args):
     hit = None
     for j, last, g in fired:
         ev = events[j]
-        ev.last = last
-        found = _refine_event(f, step, ev, y, k1, y_new, k_last, h, g)
+        found = _refine_event(f, step, ev, y, k1, y_new, k_last, h, last, g)
         if hit is None or found[0] < hit[1]:
             hit = (ev, found[0], found[1])
     ev, dt, y_ev = hit
@@ -571,6 +605,8 @@ def integrate_to_sigma(field, q0, direction, box=DEFAULT_BOX, h0=None):
     half-width 1.5 times the longest side of ``box``, and the flight's
     samples are dropped.
     """
+    if direction not in _SIGMA_EVENTS:
+        raise PreconditionError("direction must be +1 or -1")
     tol = default_tolerance(field)
     if abs(q0[2]) > tol:
         raise PreconditionError("flight must start on the switching plane")
@@ -583,9 +619,9 @@ def integrate_to_sigma(field, q0, direction, box=DEFAULT_BOX, h0=None):
             return FlightResult(FlightStatus.NO_RETURN, time=0.0)
     r = 1.5 * max(box.scale(), 1e-6)
     x, y = float(q0[0]), float(q0[1])
-    step, in_box = _flight_kernel(field)
-    return _fly(field.compiled(), step, (_sigma_event(direction),), in_box, (x, y, 0.0),
-                _MAX_TIME, h0, direction, (x - r, x + r, y - r, y + r, -r, r), [])
+    f, step, in_box = _flight_kernel(field)
+    return _fly(f, step, _SIGMA_EVENTS[direction], in_box, (x, y, 0.0), _MAX_TIME, h0,
+                direction, (x - r, x + r, y - r, y + r, -r, r), [])
 
 
 def _fold_side(system, side):
@@ -779,9 +815,8 @@ def filippov_trajectory(system, p0, horizon, cfg=None):
                        10.0 * max(_EVENT_TOL, tol), samples)
         else:
             fld, d = (system.X, 1) if mode is Mode.FLOW_PLUS else (system.Y, -1)
-            step, in_box = _flight_kernel(fld)
-            out = _fly(fld.compiled(), step, (_sigma_event(d),), in_box, p, remaining, None, d,
-                       box, samples)
+            f, step, in_box = _flight_kernel(fld)
+            out = _fly(f, step, _SIGMA_EVENTS[d], in_box, p, remaining, None, d, box, samples)
         if out.event is not None:
             samples.append((out.time, *out.point))
         seg_end, next_mode = _segment_end(system, out, mode, tol)

@@ -1,10 +1,13 @@
 import collections
+import concurrent.futures
+import dataclasses
 import functools
 import hashlib
 import itertools
 import math
 import operator
 import struct
+import sys
 
 import numpy as np
 import pytest
@@ -73,7 +76,7 @@ def _call_stage(args, outs):
 
 @functools.cache
 def _call_step(dim):
-    body = integrator._step_lines(dim, _call_stage)
+    body = integrator._step_lines(dim, _call_stage, ())
     return integrator._compile(integrator._def("step(f, s, h, k1)", body), "step")
 
 
@@ -100,6 +103,55 @@ def _bits(*values):
 
 def const_field(cx, cy, cz):
     return VectorField3(Poly3.constant(cx), Poly3.constant(cy), Poly3.constant(cz))
+
+
+# Coefficients of constant components: ordinary, negative, tiny and subnormal
+# ones, whose weighted stage sums underflow to signed zeros.
+_CONSTANTS = (1.0, -0.5, 0.3, -2.7, 1e-17, 1e-300, -5e-324)
+
+
+def _constant_component_fields(rng):
+    """One seeded field per mix of constant ("c"), empty ("0") and
+    polynomial ("p") components with at least one constant or empty one:
+    one, two and three constant components, each next to empty ones."""
+    monomials = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 0, 0), (1, 1, 0), (0, 1, 1)]
+
+    def component(kind):
+        if kind == "c":
+            pick = rng.random() < 0.5
+            return Poly3.constant(float(rng.choice(_CONSTANTS) if pick else rng.uniform(-2.0, 2.0)))
+        if kind == "0":
+            return Poly3.zero()
+        picks = rng.choice(len(monomials), size=2, replace=False)
+        terms = {monomials[i]: float(rng.uniform(-1.5, 1.5)) for i in picks}
+        if rng.random() < 0.5:
+            terms[(0, 0, 0)] = float(rng.uniform(-1.0, 1.0))
+        return Poly3(terms)
+
+    return [VectorField3(*map(component, kinds))
+            for kinds in itertools.product("c0p", repeat=3) if "p" * 3 != "".join(kinds)]
+
+
+def _constant_components(field):
+    """The components whose shape is the constant monomial alone, or empty."""
+    return [i for i, shape in enumerate(field.shape()[0]) if shape in ((), ((0, 0, 0),))]
+
+
+def _generated_source(factory, shapes):
+    """The source that the kernel ``factory`` generates for ``shapes``,
+    generated afresh past its cache."""
+    sources = []
+    real = integrator._compile
+
+    def capture(lines, name):
+        sources.append("\n".join(lines))
+        return real(lines, name)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(integrator, "_compile", capture)
+        factory.__wrapped__(shapes)
+    (source,) = sources
+    return source
 
 
 # Reference driver: the Python loop that the generated drivers replaced,
@@ -180,7 +232,7 @@ def _ref_integrate(f, step, y0, events, t_limit, outside=None, h0=None, collect=
             else:
                 crossed = v * ev.expected_sign < 0
             if crossed:
-                found = integrator._refine_event(f, step, ev, y, k1, y_new, k_last, h, v)
+                found = integrator._refine_event(f, step, ev, y, k1, y_new, k_last, h, ev.last, v)
                 if hit is None or found[0] < hit[1]:
                     hit = (ev, found[0], found[1])
             ev.last = v
@@ -314,7 +366,7 @@ class TestStepperBitwise:
         ]
         for field in fields:
             f = field.compiled()
-            kernel = integrator._flight_kernel(field)[0]
+            kernel = integrator._flight_kernel(field)[1]
             for h in self.STEPS:
                 for _ in range(20):
                     y = tuple(float(v) for v in rng.normal(scale=2.0, size=3))
@@ -356,7 +408,7 @@ class TestStepperBitwise:
             Poly3({(0, 0, 1): -1.0, (1, 1, 0): -1.0}),
         )
         f = field.compiled()
-        step = integrator._flight_kernel(field)[0]
+        step = integrator._flight_kernel(field)[1]
         for y in itertools.product((0.0, -0.0), repeat=3):
             for h in self.STEPS:
                 self._assert_same(step, f, y, h)
@@ -368,11 +420,33 @@ class TestStepperBitwise:
         # second stage on; the zero weights b2 and e2 turn it into NaN.
         field = VectorField3(Poly3.constant(1.0), Poly3.zero(), Poly3({(1, 1, 1): 1.0}))
         f = field.compiled()
-        step = integrator._flight_kernel(field)[0]
+        step = integrator._flight_kernel(field)[1]
         y = (1.7, 1e154, 1e154)
         self._assert_same(step, f, y, 1.0)
         y_new, _, norm = step(y, 1.0, f(*y))
         assert math.isfinite(f(*y)[2]) and math.isnan(y_new[2]) and math.isnan(norm)
+
+    def test_constant_components_random_states(self):
+        # A constant or empty component's weighted sums are bound once per
+        # coefficient binding and its inner stages are not written out; the
+        # step still matches the tableau loop, in both time directions, from
+        # signed zeros, where x*y*z overflows, and where an infinite
+        # constant meets weights of both signs.
+        rng = np.random.default_rng(25)
+        overflow = VectorField3(Poly3.constant(1.0), Poly3.zero(), Poly3({(1, 1, 1): 1.0}))
+        infinite = VectorField3(Poly3.constant(-math.inf), Poly3.zero(), Poly3({(1, 0, 0): 1.0}))
+        for field in _constant_component_fields(rng) + [overflow, infinite]:
+            const = _constant_components(field)
+            source = _generated_source(integrator._flight_factory, field.shape()[0])
+            for i in range(3):
+                assert (f"wb_{i} = " in source) == (i in const)
+                assert (f"k2{i} = " in source) == (i not in const)
+            f, step, _ = integrator._flight_kernel(field)
+            states = [tuple(float(v) for v in rng.normal(scale=2.0, size=3)) for _ in range(4)]
+            states += [*itertools.product((0.0, -0.0), repeat=3), (1.7, 1e154, 1e154)]
+            for h in self.STEPS + [-1e-6, -0.013, -0.61]:
+                for y in states:
+                    self._assert_same(step, f, y, h)
 
     def test_random_2d_states(self):
         rng = np.random.default_rng(22)
@@ -446,9 +520,9 @@ class TestKernelCache:
         monkeypatch.setattr(integrator, "_compile", compile_)
         coeffs = (0.123456789, -2.718281828)
         a, b = (self._field(c) for c in coeffs)
-        step_a = integrator._flight_kernel(a)[0]
+        step_a = integrator._flight_kernel(a)[1]
         before = integrator._flight_factory.cache_info()
-        step_b = integrator._flight_kernel(b)[0]
+        step_b = integrator._flight_kernel(b)[1]
         after = integrator._flight_factory.cache_info()
         assert (after.hits, after.misses) == (before.hits + 1, before.misses)
         assert len(sources) == 1
@@ -462,9 +536,60 @@ class TestKernelCache:
         field = self._field(1.25)
         assert integrator._flight_kernel(field) is integrator._flight_kernel(field)
 
-    def test_a_flight_shape_binds_a_step_and_one_driver(self):
+    def test_a_flight_shape_binds_a_field_a_step_and_one_driver(self):
         kernel = integrator._flight_kernel(self._field(0.75))
-        assert [fn.__name__ for fn in kernel] == ["step", "in_box"]
+        assert [fn.__name__ for fn in kernel] == ["field", "step", "in_box"]
+
+    def test_field_matches_compiled_evaluator(self):
+        # cubes, constant and empty components, at random points and at
+        # every mix of signed zeros and ordinary coordinates
+        rng = np.random.default_rng(26)
+
+        def poly(degree):
+            return Poly3({(i, j, k): float(rng.uniform(-2.0, 2.0))
+                          for i in range(degree + 1) for j in range(degree + 1 - i)
+                          for k in range(degree + 1 - i - j) if rng.random() < 0.4})
+
+        fields = [VectorField3(poly(3), poly(3), poly(3)) for _ in range(6)]
+        fields += [VectorField3(Poly3.zero(), poly(3), Poly3.constant(-0.7)),
+                   VectorField3(poly(1), Poly3.zero(), Poly3.zero()),
+                   VectorField3(Poly3.zero(), Poly3.zero(), Poly3.zero())]
+        fields += _constant_component_fields(rng)
+        points = [*itertools.product((0.0, -0.0, 1.5, -0.25), repeat=3)]
+        points += [tuple(float(v) for v in rng.normal(scale=3.0, size=3)) for _ in range(20)]
+        for field in fields:
+            f = integrator._flight_kernel(field)[0]
+            for p in points:
+                assert _bits(*f(*p)) == _bits(*field.compiled()(*p))
+
+
+class TestGeneratedSourcePinned:
+    """SHA-256 of generated source, as the generator wrote it before the
+    sums of constant components were bound once: a shape with no constant
+    component generates the same step and drivers.  The dry-friction
+    oscillator of stick-slip runs, whose X has no constant component, and
+    its sliding field run unchanged code; the flight kernel's evaluator
+    ``field`` and its return line are pinned apart from them."""
+
+    FLIGHT = "c02649fb9fb95448e872f58d111045fe09d38d33b29cb6af7e9bb4ef137b8956"
+    SLIDING = "6308e2d564f36dc8245c3e4062d280c7ed0a74dffdff9832ac733de69d08d0c2"
+
+    @staticmethod
+    def _sha(text):
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    def test_dry_friction_kernels(self):
+        system = dry_friction()[0]
+        assert _constant_components(system.X) == []
+        flight = _generated_source(integrator._flight_factory, system.X.shape()[0])
+        head, rest = flight.split("\n    def step(", 1)
+        body, tail = rest.rsplit("\n    return ", 1)
+        assert head.endswith(
+            "\n    def field(x, y, z):\n        return (c0 + c1*z, c2*y + c3*x, c4 + c5*z + c6*x)")
+        assert tail == "field, step, in_box"
+        assert self._sha("    def step(" + body) == self.FLIGHT
+        shapes = system.X.shape()[0] + system.Y.shape()[0]
+        assert self._sha(_generated_source(integrator._sliding_factory, shapes)) == self.SLIDING
 
 
 class TestIntegrateToSigma:
@@ -492,6 +617,11 @@ class TestIntegrateToSigma:
         with pytest.raises(PreconditionError):
             integrate_to_sigma(const_field(0, 0, 1), (0.0, 0.0, 0.5), +1)
 
+    @pytest.mark.parametrize("direction", [0, 2, -0.5])
+    def test_direction_must_be_a_sign(self, direction):
+        with pytest.raises(PreconditionError):
+            integrate_to_sigma(const_field(0, 0, 1), (0.0, 0.0, 0.0), direction)
+
     @pytest.mark.parametrize("cx", [-1.0, 1.0])
     def test_start_on_fold_line(self, cx):
         # X = (cx, 0, x - x^3) is tangent to the plane at the origin, with
@@ -509,13 +639,57 @@ class TestIntegrateToSigma:
             assert abs(res.point[2]) <= integrator._EVENT_TOL
 
 
+class TestImmutableEvents:
+    def test_plane_events_are_frozen(self):
+        for direction in (1, -1):
+            (event,) = integrator._SIGMA_EVENTS[direction]
+            assert (event.expected_sign, event.component) == (direction, 2)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                event.expected_sign = -direction
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                event.last = 0.0
+
+    def test_fold_maps_from_threads(self):
+        # Every flight of one direction shares its plane event; fold maps run
+        # from two and from three threads at once give the serial results,
+        # bit for bit.
+        rng = np.random.default_rng(44)
+        forms = [build_normal_form(*rng.uniform(-2.5, 2.5, size=2), rng.uniform(0.3, 2.0), -1.0)
+                 for _ in range(4)] + [hot_normal_form()]
+        jobs = [(system, side, tuple(rng.uniform(-0.2, 0.2, size=2)))
+                for system in forms for side in "XY" for _ in range(60)]
+
+        def run(jobs):
+            out = []
+            for system, side, q in jobs:
+                try:
+                    out.append(_bits(*fold_map_numeric(system, side, q)))
+                except IntegrationFailure as exc:
+                    out.append(exc.status)
+            return out
+
+        serial = run(jobs)
+        assert sum(isinstance(r, bytes) for r in serial) > len(jobs) // 2
+        orders = [jobs, jobs[::-1], jobs[1::2] + jobs[::2]]
+        expected = [serial, serial[::-1], serial[1::2] + serial[::2]]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads inside flights, not between runs
+        try:
+            for workers in (2, 3):
+                with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+                    threaded = list(pool.map(run, orders[:workers], timeout=120))
+                assert threaded == expected[:workers]
+        finally:
+            sys.setswitchinterval(interval)
+
+
 class TestEvalWithinStep:
     def test_failed_error_test_splits_the_step(self):
         # One DP5 step of the rotation x' = -y, y' = x over dt = 1 fails the
         # error test, so the step is halved until each part passes; the
         # result must match the exact (cos 1, sin 1).
         field = VectorField3(Poly3({(0, 1, 0): -1.0}), Poly3({(1, 0, 0): 1.0}), Poly3.zero())
-        f, step = field.compiled(), integrator._flight_kernel(field)[0]
+        f, step, _ = integrator._flight_kernel(field)
         y0 = (1.0, 0.0, 0.0)
         assert step(y0, 1.0, f(*y0))[2] > 1.0
         calls = []
@@ -891,7 +1065,8 @@ def _count_kernel_steps(monkeypatch, counts):
     takes through the flight's kernel ``step``.  A step adds 1 to
     ``counts["kernel_steps"]`` and 6 to ``counts["field_evals"]``, the
     stages it writes out; a driver run adds 1 more evaluation, the first
-    stage at its start.  Returns ``counts``."""
+    stage at its start, and so does each call of the kernel's ``field``.
+    Returns ``counts``."""
     flight, sliding, fly = integrator._flight_kernel, integrator._sliding_kernel, integrator._fly
 
     def add_steps(n):
@@ -905,6 +1080,13 @@ def _count_kernel_steps(monkeypatch, counts):
 
         return wrapper
 
+    def counted_field(f):
+        def wrapper(*y):
+            counts["field_evals"] += 1
+            return f(*y)
+
+        return wrapper
+
     def counted_fly(f, step, events, drive, *args):
         res = fly(f, step, events, drive, *args)
         add_steps(res.accepted + res.rejected)
@@ -912,12 +1094,12 @@ def _count_kernel_steps(monkeypatch, counts):
         return res
 
     def flight_kernel(field):
-        step, in_box = flight(field)
-        return counted(step), in_box
+        f, step, in_box = flight(field)
+        return counted_field(f), counted(step), in_box
 
     def sliding_kernel(system):
         f, step, slide = sliding(system)
-        return f, counted(step), slide
+        return counted_field(f), counted(step), slide
 
     monkeypatch.setattr(integrator, "_flight_kernel", flight_kernel)
     monkeypatch.setattr(integrator, "_sliding_kernel", sliding_kernel)
@@ -932,14 +1114,15 @@ def _record_refinements(monkeypatch):
     events = []
     real_refine = integrator._refine_event
 
-    def refine(f, step, event, y_left, k_left, y_right, k_right, h, g_right):
+    def refine(f, step, event, y_left, k_left, y_right, k_right, h, g_left, g_right):
         counts = collections.Counter()
 
         def counted(*args):
             counts["steps"] += 1
             return step(*args)
 
-        found = real_refine(f, counted, event, y_left, k_left, y_right, k_right, h, g_right)
+        found = real_refine(f, counted, event, y_left, k_left, y_right, k_right, h, g_left,
+                            g_right)
         events.append((h, found, counts["steps"], event.name))
         return found
 
@@ -1044,7 +1227,7 @@ class TestPlaneRootOneComponent:
                 y1 = (y1[0], y1[1], -y1[2])
             if y0[2] * y1[2] >= 0.0:
                 continue
-            event = integrator._sigma_event(1 if y0[2] > 0.0 else -1)
+            (event,) = integrator._SIGMA_EVENTS[1 if y0[2] > 0.0 else -1]
             t = self._assert_same_root(event, y0, k0, y1, k1, h, y0[2], y1[2])
             assert min(0.0, h) <= t <= max(0.0, h)
 
@@ -1072,27 +1255,17 @@ class TestWorkCounts:
     """One numeric Jacobian of the return map on a delta = -1 normal form:
     6 flights (two of the eight fold maps start on the Y tangency line),
     24 Dormand-Prince steps and 150 field evaluations: 6 for each step, 1
-    at the start of each flight and the calls of the compiled evaluator
-    (the locator's Newton slopes).  Flights are counted at
+    at the start of each flight and the calls of the kernel's evaluator
+    (the locator's Newton slopes).  A flight never calls the compiled
+    evaluator ``VectorField3.compiled()``.  Flights are counted at
     ``integrate_to_sigma``, where perfbench's tracer also counts them."""
 
     @pytest.mark.parametrize("params", [
         (-0.7, 1.3, 0.9), (2.5, -1.4, 0.5), (-1.0, -1.0, 1.0), (0.4, 0.9, 2.0), (-2.0, -1.4, 0.5),
     ])
     def test_return_map_jacobian(self, monkeypatch, call_counts, params):
+        call_counts(VectorField3, "compiled")
         counts = _count_kernel_steps(monkeypatch, call_counts(integrator, "integrate_to_sigma"))
-        real_compiled = VectorField3.compiled
-
-        def compiled(field):
-            fn = real_compiled(field)
-
-            def counted(x, y, z):
-                counts["field_evals"] += 1
-                return fn(x, y, z)
-
-            return counted
-
-        monkeypatch.setattr(VectorField3, "compiled", compiled)
         system = build_normal_form(*params, -1.0)
         jacobian_numeric(lambda q: return_map_numeric(system, q), (0.0, 0.0), 1e-3)
         assert counts == {"integrate_to_sigma": 6, "kernel_steps": 24, "field_evals": 150}
@@ -1135,14 +1308,14 @@ class TestNonFiniteErrorNorm:
 
     def test_flight_grows_fivefold_to_the_horizon(self):
         field = self._field(Poly3.constant(1.0))
-        f, kernel = field.compiled(), integrator._flight_kernel(field)
+        f, kernel_step, in_box = integrator._flight_kernel(field)
         start = (1e306, 1.0, 0.0)
 
         def flight(outside=None):
             steps = []
 
             def step(y, h, k1):
-                out = kernel[0](y, h, k1)
+                out = kernel_step(y, h, k1)
                 steps.append((h, out[2]))
                 return out
 
@@ -1172,7 +1345,7 @@ class TestNonFiniteErrorNorm:
         assert len(guarded_steps) < len(steps)
         assert [_bits(*hs) for hs in guarded_steps] == [
             _bits(*hs) for hs in steps[:len(guarded_steps)]]
-        got = integrator._fly(f, kernel[0], (integrator._sigma_event(1),), kernel[1], start,
+        got = integrator._fly(f, kernel_step, integrator._SIGMA_EVENTS[1], in_box, start,
                               integrator._MAX_TIME, None, 1, _cube_box(start, math.inf), [])
         assert (got.status, got.accepted + got.rejected) == (guarded.status, len(guarded_steps))
         assert _bits(got.time, *got.point) == _bits(guarded.time, *guarded.point)
@@ -1346,6 +1519,49 @@ class TestGeneratedDriver:
 
         assert self._assert_same(run) == [("integrate_to_sigma", FlightStatus.LEFT_BOX, None),
                                           ("in_box", FlightStatus.LEFT_BOX, None)]
+
+    def test_constant_components(self):
+        # Fields whose constant and empty components have their sums bound
+        # once: fold maps both ways on seeded normal forms (one with alpha =
+        # 0, an empty component), flights and trajectories of the seeded
+        # mixes, the NaN of an overflow under an infinite guard radius, and
+        # a flight to the horizon under that radius.
+        rng = np.random.default_rng(42)
+        big = TestNonFiniteErrorNorm.BIG
+        forms = [build_normal_form(*rng.uniform(-2.5, 2.5, size=2), rng.uniform(0.3, 2.0), -1.0)
+                 for _ in range(3)] + [build_normal_form(0.0, -1.0, 1.0, -1.0)]
+        points = [tuple(rng.uniform(-0.2, 0.2, size=2)) for _ in range(4)]
+        fields = _constant_component_fields(rng)
+        starts = [tuple(rng.uniform(-0.5, 0.5, size=2)) for _ in fields]
+        overflow = VectorField3(Poly3.constant(1.0), Poly3.zero(), Poly3({(1, 1, 1): 1.0}))
+
+        def run():
+            for system in forms:
+                for q in points:
+                    for side in "XY":
+                        try:
+                            fold_map_numeric(system, side, q)
+                        except IntegrationFailure:
+                            pass
+            for field, (x, y) in zip(fields, starts):
+                for d in (1, -1):
+                    integrator.integrate_to_sigma(field, (x, y, 0.0), d)
+                system = PiecewiseSystem(field, const_field(0.3, -0.2, 1.0))
+                filippov_trajectory(system, (x, y, 0.5), 3.0)
+            integrator.integrate_to_sigma(
+                TestNonFiniteErrorNorm._field(Poly3.constant(1.0)), (1e306, 1.0, 0.0), 1, big)
+            integrator.integrate_to_sigma(const_field(1.0, 0.5, 1.0), (0.0, 0.0, 0.0), 1, big)
+            filippov_trajectory(PiecewiseSystem(overflow, const_field(0, 0, 1), big),
+                                (1.7, 1e154, 1e154), 5.0, IntegratorConfig(box=big))
+
+        flights = set(self._assert_same(run))
+        for kind in ("integrate_to_sigma", "in_box"):
+            assert (kind, FlightStatus.HIT_SIGMA, "sigma") in flights
+            assert (kind, FlightStatus.LEFT_BOX, None) in flights
+            assert (kind, FlightStatus.TIME_OUT, None) in flights
+        limited = {(kind, status) for kind, status, _ in self._assert_same(run, max_steps=5)}
+        assert {("integrate_to_sigma", FlightStatus.STEP_LIMIT),
+                ("in_box", FlightStatus.STEP_LIMIT)} <= limited
 
     def test_sliding_ends_on_each_event(self, monkeypatch):
         stick_slip, box = dry_friction()
