@@ -413,3 +413,15 @@ def gradient_on_sigma(g):
 
 def finite_coefficients(p):
     return all(math.isfinite(c) for c in p.terms.values())
+
+
+def linspace(start, stop, n):
+    """``n >= 2`` floats from ``start`` to ``stop``, bit for bit those of
+    ``numpy.linspace``, whose formula and zero-step branch this repeats."""
+    start, stop = float(start), float(stop)
+    delta, div = stop - start, n - 1
+    step = delta / div
+    # numpy's branch for a step that rounds to zero, as on a subnormal span
+    points = [(i / div * delta if step == 0.0 else i * step) + start for i in range(n)]
+    points[-1] = stop
+    return points

@@ -133,7 +133,7 @@ def check_return_map_grid(n_alpha, n_beta, gammas):
                     failed += 1
                     continue
                 returned += 1
-                diff = float(np.max(np.abs(jac - analysis.matrix)))
+                diff = float(np.max(np.abs(np.asarray(jac) - analysis.matrix)))
                 if diff <= _ENTRY_TOL:
                     matched += 1
                 worst_entry = _worst(worst_entry, diff)
@@ -305,9 +305,9 @@ def check_region_spectra(n_per_region, seed):
             if sliding_region_class(params) is not tag:
                 violations += 1
                 continue
-            m = foldfold_sliding_linearization(params)
-            det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-            tr = m[0, 0] + m[1, 1]
+            (m00, m01), (m10, m11) = foldfold_sliding_linearization(params)
+            det = m00 * m11 - m01 * m10
+            tr = m00 + m11
             if not spectrum(det, tr, tr * tr - 4.0 * det):
                 violations += 1
     return [_count_row("region spectra sign table", violations,
@@ -490,8 +490,8 @@ def _reversal_residual(system, analysis):
     the two-fold along the expanding direction (both signs) to the
     contracting line, over r^2.  The X-fold involution swaps the saddle's
     two eigenlines, so this is second order in r."""
-    ux, uy = analysis.v_expanding.tolist()
-    sx, sy = analysis.v_contracting.tolist()
+    ux, uy = analysis.v_expanding
+    sx, sy = analysis.v_contracting
     worst = 0.0
     for r in _REVERSIBILITY_RADII:
         for sign in (1.0, -1.0):
@@ -542,7 +542,7 @@ def check_diabolo(n_draws, n_systems, seeds_per_system, seed):
         except IntegrationFailure:
             reversal_failures += 1
         for vector, report in ((analysis.v_contracting, cone), (analysis.v_expanding, twins)):
-            vx, vy = vector.tolist()
+            vx, vy = vector
             starts = [(s * r * vx, s * r * vy) for r in _CONE_RADII for s in (1.0, -1.0)]
             _iterate_seeds(system, starts, report)
     long_runs = sum(n > m for n, m in zip(cone.iterations, twins.iterations))
@@ -968,11 +968,11 @@ def check_system(system, point, seed=0):
         return results
 
     try:
-        jac = jacobian_numeric(
+        (j00, j01), (j10, j11) = jacobian_numeric(
             lambda q: return_map_numeric(system, q), (point[0], point[1]), _JACOBIAN_STEP
         )
-        det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
-        tr = jac[0, 0] + jac[1, 1]
+        det = j00 * j11 - j01 * j10
+        tr = j00 + j11
         trace = two_fold.analysis.trace  # set exactly for invisible two-folds
         results += [
             CheckResult("return-map determinant", abs(det - 1.0) <= _SYSTEM_DET_TOL,

@@ -15,9 +15,7 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
-from . import checks
+from .algebra import linspace
 from .errors import MalformedDocumentError, ToolError, VerificationFailure
 from .foldfold import (
     FixedPointClass,
@@ -41,10 +39,8 @@ def _jsonable(obj):
         return {"re": obj.real, "im": obj.imag}
     if isinstance(obj, Enum):
         return obj.value
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer)):
-        return _jsonable(obj.item())
+    if hasattr(obj, "tolist"):  # a numpy array or scalar
+        return _jsonable(obj.tolist())
     if dataclasses.is_dataclass(obj):
         return {k: _jsonable(v) for k, v in dataclasses.asdict(obj).items()}
     if isinstance(obj, dict):
@@ -145,7 +141,7 @@ def cmd_classify(args):
         curves = tangency_curves(system)
         report["tangency_curves"] = {
             side: [
-                {"points": c.points.tolist(), "closed": c.closed, "complete": c.complete}
+                {"points": c.points, "closed": c.closed, "complete": c.complete}
                 for c in lst
             ]
             for side, lst in curves.items()
@@ -196,8 +192,8 @@ def _sweep_row(alpha, beta, gamma, delta, coords):
 
 def run_sweep(spec):
     """The atlas CSV; each alpha and each beta is formatted once."""
-    alphas = np.linspace(*spec.alpha[:2], spec.alpha[2]).tolist()
-    betas = np.linspace(*spec.beta[:2], spec.beta[2]).tolist()
+    alphas = linspace(*spec.alpha)
+    betas = linspace(*spec.beta)
     gamma, delta = spec.gamma, spec.delta
     beta_cols = [(b, f",{b!r},{gamma!r},{int(delta)},") for b in betas]
     rows = ["alpha,beta,gamma,delta,region,claim,fixed_point_class,verdict,reason,tau"]
@@ -250,6 +246,8 @@ def cmd_simulate(args):
 
 
 def cmd_verify(args):
+    from . import checks
+
     scale = _finite(args.scale, "--scale")
     if not scale > 0.0:
         raise MalformedDocumentError("--scale must be > 0")
@@ -285,6 +283,16 @@ def cmd_verify(args):
 
 
 # ---------------------------------------------------------------------------
+
+
+class _SuiteChoices:
+    """``verify --suite`` values: all, none and each name of ``checks.SUITES``,
+    read when first asked for (``in`` iterates), so that only ``verify``
+    imports ``checks``."""
+
+    def __iter__(self):
+        from .checks import SUITES
+        return iter(("all", "none", *SUITES))
 
 
 def build_parser():
@@ -326,11 +334,8 @@ def build_parser():
     p.add_argument("system", nargs="?", default=None,
                    help="optional system JSON file to check at --point")
     p.add_argument("--point", default=None, help="x,y,z (default origin)")
-    p.add_argument(
-        "--suite",
-        default="all",
-        choices=["all", "none", *checks.SUITES],
-    )
+    p.add_argument("--suite", default="all", choices=_SuiteChoices(), metavar="SUITE",
+                   help="one of %(choices)s")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--scale", type=float, default=1.0,
                    help="sample-count multiplier (1.0 = CLI defaults)")

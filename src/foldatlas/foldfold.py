@@ -23,8 +23,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 
-import numpy as np
-
 from .errors import PreconditionError
 from .sigma import (
     FoldFoldSubtype,
@@ -123,10 +121,10 @@ def foldfold_sliding_linearization(params):
     """Linear part of the normalized sliding field at a two-fold point.
 
     In normal coordinates this is ``[[alpha, -delta*gamma], [1, -delta*beta]]``
-    acting on (x, y).
+    acting on (x, y), as row tuples.
     """
     a, b, g, d = params.alpha, params.beta, params.gamma, params.delta
-    return np.array([[a, -d * g], [1.0, -d * b]])
+    return ((a, -d * g), (1.0, -d * b))
 
 
 # ---------------------------------------------------------------------------
@@ -148,14 +146,14 @@ class EigvecLocation(Enum):
 
 @dataclass
 class ReturnMapAnalysis:
-    matrix: np.ndarray
+    matrix: tuple  # row tuples ((m00, m01), (m10, m11))
     trace: float
     det: float
     eigenvalues: tuple  # (contracting, expanding) for a saddle; complex pair otherwise
     fixed_point_class: FixedPointClass
     tau: float | None = None
-    v_contracting: np.ndarray | None = None
-    v_expanding: np.ndarray | None = None
+    v_contracting: tuple | None = None  # unit (x, y), saddles only
+    v_expanding: tuple | None = None
     location_contracting: EigvecLocation | None = None
     location_expanding: EigvecLocation | None = None
 
@@ -187,15 +185,15 @@ def return_map_analysis(params):
     The linearization is ``A_X @ A_Y = [[-1 + 4ab/g, -2a], [2b/g, -1]]``
     with determinant exactly 1, so the fixed point is a saddle precisely
     when |trace| > 2, equivalently when ``a*b*(a*b - g) > 0``.  The matrix
-    and its eigen-data are computed on plain floats; only the returned
-    matrix and eigenvectors are arrays.
+    (row tuples), its eigenvalues and its unit eigenvectors (``(x, y)``
+    tuples) are plain floats.
     """
     if params.subtype is not FoldFoldSubtype.INVISIBLE:
         raise PreconditionError("return map analysis needs an invisible two-fold")
     a2 = 2.0 * params.alpha
     m10 = 2.0 * params.beta / params.gamma
     m00, m01, m11 = -1.0 + a2 * m10, -a2, -1.0
-    m = np.array(((m00, m01), (m10, m11)))
+    m = ((m00, m01), (m10, m11))
     trace = m00 + m11
     det = m00 * m11 - m01 * m10
     if near(trace, 2.0):
@@ -228,8 +226,8 @@ def return_map_analysis(params):
         det,
         (complex(small), complex(big)),
         FixedPointClass.SADDLE,
-        v_contracting=np.array(v_small),
-        v_expanding=np.array(v_big),
+        v_contracting=v_small,
+        v_expanding=v_big,
         location_contracting=_locate(*v_small),
         location_expanding=_locate(*v_big),
     )
@@ -444,11 +442,14 @@ def _sliding_point_verdict(system, point, cls, tol):
             class_descriptor=("regular-regular", cls.kind.value, "regular-sliding"),
         )
     xf, yf = cls.witness
-    jac = fld.jacobian_at(point[0], point[1]) / (yf - xf)
-    t = jac[0, 0] + jac[1, 1]
-    d = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
-    size = 1.0 + float(np.max(np.abs(jac)))
+    j00, j01, j10, j11 = (v / (yf - xf) for row in fld.jacobian_at(point[0], point[1])
+                          for v in row)
+    t = j00 + j11
+    d = j00 * j11 - j01 * j10
+    mags = (abs(j00), abs(j01), abs(j10), abs(j11))
+    # A NaN entry makes the size NaN, which ``max`` alone can skip.
     # Comparisons with NaN are False, so a NaN Jacobian counts as hyperbolic.
+    size = 1.0 + (max(mags) if all(m == m for m in mags) else math.nan)
     hyperbolic = not abs(d) <= tol * size * size and (
         d < 0.0 or t * t - 4.0 * d >= 0.0 or not abs(t) <= tol * size
     )

@@ -47,8 +47,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from operator import itemgetter
 
-import numpy as np
-
 from .algebra import lie_derivative, shape_source
 from .errors import IntegrationFailure, PreconditionError
 from .sigma import default_tolerance
@@ -668,17 +666,15 @@ def return_map_numeric(system, q):
 
 
 def jacobian_numeric(map_fn, q, h=1e-3):
-    """Central-difference Jacobian of a planar map at ``q``."""
+    """Central-difference Jacobian of a planar map at ``q``, as row tuples."""
     x, y = float(q[0]), float(q[1])
     fxp = map_fn((x + h, y))
     fxm = map_fn((x - h, y))
     fyp = map_fn((x, y + h))
     fym = map_fn((x, y - h))
-    return np.array(
-        [
-            [(fxp[0] - fxm[0]) / (2 * h), (fyp[0] - fym[0]) / (2 * h)],
-            [(fxp[1] - fxm[1]) / (2 * h), (fyp[1] - fym[1]) / (2 * h)],
-        ]
+    return (
+        ((fxp[0] - fxm[0]) / (2 * h), (fyp[0] - fym[0]) / (2 * h)),
+        ((fxp[1] - fxm[1]) / (2 * h), (fyp[1] - fym[1]) / (2 * h)),
     )
 
 
@@ -695,8 +691,8 @@ class Mode(Enum):
 @dataclass
 class TrajectorySegment:
     mode: Mode
-    times: np.ndarray
-    points: np.ndarray  # (n, 3)
+    times: numpy.ndarray
+    points: numpy.ndarray  # (n, 3)
     terminal: FlightStatus
 
 
@@ -790,7 +786,7 @@ def filippov_trajectory(system, p0, horizon, cfg=None):
         mode, stop = _mode_on_sigma(system, p, tol)
     if mode is None:
         marker = Mode.SLIDING if stop is FlightStatus.UNSTABLE_SLIDING else Mode.FLOW_PLUS
-        _append_marker(traj, 0.0, p, marker, stop)
+        _append_segment(traj, 0.0, [(0.0, *p)], marker, stop)
         traj.status = stop.value
         return traj
 
@@ -800,7 +796,7 @@ def filippov_trajectory(system, p0, horizon, cfg=None):
     while len(traj.segments) < _MAX_SEGMENTS:
         remaining = horizon - t_now
         if remaining <= 1e-14 * max(1.0, horizon):
-            _append_marker(traj, t_now, p, mode, FlightStatus.TIME_OUT)
+            _append_segment(traj, t_now, [(0.0, *p)], mode, FlightStatus.TIME_OUT)
             break
         samples = []
         if mode is Mode.SLIDING:  # on {z = 0}, with state (x, y)
@@ -840,11 +836,9 @@ def filippov_trajectory(system, p0, horizon, cfg=None):
 def _append_segment(traj, t_offset, samples, mode, terminal):
     """Append one flight's ``(t, *state)`` samples; sliding states (x, y)
     get z = 0.0."""
+    import numpy as np  # only trajectories load numpy
+
     rows = np.array(samples)
     points = np.zeros((len(rows), 3))
     points[:, :rows.shape[1] - 1] = rows[:, 1:]
     traj.segments.append(TrajectorySegment(mode, t_offset + rows[:, 0], points, terminal))
-
-
-def _append_marker(traj, t_now, p, mode, terminal):
-    traj.segments.append(TrajectorySegment(mode, np.array([t_now]), np.array([list(p)]), terminal))

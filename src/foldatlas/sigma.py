@@ -16,9 +16,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
-from .algebra import gradient_on_sigma
+from .algebra import gradient_on_sigma, linspace
 from .errors import PreconditionError
 
 # Newton corrections per tangency-curve point before the point is given up;
@@ -189,9 +187,21 @@ def _refine_tangency(system, point, witness, tol):
 
 @dataclass
 class Curve:
-    points: np.ndarray  # (n, 2) samples on {z=0}
+    points: tuple  # (x, y) samples on {z=0}
     closed: bool = False
     complete: bool = True
+
+
+def _nan_on_overflow(fn):
+    """``fn``, NaN (no seed, no corrected point) where a power overflows."""
+
+    def evaluate(x, y, z):
+        try:
+            return fn(x, y, z)
+        except OverflowError:
+            return math.nan
+
+    return evaluate
 
 
 def _trace_zero_set(poly, box):
@@ -199,8 +209,7 @@ def _trace_zero_set(poly, box):
     g = poly.subs_z0()
     if g.is_zero():
         return []
-    gfn = g.compiled()
-    gx, gy = (g.partial(var).compiled() for var in "xy")
+    gfn, gx, gy = (_nan_on_overflow(p.compiled()) for p in (g, g.partial("x"), g.partial("y")))
     scale = 1.0 + g.coeff_scale()
     ctol = 1e-12 * scale
     h = _CURVE_STEP * max(box.xmax - box.xmin, box.ymax - box.ymin)
@@ -226,19 +235,19 @@ def _trace_zero_set(poly, box):
 
     # Seeds: sign changes along grid edges, then corrector polish.
     n_grid = 41
-    xs = np.linspace(box.xmin, box.xmax, n_grid)
-    ys = np.linspace(box.ymin, box.ymax, n_grid)
-    vals = np.array([[gfn(x, y, 0.0) for y in ys] for x in xs])
+    xs = linspace(box.xmin, box.xmax, n_grid)
+    ys = linspace(box.ymin, box.ymax, n_grid)
+    vals = [[gfn(x, y, 0.0) for y in ys] for x in xs]
     seeds = []
     for i in range(n_grid):
         for j in range(n_grid):
-            v0 = vals[i, j]
+            v0 = vals[i][j]
             if abs(v0) <= ctol:
                 seeds.append((xs[i], ys[j]))
                 continue
             for ii, jj in ((i + 1, j), (i, j + 1)):
-                if ii < n_grid and jj < n_grid and v0 * vals[ii, jj] < 0.0:
-                    t = v0 / (v0 - vals[ii, jj])
+                if ii < n_grid and jj < n_grid and v0 * vals[ii][jj] < 0.0:
+                    t = v0 / (v0 - vals[ii][jj])
                     seeds.append((xs[i] + t * (xs[ii] - xs[i]), ys[j] + t * (ys[jj] - ys[j])))
 
     max_steps = int(8 * (box.scale() / h)) + 10
@@ -291,7 +300,7 @@ def _trace_zero_set(poly, box):
                 continue
             chain = fwd
         visited.extend(chain)
-        curves.append(Curve(points=np.array(chain), closed=closed, complete=complete))
+        curves.append(Curve(points=tuple(chain), closed=closed, complete=complete))
     return curves
 
 

@@ -19,8 +19,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .algebra import Poly3
 
 
@@ -40,9 +38,9 @@ class PlanarField:
         return lambda x, y: (fx(x, y, 0.0), fy(x, y, 0.0))
 
     def jacobian_at(self, x, y):
-        rows = ((self.px.partial("x"), self.px.partial("y")),
-                (self.py.partial("x"), self.py.partial("y")))
-        return np.array([[p.eval(x, y, 0.0) for p in row] for row in rows])
+        """Row tuples ``((dpx/dx, dpx/dy), (dpy/dx, dpy/dy))`` at (x, y)."""
+        return tuple(tuple(p.partial(v).eval(x, y, 0.0) for v in "xy")
+                     for p in (self.px, self.py))
 
 
 def normalized_sliding_field(system):

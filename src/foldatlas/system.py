@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
-import numpy as np
-
 from .algebra import (
     DegreeCapError,
     Poly3,
@@ -25,6 +23,7 @@ from .algebra import (
     finite_coefficients,
     gradient_on_sigma,
     lie_derivative,
+    linspace,
 )
 from .errors import (
     DegreeCapExceededError,
@@ -345,38 +344,44 @@ _ZERO_TOL = 1e-10  # a zero's residual over 1 + the field's coefficient scale
 
 
 def _field_zeros_on_sigma(f, box):
-    """Grid-seeded Gauss-Newton search for zeros of a field on {z=0}."""
+    """Grid-seeded Gauss-Newton search for zeros of a field on {z=0}; each
+    step solves the normal equations (J^T J) s = J^T r of the 3x2 Jacobian J."""
     fn = f.compiled()
-    jac_polys = [
-        [comp.partial(var).subs_z0() for var in ("x", "y")]
+    jac_fns = [
+        [comp.partial(var).subs_z0().compiled() for var in ("x", "y")]
         for comp in f.components()
     ]
-    jac_fns = [[p.compiled() for p in row] for row in jac_polys]
-    xs = np.linspace(box.xmin, box.xmax, _ZERO_GRID)
-    ys = np.linspace(box.ymin, box.ymax, _ZERO_GRID)
+    ys = linspace(box.ymin, box.ymax, _ZERO_GRID)
     found = []
     scale = 1.0 + f.coeff_scale()
-    for x0 in xs:
+    for x0 in linspace(box.xmin, box.xmax, _ZERO_GRID):
         for y0 in ys:
-            vx, vy, vz = fn(x0, y0, 0.0)
-            norm = math.hypot(vx, math.hypot(vy, vz))
-            if norm > 0.2 * scale:
+            try:  # a power past the float range raises: no zero there
+                vx, vy, vz = fn(x0, y0, 0.0)
+                norm = math.hypot(vx, math.hypot(vy, vz))
+                if norm > 0.2 * scale:
+                    continue
+                x, y = x0, y0
+                for _ in range(25):
+                    r0, r1, r2 = fn(x, y, 0.0)
+                    if math.hypot(r0, r1, r2) <= _ZERO_TOL * scale:
+                        break
+                    (a0, a1), (b0, b1), (c0, c1) = ([cell(x, y, 0.0) for cell in row]
+                                                    for row in jac_fns)
+                    p = a0 * a0 + b0 * b0 + c0 * c0
+                    q = a0 * a1 + b0 * b1 + c0 * c1
+                    s = a1 * a1 + b1 * b1 + c1 * c1
+                    det = p * s - q * q
+                    if abs(det) < 1e-18:
+                        break
+                    u, v = a0 * r0 + b0 * r1 + c0 * r2, a1 * r0 + b1 * r1 + c1 * r2
+                    x, y = x - (s * u - q * v) / det, y - (p * v - q * u) / det
+                else:
+                    continue
+                residual = math.hypot(*fn(x, y, 0.0))
+            except OverflowError:
                 continue
-            x, y = float(x0), float(y0)
-            for _ in range(25):
-                r = np.array(fn(x, y, 0.0))
-                if np.linalg.norm(r) <= _ZERO_TOL * scale:
-                    break
-                J = np.array([[cell(x, y, 0.0) for cell in row] for row in jac_fns])
-                JtJ = J.T @ J
-                if abs(np.linalg.det(JtJ)) < 1e-18:
-                    break
-                step = np.linalg.solve(JtJ, J.T @ r)
-                x, y = x - step[0], y - step[1]
-            else:
-                continue
-            r = np.array(fn(x, y, 0.0))
-            if np.linalg.norm(r) <= _ZERO_TOL * scale and box.contains((x, y, 0.0), pad=1e-9):
+            if residual <= _ZERO_TOL * scale and box.contains((x, y, 0.0), pad=1e-9):
                 if all(math.hypot(x - px, y - py) > 1e-6 for px, py in found):
                     found.append((x, y))
     return found

@@ -19,6 +19,7 @@ from foldatlas.algebra import (
     _shape,
     gradient_on_sigma,
     lie_derivative,
+    linspace,
 )
 from foldatlas import integrator
 from foldatlas.system import PiecewiseSystem, build_normal_form, load_system, serialize_system
@@ -576,3 +577,36 @@ if given is not None:
             _assert_canonical(lie_derivative(field, p))
             for g in gradient_on_sigma(p):
                 _assert_canonical(g)
+
+
+class TestLinspace:
+    """The one float grid of the sweep, the curve seeds and the zero search
+    gives numpy's bits, so grids need no arrays."""
+
+    CASES = [
+        (-3.0, 3.0, 20),
+        (-3.0, 3.0, 41),
+        (-1.0, 1.0, 2),  # two points: start and stop only
+        (3.0, -3.0, 7),  # reversed
+        (0.1, 0.7, 1000),
+        (0.0, 5e-324, 5),  # subnormal span: the step rounds to zero
+        (-1e-310, 1e-310, 11),
+        (-1e300, 1e300, 9),  # huge span
+        (-1e308, 1e308, 5),  # the span overflows: nan, inf, ..., stop
+        (2.0, -1e308, 3),
+        (1.5, 1.5, 4),  # start == stop
+        (0.0, 0.0, 3),
+    ]
+
+    @pytest.mark.parametrize("start,stop,n", CASES)
+    def test_matches_numpy_bit_for_bit(self, start, stop, n):
+        with np.errstate(all="ignore"):
+            want = np.linspace(start, stop, n).tolist()
+        assert _bits(*linspace(start, stop, n)) == _bits(*want)
+
+    def test_random_ranges(self):
+        rng = np.random.default_rng(27)
+        for _ in range(500):
+            start, stop = (rng.normal(size=2) * 10.0 ** rng.integers(-6, 6, size=2)).tolist()
+            n = int(rng.integers(2, 60))
+            assert _bits(*linspace(start, stop, n)) == _bits(*np.linspace(start, stop, n).tolist())

@@ -155,12 +155,9 @@ class TestDiaboloCompanions:
 
     def test_transposed_eigenvectors_fail_reversibility(self, monkeypatch):
         def transposed(analysis):
-            (m00, m01), (m10, m11) = analysis.matrix.tolist()
+            (m00, m01), (m10, m11) = analysis.matrix
             small, big = (v.real for v in analysis.eigenvalues)
-            return (
-                np.array(_eigvec2(m00, m10, m01, m11, small)),
-                np.array(_eigvec2(m00, m10, m01, m11, big)),
-            )
+            return _eigvec2(m00, m10, m01, m11, small), _eigvec2(m00, m10, m01, m11, big)
 
         self._patch_vectors(monkeypatch, transposed)
         reversibility, cone = self._rows()

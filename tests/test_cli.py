@@ -1,11 +1,17 @@
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from foldatlas import sigma
+import foldatlas
+from foldatlas import checks, sigma
 from foldatlas.algebra import Poly3, VectorField3
 from foldatlas.cli import SweepSpec, _jsonable, main, run_sweep
 from foldatlas.errors import EmptyBoxError
@@ -18,7 +24,9 @@ from foldatlas.foldfold import (
 )
 from foldatlas.integrator import filippov_trajectory
 from foldatlas.sigma import FoldFoldSubtype
-from foldatlas.system import PiecewiseSystem, build_normal_form, load_system, serialize_system
+from foldatlas.system import (
+    Box, PiecewiseSystem, build_normal_form, load_system, serialize_system,
+)
 
 
 @pytest.fixture
@@ -135,8 +143,13 @@ class TestClassify:
         for side, axis in (("X", 1), ("Y", 0)):
             (curve,) = report["tangency_curves"][side]
             (traced,) = expected[side]
-            assert curve == {"points": traced.points.tolist(), "closed": False, "complete": True}
+            points = [list(p) for p in traced.points]
+            assert curve == {"points": points, "closed": False, "complete": True}
             assert max(abs(p[axis]) for p in curve["points"]) <= 1e-10
+
+    def test_jsonable_reads_numpy_values_through_tolist(self):
+        doc = {"m": np.array([[1.0, np.inf]]), "n": np.int64(3), "f": np.float32(0.5)}
+        assert _jsonable(doc) == {"m": [[1.0, "inf"]], "n": 3, "f": 0.5}
 
     def test_regular_point_report(self, elliptic_file, tmp_path):
         report = _classify(elliptic_file, "1,-1,0", tmp_path)
@@ -201,6 +214,19 @@ class TestClassify:
         path.write_text(json.dumps(doc))
         assert main(["classify", str(path), "--point", "0,0,0"]) == 2
         assert "X.cx: non-finite coefficient" in capsys.readouterr().err
+
+    def test_powers_past_the_float_range_exit_0(self, tmp_path):
+        # x**8 overflows on the grids of validate's zero search and of the
+        # fold-line tracer: no zero and no seed there, and no OverflowError.
+        x8 = Poly3({(8, 0, 0): 1.0})
+        system = PiecewiseSystem(_field(1.0, x8, _Y + x8), _field(1.0, 0.0, _X),
+                                 Box(-1e40, 1e40, -1e40, 1e40, -1.0, 1.0))
+        path = tmp_path / "huge-box.json"
+        path.write_text(serialize_system(system))
+        out = tmp_path / "report.json"
+        assert main(["classify", str(path), "--point", "1,1,0", "--curves",
+                     "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["tangency_curves"]["Y"]
 
     @pytest.mark.parametrize("bad,message", [
         ("box", "box must be six finite numbers"),
@@ -469,3 +495,45 @@ class TestVerify:
         path.write_text(serialize_system(build_normal_form(0.3, 0.5, gamma, delta)))
         assert main(["verify", str(path), "--suite", "none"]) == 4
         assert "FAIL" in capsys.readouterr().out
+
+
+class TestStartUp:
+    """Only ``verify`` loads ``checks``, and with it numpy; ``classify`` and
+    ``sweep`` run on plain floats."""
+
+    def test_classify_and_sweep_load_no_numpy(self, elliptic_file, tmp_path):
+        out = str(tmp_path / "out")
+        runs = [
+            ["classify", elliptic_file, "--point", p, "--out", out]
+            for p in ("0,0,0", "1,1,0", "1,-1,0")
+        ] + [
+            ["classify", elliptic_file, "--point", "0,0,0", "--curves", "--out", out],
+            ["sweep", "--alpha=-3:3:9", "--beta=-3:3:9", "--gamma", "1", "--out", out],
+            ["sweep", "--alpha=-3:3:9", "--beta=-3:3:9", "--gamma=-1", "--out", out],
+        ]
+        script = (
+            "import json, sys\n"
+            "from foldatlas.cli import main\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert main(argv) == 0, argv\n"
+            "loaded = {'numpy', 'foldatlas.checks'} & set(sys.modules)\n"
+            "assert not loaded, loaded\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(foldatlas.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", script, json.dumps(runs)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_verify_reads_its_suites_when_run(self, capsys):
+        assert main(["verify", "--suite", "regions", "--scale", "0.2"]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--help"])
+        assert exc.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        listed = re.search(r"--suite SUITE one of (.*?) --seed", text).group(1)
+        assert listed.split(", ") == ["all", "none", *checks.SUITES]
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", "bogus"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err

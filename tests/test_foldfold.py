@@ -131,7 +131,7 @@ class TestSubtypeDerivation:
 
 def _fold_matrix(system, side, q=(0.01, 0.02)):
     """Central-difference Jacobian of the numeric fold involution."""
-    return jacobian_numeric(lambda p: fold_map_numeric(system, side, p), q)
+    return np.asarray(jacobian_numeric(lambda p: fold_map_numeric(system, side, p), q))
 
 
 class TestInvolutions:
@@ -175,7 +175,7 @@ class TestInvolutions:
             system = build_normal_form(a, b, g, -1.0)
             ax = _fold_matrix(system, "X")
             ay = _fold_matrix(system, "Y")
-            m = return_map_analysis(make_parameters(a, b, g, -1.0)).matrix
+            m = np.asarray(return_map_analysis(make_parameters(a, b, g, -1.0)).matrix)
             assert np.allclose(ax @ ay, m, atol=1e-6 * max(1.0, np.abs(m).max()))
             minv = np.linalg.inv(m)
             for n in (1, 2, 3):
@@ -245,7 +245,7 @@ def check_float_core(a, b, g):
     analysis = return_map_analysis(make_parameters(a, b, g, -1.0))
     c = 2.0 * b / g
     entries = (-1.0 + (2.0 * a) * c, -2.0 * a, c, -1.0)
-    assert analysis.matrix.tolist() == [list(entries[:2]), list(entries[2:])]
+    assert analysis.matrix == (entries[:2], entries[2:])
     m00, m01, m10, m11 = entries
     assert analysis.trace == m00 + m11
     assert analysis.det == m00 * m11 - m01 * m10
@@ -260,9 +260,10 @@ def check_float_core(a, b, g):
     bound = 1e-12 * (1.0 + max(abs(e) for e in entries))
     for v, lam in ((analysis.v_contracting, lam_c), (analysis.v_expanding, lam_e)):
         assert abs(math.hypot(*v) - 1.0) <= 1e-15
-        assert np.linalg.norm(analysis.matrix @ v - lam * v) <= bound
+        u = np.asarray(v)
+        assert np.linalg.norm(np.asarray(analysis.matrix) @ u - lam * u) <= bound
         # the analysis returns bitwise what the float helper returns
-        assert v.tolist() == list(_eigvec2(*entries, lam))
+        assert v == _eigvec2(*entries, lam)
     return analysis
 
 
@@ -659,6 +660,25 @@ class TestSystemLevelVerdicts:
             assert v.reason.detail == (
                 f"non-hyperbolic pseudo-equilibrium ({expected})"
             )
+
+    @pytest.mark.parametrize("entry", [(0, 1), (1, 0)])
+    def test_nan_jacobian_entry_counts_as_hyperbolic(self, monkeypatch, entry):
+        # A NaN off-diagonal entry at the centre leaves its trace 0; the NaN
+        # size, not the trace, makes the point count as hyperbolic.
+        exact = sliding.PlanarField.jacobian_at
+
+        def with_nan(fld, x, y):
+            rows = [list(row) for row in exact(fld, x, y)]
+            rows[entry[0]][entry[1]] = math.nan
+            return tuple(map(tuple, rows))
+
+        monkeypatch.setattr(sliding.PlanarField, "jacobian_at", with_nan)
+        system = self._pseudo_equilibrium_system(*self.PSEUDO_EQUILIBRIA["centre"][:2])
+        v = surface_point_report(system, (0.0, 0.0, 0.0)).verdict
+        assert v.kind is VerdictKind.STABLE
+        assert v.class_descriptor == (
+            "regular-regular", "stable-sliding", "hyperbolic-pseudo-equilibrium", 1, 0
+        )
 
     def test_t_singularity_through_system(self):
         system = build_normal_form(-2.0, -1.0, 1.0, -1.0)

@@ -223,15 +223,15 @@ class TestTangencyCurves:
         curves = tangency_curves(ELLIPTIC)
         assert len(curves["X"]) == 1
         assert len(curves["Y"]) == 1
-        assert np.max(np.abs(curves["X"][0].points[:, 1])) <= 1e-10
-        assert np.max(np.abs(curves["Y"][0].points[:, 0])) <= 1e-10
+        assert np.max(np.abs(np.asarray(curves["X"][0].points)[:, 1])) <= 1e-10
+        assert np.max(np.abs(np.asarray(curves["Y"][0].points)[:, 0])) <= 1e-10
 
     def test_parabola(self):
         system = build_normal_form(
             -1.0, -1.0, 1.0, -1.0, hot={"cz": [[[0, 2, 0], 1.0]]}
         )
         curves = tangency_curves(system)
-        pts = curves["Y"][0].points
+        pts = np.asarray(curves["Y"][0].points)
         assert np.max(np.abs(pts[:, 0] + pts[:, 1] ** 2)) <= 1e-9
 
     def test_no_tangency(self):
@@ -241,7 +241,7 @@ class TestTangencyCurves:
     def test_span(self):
         # curves are traced across the whole box, not just near the seed
         curves = tangency_curves(ELLIPTIC)
-        xs = curves["X"][0].points[:, 0]
+        xs = np.asarray(curves["X"][0].points)[:, 0]
         assert xs.min() < -0.9 and xs.max() > 0.9
 
     def test_degenerate_zero_gradient_flagged_partial(self):

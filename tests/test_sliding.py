@@ -117,7 +117,7 @@ class TestLinearization:
     def test_stable_node(self):
         m = foldfold_sliding_linearization(make_parameters(-2, -1, 1, -1))
         assert np.allclose(m, [[-2.0, 1.0], [1.0, -1.0]])
-        tr = m[0, 0] + m[1, 1]
+        tr = m[0][0] + m[1][1]
         det = np.linalg.det(m)
         assert det == pytest.approx(1.0)
         assert tr == pytest.approx(-3.0)
@@ -126,7 +126,7 @@ class TestLinearization:
     def test_unstable_case(self):
         m = foldfold_sliding_linearization(make_parameters(1, -1, -0.5, 1))
         assert np.allclose(m, [[1.0, 0.5], [1.0, 1.0]])
-        assert m[0, 0] + m[1, 1] == pytest.approx(2.0)
+        assert m[0][0] + m[1][1] == pytest.approx(2.0)
         assert np.linalg.det(m) == pytest.approx(0.5)
         assert all(v.real > 0 for v in np.linalg.eigvals(m))
 
