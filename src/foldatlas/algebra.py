@@ -421,7 +421,6 @@ def linspace(start, stop, n):
     start, stop = float(start), float(stop)
     delta, div = stop - start, n - 1
     step = delta / div
-    # numpy's branch for a step that rounds to zero, as on a subnormal span
     points = [(i / div * delta if step == 0.0 else i * step) + start for i in range(n)]
     points[-1] = stop
     return points

@@ -133,7 +133,7 @@ def check_return_map_grid(n_alpha, n_beta, gammas):
                     failed += 1
                     continue
                 returned += 1
-                diff = float(np.max(np.abs(np.asarray(jac) - analysis.matrix)))
+                diff = float(np.max(np.abs(jac - analysis.matrix)))
                 if diff <= _ENTRY_TOL:
                     matched += 1
                 worst_entry = _worst(worst_entry, diff)
@@ -968,11 +968,11 @@ def check_system(system, point, seed=0):
         return results
 
     try:
-        (j00, j01), (j10, j11) = jacobian_numeric(
+        jac = jacobian_numeric(
             lambda q: return_map_numeric(system, q), (point[0], point[1]), _JACOBIAN_STEP
         )
-        det = j00 * j11 - j01 * j10
-        tr = j00 + j11
+        det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
+        tr = jac[0, 0] + jac[1, 1]
         trace = two_fold.analysis.trace  # set exactly for invisible two-folds
         results += [
             CheckResult("return-map determinant", abs(det - 1.0) <= _SYSTEM_DET_TOL,

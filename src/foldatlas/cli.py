@@ -39,8 +39,6 @@ def _jsonable(obj):
         return {"re": obj.real, "im": obj.imag}
     if isinstance(obj, Enum):
         return obj.value
-    if hasattr(obj, "tolist"):  # a numpy array or scalar
-        return _jsonable(obj.tolist())
     if dataclasses.is_dataclass(obj):
         return {k: _jsonable(v) for k, v in dataclasses.asdict(obj).items()}
     if isinstance(obj, dict):
@@ -127,11 +125,13 @@ def cmd_classify(args):
     if ff is None:
         report["verdict"] = _jsonable(result.verdict)
     else:
+        return_map = _jsonable(ff.analysis)  # None, or rows under the key "matrix"
+        return_map = return_map and {"matrix": return_map.pop("rows"), **return_map}
         report["foldfold"] = {
             "normal_parameters": _jsonable(ff.params),
             "region": ff.region.value,
             "claim": ff.region.claim._value_,
-            "return_map": _jsonable(ff.analysis),
+            "return_map": return_map,
             "verdict": _jsonable(ff.verdict),
             "moduli": _jsonable(ff.moduli),
         }
@@ -286,10 +286,8 @@ def cmd_verify(args):
 
 
 class _SuiteChoices:
-    """``verify --suite`` values: all, none and each name of ``checks.SUITES``,
-    read when first asked for (``in`` iterates), so that only ``verify``
-    imports ``checks``."""
-
+    """``verify --suite`` values, read from ``checks.SUITES`` when first asked
+    for (``in`` iterates), so that only ``verify`` imports ``checks``."""
     def __iter__(self):
         from .checks import SUITES
         return iter(("all", "none", *SUITES))

@@ -146,7 +146,7 @@ class EigvecLocation(Enum):
 
 @dataclass
 class ReturnMapAnalysis:
-    matrix: tuple  # row tuples ((m00, m01), (m10, m11))
+    rows: tuple  # ((m00, m01), (m10, m11)); serialized as "matrix"
     trace: float
     det: float
     eigenvalues: tuple  # (contracting, expanding) for a saddle; complex pair otherwise
@@ -156,6 +156,11 @@ class ReturnMapAnalysis:
     v_expanding: tuple | None = None
     location_contracting: EigvecLocation | None = None
     location_expanding: EigvecLocation | None = None
+
+    @property
+    def matrix(self):  # ``rows`` as a numpy array; only its callers load numpy
+        import numpy as np
+        return np.array(self.rows)
 
 
 def _eigvec2(m00, m01, m10, m11, lam):
@@ -185,8 +190,8 @@ def return_map_analysis(params):
     The linearization is ``A_X @ A_Y = [[-1 + 4ab/g, -2a], [2b/g, -1]]``
     with determinant exactly 1, so the fixed point is a saddle precisely
     when |trace| > 2, equivalently when ``a*b*(a*b - g) > 0``.  The matrix
-    (row tuples), its eigenvalues and its unit eigenvectors (``(x, y)``
-    tuples) are plain floats.
+    rows, its eigenvalues and its unit eigenvectors (``(x, y)`` tuples) are
+    plain floats; ``matrix`` builds the array only when asked for.
     """
     if params.subtype is not FoldFoldSubtype.INVISIBLE:
         raise PreconditionError("return map analysis needs an invisible two-fold")
@@ -447,8 +452,7 @@ def _sliding_point_verdict(system, point, cls, tol):
     t = j00 + j11
     d = j00 * j11 - j01 * j10
     mags = (abs(j00), abs(j01), abs(j10), abs(j11))
-    # A NaN entry makes the size NaN, which ``max`` alone can skip.
-    # Comparisons with NaN are False, so a NaN Jacobian counts as hyperbolic.
+    # A NaN entry, which max alone can skip, makes the size NaN and the point hyperbolic.
     size = 1.0 + (max(mags) if all(m == m for m in mags) else math.nan)
     hyperbolic = not abs(d) <= tol * size * size and (
         d < 0.0 or t * t - 4.0 * d >= 0.0 or not abs(t) <= tol * size

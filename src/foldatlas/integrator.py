@@ -666,16 +666,15 @@ def return_map_numeric(system, q):
 
 
 def jacobian_numeric(map_fn, q, h=1e-3):
-    """Central-difference Jacobian of a planar map at ``q``, as row tuples."""
+    """Central-difference Jacobian of a planar map at ``q``, a numpy array."""
+    import numpy as np  # loaded here and for trajectories only
     x, y = float(q[0]), float(q[1])
     fxp = map_fn((x + h, y))
     fxm = map_fn((x - h, y))
     fyp = map_fn((x, y + h))
     fym = map_fn((x, y - h))
-    return (
-        ((fxp[0] - fxm[0]) / (2 * h), (fyp[0] - fym[0]) / (2 * h)),
-        ((fxp[1] - fxm[1]) / (2 * h), (fyp[1] - fym[1]) / (2 * h)),
-    )
+    return np.array([[(fxp[0] - fxm[0]) / (2 * h), (fyp[0] - fym[0]) / (2 * h)],
+                     [(fxp[1] - fxm[1]) / (2 * h), (fyp[1] - fym[1]) / (2 * h)]])
 
 
 # ---------------------------------------------------------------------------
@@ -691,8 +690,8 @@ class Mode(Enum):
 @dataclass
 class TrajectorySegment:
     mode: Mode
-    times: numpy.ndarray
-    points: numpy.ndarray  # (n, 3)
+    times: object  # numpy array (n,)
+    points: object  # numpy array (n, 3)
     terminal: FlightStatus
 
 
@@ -836,8 +835,7 @@ def filippov_trajectory(system, p0, horizon, cfg=None):
 def _append_segment(traj, t_offset, samples, mode, terminal):
     """Append one flight's ``(t, *state)`` samples; sliding states (x, y)
     get z = 0.0."""
-    import numpy as np  # only trajectories load numpy
-
+    import numpy as np  # loaded here and for the numeric Jacobian only
     rows = np.array(samples)
     points = np.zeros((len(rows), 3))
     points[:, :rows.shape[1] - 1] = rows[:, 1:]

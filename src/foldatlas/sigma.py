@@ -192,44 +192,45 @@ class Curve:
     complete: bool = True
 
 
-def _nan_on_overflow(fn):
-    """``fn``, NaN (no seed, no corrected point) where a power overflows."""
-
-    def evaluate(x, y, z):
-        try:
-            return fn(x, y, z)
-        except OverflowError:
-            return math.nan
-
-    return evaluate
-
-
 def _trace_zero_set(poly, box):
     """Predictor-corrector continuation of {poly = 0} on the box's z-slice."""
     g = poly.subs_z0()
     if g.is_zero():
         return []
-    gfn, gx, gy = (_nan_on_overflow(p.compiled()) for p in (g, g.partial("x"), g.partial("y")))
+    gfn, gx, gy = (p.compiled() for p in (g, g.partial("x"), g.partial("y")))
     scale = 1.0 + g.coeff_scale()
     ctol = 1e-12 * scale
     h = _CURVE_STEP * max(box.xmax - box.xmin, box.ymax - box.ymin)
 
+    # A power past the float range raises OverflowError: no seed, point or tangent there.
+    def value(x, y):
+        try:
+            return gfn(x, y, 0.0)
+        except OverflowError:
+            return math.nan
+
     def correct(q):
         x, y = q
-        for _ in range(_CORRECTOR_CAP):
-            v = gfn(x, y, 0.0)
-            if abs(v) <= ctol:
-                return (x, y)
-            dx, dy = gx(x, y, 0.0), gy(x, y, 0.0)
-            n2 = dx * dx + dy * dy
-            if n2 < 1e-18 * scale * scale:
-                return None
-            x -= v * dx / n2
-            y -= v * dy / n2
-        return (x, y) if abs(gfn(x, y, 0.0)) <= 10 * ctol else None
+        try:
+            for _ in range(_CORRECTOR_CAP):
+                v = gfn(x, y, 0.0)
+                if abs(v) <= ctol:
+                    return (x, y)
+                dx, dy = gx(x, y, 0.0), gy(x, y, 0.0)
+                n2 = dx * dx + dy * dy
+                if n2 < 1e-18 * scale * scale:
+                    return None
+                x -= v * dx / n2
+                y -= v * dy / n2
+            return (x, y) if abs(gfn(x, y, 0.0)) <= 10 * ctol else None
+        except OverflowError:
+            return None
 
     def tangent(q):
-        dx, dy = gx(q[0], q[1], 0.0), gy(q[0], q[1], 0.0)
+        try:
+            dx, dy = gx(q[0], q[1], 0.0), gy(q[0], q[1], 0.0)
+        except OverflowError:
+            return None
         n = math.hypot(dx, dy)
         return None if n < 1e-14 * scale else (-dy / n, dx / n)
 
@@ -237,7 +238,10 @@ def _trace_zero_set(poly, box):
     n_grid = 41
     xs = linspace(box.xmin, box.xmax, n_grid)
     ys = linspace(box.ymin, box.ymax, n_grid)
-    vals = [[gfn(x, y, 0.0) for y in ys] for x in xs]
+    try:
+        vals = [[gfn(x, y, 0.0) for y in ys] for x in xs]
+    except OverflowError:
+        vals = [[value(x, y) for y in ys] for x in xs]
     seeds = []
     for i in range(n_grid):
         for j in range(n_grid):

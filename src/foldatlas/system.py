@@ -347,10 +347,8 @@ def _field_zeros_on_sigma(f, box):
     """Grid-seeded Gauss-Newton search for zeros of a field on {z=0}; each
     step solves the normal equations (J^T J) s = J^T r of the 3x2 Jacobian J."""
     fn = f.compiled()
-    jac_fns = [
-        [comp.partial(var).subs_z0().compiled() for var in ("x", "y")]
-        for comp in f.components()
-    ]
+    jac_fns = [[comp.partial(var).subs_z0().compiled() for var in ("x", "y")]
+               for comp in f.components()]
     ys = linspace(box.ymin, box.ymax, _ZERO_GRID)
     found = []
     scale = 1.0 + f.coeff_scale()

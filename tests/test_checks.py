@@ -155,7 +155,7 @@ class TestDiaboloCompanions:
 
     def test_transposed_eigenvectors_fail_reversibility(self, monkeypatch):
         def transposed(analysis):
-            (m00, m01), (m10, m11) = analysis.matrix
+            (m00, m01), (m10, m11) = analysis.rows
             small, big = (v.real for v in analysis.eigenvalues)
             return _eigvec2(m00, m10, m01, m11, small), _eigvec2(m00, m10, m01, m11, big)
 

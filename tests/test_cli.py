@@ -7,7 +7,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import foldatlas
@@ -111,6 +110,8 @@ class TestClassify:
         assert ff["claim"] == 1
         assert ff["verdict"]["kind"] == "stable"
         assert ff["return_map"]["trace"] == pytest.approx(6.0)
+        assert list(ff["return_map"])[:2] == ["matrix", "trace"]
+        assert ff["return_map"]["matrix"] == [[7.0, 4.0], [-2.0, -1.0]]
 
     def test_parabolic_unstable(self, parabolic_file, tmp_path):
         report = _classify(parabolic_file, "0,0,0", tmp_path)
@@ -146,10 +147,6 @@ class TestClassify:
             points = [list(p) for p in traced.points]
             assert curve == {"points": points, "closed": False, "complete": True}
             assert max(abs(p[axis]) for p in curve["points"]) <= 1e-10
-
-    def test_jsonable_reads_numpy_values_through_tolist(self):
-        doc = {"m": np.array([[1.0, np.inf]]), "n": np.int64(3), "f": np.float32(0.5)}
-        assert _jsonable(doc) == {"m": [[1.0, "inf"]], "n": 3, "f": 0.5}
 
     def test_regular_point_report(self, elliptic_file, tmp_path):
         report = _classify(elliptic_file, "1,-1,0", tmp_path)

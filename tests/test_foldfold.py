@@ -131,7 +131,7 @@ class TestSubtypeDerivation:
 
 def _fold_matrix(system, side, q=(0.01, 0.02)):
     """Central-difference Jacobian of the numeric fold involution."""
-    return np.asarray(jacobian_numeric(lambda p: fold_map_numeric(system, side, p), q))
+    return jacobian_numeric(lambda p: fold_map_numeric(system, side, p), q)
 
 
 class TestInvolutions:
@@ -175,7 +175,7 @@ class TestInvolutions:
             system = build_normal_form(a, b, g, -1.0)
             ax = _fold_matrix(system, "X")
             ay = _fold_matrix(system, "Y")
-            m = np.asarray(return_map_analysis(make_parameters(a, b, g, -1.0)).matrix)
+            m = return_map_analysis(make_parameters(a, b, g, -1.0)).matrix
             assert np.allclose(ax @ ay, m, atol=1e-6 * max(1.0, np.abs(m).max()))
             minv = np.linalg.inv(m)
             for n in (1, 2, 3):
@@ -245,7 +245,7 @@ def check_float_core(a, b, g):
     analysis = return_map_analysis(make_parameters(a, b, g, -1.0))
     c = 2.0 * b / g
     entries = (-1.0 + (2.0 * a) * c, -2.0 * a, c, -1.0)
-    assert analysis.matrix == (entries[:2], entries[2:])
+    assert analysis.rows == (entries[:2], entries[2:])
     m00, m01, m10, m11 = entries
     assert analysis.trace == m00 + m11
     assert analysis.det == m00 * m11 - m01 * m10
@@ -261,7 +261,7 @@ def check_float_core(a, b, g):
     for v, lam in ((analysis.v_contracting, lam_c), (analysis.v_expanding, lam_e)):
         assert abs(math.hypot(*v) - 1.0) <= 1e-15
         u = np.asarray(v)
-        assert np.linalg.norm(np.asarray(analysis.matrix) @ u - lam * u) <= bound
+        assert np.linalg.norm(analysis.matrix @ u - lam * u) <= bound
         # the analysis returns bitwise what the float helper returns
         assert v == _eigvec2(*entries, lam)
     return analysis
