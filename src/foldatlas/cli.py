@@ -20,6 +20,7 @@ from .errors import MalformedDocumentError, ToolError, VerificationFailure
 from .foldfold import (
     FixedPointClass,
     InstabilityReason,
+    _with_alpha_beta,
     make_parameters,
     report_from_params,
     return_map_analysis,  # noqa: F401  bound here for perfbench's binding test
@@ -171,10 +172,10 @@ class SweepSpec:
             raise MalformedDocumentError("delta must be -1 or 1")
 
 
-def _sweep_row(alpha, beta, gamma, delta, coords):
+def _sweep_row(params, coords):
     """One CSV row; ``coords`` is its formatted "alpha,beta,gamma,delta,".
     Enum ``_value_`` is read directly: ``Enum.value`` is a slow property."""
-    report = report_from_params(make_parameters(alpha, beta, gamma, delta))
+    report = report_from_params(params)
     analysis = report.analysis  # set exactly for invisible two-folds
     fp_class = ""
     tau = ""
@@ -191,15 +192,18 @@ def _sweep_row(alpha, beta, gamma, delta, coords):
 
 
 def run_sweep(spec):
-    """The atlas CSV; each alpha and each beta is formatted once."""
+    """The atlas CSV; each alpha and each beta is formatted once, and gamma
+    and delta are validated once, in the record every row's is copied from."""
     alphas = linspace(*spec.alpha)
     betas = linspace(*spec.beta)
     gamma, delta = spec.gamma, spec.delta
+    base = make_parameters(0.0, 0.0, gamma, delta)
     beta_cols = [(b, f",{b!r},{gamma!r},{int(delta)},") for b in betas]
     rows = ["alpha,beta,gamma,delta,region,claim,fixed_point_class,verdict,reason,tau"]
     for a in alphas:
         a_text = repr(a)
-        rows += [_sweep_row(a, b, gamma, delta, a_text + cols) for b, cols in beta_cols]
+        rows += [_sweep_row(_with_alpha_beta(base, a, b), a_text + cols)
+                 for b, cols in beta_cols]
     return "\n".join(rows) + "\n"
 
 

@@ -52,8 +52,9 @@ _MAX_DENOMINATOR = 10**6
 @dataclass(slots=True)
 class NormalParameters:
     """Coefficients of the two-fold normal form at the singular point and the
-    subtype they imply by (delta, sign gamma); validated when built and
-    immutable by convention."""
+    subtype they imply by (delta, sign gamma); validated when built, or
+    copied from a validated record with new alpha and beta, and immutable
+    by convention."""
 
     alpha: float
     beta: float
@@ -72,6 +73,16 @@ class NormalParameters:
 def make_parameters(alpha, beta, gamma, delta):
     """Normal parameters from four numbers, each converted to a float."""
     return NormalParameters(float(alpha), float(beta), float(gamma), float(delta))
+
+
+def _with_alpha_beta(params, alpha, beta):
+    """``params`` with the floats ``alpha`` and ``beta`` in place of its own:
+    gamma, delta and the subtype are copied, so nothing is validated again
+    (alpha and beta never are)."""
+    new = object.__new__(NormalParameters)
+    new.alpha, new.beta, new.gamma, new.delta = alpha, beta, params.gamma, params.delta
+    new.subtype = params.subtype
+    return new
 
 
 def _two_fold_parameters(system, point, info):
@@ -101,13 +112,17 @@ def _two_fold_parameters(system, point, info):
     return params
 
 
+# Every mirror image has gamma = delta = -1.
+_MIRROR = make_parameters(0.0, 0.0, -1.0, -1.0)
+
+
 def mirror_parameters(params):
     """Invisible-visible representative of a visible-invisible point under
     the (x, y) swap and z flip, which exchanges the roles of the two fields."""
     if params.subtype is not FoldFoldSubtype.VISIBLE_INVISIBLE:
         raise PreconditionError("mirror applies to visible-invisible points")
     r = math.sqrt(params.gamma)
-    return NormalParameters(-params.beta / r, params.alpha / r, -1.0, -1.0)
+    return _with_alpha_beta(_MIRROR, -params.beta / r, params.alpha / r)
 
 
 def sliding_region_class(params):
@@ -313,15 +328,18 @@ class InstabilityReason(Enum):
     MODULI_FOLIATION = "moduli-foliation"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Reason:
     kind: InstabilityReason
     which: str | None = None  # failed condition for transversality failures
     detail: str = ""
 
 
-@dataclass
+@dataclass(frozen=True)
 class StabilityVerdict:
+    """An immutable value: every verdict whose text carries no number is
+    built once, below, and shared by every point that has it."""
+
     kind: VerdictKind
     reason: Reason | None = None
     class_descriptor: tuple | None = None
@@ -332,105 +350,98 @@ def _sign(v):
     return int(math.copysign(1.0, v))
 
 
+def _degenerate(witness):
+    return StabilityVerdict(VerdictKind.BOUNDARY_DEGENERATE, witness=witness)
+
+
+def _unstable(kind, detail):
+    return StabilityVerdict(VerdictKind.UNSTABLE, reason=Reason(kind, detail=detail))
+
+
+_UNIT_EIGENVALUE = _degenerate(
+    "unit-eigenvalue boundary: alpha*beta equals gamma within tolerance")
+_DOUBLE_MINUS_ONE = _unstable(InstabilityReason.NON_HYPERBOLIC_RETURN_MAP,
+                              "double eigenvalue -1 (alpha*beta = 0 boundary)")
+_COMPLEX_PAIR = _unstable(InstabilityReason.NON_HYPERBOLIC_RETURN_MAP,
+                          "unit-circle complex eigenvalues; tau labels the moduli leaf")
+_EIGENVECTOR_ON_TANGENCY = _degenerate("saddle eigenvector on the tangency set")
+_MANIFOLD_IN_SLIDING = _unstable(InstabilityReason.INVARIANT_MANIFOLD_IN_SLIDING,
+                                 "a saddle manifold meets the sliding region")
+_SLIDING_NODE_BOUNDARY = _degenerate(
+    "on the sliding-node boundary (alpha*beta = gamma, alpha > 0)")
+_NO_GENERIC_REGION = _unstable(InstabilityReason.SLIDING_BIFURCATION,
+                               "sliding dynamics outside all generic regions")
+_REGION_BOUNDARY = _degenerate("on a sliding-region boundary")
+# The parabolic transversality conditions in reporting order.
+_TRANSVERSALITY_FAILURES = {
+    which: StabilityVerdict(VerdictKind.UNSTABLE,
+                            reason=Reason(InstabilityReason.TRANSVERSALITY_FAILURE, which, detail))
+    for which, detail in (
+        ("alpha", "fold image of the visible tangency line is tangent to it"),
+        ("T", "sliding field tangent to the fold image curve"),
+        ("D", "sliding field parallel to its fold transport on the connection region"),
+    )
+}
+
+_SIGNS = (-1, 1)
+#: Every stable verdict of a two-fold, of a crossing point and of a
+#: tangential point, by its class descriptor.
+_STABLE = {
+    d: StabilityVerdict(VerdictKind.STABLE, class_descriptor=d)
+    for d in (
+        *(("T-singularity", "saddle-with-crossing-manifolds", sa, sb)
+          for sa in _SIGNS for sb in _SIGNS),
+        ("visible-two-fold", "RH1"),
+        ("visible-two-fold", "RH2"),
+        *(("parabolic-two-fold", cell, sa, sab, st) for cell in ("RP1", "RP2", "RP3", "RP4")
+          for sa in _SIGNS for sab in _SIGNS for st in _SIGNS),
+        ("regular-regular", "crossing"),
+        *(("tangential", t.value) for t in TangencyType
+          if t not in (TangencyType.FOLD_FOLD, TangencyType.DEGENERATE)),
+    )
+}
+
+
 def _tsingularity_verdict(params, analysis):
     cls = analysis.fixed_point_class
     if cls is FixedPointClass.NONHYPERBOLIC_UNIT:
-        return StabilityVerdict(
-            VerdictKind.BOUNDARY_DEGENERATE,
-            witness="unit-eigenvalue boundary: alpha*beta equals gamma within tolerance",
-        )
+        return _UNIT_EIGENVALUE
     if cls is FixedPointClass.PARABOLIC_BOUNDARY:
-        return StabilityVerdict(
-            VerdictKind.UNSTABLE,
-            reason=Reason(
-                InstabilityReason.NON_HYPERBOLIC_RETURN_MAP,
-                detail="double eigenvalue -1 (alpha*beta = 0 boundary)",
-            ),
-        )
+        return _DOUBLE_MINUS_ONE
     if cls is FixedPointClass.NONHYPERBOLIC_COMPLEX:
-        return StabilityVerdict(
-            VerdictKind.UNSTABLE,
-            reason=Reason(
-                InstabilityReason.NON_HYPERBOLIC_RETURN_MAP,
-                detail="unit-circle complex eigenvalues; tau labels the moduli leaf",
-            ),
-        )
+        return _COMPLEX_PAIR
     c, e = analysis.location_contracting, analysis.location_expanding
     if c is EigvecLocation.IN_CROSSING and e is EigvecLocation.IN_CROSSING:
-        return StabilityVerdict(
-            VerdictKind.STABLE,
-            class_descriptor=(
-                "T-singularity",
-                "saddle-with-crossing-manifolds",
-                _sign(params.alpha),
-                _sign(params.beta),
-            ),
-        )
+        return _STABLE["T-singularity", "saddle-with-crossing-manifolds",
+                       _sign(params.alpha), _sign(params.beta)]
     if c is EigvecLocation.ON_TANGENCY or e is EigvecLocation.ON_TANGENCY:
-        return StabilityVerdict(
-            VerdictKind.BOUNDARY_DEGENERATE,
-            witness="saddle eigenvector on the tangency set",
-        )
-    return StabilityVerdict(
-        VerdictKind.UNSTABLE,
-        reason=Reason(
-            InstabilityReason.INVARIANT_MANIFOLD_IN_SLIDING,
-            detail="a saddle manifold meets the sliding region",
-        ),
-    )
+        return _EIGENVECTOR_ON_TANGENCY
+    return _MANIFOLD_IN_SLIDING
 
 
 def _visible_verdict(tag):
     if tag is SlidingRegionTag.BIFURCATION_BOUNDARY:
-        return StabilityVerdict(
-            VerdictKind.BOUNDARY_DEGENERATE,
-            witness="on the sliding-node boundary (alpha*beta = gamma, alpha > 0)",
-        )
-    return StabilityVerdict(
-        VerdictKind.STABLE, class_descriptor=("visible-two-fold", tag._value_)
-    )
+        return _SLIDING_NODE_BOUNDARY
+    return _STABLE["visible-two-fold", tag._value_]
 
 
 def _parabolic_core_verdict(params, cell):
     """Verdict from invisible-visible ``params`` and their ``parabolic_cell``."""
     if cell is None:
-        return StabilityVerdict(
-            VerdictKind.UNSTABLE,
-            reason=Reason(
-                InstabilityReason.SLIDING_BIFURCATION,
-                detail="sliding dynamics outside all generic regions",
-            ),
-        )
+        return _NO_GENERIC_REGION
     if cell is SlidingRegionTag.BIFURCATION_BOUNDARY:
-        return StabilityVerdict(
-            VerdictKind.BOUNDARY_DEGENERATE, witness="on a sliding-region boundary"
-        )
+        return _REGION_BOUNDARY
     a, b = params.alpha, params.beta
     t_coeff = parabolic_transversality(params).T_coeff
-    # The transversality conditions in reporting order; the first one that
-    # fails on the boundary band names the failure.
+    # The first transversality condition that fails on the boundary band
+    # names the failure.
     if near(a, 0.0):
-        which, detail = "alpha", "fold image of the visible tangency line is tangent to it"
-    elif near(t_coeff, 0.0):
-        which, detail = "T", "sliding field tangent to the fold image curve"
-    elif a > 0.0 and near(a + b, 0.0):
-        which = "D"
-        detail = "sliding field parallel to its fold transport on the connection region"
-    else:
-        return StabilityVerdict(
-            VerdictKind.STABLE,
-            class_descriptor=(
-                "parabolic-two-fold",
-                cell._value_,
-                _sign(a),
-                _sign(a + b),
-                _sign(t_coeff),
-            ),
-        )
-    return StabilityVerdict(
-        VerdictKind.UNSTABLE,
-        reason=Reason(InstabilityReason.TRANSVERSALITY_FAILURE, which, detail=detail),
-    )
+        return _TRANSVERSALITY_FAILURES["alpha"]
+    if near(t_coeff, 0.0):
+        return _TRANSVERSALITY_FAILURES["T"]
+    if a > 0.0 and near(a + b, 0.0):
+        return _TRANSVERSALITY_FAILURES["D"]
+    return _STABLE["parabolic-two-fold", cell._value_, _sign(a), _sign(a + b), _sign(t_coeff)]
 
 
 def _sliding_point_verdict(system, point, cls, tol):
@@ -468,13 +479,8 @@ def _sliding_point_verdict(system, point, cls, tol):
                 _sign(t) if d > 0 else 0,
             ),
         )
-    return StabilityVerdict(
-        VerdictKind.UNSTABLE,
-        reason=Reason(
-            InstabilityReason.SLIDING_BIFURCATION,
-            detail=f"non-hyperbolic pseudo-equilibrium (trace {t}, determinant {d})",
-        ),
-    )
+    return _unstable(InstabilityReason.SLIDING_BIFURCATION,
+                     f"non-hyperbolic pseudo-equilibrium (trace {t}, determinant {d})")
 
 
 # ---------------------------------------------------------------------------
@@ -580,9 +586,7 @@ def surface_point_report(system, point, tol=None):
     cls = classify_point(system, point, tol)
     info = report = None
     if cls.kind is SigmaKind.CROSSING:
-        verdict = StabilityVerdict(
-            VerdictKind.STABLE, class_descriptor=("regular-regular", "crossing")
-        )
+        verdict = _STABLE["regular-regular", "crossing"]
     elif cls.kind is not SigmaKind.TANGENCY:
         verdict = _sliding_point_verdict(system, point, cls, tol)
     else:
@@ -591,12 +595,7 @@ def surface_point_report(system, point, tol=None):
             report = report_from_params(_two_fold_parameters(system, point, info))
             verdict = report.verdict
         elif info.ttype is TangencyType.DEGENERATE:
-            verdict = StabilityVerdict(
-                VerdictKind.BOUNDARY_DEGENERATE,
-                witness=f"degenerate tangency: {info.detail}",
-            )
+            verdict = _degenerate(f"degenerate tangency: {info.detail}")
         else:
-            verdict = StabilityVerdict(
-                VerdictKind.STABLE, class_descriptor=("tangential", info.ttype.value)
-            )
+            verdict = _STABLE["tangential", info.ttype._value_]
     return SurfacePointReport(cls, info, report, verdict)

@@ -113,15 +113,16 @@ def _gradient_det(grad_a, grad_b, point):
 def _fold_or_cusp(system, point, tol, side):
     """Refine a single-field tangency into fold / cusp / degenerate."""
     if side == "X":
-        first, second, third = system.xf, system.x2f, system.x3f
+        first, second = system.xf, system.x2f
         fold_type, cusp_type = TangencyType.FOLD_REGULAR, TangencyType.CUSP_REGULAR
     else:
-        first, second, third = system.yf, system.y2f, system.y3f
+        first, second = system.yf, system.y2f
         fold_type, cusp_type = TangencyType.REGULAR_FOLD, TangencyType.REGULAR_CUSP
     s2 = second.eval_at(point)
     if abs(s2) > tol:
         return TangencyInfo(fold_type, detail=f"second derivative {s2:.6g}")
-    s3 = third.eval_at(point)
+    # The third derivative is built only here, at a cusp candidate.
+    s3 = (system.x3f if side == "X" else system.y3f).eval_at(point)
     if abs(s3) <= tol:
         return TangencyInfo(
             TangencyType.DEGENERATE, detail="third derivative vanishes"

@@ -87,11 +87,8 @@ class SlidingRegionTag(Enum):
     RP4 = "RP4"
     BIFURCATION_BOUNDARY = "boundary"
 
-    @property
-    def claim(self):
-        return _TAG_TO_CLAIM[self]
 
-
+# Each tag's ``claim`` is an attribute set here: reading it hashes no member.
 _TAG_TO_CLAIM = {
     SlidingRegionTag.RE1: Claim.REACHES_POINT_ASYMPTOTIC,
     SlidingRegionTag.RE2: Claim.MISSES_POINT_EXCEPT_MANIFOLD,
@@ -103,6 +100,9 @@ _TAG_TO_CLAIM = {
     SlidingRegionTag.RP4: Claim.THREE_SECTOR_REACHING_REVERSED,
     SlidingRegionTag.BIFURCATION_BOUNDARY: Claim.BIFURCATING,
 }
+for _tag, _claim in _TAG_TO_CLAIM.items():
+    _tag.claim = _claim
+del _tag, _claim
 
 #: Relative width of the band around region boundaries that is reported as
 #: BIFURCATION_BOUNDARY instead of an open region.  It is the one band of

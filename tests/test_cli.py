@@ -17,6 +17,7 @@ from foldatlas.errors import EmptyBoxError
 from foldatlas.foldfold import (
     FixedPointClass,
     make_parameters,
+    report_from_params,
     return_map_analysis,
     sliding_region_class,
     surface_point_report,
@@ -292,6 +293,8 @@ class TestSweep:
         rows = [l.split(",") for l in out.read_text().strip().splitlines()[1:]]
         assert len(rows) == 81
         for row in rows:
+            # each row's record is copied from one validated record; this one
+            # is validated afresh
             params = make_parameters(float(row[0]), float(row[1]), gamma, delta)
             assert row[4] == sliding_region_class(params).value
             fp_class, tau = "", ""
@@ -301,7 +304,11 @@ class TestSweep:
                 if analysis.fixed_point_class is FixedPointClass.NONHYPERBOLIC_COMPLEX:
                     tau = repr(analysis.tau)
             assert (row[6], row[9]) == (fp_class, tau)
-
+            report = report_from_params(params)
+            verdict = report.verdict
+            reason = verdict.reason.kind.value if verdict.reason else ""
+            assert row[5] == str(report.region.claim.value)
+            assert (row[7], row[8]) == (verdict.kind.value, reason)
 
     def test_label_columns_pinned(self):
         # SHA-256 over every line, header included, of the four 101x101
@@ -360,6 +367,23 @@ class TestSimulate:
         ]
         assert [row[:3] + [float(v).hex() for v in row[3:]] for row in rows] == expected
         assert lines[-1] == f"# status={traj.status} total_time={traj.total_time!r}"
+
+    def test_power_past_the_float_range_leaves_box(self, tmp_path):
+        # X = (x**2, 0, -1): from x = 1e150 the first step's x**2 overflows,
+        # and the flight leaves its box at that NaN state
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps({
+            "name": "overflow", "box": [-10, 10, -10, 10, -10, 10],
+            "X": {"cx": [[[2, 0, 0], 1.0]], "cy": [], "cz": [[[0, 0, 0], -1.0]]},
+            "Y": {"cx": [[[0, 0, 0], 1.0]], "cy": [], "cz": [[[0, 0, 0], 1.0]]},
+        }))
+        out = tmp_path / "traj.csv"
+        box = "-1e300,1e300,-1e300,1e300,-1e300,1e300"
+        args = ["simulate", str(path), "--p0", "1e150,0,1e100", "--box", box, "--out", str(out)]
+        assert main(args) == 0
+        lines = out.read_text().splitlines()
+        assert lines[-2] == "0,flow+,left-box,0.0001,nan,nan,nan"
+        assert lines[-1] == "# status=left-box total_time=0.0001"
 
     @pytest.mark.parametrize("option,value", [("--T", "inf"), ("--T", "nan"),
                                               ("--p0", "0,nan,0.5")])

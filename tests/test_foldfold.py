@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import math
 
 import numpy as np
@@ -100,6 +101,14 @@ class TestSubtypeDerivation:
         for g in (0.7 * sg, 1e-300 * sg, math.inf * sg):
             assert NormalParameters(1.0, 2.0, g, d).subtype is subtype
             assert make_parameters(1, 2, g, int(d)).subtype is subtype
+
+    @pytest.mark.parametrize("subtype", list(_SUBTYPE_SIGNS))
+    def test_copied_record_equals_a_validated_one(self, subtype):
+        # a sweep row's record copies gamma, delta and the subtype from a
+        # validated record
+        d, sg = _SUBTYPE_SIGNS[subtype]
+        base = make_parameters(0.0, 0.0, 0.7 * sg, d)
+        assert foldfold._with_alpha_beta(base, 1.5, -2.0) == make_parameters(1.5, -2.0, 0.7 * sg, d)
 
     def test_subtype_is_not_an_argument(self):
         with pytest.raises(TypeError):
@@ -430,6 +439,7 @@ class TestVerdicts:
     def test_visible_invisible_delegates_to_mirror(self):
         params = make_parameters(1.0, -2.0, 4.0, 1.0)
         mirrored = mirror_parameters(params)
+        assert mirrored == make_parameters(1.0, 0.5, -1.0, -1.0)
         kinds = {report_from_params(p).verdict.kind for p in (params, mirrored)}
         assert len(kinds) == 1
 
@@ -439,6 +449,26 @@ class TestVerdicts:
         d, sg = _SUBTYPE_SIGNS[subtype]
         with pytest.raises(PreconditionError, match="visible-invisible"):
             mirror_parameters(make_parameters(1.0, -2.0, 4.0 * sg, d))
+
+    @pytest.mark.parametrize("p,q", [
+        ((-2.0, -1.0, 1.0, -1.0), (-3.0, -0.5, 1.0, -1.0)),  # saddle, crossing manifolds
+        ((1.0, 1.0, 2.0, -1.0), (0.5, 1.0, 3.0, -1.0)),  # complex pair
+        ((1.0, -3.0, -1.0, 1.0), (2.0, -4.0, -1.0, 1.0)),  # visible RH1
+        ((-2.0, 2.5, -1.0, -1.0), (-2.5, 3.0, -1.0, -1.0)),  # parabolic RP1
+        ((1.0, 2.0, 3.0, 1.0), (0.5, 1.0, 2.0, 1.0)),  # no generic region, mirrored
+    ])
+    def test_one_class_shares_one_verdict(self, p, q):
+        u, v = (report_from_params(make_parameters(*x)).verdict for x in (p, q))
+        assert u is v
+
+    def test_verdicts_are_immutable(self):
+        stable = report_from_params(make_parameters(-2.0, -1.0, 1.0, -1.0)).verdict
+        unstable = report_from_params(make_parameters(1.0, 1.0, 2.0, -1.0)).verdict
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            stable.kind = VerdictKind.UNSTABLE
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            unstable.reason.detail = ""
+        assert unstable.reason.detail.startswith("unit-circle")
 
     def test_saddle_eigenvector_on_the_tangency_set(self):
         # alpha*beta of order 1e-4 puts the expanding direction within the

@@ -571,8 +571,8 @@ class TestGeneratedSourcePinned:
     its sliding field run unchanged code; the flight kernel's evaluator
     ``field`` and its return line are pinned apart from them."""
 
-    FLIGHT = "c02649fb9fb95448e872f58d111045fe09d38d33b29cb6af7e9bb4ef137b8956"
-    SLIDING = "6308e2d564f36dc8245c3e4062d280c7ed0a74dffdff9832ac733de69d08d0c2"
+    FLIGHT = "ca87c4703d7fb03f92a0592b514b037fcc1e06616e7dc21d49f2f61339fb6920"
+    SLIDING = "d5e4bf86b893d90a7bd37ba02c4dd842915ec8170a64d9f9446efff4dec7c877"
 
     @staticmethod
     def _sha(text):
@@ -1370,6 +1370,48 @@ class TestNonFiniteErrorNorm:
         assert seg.points[-1][0] == math.inf and np.isfinite(seg.points[:-1]).all()
         assert self._digest(seg.times.tolist() + seg.points.ravel().tolist()) == (
             self.TRAJECTORY_DIGEST)
+
+
+class TestOverflowingPower:
+    """A power past the float range raises OverflowError, where a product
+    gives inf.  dx/dt = x**2 from x = 1e150 overflows in the first step's
+    second stage: a generated driver takes that step's state for NaN and
+    leaves its guard there, while the step kernel itself still raises."""
+
+    BIG = Box(-1e300, 1e300, -1e300, 1e300, -1e300, 1e300)
+    SQUARE = Poly3({(2, 0, 0): 1.0})
+
+    def _field(self, cz):
+        return VectorField3(self.SQUARE, Poly3.constant(0.0), Poly3.constant(cz))
+
+    def test_flight_leaves_guard_and_fold_map_fails(self):
+        field = self._field(1.0)
+        _, step, _ = integrator._flight_kernel(field)
+        with pytest.raises(OverflowError):
+            step((1e150, 0.0, 0.0), 1e-4, field.compiled()(1e150, 0.0, 0.0))
+        res = integrate_to_sigma(field, (1e150, 0.0, 0.0), 1, self.BIG)
+        assert (res.status, res.accepted, res.rejected) == (FlightStatus.LEFT_BOX, 1, 0)
+        assert all(math.isnan(v) for v in res.point) and res.time == 1e-4
+        system = PiecewiseSystem(field, self._field(1.0), self.BIG)
+        with pytest.raises(IntegrationFailure) as exc:
+            fold_map_numeric(system, "X", (1e150, 0.0))
+        assert exc.value.status is FlightStatus.LEFT_BOX
+
+    def test_sliding_phase_leaves_box(self):
+        # Xf = -1 < 0 < 1 = Yf: stable sliding everywhere, along dx/dt = x**2
+        system = PiecewiseSystem(self._field(-1.0), self._field(1.0), self.BIG)
+        traj = filippov_trajectory(system, (1e150, 0.0, 0.0), 1.0)
+        (seg,) = traj.segments
+        assert (traj.status, seg.mode, len(seg.times)) == ("left-box", Mode.SLIDING, 2)
+        assert np.isnan(seg.points[-1][:2]).all() and seg.points[-1][2] == 0.0
+
+    def test_locator_probe_takes_overflow_for_no_state(self):
+        field = self._field(1.0)
+        f, step, _ = integrator._flight_kernel(field)
+        event = integrator._SIGMA_EVENTS[1][0]
+        y = (1e150, 0.0, 0.0)
+        y_c, g = integrator._probe(f, step, event, y, f(*y), 1e-4)
+        assert y_c is None and math.isnan(g)
 
 
 class TestGeneratedDriver:

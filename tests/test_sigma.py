@@ -98,6 +98,8 @@ class TestTangencyType:
         )
         info = tangency_type(Z, (0.0, 0.0, 0.0))
         assert info.ttype is TangencyType.FOLD_REGULAR
+        # a fold builds no third derivative: only a cusp candidate reads it
+        assert "x3f" not in vars(Z)
 
     def test_degenerate_higher_order_contact(self):
         # Xf = y^2: the second derivative vanishes on the whole line and the
@@ -116,6 +118,7 @@ class TestTangencyType:
         )
         info = tangency_type(Z, (0.0, 0.0, 0.0))
         assert info.ttype is TangencyType.CUSP_REGULAR
+        assert "x3f" in vars(Z)
 
     def test_regular_fold(self):
         Z = PiecewiseSystem(
@@ -123,6 +126,7 @@ class TestTangencyType:
         )
         info = tangency_type(Z, (0.0, 0.0, 0.0))
         assert info.ttype is TangencyType.REGULAR_FOLD
+        assert "y3f" not in vars(Z)
 
     def test_regular_cusp(self):
         # the mirror of test_cusp_regular: Yf = y + x^2 with X transverse
@@ -132,6 +136,7 @@ class TestTangencyType:
         info = tangency_type(Z, (0.0, 0.0, 0.0))
         assert info.ttype is TangencyType.REGULAR_CUSP
         assert info.detail == "third derivative 2"
+        assert "y3f" in vars(Z)
 
     def test_third_derivative_vanishes(self):
         # Xf = -y^3: the second and third derivatives both vanish at the origin
