@@ -411,6 +411,22 @@ def gradient_on_sigma(g):
     return (g.partial("x").subs_z0(), g.partial("y").subs_z0())
 
 
+class lazy:
+    """Method decorator: the value is computed on first read and stored in
+    the instance ``__dict__``, where later reads find it first.  No lock, as
+    in Python 3.12's ``functools.cached_property``: two first readers may
+    both compute, and one value is kept."""
+
+    def __init__(self, fn):
+        self.fn, self.name, self.__doc__ = fn, fn.__name__, fn.__doc__
+
+    def __get__(self, instance, owner):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.fn(instance)
+        return value
+
+
 def finite_coefficients(p):
     return all(math.isfinite(c) for c in p.terms.values())
 

@@ -21,8 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 
+from .algebra import lazy
 from .errors import PreconditionError
 from .sigma import (
     FoldFoldSubtype,
@@ -523,7 +523,7 @@ class FoldFoldReport:
     verdict: StabilityVerdict
     analysis: ReturnMapAnalysis | None
 
-    @cached_property
+    @lazy
     def moduli(self):
         """Moduli of a complex-eigenvalue T-singularity, computed when first
         read; None for every other two-fold."""

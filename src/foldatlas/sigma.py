@@ -4,7 +4,8 @@ The plane {z = 0} splits into crossing, stable-sliding and unstable-sliding
 regions by the signs of the first Lie derivatives Xf and Yf, with a tolerance
 band assigned to tangency.  Tangency points are refined into fold / cusp /
 fold-fold types using Lie derivatives up to third order; both the cusp and
-the fold-fold tests reduce to one planar 2x2 gradient determinant.
+the fold-fold tests reduce to one planar 2x2 gradient determinant, whose
+entries are read straight from the polynomials' terms at the point.
 
 Tangency curves are traced from grid seeds by one predictor-corrector march,
 forward along the seed's tangent, then backward unless the curve closed.
@@ -16,7 +17,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .algebra import gradient_on_sigma, linspace
+from .algebra import linspace
 from .errors import PreconditionError
 
 # Newton corrections per tangency-curve point before the point is given up;
@@ -102,11 +103,27 @@ def classify_point(system, point, tol=None):
     return SigmaClassification(SigmaKind.UNSTABLE_SLIDING, witness)
 
 
-def _gradient_det(grad_a, grad_b, point):
-    """2x2 determinant of two planar gradients (pairs of polynomials) at the
-    point, and the largest magnitude among its four entries."""
-    ax, ay = grad_a[0].eval_at(point), grad_a[1].eval_at(point)
-    bx, by = grad_b[0].eval_at(point), grad_b[1].eval_at(point)
+def _planar_gradient(p, point):
+    """(dp/dx, dp/dy) on z = 0 at the point, read from the terms with the
+    bits of ``gradient_on_sigma(p)[i].eval_at(point)``: coefficient times
+    exponent, then the x and y powers, z-terms skipped, each summed from 0.0
+    in term order.  A power of exponent 0 is 1.0, and v * 1.0 == v exactly."""
+    x, y = point[0], point[1]
+    gx = gy = 0.0
+    for (i, j, k), c in p.terms.items():
+        if not k:
+            if i:
+                gx += c * i * x ** (i - 1) * y**j
+            if j:
+                gy += c * j * x**i * y ** (j - 1)
+    return gx, gy
+
+
+def _gradient_det(a, b, point):
+    """2x2 determinant of the planar gradients of the polynomials ``a`` and
+    ``b`` at the point, and the largest magnitude among its four entries."""
+    ax, ay = _planar_gradient(a, point)
+    bx, by = _planar_gradient(b, point)
     return ax * by - ay * bx, max(abs(ax), abs(ay), abs(bx), abs(by))
 
 
@@ -129,7 +146,7 @@ def _fold_or_cusp(system, point, tol, side):
         )
     # Cusp needs {df, d(Xf), d(X^2 f)} linearly independent at the point;
     # with df = (0, 0, 1) that is the planar determinant of the last two.
-    det, _ = _gradient_det(gradient_on_sigma(first), gradient_on_sigma(second), point)
+    det, _ = _gradient_det(first, second, point)
     if abs(det) <= default_tolerance(system):
         return TangencyInfo(
             TangencyType.DEGENERATE, detail=f"gradient independence fails ({det:.3g})"
@@ -167,7 +184,7 @@ def _refine_tangency(system, point, witness, tol):
         return TangencyInfo(
             TangencyType.DEGENERATE, detail="a fold is degenerate (second derivative 0)"
         )
-    det, size = _gradient_det(*system.fold_gradients, point)
+    det, size = _gradient_det(system.xf, system.yf, point)
     if not abs(det) > 1e-9 * (1.0 + size):  # a NaN determinant is not transversal
         return TangencyInfo(
             TangencyType.DEGENERATE,

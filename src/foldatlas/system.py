@@ -12,16 +12,16 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from .algebra import (
-    DegreeCapError,
+    MAX_TOTAL_DEGREE,
     Poly3,
     VectorField3,
-    _poly,
+    _degree,
+    _new,
     _prune,
     finite_coefficients,
-    gradient_on_sigma,
+    lazy,
     lie_derivative,
     linspace,
 )
@@ -108,8 +108,10 @@ class PiecewiseSystem:
     """A pair Z = (X, Y) of vector fields split by the plane {z = 0}.
 
     Immutable after construction; Lie derivatives of the switching function
-    are computed lazily and cached, so concurrent readers are safe.  Since
-    f = z, the first ones are the fields' z-components: Xf = X_z, Yf = Y_z.
+    are computed on first read and cached without a lock: two concurrent
+    first readers may both compute one, the values are equal and one is
+    kept.  Since f = z, the first ones are the fields' z-components:
+    Xf = X_z, Yf = Y_z.
     """
 
     def __init__(self, X, Y, box=DEFAULT_BOX, name="system"):
@@ -128,41 +130,36 @@ class PiecewiseSystem:
     def yf(self):
         return self.Y.cz
 
-    @cached_property
+    @lazy
     def x2f(self):
         return lie_derivative(self.X, self.xf)
 
-    @cached_property
+    @lazy
     def y2f(self):
         return lie_derivative(self.Y, self.yf)
 
-    @cached_property
+    @lazy
     def x3f(self):
         return lie_derivative(self.X, self.x2f)
 
-    @cached_property
+    @lazy
     def y3f(self):
         return lie_derivative(self.Y, self.y2f)
 
-    @cached_property
+    @lazy
     def xyf(self):
         """Mixed derivative: d(Yf) along X."""
         return lie_derivative(self.X, self.yf)
 
-    @cached_property
+    @lazy
     def yxf(self):
         """Mixed derivative: d(Xf) along Y."""
         return lie_derivative(self.Y, self.xf)
 
-    @cached_property
-    def fold_gradients(self):
-        """Planar gradients of Xf and of Yf on the switching plane."""
-        return gradient_on_sigma(self.xf), gradient_on_sigma(self.yf)
-
     def coeff_scale(self):
         return max(self.X.coeff_scale(), self.Y.coeff_scale())
 
-    @cached_property
+    @lazy
     def _reversed(self):
         return PiecewiseSystem(
             self.X.negated(), self.Y.negated(), self.box, self.name + "(reversed)"
@@ -205,16 +202,17 @@ def _parse_component(entries, where):
         # int() stores a boolean exponent as 0 or 1; repeated terms add up
         key = (int(i), int(j), int(k))
         terms[key] = terms.get(key, 0.0) + c
-    try:
-        poly = _poly(_prune(terms))
-    except DegreeCapError as exc:
-        raise DegreeCapExceededError(f"{where}: {exc}") from exc
-    deg = poly.degree()
+    # Sums that cancel are pruned before the one degree computation, which
+    # both caps read: the package-wide cap first, then the input cap.
+    terms = _prune(terms)
+    deg = _degree(terms)
+    if deg > MAX_TOTAL_DEGREE:
+        raise DegreeCapExceededError(f"{where}: degree {deg} exceeds cap {MAX_TOTAL_DEGREE}")
     if deg > INPUT_DEGREE_CAP:
         raise DegreeCapExceededError(
             f"{where}: degree {deg} exceeds input cap {INPUT_DEGREE_CAP}"
         )
-    return poly
+    return _new(terms)
 
 
 def _require_usable_box(box):

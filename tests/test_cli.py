@@ -177,7 +177,7 @@ class TestClassify:
         assert counts["classify_point"] == 1
         assert counts["_refine_tangency"] == 1
         assert counts["_gradient_det"] == 1
-        assert counts["eval"] <= 18
+        assert counts["eval"] <= 14
 
     def test_missing_file_exit_2(self, capsys):
         assert main(["classify", "/nonexistent.json", "--point", "0,0,0"]) == 2

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from foldatlas import checks, foldfold, sigma, sliding
-from foldatlas.algebra import Poly3, VectorField3
+from foldatlas import algebra, checks, foldfold, sigma, sliding
+from foldatlas.algebra import Poly3, VectorField3, lazy
 from foldatlas.errors import IntegrationFailure, PreconditionError
 from foldatlas.foldfold import (
     EigvecLocation,
@@ -725,7 +725,27 @@ class TestSystemLevelVerdicts:
         assert counts["classify_point"] == 1
         assert counts["_refine_tangency"] == 1
         assert counts["_gradient_det"] == 1
-        assert counts["eval"] <= 18
+        assert counts["eval"] <= 14
+
+    def test_two_fold_builds_four_lie_derivatives_and_no_partial(
+        self, call_counts, ci_normal_form
+    ):
+        # X2f, Y2f, XYf and YXf, each built once and cached; the gradient
+        # determinant reads Xf and Yf's terms, so no partial is built.
+        system = ci_normal_form
+        counts = call_counts(algebra, "lie_derivative")
+        call_counts(Poly3, "partial")
+        for _ in range(2):
+            assert surface_point_report(system, (0.0, 0.0, 0.0)).foldfold is not None
+            assert counts["lie_derivative"] == 4
+            assert counts["partial"] == 0
+        assert all(isinstance(vars(PiecewiseSystem)[name], lazy)
+                   for name in ("x2f", "y2f", "x3f", "y3f", "xyf", "yxf", "_reversed"))
+        assert system.x2f is system.x2f and system.y2f is vars(system)["y2f"]
+        assert system.time_reversed() is system.time_reversed()
+        report = report_from_params(make_parameters(0.9, 0.7, 1.7, -1.0))
+        assert isinstance(vars(foldfold.FoldFoldReport)["moduli"], lazy)
+        assert report.moduli is not None and report.moduli is vars(report)["moduli"]
 
     @pytest.mark.parametrize("subtype", list(_SUBTYPE_SIGNS))
     def test_foldfold_report_reads_the_surface_report(self, subtype):

@@ -1,16 +1,19 @@
 import hashlib
+import random
 
 import numpy as np
 import pytest
 
-from foldatlas.algebra import Poly3, VectorField3
+from foldatlas.algebra import Poly3, VectorField3, gradient_on_sigma
 from foldatlas.errors import PreconditionError
 from foldatlas.sigma import (
     FoldFoldSubtype,
     SigmaKind,
     TangencyType,
+    _fold_or_cusp,
     _gradient_det,
     classify_point,
+    default_tolerance,
     tangency_curves,
     tangency_type,
 )
@@ -189,7 +192,7 @@ class TestFoldTransversality:
     ORIGIN = (0.0, 0.0, 0.0)
 
     def _det(self, system):
-        return _gradient_det(*system.fold_gradients, self.ORIGIN)[0]
+        return _gradient_det(system.xf, system.yf, self.ORIGIN)[0]
 
     def test_elliptic_transversal(self):
         info = tangency_type(ELLIPTIC, self.ORIGIN)
@@ -221,6 +224,65 @@ class TestFoldTransversality:
         # the transversality test sits behind tangency_type's band check
         with pytest.raises(PreconditionError, match="not in the tangency band"):
             tangency_type(ELLIPTIC, (0.5, 0.5, 0.0))
+
+
+def _gradient_polynomials_det(a, b, point):
+    """Reference route for ``_gradient_det``: build each planar gradient
+    with ``gradient_on_sigma`` and evaluate its entries at the point."""
+    (ax, ay), (bx, by) = ([g.eval_at(point) for g in gradient_on_sigma(p)] for p in (a, b))
+    return ax * by - ay * bx, max(abs(ax), abs(ay), abs(bx), abs(by))
+
+
+class TestGradientDet:
+    """The planar gradient determinant read from the polynomials' terms."""
+
+    ORIGIN = (0.0, 0.0, 0.0)
+
+    def test_bits_match_gradient_polynomials(self):
+        rng = random.Random(29)
+        seen = {"empty": 0, "z-term": 0, "exponent 1": 0, "exponent > 1": 0}
+
+        def poly():
+            terms = {}
+            for _ in range(rng.randrange(7)):
+                exps = (rng.randrange(4), rng.randrange(4), rng.choice((0, 0, 1, 2)))
+                terms[exps] = rng.uniform(-2.0, 2.0)
+            p = Poly3(terms)
+            seen["empty"] += p.is_zero()
+            seen["z-term"] += any(e[2] for e in p.terms)
+            seen["exponent 1"] += any(1 in e[:2] for e in p.terms)
+            seen["exponent > 1"] += any(max(e[:2]) > 1 for e in p.terms)
+            return p
+
+        for _ in range(2000):
+            a, b = poly(), poly()
+            point = (rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5), 0.0)
+            want = _gradient_polynomials_det(a, b, point)
+            got = _gradient_det(a, b, point)
+            assert [v.hex() for v in got] == [v.hex() for v in want], (a, b, point)
+        assert min(seen.values()) >= 100, seen
+
+    @pytest.mark.parametrize("side", ["X", "Y"])
+    def test_cusp(self, side):
+        # Xf = y, X^2 f = x, X^3 f = 1: the gradients (0, 1) and (1, 0) are independent
+        tangent = field(1.0, X_VAR, Y_VAR)
+        Z = (PiecewiseSystem(tangent, field(0.0, 0.0, 1.0)) if side == "X"
+             else PiecewiseSystem(field(0.0, 0.0, -1.0), tangent))
+        info = _fold_or_cusp(Z, self.ORIGIN, default_tolerance(Z), side)
+        assert info.ttype is (TangencyType.CUSP_REGULAR if side == "X"
+                              else TangencyType.REGULAR_CUSP)
+        assert info.detail == "third derivative 1"
+
+    @pytest.mark.parametrize("side", ["X", "Y"])
+    def test_gradient_independence_fails(self, side):
+        # Xf = x^2 has a zero planar gradient at the origin, while
+        # X^2 f = 2x and X^3 f = 2 pass the two derivative tests
+        tangent = field(1.0, 0.0, X_VAR * X_VAR)
+        Z = (PiecewiseSystem(tangent, field(0.0, 0.0, 1.0)) if side == "X"
+             else PiecewiseSystem(field(0.0, 0.0, -1.0), tangent))
+        info = _fold_or_cusp(Z, self.ORIGIN, default_tolerance(Z), side)
+        assert info.ttype is TangencyType.DEGENERATE
+        assert info.detail == "gradient independence fails (0)"
 
 
 class TestTangencyCurves:

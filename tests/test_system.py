@@ -1,4 +1,6 @@
 import json
+import sys
+import threading
 
 import pytest
 
@@ -136,12 +138,32 @@ class TestLoadSystem:
             ([[[1.0, 0, 0], 1.0]], MalformedDocumentError,
              "X.cx: exponents must be non-negative integers"),
             ("x", MalformedDocumentError, "X.cx: expected a list of terms"),
+            # the 24 cap is checked before the input cap, on the one degree
+            ([[[9, 0, 0], 1.0], [[0, 30, 0], 1.0]], DegreeCapExceededError,
+             "X.cx: degree 30 exceeds cap 24"),
+            # every term is validated before any degree is computed
+            ([[[30, 0, 0], 1.0], [[0, 0, 0], "a"]], MalformedDocumentError,
+             "X.cx: coefficient must be a number"),
+            ([[[True, 0, 8], 1.0]], DegreeCapExceededError,
+             "X.cx: degree 9 exceeds input cap 8"),
         ]
         for terms, cls, message in cases:
             with pytest.raises(cls) as info:
                 self._with_x_cx(terms)
             assert type(info.value) is cls
             assert str(info.value) == message
+
+    @pytest.mark.parametrize("terms,want", [
+        # zero sums are pruned before either cap is checked
+        ([[[30, 0, 0], 1.5], [[0, 1, 0], 2.0], [[30, 0, 0], -1.5]], {(0, 1, 0): 2.0}),
+        ([[[0, 0, 30], 1.0], [[0, 0, 30], -1.0]], {}),
+        # a bool exponent is stored as 0 or 1 and counts as that in the degree
+        ([[[True, False, 7], 0.5]], {(1, 0, 7): 0.5}),
+    ])
+    def test_one_pass_order(self, terms, want):
+        got = self._with_x_cx(terms)
+        assert got == want
+        assert all(type(e) is int for exps in got for e in exps)
 
     @pytest.mark.parametrize("entry", [None, "a", True, False, "1", [1], 10**400])
     def test_box_entries_must_be_numbers(self, entry):
@@ -195,6 +217,34 @@ class TestBuildNormalForm:
         assert system.time_reversed() is rev
         assert rev.X is system.X.negated() and rev.Y is system.Y.negated()
         assert rev.xf.compiled() is system.time_reversed().xf.compiled()
+
+    def test_concurrent_first_reads_get_equal_derivatives(self):
+        # The derivative cache takes no lock: racing first readers may each
+        # build X2f, every one gets an equal value, and one value is kept.
+        hot = {"cz": [[[2, 0, 0], 0.3], [[0, 1, 1], 0.1]]}
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                system = build_normal_form(-0.6, 1.2, 0.8, -1.0, hot=hot)
+                barrier = threading.Barrier(8)
+                seen = []
+
+                def read():
+                    barrier.wait(timeout=10)
+                    seen.append(system.x2f)
+
+                threads = [threading.Thread(target=read) for _ in range(8)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=10)
+                assert not any(t.is_alive() for t in threads)
+                assert len(seen) == 8 and all(v == seen[0] for v in seen)
+                assert system.x2f is vars(system)["x2f"]
+                assert any(v is system.x2f for v in seen)
+        finally:
+            sys.setswitchinterval(old)
 
     def test_gamma_zero_rejected(self):
         with pytest.raises(PreconditionError):
