@@ -11,9 +11,9 @@ component) into a factory that binds coefficients to an evaluator; a small
 private LRU keeps the factories, so a new system whose polynomials share a
 shape with an earlier one only pays for binding its coefficients.  A vector
 field keeps that shape pass (``shape()``); the integrator's step kernels bind
-from it too.  The evaluator computes the same terms, powers and left-to-right
-sums as ``as_expr``, so it returns bitwise the same floats as compiling that
-expression with literal coefficients.
+from it too.  The evaluator computes the same terms, powers (as products,
+which overflow to inf) and left-to-right sums as ``as_expr``, so it returns
+bitwise the same floats as compiling that expression with literal coefficients.
 
 ``lie_derivative`` is one pass over plain dicts that gives the same bits and
 term order as the composed arithmetic ``cx * g.partial("x") + cy *
@@ -74,13 +74,14 @@ def _poly(terms):
 
 
 def _term(coeff, exps):
-    """Source of one monomial: ``coeff*x*y**2`` for the exponents (1, 2, 0)."""
+    """Source of one monomial: ``coeff*x*(y*y)`` for the exponents (1, 2, 0);
+    past the float range the product is inf, where ``y**2`` would raise."""
     factors = [coeff]
     for var, p in zip(VARS, exps):
         if p == 1:
             factors.append(var)
         elif p > 1:
-            factors.append(f"{var}**{p}")
+            factors.append(f"({'*'.join([var] * p)})")
     return "*".join(factors)
 
 
@@ -107,7 +108,7 @@ def _factory(shapes):
         ", ".join(f"({e})" for e in exprs)
     )
     src = f"lambda {', '.join(names)}: lambda x, y, z: {body}"
-    # the source holds generated names and integer exponents only
+    # the source holds generated names and operators only
     return eval(compile(src, "<poly3>", "eval"), {"__builtins__": {}})
 
 

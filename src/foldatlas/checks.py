@@ -926,7 +926,7 @@ def _non_return_row(system, side, point, seeds):
                        f"{returned} of {len(seeds)} flights returned")
 
 
-def check_system(system, point, seed=0):
+def check_system(system, point, seed):
     """Consistency checks for one concrete system at a two-fold candidate:
     the classification, then the rows its closed-form subtype calls for.
     An invisible fold's numeric fold map must be an involution.  Flights of

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .algebra import linspace
-from .errors import MalformedDocumentError, ToolError, VerificationFailure
+from .errors import MalformedDocumentError, PreconditionError, ToolError, VerificationFailure
 from .foldfold import (
     FixedPointClass,
     InstabilityReason,
@@ -379,6 +379,11 @@ def main(argv=None):
     except ToolError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except OverflowError:
+        # An interpreted power (Poly3.eval) past the float range: the input
+        # lies where the fields cannot be evaluated, a precondition violation.
+        print("error: a field value at this input exceeds the float range", file=sys.stderr)
+        return PreconditionError.exit_code
 
 
 if __name__ == "__main__":

@@ -23,7 +23,7 @@ are added up once per coefficient binding.  The loop that drives the
 steps is generated around the same step body: step control, the event scan
 (the plane event as the new state's z, the sliding events as the last
 stage's Xf and Yf), the guard, under which a NaN state is outside (a step
-whose power overflows gives one), and the sample collection run inline,
+whose field overflows gives one), and the sample collection run inline,
 and the driver returns to Python only to locate a fired event or to stop.
 A polynomial field has one driver, which flies to the plane inside a box:
 a trajectory's box, or for a fold flight the cube around its start written
@@ -261,14 +261,7 @@ def _drive_lines(dim, stage, const, params, events, guard):
         "    h = remaining",
         "if h < 1e-15:",
         *stop("TIME_OUT", "t", y, " - 1"),
-        "try:",
-        *("    " + line for line in _step_body(dim, stage, const)),
-        # A power past the float range raises: the new state is NaN, the
-        # events read the field there, and the guard ends the flight.
-        "except OverflowError:",
-        f"    {n} = {', '.join(['math.nan'] * dim)}",
-        *("    " + line for line in stage(_names("n", dim), _names("k7", dim))),
-        "    err_norm = math.nan",
+        *_step_body(dim, stage, const),
         "if err_norm > 1.0:",
         "    h *= max(0.2, 0.9 * err_norm ** -0.2)",
         "    rejected += 1",
@@ -327,7 +320,7 @@ def _bind(params, functions, names):
 
 def _compile(lines, name):
     """The function ``name`` defined by the generated ``lines``; the source
-    holds generated names, integer exponents and tableau constants only."""
+    holds generated names and numeric constants only."""
     ns = {}
     exec(compile("\n".join(lines), "<dormand-prince>", "exec"), globals(), ns)
     return ns[name]
@@ -444,14 +437,13 @@ def _eval_within_step(f, step, y_left, k_left, dt, depth=0):
 
 def _probe(f, step, event, y, k, dt):
     """Re-integrated state at offset ``dt`` from ``(y, k)`` and the event's
-    g there, or ``(None, nan)`` where a stage divides by zero or a power
-    overflows.  Only the sliding field divides, by Yf - Xf, and a stage on
-    Yf = Xf lies at or past a fold line or the ``den`` event, so the locator
-    takes it for a point past the root and never returns it; it takes an
-    overflowing state the same way."""
+    g there, or ``(None, nan)`` where a stage divides by zero.  Only the
+    sliding field divides, by Yf - Xf, and a stage on Yf = Xf lies at or past
+    a fold line or the ``den`` event, so the locator takes it for a point
+    past the root and never returns it."""
     try:
         y_c = _eval_within_step(f, step, y, k, dt)
-    except (ZeroDivisionError, OverflowError):
+    except ZeroDivisionError:
         return None, math.nan
     return y_c, event.fn(y_c)
 
@@ -520,8 +512,8 @@ def _refine_event(f, step, event, y_left, k_left, y_right, k_right, h, g_left, g
     with that component of the field as slope, secant steps otherwise.  If
     that ends above ``_EVENT_TOL``, bisection re-integrated from the bracket
     start takes over.  Every candidate is a re-integrated state, never an
-    interpolated one; one whose re-integration divides by zero or overflows
-    (see ``_probe``) closes the bracket from above.
+    interpolated one; one whose re-integration divides by zero (see
+    ``_probe``) closes the bracket from above.
     """
     lo, hi = 0.0, h
     g_lo = g_left

@@ -220,46 +220,31 @@ def _trace_zero_set(poly, box):
     ctol = 1e-12 * scale
     h = _CURVE_STEP * max(box.xmax - box.xmin, box.ymax - box.ymin)
 
-    # A power past the float range raises OverflowError: no seed, point or tangent there.
-    def value(x, y):
-        try:
-            return gfn(x, y, 0.0)
-        except OverflowError:
-            return math.nan
-
     def correct(q):
         x, y = q
-        try:
-            for _ in range(_CORRECTOR_CAP):
-                v = gfn(x, y, 0.0)
-                if abs(v) <= ctol:
-                    return (x, y)
-                dx, dy = gx(x, y, 0.0), gy(x, y, 0.0)
-                n2 = dx * dx + dy * dy
-                if n2 < 1e-18 * scale * scale:
-                    return None
-                x -= v * dx / n2
-                y -= v * dy / n2
-            return (x, y) if abs(gfn(x, y, 0.0)) <= 10 * ctol else None
-        except OverflowError:
-            return None
+        for _ in range(_CORRECTOR_CAP):
+            v = gfn(x, y, 0.0)
+            if abs(v) <= ctol:
+                return (x, y)
+            dx, dy = gx(x, y, 0.0), gy(x, y, 0.0)
+            n2 = dx * dx + dy * dy
+            if n2 < 1e-18 * scale * scale:
+                return None
+            x -= v * dx / n2
+            y -= v * dy / n2
+        return (x, y) if abs(gfn(x, y, 0.0)) <= 10 * ctol else None
 
     def tangent(q):
-        try:
-            dx, dy = gx(q[0], q[1], 0.0), gy(q[0], q[1], 0.0)
-        except OverflowError:
-            return None
+        dx, dy = gx(q[0], q[1], 0.0), gy(q[0], q[1], 0.0)
         n = math.hypot(dx, dy)
         return None if n < 1e-14 * scale else (-dy / n, dx / n)
 
-    # Seeds: sign changes along grid edges, then corrector polish.
+    # Seeds: sign changes along grid edges, then corrector polish.  Past the
+    # float range a value is inf or NaN, which passes no tolerance test here.
     n_grid = 41
     xs = linspace(box.xmin, box.xmax, n_grid)
     ys = linspace(box.ymin, box.ymax, n_grid)
-    try:
-        vals = [[gfn(x, y, 0.0) for y in ys] for x in xs]
-    except OverflowError:
-        vals = [[value(x, y) for y in ys] for x in xs]
+    vals = [[gfn(x, y, 0.0) for y in ys] for x in xs]
     seeds = []
     for i in range(n_grid):
         for j in range(n_grid):

@@ -352,31 +352,28 @@ def _field_zeros_on_sigma(f, box):
     scale = 1.0 + f.coeff_scale()
     for x0 in linspace(box.xmin, box.xmax, _ZERO_GRID):
         for y0 in ys:
-            try:  # a power past the float range raises: no zero there
-                vx, vy, vz = fn(x0, y0, 0.0)
-                norm = math.hypot(vx, math.hypot(vy, vz))
-                if norm > 0.2 * scale:
-                    continue
-                x, y = x0, y0
-                for _ in range(25):
-                    r0, r1, r2 = fn(x, y, 0.0)
-                    if math.hypot(r0, r1, r2) <= _ZERO_TOL * scale:
-                        break
-                    (a0, a1), (b0, b1), (c0, c1) = ([cell(x, y, 0.0) for cell in row]
-                                                    for row in jac_fns)
-                    p = a0 * a0 + b0 * b0 + c0 * c0
-                    q = a0 * a1 + b0 * b1 + c0 * c1
-                    s = a1 * a1 + b1 * b1 + c1 * c1
-                    det = p * s - q * q
-                    if abs(det) < 1e-18:
-                        break
-                    u, v = a0 * r0 + b0 * r1 + c0 * r2, a1 * r0 + b1 * r1 + c1 * r2
-                    x, y = x - (s * u - q * v) / det, y - (p * v - q * u) / det
-                else:
-                    continue
-                residual = math.hypot(*fn(x, y, 0.0))
-            except OverflowError:
+            vx, vy, vz = fn(x0, y0, 0.0)
+            norm = math.hypot(vx, math.hypot(vy, vz))
+            if norm > 0.2 * scale:
                 continue
+            x, y = x0, y0
+            for _ in range(25):
+                r0, r1, r2 = fn(x, y, 0.0)
+                if math.hypot(r0, r1, r2) <= _ZERO_TOL * scale:
+                    break
+                (a0, a1), (b0, b1), (c0, c1) = ([cell(x, y, 0.0) for cell in row]
+                                                for row in jac_fns)
+                p = a0 * a0 + b0 * b0 + c0 * c0
+                q = a0 * a1 + b0 * b1 + c0 * c1
+                s = a1 * a1 + b1 * b1 + c1 * c1
+                det = p * s - q * q
+                if abs(det) < 1e-18:
+                    break
+                u, v = a0 * r0 + b0 * r1 + c0 * r2, a1 * r0 + b1 * r1 + c1 * r2
+                x, y = x - (s * u - q * v) / det, y - (p * v - q * u) / det
+            else:
+                continue
+            residual = math.hypot(*fn(x, y, 0.0))
             if residual <= _ZERO_TOL * scale and box.contains((x, y, 0.0), pad=1e-9):
                 if all(math.hypot(x - px, y - py) > 1e-6 for px, py in found):
                     found.append((x, y))

@@ -95,6 +95,17 @@ class TestEval:
             for pt in itertools.product(values, repeat=3):
                 assert outcome(p.eval, *pt) == outcome(ref, p, *pt)
 
+    def test_compiled_power_overflows_to_inf(self):
+        # Generated code writes x**8 as a product: inf past the float range,
+        # where the interpreted eval's ** raises.
+        p = Poly3({(8, 0, 0): 2.0})
+        assert p.as_expr() == "2.0*(x*x*x*x*x*x*x*x)"
+        assert p.compiled()(1e200, 0.0, 0.0) == math.inf
+        field = VectorField3(p, -p, Poly3.zero()).compiled()
+        assert field(-1e200, 0.0, 0.0) == (math.inf, -math.inf, 0.0)
+        with pytest.raises(OverflowError):
+            p.eval(1e200, 0.0, 0.0)
+
     def test_compiled_matches_eval(self):
         rng = np.random.default_rng(3)
         p = random_poly(rng, 4)
@@ -266,12 +277,8 @@ class TestNegated:
 
 
 def _step_hexes(step, y, h, k1):
-    """``float.hex`` of every number a kernel step returns, or its overflow
-    (a large state can take ``x**6`` past the float range)."""
-    try:
-        y_new, k_last, err_norm = step(y, h, k1)
-    except OverflowError:
-        return "overflow"
+    """``float.hex`` of every number a kernel step returns."""
+    y_new, k_last, err_norm = step(y, h, k1)
     return [v.hex() for v in (*y_new, *k_last, err_norm)]
 
 
@@ -472,7 +479,8 @@ class TestFirstLieDerivativesAreZComponents:
 
 def _ref_expr(p):
     """The literal-coefficient expression source of ``p``, as compiled
-    before evaluators were shared per shape."""
+    before evaluators were shared per shape, with each power written out as
+    a parenthesized product."""
     if not p.terms:
         return "0.0"
     pieces = []
@@ -482,7 +490,7 @@ def _ref_expr(p):
             if e == 1:
                 factors.append(var)
             elif e > 1:
-                factors.append(f"{var}**{e}")
+                factors.append(f"({'*'.join([var] * e)})")
         pieces.append("*".join(factors))
     return " + ".join(pieces)
 
@@ -536,8 +544,7 @@ if given is not None:
     _fields = st.builds(VectorField3, _polys, _polys, _polys)
     _points = st.one_of(
         st.tuples(*[st.floats(-4.0, 4.0)] * 3),
-        # Wide enough for products to overflow to inf, small enough that
-        # x**8 itself does not raise OverflowError.
+        # Wide enough for products to overflow to inf.
         st.tuples(*[st.floats(-1e30, 1e30)] * 3),
     )
     # Drawn points are often 0 or 1, where every order of summation agrees;

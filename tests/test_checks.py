@@ -293,7 +293,7 @@ class TestSystemRows:
            "return-map determinant", "return-map trace vs normal parameters"]
 
     def test_bounds_are_pinned(self):
-        results = checks.check_system(build_normal_form(0.3, 0.5, 1.0, -1.0), (0.0, 0.0, 0.0))
+        results = checks.check_system(build_normal_form(0.3, 0.5, 1.0, -1.0), (0.0, 0.0, 0.0), 0)
         assert {r.name: r.threshold for r in results[1:]} == {
             "X-fold involution": 1e-6,
             "Y-fold involution": 1e-6,
@@ -336,7 +336,7 @@ class TestSystemRows:
             return foldfold.NormalParameters(p.alpha, p.beta, gamma, delta)
 
         monkeypatch.setattr(foldfold, "_two_fold_parameters", wrong)
-        results = checks.check_system(build_normal_form(0.3, 0.5, sign, delta), (0.0, 0.0, 0.0))
+        results = checks.check_system(build_normal_form(0.3, 0.5, sign, delta), (0.0, 0.0, 0.0), 0)
         assert results[0].passed
         assert not _by_name(results, failing).passed
 
@@ -367,9 +367,9 @@ class TestNonFiniteResiduals:
             n_draws=5, n_systems=2, seeds_per_system=5, seed=3),
         "sliding": lambda: checks.check_sliding_tangency(n_sims=1, seed=0),
         "invisible system": lambda: checks.check_system(
-            build_normal_form(0.3, 0.5, 1.0, -1.0), (0.0, 0.0, 0.0)),
+            build_normal_form(0.3, 0.5, 1.0, -1.0), (0.0, 0.0, 0.0), 0),
         "visible system": lambda: checks.check_system(
-            build_normal_form(0.3, 0.5, -1.0, 1.0), (0.0, 0.0, 0.0)),
+            build_normal_form(0.3, 0.5, -1.0, 1.0), (0.0, 0.0, 0.0), 0),
     }
     RETURN_MAP_READERS = {
         ("grid", "return-map numeric Jacobian"),
@@ -546,7 +546,7 @@ class TestSettableValues:
     MODULES = ("algebra", "system", "sigma", "sliding", "foldfold", "integrator",
                "checks", "cli")
 
-    def test_at_most_15(self):
+    def test_at_most_11(self):
         count = len(dataclasses.fields(integrator.IntegratorConfig))
         for short in self.MODULES:
             module = importlib.import_module(f"foldatlas.{short}")
@@ -554,4 +554,4 @@ class TestSettableValues:
                 if inspect.isfunction(fn) and fn.__module__ == module.__name__:
                     params = inspect.signature(fn).parameters.values()
                     count += sum(p.default is not inspect.Parameter.empty for p in params)
-        assert count <= 15
+        assert count <= 11

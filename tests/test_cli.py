@@ -43,6 +43,21 @@ def parabolic_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def square_file(tmp_path):
+    """Xf = x**2 - 1: ``Poly3.eval`` raises where x**2 passes the float range."""
+    path = tmp_path / "square.json"
+    path.write_text(json.dumps({
+        "name": "square", "box": [-1, 1, -1, 1, -1, 1],
+        "X": {"cx": [[[0, 0, 0], 1.0]], "cy": [], "cz": [[[2, 0, 0], 1.0], [[0, 0, 0], -1.0]]},
+        "Y": {"cx": [[[0, 0, 0], 1.0]], "cy": [], "cz": [[[0, 0, 0], 1.0]]},
+    }))
+    return str(path)
+
+
+_OVERFLOW_MESSAGE = "error: a field value at this input exceeds the float range\n"
+
+
 def _classify(path, point, tmp_path):
     """``classify`` JSON report of ``point`` (text "x,y,z") on a system file,
     checked to carry ``surface_point_report``'s verdict for that point."""
@@ -213,9 +228,13 @@ class TestClassify:
         assert main(["classify", str(path), "--point", "0,0,0"]) == 2
         assert "X.cx: non-finite coefficient" in capsys.readouterr().err
 
+    def test_overflowing_point_exit_3(self, square_file, capsys):
+        assert main(["classify", square_file, "--point", "1e200,0,0"]) == 3
+        assert capsys.readouterr() == ("", _OVERFLOW_MESSAGE)
+
     def test_powers_past_the_float_range_exit_0(self, tmp_path):
-        # x**8 overflows on the grids of validate's zero search and of the
-        # fold-line tracer: no zero and no seed there, and no OverflowError.
+        # x**8 overflows to inf on the grids of validate's zero search and of
+        # the fold-line tracer: no zero and no seed there.
         x8 = Poly3({(8, 0, 0): 1.0})
         system = PiecewiseSystem(_field(1.0, x8, _Y + x8), _field(1.0, 0.0, _X),
                                  Box(-1e40, 1e40, -1e40, 1e40, -1.0, 1.0))
@@ -369,8 +388,9 @@ class TestSimulate:
         assert lines[-1] == f"# status={traj.status} total_time={traj.total_time!r}"
 
     def test_power_past_the_float_range_leaves_box(self, tmp_path):
-        # X = (x**2, 0, -1): from x = 1e150 the first step's x**2 overflows,
-        # and the flight leaves its box at that NaN state
+        # X = (x**2, 0, -1): from x = 1e150 a stage of the first step takes
+        # x*x past the float range to inf, the step's weighted sums make x
+        # NaN, and the flight leaves its box there with y and z finite
         path = tmp_path / "overflow.json"
         path.write_text(json.dumps({
             "name": "overflow", "box": [-10, 10, -10, 10, -10, 10],
@@ -382,7 +402,7 @@ class TestSimulate:
         args = ["simulate", str(path), "--p0", "1e150,0,1e100", "--box", box, "--out", str(out)]
         assert main(args) == 0
         lines = out.read_text().splitlines()
-        assert lines[-2] == "0,flow+,left-box,0.0001,nan,nan,nan"
+        assert lines[-2] == "0,flow+,left-box,0.0001,nan,0.0,1e+100"
         assert lines[-1] == "# status=left-box total_time=0.0001"
 
     @pytest.mark.parametrize("option,value", [("--T", "inf"), ("--T", "nan"),
@@ -409,6 +429,14 @@ class TestSimulate:
         doc["box"] = [float(v) for v in box.split(",")]
         with pytest.raises(EmptyBoxError, match=re.escape(message)):
             load_system(json.dumps(doc))
+
+    def test_overflowing_start_exit_3(self, square_file, tmp_path, capsys):
+        out = tmp_path / "traj.csv"
+        box = "-1e300,1e300,-1e300,1e300,-1e300,1e300"
+        args = ["simulate", square_file, "--p0", "1e200,0,0", "--box", box, "--out", str(out)]
+        assert main(args) == 3
+        assert capsys.readouterr() == ("", _OVERFLOW_MESSAGE)
+        assert not out.exists()
 
     @pytest.mark.parametrize("p0,box", [("5,0,0.5", None), ("0,0,0.5", "1,2,-1,1,-1,1")])
     def test_start_outside_box_exit_3(self, const_file, tmp_path, p0, box, capsys):
@@ -438,6 +466,10 @@ class TestVerify:
         assert main(["verify", "--suite", "regions", "--seed", "-1"]) == 2
         err = capsys.readouterr().err
         assert err == "error: --seed must be >= 0\n"
+
+    def test_overflowing_point_exit_3(self, square_file, capsys):
+        assert main(["verify", square_file, "--point", "1e200,0,0", "--suite", "none"]) == 3
+        assert capsys.readouterr() == ("", _OVERFLOW_MESSAGE)
 
     def test_small_suite(self, capsys):
         rc = main(["verify", "--suite", "sliding", "--scale", "0.12", "--seed", "1"])

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from foldatlas import integrator
-from foldatlas.algebra import Poly3, VectorField3
+from foldatlas.algebra import Poly3, VectorField3, shape_source
 from foldatlas.checks import _stick_slip_system
 from foldatlas.errors import IntegrationFailure, PreconditionError
 from foldatlas.foldfold import make_parameters, return_map_analysis
@@ -571,8 +571,8 @@ class TestGeneratedSourcePinned:
     its sliding field run unchanged code; the flight kernel's evaluator
     ``field`` and its return line are pinned apart from them."""
 
-    FLIGHT = "ca87c4703d7fb03f92a0592b514b037fcc1e06616e7dc21d49f2f61339fb6920"
-    SLIDING = "d5e4bf86b893d90a7bd37ba02c4dd842915ec8170a64d9f9446efff4dec7c877"
+    FLIGHT = "c02649fb9fb95448e872f58d111045fe09d38d33b29cb6af7e9bb4ef137b8956"
+    SLIDING = "6308e2d564f36dc8245c3e4062d280c7ed0a74dffdff9832ac733de69d08d0c2"
 
     @staticmethod
     def _sha(text):
@@ -590,6 +590,30 @@ class TestGeneratedSourcePinned:
         assert self._sha("    def step(" + body) == self.FLIGHT
         shapes = system.X.shape()[0] + system.Y.shape()[0]
         assert self._sha(_generated_source(integrator._sliding_factory, shapes)) == self.SLIDING
+
+
+class TestPowersAsProducts:
+    """Generated code writes every power as a product, which overflows to
+    inf where ``**`` would raise: no evaluator or step holds a power, and
+    a driver's only ``**`` is the step control's, on error norms."""
+
+    CONTROL = ["h *= max(0.2, 0.9 * err_norm ** -0.2)",
+               "factor = 0.9 * err_norm ** -0.14 * err_prev ** 0.08"]
+
+    def test_seeded_shapes(self):
+        rng = np.random.default_rng(30)
+        triples = [e for e in itertools.product(range(9), repeat=3) if sum(e) <= 8]
+        for _ in range(20):
+            shapes = tuple(
+                tuple(sorted(triples[i] for i in rng.choice(
+                    len(triples), size=int(rng.integers(0, 6)), replace=False)))
+                for _ in range(6))
+            assert not any("**" in e for e in shape_source(shapes)[1])
+            for factory, parts in ((integrator._flight_factory, shapes[:3]),
+                                   (integrator._sliding_factory, shapes)):
+                powers = [line.strip() for line in _generated_source(factory, parts).splitlines()
+                          if "**" in line]
+                assert powers == self.CONTROL
 
 
 class TestIntegrateToSigma:
@@ -1373,10 +1397,10 @@ class TestNonFiniteErrorNorm:
 
 
 class TestOverflowingPower:
-    """A power past the float range raises OverflowError, where a product
-    gives inf.  dx/dt = x**2 from x = 1e150 overflows in the first step's
-    second stage: a generated driver takes that step's state for NaN and
-    leaves its guard there, while the step kernel itself still raises."""
+    """A power is generated as a product, so it overflows to inf as x*y
+    does, and a flight on it ends at the guard like the flights of
+    ``TestNonFiniteErrorNorm``.  dx/dt = x**2 from x = 1e150 overflows in
+    the first step's stages, whose weighted sums make the new x NaN."""
 
     BIG = Box(-1e300, 1e300, -1e300, 1e300, -1e300, 1e300)
     SQUARE = Poly3({(2, 0, 0): 1.0})
@@ -1386,12 +1410,13 @@ class TestOverflowingPower:
 
     def test_flight_leaves_guard_and_fold_map_fails(self):
         field = self._field(1.0)
-        _, step, _ = integrator._flight_kernel(field)
-        with pytest.raises(OverflowError):
-            step((1e150, 0.0, 0.0), 1e-4, field.compiled()(1e150, 0.0, 0.0))
+        f, step, _ = integrator._flight_kernel(field)
+        y_new, k_last, err_norm = step((1e150, 0.0, 0.0), 1e-4, f(1e150, 0.0, 0.0))
+        assert math.isnan(y_new[0]) and math.isnan(k_last[0]) and math.isnan(err_norm)
         res = integrate_to_sigma(field, (1e150, 0.0, 0.0), 1, self.BIG)
         assert (res.status, res.accepted, res.rejected) == (FlightStatus.LEFT_BOX, 1, 0)
-        assert all(math.isnan(v) for v in res.point) and res.time == 1e-4
+        assert math.isnan(res.point[0]) and res.point[1:] == (0.0, y_new[2])
+        assert res.time == 1e-4
         system = PiecewiseSystem(field, self._field(1.0), self.BIG)
         with pytest.raises(IntegrationFailure) as exc:
             fold_map_numeric(system, "X", (1e150, 0.0))
@@ -1403,15 +1428,7 @@ class TestOverflowingPower:
         traj = filippov_trajectory(system, (1e150, 0.0, 0.0), 1.0)
         (seg,) = traj.segments
         assert (traj.status, seg.mode, len(seg.times)) == ("left-box", Mode.SLIDING, 2)
-        assert np.isnan(seg.points[-1][:2]).all() and seg.points[-1][2] == 0.0
-
-    def test_locator_probe_takes_overflow_for_no_state(self):
-        field = self._field(1.0)
-        f, step, _ = integrator._flight_kernel(field)
-        event = integrator._SIGMA_EVENTS[1][0]
-        y = (1e150, 0.0, 0.0)
-        y_c, g = integrator._probe(f, step, event, y, f(*y), 1e-4)
-        assert y_c is None and math.isnan(g)
+        assert math.isnan(seg.points[-1][0]) and seg.points[-1][1:].tolist() == [0.0, 0.0]
 
 
 class TestGeneratedDriver:

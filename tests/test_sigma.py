@@ -356,7 +356,7 @@ class TestTangencyCurvesPinned:
     curves, curves that leave the box, a singular crossing, a cusp, x^2
     markers, a polynomial with no zero and 24 seeded random cubics."""
 
-    DIGEST = "cef5b3c304ee306b9c755877db9ba5b8d22be04299b1c84765b60165a9a6b568"
+    DIGEST = "b1063475949476ff3e6b0a1f05b69eda7be907390f73f16323aa6d41982e9228"
 
     def test_digest(self):
         digest = hashlib.sha256()

@@ -279,7 +279,7 @@ class TestValidate:
     def test_newton_step_past_the_float_range(self):
         # |X| <= 0.2 * scale at the grid points, and J^T J is near singular
         # (det 1e-18): the first step jumps to x ~ -1e40, where x**8
-        # overflows.  That seed finds no zero; it raises no OverflowError.
+        # overflows to inf.  That seed finds no zero.
         X = VectorField3(Poly3({(0, 0, 0): 1e31, (1, 0, 0): 1e-9}),
                          Poly3({(0, 1, 0): 1.0, (8, 0, 0): 1e-300}),
                          Poly3({(0, 0, 1): 1e32, (0, 0, 0): -1.0}))
