@@ -9,6 +9,7 @@ every analytic verdict.
 
 from .algebra import Poly3, VectorField3, gradient_on_sigma, lie_derivative
 from .errors import (
+    BoxRangeError,
     DegreeCapExceededError,
     EmptyBoxError,
     IntegrationFailure,

@@ -287,7 +287,7 @@ class Poly3:
 class VectorField3:
     """Polynomial vector field on R^3 with components (cx, cy, cz)."""
 
-    __slots__ = ("cx", "cy", "cz", "_fn", "_shape", "_kernel", "_neg", "_scale")
+    __slots__ = ("cx", "cy", "cz", "_fn", "_shape", "_kernel", "_rkernel", "_neg", "_scale")
 
     def __init__(self, cx, cy, cz):
         self.cx = cx
@@ -296,6 +296,7 @@ class VectorField3:
         self._fn = None
         self._shape = None
         self._kernel = None
+        self._rkernel = None
         self._neg = None
         self._scale = None
 
@@ -315,15 +316,16 @@ class VectorField3:
         return self._scale
 
     def negated(self):
-        """Cached ``-field``, so backward flights share one compiled evaluator.
-        It shares this field's shape and coefficient scale: same terms, same
-        order, exactly negated coefficients."""
+        """Cached ``-field``, the time-reversed field.  It shares this field's
+        shape, coefficient scale and reversed kernel: same terms, same order,
+        exactly negated coefficients."""
         if self._neg is None:
             neg = VectorField3(*(_new({e: -c for e, c in p.terms.items()})
                                  for p in self.components()))
             shapes, coeffs = self.shape()
             neg._shape = (shapes, [-c for c in coeffs])
             neg._scale = self.coeff_scale()
+            neg._kernel = self._rkernel
             self._neg = neg
         return self._neg
 
@@ -348,6 +350,14 @@ class VectorField3:
             shapes, coeffs = self.shape()
             self._kernel = factory(shapes)(*coeffs)
         return self._kernel
+
+    def reversed_kernel(self, factory):
+        """Cached ``negated().kernel(factory)``, bound without building ``-field``."""
+        if self._rkernel is None:
+            shapes, coeffs = self.shape()
+            neg = self._neg
+            self._rkernel = neg.kernel(factory) if neg else factory(shapes)(*[-c for c in coeffs])
+        return self._rkernel
 
     def __eq__(self, other):
         return (

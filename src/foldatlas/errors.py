@@ -32,6 +32,10 @@ class EmptyBoxError(InputFormatError):
     """The box has no volume or no slice of the switching plane."""
 
 
+class BoxRangeError(InputFormatError):
+    """A side of the box is longer than the float range."""
+
+
 class PreconditionError(ToolError):
     """An operation was called outside its stated domain."""
 

@@ -26,8 +26,8 @@ stage's Xf and Yf), the guard, under which a NaN state is outside (a step
 whose field overflows gives one), and the sample collection run inline,
 and the driver returns to Python only to locate a fired event or to stop.
 A polynomial field has one driver, which flies to the plane inside a box:
-a trajectory's box, or for a fold flight the cube around its start written
-as a box.  The evaluator, the step kernel
+a trajectory's box, or for a flight from the plane the cube around its
+start written as a box.  The evaluator, the step kernel
 and the driver of a polynomial field, and of the sliding field (X and Y at
 z = 0, with Xf and Yf their z-components), are compiled once per monomial
 shape into a bounded LRU and bind the coefficients from the field's one
@@ -35,9 +35,11 @@ shape pass; event refinement steps through the kernels and takes its
 slopes from their evaluator.  The events are immutable, so flights share
 them.  A Filippov trajectory must start inside its box.
 
-The fold maps and the first-return map realized here are compared against
-their closed-form counterparts by the verification suites; nothing in this
-module consults those formulas.
+``integrate_to_sigma`` and the fold maps fly through one core; a fold map
+flies backwards on its field's reversed kernel, bound from the negated
+coefficients.  The fold maps and the first-return map realized here are
+compared against their closed forms by the verification suites; nothing
+in this module consults those formulas.
 """
 
 from __future__ import annotations
@@ -104,7 +106,7 @@ class FlightStatus(Enum):
     UNSTABLE_SLIDING = "unstable-sliding"
 
 
-@dataclass
+@dataclass(slots=True)
 class FlightResult:
     status: FlightStatus
     point: tuple | None = None
@@ -282,6 +284,7 @@ def _drive_lines(dim, stage, const, params, events, guard):
     fired = "".join(f"(fired{j}, {j}, last{j}, now{j}), " for j in js)
     loop += [
         f"if {' or '.join(f'fired{j}' for j in js)}:",
+        "    fired = ((0, last0, now0),)" if len(events) == 1 else
         f"    fired = tuple((j, g0, g1) for hit, j, g0, g1 in ({fired}) if hit)",
         f"    return FlightStatus.HIT_SIGMA, t, ({y},), steps - rejected, rejected, "
         f"(({y},), ({k1},), ({n},), ({k7},), h, fired)",
@@ -616,9 +619,13 @@ def integrate_to_sigma(field, q0, direction, box=DEFAULT_BOX, h0=None):
         s2 = lie_derivative(field, field.cz).eval_at(q0)
         if s2 * direction < tol:
             return FlightResult(FlightStatus.NO_RETURN, time=0.0)
+    return _to_plane(_flight_kernel(field), float(q0[0]), float(q0[1]), direction, box, h0)
+
+
+def _to_plane(kernel, x, y, direction, box, h0):
+    """``integrate_to_sigma``'s flight from (x, y, 0) on ``kernel``, past its start checks."""
     r = 1.5 * max(box.scale(), 1e-6)
-    x, y = float(q0[0]), float(q0[1])
-    f, step, in_box = _flight_kernel(field)
+    f, step, in_box = kernel
     return _fly(f, step, _SIGMA_EVENTS[direction], in_box, (x, y, 0.0), _MAX_TIME, h0,
                 direction, (x - r, x + r, y - r, y + r, -r, r), [])
 
@@ -634,26 +641,25 @@ def _fold_side(system, side):
 def fold_map_numeric(system, side, q):
     """Numeric fold involution on the plane for the chosen field.
 
-    Points on the field's tangency line map to themselves; elsewhere the
-    orbit arc through the field's half-space is integrated, forwards or
-    backwards in time depending on which side of the tangency line ``q``
-    lies, with a guard square sized by ``system.box``.  Failures
+    Points on the field's tangency line map to themselves; any other ``q`` to
+    the return of ``integrate_to_sigma``'s flight through the field's half-space,
+    forwards or backwards in time (on the field's reversed kernel) by its side
+    of the tangency line, in a guard cube sized by ``system.box``.  Failures
     (visible-fold side, escaping orbits) raise :class:`IntegrationFailure`.
     """
     field, second, halfspace = _fold_side(system, side)
     x, y = float(q[0]), float(q[1])
-    point = (x, y, 0.0)
     s = field.cz.eval(x, y, 0.0)
     if abs(s) <= default_tolerance(field):
         return (x, y)
     forward = (s > 0.0) if side == "X" else (s < 0.0)
-    use = field if forward else field.negated()
+    kernel = _flight_kernel(field) if forward else field.reversed_kernel(_flight_factory)
     s2 = second.eval(x, y, 0.0)
     h0 = None
     if abs(s2) > 1e-12:
         h0 = max(abs(s) / abs(s2) / 4.0, 1e-12)
-    res = integrate_to_sigma(use, point, halfspace, system.box, h0=h0)
-    if not res.ok():
+    res = _to_plane(kernel, x, y, halfspace, system.box, h0)
+    if res.status is not FlightStatus.HIT_SIGMA:
         raise IntegrationFailure(
             res.status, f"fold map {side} failed at ({x:.6g}, {y:.6g}): {res.status}"
         )

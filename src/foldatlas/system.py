@@ -26,6 +26,7 @@ from .algebra import (
     linspace,
 )
 from .errors import (
+    BoxRangeError,
     DegreeCapExceededError,
     EmptyBoxError,
     MalformedDocumentError,
@@ -220,6 +221,8 @@ def _require_usable_box(box):
         raise EmptyBoxError("box has no volume")
     if box.sigma_area() <= 0.0:
         raise EmptyBoxError("box does not contain a slice of {z=0} with area")
+    if not math.isfinite(box.scale()):
+        raise BoxRangeError("box sides must be shorter than the float range")
 
 
 def load_system(text):
@@ -293,12 +296,12 @@ def build_normal_form(alpha, beta, gamma, delta, hot=None):
     X = VectorField3(
         Poly3.constant(alpha),
         Poly3.constant(1.0),
-        Poly3({(0, 1, 0): float(delta)}),
+        _new({(0, 1, 0): float(delta)}),
     )
     y_comps = [
         Poly3.constant(gamma),
         Poly3.constant(beta),
-        Poly3({(1, 0, 0): 1.0}),
+        _new({(1, 0, 0): 1.0}),
     ]
     if hot:
         min_order = {"cx": 1, "cy": 1, "cz": 2}

@@ -13,7 +13,7 @@ import foldatlas
 from foldatlas import checks, sigma
 from foldatlas.algebra import Poly3, VectorField3
 from foldatlas.cli import SweepSpec, _jsonable, main, run_sweep
-from foldatlas.errors import EmptyBoxError
+from foldatlas.errors import BoxRangeError, EmptyBoxError
 from foldatlas.foldfold import (
     FixedPointClass,
     make_parameters,
@@ -244,6 +244,30 @@ class TestClassify:
         assert main(["classify", str(path), "--point", "1,1,0", "--curves",
                      "--out", str(out)]) == 0
         assert json.loads(out.read_text())["tangency_curves"]["Y"]
+
+    def test_box_past_the_float_range_exit_2(self, elliptic_file, tmp_path, capsys):
+        # Each side is 2e308 long, inf as a float: the fold-line tracer's
+        # step would be inf and its step count NaN.  A Box built in code may
+        # still be that wide; a document or a --box may not.
+        box = [-1e308, 1e308, -1e308, 1e308, -1.0, 1.0]
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({
+            "name": "wide", "box": box,
+            "X": {"cx": [[[0, 0, 0], 1.0]], "cy": [],
+                  "cz": [[[2, 0, 0], 1.0], [[0, 0, 0], -1.0]]},
+            "Y": {"cx": [[[0, 0, 0], 1.0]], "cy": [], "cz": [[[0, 1, 0], 1.0]]},
+        }))
+        message = "error: box sides must be shorter than the float range\n"
+        assert main(["classify", str(path), "--point", "1,0,0", "--curves"]) == 2
+        assert capsys.readouterr() == ("", message)
+        with pytest.raises(BoxRangeError):
+            load_system(path.read_text())
+        box_arg = ",".join(map(repr, box))
+        out = tmp_path / "traj.csv"
+        assert main(["simulate", elliptic_file, "--p0", "0,0,0.5", f"--box={box_arg}",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", message)
+        assert not out.exists()
 
     @pytest.mark.parametrize("bad,message", [
         ("box", "box must be six finite numbers"),

@@ -274,7 +274,7 @@ def _ref_cube(center, radius):
 
 def _cube_box(center, radius):
     """The cube of ``_ref_cube`` around a point of the plane, written as the
-    box that ``integrate_to_sigma`` hands its driver."""
+    box that ``_to_plane`` hands its driver."""
     x, y, _ = center
     return (x - radius, x + radius, y - radius, y + radius, -radius, radius)
 
@@ -282,7 +282,7 @@ def _cube_box(center, radius):
 def _ref_fly(f, step, events, drive, *args, cube=False):
     """``integrator._fly`` on the reference loop.  The driver's name tells
     its arguments, its guard and its events' arming thresholds.  With
-    ``cube`` the flight is one of ``integrate_to_sigma``: its box must be
+    ``cube`` the flight is one of ``_to_plane``: its box must be
     the cube around its start, and it runs under ``_ref_cube`` instead.  A
     trajectory appends the event sample itself, so it is not collected."""
     if drive.__name__ == "in_box":
@@ -536,6 +536,14 @@ class TestKernelCache:
         field = self._field(1.25)
         assert integrator._flight_kernel(field) is integrator._flight_kernel(field)
 
+    def test_reversed_kernel_shared_with_negated_field(self):
+        # bound first on the field, or first on its negated twin
+        a, b = self._field(0.5), self._field(0.5)
+        factory, kernel = integrator._flight_factory, integrator._flight_kernel
+        assert a.reversed_kernel(factory) is kernel(a.negated())
+        assert kernel(b.negated()) is b.reversed_kernel(factory)
+        assert b.reversed_kernel(factory) is not kernel(b)
+
     def test_a_flight_shape_binds_a_field_a_step_and_one_driver(self):
         kernel = integrator._flight_kernel(self._field(0.75))
         assert [fn.__name__ for fn in kernel] == ["field", "step", "in_box"]
@@ -564,14 +572,15 @@ class TestKernelCache:
 
 
 class TestGeneratedSourcePinned:
-    """SHA-256 of generated source, as the generator wrote it before the
-    sums of constant components were bound once: a shape with no constant
-    component generates the same step and drivers.  The dry-friction
-    oscillator of stick-slip runs, whose X has no constant component, and
-    its sliding field run unchanged code; the flight kernel's evaluator
-    ``field`` and its return line are pinned apart from them."""
+    """SHA-256 of generated source: a shape with no constant component
+    generates the step and drivers it did before the sums of constant
+    components were bound once, apart from the plane driver's bracket,
+    which a single event builds as one tuple.  The dry-friction oscillator
+    of stick-slip runs, whose X has no constant component, and its sliding
+    field, with three events, run unchanged code; the flight kernel's
+    evaluator ``field`` and its return line are pinned apart from them."""
 
-    FLIGHT = "c02649fb9fb95448e872f58d111045fe09d38d33b29cb6af7e9bb4ef137b8956"
+    FLIGHT = "b285d1f25ea04d2bfbbe463d5be4ee1193dc60e4f78b38ff82ebe017f6e371a5"
     SLIDING = "6308e2d564f36dc8245c3e4062d280c7ed0a74dffdff9832ac733de69d08d0c2"
 
     @staticmethod
@@ -768,6 +777,72 @@ class TestFoldMap:
         with pytest.raises(IntegrationFailure) as info:
             fold_map_numeric(system, "X", (0.0, -0.05))
         assert isinstance(info.value.status, FlightStatus)
+
+
+class TestFoldMapFlight:
+    """A fold map flies the flight ``integrate_to_sigma`` would fly from its
+    point: forwards on the field, backwards on the field's reversed kernel,
+    which binds the negated coefficients without building ``negated()``."""
+
+    def test_same_flight_as_integrate_to_sigma(self, monkeypatch):
+        legs = []
+        real = integrator._to_plane
+
+        def record(*args):
+            res = real(*args)
+            legs.append((args, res))
+            return res
+
+        monkeypatch.setattr(integrator, "_to_plane", record)
+        system = hot_normal_form()
+        # a fresh copy whose negated fields bind their own kernels
+        fresh = hot_normal_form()
+        seen = set()
+        for side in "XY":
+            field, _, halfspace = integrator._fold_side(system, side)
+            ref_field = integrator._fold_side(fresh, side)[0]
+            for x in (-0.15, -0.04, 0.04, 0.15):
+                for y in (-0.1, -0.03, 0.03, 0.1):
+                    legs.clear()
+                    fold_map_numeric(system, side, (x, y))
+                    (args, res), = legs
+                    s = field.cz.eval(x, y, 0.0)
+                    forward = (s > 0.0) if side == "X" else (s < 0.0)
+                    seen.add((side, forward))
+                    kernel = integrator._flight_kernel(field) if forward else (
+                        field.reversed_kernel(integrator._flight_factory))
+                    assert args[0] is kernel and args[1:5] == (x, y, halfspace, system.box)
+                    use = ref_field if forward else ref_field.negated()
+                    ref = integrate_to_sigma(use, (x, y, 0.0), halfspace, system.box, args[5])
+                    assert (res.status, res.accepted, res.rejected) == (
+                        ref.status, ref.accepted, ref.rejected)
+                    assert [v.hex() for v in (res.time, *res.point)] == [
+                        v.hex() for v in (ref.time, *ref.point)]
+        assert seen == {(side, d) for side in "XY" for d in (True, False)}
+
+    def test_jacobian_builds_no_negated_field(self, monkeypatch, call_counts):
+        binds = []
+        real = integrator._flight_factory
+
+        def factory(shapes):
+            bind = real(shapes)
+
+            def counted(*coeffs):
+                binds.append((shapes, coeffs))
+                return bind(*coeffs)
+
+            return counted
+
+        monkeypatch.setattr(integrator, "_flight_factory", factory)
+        counts = call_counts(VectorField3, "negated")
+        system = build_normal_form(-0.7, 1.3, 0.9, -1.0)
+        jacobian_numeric(lambda q: return_map_numeric(system, q), (0.0, 0.0), 1e-3)
+        assert counts["negated"] == 0
+        kernels = set()
+        for fld in (system.X, system.Y):
+            shapes, coeffs = fld.shape()
+            kernels |= {(shapes, tuple(coeffs)), (shapes, tuple(-c for c in coeffs))}
+        assert len(binds) == 4 and set(binds) == kernels
 
 
 class TestReturnMap:
@@ -1086,12 +1161,12 @@ class TestConfig:
 def _count_kernel_steps(monkeypatch, counts):
     """Count Dormand-Prince steps: the accepted and rejected steps that each
     driver run reports in its ``FlightResult``, and the steps the locator
-    takes through the flight's kernel ``step``.  A step adds 1 to
+    takes through the kernel ``step`` handed to ``_fly``.  A step adds 1 to
     ``counts["kernel_steps"]`` and 6 to ``counts["field_evals"]``, the
     stages it writes out; a driver run adds 1 more evaluation, the first
     stage at its start, and so does each call of the kernel's ``field``.
     Returns ``counts``."""
-    flight, sliding, fly = integrator._flight_kernel, integrator._sliding_kernel, integrator._fly
+    fly = integrator._fly
 
     def add_steps(n):
         counts["kernel_steps"] += n
@@ -1112,21 +1187,11 @@ def _count_kernel_steps(monkeypatch, counts):
         return wrapper
 
     def counted_fly(f, step, events, drive, *args):
-        res = fly(f, step, events, drive, *args)
+        res = fly(counted_field(f), counted(step), events, drive, *args)
         add_steps(res.accepted + res.rejected)
         counts["field_evals"] += 1
         return res
 
-    def flight_kernel(field):
-        f, step, in_box = flight(field)
-        return counted_field(f), counted(step), in_box
-
-    def sliding_kernel(system):
-        f, step, slide = sliding(system)
-        return counted_field(f), counted(step), slide
-
-    monkeypatch.setattr(integrator, "_flight_kernel", flight_kernel)
-    monkeypatch.setattr(integrator, "_sliding_kernel", sliding_kernel)
     monkeypatch.setattr(integrator, "_fly", counted_fly)
     return counts
 
@@ -1281,18 +1346,19 @@ class TestWorkCounts:
     24 Dormand-Prince steps and 150 field evaluations: 6 for each step, 1
     at the start of each flight and the calls of the kernel's evaluator
     (the locator's Newton slopes).  A flight never calls the compiled
-    evaluator ``VectorField3.compiled()``.  Flights are counted at
-    ``integrate_to_sigma``, where perfbench's tracer also counts them."""
+    evaluator ``VectorField3.compiled()``.  Flights are counted where they
+    are flown, at ``_to_plane``, the flight core of the fold maps and of
+    ``integrate_to_sigma``."""
 
     @pytest.mark.parametrize("params", [
         (-0.7, 1.3, 0.9), (2.5, -1.4, 0.5), (-1.0, -1.0, 1.0), (0.4, 0.9, 2.0), (-2.0, -1.4, 0.5),
     ])
     def test_return_map_jacobian(self, monkeypatch, call_counts, params):
         call_counts(VectorField3, "compiled")
-        counts = _count_kernel_steps(monkeypatch, call_counts(integrator, "integrate_to_sigma"))
+        counts = _count_kernel_steps(monkeypatch, call_counts(integrator, "_to_plane"))
         system = build_normal_form(*params, -1.0)
         jacobian_numeric(lambda q: return_map_numeric(system, q), (0.0, 0.0), 1e-3)
-        assert counts == {"integrate_to_sigma": 6, "kernel_steps": 24, "field_evals": 150}
+        assert counts == {"_to_plane": 6, "kernel_steps": 24, "field_evals": 150}
 
     def test_stick_slip_trajectory(self, monkeypatch, call_counts):
         # slide, slip below the plane, slide, slip to the horizon: every
@@ -1435,25 +1501,24 @@ class TestGeneratedDriver:
     """The generated drivers against the reference loop ``_ref_integrate``,
     flight by flight: the same ``FlightResult`` (status, point, time, event
     and step counts) and the same samples, bit for bit.  A flight of
-    ``integrate_to_sigma`` flies the box driver ``in_box`` under the cube
-    around its start written as a box; its reference runs under the cube
-    guard ``_ref_cube``."""
+    ``_to_plane``, the core of ``integrate_to_sigma`` and of the fold maps,
+    flies the box driver ``in_box`` under the cube around its start written
+    as a box; its reference runs under the cube guard ``_ref_cube``."""
 
     @staticmethod
     def _flights(reference, run, max_steps=None):
         """``run()`` on the generated drivers, or on the reference loop with
         ``reference``: one ``(kind, result, samples)`` per flight, the kind
-        being "integrate_to_sigma" for a flight of that function and the
-        driver's name otherwise.  ``run`` calls ``integrate_to_sigma``
-        through the module, where it is wrapped."""
+        being "_to_plane" for a flight of that function and the driver's
+        name otherwise."""
         flights = []
-        fly, integrate = integrator._fly, integrator.integrate_to_sigma
-        cube = []  # non-empty while integrate_to_sigma runs
+        fly, to_plane = integrator._fly, integrator._to_plane
+        cube = []  # non-empty while _to_plane runs
 
-        def in_cube(*args, **kwargs):
+        def in_cube(*args):
             cube.append(True)
             try:
-                return integrate(*args, **kwargs)
+                return to_plane(*args)
             finally:
                 cube.pop()
 
@@ -1462,13 +1527,13 @@ class TestGeneratedDriver:
                 res = _ref_fly(f, step, events, drive, *args, cube=bool(cube))
             else:
                 res = fly(f, step, events, drive, *args)
-            kind = "integrate_to_sigma" if cube else drive.__name__
+            kind = "_to_plane" if cube else drive.__name__
             flights.append((kind, res, list(args[-1])))
             return res
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(integrator, "_fly", recorded)
-            mp.setattr(integrator, "integrate_to_sigma", in_cube)
+            mp.setattr(integrator, "_to_plane", in_cube)
             if max_steps is not None:
                 mp.setattr(integrator, "_MAX_STEPS", max_steps)
             try:
@@ -1504,7 +1569,7 @@ class TestGeneratedDriver:
 
         flights = self._assert_same(run)
         assert len(flights) == 18
-        assert set(flights) == {("integrate_to_sigma", FlightStatus.HIT_SIGMA, "sigma")}
+        assert set(flights) == {("_to_plane", FlightStatus.HIT_SIGMA, "sigma")}
 
     @pytest.mark.parametrize("direction", [1, -1])
     def test_unarmed_shallow_arc_fires_on_the_far_side(self, direction):
@@ -1514,7 +1579,7 @@ class TestGeneratedDriver:
         field = VectorField3(Poly3.constant(1.0), Poly3.zero(), cz)
         flights = self._assert_same(
             lambda: integrator.integrate_to_sigma(field, (0.0, 0.0, 0.0), direction))
-        assert flights == [("integrate_to_sigma", FlightStatus.HIT_SIGMA, "sigma")]
+        assert flights == [("_to_plane", FlightStatus.HIT_SIGMA, "sigma")]
 
     def test_step_lands_on_the_plane(self):
         # dz/dt = -1 from this height: the steps 1e-4 * 5**k end exactly at
@@ -1544,7 +1609,7 @@ class TestGeneratedDriver:
         box = self._assert_same(lambda: filippov_trajectory(rising, (0.0, 0.0, 0.5), 2.0))
         # falls to the plane and slides out of the default box
         flat = self._assert_same(lambda: filippov_trajectory(Z, (0.0, 0.0, 0.5), 5.0))
-        assert cube[-1] == ("integrate_to_sigma", FlightStatus.LEFT_BOX, None)
+        assert cube[-1] == ("_to_plane", FlightStatus.LEFT_BOX, None)
         assert box[-1] == ("in_box", FlightStatus.LEFT_BOX, None)
         assert flat == [("in_box", FlightStatus.HIT_SIGMA, "sigma"),
                         ("slide", FlightStatus.LEFT_BOX, None)]
@@ -1565,7 +1630,7 @@ class TestGeneratedDriver:
         limited = self._assert_same(run, max_steps=5)
         assert [(name, status) for name, status, _ in limited] == [
             ("slide", FlightStatus.STEP_LIMIT), ("slide", FlightStatus.STEP_LIMIT),
-            ("in_box", FlightStatus.STEP_LIMIT), ("integrate_to_sigma", FlightStatus.STEP_LIMIT)]
+            ("in_box", FlightStatus.STEP_LIMIT), ("_to_plane", FlightStatus.STEP_LIMIT)]
 
     def test_nan_overflow(self):
         big = TestNonFiniteErrorNorm.BIG
@@ -1576,7 +1641,7 @@ class TestGeneratedDriver:
             integrator.integrate_to_sigma(field, (1e306, 1.0, 0.0), 1, big)
             filippov_trajectory(system, (1e306, 1.0, 0.5), 5.0, IntegratorConfig(box=big))
 
-        assert self._assert_same(run) == [("integrate_to_sigma", FlightStatus.LEFT_BOX, None),
+        assert self._assert_same(run) == [("_to_plane", FlightStatus.LEFT_BOX, None),
                                           ("in_box", FlightStatus.LEFT_BOX, None)]
 
     def test_constant_components(self):
@@ -1614,12 +1679,12 @@ class TestGeneratedDriver:
                                 (1.7, 1e154, 1e154), 5.0, IntegratorConfig(box=big))
 
         flights = set(self._assert_same(run))
-        for kind in ("integrate_to_sigma", "in_box"):
+        for kind in ("_to_plane", "in_box"):
             assert (kind, FlightStatus.HIT_SIGMA, "sigma") in flights
             assert (kind, FlightStatus.LEFT_BOX, None) in flights
             assert (kind, FlightStatus.TIME_OUT, None) in flights
         limited = {(kind, status) for kind, status, _ in self._assert_same(run, max_steps=5)}
-        assert {("integrate_to_sigma", FlightStatus.STEP_LIMIT),
+        assert {("_to_plane", FlightStatus.STEP_LIMIT),
                 ("in_box", FlightStatus.STEP_LIMIT)} <= limited
 
     def test_sliding_ends_on_each_event(self, monkeypatch):
