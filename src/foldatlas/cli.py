@@ -18,11 +18,10 @@ from enum import Enum
 from .algebra import linspace
 from .errors import MalformedDocumentError, PreconditionError, ToolError, VerificationFailure
 from .foldfold import (
+    _SUBTYPES,
     FixedPointClass,
     InstabilityReason,
-    _with_alpha_beta,
     make_parameters,
-    report_from_params,
     return_map_analysis,  # noqa: F401  bound here for perfbench's binding test
     surface_point_report,
 )
@@ -172,18 +171,15 @@ class SweepSpec:
             raise MalformedDocumentError("delta must be -1 or 1")
 
 
-def _sweep_row(params, coords):
-    """One CSV row; ``coords`` is its formatted "alpha,beta,gamma,delta,".
-    Enum ``_value_`` is read directly: ``Enum.value`` is a slow property."""
-    report = report_from_params(params)
-    analysis = report.analysis  # set exactly for invisible two-folds
-    fp_class = ""
-    tau = ""
-    if analysis is not None:
+def _sweep_row(coords, region, verdict, analysis):
+    """One CSV row from a subtype core's (region, verdict, analysis);
+    ``coords`` is its formatted "alpha,beta,gamma,delta,".  Enum ``_value_``
+    is read directly: ``Enum.value`` is a slow property."""
+    fp_class = tau = ""
+    if analysis is not None:  # set exactly for invisible two-folds
         fp_class = analysis.fixed_point_class._value_
         if analysis.fixed_point_class is FixedPointClass.NONHYPERBOLIC_COMPLEX:
             tau = repr(analysis.tau)
-    region, verdict = report.region, report.verdict
     reason = verdict.reason.kind._value_ if verdict.reason else ""
     return (
         f"{coords}{region._value_},{region.claim._value_},"
@@ -192,18 +188,19 @@ def _sweep_row(params, coords):
 
 
 def run_sweep(spec):
-    """The atlas CSV; each alpha and each beta is formatted once, and gamma
-    and delta are validated once, in the record every row's is copied from."""
+    """The atlas CSV; each alpha and each beta is formatted once, gamma and
+    delta are validated once, and every row calls their subtype's core on
+    the floats (alpha, beta, gamma)."""
     alphas = linspace(*spec.alpha)
     betas = linspace(*spec.beta)
     gamma, delta = spec.gamma, spec.delta
-    base = make_parameters(0.0, 0.0, gamma, delta)
+    params = make_parameters(0.0, 0.0, gamma, delta)
+    core, g = _SUBTYPES[params.subtype][1], params.gamma
     beta_cols = [(b, f",{b!r},{gamma!r},{int(delta)},") for b in betas]
     rows = ["alpha,beta,gamma,delta,region,claim,fixed_point_class,verdict,reason,tau"]
     for a in alphas:
         a_text = repr(a)
-        rows += [_sweep_row(_with_alpha_beta(base, a, b), a_text + cols)
-                 for b, cols in beta_cols]
+        rows += [_sweep_row(a_text + cols, *core(a, b, g)) for b, cols in beta_cols]
     return "\n".join(rows) + "\n"
 
 

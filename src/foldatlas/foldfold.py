@@ -10,8 +10,12 @@ sign of the second derivative along X and gamma carries the sign of the one
 along Y.  All verdicts are invariant under the residual rescaling
 (alpha, beta, gamma) -> (e*alpha, e*beta, e^2*gamma), e > 0.  Sides within
 the fixed relative band ``sliding.BOUNDARY_BAND`` of each other count as equal.
-Only this module reads a ``NormalParameters`` record: the subtype dispatch to
-``sliding``'s region predicates on plain numbers and the one mirror live here.
+The one dispatch on the subtype is the table ``_SUBTYPES``: per subtype, a
+region function and a core on plain floats (alpha, beta, gamma) that returns
+(region, verdict, return-map analysis).  ``report_from_params`` wraps a core's
+result in a report, ``sliding_region_class`` calls only the region function,
+and ``cli``'s sweep calls one core per row; the public analyses are thin
+wrappers over the same float functions, and the one mirror lives here.
 ``surface_point_report`` is the one classification pass at a surface point,
 and the one route from a point to its normal parameters.
 """
@@ -52,9 +56,8 @@ _MAX_DENOMINATOR = 10**6
 @dataclass(slots=True)
 class NormalParameters:
     """Coefficients of the two-fold normal form at the singular point and the
-    subtype they imply by (delta, sign gamma); validated when built, or
-    copied from a validated record with new alpha and beta, and immutable
-    by convention."""
+    subtype they imply by (delta, sign gamma); validated when built and
+    immutable by convention."""
 
     alpha: float
     beta: float
@@ -73,16 +76,6 @@ class NormalParameters:
 def make_parameters(alpha, beta, gamma, delta):
     """Normal parameters from four numbers, each converted to a float."""
     return NormalParameters(float(alpha), float(beta), float(gamma), float(delta))
-
-
-def _with_alpha_beta(params, alpha, beta):
-    """``params`` with the floats ``alpha`` and ``beta`` in place of its own:
-    gamma, delta and the subtype are copied, so nothing is validated again
-    (alpha and beta never are)."""
-    new = object.__new__(NormalParameters)
-    new.alpha, new.beta, new.gamma, new.delta = alpha, beta, params.gamma, params.delta
-    new.subtype = params.subtype
-    return new
 
 
 def _two_fold_parameters(system, point, info):
@@ -112,24 +105,26 @@ def _two_fold_parameters(system, point, info):
     return params
 
 
-# Every mirror image has gamma = delta = -1.
-_MIRROR = make_parameters(0.0, 0.0, -1.0, -1.0)
+def _mirror(a, b, g):
+    """Invisible-visible (alpha, beta, gamma) of visible-invisible ones under
+    the (x, y) swap and z flip, which exchanges the roles of the two fields;
+    every image has gamma = -1 (and delta = -1)."""
+    r = math.sqrt(g)
+    return -b / r, a / r, -1.0
 
 
 def mirror_parameters(params):
-    """Invisible-visible representative of a visible-invisible point under
-    the (x, y) swap and z flip, which exchanges the roles of the two fields."""
+    """Invisible-visible representative of a visible-invisible point."""
     if params.subtype is not FoldFoldSubtype.VISIBLE_INVISIBLE:
         raise PreconditionError("mirror applies to visible-invisible points")
-    r = math.sqrt(params.gamma)
-    return _with_alpha_beta(_MIRROR, -params.beta / r, params.alpha / r)
+    return make_parameters(*_mirror(params.alpha, params.beta, params.gamma), -1.0)
 
 
 def sliding_region_class(params):
     """Parameter-space region of the sliding dynamics at a two-fold point,
-    as its report states it; the parabolic wedge that no region covers is a
-    BIFURCATION_BOUNDARY."""
-    return report_from_params(params).region
+    as its report states it, computed without its verdict or return map;
+    the parabolic wedge that no region covers is a BIFURCATION_BOUNDARY."""
+    return _SUBTYPES[params.subtype][0](params.alpha, params.beta, params.gamma)
 
 
 def foldfold_sliding_linearization(params):
@@ -210,8 +205,13 @@ def return_map_analysis(params):
     """
     if params.subtype is not FoldFoldSubtype.INVISIBLE:
         raise PreconditionError("return map analysis needs an invisible two-fold")
-    a2 = 2.0 * params.alpha
-    m10 = 2.0 * params.beta / params.gamma
+    return _return_map(params.alpha, params.beta, params.gamma)
+
+
+def _return_map(a, b, g):
+    """``return_map_analysis`` on plain floats of an invisible two-fold."""
+    a2 = 2.0 * a
+    m10 = 2.0 * b / g
     m00, m01, m11 = -1.0 + a2 * m10, -a2, -1.0
     m = ((m00, m01), (m10, m11))
     trace = m00 + m11
@@ -402,7 +402,7 @@ _STABLE = {
 }
 
 
-def _tsingularity_verdict(params, analysis):
+def _tsingularity_verdict(a, b, analysis):
     cls = analysis.fixed_point_class
     if cls is FixedPointClass.NONHYPERBOLIC_UNIT:
         return _UNIT_EIGENVALUE
@@ -413,7 +413,7 @@ def _tsingularity_verdict(params, analysis):
     c, e = analysis.location_contracting, analysis.location_expanding
     if c is EigvecLocation.IN_CROSSING and e is EigvecLocation.IN_CROSSING:
         return _STABLE["T-singularity", "saddle-with-crossing-manifolds",
-                       _sign(params.alpha), _sign(params.beta)]
+                       _sign(a), _sign(b)]
     if c is EigvecLocation.ON_TANGENCY or e is EigvecLocation.ON_TANGENCY:
         return _EIGENVECTOR_ON_TANGENCY
     return _MANIFOLD_IN_SLIDING
@@ -425,14 +425,13 @@ def _visible_verdict(tag):
     return _STABLE["visible-two-fold", tag._value_]
 
 
-def _parabolic_core_verdict(params, cell):
-    """Verdict from invisible-visible ``params`` and their ``parabolic_cell``."""
+def _parabolic_core_verdict(a, b, g, cell):
+    """Verdict from invisible-visible floats and their ``parabolic_cell``."""
     if cell is None:
         return _NO_GENERIC_REGION
     if cell is SlidingRegionTag.BIFURCATION_BOUNDARY:
         return _REGION_BOUNDARY
-    a, b = params.alpha, params.beta
-    t_coeff = parabolic_transversality(params).T_coeff
+    t_coeff = _t_coeff(a, b, g)
     # The first transversality condition that fails on the boundary band
     # names the failure.
     if near(a, 0.0):
@@ -501,15 +500,17 @@ def parabolic_transversality(params):
     sliding field with the fold image of the visible tangency line (leading
     order y).  Both must be nonzero for structural stability.
     """
-    if params.subtype is FoldFoldSubtype.VISIBLE_INVISIBLE:
-        params = mirror_parameters(params)
-    if params.subtype is not FoldFoldSubtype.INVISIBLE_VISIBLE:
-        raise PreconditionError("parabolic coefficients need a parabolic two-fold")
     a, b, g = params.alpha, params.beta, params.gamma
-    return TransversalityCoefficients(
-        D_coeff=-2.0 * (a + b) * (a * b - g),
-        T_coeff=2.0 * a * (a + b) - g,
-    )
+    if params.subtype is FoldFoldSubtype.VISIBLE_INVISIBLE:
+        a, b, g = _mirror(a, b, g)
+    elif params.subtype is not FoldFoldSubtype.INVISIBLE_VISIBLE:
+        raise PreconditionError("parabolic coefficients need a parabolic two-fold")
+    return TransversalityCoefficients(D_coeff=-2.0 * (a + b) * (a * b - g),
+                                      T_coeff=_t_coeff(a, b, g))
+
+
+def _t_coeff(a, b, g):
+    return 2.0 * a * (a + b) - g
 
 
 # ---------------------------------------------------------------------------
@@ -533,26 +534,49 @@ class FoldFoldReport:
         return None
 
 
+def _invisible_core(a, b, g):
+    analysis = _return_map(a, b, g)
+    return classify_elliptic_region(a, b, g), _tsingularity_verdict(a, b, analysis), analysis
+
+
+def _visible_core(a, b, g):
+    tag = classify_hyperbolic_region(a, b, g)
+    return tag, _visible_verdict(tag), None
+
+
+def _parabolic_region(a, b, g):
+    return parabolic_cell(a, b, g) or SlidingRegionTag.BIFURCATION_BOUNDARY
+
+
+def _parabolic_core(a, b, g):
+    cell = parabolic_cell(a, b, g)
+    return (cell or SlidingRegionTag.BIFURCATION_BOUNDARY,
+            _parabolic_core_verdict(a, b, g, cell), None)
+
+
+def _mirrored(fn):
+    return lambda a, b, g: fn(*_mirror(a, b, g))
+
+
+#: The one dispatch on the subtype: each subtype's region and core on plain
+#: floats (alpha, beta, gamma).  A core returns (region, verdict, analysis),
+#: the analysis set exactly at a T-singularity; a visible-invisible point
+#: reads both off its invisible-visible mirror.
+_SUBTYPES = {
+    FoldFoldSubtype.INVISIBLE: (classify_elliptic_region, _invisible_core),
+    FoldFoldSubtype.VISIBLE_VISIBLE: (classify_hyperbolic_region, _visible_core),
+    FoldFoldSubtype.INVISIBLE_VISIBLE: (_parabolic_region, _parabolic_core),
+    FoldFoldSubtype.VISIBLE_INVISIBLE: (_mirrored(_parabolic_region), _mirrored(_parabolic_core)),
+}
+
+
 def report_from_params(params):
     """Two-fold report from normal parameters (validated when built,
-    immutable by convention), from one dispatch on the subtype: region,
-    verdict and, at a T-singularity, the return-map analysis, each computed
-    once; moduli are computed when first read.  A parabolic point reads its
-    region cell and verdict off its invisible-visible core: the parameters
-    themselves or, at a visible-invisible point, their one mirror."""
-    sub = params.subtype
-    a, b, g = params.alpha, params.beta, params.gamma
-    if sub is FoldFoldSubtype.INVISIBLE:
-        analysis = return_map_analysis(params)
-        return FoldFoldReport(params, classify_elliptic_region(a, b, g),
-                              _tsingularity_verdict(params, analysis), analysis)
-    if sub is FoldFoldSubtype.VISIBLE_VISIBLE:
-        tag = classify_hyperbolic_region(a, b, g)
-        return FoldFoldReport(params, tag, _visible_verdict(tag), None)
-    core = mirror_parameters(params) if sub is FoldFoldSubtype.VISIBLE_INVISIBLE else params
-    cell = parabolic_cell(core.alpha, core.beta, core.gamma)
-    return FoldFoldReport(params, cell or SlidingRegionTag.BIFURCATION_BOUNDARY,
-                          _parabolic_core_verdict(core, cell), None)
+    immutable by convention) through its subtype's core: region, verdict
+    and, at a T-singularity, the return-map analysis, each computed once;
+    moduli are computed when first read."""
+    core = _SUBTYPES[params.subtype][1]
+    return FoldFoldReport(params, *core(params.alpha, params.beta, params.gamma))
 
 
 def foldfold_report(system, point):

@@ -328,7 +328,9 @@ class TestSweep:
         assert main(["sweep", "--alpha", "3:1:5", "--beta", "-1:1:5", "--gamma", "1"]) == 2
         assert main(["sweep", "--alpha", "-1:1:1", "--beta", "-1:1:5", "--gamma", "1"]) == 2
 
-    @pytest.mark.parametrize("gamma,delta", [(1, -1), (-1, 1), (-1, -1), (1, 1)])
+    # |gamma| = 1, where 2*beta/gamma is exact, and two non-unit sizes of each sign
+    @pytest.mark.parametrize("gamma,delta", [(1, -1), (-1, 1), (-1, -1), (1, 1)] + [
+        (g, d) for g in (0.37, -0.37, 2.9, -2.9) for d in (-1, 1)])
     def test_columns_match_closed_form(self, tmp_path, gamma, delta):
         out = tmp_path / "grid.csv"
         assert main(["sweep", "--alpha", "-3:3:9", "--beta", "-3:3:9", "--gamma",
@@ -336,8 +338,7 @@ class TestSweep:
         rows = [l.split(",") for l in out.read_text().strip().splitlines()[1:]]
         assert len(rows) == 81
         for row in rows:
-            # each row's record is copied from one validated record; this one
-            # is validated afresh
+            # rows are computed on plain floats; this record is validated afresh
             params = make_parameters(float(row[0]), float(row[1]), gamma, delta)
             assert row[4] == sliding_region_class(params).value
             fp_class, tau = "", ""
@@ -354,17 +355,21 @@ class TestSweep:
             assert (row[7], row[8]) == (verdict.kind.value, reason)
 
     def test_label_columns_pinned(self):
-        # SHA-256 over every line, header included, of the four 101x101
-        # atlases, keeping the first nine fields (all but tau, which follows
-        # the last bits of the return-map trace).
-        digest = hashlib.sha256()
-        for gamma, delta in [(1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, 1.0)]:
-            text = run_sweep(SweepSpec((-3.0, 3.0, 101), (-3.0, 3.0, 101), gamma, delta))
-            for line in text.splitlines():
-                digest.update((",".join(line.split(",")[:9]) + "\n").encode())
-        assert digest.hexdigest() == (
-            "45626ffc14b386d636e288afb47fd511f10b6418032ace0860f647a27a0032d4"
-        )
+        # SHA-256 over every line, header included, of the 101x101 atlases
+        # of each (gamma, delta) group, keeping the first nine fields (all
+        # but tau, which follows the last bits of the return-map trace).
+        for pairs, expected in [
+            ([(1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, 1.0)],
+             "45626ffc14b386d636e288afb47fd511f10b6418032ace0860f647a27a0032d4"),
+            ([(g, d) for g in (0.37, -0.37, 2.9, -2.9) for d in (-1.0, 1.0)],
+             "e1f50736091ab79ffcfcfe864003f82a686e996b2b075109808f668b98cca77f"),
+        ]:
+            digest = hashlib.sha256()
+            for gamma, delta in pairs:
+                text = run_sweep(SweepSpec((-3.0, 3.0, 101), (-3.0, 3.0, 101), gamma, delta))
+                for line in text.splitlines():
+                    digest.update((",".join(line.split(",")[:9]) + "\n").encode())
+            assert digest.hexdigest() == expected, (pairs, digest.hexdigest())
 
 
 class TestSimulate:

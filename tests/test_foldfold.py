@@ -102,14 +102,6 @@ class TestSubtypeDerivation:
             assert NormalParameters(1.0, 2.0, g, d).subtype is subtype
             assert make_parameters(1, 2, g, int(d)).subtype is subtype
 
-    @pytest.mark.parametrize("subtype", list(_SUBTYPE_SIGNS))
-    def test_copied_record_equals_a_validated_one(self, subtype):
-        # a sweep row's record copies gamma, delta and the subtype from a
-        # validated record
-        d, sg = _SUBTYPE_SIGNS[subtype]
-        base = make_parameters(0.0, 0.0, 0.7 * sg, d)
-        assert foldfold._with_alpha_beta(base, 1.5, -2.0) == make_parameters(1.5, -2.0, 0.7 * sg, d)
-
     def test_subtype_is_not_an_argument(self):
         with pytest.raises(TypeError):
             NormalParameters(1.0, 2.0, 0.7, -1.0, FoldFoldSubtype.INVISIBLE)

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from foldatlas import foldfold
 from foldatlas.algebra import Poly3, VectorField3
 from foldatlas.foldfold import (
     NormalParameters,
     foldfold_sliding_linearization,
     make_parameters,
     mirror_parameters,
+    report_from_params,
     sliding_region_class,
 )
 from foldatlas.integrator import _sliding_kernel
@@ -172,6 +174,43 @@ class TestRegionClass:
         m = mirror_parameters(params)
         assert (m.alpha, m.beta, m.gamma, m.delta) == (1.0, 0.5, -1.0, -1.0)
         assert sliding_region_class(params) is sliding_region_class(m)
+
+    @pytest.mark.parametrize("subtype", list(FoldFoldSubtype))
+    def test_region_is_the_reports_without_its_analysis(self, subtype, monkeypatch):
+        # a grid plus points on, and within BOUNDARY_BAND of, every region
+        # boundary: a*b = g, the parabolic wedge edges b - a = -2 sqrt(-g)
+        # and a + b = -2 sqrt(g) (its mirror), a = 0, b = 0, a = b and a = -b
+        d = -1.0 if subtype in (FoldFoldSubtype.INVISIBLE,
+                                FoldFoldSubtype.INVISIBLE_VISIBLE) else 1.0
+        sg = 1.0 if subtype in (FoldFoldSubtype.INVISIBLE,
+                                FoldFoldSubtype.VISIBLE_INVISIBLE) else -1.0
+        grid = [-3.0 + 0.5 * k for k in range(13)]
+        points = []
+        for g in (0.37 * sg, sg, 2.9 * sg):
+            s = 2.0 * math.sqrt(abs(g))
+            points += [(a, b, g) for a in grid for b in grid]
+            for a in grid:
+                for e in (0.0, 3e-10, -3e-10):
+                    points += [(a, (a - s) * (1 + e), g), (a, (-a - s) * (1 + e), g),
+                               (e, a, g), (a, e, g), (a, a * (1 + e), g), (a, -a * (1 + e), g)]
+                    if a:
+                        points.append((a, g / a * (1 + e), g))
+        params = [make_parameters(a, b, g, d) for a, b, g in points]
+        assert all(p.subtype is subtype for p in params)
+        calls = []
+
+        def counted(name):
+            fn = getattr(foldfold, name)
+            monkeypatch.setattr(foldfold, name, lambda *args: calls.append(name) or fn(*args))
+
+        for name in ("_return_map", "_tsingularity_verdict", "_visible_verdict",
+                     "_parabolic_core_verdict"):
+            counted(name)
+        tags = [sliding_region_class(p) for p in params]
+        assert calls == []
+        assert tags == [report_from_params(p).region for p in params]
+        assert calls  # the counters see the report's analysis and verdicts
+        assert SlidingRegionTag.BIFURCATION_BOUNDARY in tags
 
     def test_region_follows_the_derived_subtype(self):
         # no subtype can be passed, so no region call sees one that
