@@ -78,8 +78,8 @@ def make_parameters(alpha, beta, gamma, delta):
     return NormalParameters(float(alpha), float(beta), float(gamma), float(delta))
 
 
-def _two_fold_parameters(system, point, info):
-    """Normal parameters at a point already refined to the fold-fold ``info``.
+def _two_fold_parameters(system, point, info, x2, y2):
+    """Normal parameters at a fold-fold ``info`` point, where (X2f, Y2f) = ``(x2, y2)``.
 
     Time-rescaling each field so both second derivatives have unit size
     gives ``alpha = XYf / sqrt(|X2f| |Y2f|)``,
@@ -89,8 +89,6 @@ def _two_fold_parameters(system, point, info):
     rescaled representative, and every downstream verdict is invariant under
     that rescaling.
     """
-    x2 = system.x2f.eval_at(point)
-    y2 = system.y2f.eval_at(point)
     denom = math.sqrt(abs(x2) * abs(y2))
     delta = math.copysign(1.0, x2)
     gamma = math.copysign(1.0, y2)
@@ -614,9 +612,9 @@ def surface_point_report(system, point, tol=None):
     elif cls.kind is not SigmaKind.TANGENCY:
         verdict = _sliding_point_verdict(system, point, cls, tol)
     else:
-        info = _refine_tangency(system, point, cls.witness, tol)
+        info, second = _refine_tangency(system, point, cls.witness, tol)
         if info.ttype is TangencyType.FOLD_FOLD:
-            report = report_from_params(_two_fold_parameters(system, point, info))
+            report = report_from_params(_two_fold_parameters(system, point, info, *second))
             verdict = report.verdict
         elif info.ttype is TangencyType.DEGENERATE:
             verdict = _degenerate(f"degenerate tangency: {info.detail}")

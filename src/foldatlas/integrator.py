@@ -6,13 +6,13 @@ change over an accepted step.  The event time is then found on that step's
 own cubic Hermite interpolant (Hairer, Norsett & Wanner, Solving ODEs I,
 II.6), at no field evaluation and to the interpolant's floating-point
 resolution, and polished on re-integrated states down to ``1e-3 *
-_EVENT_TOL`` where possible.  An event on one state component, the plane
-z = 0, polishes by Newton with that component of the field, dz/dt = f_z, as
-slope; the sliding events polish by secant steps.  A bisection from the
-bracket start guarantees |g| <= ``_EVENT_TOL`` when the polish falls short.
-The returned event state is always re-integrated, never interpolated.  The
-plane event's interpolant root evaluates only its component; the sliding
-events evaluate the whole interpolated state.
+_EVENT_TOL`` where possible.  The plane z = 0 is located in its driver, on
+the interpolant's z-component alone, by one step re-run from the bracket
+start; only when that misses the goal does the locator take over and polish
+by Newton with the field's z-component, dz/dt = f_z, as slope.  The sliding
+events evaluate the whole interpolated state and polish by secant steps.  A
+bisection from the bracket start guarantees |g| <= ``_EVENT_TOL`` when the
+polish falls short.  The returned event state is always re-integrated.
 
 Every step is generated from one template over the tableau, on unpacked
 scalars with the sums in tableau order, and computes its scaled error norm
@@ -24,7 +24,7 @@ steps is generated around the same step body: step control, the event scan
 (the plane event as the new state's z, the sliding events as the last
 stage's Xf and Yf), the guard, under which a NaN state is outside (a step
 whose field overflows gives one), and the sample collection run inline,
-and the driver returns to Python only to locate a fired event or to stop.
+and the driver returns to Python only to stop or to hand over an event.
 A polynomial field has one driver, which flies to the plane inside a box:
 a trajectory's box, or for a flight from the plane the cube around its
 start written as a box.  The evaluator, the step kernel
@@ -69,12 +69,13 @@ _E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 4
 
 
 # Step-size control (relative and absolute error weights), the event
-# residual |g| every located event meets, the horizon of a flight to the
-# plane, accepted-plus-rejected steps per flight and segments per Filippov
-# trajectory.
+# residual |g| every located event meets and the one its polish aims at, the
+# horizon of a flight to the plane, accepted-plus-rejected steps per flight
+# and segments per Filippov trajectory.
 _REL_TOL = 1e-10
 _ABS_TOL = 1e-12
 _EVENT_TOL = 1e-12
+_STRETCH_GOAL = 1e-3 * _EVENT_TOL
 _MAX_TIME = 100.0
 _MAX_STEPS = 50000
 _MAX_SEGMENTS = 2000
@@ -219,6 +220,10 @@ def _drive_lines(dim, stage, const, params, events, guard):
     t, point, accepted, rejected, bracket)``; on HIT_SIGMA the bracket is the
     step ``(y, k1, y_new, k_last, h, fired)`` from ``(t, point)``, with one
     ``(index, g_before, g_after)`` per fired event, for ``_fly`` to locate.
+    A one-event driver's event must be a state component (the plane).  It
+    re-runs the step from its start to the root of ``_plane_root``, if
+    inside it; a state that passes ``_eval_within_step``'s test and
+    ``_STRETCH_GOAL`` is ``_refine_event``'s answer, returned with no bracket.
 
     An event ``(value, arm_eps, sign)`` is the expression ``value(names)`` at
     the state ``names``, which may also read what the last ``stage`` set.  It
@@ -281,13 +286,23 @@ def _drive_lines(dim, stage, const, params, events, guard):
             f"    fired{j} = {f'now{j} * {sign} < 0' if sign else 'False'}",
         ]
     js = range(len(events))
+    bracket = f"(({y},), ({k1},), ({n},), ({k7},), h, fired)"
     fired = "".join(f"(fired{j}, {j}, last{j}, now{j}), " for j in js)
+    hit = [f"fired = tuple((j, g0, g1) for hit, j, g0, g1 in ({fired}) if hit)"]
+    if len(events) == 1:  # a state component: the event reads its names off each state's
+        z0, z1, kz0, kz1 = (events[0][0](_names(p, dim)) for p in ("y", "n", "k1", "k7"))
+        hit = ["fired = ((0, last0, now0),)", f"bracket = {bracket}", "if last0 * now0 < 0.0:",
+               f"    dt = _plane_root({z0}, {z1}, {kz0}, {kz1}, h, last0, now0)",
+               "    if 0.0 < dt < h:", "        h = dt",
+               *("        " + line for line in _step_body(dim, stage, const)),
+               f"        if (err_norm <= 1.0 or h < 1e-15) and abs({z1}) <= _STRETCH_GOAL:",
+               f"            return FlightStatus.HIT_SIGMA, t + h, ({n},), steps - rejected, "
+               "rejected, None"]
+        bracket = "bracket"
     loop += [
         f"if {' or '.join(f'fired{j}' for j in js)}:",
-        "    fired = ((0, last0, now0),)" if len(events) == 1 else
-        f"    fired = tuple((j, g0, g1) for hit, j, g0, g1 in ({fired}) if hit)",
-        f"    return FlightStatus.HIT_SIGMA, t, ({y},), steps - rejected, rejected, "
-        f"(({y},), ({k1},), ({n},), ({k7},), h, fired)",
+        *("    " + line for line in hit),
+        f"    return FlightStatus.HIT_SIGMA, t, ({y},), steps - rejected, rejected, {bracket}",
         *(f"last{j} = now{j}" for j in js),
         f"if not ({inside}):",
         f"    keep((t + h, {n}))",
@@ -462,6 +477,30 @@ def _hermite(y0, k0, y1, k1, h, t):
     return tuple(a + w * (b - a) + v0 * c + v1 * d for a, b, c, d in zip(y0, y1, k0, k1))
 
 
+def _plane_root(z0, z1, kz0, kz1, h, g0, g1):
+    """``_interpolant_root`` of an event that is one state component, from
+    its values and slopes at the step's ends, in ``_hermite``'s order."""
+    dz = z1 - z0
+    a, ga, b, gb = 0.0, g0, h, g1  # b is the newest point, a across the root
+    t = b
+    for _ in range(100):
+        t = b - gb * (b - a) / (gb - ga)
+        if t == a or t == b:
+            break
+        s = t / h
+        r = 1.0 - s
+        g = z0 + s * s * (3.0 - 2.0 * s) * dz + s * r * r * h * kz0 + -s * s * r * h * kz1
+        if g == 0.0:
+            break
+        if (g > 0.0) == (gb > 0.0):
+            m = 1.0 - g / gb
+            ga *= m if m > 0.0 else 0.5
+        else:
+            a, ga = b, gb
+        b, gb = t, g
+    return t
+
+
 def _interpolant_root(event, y0, k0, y1, k1, h, g0, g1):
     """Root of the event along the step's cubic Hermite interpolant, where
     g(0) = ``g0`` and g(h) = ``g1`` have opposite signs.
@@ -472,24 +511,18 @@ def _interpolant_root(event, y0, k0, y1, k1, h, g0, g1):
     one-sided stall of plain regula falsi.  It uses no field evaluation, so
     it runs to the interpolant's floating-point resolution: an exact zero,
     or a secant point that no longer moves off the bracket ends.  An event
-    on one state component evaluates that component alone, in ``_hermite``'s
-    operation order.
+    on one state component is located by ``_plane_root`` on that component.
     """
     i = event.component
     if i is not None:
-        c0, dc, d0, d1 = y0[i], y1[i] - y0[i], k0[i], k1[i]
-    a, ga, b, gb = 0.0, g0, h, g1  # b is the newest point, a across the root
+        return _plane_root(y0[i], y1[i], k0[i], k1[i], h, g0, g1)
+    a, ga, b, gb = 0.0, g0, h, g1
     t = b
     for _ in range(100):
         t = b - gb * (b - a) / (gb - ga)
         if t == a or t == b:
             break
-        if i is None:
-            g = event.fn(_hermite(y0, k0, y1, k1, h, t))
-        else:
-            s = t / h
-            r = 1.0 - s
-            g = c0 + s * s * (3.0 - 2.0 * s) * dc + s * r * r * h * d0 + -s * s * r * h * d1
+        g = event.fn(_hermite(y0, k0, y1, k1, h, t))
         if g == 0.0:
             break
         if (g > 0.0) == (gb > 0.0):
@@ -509,14 +542,15 @@ def _refine_event(f, step, event, y_left, k_left, y_right, k_right, h, g_left, g
     The event time is first found on the step's cubic Hermite interpolant
     (to its floating-point resolution, at no field evaluation), and the
     state there is re-integrated from the bracket start.  While |g|
-    exceeds ``1e-3 * _EVENT_TOL`` the time is corrected and the state
+    exceeds ``_STRETCH_GOAL`` the time is corrected and the state
     re-integrated from the current candidate, inside the sign bracket:
     Newton steps when the event is one state component (the plane z = 0),
     with that component of the field as slope, secant steps otherwise.  If
     that ends above ``_EVENT_TOL``, bisection re-integrated from the bracket
     start takes over.  Every candidate is a re-integrated state, never an
     interpolated one; one whose re-integration divides by zero (see
-    ``_probe``) closes the bracket from above.
+    ``_probe``) closes the bracket from above.  The plane event comes here
+    only when the driver's own first probe, repeated here, missed the goal.
     """
     lo, hi = 0.0, h
     g_lo = g_left
@@ -526,7 +560,6 @@ def _refine_event(f, step, event, y_left, k_left, y_right, k_right, h, g_left, g
         lo_sign = -1.0
     else:
         lo_sign = float(event.expected_sign) or -math.copysign(1.0, g_right)
-    stretch_goal = 1e-3 * _EVENT_TOL
     best = None
     dt = math.nan
     if g_lo * g_right < 0.0:
@@ -538,7 +571,7 @@ def _refine_event(f, step, event, y_left, k_left, y_right, k_right, h, g_left, g
         # The first secant partner is the bracket end across the root.
         t_prev, v_prev = (h, g_right) if v * lo_sign > 0.0 else (0.0, g_lo)
         for _ in range(8):
-            if abs(v) <= stretch_goal:
+            if abs(v) <= _STRETCH_GOAL:
                 break
             if v * lo_sign > 0.0:
                 lo = dt
@@ -575,12 +608,13 @@ def _refine_event(f, step, event, y_left, k_left, y_right, k_right, h, g_left, g
 
 
 def _fly(f, step, events, drive, *args):
-    """Run the generated driver ``drive(*args)`` and, when it stops on a
-    fired event, locate every event that fired on the step with the kernel
-    ``step`` of the field ``f``; the earliest one wins."""
+    """Run the generated driver ``drive(*args)``; on a step it hands over,
+    locate every event that fired with the kernel ``step`` of the field
+    ``f``, and the earliest wins.  A hit it located is its one event's."""
     status, t, point, accepted, rejected, bracket = drive(*args)
     if bracket is None:
-        return FlightResult(status, point, t, None, accepted, rejected)
+        event = events[0].name if status is FlightStatus.HIT_SIGMA else None
+        return FlightResult(status, point, t, event, accepted, rejected)
     y, k1, y_new, k_last, h, fired = bracket
     hit = None
     for j, last, g in fired:
@@ -624,7 +658,7 @@ def integrate_to_sigma(field, q0, direction, box=DEFAULT_BOX, h0=None):
 
 def _to_plane(kernel, x, y, direction, box, h0):
     """``integrate_to_sigma``'s flight from (x, y, 0) on ``kernel``, past its start checks."""
-    r = 1.5 * max(box.scale(), 1e-6)
+    r = box.flight_guard
     f, step, in_box = kernel
     return _fly(f, step, _SIGMA_EVENTS[direction], in_box, (x, y, 0.0), _MAX_TIME, h0,
                 direction, (x - r, x + r, y - r, y + r, -r, r), [])

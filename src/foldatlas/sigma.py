@@ -160,16 +160,17 @@ def tangency_type(system, point):
     cls = classify_point(system, point, tol)
     if cls.kind is not SigmaKind.TANGENCY:
         raise PreconditionError("point is not in the tangency band")
-    return _refine_tangency(system, point, cls.witness, tol)
+    return _refine_tangency(system, point, cls.witness, tol)[0]
 
 
 def _refine_tangency(system, point, witness, tol):
-    """Tangency type at a point whose ``witness`` (Xf, Yf) is in the band."""
+    """Tangency type at a point whose ``witness`` (Xf, Yf) is in the band,
+    and at a fold-fold the values (X2f, Y2f) there, else None."""
     xf, yf = witness
     if abs(yf) > tol:  # only X is tangent
-        return _fold_or_cusp(system, point, tol, "X")
+        return _fold_or_cusp(system, point, tol, "X"), None
     if abs(xf) > tol:  # only Y is tangent
-        return _fold_or_cusp(system, point, tol, "Y")
+        return _fold_or_cusp(system, point, tol, "Y"), None
 
     # Both fields tangent: candidate fold-fold.
     x_vec = system.X.eval_at(point)
@@ -177,26 +178,26 @@ def _refine_tangency(system, point, witness, tol):
     if max(abs(v) for v in x_vec) <= tol or max(abs(v) for v in y_vec) <= tol:
         return TangencyInfo(
             TangencyType.DEGENERATE, detail="a field vanishes at the point"
-        )
+        ), None
     x2 = system.x2f.eval_at(point)
     y2 = system.y2f.eval_at(point)
     if abs(x2) <= tol or abs(y2) <= tol:
         return TangencyInfo(
             TangencyType.DEGENERATE, detail="a fold is degenerate (second derivative 0)"
-        )
+        ), None
     det, size = _gradient_det(system.xf, system.yf, point)
     if not abs(det) > 1e-9 * (1.0 + size):  # a NaN determinant is not transversal
         return TangencyInfo(
             TangencyType.DEGENERATE,
             transversal=False,
             detail="tangency curves are not transversal",
-        )
+        ), None
     return TangencyInfo(
         TangencyType.FOLD_FOLD,
         subtype=subtype_from_signs(math.copysign(1.0, x2), math.copysign(1.0, y2)),
         transversal=True,
         detail=f"X2f={x2:.6g}, Y2f={y2:.6g}",
-    )
+    ), (x2, y2)
 
 
 # ---------------------------------------------------------------------------

@@ -93,6 +93,11 @@ class Box:
             0.0,
         )
 
+    @lazy
+    def flight_guard(self):
+        """Half-width of a flight's guard cube: 1.5 longest sides, >= 1.5e-6."""
+        return 1.5 * max(self.scale(), 1e-6)
+
     def contains(self, point, pad=0.0):
         x, y, z = point[0], point[1], point[2]
         return (

@@ -330,8 +330,8 @@ class TestSystemRows:
         # the numeric rows can see it
         real = foldfold._two_fold_parameters
 
-        def wrong(system, point, info):
-            p = real(system, point, info)
+        def wrong(*args):
+            p = real(*args)
             gamma, delta = (p.gamma, -p.delta) if flip == "X" else (-p.gamma, p.delta)
             return foldfold.NormalParameters(p.alpha, p.beta, gamma, delta)
 

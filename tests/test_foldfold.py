@@ -709,7 +709,8 @@ class TestSystemLevelVerdicts:
 
     def test_two_fold_classified_in_one_pass(self, call_counts, ci_normal_form):
         # One sign table, one tangency refinement, one gradient determinant,
-        # and no Lie derivative evaluated twice beyond the second derivatives.
+        # and no polynomial evaluated twice: Xf and Yf, the six components
+        # of X and Y, X2f, Y2f, XYf and YXf.
         counts = call_counts(sigma, "classify_point", "_refine_tangency", "_gradient_det")
         call_counts(Poly3, "eval")
         result = surface_point_report(ci_normal_form, (0.0, 0.0, 0.0))
@@ -717,7 +718,24 @@ class TestSystemLevelVerdicts:
         assert counts["classify_point"] == 1
         assert counts["_refine_tangency"] == 1
         assert counts["_gradient_det"] == 1
-        assert counts["eval"] <= 14
+        assert counts["eval"] == 12
+
+    def test_second_derivatives_evaluated_once(self, monkeypatch, ci_normal_form):
+        # the normal parameters read X2f and Y2f as the tangency refinement
+        # evaluated them
+        system = ci_normal_form
+        evaluated = []
+        real = Poly3.eval
+
+        def record(p, x, y, z):
+            evaluated.append(p)
+            return real(p, x, y, z)
+
+        monkeypatch.setattr(Poly3, "eval", record)
+        result = surface_point_report(system, (0.0, 0.0, 0.0))
+        assert result.foldfold.params.subtype is FoldFoldSubtype.INVISIBLE
+        for p in (system.x2f, system.y2f, system.xyf, system.yxf):
+            assert sum(q is p for q in evaluated) == 1
 
     def test_two_fold_builds_four_lie_derivatives_and_no_partial(
         self, call_counts, ci_normal_form

@@ -575,12 +575,14 @@ class TestGeneratedSourcePinned:
     """SHA-256 of generated source: a shape with no constant component
     generates the step and drivers it did before the sums of constant
     components were bound once, apart from the plane driver's bracket,
-    which a single event builds as one tuple.  The dry-friction oscillator
-    of stick-slip runs, whose X has no constant component, and its sliding
-    field, with three events, run unchanged code; the flight kernel's
-    evaluator ``field`` and its return line are pinned apart from them."""
+    which a single event builds as one tuple, and the plane driver's
+    epilogue, which locates the event with one more step body.  Pinned
+    here: the dry-friction oscillator of stick-slip runs, whose X has no
+    constant component, and its sliding field, with three events; the
+    flight kernel's evaluator ``field`` and its return line are pinned
+    apart from them."""
 
-    FLIGHT = "b285d1f25ea04d2bfbbe463d5be4ee1193dc60e4f78b38ff82ebe017f6e371a5"
+    FLIGHT = "13a733f0712280976a7ade9e60db71252aabf60fdd6eff095de5cde93ec0b90b"
     SLIDING = "6308e2d564f36dc8245c3e4062d280c7ed0a74dffdff9832ac733de69d08d0c2"
 
     @staticmethod
@@ -1160,13 +1162,16 @@ class TestConfig:
 
 def _count_kernel_steps(monkeypatch, counts):
     """Count Dormand-Prince steps: the accepted and rejected steps that each
-    driver run reports in its ``FlightResult``, and the steps the locator
-    takes through the kernel ``step`` handed to ``_fly``.  A step adds 1 to
+    driver run reports in its ``FlightResult``, the in-line probe a driver
+    takes at each root of ``_plane_root`` strictly inside the bracketing
+    step, whether it meets the goal or not, and the steps the locator takes
+    through the kernel ``step`` handed to ``_fly``.  A step adds 1 to
     ``counts["kernel_steps"]`` and 6 to ``counts["field_evals"]``, the
     stages it writes out; a driver run adds 1 more evaluation, the first
     stage at its start, and so does each call of the kernel's ``field``.
     Returns ``counts``."""
-    fly = integrator._fly
+    fly, plane_root = integrator._fly, integrator._plane_root
+    driving = []  # non-empty while a driver runs
 
     def add_steps(n):
         counts["kernel_steps"] += n
@@ -1186,13 +1191,30 @@ def _count_kernel_steps(monkeypatch, counts):
 
         return wrapper
 
+    def counted_root(z0, z1, kz0, kz1, h, g0, g1):
+        dt = plane_root(z0, z1, kz0, kz1, h, g0, g1)
+        if driving and 0.0 < dt < h:
+            add_steps(1)
+        return dt
+
+    def counted_drive(drive):
+        def wrapper(*args):
+            driving.append(True)
+            try:
+                return drive(*args)
+            finally:
+                driving.pop()
+
+        return wrapper
+
     def counted_fly(f, step, events, drive, *args):
-        res = fly(counted_field(f), counted(step), events, drive, *args)
+        res = fly(counted_field(f), counted(step), events, counted_drive(drive), *args)
         add_steps(res.accepted + res.rejected)
         counts["field_evals"] += 1
         return res
 
     monkeypatch.setattr(integrator, "_fly", counted_fly)
+    monkeypatch.setattr(integrator, "_plane_root", counted_root)
     return counts
 
 
@@ -1234,8 +1256,10 @@ class TestEventLocator:
 
     @staticmethod
     def _force_fallback(monkeypatch, factor):
-        # An interpolant root outside (0, h) must hand over to bisection.
+        # An interpolant root outside (0, h) must hand over to bisection,
+        # the plane event's in the driver as well as in the locator.
         monkeypatch.setattr(integrator, "_interpolant_root", lambda *args: factor * args[5])
+        monkeypatch.setattr(integrator, "_plane_root", lambda *args: factor * args[4])
 
     def test_invisible_fold_one_or_two_steps_per_event(self, monkeypatch):
         events = _record_refinements(monkeypatch)
@@ -1286,18 +1310,18 @@ class TestEventLocator:
 
 
 class TestPlaneRootOneComponent:
-    """The plane event's interpolant root reads the z-component alone; it
-    must equal, bit for bit, the root found through ``event.fn`` on the full
-    interpolated state."""
+    """The plane event's interpolant root, ``_plane_root``, reads the
+    z-component alone; it must equal, bit for bit, the root found through
+    ``event.fn`` on the full interpolated state, and ``_interpolant_root``
+    hands the plane event to it."""
 
     @staticmethod
     def _generic_plane_event():
         # the plane event without its component: goes through _hermite
         return integrator._Event("z", lambda y: y[2])
 
-    def _assert_same_root(self, event, y0, k0, y1, k1, h, g0, g1):
-        assert event.component == 2
-        got = integrator._interpolant_root(event, y0, k0, y1, k1, h, g0, g1)
+    def _assert_same_root(self, y0, k0, y1, k1, h, g0, g1):
+        got = integrator._plane_root(y0[2], y1[2], k0[2], k1[2], h, g0, g1)
         ref = integrator._interpolant_root(
             self._generic_plane_event(), y0, k0, y1, k1, h, g0, g1
         )
@@ -1316,36 +1340,50 @@ class TestPlaneRootOneComponent:
                 y1 = (y1[0], y1[1], -y1[2])
             if y0[2] * y1[2] >= 0.0:
                 continue
-            (event,) = integrator._SIGMA_EVENTS[1 if y0[2] > 0.0 else -1]
-            t = self._assert_same_root(event, y0, k0, y1, k1, h, y0[2], y1[2])
+            t = self._assert_same_root(y0, k0, y1, k1, h, y0[2], y1[2])
             assert min(0.0, h) <= t <= max(0.0, h)
+            (event,) = integrator._SIGMA_EVENTS[1 if y0[2] > 0.0 else -1]
+            assert event.component == 2
+            got = integrator._interpolant_root(event, y0, k0, y1, k1, h, y0[2], y1[2])
+            assert _bits(got) == _bits(t)
 
     def test_hot_normal_form_flights(self, monkeypatch):
-        calls = []
-        real = integrator._interpolant_root
+        # every fold map's driver calls _plane_root on the bracketing step's
+        # z-component, and the locator calls it again through
+        # _interpolant_root for each return the driver hands over
+        calls, handed = [], []
+        real, real_refine = integrator._plane_root, integrator._refine_event
 
         def record(*args):
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(integrator, "_interpolant_root", record)
+        def refine(*args):
+            handed.append(args)
+            return real_refine(*args)
+
+        monkeypatch.setattr(integrator, "_plane_root", record)
+        monkeypatch.setattr(integrator, "_refine_event", refine)
         system = hot_normal_form()
         for x in (-0.2, -0.07, 0.03, 0.15):
             for y in (-0.12, -0.02, 0.05, 0.1):
                 fold_map_numeric(system, "Y", (x, y))
                 fold_map_numeric(system, "X", (x, y))
         monkeypatch.undo()
-        assert len(calls) == 32
-        for args in calls:
-            self._assert_same_root(*args)
+        assert 0 < len(handed) < 32 and len(calls) == 32 + len(handed)
+        for z0, z1, kz0, kz1, h, g0, g1 in calls:
+            assert (g0, g1) == (z0, z1)
+            self._assert_same_root((0.0, 0.0, z0), (0.0, 0.0, kz0), (0.0, 0.0, z1),
+                                   (0.0, 0.0, kz1), h, g0, g1)
 
 
 class TestWorkCounts:
     """One numeric Jacobian of the return map on a delta = -1 normal form:
     6 flights (two of the eight fold maps start on the Y tangency line),
-    24 Dormand-Prince steps and 150 field evaluations: 6 for each step, 1
-    at the start of each flight and the calls of the kernel's evaluator
-    (the locator's Newton slopes).  A flight never calls the compiled
+    24 Dormand-Prince steps, each flight's in-line probe that locates its
+    return included, and 150 field evaluations: 6 for each step, 1 at the
+    start of each flight and the calls of the kernel's evaluator (the
+    locator's Newton slopes, none here).  A flight never calls the compiled
     evaluator ``VectorField3.compiled()``.  Flights are counted where they
     are flown, at ``_to_plane``, the flight core of the fold maps and of
     ``integrate_to_sigma``."""
@@ -1361,13 +1399,14 @@ class TestWorkCounts:
         assert counts == {"_to_plane": 6, "kernel_steps": 24, "field_evals": 150}
 
     def test_stick_slip_trajectory(self, monkeypatch, call_counts):
-        # slide, slip below the plane, slide, slip to the horizon: every
-        # accepted step is one sample, and the three events (two sliding
-        # exits, one return to the plane) take no extra step to locate
+        # slide, slip below the plane, slide, slip to the horizon: 351
+        # accepted steps, one step to locate each sliding exit and three
+        # for the return to the plane, whose in-line probe in the driver
+        # misses the goal, so that the locator repeats it and polishes once
         counts = _count_kernel_steps(monkeypatch, call_counts(integrator, "_refine_event"))
         system, box = dry_friction()
         traj = filippov_trajectory(system, (0.2, 0.3, 0.0), 12.0, IntegratorConfig(box=box))
-        assert (counts["kernel_steps"], counts["_refine_event"]) == (355, 3)
+        assert (counts["kernel_steps"], counts["_refine_event"]) == (356, 3)
         assert [(seg.mode, seg.terminal, len(seg.times)) for seg in traj.segments] == [
             (Mode.SLIDING, FlightStatus.MODE_SWITCH, 20),
             (Mode.FLOW_MINUS, FlightStatus.MODE_SWITCH, 186),
@@ -1503,17 +1542,29 @@ class TestGeneratedDriver:
     and step counts) and the same samples, bit for bit.  A flight of
     ``_to_plane``, the core of ``integrate_to_sigma`` and of the fold maps,
     flies the box driver ``in_box`` under the cube around its start written
-    as a box; its reference runs under the cube guard ``_ref_cube``."""
+    as a box; its reference runs under the cube guard ``_ref_cube``.
+
+    The reference hands every event to ``_refine_event``.  The box driver
+    locates the plane event itself when its first probe meets the goal, and
+    hands it over otherwise; ``routes`` counts the generated run's plane
+    events by the route they took."""
 
     @staticmethod
     def _flights(reference, run, max_steps=None):
         """``run()`` on the generated drivers, or on the reference loop with
-        ``reference``: one ``(kind, result, samples)`` per flight, the kind
-        being "_to_plane" for a flight of that function and the driver's
-        name otherwise."""
+        ``reference``: one ``(kind, result, samples, handed)`` per flight,
+        the kind being "_to_plane" for a flight of that function and the
+        driver's name otherwise, and ``handed`` whether the flight called
+        ``_refine_event``."""
         flights = []
         fly, to_plane = integrator._fly, integrator._to_plane
+        refine = integrator._refine_event
         cube = []  # non-empty while _to_plane runs
+        refined = []
+
+        def counted_refine(*args):
+            refined.append(True)
+            return refine(*args)
 
         def in_cube(*args):
             cube.append(True)
@@ -1523,17 +1574,19 @@ class TestGeneratedDriver:
                 cube.pop()
 
         def recorded(f, step, events, drive, *args):
+            refined.clear()
             if reference:
                 res = _ref_fly(f, step, events, drive, *args, cube=bool(cube))
             else:
                 res = fly(f, step, events, drive, *args)
             kind = "_to_plane" if cube else drive.__name__
-            flights.append((kind, res, list(args[-1])))
+            flights.append((kind, res, list(args[-1]), bool(refined)))
             return res
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(integrator, "_fly", recorded)
             mp.setattr(integrator, "_to_plane", in_cube)
+            mp.setattr(integrator, "_refine_event", counted_refine)
             if max_steps is not None:
                 mp.setattr(integrator, "_MAX_STEPS", max_steps)
             try:
@@ -1546,12 +1599,15 @@ class TestGeneratedDriver:
         got = self._flights(False, run, max_steps)
         ref = self._flights(True, run, max_steps)
         assert got and len(got) == len(ref)
-        for (name, res, samples), (ref_name, ref_res, ref_samples) in zip(got, ref):
+        for (name, res, samples, _), (ref_name, ref_res, ref_samples, _) in zip(got, ref):
             assert (name, res.status, res.event, res.accepted, res.rejected) == (
                 ref_name, ref_res.status, ref_res.event, ref_res.accepted, ref_res.rejected)
             assert _bits(res.time, *res.point) == _bits(ref_res.time, *ref_res.point)
             assert [_bits(*row) for row in samples] == [_bits(*row) for row in ref_samples]
-        return [(name, res.status, res.event) for name, res, _ in got]
+        self.routes = collections.Counter(
+            "_refine_event" if handed else "driver"
+            for _, res, _, handed in got if res.event == "sigma")
+        return [(name, res.status, res.event) for name, res, _, _ in got]
 
     def test_plane_flights_both_directions(self):
         system = hot_normal_form()
@@ -1570,6 +1626,30 @@ class TestGeneratedDriver:
         flights = self._assert_same(run)
         assert len(flights) == 18
         assert set(flights) == {("_to_plane", FlightStatus.HIT_SIGMA, "sigma")}
+        # half the returns meet the goal on the driver's first probe
+        assert self.routes == {"driver": 9, "_refine_event": 9}
+
+    def test_first_probe_short_of_the_goal_is_handed_over(self, monkeypatch):
+        # On these returns the driver's first probe lands at 1e-15 < |z| <=
+        # _EVENT_TOL: inside the tolerance, but short of the goal, so the
+        # locator must polish it.
+        system = hot_normal_form()
+        points = [(-0.2, 0.02), (-0.18, -0.04), (-0.08, 0.12), (0.16, 0.0)]
+        self._assert_same(lambda: [fold_map_numeric(system, "Y", q) for q in points])
+        assert self.routes == {"_refine_event": 4}
+        first = []
+        real = integrator._refine_event
+
+        def refine(f, step, event, y0, k0, y1, k1, h, g0, g1):
+            dt = integrator._plane_root(y0[2], y1[2], k0[2], k1[2], h, g0, g1)
+            first.append(abs(integrator._probe(f, step, event, y0, k0, dt)[1]))
+            return real(f, step, event, y0, k0, y1, k1, h, g0, g1)
+
+        monkeypatch.setattr(integrator, "_refine_event", refine)
+        for q in points:
+            fold_map_numeric(system, "Y", q)
+        assert len(first) == 4
+        assert all(integrator._STRETCH_GOAL < g <= integrator._EVENT_TOL for g in first)
 
     @pytest.mark.parametrize("direction", [1, -1])
     def test_unarmed_shallow_arc_fires_on_the_far_side(self, direction):
@@ -1595,6 +1675,7 @@ class TestGeneratedDriver:
         start = (0.0, 0.0, 0.39059999999999995)
         flights = self._assert_same(lambda: filippov_trajectory(Z, start, 1.0))
         assert flights[0] == ("in_box", FlightStatus.HIT_SIGMA, "sigma")
+        assert self.routes == {"_refine_event": 1}  # no strict sign change
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(integrator, "_refine_event", refine)
             filippov_trajectory(Z, start, 1.0)
@@ -1679,6 +1760,7 @@ class TestGeneratedDriver:
                                 (1.7, 1e154, 1e154), 5.0, IntegratorConfig(box=big))
 
         flights = set(self._assert_same(run))
+        assert self.routes["driver"] and self.routes["_refine_event"]
         for kind in ("_to_plane", "in_box"):
             assert (kind, FlightStatus.HIT_SIGMA, "sigma") in flights
             assert (kind, FlightStatus.LEFT_BOX, None) in flights
