@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -283,6 +284,47 @@ class TestClassify:
         path.write_text(json.dumps(doc))
         assert main(["classify", str(path), "--point", "0,0,0"]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def _pinned_systems(rng):
+    """16 serialized normal forms, four per (sign gamma, delta) pair, each
+    with random terms of degree <= 3 on Y that vanish to the orders
+    ``build_normal_form`` requires, and four surface points per system: the
+    two-fold at the origin, two random points and one on the X fold line."""
+    min_order = {"cx": 1, "cy": 1, "cz": 2}
+    for k in range(16):
+        sign_gamma, delta = ((1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, 1.0))[k % 4]
+        alpha, beta = rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)
+        gamma = sign_gamma * rng.uniform(0.2, 3.0)
+        hot = {}
+        for key, low in min_order.items():
+            hot[key] = []
+            for _ in range(rng.randint(1, 3)):
+                deg = rng.randint(low, 3)
+                i = rng.randint(0, deg)
+                j = rng.randint(0, deg - i)
+                hot[key].append([[i, j, deg - i - j], rng.uniform(-0.3, 0.3)])
+        text = serialize_system(build_normal_form(alpha, beta, gamma, delta, hot=hot))
+        points = [(0.0, 0.0, 0.0),
+                  (rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5), 0.0),
+                  (rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5), 0.0),
+                  (rng.choice((-1.0, 1.0)) * rng.uniform(0.05, 0.5), 0.0, 0.0)]
+        yield text, points
+
+
+class TestClassifyPinned:
+    def test_classify_bytes_pinned(self, tmp_path, capsys):
+        # SHA-256 over the 64 classify reports of the seeded systems, in order.
+        digest = hashlib.sha256()
+        path = tmp_path / "system.json"
+        for text, points in _pinned_systems(random.Random(34)):
+            path.write_text(text)
+            for point in points:
+                assert main(["classify", str(path), "--point", ",".join(map(repr, point))]) == 0
+                digest.update(capsys.readouterr().out.encode())
+        assert digest.hexdigest() == (
+            "b883798d27c4cfa573198cfeba2ef2742f9886a52da6730d9713cd33f0efb405"
+        ), digest.hexdigest()
 
 
 class TestSweep:
