@@ -379,32 +379,57 @@ def lie_derivative(field, g):
     along X.
 
     One pass with the bits, term order and DegreeCapError of
-    ``field.cx * g.partial("x") + ... + field.cz * g.partial("z")``.
+    ``field.cx * g.partial("x") + ... + field.cz * g.partial("z")``.  Where a
+    component or its partial has one term, no two products share a key, so
+    each nonzero product is merged into the sum without the product dict.
     """
-    terms = g.terms
-    # The partials as ``partial`` builds them: distinct terms differentiate
-    # to distinct terms, so no key repeats.
-    grads = (
-        {(i - 1, j, k): c * i for (i, j, k), c in terms.items() if i},
-        {(i, j - 1, k): c * j for (i, j, k), c in terms.items() if j},
-        {(i, j, k - 1): c * k for (i, j, k), c in terms.items() if k},
-    )
+    # The partials as ``partial`` builds them, and g's degree, in one pass:
+    # distinct terms differentiate to distinct terms, so no key repeats.
+    grads = gx, gy, gz = {}, {}, {}
+    deg = 0
+    for (i, j, k), c in g.terms.items():
+        if i:
+            gx[i - 1, j, k] = c * i
+        if j:
+            gy[i, j - 1, k] = c * j
+        if k:
+            gz[i, j, k - 1] = c * k
+        if i + j + k > deg:
+            deg = i + j + k
     # A product has degree at most deg(comp) + deg(g) - 1, so only a
     # component of degree above ``room`` can take it past the cap, and the
     # sum, whose terms all come from the products, stays within it.
-    room = MAX_TOTAL_DEGREE + 1 - _degree(terms)
+    room = MAX_TOTAL_DEGREE + 1 - deg
     total = {}
     for comp, grad in zip((field.cx, field.cy, field.cz), grads):
         if not grad:
             continue
+        terms = comp.terms
+        over = _degree(terms) > room
+        if (len(terms) == 1 or len(grad) == 1) and not over:
+            # One-term factor: every product has its own key, so each
+            # nonzero one is merged as below without the product dict.
+            for (i1, j1, k1), c1 in terms.items():
+                for (i2, j2, k2), c2 in grad.items():
+                    c = c1 * c2
+                    if c != 0.0:
+                        e = (i1 + i2, j1 + j2, k1 + k2)
+                        s = total.get(e, 0.0) + c
+                        if s != 0.0:
+                            total[e] = s
+                        else:
+                            del total[e]
+            continue
         # comp * grad in the loop order of __mul__ ...
         prod = {}
-        for (i1, j1, k1), c1 in comp.terms.items():
+        for (i1, j1, k1), c1 in terms.items():
             for (i2, j2, k2), c2 in grad.items():
                 key = (i1 + i2, j1 + j2, k1 + k2)
                 prod[key] = prod.get(key, 0.0) + c1 * c2
+        # ... pruned before the cap reads it, so a product that underflowed
+        # to 0.0 is dropped, not raised on ...
         prod = _prune(prod)
-        if _degree(comp.terms) > room:
+        if over:
             _capped(prod)
         # ... merged as __add__ merges: a key that cancels is dropped, so a
         # later product appends it at the end again.

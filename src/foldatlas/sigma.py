@@ -172,9 +172,10 @@ def _refine_tangency(system, point, witness, tol):
     if abs(xf) > tol:  # only Y is tangent
         return _fold_or_cusp(system, point, tol, "Y"), None
 
-    # Both fields tangent: candidate fold-fold.
-    x_vec = system.X.eval_at(point)
-    y_vec = system.Y.eval_at(point)
+    # Both fields tangent: candidate fold-fold.  Xf and Yf are the fields'
+    # z-components, so the witness completes X(p) and Y(p).
+    x_vec = (system.X.cx.eval_at(point), system.X.cy.eval_at(point), xf)
+    y_vec = (system.Y.cx.eval_at(point), system.Y.cy.eval_at(point), yf)
     if max(abs(v) for v in x_vec) <= tol or max(abs(v) for v in y_vec) <= tol:
         return TangencyInfo(
             TangencyType.DEGENERATE, detail="a field vanishes at the point"

@@ -114,10 +114,11 @@ class PiecewiseSystem:
     """A pair Z = (X, Y) of vector fields split by the plane {z = 0}.
 
     Immutable after construction; Lie derivatives of the switching function
-    are computed on first read and cached without a lock: two concurrent
-    first readers may both compute one, the values are equal and one is
-    kept.  Since f = z, the first ones are the fields' z-components:
-    Xf = X_z, Yf = Y_z.
+    and the coefficient scale (``coeff_scale()``, which every default
+    tolerance reads) are computed on first read and cached without a lock:
+    two concurrent first readers may both compute one, the values are equal
+    and one is kept.  Since f = z, the first Lie derivatives are the fields'
+    z-components: Xf = X_z, Yf = Y_z.
     """
 
     def __init__(self, X, Y, box=DEFAULT_BOX, name="system"):
@@ -162,8 +163,12 @@ class PiecewiseSystem:
         """Mixed derivative: d(Xf) along Y."""
         return lie_derivative(self.Y, self.xf)
 
-    def coeff_scale(self):
+    @lazy
+    def _scale(self):
         return max(self.X.coeff_scale(), self.Y.coeff_scale())
+
+    def coeff_scale(self):
+        return self._scale
 
     @lazy
     def _reversed(self):
@@ -186,6 +191,10 @@ class PiecewiseSystem:
 
 
 def _parse_component(entries, where):
+    """Poly3 of a component's ``[[i, j, k], coefficient]`` terms.  A term of
+    exact ``int`` exponents >= 0 and a ``float`` coefficient is already what
+    the checks make of it, so only its finiteness is tested; any other term
+    (booleans, int coefficients, malformed) runs the checks and their errors."""
     if not isinstance(entries, list):
         raise MalformedDocumentError(f"{where}: expected a list of terms")
     terms = {}
@@ -195,19 +204,23 @@ def _parse_component(entries, where):
             i, j, k = exps
         except (TypeError, ValueError) as exc:
             raise MalformedDocumentError(f"{where}: bad term {entry!r}") from exc
-        for e in (i, j, k):
-            if not isinstance(e, int) or e < 0:
-                raise MalformedDocumentError(
-                    f"{where}: exponents must be non-negative integers"
-                )
-        c = _json_number(coeff)
-        if c is None:
-            raise MalformedDocumentError(f"{where}: coefficient must be a number")
+        # i | j | k is negative exactly when one of the ints is
+        if type(coeff) is float and type(i) is type(j) is type(k) is int and i | j | k >= 0:
+            c, key = coeff, (i, j, k)
+        else:
+            for e in (i, j, k):
+                if not isinstance(e, int) or e < 0:
+                    raise MalformedDocumentError(
+                        f"{where}: exponents must be non-negative integers"
+                    )
+            c = _json_number(coeff)
+            if c is None:
+                raise MalformedDocumentError(f"{where}: coefficient must be a number")
+            # int() stores a boolean exponent as 0 or 1
+            key = (int(i), int(j), int(k))
         if not math.isfinite(c):
             raise NonFiniteCoefficientError(f"{where}: non-finite coefficient")
-        # int() stores a boolean exponent as 0 or 1; repeated terms add up
-        key = (int(i), int(j), int(k))
-        terms[key] = terms.get(key, 0.0) + c
+        terms[key] = terms.get(key, 0.0) + c  # repeated terms add up
     # Sums that cancel are pruned before the one degree computation, which
     # both caps read: the package-wide cap first, then the input cap.
     terms = _prune(terms)

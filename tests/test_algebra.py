@@ -417,6 +417,62 @@ class TestLieDerivativeOnePass:
         _assert_identical(at_cap, _ref_lie(field, X * Y))
 
 
+    def test_underflowed_product_past_the_cap_is_dropped(self):
+        # 1e-200 * 6e-200 underflows to 0.0 at degree 25: pruned before the
+        # cap is read, so the result is zero and nothing is raised.
+        field = VectorField3(Poly3({(20, 0, 0): 1e-200}), Poly3.zero(), Poly3.zero())
+        g = Poly3({(6, 0, 0): 1e-200})
+        got = lie_derivative(field, g)
+        assert got.is_zero()
+        _assert_identical(got, _ref_lie(field, g))
+        # within the cap, an underflowed one-term product is dropped too
+        field = VectorField3(Poly3({(1, 0, 0): -1e-200}), Z, Poly3.zero())
+        _assert_identical(lie_derivative(field, g), _ref_lie(field, g))
+
+    def test_one_term_factors_cancel_then_reappear_last(self):
+        # 2x + 3 against the one-term d/dx of xyz, then -2y cancels the xyz
+        # key to exactly 0.0 and 0.5z brings it back after the yz key.
+        g = X * Y * Z
+        field = VectorField3(X * 2.0 + 3.0, Y * -2.0, Z * 0.5)
+        got = lie_derivative(field, g)
+        assert list(got.terms.items()) == [((0, 1, 1), 3.0), ((1, 1, 1), 0.5)]
+        _assert_identical(got, _ref_lie(field, g))
+
+    def test_signed_zero_nan_and_inf_products(self):
+        tiny, big = Poly3({(1, 0, 0): -1e-200}), Poly3({(0, 1, 0): 1e300})
+        nan, inf = Poly3({(0, 0, 1): math.nan}), Poly3({(1, 0, 0): math.inf})
+        inf_y = Poly3({(0, 1, 0): math.inf})
+        cases = [
+            (VectorField3(tiny, tiny, tiny), Poly3({(1, 1, 1): 1e-200})),  # -0.0 products
+            (VectorField3(big, big, X), Poly3({(1, 1, 0): 1e300, (2, 0, 0): 1.0})),  # inf
+            (VectorField3(inf, -inf_y, Z), X * Y + Z),  # inf - inf is NaN
+            (VectorField3(nan, X, nan), X * Z + Y),
+            (VectorField3(nan + X, inf + Y, Z), X * X * Y - Z),
+        ]
+        for field, g in cases:
+            _assert_identical(lie_derivative(field, g), _ref_lie(field, g))
+
+    def test_seeded_one_term_components(self):
+        rng = np.random.default_rng(34)
+
+        def monomial(max_degree, ints):
+            e = tuple(int(v) for v in rng.multinomial(int(rng.integers(0, max_degree + 1)),
+                                                      [1 / 3] * 3))
+            c = float(rng.integers(-2, 3) or 1) if ints else rng.uniform(-2.0, 2.0)
+            return Poly3({e: c})
+
+        for n in range(2000):
+            ints = n % 2 == 0  # small integer coefficients make sums cancel
+            field = VectorField3(*(monomial(3, ints) for _ in "xyz"))
+            if n % 3 == 0:
+                g = monomial(4, ints)
+            else:
+                g = Poly3({})
+                for _ in range(int(rng.integers(1, 6))):
+                    g = g + monomial(4, ints)
+            _assert_identical(lie_derivative(field, g), _ref_lie(field, g))
+
+
 class TestFirstLieDerivativesAreZComponents:
     """``PiecewiseSystem.xf`` and ``yf`` are the z-components themselves:
     f = z, so the Lie derivative along a field is its z-component, bit for

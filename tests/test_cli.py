@@ -183,6 +183,7 @@ class TestClassify:
         assert ("foldfold" in report) == (ttype == "fold-fold")
 
     def test_two_fold_classified_in_one_pass(self, tmp_path, call_counts, ci_normal_form):
+        # ten evaluations, none repeated, as in test_foldfold's twin
         path = tmp_path / "normal-form.json"
         path.write_text(serialize_system(ci_normal_form))
         counts = call_counts(sigma, "classify_point", "_refine_tangency", "_gradient_det")
@@ -193,7 +194,7 @@ class TestClassify:
         assert counts["classify_point"] == 1
         assert counts["_refine_tangency"] == 1
         assert counts["_gradient_det"] == 1
-        assert counts["eval"] == 12
+        assert counts["eval"] == 10
 
     def test_missing_file_exit_2(self, capsys):
         assert main(["classify", "/nonexistent.json", "--point", "0,0,0"]) == 2

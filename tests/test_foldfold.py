@@ -709,8 +709,8 @@ class TestSystemLevelVerdicts:
 
     def test_two_fold_classified_in_one_pass(self, call_counts, ci_normal_form):
         # One sign table, one tangency refinement, one gradient determinant,
-        # and no polynomial evaluated twice: Xf and Yf, the six components
-        # of X and Y, X2f, Y2f, XYf and YXf.
+        # and no polynomial evaluated twice: Xf and Yf (the z-components of
+        # X and Y), the other four components, X2f, Y2f, XYf and YXf.
         counts = call_counts(sigma, "classify_point", "_refine_tangency", "_gradient_det")
         call_counts(Poly3, "eval")
         result = surface_point_report(ci_normal_form, (0.0, 0.0, 0.0))
@@ -718,7 +718,7 @@ class TestSystemLevelVerdicts:
         assert counts["classify_point"] == 1
         assert counts["_refine_tangency"] == 1
         assert counts["_gradient_det"] == 1
-        assert counts["eval"] == 12
+        assert counts["eval"] == 10
 
     def test_second_derivatives_evaluated_once(self, monkeypatch, ci_normal_form):
         # the normal parameters read X2f and Y2f as the tangency refinement

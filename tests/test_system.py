@@ -1,10 +1,12 @@
 import json
+import math
+import random
 import sys
 import threading
 
 import pytest
 
-from foldatlas.algebra import Poly3, VectorField3
+from foldatlas.algebra import MAX_TOTAL_DEGREE, Poly3, VectorField3, _degree, _new, _prune
 from foldatlas.errors import (
     DegreeCapExceededError,
     EmptyBoxError,
@@ -13,8 +15,11 @@ from foldatlas.errors import (
     PreconditionError,
 )
 from foldatlas.system import (
+    INPUT_DEGREE_CAP,
     Box,
     PiecewiseSystem,
+    _json_number,
+    _parse_component,
     build_normal_form,
     load_system,
     serialize_system,
@@ -192,6 +197,98 @@ class TestLoadSystem:
         assert serialize_system(again) == text
 
 
+def _ref_parse_component(entries, where):
+    """The checks on every term that ``_parse_component`` matches."""
+    if not isinstance(entries, list):
+        raise MalformedDocumentError(f"{where}: expected a list of terms")
+    terms = {}
+    for entry in entries:
+        try:
+            exps, coeff = entry
+            i, j, k = exps
+        except (TypeError, ValueError) as exc:
+            raise MalformedDocumentError(f"{where}: bad term {entry!r}") from exc
+        for e in (i, j, k):
+            if not isinstance(e, int) or e < 0:
+                raise MalformedDocumentError(
+                    f"{where}: exponents must be non-negative integers"
+                )
+        c = _json_number(coeff)
+        if c is None:
+            raise MalformedDocumentError(f"{where}: coefficient must be a number")
+        if not math.isfinite(c):
+            raise NonFiniteCoefficientError(f"{where}: non-finite coefficient")
+        key = (int(i), int(j), int(k))
+        terms[key] = terms.get(key, 0.0) + c
+    terms = _prune(terms)
+    deg = _degree(terms)
+    if deg > MAX_TOTAL_DEGREE:
+        raise DegreeCapExceededError(f"{where}: degree {deg} exceeds cap {MAX_TOTAL_DEGREE}")
+    if deg > INPUT_DEGREE_CAP:
+        raise DegreeCapExceededError(
+            f"{where}: degree {deg} exceeds input cap {INPUT_DEGREE_CAP}"
+        )
+    return _new(terms)
+
+
+def _parse_outcome(parse, entries):
+    """Keys with their element types and coefficient bits in term order, or
+    the error's type and message."""
+    try:
+        terms = parse(entries, "X.cx").terms
+    except (MalformedDocumentError, NonFiniteCoefficientError, DegreeCapExceededError) as exc:
+        return type(exc), str(exc)
+    return [(k, [type(e) for e in k], type(c), c.hex()) for k, c in terms.items()]
+
+
+def _random_entry(rng, previous):
+    """One term, mostly well formed: exact, boolean, negative or float
+    exponents; float, int, boolean, string or null coefficients, an integer
+    past the float range, NaN, inf and -0.0; wrong arities; a repeat or the
+    negation of an earlier term."""
+    if previous and rng.random() < 0.15:
+        exps, coeff = rng.choice(previous)
+        if type(coeff) is float and rng.random() < 0.7:
+            coeff = -coeff  # cancels the earlier term
+        return [exps, coeff]
+    if rng.random() < 0.04:
+        return rng.choice([[[0, 0, 0]], [[0, 0, 0], 1.0, 2.0], None, "ab", 7,
+                           [[0, 0], 1.0], [[0, 0, 0, 0], 1.0], [None, 1.0], ["abc", 1.0]])
+    exps = []
+    for _ in range(3):
+        r = rng.random()
+        exps.append(rng.randint(0, 3) if r < 0.85 else rng.randint(4, 9) if r < 0.9
+                    else rng.choice([True, False, -1, 1.0, 2.5]))
+    if rng.random() < 0.1:
+        exps = tuple(exps)
+    r = rng.random()
+    if r < 0.75:
+        coeff = rng.choice([rng.uniform(-2.0, 2.0), rng.uniform(-1e-300, 1e-300),
+                            float(rng.randint(-3, 3))])
+    else:
+        coeff = rng.choice([rng.randint(-5, 5), 10**400, -10**400, True, False, "1.0",
+                            None, math.nan, math.inf, -math.inf, -0.0, 0.0])
+    return [exps, coeff]
+
+
+class TestParseComponentMatchesReference:
+    def test_seeded_term_lists(self):
+        rng = random.Random(2034)
+        outcomes = set()
+        for _ in range(4000):
+            entries, pairs = [], []
+            for _ in range(rng.randint(0, 6)):
+                entries.append(_random_entry(rng, pairs))
+                if isinstance(entries[-1], list) and len(entries[-1]) == 2:
+                    pairs.append(entries[-1])
+            got = _parse_outcome(_parse_component, entries)
+            assert got == _parse_outcome(_ref_parse_component, entries), entries
+            outcomes.add(got[0] if isinstance(got, tuple) else "terms")
+        # every kind of result was reached
+        assert outcomes == {"terms", MalformedDocumentError, NonFiniteCoefficientError,
+                            DegreeCapExceededError}
+
+
 class TestBuildNormalForm:
     def test_symbolic_invariants(self):
         for delta in (-1.0, 1.0):
@@ -210,6 +307,17 @@ class TestBuildNormalForm:
         assert system.y2f.eval_at((0, 0, 0)) == 1.0
         assert system.xyf.eval_at((0, 0, 0)) == -1.0
         assert system.yxf.eval_at((0, 0, 0)) == 1.0
+
+    def test_coeff_scale_is_memoized(self, monkeypatch):
+        system = build_normal_form(-0.6, 1.2, 0.8, -1.0, hot={"cz": [[[2, 0, 0], 3.5]]})
+        calls = []
+        original = VectorField3.coeff_scale
+        monkeypatch.setattr(
+            VectorField3, "coeff_scale", lambda self: calls.append(self) or original(self)
+        )
+        for _ in range(3):
+            assert system.coeff_scale() == 3.5
+        assert calls == [system.X, system.Y]
 
     def test_time_reversed_is_memoized(self):
         system = build_normal_form(-1.0, -1.0, 1.0, -1.0)
