@@ -328,6 +328,24 @@ class TestClassifyPinned:
         ), digest.hexdigest()
 
 
+class TestVerifyPinned:
+    def test_verify_bytes_pinned(self, tmp_path, capsys):
+        # SHA-256 over the stdout of every suite at two seeds, then of
+        # verify <file> on the normal form of each two-fold subtype.
+        digest = hashlib.sha256()
+        for seed in ("0", "1"):
+            assert main(["verify", "--suite", "all", "--scale", "0.2", "--seed", seed]) == 0
+            digest.update(capsys.readouterr().out.encode())
+        path = tmp_path / "subtype.json"
+        for gamma, delta in ((1.0, -1.0), (1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0)):
+            path.write_text(serialize_system(build_normal_form(0.3, 0.5, gamma, delta)))
+            assert main(["verify", str(path), "--suite", "none"]) == 0
+            digest.update(capsys.readouterr().out.encode())
+        assert digest.hexdigest() == (
+            "d510f5922337487395236374e83a7eee24d8b1894ab860ebdf6b2e2be0e5d924"
+        ), digest.hexdigest()
+
+
 class TestSweep:
     def test_smoke_grid(self, tmp_path):
         out = tmp_path / "grid.csv"
