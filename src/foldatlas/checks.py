@@ -103,6 +103,49 @@ def _count_row(name, count, detail):
     return CheckResult(name, count == 0, float(count), 0.0, detail)
 
 
+@dataclass
+class _Tally:
+    """Numeric maps and residuals of some rows.  ``run`` counts each failed
+    map in ``failed`` by :class:`FlightStatus` (a caller that needs it counts
+    a non-finite image in ``nonfinite``); ``fold`` keeps each row's worst
+    residual by ``_worst``'s NaN rule, and its number of folds."""
+
+    failed: Counter = field(default_factory=Counter)
+    nonfinite: int = 0
+    worst: dict = field(default_factory=dict)
+    folds: Counter = field(default_factory=Counter)
+
+    def run(self, numeric_map, *args):
+        """``numeric_map(*args)``, or None after a flight of it failed."""
+        try:
+            return numeric_map(*args)
+        except IntegrationFailure as exc:
+            self.failed[exc.status] += 1
+            return None
+
+    def fold(self, name, *residuals):
+        self.worst[name] = _worst(self.worst.get(name, 0.0), *residuals)
+        self.folds[name] += 1
+
+    def failures(self):
+        return sum(self.failed.values()) + self.nonfinite
+
+    def annotate(self, detail):
+        """``detail``, followed by the failed maps by status if any failed."""
+        counts = [f"{s.value} {self.failed[s]}" for s in FlightStatus if self.failed[s]]
+        if self.nonfinite:
+            counts.append(f"non-finite image {self.nonfinite}")
+        suffix = f"(failed flights: {', '.join(counts)})" if counts else ""
+        return " ".join(filter(None, (detail, suffix)))
+
+    def row(self, name, bound, detail):
+        """The row of ``name``: it passes when no map failed, a residual was
+        folded and the worst is within ``bound``."""
+        worst = self.worst.get(name, 0.0)
+        passed = self.failures() == 0 and self.folds[name] > 0 and worst <= bound
+        return CheckResult(name, passed, worst, bound, self.annotate(detail))
+
+
 # ---------------------------------------------------------------------------
 # Return-map formula vs numeric Jacobian
 
@@ -112,43 +155,34 @@ def check_return_map_grid(n_alpha, n_beta, gammas):
     Jacobian of the integrated return map matches it entrywise."""
     alphas = np.linspace(-3.0, 3.0, n_alpha)
     betas = np.linspace(-3.0, 3.0, n_beta)
-    worst_det = 0.0
-    worst_entry = 0.0
+    closed_form = _Tally()
+    flights = _Tally()  # folds each entry diff, then the unmatched share
     matched = 0
-    returned = 0
-    failed = 0
     for g in gammas:
         for a in alphas:
             for b in betas:
                 params = make_parameters(a, b, g, -1.0)
                 analysis = return_map_analysis(params)
-                worst_det = _worst(worst_det, abs(analysis.det - 1.0))
+                closed_form.fold("return-map determinant", abs(analysis.det - 1.0))
                 system = build_normal_form(a, b, g, -1.0)
-                try:
-                    jac = jacobian_numeric(
-                        lambda q: return_map_numeric(system, q), (0.0, 0.0),
-                        _JACOBIAN_STEP,
-                    )
-                except IntegrationFailure:
-                    failed += 1
+                jac = flights.run(jacobian_numeric, lambda q: return_map_numeric(system, q),
+                                  (0.0, 0.0), _JACOBIAN_STEP)
+                if jac is None:
                     continue
-                returned += 1
                 diff = float(np.max(np.abs(jac - analysis.matrix)))
                 if diff <= _ENTRY_TOL:
                     matched += 1
-                worst_entry = _worst(worst_entry, diff)
+                flights.fold("entry diff", diff)
     total = n_alpha * n_beta * len(gammas)
-    fraction = matched / returned if returned else 0.0
+    returned = flights.folds["entry diff"]
+    flights.fold("return-map numeric Jacobian", 1.0 - (matched / returned if returned else 0.0))
     return [
-        CheckResult("return-map determinant", worst_det <= _DET_TOL, worst_det, _DET_TOL,
-                    f"{total} grid points"),
-        CheckResult(
+        closed_form.row("return-map determinant", _DET_TOL, f"{total} grid points"),
+        flights.row(
             "return-map numeric Jacobian",
-            fraction >= _MIN_MATCHED_FRACTION and returned > 0,
-            1.0 - fraction,
             1.0 - _MIN_MATCHED_FRACTION,
-            f"matched {matched}/{returned}, {failed} grid points with a failed flight "
-            f"(worst entry diff {worst_entry:.3e})",
+            f"matched {matched}/{returned}, {flights.failures()} grid points with a failed "
+            f"flight (worst entry diff {flights.worst.get('entry diff', 0.0):.3e})",
         ),
     ]
 
@@ -225,24 +259,25 @@ def check_eigenvector_locations(n_per_cell, seed):
 def check_involution_ground_truth(n_alpha, n_points, seed):
     """Numeric X-fold map against (x - 2*a*y, -y), and its involutivity."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    worst_double = 0.0
+    flights = _Tally()
     for a in np.linspace(-3.0, 3.0, n_alpha):
         system = build_normal_form(a, -1.0, 1.0, -1.0)
         for _ in range(n_points):
             r = 0.1 * math.sqrt(rng.random())
             th = rng.uniform(0.0, 2.0 * math.pi)
             q = (r * math.cos(th), r * math.sin(th))
-            image = fold_map_numeric(system, "X", q)
+            image = flights.run(fold_map_numeric, system, "X", q)
+            if image is None:
+                continue
             exact = (q[0] - 2.0 * a * q[1], -q[1])
-            worst = _worst(worst, math.hypot(image[0] - exact[0], image[1] - exact[1]))
-            back = fold_map_numeric(system, "X", image)
-            worst_double = _worst(worst_double, math.hypot(back[0] - q[0], back[1] - q[1]))
+            flights.fold("fold-map ground truth",
+                         math.hypot(image[0] - exact[0], image[1] - exact[1]))
+            back = flights.run(fold_map_numeric, system, "X", image)
+            if back is not None:
+                flights.fold("fold-map involutivity", math.hypot(back[0] - q[0], back[1] - q[1]))
     return [
-        CheckResult("fold-map ground truth", worst <= _IMAGE_TOL, worst, _IMAGE_TOL),
-        CheckResult(
-            "fold-map involutivity", worst_double <= _DOUBLE_TOL, worst_double, _DOUBLE_TOL
-        ),
+        flights.row("fold-map ground truth", _IMAGE_TOL, ""),
+        flights.row("fold-map involutivity", _DOUBLE_TOL, ""),
     ]
 
 
@@ -391,7 +426,7 @@ def check_rescaling_invariance(n, seed):
 
 def check_demelo_palis(n, seed):
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    tally = _Tally()
     count = 0
     while count < n:
         a = rng.uniform(-3.0, 3.0)
@@ -401,11 +436,8 @@ def check_demelo_palis(n, seed):
             continue
         count += 1
         analysis = return_map_analysis(make_parameters(a, b, g, -1.0))
-        worst = _worst(worst, abs(demelo_palis(analysis) + 1.0))
-    return [
-        CheckResult("saddle moduli ratio = -1", worst <= _RATIO_TOL, worst, _RATIO_TOL,
-                    f"{n} draws")
-    ]
+        tally.fold("saddle moduli ratio = -1", abs(demelo_palis(analysis) + 1.0))
+    return [tally.row("saddle moduli ratio = -1", _RATIO_TOL, f"{n} draws")]
 
 
 # ---------------------------------------------------------------------------
@@ -429,30 +461,23 @@ _CONE_MIN_FRACTION = 0.9
 
 
 @dataclass
-class DiaboloReport:
+class DiaboloReport(_Tally):
     """Outcomes of iterated seeds.  Each seed ends in one of ``violations``,
-    ``escaped``, ``exhausted``, ``failed`` (a count per :class:`FlightStatus`)
-    or ``nonfinite`` (a failed flight that returned a non-finite image);
-    ``iterations`` holds each seed's number of return maps."""
+    ``escaped``, ``exhausted``, or the tally's ``failed`` (a count per
+    :class:`FlightStatus`) or ``nonfinite`` (a flight that returned a
+    non-finite image); ``iterations`` holds each seed's number of return
+    maps."""
 
     violations: int = 0
     escaped: int = 0
     exhausted: int = 0
-    failed: dict = field(default_factory=dict)
-    nonfinite: int = 0
     iterations: list = field(default_factory=list)
 
     def outcomes(self):
-        counts = [(s.value, self.failed[s]) for s in FlightStatus if s in self.failed]
-        if self.nonfinite:
-            counts.append(("non-finite image", self.nonfinite))
-        by_status = ", ".join(f"{name} {n}" for name, n in counts)
-        return (
-            f"{self.escaped} escaped, "
-            f"{sum(self.failed.values()) + self.nonfinite} stopped by a failed flight, "
+        return self.annotate(
+            f"{self.escaped} escaped, {self.failures()} stopped by a failed flight, "
             f"{self.exhausted} reached {_DIABOLO_CAP} iterations; "
             f"at most {max(self.iterations, default=0)} iterations"
-            + (f" (failed flights: {by_status})" if by_status else "")
         )
 
 
@@ -464,10 +489,8 @@ def _iterate_seeds(system, seeds, report):
     for current in seeds:
         iterations = 0
         for _ in range(_DIABOLO_CAP):
-            try:
-                current = return_map_numeric(system, current)
-            except IntegrationFailure as exc:
-                report.failed[exc.status] = report.failed.get(exc.status, 0) + 1
+            current = report.run(return_map_numeric, system, current)
+            if current is None:
                 break
             if not (math.isfinite(current[0]) and math.isfinite(current[1])):
                 report.nonfinite += 1
@@ -527,8 +550,7 @@ def check_diabolo(n_draws, n_systems, seeds_per_system, seed):
     outcomes = DiaboloReport()
     cone = DiaboloReport()
     twins = DiaboloReport()
-    worst_reversal = 0.0
-    reversal_failures = 0
+    reversal = _Tally()  # one map per system: its six X-fold flights
     for a, b, g in iteration_draws:
         system = build_normal_form(a, b, g, -1.0)
         starts = [
@@ -537,10 +559,9 @@ def check_diabolo(n_draws, n_systems, seeds_per_system, seed):
         ]
         _iterate_seeds(system, starts, outcomes)
         analysis = return_map_analysis(make_parameters(a, b, g, -1.0))
-        try:
-            worst_reversal = _worst(worst_reversal, _reversal_residual(system, analysis))
-        except IntegrationFailure:
-            reversal_failures += 1
+        residual = reversal.run(_reversal_residual, system, analysis)
+        if residual is not None:
+            reversal.fold("diabolo reversibility", residual)
         for vector, report in ((analysis.v_contracting, cone), (analysis.v_expanding, twins)):
             vx, vy = vector
             starts = [(s * r * vx, s * r * vy) for r in _CONE_RADII for s in (1.0, -1.0)]
@@ -557,14 +578,12 @@ def check_diabolo(n_draws, n_systems, seeds_per_system, seed):
             f"{len(outcomes.iterations)} iterated unstable-sliding seeds: "
             + outcomes.outcomes(),
         ),
-        CheckResult(
+        reversal.row(
             "diabolo reversibility",
-            reversal_failures == 0 and worst_reversal <= _REVERSIBILITY_TOL,
-            worst_reversal,
             _REVERSIBILITY_TOL,
             f"{n_systems} systems, X-fold images of points at r in "
             f"{_REVERSIBILITY_RADII} along the expanding direction; "
-            f"{reversal_failures} systems with a failed fold map",
+            f"{reversal.failures()} systems with a failed fold map",
         ),
         CheckResult(
             "diabolo contracting cone",
@@ -588,7 +607,8 @@ def check_parabolic_coefficients(n, seed):
     converges to -2(a+b)(ab-g) and 2a(a+b)-g, and to the coefficients
     ``parabolic_transversality`` reports."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    name = "parabolic transversality coefficients"
+    tally = _Tally()  # one fold per compared draw
     for _ in range(n):
         g = -rng.uniform(0.2, 3.0)
         a = rng.uniform(-2.0, 2.0)
@@ -609,25 +629,19 @@ def check_parabolic_coefficients(n, seed):
             u1, w1 = f0(x - 2.0 * a * y, -y)
             return u0 * -w1 - w0 * (u1 - 2.0 * a * w1)
 
+        errors = []
         for th in np.linspace(0.4, math.pi - 0.4, 7):
             x, y = _PARABOLIC_RADIUS * math.cos(th), _PARABOLIC_RADIUS * math.sin(th)
             d = d_num(x, y) / (y * y)
-            worst = _worst(worst, abs(d - d_exact) / abs(d_exact),
-                           abs(d - coeffs.D_coeff) / abs(d_exact))
+            errors += [abs(d - d_exact) / abs(d_exact), abs(d - coeffs.D_coeff) / abs(d_exact)]
         for y in (_PARABOLIC_RADIUS, -_PARABOLIC_RADIUS):
             fx, fy = f0(-2.0 * a * y, -y)
             t_num = (fx * 1.0 + fy * (-2.0 * a)) / y
-            worst = _worst(worst, abs(t_num - t_exact) / abs(t_exact),
-                           abs(t_num - coeffs.T_coeff) / abs(t_exact))
-    return [
-        CheckResult(
-            "parabolic transversality coefficients",
-            worst <= _PARABOLIC_REL_TOL,
-            worst,
-            _PARABOLIC_REL_TOL,
-            f"{n} parameter draws, radius {_PARABOLIC_RADIUS:g}",
-        )
-    ]
+            errors += [abs(t_num - t_exact) / abs(t_exact),
+                       abs(t_num - coeffs.T_coeff) / abs(t_exact)]
+        tally.fold(name, *errors)
+    return [tally.row(name, _PARABOLIC_REL_TOL,
+                      f"{tally.folds[name]} parameter draws, radius {_PARABOLIC_RADIUS:g}")]
 
 
 # ---------------------------------------------------------------------------
@@ -701,11 +715,7 @@ def check_sliding_tangency(n_sims, seed):
     ``_STICK_SLIP_RUNS`` dry-friction systems, which leave sliding at x = F,
     follow them; the exit check fails unless some segment exits."""
     rng = np.random.default_rng(seed)
-    worst_entry = 0.0
-    worst_field = 0.0
-    worst_outside = 0.0
-    entries = 0
-    sliding_samples = 0
+    tally = _Tally()
     exits = 0
     bad_exits = 0
     for system, p0, horizon in _sliding_runs(rng, n_sims):
@@ -718,16 +728,14 @@ def check_sliding_tangency(n_sims, seed):
             if seg.mode is not Mode.SLIDING:
                 continue
             if before is not None:  # a flow segment that enters sliding
-                entries += 1
-                worst_entry = _worst(worst_entry, abs(before.points[-1][2]))
+                tally.fold("sliding entry |z|", abs(before.points[-1][2]))
             for x, y, _ in seg.points:
-                sliding_samples += 1
                 a, c = xf(x, y, 0.0), yf(x, y, 0.0)
                 for got, ref in zip(sliding_field(x, y), (normalized.px, normalized.py)):
                     value = ref.eval(x, y, 0.0)
                     error = abs(got * (c - a) - value) / (1.0 + abs(value))
-                    worst_field = _worst(worst_field, error)
-                worst_outside = _worst(worst_outside, a, -c)
+                    tally.fold("sliding field vs normalized field", error)
+                tally.fold("sliding region membership", a, -c)
             if seg.terminal is FlightStatus.MODE_SWITCH:
                 exits += 1
                 x, y, _ = seg.points[-1]
@@ -736,28 +744,14 @@ def check_sliding_tangency(n_sims, seed):
                 visible_y = abs(yf(*q)) <= _SLIDING_TOL and system.y2f.eval_at(q) < 0.0
                 if not (visible_x or visible_y):
                     bad_exits += 1
+    samples = tally.folds["sliding region membership"]  # one fold per sliding sample
     return [
-        CheckResult(
-            "sliding entry |z|",
-            worst_entry <= _SLIDING_TOL and entries > 0,
-            worst_entry,
-            _SLIDING_TOL,
-            f"worst |z| over {entries} entries into sliding",
-        ),
-        CheckResult(
-            "sliding field vs normalized field",
-            worst_field <= _SLIDING_TOL and sliding_samples > 0,
-            worst_field,
-            _SLIDING_TOL,
-            f"worst relative error over {sliding_samples} sliding samples",
-        ),
-        CheckResult(
-            "sliding region membership",
-            worst_outside <= _SLIDING_TOL and sliding_samples > 0,
-            worst_outside,
-            _SLIDING_TOL,
-            f"worst max(Xf, -Yf) over {sliding_samples} sliding samples",
-        ),
+        tally.row("sliding entry |z|", _SLIDING_TOL,
+                  f"worst |z| over {tally.folds['sliding entry |z|']} entries into sliding"),
+        tally.row("sliding field vs normalized field", _SLIDING_TOL,
+                  f"worst relative error over {samples} sliding samples"),
+        tally.row("sliding region membership", _SLIDING_TOL,
+                  f"worst max(Xf, -Yf) over {samples} sliding samples"),
         CheckResult(
             "sliding exits at visible folds",
             bad_exits == 0 and exits > 0,
@@ -896,16 +890,15 @@ def check_sliding_atlas(resolution):
 
 def _involution_row(system, side, point, seeds):
     """The fold map of an invisible fold, applied twice, returns each seed."""
-    worst = 0.0
-    failures = 0
+    name = f"{side}-fold involution"
+    flights = _Tally()
     for q in seeds:
-        try:
-            back = fold_map_numeric(system, side, fold_map_numeric(system, side, q))
-            worst = _worst(worst, math.hypot(back[0] - q[0], back[1] - q[1]))
-        except IntegrationFailure:
-            failures += 1
-    return CheckResult(f"{side}-fold involution", failures == 0 and worst <= _DOUBLE_TOL,
-                       worst, _DOUBLE_TOL, f"{failures} failed flights" if failures else "")
+        back = flights.run(
+            lambda p: fold_map_numeric(system, side, fold_map_numeric(system, side, p)), q
+        )
+        if back is not None:
+            flights.fold(name, math.hypot(back[0] - q[0], back[1] - q[1]))
+    return flights.row(name, _DOUBLE_TOL, "")
 
 
 def _non_return_row(system, side, point, seeds):
@@ -913,15 +906,12 @@ def _non_return_row(system, side, point, seeds):
     where the field enters the plane is first mirrored through ``point``,
     across the fold line, to where it leaves."""
     field, leaving = (system.X, 1.0) if side == "X" else (system.Y, -1.0)
-    returned = 0
+    flights = _Tally()
     for q in seeds:
         if field.cz.eval(q[0], q[1], 0.0) * leaving < 0.0:
             q = (2.0 * point[0] - q[0], 2.0 * point[1] - q[1])
-        try:
-            fold_map_numeric(system, side, q)
-            returned += 1
-        except IntegrationFailure:
-            pass
+        flights.run(fold_map_numeric, system, side, q)
+    returned = len(seeds) - flights.failures()
     return CheckResult(f"{side}-fold non-return", returned == 0, float(returned), 0.0,
                        f"{returned} of {len(seeds)} flights returned")
 
@@ -967,22 +957,19 @@ def check_system(system, point, seed):
     if sub is not FoldFoldSubtype.INVISIBLE:
         return results
 
-    try:
-        jac = jacobian_numeric(
-            lambda q: return_map_numeric(system, q), (point[0], point[1]), _JACOBIAN_STEP
-        )
+    flights = _Tally()
+    jac = flights.run(jacobian_numeric, lambda q: return_map_numeric(system, q),
+                      (point[0], point[1]), _JACOBIAN_STEP)
+    if jac is not None:
         det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
         tr = jac[0, 0] + jac[1, 1]
         trace = two_fold.analysis.trace  # set exactly for invisible two-folds
-        results += [
-            CheckResult("return-map determinant", abs(det - 1.0) <= _SYSTEM_DET_TOL,
-                        abs(det - 1.0), _SYSTEM_DET_TOL),
-            CheckResult("return-map trace vs normal parameters",
-                        abs(tr - trace) <= _SYSTEM_TRACE_TOL, abs(tr - trace), _SYSTEM_TRACE_TOL),
-        ]
-    except IntegrationFailure as exc:
-        results.append(CheckResult("return-map spectrum", False, 1.0, 0.0, str(exc)))
-    return results
+        flights.fold("return-map determinant", abs(det - 1.0))
+        flights.fold("return-map trace vs normal parameters", abs(tr - trace))
+    return results + [
+        flights.row("return-map determinant", _SYSTEM_DET_TOL, ""),
+        flights.row("return-map trace vs normal parameters", _SYSTEM_TRACE_TOL, ""),
+    ]
 
 
 # ---------------------------------------------------------------------------

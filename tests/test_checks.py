@@ -17,7 +17,7 @@ from foldatlas.integrator import (
     TrajectorySegment,
 )
 from foldatlas.foldfold import _eigvec2
-from foldatlas.system import PiecewiseSystem, build_normal_form
+from foldatlas.system import Box, PiecewiseSystem, build_normal_form
 
 
 def _by_name(results, name):
@@ -315,6 +315,17 @@ class TestSystemRows:
             skipped = results[0].detail.split("; not applicable: ")[1].split(", ")
             assert sorted(rows + skipped) == sorted(self.ALL)
 
+    def test_failed_flights_fail_an_involution_row(self):
+        # in a box of side 0.02 some fold flights leave their guard cube and
+        # the others return within the bound: the failed ones alone fail the row
+        normal = build_normal_form(3.0, 0.5, 1.0, -1.0)
+        system = PiecewiseSystem(normal.X, normal.Y, Box(-0.01, 0.01, -0.01, 0.01, -0.01, 0.01))
+        results = checks.check_system(system, (0.0, 0.0, 0.0), 0)
+        for name, failed in (("X-fold involution", 24), ("Y-fold involution", 15)):
+            row = _by_name(results, name)
+            assert not row.passed and row.residual <= row.threshold
+            assert row.detail == f"(failed flights: left-box {failed})"
+
     @pytest.mark.parametrize("flip,sign,delta,failing", [
         ("X", 1.0, 1.0, "X-fold involution"),
         ("X", -1.0, 1.0, "X-fold involution"),
@@ -357,7 +368,10 @@ class TestNonFiniteResiduals:
     """A numeric primitive that returns NaN fails every row that reads it:
     ``max`` drops a NaN residual, so the rows fold residuals with
     ``_worst``, a non-finite residual never passes, and a non-finite
-    return-map image is a failed flight, not an escape."""
+    return-map image is a failed flight, not an escape.  A primitive that
+    raises ``IntegrationFailure`` raises out of no check: it fails the same
+    rows, except those where a failed flight is an outcome, and each names
+    the flight's status."""
 
     CHECKS = {  # group -> the rows of a small run
         "involutions": lambda: checks.check_involution_ground_truth(
@@ -411,6 +425,14 @@ class TestNonFiniteResiduals:
         ),
     }
 
+    # Rows where a failed flight is an outcome, not a failure: a seed stopped
+    # by one, and a visible fold's flight that does not come back.
+    FAILED_FLIGHT_IS_OUTCOME = {
+        ("diabolo", "diabolo sliding separation"),
+        ("visible system", "X-fold non-return"),
+        ("visible system", "Y-fold non-return"),
+    }
+
     def _rows(self):
         return {(group, r.name): r for group, run in self.CHECKS.items() for r in run()}
 
@@ -418,10 +440,9 @@ class TestNonFiniteResiduals:
         rows = self._rows()
         assert all(r.passed for r in rows.values()), [r.row() for r in rows.values()]
 
-    @pytest.mark.parametrize("primitive", list(PATCHES))
-    def test_nan_primitive_fails_its_readers(self, monkeypatch, primitive):
-        make_fake, readers = self.PATCHES[primitive]
-        fake = make_fake(getattr(integrator, primitive))
+    def _failing_rows(self, monkeypatch, primitive, fake, readers):
+        """The rows of every check with ``primitive`` replaced by ``fake``;
+        exactly ``readers`` fail."""
         # integrator.return_map_numeric calls the fold map through its module
         for module in (checks, integrator):
             monkeypatch.setattr(module, primitive, fake)
@@ -432,6 +453,23 @@ class TestNonFiniteResiduals:
         for r in rows.values():
             if not math.isfinite(r.residual):
                 assert r.detail.startswith("non-finite residual"), r.row()
+        return [rows[key] for key in failed]
+
+    @pytest.mark.parametrize("primitive", list(PATCHES))
+    def test_nan_primitive_fails_its_readers(self, monkeypatch, primitive):
+        make_fake, readers = self.PATCHES[primitive]
+        self._failing_rows(monkeypatch, primitive, make_fake(getattr(integrator, primitive)),
+                           readers)
+
+    # filippov_trajectory ends a failed flight with its status and never raises.
+    @pytest.mark.parametrize("primitive", [p for p in PATCHES if p != "filippov_trajectory"])
+    def test_raising_primitive_fails_its_readers(self, monkeypatch, primitive):
+        def time_out(*args):
+            raise IntegrationFailure(FlightStatus.TIME_OUT)
+
+        readers = self.PATCHES[primitive][1] - self.FAILED_FLIGHT_IS_OUTCOME
+        for r in self._failing_rows(monkeypatch, primitive, time_out, readers):
+            assert "time-out" in r.detail, r.row()
 
     def test_nan_image_is_a_failed_flight(self, monkeypatch):
         monkeypatch.setattr(checks, "return_map_numeric", lambda s, q: (math.nan, 0.0))
@@ -535,6 +573,25 @@ class TestParabolicAgainstLibrary:
         (row,) = checks.check_parabolic_coefficients(n=10, seed=70)
         assert not row.passed
         assert row.residual > 1.0
+
+    def test_reports_the_draws_it_compared(self, monkeypatch):
+        # seed 18 skips one of its 5 draws (|D| or |T| < 1e-2)
+        compared = []
+        real = checks.parabolic_transversality
+
+        def recording(params):
+            compared.append(params)
+            return real(params)
+
+        monkeypatch.setattr(checks, "parabolic_transversality", recording)
+        (row,) = checks.check_parabolic_coefficients(n=5, seed=18)
+        assert row.passed and len(compared) == 4
+        assert row.detail == "4 parameter draws, radius 0.001"
+
+    def test_no_draw_compared_fails(self):
+        (row,) = checks.check_parabolic_coefficients(n=0, seed=18)
+        assert not row.passed
+        assert row.detail == "0 parameter draws, radius 0.001"
 
 
 class TestSettableValues:

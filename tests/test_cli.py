@@ -14,7 +14,7 @@ import foldatlas
 from foldatlas import checks, sigma
 from foldatlas.algebra import Poly3, VectorField3
 from foldatlas.cli import SweepSpec, _jsonable, main, run_sweep
-from foldatlas.errors import BoxRangeError, EmptyBoxError
+from foldatlas.errors import BoxRangeError, EmptyBoxError, IntegrationFailure
 from foldatlas.foldfold import (
     FixedPointClass,
     make_parameters,
@@ -23,7 +23,7 @@ from foldatlas.foldfold import (
     sliding_region_class,
     surface_point_report,
 )
-from foldatlas.integrator import filippov_trajectory
+from foldatlas.integrator import FlightStatus, filippov_trajectory
 from foldatlas.sigma import FoldFoldSubtype
 from foldatlas.system import (
     Box, PiecewiseSystem, build_normal_form, load_system, serialize_system,
@@ -566,6 +566,19 @@ class TestVerify:
         out = capsys.readouterr().out
         assert rc == 0
         assert "PASS" in out
+
+    def test_failed_fold_map_fails_its_rows(self, monkeypatch, capsys):
+        # a failed flight of criterion 4 is counted in both of its rows, not
+        # raised out of verify
+        def time_out(system, side, q):
+            raise IntegrationFailure(FlightStatus.TIME_OUT)
+
+        monkeypatch.setattr(checks, "fold_map_numeric", time_out)
+        assert main(["verify", "--suite", "involutions", "--scale", "0.01"]) == 4
+        rows = capsys.readouterr().out.splitlines()
+        for name in ("fold-map ground truth", "fold-map involutivity"):
+            (row,) = [r for r in rows if r.startswith(f"FAIL  {name}: ")]
+            assert row.endswith(" (failed flights: time-out 20)")
 
     def test_system_mode_pass(self, elliptic_file, capsys):
         rc = main(["verify", elliptic_file, "--suite", "none"])
