@@ -8,15 +8,16 @@ II.6), at no field evaluation and to the interpolant's floating-point
 resolution, and polished on re-integrated states down to ``1e-3 *
 _EVENT_TOL`` where possible.  The plane z = 0 is located in its driver, on
 the interpolant's z-component alone, by one step re-run from the bracket
-start; only when that misses the goal does the locator take over and polish
-by Newton with the field's z-component, dz/dt = f_z, as slope.  The sliding
-events evaluate the whole interpolated state and polish by secant steps.  A
-bisection from the bracket start guarantees |g| <= ``_EVENT_TOL`` when the
-polish falls short.  The returned event state is always re-integrated.
+start; only when that misses the goal does the locator take over, from that
+root and step, and polish by Newton with the field's z-component, dz/dt =
+f_z, as slope.  The sliding events evaluate the whole interpolated state
+and polish by secant steps.  A bisection from the bracket start guarantees
+|g| <= ``_EVENT_TOL`` when the polish falls short.  The returned event state
+is always re-integrated.
 
 Every step is generated from one template over the tableau, on unpacked
-scalars with the sums in tableau order, and computes its scaled error norm
-rather than the error vector.  Only the stage evaluations vary; the code
+scalars with the sums of the nonzero weights in tableau order, and computes
+its scaled error norm rather than the error vector.  Only the stage evaluations vary; the code
 writes the field out inline in each of them.  A polynomial component that
 is one constant, or zero, is the same at every stage, so its weighted sums
 are added up once per coefficient binding.  The loop that drives the
@@ -48,6 +49,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 from operator import itemgetter
 
 from .algebra import lie_derivative, shape_source
@@ -130,9 +132,9 @@ _ROWS = {**{f"w{n}": row for n, row in enumerate(_A, start=2)}, "wb": _B, "we": 
 
 
 def _weighted(row, k):
-    """``(0.0 + w1 * k(1) + w2 * k(2) + ...)`` over the weights ``row``, in
-    tableau order, zero weights included."""
-    return "(0.0" + "".join(f" + {w!r} * {k(j)}" for j, w in enumerate(row, start=1)) + ")"
+    """``(w1 * k(1) + w3 * k(3) + ...)`` over the nonzero weights of ``row``,
+    in tableau order, starting with the first term."""
+    return "(" + " + ".join(f"{w!r} * {k(j)}" for j, w in enumerate(row, start=1) if w) + ")"
 
 
 def _step_body(dim, stage, const):
@@ -145,14 +147,16 @@ def _step_body(dim, stage, const):
     ``stage(args, outs)`` gives the lines that set the names ``outs`` to the
     field at the state expressions ``args``, skipping a None name; it is the
     only part that varies between kernels.  ``kSi`` is component ``i`` of
-    stage ``S``.  Every weighted sum adds its terms in tableau order starting
-    from 0.0, zero weights included, so a step matches the generic tableau
-    loop kept in tests/test_integrator.py bit for bit.  A component ``i`` in
+    stage ``S``.  Every weighted sum adds the terms of its nonzero weights in
+    tableau order, starting with the first term, so a step matches the
+    generic tableau loop kept in tests/test_integrator.py bit for bit; a
+    stage that only zero weights meet (k2 in the fifth-order and error rows)
+    is not read there.  A component ``i`` in
     ``const`` has the same value at every stage, so each of its sums is the
     same float at every step: the step reads it as ``<name>_i``, bound once
     by ``_constant_sums``, and stages 2-6 leave ``kSi`` unset.  ``err_norm``
     is the RMS of the error components ``ri``, each scaled by ``_ABS_TOL +
-    _REL_TOL * max(|y|, |y_new|)`` and summed in order from 0.0.
+    _REL_TOL * max(|y|, |y_new|)``, their squares summed in order.
     """
     comps = range(dim)
 
@@ -173,7 +177,7 @@ def _step_body(dim, stage, const):
             f"r{i} = {weighted('we', i)} / (abs_tol + rel_tol * (b{i} if b{i} > a{i} else a{i}))",
         ]
     squares = " + ".join(f"r{i} * r{i}" for i in comps)
-    return lines + [f"err_norm = sqrt((0.0 + {squares}) / {dim})"]
+    return lines + [f"err_norm = sqrt(({squares}) / {dim})"]
 
 
 def _constant_sums(const, exprs):
@@ -218,12 +222,15 @@ def _drive_lines(dim, stage, const, params, events, guard):
     ``_MAX_STEPS`` attempts are spent, with the decisions and arithmetic of
     the reference loop in tests/test_integrator.py.  It returns ``(status,
     t, point, accepted, rejected, bracket)``; on HIT_SIGMA the bracket is the
-    step ``(y, k1, y_new, k_last, h, fired)`` from ``(t, point)``, with one
-    ``(index, g_before, g_after)`` per fired event, for ``_fly`` to locate.
-    A one-event driver's event must be a state component (the plane).  It
-    re-runs the step from its start to the root of ``_plane_root``, if
-    inside it; a state that passes ``_eval_within_step``'s test and
-    ``_STRETCH_GOAL`` is ``_refine_event``'s answer, returned with no bracket.
+    step ``(y, k1, y_new, k_last, h, fired, first)`` from ``(t, point)``,
+    with one ``(index, g_before, g_after)`` per fired event, for ``_fly`` to
+    locate.  A one-event driver's event must be a state component (the
+    plane).  It re-runs the step from its start to the root of
+    ``_plane_root``, if inside it; a state that passes
+    ``_eval_within_step``'s test and ``_STRETCH_GOAL`` is ``_refine_event``'s
+    answer, returned with no bracket.  Otherwise ``first`` hands the root on
+    to ``_refine_event``, with that state if it passed the test; it is None
+    where no root was taken, and for the other drivers.
 
     An event ``(value, arm_eps, sign)`` is the expression ``value(names)`` at
     the state ``names``, which may also read what the last ``stage`` set.  It
@@ -286,19 +293,23 @@ def _drive_lines(dim, stage, const, params, events, guard):
             f"    fired{j} = {f'now{j} * {sign} < 0' if sign else 'False'}",
         ]
     js = range(len(events))
-    bracket = f"(({y},), ({k1},), ({n},), ({k7},), h, fired)"
+    ends = f"({y},), ({k1},), ({n},), ({k7},), h, fired"
+    bracket = f"({ends}, None)"
     fired = "".join(f"(fired{j}, {j}, last{j}, now{j}), " for j in js)
     hit = [f"fired = tuple((j, g0, g1) for hit, j, g0, g1 in ({fired}) if hit)"]
     if len(events) == 1:  # a state component: the event reads its names off each state's
         z0, z1, kz0, kz1 = (events[0][0](_names(p, dim)) for p in ("y", "n", "k1", "k7"))
-        hit = ["fired = ((0, last0, now0),)", f"bracket = {bracket}", "if last0 * now0 < 0.0:",
+        hit = ["fired = ((0, last0, now0),)", f"bracket = ({ends})", "first = None",
+               "if last0 * now0 < 0.0:",
                f"    dt = _plane_root({z0}, {z1}, {kz0}, {kz1}, h, last0, now0)",
-               "    if 0.0 < dt < h:", "        h = dt",
+               "    first = (dt, None)", "    if 0.0 < dt < h:", "        h = dt",
                *("        " + line for line in _step_body(dim, stage, const)),
-               f"        if (err_norm <= 1.0 or h < 1e-15) and abs({z1}) <= _STRETCH_GOAL:",
-               f"            return FlightStatus.HIT_SIGMA, t + h, ({n},), steps - rejected, "
-               "rejected, None"]
-        bracket = "bracket"
+               "        if err_norm <= 1.0 or h < 1e-15:",
+               f"            if abs({z1}) <= _STRETCH_GOAL:",
+               f"                return FlightStatus.HIT_SIGMA, t + h, ({n},), steps - rejected, "
+               "rejected, None",
+               f"            first = (dt, ({n},))"]
+        bracket = "bracket + (first,)"
     loop += [
         f"if {' or '.join(f'fired{j}' for j in js)}:",
         *("    " + line for line in hit),
@@ -534,10 +545,13 @@ def _interpolant_root(event, y0, k0, y1, k1, h, g0, g1):
     return t
 
 
-def _refine_event(f, step, event, y_left, k_left, y_right, k_right, h, g_left, g_right):
+def _refine_event(f, step, event, y_left, k_left, y_right, k_right, h, g_left, g_right, first):
     """Locate the event inside the accepted step from ``(y_left, k_left)``
     to ``(y_right, k_right)``, where g is ``g_left`` and ``g_right``;
-    returns ``(dt, state, g)``.
+    returns ``(dt, state, g)``.  ``first`` is None, or the interpolant root
+    that the plane driver took and its re-integrated state there (None when
+    the driver's step to it failed the error test, which
+    ``_eval_within_step`` would split).
 
     The event time is first found on the step's cubic Hermite interpolant
     (to its floating-point resolution, at no field evaluation), and the
@@ -550,7 +564,8 @@ def _refine_event(f, step, event, y_left, k_left, y_right, k_right, h, g_left, g
     start takes over.  Every candidate is a re-integrated state, never an
     interpolated one; one whose re-integration divides by zero (see
     ``_probe``) closes the bracket from above.  The plane event comes here
-    only when the driver's own first probe, repeated here, missed the goal.
+    only when the driver's own first probe, handed on as ``first``, missed
+    the goal.
     """
     lo, hi = 0.0, h
     g_lo = g_left
@@ -561,11 +576,12 @@ def _refine_event(f, step, event, y_left, k_left, y_right, k_right, h, g_left, g
     else:
         lo_sign = float(event.expected_sign) or -math.copysign(1.0, g_right)
     best = None
-    dt = math.nan
-    if g_lo * g_right < 0.0:
+    dt, y_c = first or (math.nan, None)
+    if first is None and g_lo * g_right < 0.0:
         dt = _interpolant_root(event, y_left, k_left, y_right, k_right, h, g_lo, g_right)
     if 0.0 < dt < h:
-        y_c, v = _probe(f, step, event, y_left, k_left, dt)
+        y_c, v = (_probe(f, step, event, y_left, k_left, dt) if y_c is None
+                  else (y_c, event.fn(y_c)))
         if y_c is not None:
             best = (dt, y_c, v)
         # The first secant partner is the bracket end across the root.
@@ -615,11 +631,11 @@ def _fly(f, step, events, drive, *args):
     if bracket is None:
         event = events[0].name if status is FlightStatus.HIT_SIGMA else None
         return FlightResult(status, point, t, event, accepted, rejected)
-    y, k1, y_new, k_last, h, fired = bracket
+    y, k1, y_new, k_last, h, fired, first = bracket
     hit = None
     for j, last, g in fired:
         ev = events[j]
-        found = _refine_event(f, step, ev, y, k1, y_new, k_last, h, last, g)
+        found = _refine_event(f, step, ev, y, k1, y_new, k_last, h, last, g, first)
         if hit is None or found[0] < hit[1]:
             hit = (ev, found[0], found[1])
     ev, dt, y_ev = hit
@@ -874,10 +890,11 @@ def filippov_trajectory(system, p0, horizon, cfg=None):
 
 
 def _append_segment(traj, t_offset, samples, mode, terminal):
-    """Append one flight's ``(t, *state)`` samples; sliding states (x, y)
-    get z = 0.0."""
+    """Append one flight's ``(t, *state)`` samples, rows of one width, read
+    flat; sliding states (x, y) get z = 0.0."""
     import numpy as np  # loaded here and for the numeric Jacobian only
-    rows = np.array(samples)
-    points = np.zeros((len(rows), 3))
-    points[:, :rows.shape[1] - 1] = rows[:, 1:]
+    n, width = len(samples), len(samples[0])
+    rows = np.fromiter(chain.from_iterable(samples), float, n * width).reshape(n, width)
+    points = np.zeros((n, 3))
+    points[:, :width - 1] = rows[:, 1:]
     traj.segments.append(TrajectorySegment(mode, t_offset + rows[:, 0], points, terminal))

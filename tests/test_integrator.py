@@ -43,17 +43,20 @@ _DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 
 
 
 def _plain_sum(terms):
-    # sum() of floats up to Python 3.11: left to right, starting from 0
-    # (Python 3.12 compensates, which would move the last bits).
-    acc = 0
+    # Left to right, starting with the first term: no seed, which would turn
+    # a sum of -0.0 terms into +0.0 (and Python 3.12's sum() compensates,
+    # which would move the last bits).
+    terms = iter(terms)
+    acc = next(terms)
     for t in terms:
         acc = acc + t
     return acc
 
 
 def _ref_stage(y, h, ks, coeffs):
+    # a zero weight's term is not added: its stage is not read
     return tuple(
-        yi + h * _plain_sum(c * k[i] for c, k in zip(coeffs, ks))
+        yi + h * _plain_sum(c * k[i] for c, k in zip(coeffs, ks) if c)
         for i, yi in enumerate(y)
     )
 
@@ -65,7 +68,7 @@ def _ref_rk_step(f, y, h, k1):
     y_new = _ref_stage(y, h, ks, _DP_B)
     ks.append(f(*y_new))
     err = tuple(
-        h * _plain_sum(e * k[i] for e, k in zip(_DP_E, ks)) for i in range(len(y))
+        h * _plain_sum(e * k[i] for e, k in zip(_DP_E, ks) if e) for i in range(len(y))
     )
     return y_new, ks[6], err
 
@@ -232,7 +235,8 @@ def _ref_integrate(f, step, y0, events, t_limit, outside=None, h0=None, collect=
             else:
                 crossed = v * ev.expected_sign < 0
             if crossed:
-                found = integrator._refine_event(f, step, ev, y, k1, y_new, k_last, h, ev.last, v)
+                found = integrator._refine_event(f, step, ev, y, k1, y_new, k_last, h, ev.last, v,
+                                                 None)
                 if hit is None or found[0] < hit[1]:
                     hit = (ev, found[0], found[1])
             ev.last = v
@@ -417,7 +421,8 @@ class TestStepperBitwise:
 
     def test_polynomial_overflow_meets_zero_weights(self):
         # The cubic x*y*z is finite at the state and infinite from the
-        # second stage on; the zero weights b2 and e2 turn it into NaN.
+        # second stage on; stages 3-6 meet weights of both signs, whose
+        # infinite terms add up to NaN.
         field = VectorField3(Poly3.constant(1.0), Poly3.zero(), Poly3({(1, 1, 1): 1.0}))
         f = field.compiled()
         step = integrator._flight_kernel(field)[1]
@@ -460,10 +465,10 @@ class TestStepperBitwise:
                 self._assert_same(self._call(f2), f2, y, h)
 
     def test_negative_zero_component(self):
-        # From y = -0.0 the field keeps every component but r at -0.0, so
-        # only the sum's start from 0 makes the second stage's components
-        # +0.0; component r reads their signs back through copysign, so they
-        # reach the outputs.
+        # From y = -0.0 the field keeps every component but r at -0.0, and
+        # a sum of -0.0 terms stays -0.0 (a sum started from 0 would turn
+        # it into +0.0); component r reads the stages' signs back through
+        # copysign, so they reach the outputs.
         def field(dim, r):
             def f(*s):
                 k = [-abs(v) for v in s]
@@ -481,7 +486,8 @@ class TestStepperBitwise:
     def test_non_finite_stage_meets_zero_weights(self):
         # Component j of k2 alone is infinite: the field moves the state
         # along component d, and only the second stage lands in the window.
-        # The zero weights b2 and e2 turn it into NaN, as the loop does.
+        # Only the zero weights b2 and e2 meet k2 in the new state and the
+        # error, and a stage with zero weight is not read, as in the loop.
         def field(dim, j, d):
             def f(*s):
                 k = [0.0] * dim
@@ -498,7 +504,7 @@ class TestStepperBitwise:
                 y = (0.0,) * dim
                 self._assert_same(self._call(f), f, y, 1.0)
                 y_new, _, norm = _rk_step(f, y, 1.0, f(*y))
-                assert math.isnan(y_new[j]) and math.isnan(norm)
+                assert y_new[j] == 0.0 and math.isfinite(norm)
 
 
 class TestKernelCache:
@@ -575,15 +581,16 @@ class TestGeneratedSourcePinned:
     """SHA-256 of generated source: a shape with no constant component
     generates the step and drivers it did before the sums of constant
     components were bound once, apart from the plane driver's bracket,
-    which a single event builds as one tuple, and the plane driver's
-    epilogue, which locates the event with one more step body.  Pinned
-    here: the dry-friction oscillator of stick-slip runs, whose X has no
-    constant component, and its sliding field, with three events; the
-    flight kernel's evaluator ``field`` and its return line are pinned
-    apart from them."""
+    which a single event builds as one tuple, the plane driver's epilogue,
+    which locates the event with one more step body and hands its root on
+    in the bracket, and the weighted sums, which add the terms of nonzero
+    weights only, starting with the first.  Pinned here: the dry-friction
+    oscillator of stick-slip runs, whose X has no constant component, and
+    its sliding field, with three events; the flight kernel's evaluator
+    ``field`` and its return line are pinned apart from them."""
 
-    FLIGHT = "13a733f0712280976a7ade9e60db71252aabf60fdd6eff095de5cde93ec0b90b"
-    SLIDING = "6308e2d564f36dc8245c3e4062d280c7ed0a74dffdff9832ac733de69d08d0c2"
+    FLIGHT = "9851cfd0cc313f40b9600e087787aaeeb6ea0e832d77e4ce4d22f5e3ae87e2cc"
+    SLIDING = "8b6d3d48e34ff095a8a9ad1ed4efea2d811378156cca46cb3df6e05fb2cf93d8"
 
     @staticmethod
     def _sha(text):
@@ -601,6 +608,36 @@ class TestGeneratedSourcePinned:
         assert self._sha("    def step(" + body) == self.FLIGHT
         shapes = system.X.shape()[0] + system.Y.shape()[0]
         assert self._sha(_generated_source(integrator._sliding_factory, shapes)) == self.SLIDING
+
+
+class TestNonzeroWeightsOnly:
+    """Every weighted sum adds the terms of its nonzero weights only,
+    starting with the first term: no generated step multiplies a zero
+    weight (b2 and e2 of the tableau) or starts a sum from 0.0."""
+
+    @staticmethod
+    def _assert_unseeded(source):
+        assert "0.0 *" not in source and "(0.0 +" not in source
+
+    def test_flight_and_sliding_kernels(self):
+        system = dry_friction()[0]
+        fields = [
+            const_field(1.0, -0.5, 0.3),  # every component constant
+            VectorField3(Poly3.constant(1.0), Poly3.zero(), Poly3({(1, 1, 1): 1.0})),  # mixed
+            system.X,  # no constant component
+        ]
+        assert [len(_constant_components(fld)) for fld in fields] == [3, 2, 0]
+        for fld in fields:
+            self._assert_unseeded(_generated_source(integrator._flight_factory, fld.shape()[0]))
+        shapes = system.X.shape()[0] + system.Y.shape()[0]
+        self._assert_unseeded(_generated_source(integrator._sliding_factory, shapes))
+
+    def test_constant_sums(self):
+        lines = integrator._constant_sums([0, 1, 2], ["c0", "0.0", "-c1"])
+        assert len(lines) == 3 * len(integrator._ROWS)
+        self._assert_unseeded("\n".join(lines))
+        # the fifth-order row has five nonzero weights, the error row six
+        assert [line.count(" * ") for line in lines if line.startswith(("wb_0", "we_0"))] == [5, 6]
 
 
 class TestPowersAsProducts:
@@ -920,6 +957,43 @@ class TestReversibility:
             assert dist <= max(5.0 * r * r, 1e-9)
 
 
+class TestAppendSegment:
+    """A segment's arrays hold, bit for bit, what ``np.array(samples)``
+    makes of the samples: sliding rows (t, x, y) get z = 0.0, and the
+    times are shifted by the segment's start."""
+
+    # a NaN with a payload; -math.nan below has its sign bit set
+    PAYLOAD_NAN = struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000123))[0]
+
+    def _assert_same(self, samples, t_offset):
+        traj = integrator.Trajectory()
+        integrator._append_segment(traj, t_offset, samples, Mode.FLOW_PLUS,
+                                   FlightStatus.TIME_OUT)
+        (seg,) = traj.segments
+        rows = np.array(samples)
+        points = np.zeros((len(rows), 3))
+        points[:, :rows.shape[1] - 1] = rows[:, 1:]
+        assert seg.times.dtype == seg.points.dtype == np.float64
+        assert seg.times.tobytes() == (t_offset + rows[:, 0]).tobytes()
+        assert seg.points.tobytes() == points.tobytes()
+
+    def test_rows_keep_every_bit(self):
+        rng = np.random.default_rng(27)
+        special = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, self.PAYLOAD_NAN,
+                   5e-324, -1.7976931348623157e308]
+        for width in (3, 4):
+            for n in (1, 2, 7, 200):
+                samples = [tuple(float(v) for v in rng.normal(scale=10.0, size=width))
+                           for _ in range(n)]
+                for t_offset in (0.0, -0.0, 2.5):
+                    self._assert_same(samples, t_offset)
+                    self._assert_same(
+                        [tuple(rng.choice(special, size=width).tolist()) for _ in range(n)],
+                        t_offset)
+        # the one-row marker segment of a trajectory that stops at its start
+        self._assert_same([(0.0, 0.25, -0.0, 0.0)], 3.0)
+
+
 class TestTrajectory:
     def test_fall_and_slide(self):
         Z = PiecewiseSystem(const_field(1, 0, -1), const_field(0, 1, 1))
@@ -1225,7 +1299,7 @@ def _record_refinements(monkeypatch):
     events = []
     real_refine = integrator._refine_event
 
-    def refine(f, step, event, y_left, k_left, y_right, k_right, h, g_left, g_right):
+    def refine(f, step, event, y_left, k_left, y_right, k_right, h, g_left, g_right, first):
         counts = collections.Counter()
 
         def counted(*args):
@@ -1233,7 +1307,7 @@ def _record_refinements(monkeypatch):
             return step(*args)
 
         found = real_refine(f, counted, event, y_left, k_left, y_right, k_right, h, g_left,
-                            g_right)
+                            g_right, first)
         events.append((h, found, counts["steps"], event.name))
         return found
 
@@ -1349,8 +1423,8 @@ class TestPlaneRootOneComponent:
 
     def test_hot_normal_form_flights(self, monkeypatch):
         # every fold map's driver calls _plane_root on the bracketing step's
-        # z-component, and the locator calls it again through
-        # _interpolant_root for each return the driver hands over
+        # z-component, and hands the root on with each return it hands over,
+        # so the locator does not call it again
         calls, handed = [], []
         real, real_refine = integrator._plane_root, integrator._refine_event
 
@@ -1370,7 +1444,7 @@ class TestPlaneRootOneComponent:
                 fold_map_numeric(system, "Y", (x, y))
                 fold_map_numeric(system, "X", (x, y))
         monkeypatch.undo()
-        assert 0 < len(handed) < 32 and len(calls) == 32 + len(handed)
+        assert 0 < len(handed) < 32 and len(calls) == 32
         for z0, z1, kz0, kz1, h, g0, g1 in calls:
             assert (g0, g1) == (z0, z1)
             self._assert_same_root((0.0, 0.0, z0), (0.0, 0.0, kz0), (0.0, 0.0, z1),
@@ -1400,13 +1474,14 @@ class TestWorkCounts:
 
     def test_stick_slip_trajectory(self, monkeypatch, call_counts):
         # slide, slip below the plane, slide, slip to the horizon: 351
-        # accepted steps, one step to locate each sliding exit and three
-        # for the return to the plane, whose in-line probe in the driver
-        # misses the goal, so that the locator repeats it and polishes once
+        # accepted steps, one step to locate each sliding exit and two for
+        # the return to the plane, whose in-line probe in the driver misses
+        # the goal, so that the locator, handed the probe's state, polishes
+        # once
         counts = _count_kernel_steps(monkeypatch, call_counts(integrator, "_refine_event"))
         system, box = dry_friction()
         traj = filippov_trajectory(system, (0.2, 0.3, 0.0), 12.0, IntegratorConfig(box=box))
-        assert (counts["kernel_steps"], counts["_refine_event"]) == (356, 3)
+        assert (counts["kernel_steps"], counts["_refine_event"]) == (355, 3)
         assert [(seg.mode, seg.terminal, len(seg.times)) for seg in traj.segments] == [
             (Mode.SLIDING, FlightStatus.MODE_SWITCH, 20),
             (Mode.FLOW_MINUS, FlightStatus.MODE_SWITCH, 186),
@@ -1640,16 +1715,69 @@ class TestGeneratedDriver:
         first = []
         real = integrator._refine_event
 
-        def refine(f, step, event, y0, k0, y1, k1, h, g0, g1):
+        def refine(f, step, event, y0, k0, y1, k1, h, g0, g1, handed):
             dt = integrator._plane_root(y0[2], y1[2], k0[2], k1[2], h, g0, g1)
             first.append(abs(integrator._probe(f, step, event, y0, k0, dt)[1]))
-            return real(f, step, event, y0, k0, y1, k1, h, g0, g1)
+            return real(f, step, event, y0, k0, y1, k1, h, g0, g1, handed)
 
         monkeypatch.setattr(integrator, "_refine_event", refine)
         for q in points:
             fold_map_numeric(system, "Y", q)
         assert len(first) == 4
         assert all(integrator._STRETCH_GOAL < g <= integrator._EVENT_TOL for g in first)
+
+    def test_handed_over_root_is_taken_once(self, monkeypatch):
+        # The driver hands its plane root on, with the state of its step
+        # there when that step passed the error test: one _plane_root call
+        # per handed-over return, and the locator's answer is, bit for bit,
+        # the one it finds when it takes the root, or the step, itself.
+        system = hot_normal_form()
+        real_root, real_refine = integrator._plane_root, integrator._refine_event
+        roots, handed = [], []
+
+        def root(*args):
+            roots.append(args)
+            return real_root(*args)
+
+        def refine(*args):
+            found = real_refine(*args)
+            handed.append((args, found))
+            return found
+
+        monkeypatch.setattr(integrator, "_plane_root", root)
+        monkeypatch.setattr(integrator, "_refine_event", refine)
+        flights = []
+        for q in [(-0.2, 0.02), (-0.18, -0.04), (-0.08, 0.12), (0.16, 0.0)]:
+            roots.clear()
+            handed.clear()
+            fold_map_numeric(system, "Y", q)
+            assert len(roots) == 1 and len(handed) == 1
+            flights.append((roots[0], *handed[0]))
+        monkeypatch.undo()
+        for root_args, (*args, first), found in flights:
+            dt, state = first
+            assert _bits(dt) == _bits(real_root(*root_args)) and state is not None
+            for own in (None, (dt, None)):
+                dt_own, state_own, g_own = real_refine(*args, own)
+                assert _bits(dt_own, *state_own, g_own) == _bits(found[0], *found[1], found[2])
+
+    def test_probe_that_fails_the_error_test_hands_the_root_alone(self, monkeypatch):
+        # dx/dt = x**2 from x = 1e150 overflows in the first step, whose
+        # error norm is NaN (accepted) while z crosses the plane: the
+        # driver's probe step to the root has a NaN norm too, so the
+        # driver hands the root on without the probe's state, which
+        # _eval_within_step would split
+        field = VectorField3(Poly3({(2, 0, 0): 1.0}), Poly3.zero(), Poly3.constant(-1.0))
+        f, step, in_box = integrator._flight_kernel(field)
+        handed = []
+        monkeypatch.setattr(integrator, "_refine_event",
+                            lambda *args: handed.append(args) or (args[-1][0], args[3], 0.0))
+        start = (1e150, 0.0, 5e-5)
+        integrator._fly(f, step, integrator._SIGMA_EVENTS[1], in_box, start, 1.0, None, 1,
+                        _cube_box(start, math.inf), [])
+        ((*_, h, g0, g1, (dt, state)),) = handed
+        assert state is None and 0.0 < dt < h and g0 > 0.0 > g1
+        assert math.isnan(step(start, dt, f(*start))[2])
 
     @pytest.mark.parametrize("direction", [1, -1])
     def test_unarmed_shallow_arc_fires_on_the_far_side(self, direction):
@@ -1669,7 +1797,7 @@ class TestGeneratedDriver:
         real = integrator._refine_event
 
         def refine(*args):
-            located.append(args[-1])
+            located.append(args[9])  # g_right
             return real(*args)
 
         start = (0.0, 0.0, 0.39059999999999995)
