@@ -29,6 +29,9 @@ from .integrator import IntegratorConfig, filippov_trajectory
 from .sigma import default_tolerance, tangency_curves
 from .system import Box, _require_usable_box, load_system, validate
 
+# On Python 3.11 a class-attribute read of a member runs EnumType.__getattr__'s hook.
+_NONHYPERBOLIC_COMPLEX = FixedPointClass.NONHYPERBOLIC_COMPLEX
+
 
 def _jsonable(obj):
     if obj is None or isinstance(obj, (bool, int, str)):
@@ -174,11 +177,12 @@ class SweepSpec:
 def _sweep_row(coords, region, verdict, analysis):
     """One CSV row from a subtype core's (region, verdict, analysis);
     ``coords`` is its formatted "alpha,beta,gamma,delta,".  Enum ``_value_``
-    is read directly: ``Enum.value`` is a slow property."""
+    is read directly, as ``Enum.value`` is a slow property, and the one member
+    compared against is a module constant, as a class-attribute read is slow."""
     fp_class = tau = ""
     if analysis is not None:  # set exactly for invisible two-folds
         fp_class = analysis.fixed_point_class._value_
-        if analysis.fixed_point_class is FixedPointClass.NONHYPERBOLIC_COMPLEX:
+        if analysis.fixed_point_class is _NONHYPERBOLIC_COMPLEX:
             tau = repr(analysis.tau)
     reason = verdict.reason.kind._value_ if verdict.reason else ""
     return (

@@ -152,6 +152,12 @@ class EigvecLocation(Enum):
     ON_TANGENCY = "tangency"
 
 
+# On Python 3.11 a class-attribute read of a member runs EnumType.__getattr__'s hook.
+_SADDLE, _NONHYPERBOLIC_COMPLEX, _NONHYPERBOLIC_UNIT, _PARABOLIC_BOUNDARY = FixedPointClass
+_IN_CROSSING, _IN_SLIDING, _ON_TANGENCY = EigvecLocation
+_BOUNDARY = SlidingRegionTag.BIFURCATION_BOUNDARY
+
+
 @dataclass
 class ReturnMapAnalysis:
     rows: tuple  # ((m00, m01), (m10, m11)); serialized as "matrix"
@@ -188,8 +194,8 @@ def _locate(x, y):
     region is {x*y < 0} and the sliding region is {x*y > 0}."""
     prod = x * y
     if abs(prod) <= BOUNDARY_BAND * (x * x + y * y):
-        return EigvecLocation.ON_TANGENCY
-    return EigvecLocation.IN_CROSSING if prod < 0 else EigvecLocation.IN_SLIDING
+        return _ON_TANGENCY
+    return _IN_CROSSING if prod < 0 else _IN_SLIDING
 
 
 def return_map_analysis(params):
@@ -215,40 +221,23 @@ def _return_map(a, b, g):
     trace = m00 + m11
     det = m00 * m11 - m01 * m10
     if near(trace, 2.0):
-        return ReturnMapAnalysis(
-            m, trace, det, (complex(1.0), complex(1.0)), FixedPointClass.NONHYPERBOLIC_UNIT
-        )
+        return ReturnMapAnalysis(m, trace, det, (complex(1.0), complex(1.0)), _NONHYPERBOLIC_UNIT)
     if near(trace, -2.0):
-        return ReturnMapAnalysis(
-            m,
-            trace,
-            det,
-            (complex(-1.0), complex(-1.0)),
-            FixedPointClass.PARABOLIC_BOUNDARY,
-        )
+        return ReturnMapAnalysis(m, trace, det, (complex(-1.0), complex(-1.0)),
+                                 _PARABOLIC_BOUNDARY)
     if abs(trace) < 2.0:
         tau = math.acos(trace / 2.0)
         vals = (complex(trace / 2.0, -math.sin(tau)), complex(trace / 2.0, math.sin(tau)))
-        return ReturnMapAnalysis(
-            m, trace, det, vals, FixedPointClass.NONHYPERBOLIC_COMPLEX, tau=tau
-        )
+        return ReturnMapAnalysis(m, trace, det, vals, _NONHYPERBOLIC_COMPLEX, tau)
     # Saddle: compute the eigenvalue pair stably through the unit product.
     s = math.sqrt(trace * trace - 4.0)
     big = math.copysign((abs(trace) + s) / 2.0, trace)
     small = math.copysign(2.0 / (abs(trace) + s), trace)
     v_small = _eigvec2(m00, m01, m10, m11, small)
     v_big = _eigvec2(m00, m01, m10, m11, big)
-    return ReturnMapAnalysis(
-        m,
-        trace,
-        det,
-        (complex(small), complex(big)),
-        FixedPointClass.SADDLE,
-        v_contracting=v_small,
-        v_expanding=v_big,
-        location_contracting=_locate(*v_small),
-        location_expanding=_locate(*v_big),
-    )
+    # Fields by position: the generated __init__ binds keywords more slowly.
+    return ReturnMapAnalysis(m, trace, det, (complex(small), complex(big)), _SADDLE, None,
+                             v_small, v_big, _locate(*v_small), _locate(*v_big))
 
 
 def demelo_palis(analysis):
@@ -402,23 +391,23 @@ _STABLE = {
 
 def _tsingularity_verdict(a, b, analysis):
     cls = analysis.fixed_point_class
-    if cls is FixedPointClass.NONHYPERBOLIC_UNIT:
+    if cls is _NONHYPERBOLIC_UNIT:
         return _UNIT_EIGENVALUE
-    if cls is FixedPointClass.PARABOLIC_BOUNDARY:
+    if cls is _PARABOLIC_BOUNDARY:
         return _DOUBLE_MINUS_ONE
-    if cls is FixedPointClass.NONHYPERBOLIC_COMPLEX:
+    if cls is _NONHYPERBOLIC_COMPLEX:
         return _COMPLEX_PAIR
     c, e = analysis.location_contracting, analysis.location_expanding
-    if c is EigvecLocation.IN_CROSSING and e is EigvecLocation.IN_CROSSING:
+    if c is _IN_CROSSING and e is _IN_CROSSING:
         return _STABLE["T-singularity", "saddle-with-crossing-manifolds",
                        _sign(a), _sign(b)]
-    if c is EigvecLocation.ON_TANGENCY or e is EigvecLocation.ON_TANGENCY:
+    if c is _ON_TANGENCY or e is _ON_TANGENCY:
         return _EIGENVECTOR_ON_TANGENCY
     return _MANIFOLD_IN_SLIDING
 
 
 def _visible_verdict(tag):
-    if tag is SlidingRegionTag.BIFURCATION_BOUNDARY:
+    if tag is _BOUNDARY:
         return _SLIDING_NODE_BOUNDARY
     return _STABLE["visible-two-fold", tag._value_]
 
@@ -427,7 +416,7 @@ def _parabolic_core_verdict(a, b, g, cell):
     """Verdict from invisible-visible floats and their ``parabolic_cell``."""
     if cell is None:
         return _NO_GENERIC_REGION
-    if cell is SlidingRegionTag.BIFURCATION_BOUNDARY:
+    if cell is _BOUNDARY:
         return _REGION_BOUNDARY
     t_coeff = _t_coeff(a, b, g)
     # The first transversality condition that fails on the boundary band
@@ -543,13 +532,12 @@ def _visible_core(a, b, g):
 
 
 def _parabolic_region(a, b, g):
-    return parabolic_cell(a, b, g) or SlidingRegionTag.BIFURCATION_BOUNDARY
+    return parabolic_cell(a, b, g) or _BOUNDARY
 
 
 def _parabolic_core(a, b, g):
     cell = parabolic_cell(a, b, g)
-    return (cell or SlidingRegionTag.BIFURCATION_BOUNDARY,
-            _parabolic_core_verdict(a, b, g, cell), None)
+    return cell or _BOUNDARY, _parabolic_core_verdict(a, b, g, cell), None
 
 
 def _mirrored(fn):

@@ -88,6 +88,9 @@ class SlidingRegionTag(Enum):
     BIFURCATION_BOUNDARY = "boundary"
 
 
+# On Python 3.11 a class-attribute read of a member runs EnumType.__getattr__'s hook.
+_RE1, _RE2, _RH1, _RH2, _RP1, _RP2, _RP3, _RP4, _BOUNDARY = SlidingRegionTag
+
 # Each tag's ``claim`` is an attribute set here: reading it hashes no member.
 _TAG_TO_CLAIM = {
     SlidingRegionTag.RE1: Claim.REACHES_POINT_ASYMPTOTIC,
@@ -121,10 +124,10 @@ def classify_elliptic_region(alpha, beta, gamma):
     ab = alpha * beta
     if near(ab, gamma):
         # Only the alpha < 0 branch of the hyperbola bounds RE1.
-        return SlidingRegionTag.BIFURCATION_BOUNDARY if alpha < 0 else SlidingRegionTag.RE2
+        return _BOUNDARY if alpha < 0 else _RE2
     if ab > gamma:
-        return SlidingRegionTag.RE1 if alpha < 0 else SlidingRegionTag.RE2
-    return SlidingRegionTag.RE2
+        return _RE1 if alpha < 0 else _RE2
+    return _RE2
 
 
 def classify_hyperbolic_region(alpha, beta, gamma):
@@ -132,10 +135,10 @@ def classify_hyperbolic_region(alpha, beta, gamma):
     RH2 = complement of its closure."""
     ab = alpha * beta
     if near(ab, gamma):
-        return SlidingRegionTag.BIFURCATION_BOUNDARY if alpha > 0 else SlidingRegionTag.RH2
+        return _BOUNDARY if alpha > 0 else _RH2
     if ab < gamma:
-        return SlidingRegionTag.RH1 if alpha > 0 else SlidingRegionTag.RH2
-    return SlidingRegionTag.RH2
+        return _RH1 if alpha > 0 else _RH2
+    return _RH2
 
 
 def parabolic_cell(alpha, beta, gamma):
@@ -146,15 +149,15 @@ def parabolic_cell(alpha, beta, gamma):
     ab = alpha * beta
     root = 2.0 * math.sqrt(-gamma)
     if near(ab, gamma):
-        return SlidingRegionTag.BIFURCATION_BOUNDARY
+        return _BOUNDARY
     w = (beta - alpha) + root  # > 0 means beta - alpha > -2 sqrt(-gamma)
     if ab < gamma:
         if w > 0.0:
-            return SlidingRegionTag.RP1
+            return _RP1
         if alpha > 0.0 and not near(alpha, 0.0):
-            return SlidingRegionTag.RP2
+            return _RP2
     elif ab > gamma and not near(beta - alpha, -root):
         if w > 0.0:
             return None
-        return SlidingRegionTag.RP3 if alpha + beta > 0.0 else SlidingRegionTag.RP4
-    return SlidingRegionTag.BIFURCATION_BOUNDARY
+        return _RP3 if alpha + beta > 0.0 else _RP4
+    return _BOUNDARY

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from foldatlas import algebra, checks, foldfold, sigma, sliding
+from foldatlas import algebra, checks, cli, foldfold, sigma, sliding
 from foldatlas.algebra import Poly3, VectorField3, lazy
 from foldatlas.errors import IntegrationFailure, PreconditionError
 from foldatlas.foldfold import (
@@ -936,3 +936,40 @@ class TestRouteIndependence:
             elif isinstance(node, ast.Import):
                 package.update(a.name for a in node.names if a.name.startswith("foldatlas"))
         assert package == {".algebra"}
+
+
+class TestHotPathMembers:
+    # The closed-form two-fold path reads the Enum members it returns and
+    # compares against from private module constants: on Python 3.11 a
+    # class-attribute read of a member runs EnumType.__getattr__'s hook.
+    HOT = {
+        sliding: ("classify_elliptic_region", "classify_hyperbolic_region", "parabolic_cell"),
+        foldfold: ("_locate", "_return_map", "_tsingularity_verdict", "_visible_verdict",
+                   "_parabolic_core_verdict", "_parabolic_region", "_parabolic_core"),
+        cli: ("_sweep_row",),
+    }
+
+    def test_each_constant_is_the_member_it_names(self):
+        # Constants bound by unpacking a class follow its order; a reordered
+        # enum must fail here instead of relabelling regions silently.
+        boundary = SlidingRegionTag.BIFURCATION_BOUNDARY
+        for member in SlidingRegionTag:
+            if member is not boundary:
+                assert getattr(sliding, "_" + member.name) is member, member
+        for member in (*FixedPointClass, *EigvecLocation):
+            assert getattr(foldfold, "_" + member.name) is member, member
+        assert sliding._BOUNDARY is boundary and foldfold._BOUNDARY is boundary
+        assert cli._NONHYPERBOLIC_COMPLEX is FixedPointClass.NONHYPERBOLIC_COMPLEX
+
+    def test_hot_functions_read_no_member_through_the_class(self):
+        enums = {"SlidingRegionTag", "FixedPointClass", "EigvecLocation"}
+        for module, names in self.HOT.items():
+            with open(module.__file__, encoding="utf-8") as fh:
+                tree = ast.parse(fh.read())
+            functions = {node.name: node for node in tree.body
+                         if isinstance(node, ast.FunctionDef)}
+            for name in names:
+                reads = [ast.unparse(node) for node in ast.walk(functions[name])
+                         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                         and node.value.id in enums]
+                assert not reads, (module.__name__, name, reads)
