@@ -27,7 +27,7 @@ from foldatlas.integrator import (
     jacobian_numeric,
     return_map_numeric,
 )
-from foldatlas.system import Box, PiecewiseSystem, build_normal_form
+from foldatlas.system import Box, PiecewiseSystem, build_normal_form, serialize_system
 
 # Reference Dormand-Prince step: the generic tableau loop the written-out
 # stepper replaced, kept here to pin that stepper bit for bit.
@@ -1205,6 +1205,74 @@ class TestOutputsPinned:
         assert (Mode.SLIDING, Mode.FLOW_MINUS) in exits
         assert Mode.SLIDING in {seg.mode for seg in runs[1].segments + runs[3].segments}
         assert digest.hexdigest() == self.DIGEST
+
+
+def _numeric_route_digest():
+    """SHA-256 over ``float.hex`` and ``repr`` of the numeric route where
+    the fold maps are not linear: the return map and both fold maps of
+    normal forms with higher-order terms in Y, at points on both sides of
+    each fold line (y = 0 for X, x = 0 for Y) and on it; every field of
+    ``integrate_to_sigma``'s results, one ``no-return`` and one
+    ``left-box`` among them; and the names and documents of normal forms
+    and of their time reversals.  Plain Python, no numpy: the CI job
+    ``closed-form-interpreters`` runs this recipe on other interpreters."""
+    digest = hashlib.sha256()
+
+    def feed(*values):
+        digest.update((",".join(v.hex() if isinstance(v, float) else repr(v)
+                                for v in values) + ";").encode())
+
+    forms = [
+        hot_normal_form(),
+        build_normal_form(1.3, -0.7, 1.6, -1.0, hot={
+            "cx": [[[0, 1, 0], 0.2], [[1, 1, 0], -0.3]],
+            "cy": [[[1, 0, 0], -0.1], [[0, 0, 1], 0.25]],
+            "cz": [[[2, 0, 0], -0.3], [[0, 2, 0], 0.2], [[1, 0, 1], 0.15], [[0, 1, 2], -0.1]]}),
+        build_normal_form(0.4, 0.9, -1.2, 1.0, hot={"cz": [[[1, 1, 0], 0.5]]}),  # both visible
+    ]
+    for system in forms:
+        for x in (-0.12, -0.03, 0.0, 0.05, 0.11):
+            for y in (-0.1, -0.02, 0.0, 0.04, 0.09):
+                maps = [("R", lambda q: return_map_numeric(system, q))] + [
+                    (side, functools.partial(fold_map_numeric, system, side)) for side in "XY"]
+                for label, fn in maps:
+                    try:
+                        feed(label, *fn((x, y)))
+                    except IntegrationFailure as exc:
+                        feed(label, exc.status.value)
+    system = forms[0]
+    flights = [
+        (system.X, (0.05, -0.1, 0.0), 1),
+        (system.Y, (-0.1, 0.05, 0.0), -1),
+        (system.Y, (-0.15, -0.08, 0.0), -1),
+        (forms[1].Y, (-0.07, 0.03, 0.0), -1),
+        (system.X, (0.0, 0.1, 0.0), 1),  # Xf = -0.1 < 0: no return
+        (system.X, (0.0, -0.1, 0.0), 1, Box(-0.01, 0.01, -0.01, 0.01, -0.01, 0.01)),  # left-box
+    ]
+    statuses = set()
+    for field, q, direction, *box in flights:
+        res = integrate_to_sigma(field, q, direction, *box)
+        statuses.add(res.status)
+        point = () if res.point is None else res.point
+        feed(res.status.value, *point, res.time, res.event, res.accepted, res.rejected)
+    assert {FlightStatus.HIT_SIGMA, FlightStatus.NO_RETURN, FlightStatus.LEFT_BOX} <= statuses
+    for params in [(-0.6, 1.2, 0.8, -1.0), (1, -2, 3, 1), (0.1, 1e-20, -3.5, -1.0),
+                   (2.0 / 3.0, -0.0, 7, 1.0)]:
+        nf = build_normal_form(*params)
+        feed(nf.name, nf.time_reversed().name, serialize_system(nf))
+    feed(forms[1].name, serialize_system(forms[1].time_reversed()))
+    return digest.hexdigest()
+
+
+class TestNumericRoutePinned:
+    """The numeric route on nonlinear fold maps, pinned by
+    ``_numeric_route_digest``: ``TestOutputsPinned`` covers only normal
+    forms without higher-order terms, whose fold maps are linear."""
+
+    DIGEST = "99e76792631f1a6cd3abb6a85993c8c5804a9516adb5666cf4ba79deeee3d1af"
+
+    def test_nonlinear_fold_maps_flights_and_names(self):
+        assert _numeric_route_digest() == self.DIGEST
 
 
 class TestConfig:
