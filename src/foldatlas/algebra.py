@@ -398,14 +398,15 @@ def lie_derivative(field, g):
             deg = i + j + k
     # A product has degree at most deg(comp) + deg(g) - 1, so only a
     # component of degree above ``room`` can take it past the cap, and the
-    # sum, whose terms all come from the products, stays within it.
+    # sum, whose terms all come from the products, stays within it.  No
+    # component is above the cap, so for deg(g) <= 1 none is above ``room``.
     room = MAX_TOTAL_DEGREE + 1 - deg
     total = {}
     for comp, grad in zip((field.cx, field.cy, field.cz), grads):
         if not grad:
             continue
         terms = comp.terms
-        over = _degree(terms) > room
+        over = room < MAX_TOTAL_DEGREE and _degree(terms) > room
         if (len(terms) == 1 or len(grad) == 1) and not over:
             # One-term factor: every product has its own key, so each
             # nonzero one is merged as below without the product dict.

@@ -721,7 +721,7 @@ def check_sliding_tangency(n_sims, seed):
     for system, p0, horizon in _sliding_runs(rng, n_sims):
         xf = system.xf.compiled()
         yf = system.yf.compiled()
-        sliding_field = _sliding_kernel(system)[0]
+        p, sliding_field = _sliding_kernel(system)[:2]
         normalized = normalized_sliding_field(system)
         traj = filippov_trajectory(system, p0, horizon)
         for before, seg in zip([None] + traj.segments, traj.segments):
@@ -731,7 +731,7 @@ def check_sliding_tangency(n_sims, seed):
                 tally.fold("sliding entry |z|", abs(before.points[-1][2]))
             for x, y, _ in seg.points:
                 a, c = xf(x, y, 0.0), yf(x, y, 0.0)
-                for got, ref in zip(sliding_field(x, y), (normalized.px, normalized.py)):
+                for got, ref in zip(sliding_field(p, x, y), (normalized.px, normalized.py)):
                     value = ref.eval(x, y, 0.0)
                     error = abs(got * (c - a) - value) / (1.0 + abs(value))
                     tally.fold("sliding field vs normalized field", error)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -298,7 +299,10 @@ class _SuiteChoices:
         return iter(("all", "none", *SUITES))
 
 
+@functools.cache
 def build_parser():
+    """The parser of ``main``, built once per process: parsing leaves it as
+    it was, and it holds the command functions as they were at the build."""
     parser = argparse.ArgumentParser(
         prog="foldatlas",
         description=(

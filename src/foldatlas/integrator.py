@@ -31,14 +31,16 @@ a trajectory's box, or for a flight from the plane the cube around its
 start written as a box.  The evaluator, the step kernel
 and the driver of a polynomial field, and of the sliding field (X and Y at
 z = 0, with Xf and Yf their z-components), are compiled once per monomial
-shape into a bounded LRU and bind the coefficients from the field's one
-shape pass; event refinement steps through the kernels and takes its
-slopes from their evaluator.  The events are immutable, so flights share
-them.  A Filippov trajectory must start inside its box.
+shape into a bounded LRU.  A binding is a tuple, of the coefficients from
+the field's one shape pass and the sums of its constant components, that
+these functions take first, so binding a field builds no function; event
+refinement steps through the kernels and takes its slopes from their
+evaluator.  The events are immutable, so flights share them.  A Filippov
+trajectory must start inside its box.
 
-``integrate_to_sigma`` and the fold maps fly through one core; a fold map
-flies backwards on its field's reversed kernel, bound from the negated
-coefficients.  The fold maps and the first-return map realized here are
+``integrate_to_sigma`` and the fold maps fly through one core, which
+returns a plain tuple; a fold map flies backwards on its field's reversed
+kernel, bound from the negated coefficients.  The fold maps and the first-return map realized here are
 compared against their closed forms by the verification suites; nothing
 in this module consults those formulas.
 """
@@ -122,6 +124,11 @@ class FlightResult:
         return self.status is FlightStatus.HIT_SIGMA
 
 
+# Members the flight core reads (on 3.11 ``FlightStatus.X`` runs EnumType.__getattr__).
+_HIT_SIGMA, _LEFT_BOX, _TIME_OUT, _STEP_LIMIT = (
+    FlightStatus.HIT_SIGMA, FlightStatus.LEFT_BOX, FlightStatus.TIME_OUT, FlightStatus.STEP_LIMIT)
+
+
 # ---------------------------------------------------------------------------
 # Core stepper
 
@@ -201,7 +208,7 @@ def _seq(prefix, dim):
 
 
 def _step_lines(dim, stage, const):
-    """Body of the kernel ``step(s, h, k1) -> (y_new, k_last, err_norm)``.
+    """Body of the kernel ``step(p, s, h, k1) -> (y_new, k_last, err_norm)``.
     ``k1`` must be the field at ``s``: a component in ``const`` reads its
     coefficient in place of ``k1``."""
     return [
@@ -214,9 +221,9 @@ def _step_lines(dim, stage, const):
     ]
 
 
-def _drive_lines(dim, stage, const, params, events, guard):
-    """Body of a driver around ``_step_body``, on the coefficients ``params``
-    and the constant components ``const``: from the state ``s``, the horizon
+def _drive_lines(dim, stage, const, events, guard):
+    """Body of a driver around ``_step_body``, past the line that unpacks
+    its binding ``p``, with the constant components ``const``: from the state ``s``, the horizon
     ``t_limit`` and the first step ``h0`` (falsy for the default) it steps
     until an event fires, the state leaves its guard, the horizon passes or
     ``_MAX_STEPS`` attempts are spent, with the decisions and arithmetic of
@@ -251,11 +258,10 @@ def _drive_lines(dim, stage, const, params, events, guard):
         return f"abs({g}) > {arm_eps}{side}"
 
     def stop(status, when, state, uncounted=""):
-        return [f"    return FlightStatus.{status}, {when}, ({state},), "
+        return [f"    return _{status}, {when}, ({state},), "
                 f"steps{uncounted} - rejected, rejected, None"]
 
-    lines = [f"{''.join(f'{c}, ' for c in params)}= coefficients"] if params else []
-    lines += [setup, f"{y}, = s", *stage(_names("y", dim), _names("k1", dim)), *_LOCALS,
+    lines = [setup, f"{y}, = s", *stage(_names("y", dim), _names("k1", dim)), *_LOCALS,
               *(f"a{i} = abs(y{i})" for i in range(dim)), "t = 0.0",
               "h = h0 if h0 else min(1e-4, 0.25 * t_limit)", "err_prev = 1.0",
               "end_band = 1e-15 * max(1.0, t_limit)"]
@@ -306,14 +312,14 @@ def _drive_lines(dim, stage, const, params, events, guard):
                *("        " + line for line in _step_body(dim, stage, const)),
                "        if err_norm <= 1.0 or h < 1e-15:",
                f"            if abs({z1}) <= _STRETCH_GOAL:",
-               f"                return FlightStatus.HIT_SIGMA, t + h, ({n},), steps - rejected, "
+               f"                return _HIT_SIGMA, t + h, ({n},), steps - rejected, "
                "rejected, None",
                f"            first = (dt, ({n},))"]
         bracket = "bracket + (first,)"
     loop += [
         f"if {' or '.join(f'fired{j}' for j in js)}:",
         *("    " + line for line in hit),
-        f"    return FlightStatus.HIT_SIGMA, t, ({y},), steps - rejected, rejected, {bracket}",
+        f"    return _HIT_SIGMA, t, ({y},), steps - rejected, rejected, {bracket}",
         *(f"last{j} = now{j}" for j in js),
         f"if not ({inside}):",
         f"    keep((t + h, {n}))",
@@ -338,13 +344,17 @@ def _def(signature, body):
     return [f"def {signature}:"] + ["    " + line for line in body]
 
 
-def _bind(params, functions, names):
-    """``bind(c0, ..., cn)``, which runs the generated lines ``functions`` on
-    the coefficients, passed to the drivers as the tuple ``coefficients``,
-    and returns the functions they define called ``names``."""
-    body = [f"coefficients = ({''.join(f'{c}, ' for c in params)})", *functions,
-            f"return {', '.join(names)}"]
-    return _compile(_def(f"bind({', '.join(params)})", body), "bind")
+def _bind(params, sums, functions):
+    """``bind(c0, ..., cn) -> (p, *functions)``.  A binding ``p`` is a tuple:
+    the coefficients, then the sums that the lines ``sums`` bind on them.
+    The ``functions``, ``(signature, body)`` pairs, are compiled once, with
+    ``bind``; each takes ``p`` as its first argument and unpacks it on its
+    first line, so a binding creates no function and no closure cell."""
+    bound = "".join(f"{v}, " for v in params + [line.split(" = ", 1)[0] for line in sums])
+    defs = [line for sig, body in functions for line in _def(sig, [f"{bound}= p", *body])]
+    made = ", ".join(sig.split("(", 1)[0] for sig, _ in functions)
+    bind = _def(f"bind({', '.join(params)})", [*sums, f"return ({bound}), {made}"])
+    return _compile(_def("kernels()", [*defs, *bind, "return bind"]), "kernels")()
 
 
 def _compile(lines, name):
@@ -365,16 +375,16 @@ _SLICE = (_BOX[0], "xmin <= n0 <= xmax and ymin <= n1 <= ymax and zmin <= 0.0 <=
 
 @functools.lru_cache(maxsize=512)
 def _flight_factory(shapes):
-    """``bind(c0, ..., cn) -> (field, step, in_box)`` for a polynomial field
-    of the component ``shapes``: ``field(x, y, z)`` evaluates the same
-    expressions as ``VectorField3.compiled()``, and they are written out
-    inline in every stage.  A stage sets only the coordinates that some
-    monomial reads; the others would be computed and dropped.  A component
-    whose shape is the constant monomial or empty is constant: ``bind``
-    adds up its weighted sums once (``_constant_sums``).  ``step(s, h, k1)``
-    is one step, from ``k1`` the field at ``s``; the driver ``in_box(s,
-    t_limit, h0, d, box, samples)`` flies to the plane inside ``box`` as
-    ``(xmin, xmax, ..., zmax)``, collecting samples.
+    """``_bind``'s ``bind(c0, ..., cn) -> (p, field, step, in_box)`` for a
+    polynomial field of the component ``shapes``: ``field(p, x, y, z)``
+    evaluates the expressions of ``VectorField3.compiled()``, and they are
+    written out inline in every stage.  A stage sets only the coordinates
+    that some monomial reads.  A component whose shape is the constant
+    monomial or empty is constant: ``bind`` adds up its weighted sums once
+    (``_constant_sums``) into ``p``.  ``step(p, s, h, k1)`` is one step,
+    from ``k1`` the field at ``s``; the driver ``in_box(p, s, t_limit, h0,
+    d, box, samples)`` flies to the plane inside ``box`` as ``(xmin, xmax,
+    ..., zmax)``, collecting samples.
     """
     params, exprs = shape_source(shapes)
     read = [any(e[i] for shape in shapes for e in shape) for i in range(3)]
@@ -384,25 +394,23 @@ def _flight_factory(shapes):
         sets = [f"{v} = {a}" for v, a, r in zip("xyz", args, read) if r]
         return sets + [f"{o} = {e}" for o, e in zip(outs, exprs) if o]
 
-    return _bind(params, [
-        *_constant_sums(const, exprs),
-        *_def("field(x, y, z)", [f"return ({', '.join(exprs)})"]),
-        *_def("step(s, h, k1)", _step_lines(3, stage, const)),
-        *_def("in_box(s, t_limit, h0, d, box, samples)",
-              _drive_lines(3, stage, const, params, _PLANE, _BOX)),
-    ], ["field", "step", "in_box"])
+    return _bind(params, _constant_sums(const, exprs), [
+        ("field(p, x, y, z)", [f"return ({', '.join(exprs)})"]),
+        ("step(p, s, h, k1)", _step_lines(3, stage, const)),
+        ("in_box(p, s, t_limit, h0, d, box, samples)", _drive_lines(3, stage, const, _PLANE, _BOX)),
+    ])
 
 
 @functools.lru_cache(maxsize=512)
 def _sliding_factory(shapes):
-    """``bind(c0, ..., cn) -> (field(x, y), step(y, h, k1), slide)`` for the
-    sliding field of X and Y, whose component ``shapes`` come in that order:
-    the combination ``((Yf*X0 - Xf*Y0)/den, (Yf*X1 - Xf*Y1)/den)``, den = Yf
-    - Xf, of X and Y at z = 0, written out inline.  ``slide(s, t_limit, h0,
-    box, tol, arm, samples)`` drives the sliding phase in the slice z = 0 of
-    ``box``, collecting samples, to the first of three events read off the
-    last stage: ``sx`` (Xf = 0) and ``sy`` (Yf = 0), armed past ``arm``, and
-    ``den`` (Yf - Xf - tol = 0).
+    """``_bind``'s ``bind(c0, ..., cn) -> (p, field(p, x, y), step(p, y, h,
+    k1), slide)`` for the sliding field of X and Y, whose component
+    ``shapes`` come in that order: ``((Yf*X0 - Xf*Y0)/den, (Yf*X1 -
+    Xf*Y1)/den)``, den = Yf - Xf, of X and Y at z = 0, written out inline.
+    ``slide(p, s, t_limit, h0, box, tol, arm, samples)`` drives the sliding
+    phase in the slice z = 0 of ``box``, collecting samples, to the first of
+    three events read off the last stage: ``sx`` (Xf = 0) and ``sy`` (Yf =
+    0), armed past ``arm``, and ``den`` (Yf - Xf - tol = 0).
     """
     params, (x0, x1, xf, y0, y1, yf) = shape_source(shapes)
 
@@ -416,21 +424,21 @@ def _sliding_factory(shapes):
 
     events = ((lambda s: "pf", "arm", None), (lambda s: "qf", "arm", None),
               (lambda s: "den - tol", "0.0", None))
-    return _bind(params, [
-        *_def("field(x, y)", ["z = 0.0", *stage(["x", "y"], ["u", "v"]), "return (u, v)"]),
-        *_def("step(s, h, k1)", ["z = 0.0", *_step_lines(2, stage, ())]),
-        *_def("slide(s, t_limit, h0, box, tol, arm, samples)",
-              ["z = 0.0", *_drive_lines(2, stage, (), params, events, _SLICE)]),
-    ], ["field", "step", "slide"])
+    return _bind(params, [], [
+        ("field(p, x, y)", ["z = 0.0", *stage(["x", "y"], ["u", "v"]), "return (u, v)"]),
+        ("step(p, s, h, k1)", ["z = 0.0", *_step_lines(2, stage, ())]),
+        ("slide(p, s, t_limit, h0, box, tol, arm, samples)",
+         ["z = 0.0", *_drive_lines(2, stage, (), events, _SLICE)]),
+    ])
 
 
 def _flight_kernel(field):
-    """``(field, step, in_box)`` of a polynomial field, cached on it."""
+    """``(p, field, step, in_box)`` of a polynomial field, cached on it."""
     return field.kernel(_flight_factory)
 
 
 def _sliding_kernel(system):
-    """``(field, step, slide)`` of the sliding field of ``system`` on z = 0."""
+    """``(p, field, step, slide)`` of the sliding field of ``system`` on z = 0."""
     (x_shapes, x_coeffs), (y_shapes, y_coeffs) = system.X.shape(), system.Y.shape()
     return _sliding_factory(x_shapes + y_shapes)(*x_coeffs, *y_coeffs)
 
@@ -453,25 +461,25 @@ class _Event:
 _SIGMA_EVENTS = {d: (_Event("sigma", itemgetter(2), d, 2),) for d in (1, -1)}
 
 
-def _eval_within_step(f, step, y_left, k_left, dt, depth=0):
+def _eval_within_step(p, f, step, y_left, k_left, dt, depth=0):
     """State at offset ``dt`` (of either sign) from ``y_left``, by
     error-controlled re-integration with the kernel ``step`` of the field
-    ``f`` (split recursively until the embedded estimate passes)."""
-    y_new, _, err_norm = step(y_left, dt, k_left)
+    ``f`` bound by ``p`` (split recursively until the estimate passes)."""
+    y_new, _, err_norm = step(p, y_left, dt, k_left)
     if depth >= 18 or abs(dt) < 1e-15 or err_norm <= 1.0:
         return y_new
-    mid = _eval_within_step(f, step, y_left, k_left, dt / 2.0, depth + 1)
-    return _eval_within_step(f, step, mid, f(*mid), dt / 2.0, depth + 1)
+    mid = _eval_within_step(p, f, step, y_left, k_left, dt / 2.0, depth + 1)
+    return _eval_within_step(p, f, step, mid, f(p, *mid), dt / 2.0, depth + 1)
 
 
-def _probe(f, step, event, y, k, dt):
+def _probe(p, f, step, event, y, k, dt):
     """Re-integrated state at offset ``dt`` from ``(y, k)`` and the event's
     g there, or ``(None, nan)`` where a stage divides by zero.  Only the
     sliding field divides, by Yf - Xf, and a stage on Yf = Xf lies at or past
     a fold line or the ``den`` event, so the locator takes it for a point
     past the root and never returns it."""
     try:
-        y_c = _eval_within_step(f, step, y, k, dt)
+        y_c = _eval_within_step(p, f, step, y, k, dt)
     except ZeroDivisionError:
         return None, math.nan
     return y_c, event.fn(y_c)
@@ -500,7 +508,8 @@ def _plane_root(z0, z1, kz0, kz1, h, g0, g1):
             break
         s = t / h
         r = 1.0 - s
-        g = z0 + s * s * (3.0 - 2.0 * s) * dz + s * r * r * h * kz0 + -s * s * r * h * kz1
+        ss = s * s  # (-a) * b == -(a * b) and x + (-y) == x - y: _hermite's bits
+        g = z0 + ss * (3.0 - 2.0 * s) * dz + s * r * r * h * kz0 - ss * r * h * kz1
         if g == 0.0:
             break
         if (g > 0.0) == (gb > 0.0):
@@ -545,13 +554,13 @@ def _interpolant_root(event, y0, k0, y1, k1, h, g0, g1):
     return t
 
 
-def _refine_event(f, step, event, y_left, k_left, y_right, k_right, h, g_left, g_right, first):
-    """Locate the event inside the accepted step from ``(y_left, k_left)``
-    to ``(y_right, k_right)``, where g is ``g_left`` and ``g_right``;
-    returns ``(dt, state, g)``.  ``first`` is None, or the interpolant root
-    that the plane driver took and its re-integrated state there (None when
-    the driver's step to it failed the error test, which
-    ``_eval_within_step`` would split).
+def _refine_event(p, f, step, event, y_left, k_left, y_right, k_right, h, g_left, g_right, first):
+    """Locate the event, with ``step`` and ``f`` bound by ``p``, inside the
+    accepted step from ``(y_left, k_left)`` to ``(y_right, k_right)``, where
+    g is ``g_left`` and ``g_right``; returns ``(dt, state, g)``.  ``first``
+    is None, or the interpolant root that the plane driver took and its
+    re-integrated state there (None when the driver's step to it failed the
+    error test, which ``_eval_within_step`` would split).
 
     The event time is first found on the step's cubic Hermite interpolant
     (to its floating-point resolution, at no field evaluation), and the
@@ -580,7 +589,7 @@ def _refine_event(f, step, event, y_left, k_left, y_right, k_right, h, g_left, g
     if first is None and g_lo * g_right < 0.0:
         dt = _interpolant_root(event, y_left, k_left, y_right, k_right, h, g_lo, g_right)
     if 0.0 < dt < h:
-        y_c, v = (_probe(f, step, event, y_left, k_left, dt) if y_c is None
+        y_c, v = (_probe(p, f, step, event, y_left, k_left, dt) if y_c is None
                   else (y_c, event.fn(y_c)))
         if y_c is not None:
             best = (dt, y_c, v)
@@ -595,7 +604,7 @@ def _refine_event(f, step, event, y_left, k_left, y_right, k_right, h, g_left, g
                 hi = dt
             if y_c is None:
                 break
-            k_c = f(*y_c)
+            k_c = f(p, *y_c)
             i = event.component
             slope = (v - v_prev) / (dt - t_prev) if i is None else k_c[i]
             if slope == 0.0:
@@ -604,14 +613,14 @@ def _refine_event(f, step, event, y_left, k_left, y_right, k_right, h, g_left, g
             if not lo < cand < hi:
                 break
             t_prev, v_prev = dt, v
-            y_c, v = _probe(f, step, event, y_c, k_c, cand - dt)
+            y_c, v = _probe(p, f, step, event, y_c, k_c, cand - dt)
             dt = cand
             if y_c is not None and abs(v) < abs(best[2]):
                 best = (dt, y_c, v)
     if best is None or abs(best[2]) > _EVENT_TOL:
         for _ in range(120):
             mid = 0.5 * (lo + hi)
-            y_c, v = _probe(f, step, event, y_left, k_left, mid)
+            y_c, v = _probe(p, f, step, event, y_left, k_left, mid)
             if y_c is not None and (best is None or abs(v) < abs(best[2])):
                 best = (mid, y_c, v)
             if abs(v) <= _EVENT_TOL or hi - lo <= 1e-16 * max(1.0, h):
@@ -623,23 +632,25 @@ def _refine_event(f, step, event, y_left, k_left, y_right, k_right, h, g_left, g
     return best
 
 
-def _fly(f, step, events, drive, *args):
-    """Run the generated driver ``drive(*args)``; on a step it hands over,
-    locate every event that fired with the kernel ``step`` of the field
-    ``f``, and the earliest wins.  A hit it located is its one event's."""
-    status, t, point, accepted, rejected, bracket = drive(*args)
+def _fly(kernel, events, *args):
+    """``drive(p, *args)`` for ``kernel`` ``(p, f, step, drive)``; on a step it
+    hands over, locate every event that fired, and the earliest wins.  Returns
+    ``(status, point, t, event, accepted, rejected)``, the fields of
+    ``FlightResult`` in order; a hit it located is its one event's."""
+    p, f, step, drive = kernel
+    status, t, point, accepted, rejected, bracket = drive(p, *args)
     if bracket is None:
-        event = events[0].name if status is FlightStatus.HIT_SIGMA else None
-        return FlightResult(status, point, t, event, accepted, rejected)
+        event = events[0].name if status is _HIT_SIGMA else None
+        return status, point, t, event, accepted, rejected
     y, k1, y_new, k_last, h, fired, first = bracket
     hit = None
     for j, last, g in fired:
         ev = events[j]
-        found = _refine_event(f, step, ev, y, k1, y_new, k_last, h, last, g, first)
+        found = _refine_event(p, f, step, ev, y, k1, y_new, k_last, h, last, g, first)
         if hit is None or found[0] < hit[1]:
             hit = (ev, found[0], found[1])
     ev, dt, y_ev = hit
-    return FlightResult(status, y_ev, t + dt, ev.name, accepted, rejected)
+    return status, y_ev, t + dt, ev.name, accepted, rejected
 
 
 # ---------------------------------------------------------------------------
@@ -669,15 +680,15 @@ def integrate_to_sigma(field, q0, direction, box=DEFAULT_BOX, h0=None):
         s2 = lie_derivative(field, field.cz).eval_at(q0)
         if s2 * direction < tol:
             return FlightResult(FlightStatus.NO_RETURN, time=0.0)
-    return _to_plane(_flight_kernel(field), float(q0[0]), float(q0[1]), direction, box, h0)
+    return FlightResult(*_to_plane(_flight_kernel(field), float(q0[0]), float(q0[1]),
+                                   direction, box, h0))
 
 
 def _to_plane(kernel, x, y, direction, box, h0):
-    """``integrate_to_sigma``'s flight from (x, y, 0) on ``kernel``, past its start checks."""
+    """``_fly`` from (x, y, 0) on ``kernel``: ``integrate_to_sigma`` past its start checks."""
     r = box.flight_guard
-    f, step, in_box = kernel
-    return _fly(f, step, _SIGMA_EVENTS[direction], in_box, (x, y, 0.0), _MAX_TIME, h0,
-                direction, (x - r, x + r, y - r, y + r, -r, r), [])
+    return _fly(kernel, _SIGMA_EVENTS[direction], (x, y, 0.0), _MAX_TIME, h0, direction,
+                (x - r, x + r, y - r, y + r, -r, r), [])
 
 
 def _fold_side(system, side):
@@ -708,12 +719,12 @@ def fold_map_numeric(system, side, q):
     h0 = None
     if abs(s2) > 1e-12:
         h0 = max(abs(s) / abs(s2) / 4.0, 1e-12)
-    res = _to_plane(kernel, x, y, halfspace, system.box, h0)
-    if res.status is not FlightStatus.HIT_SIGMA:
+    status, point = _to_plane(kernel, x, y, halfspace, system.box, h0)[:2]
+    if status is not _HIT_SIGMA:
         raise IntegrationFailure(
-            res.status, f"fold map {side} failed at ({x:.6g}, {y:.6g}): {res.status}"
+            status, f"fold map {side} failed at ({x:.6g}, {y:.6g}): {status}"
         )
-    return (res.point[0], res.point[1])
+    return (point[0], point[1])
 
 
 def return_map_numeric(system, q):
@@ -862,13 +873,13 @@ def filippov_trajectory(system, p0, horizon, cfg=None):
                     _Event("sx", lambda y: xf(y[0], y[1], 0.0)),
                     _Event("sy", lambda y: yf(y[0], y[1], 0.0)),
                     _Event("den", lambda y: yf(y[0], y[1], 0.0) - xf(y[0], y[1], 0.0) - tol))
-            (f, step, slide), events = sliding
-            out = _fly(f, step, events, slide, (p[0], p[1]), remaining, None, box, tol,
-                       10.0 * max(_EVENT_TOL, tol), samples)
+            kernel, events = sliding
+            out = FlightResult(*_fly(kernel, events, (p[0], p[1]), remaining, None, box, tol,
+                                     10.0 * max(_EVENT_TOL, tol), samples))
         else:
             fld, d = (system.X, 1) if mode is Mode.FLOW_PLUS else (system.Y, -1)
-            f, step, in_box = _flight_kernel(fld)
-            out = _fly(f, step, _SIGMA_EVENTS[d], in_box, p, remaining, None, d, box, samples)
+            out = FlightResult(*_fly(_flight_kernel(fld), _SIGMA_EVENTS[d], p, remaining, None,
+                                     d, box, samples))
         if out.event is not None:
             samples.append((out.time, *out.point))
         seg_end, next_mode = _segment_end(system, out, mode, tol)

@@ -336,9 +336,20 @@ def build_normal_form(alpha, beta, gamma, delta, hot=None):
                     f"hot.{key}: terms must vanish to order {min_order[key]}"
                 )
             y_comps[idx] = y_comps[idx] + extra
-    Y = VectorField3(*y_comps)
-    name = f"normal-form(alpha={alpha}, beta={beta}, gamma={gamma}, delta={int(delta)})"
-    return PiecewiseSystem(X, Y, DEFAULT_BOX, name)
+    return _NormalForm(X, VectorField3(*y_comps), (alpha, beta, gamma, delta))
+
+
+class _NormalForm(PiecewiseSystem):
+    """A system of ``build_normal_form``, which keeps its four parameters as
+    passed and formats its name from them on first read."""
+
+    def __init__(self, X, Y, params):
+        self.X, self.Y, self.box, self._params = X, Y, DEFAULT_BOX, params
+
+    @lazy
+    def name(self):
+        alpha, beta, gamma, delta = self._params
+        return f"normal-form(alpha={alpha}, beta={beta}, gamma={gamma}, delta={int(delta)})"
 
 
 # ---------------------------------------------------------------------------

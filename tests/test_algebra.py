@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import struct
@@ -261,7 +262,8 @@ class TestNegated:
                 assert _bits(*neg.shape()[1]) == _bits(*built.shape()[1])
                 assert neg.coeff_scale() == built.coeff_scale()
                 f = built.compiled()
-                steps = integrator._flight_kernel(neg)[1], integrator._flight_kernel(built)[1]
+                steps = [functools.partial(step, p) for p, _, step, _ in (
+                    integrator._flight_kernel(neg), integrator._flight_kernel(built))]
                 for _ in range(1000 // 12):
                     y = tuple(float(v) for v in rng.normal(scale=0.5, size=3))
                     h = float(10.0 ** rng.uniform(-6.0, -1.0))

@@ -140,6 +140,13 @@ def _constant_components(field):
     return [i for i, shape in enumerate(field.shape()[0]) if shape in ((), ((0, 0, 0),))]
 
 
+def _bound(kernel):
+    """The functions of a kernel ``(p, field, step, driver)``, each read
+    with its binding ``p``."""
+    p, *functions = kernel
+    return [functools.partial(fn, p) for fn in functions]
+
+
 def _generated_source(factory, shapes):
     """The source that the kernel ``factory`` generates for ``shapes``,
     generated afresh past its cache."""
@@ -184,13 +191,13 @@ class _RefEvent:
         )
 
 
-def _ref_integrate(f, step, y0, events, t_limit, outside=None, h0=None, collect=None):
-    """Drive the kernel ``step`` of the field ``f`` until an event, a guard
+def _ref_integrate(p, f, step, y0, events, t_limit, outside=None, h0=None, collect=None):
+    """Drive the kernel ``step`` of the field ``f``, bound by ``p``, until an event, a guard
     violation, or the horizon; ``collect`` is a pair of lists ``(times,
     states)`` or None.  The clamps keep ``min``/``max``'s NaN rule: the
     first argument wins against NaN."""
     y = tuple(map(float, y0))
-    k1 = f(*y)
+    k1 = f(p, *y)
     t = 0.0
     h = h0 if h0 else min(1e-4, 0.25 * t_limit)
     err_prev = 1.0
@@ -218,7 +225,7 @@ def _ref_integrate(f, step, y0, events, t_limit, outside=None, h0=None, collect=
             h = remaining
         if h < 1e-15:
             return result(FlightStatus.TIME_OUT, y, t, uncounted=1)
-        y_new, k_last, err_norm = step(y, h, k1)
+        y_new, k_last, err_norm = step(p, y, h, k1)
         if err_norm > 1.0:
             h *= max(0.2, 0.9 * err_norm ** -0.2)
             rejected += 1
@@ -235,8 +242,8 @@ def _ref_integrate(f, step, y0, events, t_limit, outside=None, h0=None, collect=
             else:
                 crossed = v * ev.expected_sign < 0
             if crossed:
-                found = integrator._refine_event(f, step, ev, y, k1, y_new, k_last, h, ev.last, v,
-                                                 None)
+                found = integrator._refine_event(p, f, step, ev, y, k1, y_new, k_last, h, ev.last,
+                                                 v, None)
                 if hit is None or found[0] < hit[1]:
                     hit = (ev, found[0], found[1])
             ev.last = v
@@ -283,12 +290,13 @@ def _cube_box(center, radius):
     return (x - radius, x + radius, y - radius, y + radius, -radius, radius)
 
 
-def _ref_fly(f, step, events, drive, *args, cube=False):
+def _ref_fly(kernel, events, *args, cube=False):
     """``integrator._fly`` on the reference loop.  The driver's name tells
     its arguments, its guard and its events' arming thresholds.  With
     ``cube`` the flight is one of ``_to_plane``: its box must be
     the cube around its start, and it runs under ``_ref_cube`` instead.  A
     trajectory appends the event sample itself, so it is not collected."""
+    p, f, step, drive = kernel
     if drive.__name__ == "in_box":
         start, t_limit, h0, _, box, samples = args
         xmin, xmax, ymin, ymax, zmin, zmax = box
@@ -311,10 +319,10 @@ def _ref_fly(f, step, events, drive, *args, cube=False):
     ref_events = [_RefEvent(ev.name, ev.fn, eps, ev.expected_sign, ev.component)
                   for ev, eps in zip(events, arms)]
     collect = ([], [])
-    res = _ref_integrate(f, step, start, ref_events, t_limit, outside, h0, collect)
+    res = _ref_integrate(p, f, step, start, ref_events, t_limit, outside, h0, collect)
     rows = [(t, *y) for t, y in zip(*collect)]
     samples += rows[:-1] if res.ok() else rows
-    return res
+    return (res.status, res.point, res.time, res.event, res.accepted, res.rejected)
 
 
 # Normal form whose Y fold is invisible, with higher-order terms that make
@@ -370,7 +378,7 @@ class TestStepperBitwise:
         ]
         for field in fields:
             f = field.compiled()
-            kernel = integrator._flight_kernel(field)[1]
+            kernel = _bound(integrator._flight_kernel(field))[1]
             for h in self.STEPS:
                 for _ in range(20):
                     y = tuple(float(v) for v in rng.normal(scale=2.0, size=3))
@@ -396,7 +404,7 @@ class TestStepperBitwise:
         systems = [build_normal_form(-2.0, -1.0, 1.0, -1.0), hot_normal_form(), dry_friction()[0]]
         for system in systems:
             f2 = self._ref_sliding_field(system)
-            field, step, _ = integrator._sliding_kernel(system)
+            field, step, _ = _bound(integrator._sliding_kernel(system))
             for h in self.STEPS:
                 for _ in range(20):
                     y = tuple(float(v) for v in rng.normal(scale=2.0, size=2))
@@ -412,7 +420,7 @@ class TestStepperBitwise:
             Poly3({(0, 0, 1): -1.0, (1, 1, 0): -1.0}),
         )
         f = field.compiled()
-        step = integrator._flight_kernel(field)[1]
+        step = _bound(integrator._flight_kernel(field))[1]
         for y in itertools.product((0.0, -0.0), repeat=3):
             for h in self.STEPS:
                 self._assert_same(step, f, y, h)
@@ -425,7 +433,7 @@ class TestStepperBitwise:
         # infinite terms add up to NaN.
         field = VectorField3(Poly3.constant(1.0), Poly3.zero(), Poly3({(1, 1, 1): 1.0}))
         f = field.compiled()
-        step = integrator._flight_kernel(field)[1]
+        step = _bound(integrator._flight_kernel(field))[1]
         y = (1.7, 1e154, 1e154)
         self._assert_same(step, f, y, 1.0)
         y_new, _, norm = step(y, 1.0, f(*y))
@@ -446,7 +454,7 @@ class TestStepperBitwise:
             for i in range(3):
                 assert (f"wb_{i} = " in source) == (i in const)
                 assert (f"k2{i} = " in source) == (i not in const)
-            f, step, _ = integrator._flight_kernel(field)
+            f, step, _ = _bound(integrator._flight_kernel(field))
             states = [tuple(float(v) for v in rng.normal(scale=2.0, size=3)) for _ in range(4)]
             states += [*itertools.product((0.0, -0.0), repeat=3), (1.7, 1e154, 1e154)]
             for h in self.STEPS + [-1e-6, -0.013, -0.61]:
@@ -526,9 +534,9 @@ class TestKernelCache:
         monkeypatch.setattr(integrator, "_compile", compile_)
         coeffs = (0.123456789, -2.718281828)
         a, b = (self._field(c) for c in coeffs)
-        step_a = integrator._flight_kernel(a)[1]
+        step_a = _bound(integrator._flight_kernel(a))[1]
         before = integrator._flight_factory.cache_info()
-        step_b = integrator._flight_kernel(b)[1]
+        step_b = _bound(integrator._flight_kernel(b))[1]
         after = integrator._flight_factory.cache_info()
         assert (after.hits, after.misses) == (before.hits + 1, before.misses)
         assert len(sources) == 1
@@ -552,7 +560,28 @@ class TestKernelCache:
 
     def test_a_flight_shape_binds_a_field_a_step_and_one_driver(self):
         kernel = integrator._flight_kernel(self._field(0.75))
-        assert [fn.__name__ for fn in kernel] == ["field", "step", "in_box"]
+        assert [fn.__name__ for fn in kernel[1:]] == ["field", "step", "in_box"]
+
+    def test_a_binding_is_a_tuple_beside_shared_functions(self, monkeypatch):
+        # Binding a second field of a shape compiles nothing and builds no
+        # function: both kernels hold the same field, step and driver, and
+        # differ in their binding alone, as do a field's two time directions
+        # and the sliding kernels of two systems of one shape.
+        a, b = self._field(0.3), self._field(-1.7)
+        first = integrator._flight_kernel(a)
+        first_slide = integrator._sliding_kernel(_stick_slip_system(1.0, 0.5, 0.1))
+        compiled = []
+        real = integrator._compile
+        monkeypatch.setattr(integrator, "_compile",
+                            lambda *args: compiled.append(args) or real(*args))
+        pairs = [(integrator._flight_kernel(b), first),
+                 (a.reversed_kernel(integrator._flight_factory), first),
+                 (integrator._sliding_kernel(_stick_slip_system(1.3, 0.2, 0.25)), first_slide)]
+        assert compiled == []
+        for kernel, ref in pairs:
+            assert all(fn is ref_fn for fn, ref_fn in zip(kernel[1:], ref[1:]))
+            assert type(kernel[0]) is tuple and kernel[0] != ref[0]
+        assert pairs[1][0][0] == tuple(-c for c in a.shape()[1])
 
     def test_field_matches_compiled_evaluator(self):
         # cubes, constant and empty components, at random points and at
@@ -572,7 +601,7 @@ class TestKernelCache:
         points = [*itertools.product((0.0, -0.0, 1.5, -0.25), repeat=3)]
         points += [tuple(float(v) for v in rng.normal(scale=3.0, size=3)) for _ in range(20)]
         for field in fields:
-            f = integrator._flight_kernel(field)[0]
+            f = _bound(integrator._flight_kernel(field))[0]
             for p in points:
                 assert _bits(*f(*p)) == _bits(*field.compiled()(*p))
 
@@ -583,14 +612,18 @@ class TestGeneratedSourcePinned:
     components were bound once, apart from the plane driver's bracket,
     which a single event builds as one tuple, the plane driver's epilogue,
     which locates the event with one more step body and hands its root on
-    in the bracket, and the weighted sums, which add the terms of nonzero
-    weights only, starting with the first.  Pinned here: the dry-friction
-    oscillator of stick-slip runs, whose X has no constant component, and
-    its sliding field, with three events; the flight kernel's evaluator
-    ``field`` and its return line are pinned apart from them."""
+    in the bracket, the weighted sums, which add the terms of nonzero
+    weights only, starting with the first, and the binding: each function
+    takes the tuple ``p`` first and unpacks it on its first line, ``bind``
+    returns ``p`` with the functions compiled once beside it, and the
+    drivers return the status constants ``_HIT_SIGMA``, ``_LEFT_BOX``, ...
+    Pinned here: the dry-friction oscillator of stick-slip runs, whose X has
+    no constant component, and its sliding field, with three events; the
+    flight kernel's evaluator ``field`` and the last return line are pinned
+    apart from them."""
 
-    FLIGHT = "9851cfd0cc313f40b9600e087787aaeeb6ea0e832d77e4ce4d22f5e3ae87e2cc"
-    SLIDING = "8b6d3d48e34ff095a8a9ad1ed4efea2d811378156cca46cb3df6e05fb2cf93d8"
+    FLIGHT = "5e3613bd2ba2ab990a378bb14df12a2d86ff0d26a53f0f6a696a2601fd992aea"
+    SLIDING = "39abba308f8b3986e8c56852da7b0dbdc65dc9f483a7c991dce17fb29e42350b"
 
     @staticmethod
     def _sha(text):
@@ -603,8 +636,9 @@ class TestGeneratedSourcePinned:
         head, rest = flight.split("\n    def step(", 1)
         body, tail = rest.rsplit("\n    return ", 1)
         assert head.endswith(
-            "\n    def field(x, y, z):\n        return (c0 + c1*z, c2*y + c3*x, c4 + c5*z + c6*x)")
-        assert tail == "field, step, in_box"
+            "\n    def field(p, x, y, z):\n        c0, c1, c2, c3, c4, c5, c6, = p"
+            "\n        return (c0 + c1*z, c2*y + c3*x, c4 + c5*z + c6*x)")
+        assert tail == "bind"
         assert self._sha("    def step(" + body) == self.FLIGHT
         shapes = system.X.shape()[0] + system.Y.shape()[0]
         assert self._sha(_generated_source(integrator._sliding_factory, shapes)) == self.SLIDING
@@ -761,16 +795,16 @@ class TestEvalWithinStep:
         # error test, so the step is halved until each part passes; the
         # result must match the exact (cos 1, sin 1).
         field = VectorField3(Poly3({(0, 1, 0): -1.0}), Poly3({(1, 0, 0): 1.0}), Poly3.zero())
-        f, step, _ = integrator._flight_kernel(field)
+        p, f, step, _ = integrator._flight_kernel(field)
         y0 = (1.0, 0.0, 0.0)
-        assert step(y0, 1.0, f(*y0))[2] > 1.0
+        assert step(p, y0, 1.0, f(p, *y0))[2] > 1.0
         calls = []
 
         def counted(*args):
-            calls.append(args[1])
+            calls.append(args[2])
             return step(*args)
 
-        y1 = integrator._eval_within_step(f, counted, y0, f(*y0), 1.0)
+        y1 = integrator._eval_within_step(p, f, counted, y0, f(p, *y0), 1.0)
         assert len(calls) > 2 and min(calls) < 1.0
         assert y1[0] == pytest.approx(math.cos(1.0), abs=1e-9)
         assert y1[1] == pytest.approx(math.sin(1.0), abs=1e-9)
@@ -829,7 +863,7 @@ class TestFoldMapFlight:
 
         def record(*args):
             res = real(*args)
-            legs.append((args, res))
+            legs.append((args, integrator.FlightResult(*res)))
             return res
 
         monkeypatch.setattr(integrator, "_to_plane", record)
@@ -882,6 +916,33 @@ class TestFoldMapFlight:
             shapes, coeffs = fld.shape()
             kernels |= {(shapes, tuple(coeffs)), (shapes, tuple(-c for c in coeffs))}
         assert len(binds) == 4 and set(binds) == kernels
+
+    def test_fresh_jacobians_bind_four_kernels_each(self, monkeypatch):
+        # Each fresh system binds X, Y, -X and -Y once, onto the functions
+        # its shapes compiled for the first: no other compile runs.
+        binds, compiled = [], []
+        real_factory, real_compile = integrator._flight_factory, integrator._compile
+
+        def factory(shapes):
+            bind = real_factory(shapes)
+            return lambda *coeffs: binds.append(coeffs) or bind(*coeffs)
+
+        monkeypatch.setattr(integrator, "_flight_factory", factory)
+        first = hot_normal_form()
+        jacobian_numeric(lambda q: return_map_numeric(first, q), (0.0, 0.0), 1e-3)
+        monkeypatch.setattr(integrator, "_compile",
+                            lambda *args: compiled.append(args) or real_compile(*args))
+        for params in [(1.1, -0.4, 1.7), (-2.2, 0.6, 0.3)]:
+            binds.clear()
+            system = build_normal_form(*params, -1.0, hot=HOT)
+            jacobian_numeric(lambda q: return_map_numeric(system, q), (0.0, 0.0), 1e-3)
+            assert len(binds) == 4 and compiled == []
+            for fld, ref in ((system.X, first.X), (system.Y, first.Y)):
+                for kernel, ref_kernel in ((integrator._flight_kernel(fld),
+                                            integrator._flight_kernel(ref)),
+                                           (fld.reversed_kernel(integrator._flight_factory),
+                                            ref.reversed_kernel(integrator._flight_factory))):
+                    assert all(fn is r for fn, r in zip(kernel[1:], ref_kernel[1:]))
 
 
 class TestReturnMap:
@@ -1320,16 +1381,16 @@ def _count_kernel_steps(monkeypatch, counts):
         counts["field_evals"] += 6 * n
 
     def counted(step):
-        def wrapper(y, h, k1):
+        def wrapper(p, y, h, k1):
             add_steps(1)
-            return step(y, h, k1)
+            return step(p, y, h, k1)
 
         return wrapper
 
     def counted_field(f):
-        def wrapper(*y):
+        def wrapper(p, *y):
             counts["field_evals"] += 1
-            return f(*y)
+            return f(p, *y)
 
         return wrapper
 
@@ -1349,9 +1410,10 @@ def _count_kernel_steps(monkeypatch, counts):
 
         return wrapper
 
-    def counted_fly(f, step, events, drive, *args):
-        res = fly(counted_field(f), counted(step), events, counted_drive(drive), *args)
-        add_steps(res.accepted + res.rejected)
+    def counted_fly(kernel, events, *args):
+        p, f, step, drive = kernel
+        res = fly((p, counted_field(f), counted(step), counted_drive(drive)), events, *args)
+        add_steps(res[4] + res[5])  # accepted + rejected
         counts["field_evals"] += 1
         return res
 
@@ -1367,14 +1429,14 @@ def _record_refinements(monkeypatch):
     events = []
     real_refine = integrator._refine_event
 
-    def refine(f, step, event, y_left, k_left, y_right, k_right, h, g_left, g_right, first):
+    def refine(p, f, step, event, y_left, k_left, y_right, k_right, h, g_left, g_right, first):
         counts = collections.Counter()
 
         def counted(*args):
             counts["steps"] += 1
             return step(*args)
 
-        found = real_refine(f, counted, event, y_left, k_left, y_right, k_right, h, g_left,
+        found = real_refine(p, f, counted, event, y_left, k_left, y_right, k_right, h, g_left,
                             g_right, first)
         events.append((h, found, counts["steps"], event.name))
         return found
@@ -1451,6 +1513,30 @@ class TestEventLocator:
         assert np.max(np.abs(exit_new - exit_ref)) <= 1e-9
 
 
+def _ref_plane_root(z0, z1, kz0, kz1, h, g0, g1):
+    """``integrator._plane_root`` as it was written with ``_hermite``'s
+    expression, ``-s * s * r * h`` added: kept to pin the root's bits."""
+    dz = z1 - z0
+    a, ga, b, gb = 0.0, g0, h, g1
+    t = b
+    for _ in range(100):
+        t = b - gb * (b - a) / (gb - ga)
+        if t == a or t == b:
+            break
+        s = t / h
+        r = 1.0 - s
+        g = z0 + s * s * (3.0 - 2.0 * s) * dz + s * r * r * h * kz0 + -s * s * r * h * kz1
+        if g == 0.0:
+            break
+        if (g > 0.0) == (gb > 0.0):
+            m = 1.0 - g / gb
+            ga *= m if m > 0.0 else 0.5
+        else:
+            a, ga = b, gb
+        b, gb = t, g
+    return t
+
+
 class TestPlaneRootOneComponent:
     """The plane event's interpolant root, ``_plane_root``, reads the
     z-component alone; it must equal, bit for bit, the root found through
@@ -1488,6 +1574,29 @@ class TestPlaneRootOneComponent:
             assert event.component == 2
             got = integrator._interpolant_root(event, y0, k0, y1, k1, h, y0[2], y1[2])
             assert _bits(got) == _bits(t)
+
+    def test_same_bits_as_the_hermite_expression(self):
+        # Seeded brackets whose values and slopes include signed zeros, huge
+        # and tiny slopes (1e+-150, whose products overflow or underflow),
+        # and ordinary floats; g0 and g1 are drawn apart from z0 and z1 so
+        # that a bracket with z0 = -0.0 still iterates.
+        rng = np.random.default_rng(38)
+        special = [0.0, -0.0, 1e150, -1e150, 1e-150, -1e-150]
+
+        def value(scale):
+            if rng.random() < 0.4:
+                return float(rng.choice(special))
+            return float(rng.normal(scale=10.0 ** rng.uniform(-scale, scale)))
+
+        for _ in range(4000):
+            h = float(10.0 ** rng.uniform(-8, 1)) * float(rng.choice((-1.0, 1.0)))
+            z0, z1, kz0, kz1 = (value(6) for _ in range(4))
+            g0 = abs(z0) if z0 and rng.random() < 0.5 else abs(value(3)) + 1e-300
+            g1 = -abs(z1) if z1 and rng.random() < 0.5 else -abs(value(3)) - 1e-300
+            if rng.random() < 0.5:
+                g0, g1 = -g0, -g1
+            got = integrator._plane_root(z0, z1, kz0, kz1, h, g0, g1)
+            assert _bits(got) == _bits(_ref_plane_root(z0, z1, kz0, kz1, h, g0, g1))
 
     def test_hot_normal_form_flights(self, monkeypatch):
         # every fold map's driver calls _plane_root on the bracketing step's
@@ -1580,19 +1689,20 @@ class TestNonFiniteErrorNorm:
 
     def test_flight_grows_fivefold_to_the_horizon(self):
         field = self._field(Poly3.constant(1.0))
-        f, kernel_step, in_box = integrator._flight_kernel(field)
+        kernel = integrator._flight_kernel(field)
+        p, f, kernel_step, _ = kernel
         start = (1e306, 1.0, 0.0)
 
         def flight(outside=None):
             steps = []
 
-            def step(y, h, k1):
-                out = kernel_step(y, h, k1)
+            def step(p, y, h, k1):
+                out = kernel_step(p, y, h, k1)
                 steps.append((h, out[2]))
                 return out
 
             event = _RefEvent("sigma", operator.itemgetter(2), 1e-13, 1, 2)
-            res = _ref_integrate(f, step, start, [event], integrator._MAX_TIME, outside)
+            res = _ref_integrate(p, f, step, start, [event], integrator._MAX_TIME, outside)
             return res, steps
 
         # dz/dt = 1 never returns and the reference loop runs with no guard,
@@ -1617,8 +1727,9 @@ class TestNonFiniteErrorNorm:
         assert len(guarded_steps) < len(steps)
         assert [_bits(*hs) for hs in guarded_steps] == [
             _bits(*hs) for hs in steps[:len(guarded_steps)]]
-        got = integrator._fly(f, kernel_step, integrator._SIGMA_EVENTS[1], in_box, start,
-                              integrator._MAX_TIME, None, 1, _cube_box(start, math.inf), [])
+        got = integrator.FlightResult(*integrator._fly(
+            kernel, integrator._SIGMA_EVENTS[1], start, integrator._MAX_TIME, None, 1,
+            _cube_box(start, math.inf), []))
         assert (got.status, got.accepted + got.rejected) == (guarded.status, len(guarded_steps))
         assert _bits(got.time, *got.point) == _bits(guarded.time, *guarded.point)
 
@@ -1658,7 +1769,7 @@ class TestOverflowingPower:
 
     def test_flight_leaves_guard_and_fold_map_fails(self):
         field = self._field(1.0)
-        f, step, _ = integrator._flight_kernel(field)
+        f, step, _ = _bound(integrator._flight_kernel(field))
         y_new, k_last, err_norm = step((1e150, 0.0, 0.0), 1e-4, f(1e150, 0.0, 0.0))
         assert math.isnan(y_new[0]) and math.isnan(k_last[0]) and math.isnan(err_norm)
         res = integrate_to_sigma(field, (1e150, 0.0, 0.0), 1, self.BIG)
@@ -1716,14 +1827,14 @@ class TestGeneratedDriver:
             finally:
                 cube.pop()
 
-        def recorded(f, step, events, drive, *args):
+        def recorded(kernel, events, *args):
             refined.clear()
             if reference:
-                res = _ref_fly(f, step, events, drive, *args, cube=bool(cube))
+                res = _ref_fly(kernel, events, *args, cube=bool(cube))
             else:
-                res = fly(f, step, events, drive, *args)
-            kind = "_to_plane" if cube else drive.__name__
-            flights.append((kind, res, list(args[-1]), bool(refined)))
+                res = fly(kernel, events, *args)
+            kind = "_to_plane" if cube else kernel[3].__name__
+            flights.append((kind, integrator.FlightResult(*res), list(args[-1]), bool(refined)))
             return res
 
         with pytest.MonkeyPatch.context() as mp:
@@ -1783,10 +1894,10 @@ class TestGeneratedDriver:
         first = []
         real = integrator._refine_event
 
-        def refine(f, step, event, y0, k0, y1, k1, h, g0, g1, handed):
+        def refine(p, f, step, event, y0, k0, y1, k1, h, g0, g1, handed):
             dt = integrator._plane_root(y0[2], y1[2], k0[2], k1[2], h, g0, g1)
-            first.append(abs(integrator._probe(f, step, event, y0, k0, dt)[1]))
-            return real(f, step, event, y0, k0, y1, k1, h, g0, g1, handed)
+            first.append(abs(integrator._probe(p, f, step, event, y0, k0, dt)[1]))
+            return real(p, f, step, event, y0, k0, y1, k1, h, g0, g1, handed)
 
         monkeypatch.setattr(integrator, "_refine_event", refine)
         for q in points:
@@ -1836,16 +1947,17 @@ class TestGeneratedDriver:
         # driver hands the root on without the probe's state, which
         # _eval_within_step would split
         field = VectorField3(Poly3({(2, 0, 0): 1.0}), Poly3.zero(), Poly3.constant(-1.0))
-        f, step, in_box = integrator._flight_kernel(field)
+        kernel = integrator._flight_kernel(field)
+        p, f, step, _ = kernel
         handed = []
         monkeypatch.setattr(integrator, "_refine_event",
-                            lambda *args: handed.append(args) or (args[-1][0], args[3], 0.0))
+                            lambda *args: handed.append(args) or (args[-1][0], args[4], 0.0))
         start = (1e150, 0.0, 5e-5)
-        integrator._fly(f, step, integrator._SIGMA_EVENTS[1], in_box, start, 1.0, None, 1,
+        integrator._fly(kernel, integrator._SIGMA_EVENTS[1], start, 1.0, None, 1,
                         _cube_box(start, math.inf), [])
         ((*_, h, g0, g1, (dt, state)),) = handed
         assert state is None and 0.0 < dt < h and g0 > 0.0 > g1
-        assert math.isnan(step(start, dt, f(*start))[2])
+        assert math.isnan(step(p, start, dt, f(p, *start))[2])
 
     @pytest.mark.parametrize("direction", [1, -1])
     def test_unarmed_shallow_arc_fires_on_the_far_side(self, direction):
@@ -1865,7 +1977,7 @@ class TestGeneratedDriver:
         real = integrator._refine_event
 
         def refine(*args):
-            located.append(args[9])  # g_right
+            located.append(args[10])  # g_right
             return real(*args)
 
         start = (0.0, 0.0, 0.39059999999999995)

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -25,23 +26,29 @@ def const_field(cx, cy, cz):
     return VectorField3(Poly3.constant(cx), Poly3.constant(cy), Poly3.constant(cz))
 
 
+def _sliding_field(system):
+    """The sliding kernel's evaluator ``(x, y) -> field``, read with its binding."""
+    p, field = _sliding_kernel(system)[:2]
+    return functools.partial(field, p)
+
+
 class TestSlidingField:
     """The rational sliding field, as the sliding kernel's evaluator."""
 
     def test_constant_fields(self):
         Z = PiecewiseSystem(const_field(1, 0, -1), const_field(0, 1, 1))
-        fld = _sliding_kernel(Z)[0]
+        fld = _sliding_field(Z)
         assert fld(0.3, -0.2) == (0.5, 0.5)
 
     def test_elliptic_point(self):
-        fld = _sliding_kernel(ELLIPTIC)[0]
+        fld = _sliding_field(ELLIPTIC)
         assert fld(1.0, 1.0) == (0.0, 0.0)
 
     def test_denominator_zero(self):
         # Yf - Xf = 0 at every point: the evaluator raises rather than return
         # a non-finite field (the driver stops at the denominator event first)
         Z = PiecewiseSystem(const_field(1, 0, 1), const_field(0, 1, 1))
-        fld = _sliding_kernel(Z)[0]
+        fld = _sliding_field(Z)
         with pytest.raises(ZeroDivisionError):
             fld(0.0, 0.0)
 
@@ -71,7 +78,7 @@ class TestSlidingField:
 
     def test_reparametrization_sign(self):
         rng = np.random.default_rng(6)
-        fld = _sliding_kernel(ELLIPTIC)[0]
+        fld = _sliding_field(ELLIPTIC)
         nrm = normalized_sliding_field(ELLIPTIC)
         checked = 0
         while checked < 1000:
