@@ -40,9 +40,9 @@ trajectory must start inside its box.
 
 ``integrate_to_sigma`` and the fold maps fly through one core, which
 returns a plain tuple; a fold map flies backwards on its field's reversed
-kernel, bound from the negated coefficients.  The fold maps and the first-return map realized here are
-compared against their closed forms by the verification suites; nothing
-in this module consults those formulas.
+kernel, bound from the negated coefficients.  The fold maps and the
+first-return map realized here are compared against their closed forms by
+the verification suites; nothing in this module consults those formulas.
 """
 
 from __future__ import annotations
