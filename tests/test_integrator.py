@@ -927,6 +927,10 @@ class TestFoldMapFlight:
             bind = real_factory(shapes)
             return lambda *coeffs: binds.append(coeffs) or bind(*coeffs)
 
+        def kernels(system):  # X, -X, Y, -Y, bound by the Jacobian
+            return [k for fld in (system.X, system.Y)
+                    for k in (fld.kernel(factory), fld.reversed_kernel(factory))]
+
         monkeypatch.setattr(integrator, "_flight_factory", factory)
         first = hot_normal_form()
         jacobian_numeric(lambda q: return_map_numeric(first, q), (0.0, 0.0), 1e-3)
@@ -937,12 +941,8 @@ class TestFoldMapFlight:
             system = build_normal_form(*params, -1.0, hot=HOT)
             jacobian_numeric(lambda q: return_map_numeric(system, q), (0.0, 0.0), 1e-3)
             assert len(binds) == 4 and compiled == []
-            for fld, ref in ((system.X, first.X), (system.Y, first.Y)):
-                for kernel, ref_kernel in ((integrator._flight_kernel(fld),
-                                            integrator._flight_kernel(ref)),
-                                           (fld.reversed_kernel(integrator._flight_factory),
-                                            ref.reversed_kernel(integrator._flight_factory))):
-                    assert all(fn is r for fn, r in zip(kernel[1:], ref_kernel[1:]))
+            for kernel, ref in zip(kernels(system), kernels(first)):
+                assert all(fn is ref_fn for fn, ref_fn in zip(kernel[1:], ref[1:]))
 
 
 class TestReturnMap:
