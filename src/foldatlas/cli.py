@@ -119,7 +119,7 @@ def cmd_classify(args):
         "tolerance": tol,
         "classification": {
             "kind": cls.kind.value,
-            "witness": {"Xf": cls.witness[0], "Yf": cls.witness[1]},
+            "witness": {"Xf": _jsonable(cls.witness[0]), "Yf": _jsonable(cls.witness[1])},
         },
         "validation_warnings": validate(system).warnings,
     }

@@ -445,20 +445,18 @@ def _sliding_kernel(system):
 
 @dataclass(frozen=True)
 class _Event:
-    """Terminal event g(y) = 0 as the locator sees it: ``expected_sign`` is
-    the side it arms on (0 for either).  ``component``, when set, says that
-    g is that state component alone: the interpolant root evaluates only it,
-    and the locator polishes by Newton steps whose slope dg/dt is that
-    component of the field.  Other events polish by secant steps."""
+    """Terminal event g(y) = 0 as the locator sees it.  ``component``, when
+    set, says that g is that state component alone: the locator polishes by
+    Newton steps whose slope dg/dt is that component of the field.  Other
+    events polish by secant steps."""
 
     name: str
     fn: object
-    expected_sign: int = 0
     component: int | None = None
 
 
-# The return to the plane z = 0 from the half-space of sign d, by d.
-_SIGMA_EVENTS = {d: (_Event("sigma", itemgetter(2), d, 2),) for d in (1, -1)}
+# The return to the plane z = 0, from either half-space.
+_SIGMA_EVENTS = (_Event("sigma", itemgetter(2), 2),)
 
 
 def _eval_within_step(p, f, step, y_left, k_left, dt, depth=0):
@@ -466,7 +464,7 @@ def _eval_within_step(p, f, step, y_left, k_left, dt, depth=0):
     error-controlled re-integration with the kernel ``step`` of the field
     ``f`` bound by ``p`` (split recursively until the estimate passes)."""
     y_new, _, err_norm = step(p, y_left, dt, k_left)
-    if depth >= 18 or abs(dt) < 1e-15 or err_norm <= 1.0:
+    if depth >= 18 or abs(dt) < 1e-15 or not err_norm > 1.0:  # a NaN norm does not split
         return y_new
     mid = _eval_within_step(p, f, step, y_left, k_left, dt / 2.0, depth + 1)
     return _eval_within_step(p, f, step, mid, f(p, *mid), dt / 2.0, depth + 1)
@@ -530,12 +528,9 @@ def _interpolant_root(event, y0, k0, y1, k1, h, g0, g1):
     one, the value at the far bracket end is scaled down, which stops the
     one-sided stall of plain regula falsi.  It uses no field evaluation, so
     it runs to the interpolant's floating-point resolution: an exact zero,
-    or a secant point that no longer moves off the bracket ends.  An event
-    on one state component is located by ``_plane_root`` on that component.
+    or a secant point that no longer moves off the bracket ends.  The plane
+    driver hands its own root, ``_plane_root``'s, to the locator.
     """
-    i = event.component
-    if i is not None:
-        return _plane_root(y0[i], y1[i], k0[i], k1[i], h, g0, g1)
     a, ga, b, gb = 0.0, g0, h, g1
     t = b
     for _ in range(100):
@@ -582,8 +577,8 @@ def _refine_event(p, f, step, event, y_left, k_left, y_right, k_right, h, g_left
         lo_sign = 1.0
     elif g_lo < 0.0:
         lo_sign = -1.0
-    else:
-        lo_sign = float(event.expected_sign) or -math.copysign(1.0, g_right)
+    else:  # fired from g = 0, so g_right lies past the root (a plane event's: on -d)
+        lo_sign = -math.copysign(1.0, g_right)
     best = None
     dt, y_c = first or (math.nan, None)
     if first is None and g_lo * g_right < 0.0:
@@ -668,7 +663,7 @@ def integrate_to_sigma(field, q0, direction, box=DEFAULT_BOX, h0=None):
     half-width 1.5 times the longest side of ``box``, and the flight's
     samples are dropped.
     """
-    if direction not in _SIGMA_EVENTS:
+    if direction not in (1, -1):
         raise PreconditionError("direction must be +1 or -1")
     tol = default_tolerance(field)
     if abs(q0[2]) > tol:
@@ -687,7 +682,7 @@ def integrate_to_sigma(field, q0, direction, box=DEFAULT_BOX, h0=None):
 def _to_plane(kernel, x, y, direction, box, h0):
     """``_fly`` from (x, y, 0) on ``kernel``: ``integrate_to_sigma`` past its start checks."""
     r = box.flight_guard
-    return _fly(kernel, _SIGMA_EVENTS[direction], (x, y, 0.0), _MAX_TIME, h0, direction,
+    return _fly(kernel, _SIGMA_EVENTS, (x, y, 0.0), _MAX_TIME, h0, direction,
                 (x - r, x + r, y - r, y + r, -r, r), [])
 
 
@@ -878,7 +873,7 @@ def filippov_trajectory(system, p0, horizon, cfg=None):
                                      10.0 * max(_EVENT_TOL, tol), samples))
         else:
             fld, d = (system.X, 1) if mode is Mode.FLOW_PLUS else (system.Y, -1)
-            out = FlightResult(*_fly(_flight_kernel(fld), _SIGMA_EVENTS[d], p, remaining, None,
+            out = FlightResult(*_fly(_flight_kernel(fld), _SIGMA_EVENTS, p, remaining, None,
                                      d, box, samples))
         if out.event is not None:
             samples.append((out.time, *out.point))

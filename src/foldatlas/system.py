@@ -193,8 +193,9 @@ class PiecewiseSystem:
 def _parse_component(entries, where):
     """Poly3 of a component's ``[[i, j, k], coefficient]`` terms.  A term of
     exact ``int`` exponents >= 0 and a ``float`` coefficient is already what
-    the checks make of it, so only its finiteness is tested; any other term
-    (booleans, int coefficients, malformed) runs the checks and their errors."""
+    the checks make of it; any other term (booleans, int coefficients,
+    malformed) runs the checks and their errors.  Repeated terms add up, and
+    each running sum must be finite."""
     if not isinstance(entries, list):
         raise MalformedDocumentError(f"{where}: expected a list of terms")
     terms = {}
@@ -218,9 +219,10 @@ def _parse_component(entries, where):
                 raise MalformedDocumentError(f"{where}: coefficient must be a number")
             # int() stores a boolean exponent as 0 or 1
             key = (int(i), int(j), int(k))
+        c = terms.get(key, 0.0) + c  # repeated terms add up, and may overflow
         if not math.isfinite(c):
             raise NonFiniteCoefficientError(f"{where}: non-finite coefficient")
-        terms[key] = terms.get(key, 0.0) + c  # repeated terms add up
+        terms[key] = c
     # Sums that cancel are pruned before the one degree computation, which
     # both caps read: the package-wide cap first, then the input cap.
     terms = _prune(terms)

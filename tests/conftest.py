@@ -1,7 +1,7 @@
 """Shared pytest set-up: one derandomized, bounded ``hypothesis`` profile, so
 property tests draw the same examples on every run and stay fast; a fixture
-that counts calls of package functions; and the normal form the CI workflow
-classifies."""
+that counts calls of package functions; and a two-fold normal form with
+higher-order terms."""
 
 import collections
 import sys
@@ -55,8 +55,8 @@ def call_counts(monkeypatch):
 
 @pytest.fixture
 def ci_normal_form():
-    """The system the CI workflow serializes and classifies: an invisible
-    two-fold at the origin, with higher-order terms."""
+    """An invisible two-fold at the origin, with higher-order terms: the
+    system that the command-line tests run every subcommand on."""
     hot = {"cx": [[[0, 1, 0], 0.2]], "cy": [[[1, 0, 0], -0.1]],
            "cz": [[[2, 0, 0], 0.3], [[0, 1, 1], 0.1]]}
     return build_normal_form(-0.6, 1.2, 0.8, -1.0, hot=hot)

@@ -11,9 +11,10 @@ from pathlib import Path
 import pytest
 
 import foldatlas
+import pinned_digests
 from foldatlas import checks, sigma
 from foldatlas.algebra import Poly3, VectorField3
-from foldatlas.cli import SweepSpec, _jsonable, main, run_sweep
+from foldatlas.cli import _jsonable, main
 from foldatlas.errors import BoxRangeError, EmptyBoxError, IntegrationFailure
 from foldatlas.foldfold import (
     FixedPointClass,
@@ -165,6 +166,15 @@ class TestClassify:
             assert curve == {"points": points, "closed": False, "complete": True}
             assert max(abs(p[axis]) for p in curve["points"]) <= 1e-10
 
+    def test_hot_normal_form_traces_both_fold_lines(self, ci_normal_form, tmp_path):
+        path = tmp_path / "normal-form.json"
+        path.write_text(serialize_system(ci_normal_form))
+        out = tmp_path / "report.json"
+        assert main(["classify", str(path), "--point", "0,0,0", "--curves",
+                     "--out", str(out)]) == 0
+        curves = json.loads(out.read_text())["tangency_curves"]
+        assert set(curves) == {"X", "Y"} and all(curves.values())
+
     def test_regular_point_report(self, elliptic_file, tmp_path):
         report = _classify(elliptic_file, "1,-1,0", tmp_path)
         assert report["classification"]["kind"] == "crossing"
@@ -222,17 +232,55 @@ class TestClassify:
         bad.write_text("{")
         assert main(["classify", str(bad), "--point", "0,0,0"]) == 2
 
-    def test_integer_coefficient_beyond_float_range_exit_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("terms", [
+        [[[0, 0, 0], 10**400]],  # an integer past the float range
+        [[[0, 0, 0], 1e308], [[0, 0, 0], 1e308]],  # finite terms whose sum is not
+    ])
+    def test_coefficient_beyond_float_range_exit_2(self, tmp_path, terms, capsys):
         doc = json.loads(serialize_system(build_normal_form(-2.0, -1.0, 1.0, -1.0)))
-        doc["X"]["cx"] = [[[0, 0, 0], 10**400]]
+        doc["X"]["cx"] = terms
         path = tmp_path / "huge.json"
         path.write_text(json.dumps(doc))
         assert main(["classify", str(path), "--point", "0,0,0"]) == 2
-        assert "X.cx: non-finite coefficient" in capsys.readouterr().err
+        assert capsys.readouterr() == ("", "error: X.cx: non-finite coefficient\n")
 
     def test_overflowing_point_exit_3(self, square_file, capsys):
         assert main(["classify", square_file, "--point", "1e200,0,0"]) == 3
         assert capsys.readouterr() == ("", _OVERFLOW_MESSAGE)
+
+    def test_non_finite_witness_is_a_string(self, tmp_path, capsys):
+        # Xf = 1e300 * x is inf at x = 1e10: the report stays strict JSON,
+        # with the witness written as "inf" like every non-finite float
+        steep = PiecewiseSystem(_field(1.0, 0.0, Poly3({(1, 0, 0): 1e300})), _UNIT_Z,
+                                Box(-1e20, 1e20, -1.0, 1.0, -1.0, 1.0))
+        path = tmp_path / "steep.json"
+        path.write_text(serialize_system(steep))
+        assert main(["classify", str(path), "--point", "1e10,0,0"]) == 0
+
+        def reject(token):
+            raise ValueError(f"bare non-finite token {token}")
+
+        report = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert report["classification"]["witness"] == {"Xf": "inf", "Yf": 1.0}
+
+    def test_term_spellings_classify_as_their_canonical_twin(self, ci_normal_form, tmp_path,
+                                                            capsys):
+        # a boolean exponent (true for 1) and an integer coefficient: the
+        # same bytes at a two-fold, a fold-regular, a sliding and a crossing
+        # point
+        doc = json.loads(serialize_system(ci_normal_form))
+        assert doc["X"]["cz"] == [[[0, 1, 0], -1.0]]
+        canonical, twin = tmp_path / "canonical.json", tmp_path / "twin.json"
+        canonical.write_text(json.dumps(doc))
+        doc["X"]["cz"] = [[[0, True, 0], -1]]
+        twin.write_text(json.dumps(doc))
+        assert "[0, true, 0], -1]" in twin.read_text()
+        for point in ("0,0,0", "0.3,0,0", "0.5,0.5,0", "0.5,-0.5,0"):
+            outs = []
+            for path in (canonical, twin):
+                assert main(["classify", str(path), "--point", point]) == 0
+                outs.append(capsys.readouterr().out)
+            assert outs[0] == outs[1]
 
     def test_powers_past_the_float_range_exit_0(self, tmp_path):
         # x**8 overflows to inf on the grids of validate's zero search and of
@@ -394,10 +442,12 @@ class TestSweep:
         (g, d) for g in (0.37, -0.37, 2.9, -2.9) for d in (-1, 1)])
     def test_columns_match_closed_form(self, tmp_path, gamma, delta):
         out = tmp_path / "grid.csv"
-        assert main(["sweep", "--alpha", "-3:3:9", "--beta", "-3:3:9", "--gamma",
+        assert main(["sweep", "--alpha", "-3:3:41", "--beta", "-3:3:41", "--gamma",
                      str(gamma), "--delta", str(delta), "--out", str(out)]) == 0
-        rows = [l.split(",") for l in out.read_text().strip().splitlines()[1:]]
-        assert len(rows) == 81
+        lines = out.read_text().splitlines()
+        assert lines[0] == "alpha,beta,gamma,delta,region,claim,fixed_point_class,verdict,reason,tau"
+        rows = [line.split(",") for line in lines[1:]]
+        assert len(rows) == 41 * 41 and {len(row) for row in rows} == {10}
         for row in rows:
             # rows are computed on plain floats; this record is validated afresh
             params = make_parameters(float(row[0]), float(row[1]), gamma, delta)
@@ -409,28 +459,19 @@ class TestSweep:
                 if analysis.fixed_point_class is FixedPointClass.NONHYPERBOLIC_COMPLEX:
                     tau = repr(analysis.tau)
             assert (row[6], row[9]) == (fp_class, tau)
+            # a fixed-point class exactly at invisible two-folds, tau in (0, pi)
+            assert bool(row[6]) == (gamma > 0 and delta == -1), row
+            assert not row[9] or 0.0 < float(row[9]) < math.pi, row
             report = report_from_params(params)
             verdict = report.verdict
             reason = verdict.reason.kind.value if verdict.reason else ""
             assert row[5] == str(report.region.claim.value)
             assert (row[7], row[8]) == (verdict.kind.value, reason)
+            assert row[7] in ("stable", "unstable", "boundary-degenerate"), row
 
     def test_label_columns_pinned(self):
-        # SHA-256 over every line, header included, of the 101x101 atlases
-        # of each (gamma, delta) group, keeping the first nine fields (all
-        # but tau, which follows the last bits of the return-map trace).
-        for pairs, expected in [
-            ([(1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, 1.0)],
-             "45626ffc14b386d636e288afb47fd511f10b6418032ace0860f647a27a0032d4"),
-            ([(g, d) for g in (0.37, -0.37, 2.9, -2.9) for d in (-1.0, 1.0)],
-             "e1f50736091ab79ffcfcfe864003f82a686e996b2b075109808f668b98cca77f"),
-        ]:
-            digest = hashlib.sha256()
-            for gamma, delta in pairs:
-                text = run_sweep(SweepSpec((-3.0, 3.0, 101), (-3.0, 3.0, 101), gamma, delta))
-                for line in text.splitlines():
-                    digest.update((",".join(line.split(",")[:9]) + "\n").encode())
-            assert digest.hexdigest() == expected, (pairs, digest.hexdigest())
+        for pairs, expected in pinned_digests.SWEEP_LABEL_DIGESTS:
+            assert pinned_digests.sweep_label_digest(pairs) == expected, pairs
 
 
 class TestSimulate:
@@ -494,6 +535,26 @@ class TestSimulate:
         lines = out.read_text().splitlines()
         assert lines[-2] == "0,flow+,left-box,0.0001,nan,0.0,1e+100"
         assert lines[-1] == "# status=left-box total_time=0.0001"
+
+    def test_constant_fall_crosses_the_plane(self, tmp_path):
+        # X = Y = (1, 0.5, -1): every weighted sum of a step is bound once and
+        # no stage reads a coordinate.  The fall from z = 0.5 meets the plane
+        # at t = 0.5 at (0.5, 0.25), and crosses it into flow-.
+        constant = {"cx": [[[0, 0, 0], 1.0]], "cy": [[[0, 0, 0], 0.5]],
+                    "cz": [[[0, 0, 0], -1.0]]}
+        path = tmp_path / "constant.json"
+        path.write_text(json.dumps({"name": "constant", "box": [-10, 10, -10, 10, -10, 10],
+                                    "X": constant, "Y": constant}))
+        out = tmp_path / "traj.csv"
+        assert main(["simulate", str(path), "--p0", "0,0,0.5", "--T", "1", "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert lines[-1].startswith("# status=time-out ")
+        rows = [line.split(",") for line in lines[1:-1]]
+        last = max(i for i, row in enumerate(rows) if row[1] == "flow+")
+        t, x, y, z = map(float, rows[last][3:])
+        assert abs(t - 0.5) <= 1e-12 and abs(x - 0.5) <= 1e-12
+        assert abs(y - 0.25) <= 1e-12 and abs(z) <= 1e-12
+        assert rows[last + 1][1] == "flow-"
 
     @pytest.mark.parametrize("option,value", [("--T", "inf"), ("--T", "nan"),
                                               ("--p0", "0,nan,0.5")])
@@ -655,7 +716,8 @@ class TestVerify:
 
 class TestStartUp:
     """Only ``verify`` loads ``checks``, and with it numpy; ``classify`` and
-    ``sweep`` run on plain floats."""
+    ``sweep`` run on plain floats.  No command imports a package other than
+    numpy."""
 
     def test_classify_and_sweep_load_no_numpy(self, elliptic_file, tmp_path):
         out = str(tmp_path / "out")
@@ -679,6 +741,45 @@ class TestStartUp:
         proc = subprocess.run([sys.executable, "-c", script, json.dumps(runs)], env=env,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
+
+    def test_every_command_imports_only_numpy_past_the_standard_library(
+        self, ci_normal_form, tmp_path
+    ):
+        # Each subcommand runs as `python -m foldatlas.cli`, which reaches the
+        # module's __main__ line.  Beyond the standard library it may import
+        # numpy and foldatlas, and what a bare interpreter of this
+        # environment loads (site hooks of installed packages).
+        path = tmp_path / "normal-form.json"
+        path.write_text(serialize_system(ci_normal_form))
+        system = str(path)
+        runs = [
+            # a two-fold, a fold-regular, a sliding and a crossing point
+            ["classify", system, "--point", p]
+            for p in ("0,0,0", "0.3,0,0", "0.5,0.5,0", "0.5,-0.5,0")
+        ] + [
+            ["classify", system, "--point", "0,0,0", "--curves"],
+            ["sweep", "--alpha=-1:1:3", "--beta=-1:1:3", "--gamma", "1"],
+            ["simulate", system, "--p0", "0.1,0.2,0.5", "--T", "0.5"],
+            ["simulate", system, "--p0", "0.1,0.2,0.5", "--T=-0.5"],
+            ["verify", system, "--suite", "none"],
+            ["verify", "--suite", "all", "--scale", "0.1"],
+        ]
+        env = dict(os.environ, PYTHONPATH=str(Path(foldatlas.__file__).parents[1]))
+        # -v reports a module once its import succeeded, not a failed attempt
+        imported = re.compile(r"import '([\w.]+)' # ")
+
+        def top_level_imports(*args):
+            proc = subprocess.run([sys.executable, "-v", *args], env=env,
+                                  capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, (args, proc.stderr[-2000:])
+            return {m.group(1).split(".")[0]
+                    for m in map(imported.match, proc.stderr.splitlines()) if m}
+
+        allowed = (set(sys.stdlib_module_names) | {"numpy", "foldatlas"}
+                   | top_level_imports("-c", "pass"))
+        for argv in runs:
+            loaded = top_level_imports("-m", "foldatlas.cli", *argv)
+            assert "foldatlas" in loaded and not loaded - allowed, (argv, loaded - allowed)
 
     def test_verify_reads_its_suites_when_run(self, capsys):
         assert main(["verify", "--suite", "regions", "--scale", "0.2"]) == 0

@@ -27,7 +27,8 @@ from foldatlas.integrator import (
     jacobian_numeric,
     return_map_numeric,
 )
-from foldatlas.system import Box, PiecewiseSystem, build_normal_form, serialize_system
+from foldatlas.system import Box, PiecewiseSystem, build_normal_form
+from pinned_digests import HOT, NUMERIC_ROUTE_DIGEST, hot_normal_form, numeric_route_digest
 
 # Reference Dormand-Prince step: the generic tableau loop the written-out
 # stepper replaced, kept here to pin that stepper bit for bit.
@@ -298,9 +299,9 @@ def _ref_fly(kernel, events, *args, cube=False):
     trajectory appends the event sample itself, so it is not collected."""
     p, f, step, drive = kernel
     if drive.__name__ == "in_box":
-        start, t_limit, h0, _, box, samples = args
+        start, t_limit, h0, d, box, samples = args
         xmin, xmax, ymin, ymax, zmin, zmax = box
-        arms = (1e-13,)
+        arms, signs = (1e-13,), (d,)
 
         def outside(y):
             return not (xmin <= y[0] <= xmax and ymin <= y[1] <= ymax and zmin <= y[2] <= zmax)
@@ -311,31 +312,18 @@ def _ref_fly(kernel, events, *args, cube=False):
     else:
         start, t_limit, h0, box, _, arm, samples = args
         xmin, xmax, ymin, ymax, zmin, zmax = box
-        arms = (arm, arm, 0.0)
+        arms, signs = (arm, arm, 0.0), (0, 0, 0)
 
         def outside(y):
             return not (xmin <= y[0] <= xmax and ymin <= y[1] <= ymax and zmin <= 0.0 <= zmax)
 
-    ref_events = [_RefEvent(ev.name, ev.fn, eps, ev.expected_sign, ev.component)
-                  for ev, eps in zip(events, arms)]
+    ref_events = [_RefEvent(ev.name, ev.fn, eps, sign, ev.component)
+                  for ev, eps, sign in zip(events, arms, signs)]
     collect = ([], [])
     res = _ref_integrate(p, f, step, start, ref_events, t_limit, outside, h0, collect)
     rows = [(t, *y) for t, y in zip(*collect)]
     samples += rows[:-1] if res.ok() else rows
     return (res.status, res.point, res.time, res.event, res.accepted, res.rejected)
-
-
-# Normal form whose Y fold is invisible, with higher-order terms that make
-# the flights non-polynomial in time (so no interpolant is exact on them).
-HOT = {
-    "cx": [[[1, 0, 0], 0.3], [[0, 0, 1], -0.4]],
-    "cy": [[[0, 1, 0], 0.25]],
-    "cz": [[[2, 0, 0], 0.45], [[1, 1, 0], -0.35], [[0, 0, 2], 0.3]],
-}
-
-
-def hot_normal_form():
-    return build_normal_form(-0.6, 1.2, 0.8, -1.0, hot=HOT)
 
 
 def dry_friction(F=1.0, v0=0.5, c=0.1):
@@ -747,16 +735,16 @@ class TestIntegrateToSigma:
 
 class TestImmutableEvents:
     def test_plane_events_are_frozen(self):
-        for direction in (1, -1):
-            (event,) = integrator._SIGMA_EVENTS[direction]
-            assert (event.expected_sign, event.component) == (direction, 2)
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                event.expected_sign = -direction
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                event.last = 0.0
+        # one event serves flights from both half-spaces
+        (event,) = integrator._SIGMA_EVENTS
+        assert (event.name, event.component) == ("sigma", 2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            event.component = None
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            event.last = 0.0
 
     def test_fold_maps_from_threads(self):
-        # Every flight of one direction shares its plane event; fold maps run
+        # Every flight shares the one plane event; fold maps run
         # from two and from three threads at once give the serial results,
         # bit for bit.
         rng = np.random.default_rng(44)
@@ -808,6 +796,21 @@ class TestEvalWithinStep:
         assert len(calls) > 2 and min(calls) < 1.0
         assert y1[0] == pytest.approx(math.cos(1.0), abs=1e-9)
         assert y1[1] == pytest.approx(math.sin(1.0), abs=1e-9)
+
+    def test_nan_norm_is_not_split(self, monkeypatch):
+        # X = (x**2, 0, -1) from x = 1e150: x*x overflows, so the error norm
+        # of every step, the locator's too, is NaN.  Halving such a step
+        # cannot pass the test; 18 levels of it took 524,287 steps to
+        # locate the one return to the plane.
+        counts = _count_kernel_steps(monkeypatch, collections.Counter())
+        big = Box(-1e300, 1e300, -1e300, 1e300, -1e300, 1e300)
+        X = VectorField3(Poly3({(2, 0, 0): 1.0}), Poly3.zero(), Poly3.constant(-1.0))
+        system = PiecewiseSystem(X, const_field(0, 0, 1), big)
+        traj = filippov_trajectory(system, (1e150, 0.0, 5e-5), 1.0, IntegratorConfig(box=big))
+        assert counts["kernel_steps"] <= 1000
+        assert [(seg.mode, seg.terminal) for seg in traj.segments] == [
+            (Mode.FLOW_PLUS, FlightStatus.MODE_SWITCH), (Mode.SLIDING, FlightStatus.LEFT_BOX)]
+        assert (traj.status, repr(traj.total_time)) == ("left-box", "0.00015000000000000001")
 
 
 class TestFoldMap:
@@ -1129,6 +1132,26 @@ class TestTrajectory:
             else:
                 assert np.max(np.abs(z)) == 0.0
 
+    @pytest.mark.parametrize("horizon", [0.5, -0.5])
+    def test_flow_segments_end_on_the_plane(self, ci_normal_form, horizon):
+        # a free flight's return to the plane, located in its driver,
+        # forwards and on the time-reversed system
+        traj = filippov_trajectory(ci_normal_form, (0.2, 0.1, 0.02), horizon)
+        on_plane = (FlightStatus.MODE_SWITCH, FlightStatus.REACHED_TANGENCY,
+                    FlightStatus.UNSTABLE_SLIDING)
+        ends = [seg.points[-1] for seg in traj.segments
+                if seg.mode is not Mode.SLIDING and seg.terminal in on_plane]
+        assert ends and max(abs(end[2]) for end in ends) <= 1e-12
+
+    def test_stick_slip_time_reversed(self):
+        # the negated fields run through the same generated driver: the
+        # samples of every segment run back in time, to the horizon
+        system, _ = dry_friction()
+        traj = filippov_trajectory(system, (0.2, 0.3, 0.5), -3.0)
+        times = np.concatenate([seg.times for seg in traj.segments])
+        assert traj.status == FlightStatus.TIME_OUT.value and len(traj.segments) >= 2
+        assert np.all(np.diff(times) <= 0.0)
+
     def test_junction_continuity(self):
         system = build_normal_form(-2.0, -1.0, 1.0, -1.0)
         traj = filippov_trajectory(system, (0.05, -0.04, 0.0), 5.0)
@@ -1268,72 +1291,14 @@ class TestOutputsPinned:
         assert digest.hexdigest() == self.DIGEST
 
 
-def _numeric_route_digest():
-    """SHA-256 over ``float.hex`` and ``repr`` of the numeric route where
-    the fold maps are not linear: the return map and both fold maps of
-    normal forms with higher-order terms in Y, at points on both sides of
-    each fold line (y = 0 for X, x = 0 for Y) and on it; every field of
-    ``integrate_to_sigma``'s results, one ``no-return`` and one
-    ``left-box`` among them; and the names and documents of normal forms
-    and of their time reversals.  Plain Python, no numpy: the CI job
-    ``closed-form-interpreters`` runs this recipe on other interpreters."""
-    digest = hashlib.sha256()
-
-    def feed(*values):
-        digest.update((",".join(v.hex() if isinstance(v, float) else repr(v)
-                                for v in values) + ";").encode())
-
-    forms = [
-        hot_normal_form(),
-        build_normal_form(1.3, -0.7, 1.6, -1.0, hot={
-            "cx": [[[0, 1, 0], 0.2], [[1, 1, 0], -0.3]],
-            "cy": [[[1, 0, 0], -0.1], [[0, 0, 1], 0.25]],
-            "cz": [[[2, 0, 0], -0.3], [[0, 2, 0], 0.2], [[1, 0, 1], 0.15], [[0, 1, 2], -0.1]]}),
-        build_normal_form(0.4, 0.9, -1.2, 1.0, hot={"cz": [[[1, 1, 0], 0.5]]}),  # both visible
-    ]
-    for system in forms:
-        for x in (-0.12, -0.03, 0.0, 0.05, 0.11):
-            for y in (-0.1, -0.02, 0.0, 0.04, 0.09):
-                maps = [("R", lambda q: return_map_numeric(system, q))] + [
-                    (side, functools.partial(fold_map_numeric, system, side)) for side in "XY"]
-                for label, fn in maps:
-                    try:
-                        feed(label, *fn((x, y)))
-                    except IntegrationFailure as exc:
-                        feed(label, exc.status.value)
-    system = forms[0]
-    flights = [
-        (system.X, (0.05, -0.1, 0.0), 1),
-        (system.Y, (-0.1, 0.05, 0.0), -1),
-        (system.Y, (-0.15, -0.08, 0.0), -1),
-        (forms[1].Y, (-0.07, 0.03, 0.0), -1),
-        (system.X, (0.0, 0.1, 0.0), 1),  # Xf = -0.1 < 0: no return
-        (system.X, (0.0, -0.1, 0.0), 1, Box(-0.01, 0.01, -0.01, 0.01, -0.01, 0.01)),  # left-box
-    ]
-    statuses = set()
-    for field, q, direction, *box in flights:
-        res = integrate_to_sigma(field, q, direction, *box)
-        statuses.add(res.status)
-        point = () if res.point is None else res.point
-        feed(res.status.value, *point, res.time, res.event, res.accepted, res.rejected)
-    assert {FlightStatus.HIT_SIGMA, FlightStatus.NO_RETURN, FlightStatus.LEFT_BOX} <= statuses
-    for params in [(-0.6, 1.2, 0.8, -1.0), (1, -2, 3, 1), (0.1, 1e-20, -3.5, -1.0),
-                   (2.0 / 3.0, -0.0, 7, 1.0)]:
-        nf = build_normal_form(*params)
-        feed(nf.name, nf.time_reversed().name, serialize_system(nf))
-    feed(forms[1].name, serialize_system(forms[1].time_reversed()))
-    return digest.hexdigest()
-
-
 class TestNumericRoutePinned:
     """The numeric route on nonlinear fold maps, pinned by
-    ``_numeric_route_digest``: ``TestOutputsPinned`` covers only normal
-    forms without higher-order terms, whose fold maps are linear."""
-
-    DIGEST = "99e76792631f1a6cd3abb6a85993c8c5804a9516adb5666cf4ba79deeee3d1af"
+    ``pinned_digests.numeric_route_digest``: ``TestOutputsPinned`` covers
+    only normal forms without higher-order terms, whose fold maps are
+    linear."""
 
     def test_nonlinear_fold_maps_flights_and_names(self):
-        assert _numeric_route_digest() == self.DIGEST
+        assert numeric_route_digest() == NUMERIC_ROUTE_DIGEST
 
 
 class TestConfig:
@@ -1538,21 +1503,16 @@ def _ref_plane_root(z0, z1, kz0, kz1, h, g0, g1):
 
 
 class TestPlaneRootOneComponent:
-    """The plane event's interpolant root, ``_plane_root``, reads the
-    z-component alone; it must equal, bit for bit, the root found through
-    ``event.fn`` on the full interpolated state, and ``_interpolant_root``
-    hands the plane event to it."""
+    """The plane driver's interpolant root, ``_plane_root``, reads the
+    z-component alone; it must equal, bit for bit, the root that the generic
+    ``_interpolant_root`` finds through the plane event's ``fn`` on the full
+    interpolated state."""
 
     @staticmethod
-    def _generic_plane_event():
-        # the plane event without its component: goes through _hermite
-        return integrator._Event("z", lambda y: y[2])
-
-    def _assert_same_root(self, y0, k0, y1, k1, h, g0, g1):
+    def _assert_same_root(y0, k0, y1, k1, h, g0, g1):
         got = integrator._plane_root(y0[2], y1[2], k0[2], k1[2], h, g0, g1)
-        ref = integrator._interpolant_root(
-            self._generic_plane_event(), y0, k0, y1, k1, h, g0, g1
-        )
+        (event,) = integrator._SIGMA_EVENTS
+        ref = integrator._interpolant_root(event, y0, k0, y1, k1, h, g0, g1)
         assert _bits(got) == _bits(ref)
         return got
 
@@ -1570,10 +1530,6 @@ class TestPlaneRootOneComponent:
                 continue
             t = self._assert_same_root(y0, k0, y1, k1, h, y0[2], y1[2])
             assert min(0.0, h) <= t <= max(0.0, h)
-            (event,) = integrator._SIGMA_EVENTS[1 if y0[2] > 0.0 else -1]
-            assert event.component == 2
-            got = integrator._interpolant_root(event, y0, k0, y1, k1, h, y0[2], y1[2])
-            assert _bits(got) == _bits(t)
 
     def test_same_bits_as_the_hermite_expression(self):
         # Seeded brackets whose values and slopes include signed zeros, huge
@@ -1728,7 +1684,7 @@ class TestNonFiniteErrorNorm:
         assert [_bits(*hs) for hs in guarded_steps] == [
             _bits(*hs) for hs in steps[:len(guarded_steps)]]
         got = integrator.FlightResult(*integrator._fly(
-            kernel, integrator._SIGMA_EVENTS[1], start, integrator._MAX_TIME, None, 1,
+            kernel, integrator._SIGMA_EVENTS, start, integrator._MAX_TIME, None, 1,
             _cube_box(start, math.inf), []))
         assert (got.status, got.accepted + got.rejected) == (guarded.status, len(guarded_steps))
         assert _bits(got.time, *got.point) == _bits(guarded.time, *guarded.point)
@@ -1741,6 +1697,7 @@ class TestNonFiniteErrorNorm:
         field = self._field(Poly3({(0, 0, 0): 2.0, (0, 1, 0): -1.0}))
         res = integrate_to_sigma(field, (1e306, 1.0, 0.0), 1, self.BIG)
         assert res.status is FlightStatus.LEFT_BOX and math.isnan(res.point[0])
+        assert math.isfinite(res.time) and res.time < 2.0
         assert counts["kernel_steps"] < 100
 
     def test_trajectory_leaves_box_at_overflow(self):
@@ -1953,7 +1910,7 @@ class TestGeneratedDriver:
         monkeypatch.setattr(integrator, "_refine_event",
                             lambda *args: handed.append(args) or (args[-1][0], args[4], 0.0))
         start = (1e150, 0.0, 5e-5)
-        integrator._fly(kernel, integrator._SIGMA_EVENTS[1], start, 1.0, None, 1,
+        integrator._fly(kernel, integrator._SIGMA_EVENTS, start, 1.0, None, 1,
                         _cube_box(start, math.inf), [])
         ((*_, h, g0, g1, (dt, state)),) = handed
         assert state is None and 0.0 < dt < h and g0 > 0.0 > g1

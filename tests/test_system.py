@@ -139,6 +139,12 @@ class TestLoadSystem:
             # a JSON integer beyond the float range, not the float literal 1e400
             ([[[0, 0, 0], 10**400]], NonFiniteCoefficientError,
              "X.cx: non-finite coefficient"),
+            # finite terms whose running sum passes the float range, on both
+            # routes, before a third term could bring it back
+            ([[[0, 1, 0], 1e308], [[0, 1, 0], 1e308], [[0, 1, 0], -1e308]],
+             NonFiniteCoefficientError, "X.cx: non-finite coefficient"),
+            ([[[0, True, 0], 10**308], [[0, 1, 0], 1e308]], NonFiniteCoefficientError,
+             "X.cx: non-finite coefficient"),
             ([[[1, 0], 1.0]], MalformedDocumentError, "X.cx: bad term [[1, 0], 1.0]"),
             ([[[1.0, 0, 0], 1.0]], MalformedDocumentError,
              "X.cx: exponents must be non-negative integers"),
@@ -216,10 +222,11 @@ def _ref_parse_component(entries, where):
         c = _json_number(coeff)
         if c is None:
             raise MalformedDocumentError(f"{where}: coefficient must be a number")
+        key = (int(i), int(j), int(k))
+        c = terms.get(key, 0.0) + c
         if not math.isfinite(c):
             raise NonFiniteCoefficientError(f"{where}: non-finite coefficient")
-        key = (int(i), int(j), int(k))
-        terms[key] = terms.get(key, 0.0) + c
+        terms[key] = c
     terms = _prune(terms)
     deg = _degree(terms)
     if deg > MAX_TOTAL_DEGREE:
