@@ -24,7 +24,6 @@ that order, so it is kept.
 from __future__ import annotations
 
 import functools
-import math
 
 VARS = ("x", "y", "z")
 _VAR_INDEX = {"x": 0, "y": 1, "z": 2}
@@ -306,9 +305,6 @@ class VectorField3:
     def eval_at(self, point):
         return (self.cx.eval_at(point), self.cy.eval_at(point), self.cz.eval_at(point))
 
-    def degree(self):
-        return max(p.degree() for p in self.components())
-
     def coeff_scale(self):
         """Cached largest coefficient magnitude of the three components."""
         if self._scale is None:
@@ -462,10 +458,6 @@ class lazy:
             return self
         value = instance.__dict__[self.name] = self.fn(instance)
         return value
-
-
-def finite_coefficients(p):
-    return all(math.isfinite(c) for c in p.terms.values())
 
 
 def linspace(start, stop, n):

@@ -27,7 +27,7 @@ from .foldfold import (
     surface_point_report,
 )
 from .integrator import IntegratorConfig, filippov_trajectory
-from .sigma import default_tolerance, tangency_curves
+from .sigma import OVERFLOW_MESSAGE, default_tolerance, tangency_curves
 from .system import Box, _require_usable_box, load_system, validate
 
 # On Python 3.11 a class-attribute read of a member runs EnumType.__getattr__'s hook.
@@ -119,9 +119,9 @@ def cmd_classify(args):
         "tolerance": tol,
         "classification": {
             "kind": cls.kind.value,
-            "witness": {"Xf": _jsonable(cls.witness[0]), "Yf": _jsonable(cls.witness[1])},
+            "witness": {"Xf": cls.witness[0], "Yf": cls.witness[1]},
         },
-        "validation_warnings": validate(system).warnings,
+        "validation_warnings": validate(system),
     }
     if result.tangency is not None:
         report["tangency"] = _jsonable(result.tangency)
@@ -387,7 +387,7 @@ def main(argv=None):
     except OverflowError:
         # An interpreted power (Poly3.eval) past the float range: the input
         # lies where the fields cannot be evaluated, a precondition violation.
-        print("error: a field value at this input exceeds the float range", file=sys.stderr)
+        print(f"error: {OVERFLOW_MESSAGE}", file=sys.stderr)
         return PreconditionError.exit_code
 
 

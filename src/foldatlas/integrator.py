@@ -728,7 +728,7 @@ def return_map_numeric(system, q):
     return fold_map_numeric(system, "X", mid)
 
 
-def jacobian_numeric(map_fn, q, h=1e-3):
+def jacobian_numeric(map_fn, q, h):
     """Central-difference Jacobian of a planar map at ``q``, a numpy array."""
     import numpy as np  # loaded here and for trajectories only
     x, y = float(q[0]), float(q[1])
@@ -799,11 +799,15 @@ def _segment_end(system, out, mode, tol):
 
     A sliding segment ends on a fold line (events ``sx``/``sy``) or where
     the sliding denominator vanishes (``den``): at a fold-fold point that is
-    a tangency, elsewhere a blow-up.
+    a tangency, elsewhere a blow-up.  An event at an overflowed state ends
+    ``LEFT_BOX``, as the guard ends a flight whose state is NaN.
     """
     if out.status is not FlightStatus.HIT_SIGMA:
         return out.status, None
-    q3 = (out.point[0], out.point[1], 0.0)
+    x, y = out.point[0], out.point[1]
+    if not (math.isfinite(x) and math.isfinite(y)):
+        return FlightStatus.LEFT_BOX, None
+    q3 = (x, y, 0.0)
     if mode is Mode.SLIDING:
         xf = system.xf.eval_at(q3)
         yf = system.yf.eval_at(q3)

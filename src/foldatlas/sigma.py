@@ -24,6 +24,8 @@ from .errors import PreconditionError
 # tangency-curve step as a fraction of the box's larger planar side.
 _CORRECTOR_CAP = 30
 _CURVE_STEP = 1e-2
+# The one message for a field value past the float range: not finite, or OverflowError.
+OVERFLOW_MESSAGE = "a field value at this input exceeds the float range"
 
 
 class SigmaKind(Enum):
@@ -87,12 +89,15 @@ def default_tolerance(system):
 
 
 def classify_point(system, point, tol=None):
-    """Sign-table verdict at a surface point; |value| <= tol counts as zero."""
+    """Sign-table verdict at a surface point; |value| <= tol counts as zero.
+    A field value past the float range is a precondition violation."""
     tol = default_tolerance(system) if tol is None else tol
     if abs(point[2]) > tol:
         raise PreconditionError(f"point {point} is not on the switching plane")
     xf = system.xf.eval_at(point)
     yf = system.yf.eval_at(point)
+    if not (math.isfinite(xf) and math.isfinite(yf)):
+        raise PreconditionError(OVERFLOW_MESSAGE)
     witness = (xf, yf)
     if abs(xf) <= tol or abs(yf) <= tol:
         return SigmaClassification(SigmaKind.TANGENCY, witness)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .algebra import (
     MAX_TOTAL_DEGREE,
@@ -20,7 +20,6 @@ from .algebra import (
     _degree,
     _new,
     _prune,
-    finite_coefficients,
     lazy,
     lie_derivative,
     linspace,
@@ -355,20 +354,7 @@ class _NormalForm(PiecewiseSystem):
 
 
 # ---------------------------------------------------------------------------
-# Validation report
-
-
-@dataclass
-class ValidationReport:
-    warnings: list = field(default_factory=list)
-    degree_x: int = 0
-    degree_y: int = 0
-    box_volume: float = 0.0
-    sigma_area: float = 0.0
-    vanishing_points: dict = field(default_factory=dict)
-
-    def ok(self):
-        return not self.warnings
+# Validation
 
 
 _ZERO_GRID = 21  # seeds per axis of the search for field zeros on {z=0}
@@ -415,36 +401,13 @@ def _field_zeros_on_sigma(f, box):
 
 
 def validate(system):
-    """Sanity report: degree caps, box geometry, field zeros on the surface.
-
-    A field vanishing on the switching surface violates the precondition of
-    every tangential-singularity classification, so it is reported as a
-    warning rather than an error.
-    """
-    report = ValidationReport(
-        degree_x=system.X.degree(),
-        degree_y=system.Y.degree(),
-        box_volume=system.box.volume(),
-        sigma_area=system.box.sigma_area(),
-    )
-    if report.degree_x > INPUT_DEGREE_CAP:
-        report.warnings.append(f"X degree {report.degree_x} exceeds cap")
-    if report.degree_y > INPUT_DEGREE_CAP:
-        report.warnings.append(f"Y degree {report.degree_y} exceeds cap")
-    if report.box_volume <= 0.0:
-        report.warnings.append("box has zero volume")
-    if report.sigma_area <= 0.0:
-        report.warnings.append("box does not intersect the switching plane")
+    """Warnings for a field that vanishes on the switching surface, X first.
+    ``system`` comes from ``load_system`` or ``build_normal_form``, whose
+    gates raise on every other fault of a document."""
+    warnings = []
     for label, f in (("X", system.X), ("Y", system.Y)):
-        if not all(finite_coefficients(p) for p in f.components()):
-            report.warnings.append(f"{label} has non-finite coefficients")
-            continue
-        if report.sigma_area > 0.0:
-            zeros = _field_zeros_on_sigma(f, system.box)
-            if zeros:
-                report.vanishing_points[label] = zeros
-                report.warnings.append(
-                    f"{label} vanishes on the switching surface (e.g. at "
-                    f"({zeros[0][0]:.6g}, {zeros[0][1]:.6g}, 0))"
-                )
-    return report
+        zeros = _field_zeros_on_sigma(f, system.box)
+        if zeros:
+            warnings.append(f"{label} vanishes on the switching surface (e.g. at "
+                            f"({zeros[0][0]:.6g}, {zeros[0][1]:.6g}, 0))")
+    return warnings

@@ -603,7 +603,7 @@ class TestSettableValues:
     MODULES = ("algebra", "system", "sigma", "sliding", "foldfold", "integrator",
                "checks", "cli")
 
-    def test_at_most_11(self):
+    def test_at_most_10(self):
         count = len(dataclasses.fields(integrator.IntegratorConfig))
         for short in self.MODULES:
             module = importlib.import_module(f"foldatlas.{short}")
@@ -611,4 +611,4 @@ class TestSettableValues:
                 if inspect.isfunction(fn) and fn.__module__ == module.__name__:
                     params = inspect.signature(fn).parameters.values()
                     count += sum(p.default is not inspect.Parameter.empty for p in params)
-        assert count <= 11
+        assert count <= 10

@@ -248,20 +248,15 @@ class TestClassify:
         assert main(["classify", square_file, "--point", "1e200,0,0"]) == 3
         assert capsys.readouterr() == ("", _OVERFLOW_MESSAGE)
 
-    def test_non_finite_witness_is_a_string(self, tmp_path, capsys):
-        # Xf = 1e300 * x is inf at x = 1e10: the report stays strict JSON,
-        # with the witness written as "inf" like every non-finite float
+    def test_overflowing_product_exit_3(self, tmp_path, capsys):
+        # Xf = 1e300 * x is inf at x = 1e200 through a product, not a power:
+        # the same exit and message as Xf = x**2 - 1 there, and no report
         steep = PiecewiseSystem(_field(1.0, 0.0, Poly3({(1, 0, 0): 1e300})), _UNIT_Z,
                                 Box(-1e20, 1e20, -1.0, 1.0, -1.0, 1.0))
         path = tmp_path / "steep.json"
         path.write_text(serialize_system(steep))
-        assert main(["classify", str(path), "--point", "1e10,0,0"]) == 0
-
-        def reject(token):
-            raise ValueError(f"bare non-finite token {token}")
-
-        report = json.loads(capsys.readouterr().out, parse_constant=reject)
-        assert report["classification"]["witness"] == {"Xf": "inf", "Yf": 1.0}
+        assert main(["classify", str(path), "--point", "1e200,0,0"]) == 3
+        assert capsys.readouterr() == ("", _OVERFLOW_MESSAGE)
 
     def test_term_spellings_classify_as_their_canonical_twin(self, ci_normal_form, tmp_path,
                                                             capsys):

@@ -132,7 +132,7 @@ class TestSubtypeDerivation:
 
 def _fold_matrix(system, side, q=(0.01, 0.02)):
     """Central-difference Jacobian of the numeric fold involution."""
-    return jacobian_numeric(lambda p: fold_map_numeric(system, side, p), q)
+    return jacobian_numeric(lambda p: fold_map_numeric(system, side, p), q, 1e-3)
 
 
 class TestInvolutions:

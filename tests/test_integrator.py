@@ -801,7 +801,8 @@ class TestEvalWithinStep:
         # X = (x**2, 0, -1) from x = 1e150: x*x overflows, so the error norm
         # of every step, the locator's too, is NaN.  Halving such a step
         # cannot pass the test; 18 levels of it took 524,287 steps to
-        # locate the one return to the plane.
+        # locate the one return to the plane.  That return lies at x = NaN,
+        # so the trajectory ends there instead of sliding on.
         counts = _count_kernel_steps(monkeypatch, collections.Counter())
         big = Box(-1e300, 1e300, -1e300, 1e300, -1e300, 1e300)
         X = VectorField3(Poly3({(2, 0, 0): 1.0}), Poly3.zero(), Poly3.constant(-1.0))
@@ -809,8 +810,8 @@ class TestEvalWithinStep:
         traj = filippov_trajectory(system, (1e150, 0.0, 5e-5), 1.0, IntegratorConfig(box=big))
         assert counts["kernel_steps"] <= 1000
         assert [(seg.mode, seg.terminal) for seg in traj.segments] == [
-            (Mode.FLOW_PLUS, FlightStatus.MODE_SWITCH), (Mode.SLIDING, FlightStatus.LEFT_BOX)]
-        assert (traj.status, repr(traj.total_time)) == ("left-box", "0.00015000000000000001")
+            (Mode.FLOW_PLUS, FlightStatus.LEFT_BOX)]
+        assert (traj.status, repr(traj.total_time)) == ("left-box", "5.0000000000000016e-05")
 
 
 class TestFoldMap:

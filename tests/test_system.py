@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 import sys
 import threading
 
@@ -10,6 +11,7 @@ from foldatlas.algebra import MAX_TOTAL_DEGREE, Poly3, VectorField3, _degree, _n
 from foldatlas.errors import (
     DegreeCapExceededError,
     EmptyBoxError,
+    InputFormatError,
     MalformedDocumentError,
     NonFiniteCoefficientError,
     PreconditionError,
@@ -376,10 +378,13 @@ class TestBuildNormalForm:
             build_normal_form(1.0, 1.0, 1.0, -1.0, hot={"cx": [[[0, 0, 0], 0.1]]})
 
 
+_ZERO_WARNING = re.compile(
+    r"([XY]) vanishes on the switching surface \(e\.g\. at \((\S+), (\S+), 0\)\)")
+
+
 class TestValidate:
     def test_clean_normal_form(self):
-        report = validate(build_normal_form(-1.0, -1.0, 1.0, -1.0))
-        assert report.ok()
+        assert validate(build_normal_form(-1.0, -1.0, 1.0, -1.0)) == []
 
     def test_vanishing_field_warning(self):
         X = VectorField3(
@@ -387,9 +392,7 @@ class TestValidate:
         )
         Y = VectorField3(Poly3.constant(0), Poly3.constant(0), Poly3.constant(1))
         system = PiecewiseSystem(X, Y, name="vanishing")
-        report = validate(system)
-        assert any("X vanishes" in w for w in report.warnings)
-        assert report.vanishing_points["X"]
+        assert validate(system) == ["X vanishes on the switching surface (e.g. at (0, 0, 0))"]
 
     def test_newton_step_past_the_float_range(self):
         # |X| <= 0.2 * scale at the grid points, and J^T J is near singular
@@ -399,13 +402,42 @@ class TestValidate:
                          Poly3({(0, 1, 0): 1.0, (8, 0, 0): 1e-300}),
                          Poly3({(0, 0, 1): 1e32, (0, 0, 0): -1.0}))
         Y = VectorField3(Poly3.zero(), Poly3.zero(), Poly3.constant(1.0))
-        assert validate(PiecewiseSystem(X, Y)).vanishing_points == {}
+        assert validate(PiecewiseSystem(X, Y)) == []
 
-    def test_degenerate_box_warning(self):
-        system = PiecewiseSystem(
-            build_normal_form(-1, -1, 1, -1).X,
-            build_normal_form(-1, -1, 1, -1).Y,
-            box=Box(-1, 1, -1, 1, 0.0, 0.0),
-        )
-        report = validate(system)
-        assert any("volume" in w for w in report.warnings)
+    def test_loaded_documents_warn_only_of_field_zeros(self):
+        # Whatever else is wrong with a document, the loader raises on it;
+        # on a document that loads, every warning names a field zero inside
+        # the box, at most one per field and X first.
+        rng = random.Random(4036)
+        loaded = warned = 0
+        for _ in range(300):
+            doc = json.loads(normal_form_doc())
+            if rng.random() < 0.3:
+                lo, hi = sorted(rng.uniform(-2.0, 2.0) for _ in range(2))
+                doc["box"] = [lo, hi, -0.5, rng.uniform(-0.5, 1.5), -1, rng.uniform(-0.5, 1)]
+            for label in ("X", "Y"):
+                for key in ("cx", "cy", "cz"):
+                    entries = rng.choice([[], doc[label][key]])
+                    pairs = entries.copy()
+                    for _ in range(rng.choice((0, 0, 1, 2))):
+                        entries.append(_random_entry(rng, pairs))
+                        if isinstance(entries[-1], list) and len(entries[-1]) == 2:
+                            pairs.append(entries[-1])
+                    doc[label][key] = entries
+            try:
+                system = load_system(json.dumps(doc))
+            except InputFormatError:
+                continue
+            loaded += 1
+            warnings = validate(system)
+            warned += bool(warnings)
+            labels, box = [], system.box
+            for w in warnings:
+                m = _ZERO_WARNING.fullmatch(w)
+                assert m, w
+                labels.append(m[1])
+                assert box.xmin - 1e-5 <= float(m[2]) <= box.xmax + 1e-5, w
+                assert box.ymin - 1e-5 <= float(m[3]) <= box.ymax + 1e-5, w
+            assert labels in ([], ["X"], ["Y"], ["X", "Y"]), warnings
+        # both outcomes were reached
+        assert 0 < warned < loaded, (warned, loaded)
