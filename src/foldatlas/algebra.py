@@ -116,8 +116,12 @@ def _shape(polys):
     shapes = []
     coeffs = []
     for p in polys:
-        # the keys are distinct, so sorting them orders the terms as items()
         terms = p.terms
+        if len(terms) < 2:  # already in order
+            shapes.append(tuple(terms))
+            coeffs += terms.values()
+            continue
+        # the keys are distinct, so sorting them orders the terms as items()
         exps = sorted(terms)
         shapes.append(tuple(exps))
         coeffs += [terms[e] for e in exps]
@@ -286,7 +290,7 @@ class Poly3:
 class VectorField3:
     """Polynomial vector field on R^3 with components (cx, cy, cz)."""
 
-    __slots__ = ("cx", "cy", "cz", "_fn", "_shape", "_kernel", "_rkernel", "_neg", "_scale")
+    __slots__ = ("cx", "cy", "cz", "_fn", "_shape", "_kernel", "_neg", "_scale")
 
     def __init__(self, cx, cy, cz):
         self.cx = cx
@@ -295,7 +299,6 @@ class VectorField3:
         self._fn = None
         self._shape = None
         self._kernel = None
-        self._rkernel = None
         self._neg = None
         self._scale = None
 
@@ -313,15 +316,14 @@ class VectorField3:
 
     def negated(self):
         """Cached ``-field``, the time-reversed field.  It shares this field's
-        shape, coefficient scale and reversed kernel: same terms, same order,
-        exactly negated coefficients."""
+        shape and coefficient scale: same terms, same order, exactly negated
+        coefficients."""
         if self._neg is None:
             neg = VectorField3(*(_new({e: -c for e, c in p.terms.items()})
                                  for p in self.components()))
             shapes, coeffs = self.shape()
             neg._shape = (shapes, [-c for c in coeffs])
             neg._scale = self.coeff_scale()
-            neg._kernel = self._rkernel
             self._neg = neg
         return self._neg
 
@@ -346,14 +348,6 @@ class VectorField3:
             shapes, coeffs = self.shape()
             self._kernel = factory(shapes)(*coeffs)
         return self._kernel
-
-    def reversed_kernel(self, factory):
-        """Cached ``negated().kernel(factory)``, bound without building ``-field``."""
-        if self._rkernel is None:
-            shapes, coeffs = self.shape()
-            neg = self._neg
-            self._rkernel = neg.kernel(factory) if neg else factory(shapes)(*[-c for c in coeffs])
-        return self._rkernel
 
     def __eq__(self, other):
         return (

@@ -40,7 +40,7 @@ from .integrator import (
     return_map_numeric,
     filippov_trajectory,
 )
-from .sigma import FoldFoldSubtype, SigmaKind, classify_point
+from .sigma import OVERFLOW_MESSAGE, FoldFoldSubtype, SigmaKind, classify_point
 from .sliding import SlidingRegionTag, normalized_sliding_field
 from .algebra import Poly3, VectorField3
 from .system import DEFAULT_BOX, Box, PiecewiseSystem, build_normal_form
@@ -924,11 +924,14 @@ def check_system(system, point, seed):
     the field leaves the plane, must not return to it inside the guard of
     ``fold_map_numeric``.  The numeric return-map spectrum is
     checked against the normal parameters at an invisible two-fold only.
-    The classification row names every row that does not apply."""
+    The classification row names every row that does not apply.  A field
+    value past the float range at ``point`` raises, as in ``classify``."""
     two_fold = None
     try:
         surface = surface_point_report(system, point)
     except PreconditionError as exc:
+        if exc.args == (OVERFLOW_MESSAGE,):
+            raise
         detail = str(exc)
     else:
         two_fold = surface.foldfold

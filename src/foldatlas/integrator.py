@@ -38,11 +38,12 @@ refinement steps through the kernels and takes its slopes from their
 evaluator.  The events are immutable, so flights share them.  A Filippov
 trajectory must start inside its box.
 
-``integrate_to_sigma`` and the fold maps fly through one core, which
-returns a plain tuple; a fold map flies backwards on its field's reversed
-kernel, bound from the negated coefficients.  The fold maps and the
-first-return map realized here are compared against their closed forms by
-the verification suites; nothing in this module consults those formulas.
+Every flight calls its driver directly; ``_locate`` locates the events of
+a step it hands over.  A fold map reads its system side's plan, made once,
+and flies backwards on the forward kernel's functions with the binding
+negated.  The fold maps and the first-return map realized here are compared
+against their closed forms by the verification suites; nothing in this
+module consults those formulas.
 """
 
 from __future__ import annotations
@@ -230,8 +231,8 @@ def _drive_lines(dim, stage, const, events, guard):
     the reference loop in tests/test_integrator.py.  It returns ``(status,
     t, point, accepted, rejected, bracket)``; on HIT_SIGMA the bracket is the
     step ``(y, k1, y_new, k_last, h, fired, first)`` from ``(t, point)``,
-    with one ``(index, g_before, g_after)`` per fired event, for ``_fly`` to
-    locate.  A one-event driver's event must be a state component (the
+    with one ``(index, g_before, g_after)`` per fired event, for
+    ``_locate``.  A one-event driver's event must be a state component (the
     plane).  It re-runs the step from its start to the root of
     ``_plane_root``, if inside it; a state that passes
     ``_eval_within_step``'s test and ``_STRETCH_GOAL`` is ``_refine_event``'s
@@ -437,6 +438,18 @@ def _flight_kernel(field):
     return field.kernel(_flight_factory)
 
 
+def _reversed_kernel(field, kernel):
+    """The kernel of ``-field`` from ``field``'s ``kernel``: its functions on
+    its binding negated entry by entry as ``0.0 - v``, the bits of ``bind`` on
+    the negated coefficients (a sum that cancels is +0.0 both ways); a field
+    with a subnormal coefficient, whose sums may underflow, binds those."""
+    shapes, coeffs = field.shape()
+    if coeffs and min(map(abs, coeffs)) < 2.2250738585072014e-308:  # the least normal float
+        return _flight_factory(shapes)(*[-c for c in coeffs])
+    p, f, step, drive = kernel
+    return tuple([0.0 - v for v in p]), f, step, drive
+
+
 def _sliding_kernel(system):
     """``(p, field, step, slide)`` of the sliding field of ``system`` on z = 0."""
     (x_shapes, x_coeffs), (y_shapes, y_coeffs) = system.X.shape(), system.Y.shape()
@@ -627,16 +640,11 @@ def _refine_event(p, f, step, event, y_left, k_left, y_right, k_right, h, g_left
     return best
 
 
-def _fly(kernel, events, *args):
-    """``drive(p, *args)`` for ``kernel`` ``(p, f, step, drive)``; on a step it
-    hands over, locate every event that fired, and the earliest wins.  Returns
-    ``(status, point, t, event, accepted, rejected)``, the fields of
-    ``FlightResult`` in order; a hit it located is its one event's."""
-    p, f, step, drive = kernel
-    status, t, point, accepted, rejected, bracket = drive(p, *args)
-    if bracket is None:
-        event = events[0].name if status is _HIT_SIGMA else None
-        return status, point, t, event, accepted, rejected
+def _locate(kernel, events, t, bracket):
+    """``(point, time, event name)`` of the hit in the step from time ``t``
+    that the driver of ``kernel`` ``(p, f, step, drive)`` handed over as
+    ``bracket``: every event that fired is located, and the earliest wins."""
+    p, f, step, _ = kernel
     y, k1, y_new, k_last, h, fired, first = bracket
     hit = None
     for j, last, g in fired:
@@ -645,7 +653,7 @@ def _fly(kernel, events, *args):
         if hit is None or found[0] < hit[1]:
             hit = (ev, found[0], found[1])
     ev, dt, y_ev = hit
-    return status, y_ev, t + dt, ev.name, accepted, rejected
+    return y_ev, t + dt, ev.name
 
 
 # ---------------------------------------------------------------------------
@@ -675,23 +683,28 @@ def integrate_to_sigma(field, q0, direction, box=DEFAULT_BOX, h0=None):
         s2 = lie_derivative(field, field.cz).eval_at(q0)
         if s2 * direction < tol:
             return FlightResult(FlightStatus.NO_RETURN, time=0.0)
-    return FlightResult(*_to_plane(_flight_kernel(field), float(q0[0]), float(q0[1]),
-                                   direction, box, h0))
+    x, y, r = float(q0[0]), float(q0[1]), box.flight_guard
+    kernel = _flight_kernel(field)
+    status, t, point, accepted, rejected, bracket = kernel[3](
+        kernel[0], (x, y, 0.0), _MAX_TIME, h0, direction, (x - r, x + r, y - r, y + r, -r, r), [])
+    event = _SIGMA_EVENTS[0].name if status is _HIT_SIGMA else None
+    if bracket is not None:
+        point, t, event = _locate(kernel, _SIGMA_EVENTS, t, bracket)
+    return FlightResult(status, point, t, event, accepted, rejected)
 
 
-def _to_plane(kernel, x, y, direction, box, h0):
-    """``_fly`` from (x, y, 0) on ``kernel``: ``integrate_to_sigma`` past its start checks."""
-    r = box.flight_guard
-    return _fly(kernel, _SIGMA_EVENTS, (x, y, 0.0), _MAX_TIME, h0, direction,
-                (x - r, x + r, y - r, y + r, -r, r), [])
-
-
-def _fold_side(system, side):
-    if side == "X":
-        return system.X, system.x2f, +1
-    if side == "Y":
-        return system.Y, system.y2f, -1
-    raise PreconditionError("side must be 'X' or 'Y'")
+def _fold_plan(system, side):
+    """``side``'s fold-map plan, kept in ``system.fold_plans``: the evaluators
+    of Xf and X^2f (or Yf and Y^2f), the field's tolerance, its half-space,
+    the guard half-width, the forward and reversed kernels and the field."""
+    if side not in ("X", "Y"):
+        raise PreconditionError("side must be 'X' or 'Y'")
+    field, second, halfspace = (system.X, system.x2f, 1) if side == "X" else (
+        system.Y, system.y2f, -1)
+    kernel = _flight_kernel(field)
+    return system.fold_plans.setdefault(side, (
+        field.cz.eval, second.eval, default_tolerance(field), halfspace, system.box.flight_guard,
+        kernel, _reversed_kernel(field, kernel), field))
 
 
 def fold_map_numeric(system, side, q):
@@ -703,18 +716,21 @@ def fold_map_numeric(system, side, q):
     of the tangency line, in a guard cube sized by ``system.box``.  Failures
     (visible-fold side, escaping orbits) raise :class:`IntegrationFailure`.
     """
-    field, second, halfspace = _fold_side(system, side)
+    cz, second, tol, halfspace, r, forward, backward, _ = (
+        system.fold_plans.get(side) or _fold_plan(system, side))
     x, y = float(q[0]), float(q[1])
-    s = field.cz.eval(x, y, 0.0)
-    if abs(s) <= default_tolerance(field):
+    s = cz(x, y, 0.0)
+    if abs(s) <= tol:
         return (x, y)
-    forward = (s > 0.0) if side == "X" else (s < 0.0)
-    kernel = _flight_kernel(field) if forward else field.reversed_kernel(_flight_factory)
-    s2 = second.eval(x, y, 0.0)
+    kernel = forward if s * halfspace > 0.0 else backward
+    s2 = second(x, y, 0.0)
     h0 = None
     if abs(s2) > 1e-12:
         h0 = max(abs(s) / abs(s2) / 4.0, 1e-12)
-    status, point = _to_plane(kernel, x, y, halfspace, system.box, h0)[:2]
+    status, t, point, _, _, bracket = kernel[3](
+        kernel[0], (x, y, 0.0), _MAX_TIME, h0, halfspace, (x - r, x + r, y - r, y + r, -r, r), [])
+    if bracket is not None:
+        point = _locate(kernel, _SIGMA_EVENTS, t, bracket)[0]
     if status is not _HIT_SIGMA:
         raise IntegrationFailure(
             status, f"fold map {side} failed at ({x:.6g}, {y:.6g}): {status}"
@@ -873,12 +889,16 @@ def filippov_trajectory(system, p0, horizon, cfg=None):
                     _Event("sy", lambda y: yf(y[0], y[1], 0.0)),
                     _Event("den", lambda y: yf(y[0], y[1], 0.0) - xf(y[0], y[1], 0.0) - tol))
             kernel, events = sliding
-            out = FlightResult(*_fly(kernel, events, (p[0], p[1]), remaining, None, box, tol,
-                                     10.0 * max(_EVENT_TOL, tol), samples))
+            args = ((p[0], p[1]), remaining, None, box, tol, 10.0 * max(_EVENT_TOL, tol), samples)
         else:
             fld, d = (system.X, 1) if mode is Mode.FLOW_PLUS else (system.Y, -1)
-            out = FlightResult(*_fly(_flight_kernel(fld), _SIGMA_EVENTS, p, remaining, None,
-                                     d, box, samples))
+            kernel, events = _flight_kernel(fld), _SIGMA_EVENTS
+            args = (p, remaining, None, d, box, samples)
+        status, t, point, accepted, rejected, bracket = kernel[3](kernel[0], *args)
+        event = events[0].name if status is _HIT_SIGMA else None
+        if bracket is not None:
+            point, t, event = _locate(kernel, events, t, bracket)
+        out = FlightResult(status, point, t, event, accepted, rejected)
         if out.event is not None:
             samples.append((out.time, *out.point))
         seg_end, next_mode = _segment_end(system, out, mode, tol)

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 from .algebra import (
     MAX_TOTAL_DEGREE,
-    Poly3,
     VectorField3,
     _degree,
     _new,
@@ -170,6 +169,10 @@ class PiecewiseSystem:
         return self._scale
 
     @lazy
+    def fold_plans(self):  # the integrator's fold-map plans by side, made on first use
+        return {}
+
+    @lazy
     def _reversed(self):
         return PiecewiseSystem(
             self.X.negated(), self.Y.negated(), self.box, self.name + "(reversed)"
@@ -304,8 +307,9 @@ def build_normal_form(alpha, beta, gamma, delta, hot=None):
     higher-order terms vanish at the origin for the first two Y-components
     and to second order for the third.
     """
-    for val, label in ((alpha, "alpha"), (beta, "beta"), (gamma, "gamma")):
-        if not math.isfinite(float(val)):
+    a, b, g = float(alpha), float(beta), float(gamma)
+    for val, label in ((a, "alpha"), (b, "beta"), (g, "gamma")):
+        if not math.isfinite(val):
             raise PreconditionError(f"{label} must be finite")
     if delta not in (-1, 1, -1.0, 1.0):
         raise PreconditionError("delta must be -1 or +1")
@@ -313,13 +317,13 @@ def build_normal_form(alpha, beta, gamma, delta, hot=None):
         raise PreconditionError("gamma must be nonzero")
 
     X = VectorField3(
-        Poly3.constant(alpha),
-        Poly3.constant(1.0),
+        _new({(0, 0, 0): a} if a else {}),
+        _new({(0, 0, 0): 1.0}),
         _new({(0, 1, 0): float(delta)}),
     )
     y_comps = [
-        Poly3.constant(gamma),
-        Poly3.constant(beta),
+        _new({(0, 0, 0): g} if g else {}),
+        _new({(0, 0, 0): b} if b else {}),
         _new({(1, 0, 0): 1.0}),
     ]
     if hot:
@@ -358,7 +362,7 @@ class _NormalForm(PiecewiseSystem):
 
 
 _ZERO_GRID = 21  # seeds per axis of the search for field zeros on {z=0}
-_ZERO_TOL = 1e-10  # a zero's residual over 1 + the field's coefficient scale
+_ZERO_TOL = 1e-10  # a zero's residual in each component over 1 + its coefficient scale
 
 
 def _field_zeros_on_sigma(f, box):
@@ -370,6 +374,7 @@ def _field_zeros_on_sigma(f, box):
     ys = linspace(box.ymin, box.ymax, _ZERO_GRID)
     found = []
     scale = 1.0 + f.coeff_scale()
+    tols = [_ZERO_TOL * (1.0 + comp.coeff_scale()) for comp in f.components()]
     for x0 in linspace(box.xmin, box.xmax, _ZERO_GRID):
         for y0 in ys:
             vx, vy, vz = fn(x0, y0, 0.0)
@@ -377,9 +382,12 @@ def _field_zeros_on_sigma(f, box):
             if norm > 0.2 * scale:
                 continue
             x, y = x0, y0
-            for _ in range(25):
-                r0, r1, r2 = fn(x, y, 0.0)
-                if math.hypot(r0, r1, r2) <= _ZERO_TOL * scale:
+            for _ in range(25):  # to a zero, a singular J^T J or the last step
+                r0, r1, r2 = r = fn(x, y, 0.0)
+                if all(abs(v) <= tol for v, tol in zip(r, tols)):
+                    if box.contains((x, y, 0.0), pad=1e-9) and all(
+                            math.hypot(x - px, y - py) > 1e-6 for px, py in found):
+                        found.append((x, y))
                     break
                 (a0, a1), (b0, b1), (c0, c1) = ([cell(x, y, 0.0) for cell in row]
                                                 for row in jac_fns)
@@ -391,12 +399,6 @@ def _field_zeros_on_sigma(f, box):
                     break
                 u, v = a0 * r0 + b0 * r1 + c0 * r2, a1 * r0 + b1 * r1 + c1 * r2
                 x, y = x - (s * u - q * v) / det, y - (p * v - q * u) / det
-            else:
-                continue
-            residual = math.hypot(*fn(x, y, 0.0))
-            if residual <= _ZERO_TOL * scale and box.contains((x, y, 0.0), pad=1e-9):
-                if all(math.hypot(x - px, y - py) > 1e-6 for px, py in found):
-                    found.append((x, y))
     return found
 
 

@@ -1,7 +1,7 @@
-"""Pinned SHA-256 digests of the sweep's label columns and of the numeric
-route, with the recipes that compute them.  Plain Python: this module
-imports neither pytest nor numpy, so the tests import it and it also runs
-on an interpreter with nothing installed:
+"""Pinned SHA-256 digests of the sweep's label columns, of the numeric
+route and of the linear fold path, with the recipes that compute them.
+Plain Python: this module imports neither pytest nor numpy, so the tests
+import it and it also runs on an interpreter with nothing installed:
 
     PYTHONPATH=src:tests python -m pinned_digests
 
@@ -46,6 +46,8 @@ SWEEP_LABEL_DIGESTS = [
 
 NUMERIC_ROUTE_DIGEST = "99e76792631f1a6cd3abb6a85993c8c5804a9516adb5666cf4ba79deeee3d1af"
 
+LINEAR_FOLD_PATH_DIGEST = "2b64bea22e5932521e6265fea2e5ae9a4681e08a8a2faba1df8a0a79679341a6"
+
 
 def sweep_label_digest(pairs):
     """SHA-256 over every line, header included, of the 101x101 atlases of
@@ -59,6 +61,25 @@ def sweep_label_digest(pairs):
     return digest.hexdigest()
 
 
+def _feed(digest, *values):
+    digest.update((",".join(v.hex() if isinstance(v, float) else repr(v)
+                            for v in values) + ";").encode())
+
+
+def _feed_maps(feed, system, xs, ys):
+    """Feed the return map and both fold maps of ``system`` at each point of
+    the grid ``xs`` x ``ys``, a failed map by its flight status."""
+    maps = [("R", functools.partial(return_map_numeric, system))] + [
+        (side, functools.partial(fold_map_numeric, system, side)) for side in "XY"]
+    for x in xs:
+        for y in ys:
+            for label, fn in maps:
+                try:
+                    feed(label, *fn((x, y)))
+                except IntegrationFailure as exc:
+                    feed(label, exc.status.value)
+
+
 def numeric_route_digest():
     """SHA-256 over ``float.hex`` and ``repr`` of the numeric route where
     the fold maps are not linear: the return map and both fold maps of
@@ -68,11 +89,7 @@ def numeric_route_digest():
     ``left-box`` among them; and the names and documents of normal forms
     and of their time reversals."""
     digest = hashlib.sha256()
-
-    def feed(*values):
-        digest.update((",".join(v.hex() if isinstance(v, float) else repr(v)
-                                for v in values) + ";").encode())
-
+    feed = functools.partial(_feed, digest)
     forms = [
         hot_normal_form(),
         build_normal_form(1.3, -0.7, 1.6, -1.0, hot={
@@ -82,15 +99,7 @@ def numeric_route_digest():
         build_normal_form(0.4, 0.9, -1.2, 1.0, hot={"cz": [[[1, 1, 0], 0.5]]}),  # both visible
     ]
     for system in forms:
-        for x in (-0.12, -0.03, 0.0, 0.05, 0.11):
-            for y in (-0.1, -0.02, 0.0, 0.04, 0.09):
-                maps = [("R", lambda q: return_map_numeric(system, q))] + [
-                    (side, functools.partial(fold_map_numeric, system, side)) for side in "XY"]
-                for label, fn in maps:
-                    try:
-                        feed(label, *fn((x, y)))
-                    except IntegrationFailure as exc:
-                        feed(label, exc.status.value)
+        _feed_maps(feed, system, (-0.12, -0.03, 0.0, 0.05, 0.11), (-0.1, -0.02, 0.0, 0.04, 0.09))
     system = forms[0]
     flights = [
         (system.X, (0.05, -0.1, 0.0), 1),
@@ -115,12 +124,43 @@ def numeric_route_digest():
     return digest.hexdigest()
 
 
+def linear_fold_path_digest():
+    """SHA-256 over ``float.hex`` and ``repr`` of the fold path on normal
+    forms without higher-order terms: both fold maps and the return map on
+    a grid through both fold lines, each flight forwards or backwards in
+    time by its side of the fold line, and the central differences of the
+    return map at two points as ``jacobian_numeric`` takes them (which
+    loads numpy, so they are written out here).  alpha = 0 and beta = 0
+    give empty components, and delta takes both signs, so visible X folds
+    fail their flights (fed by status)."""
+    digest = hashlib.sha256()
+    feed = functools.partial(_feed, digest)
+    h = 1e-3
+    for params in [(0.0, 1.3, 0.9, -1.0), (-0.7, 0.0, 1.6, -1.0), (2.5, -1.4, 0.5, -1.0),
+                   (0.0, -0.8, 1.1, 1.0), (1.2, 0.6, -1.7, 1.0), (-1.9, 2.2, -0.4, -1.0)]:
+        system = build_normal_form(*params)
+        return_map = functools.partial(return_map_numeric, system)
+        _feed_maps(feed, system, (-0.1, -0.02, 0.0, 0.03, 0.08), (-0.09, -0.01, 0.0, 0.04, 0.1))
+        for x, y in ((0.0, 0.0), (0.02, -0.03)):
+            try:
+                fxp, fxm = return_map((x + h, y)), return_map((x - h, y))
+                fyp, fym = return_map((x, y + h)), return_map((x, y - h))
+            except IntegrationFailure as exc:
+                feed("J", exc.status.value)
+                continue
+            feed("J", (fxp[0] - fxm[0]) / (2 * h), (fyp[0] - fym[0]) / (2 * h),
+                 (fxp[1] - fxm[1]) / (2 * h), (fyp[1] - fym[1]) / (2 * h))
+    return digest.hexdigest()
+
+
 def main():
     for pairs, expected in SWEEP_LABEL_DIGESTS:
         got = sweep_label_digest(pairs)
         assert got == expected, (pairs, got)
     got = numeric_route_digest()
     assert got == NUMERIC_ROUTE_DIGEST, got
+    got = linear_fold_path_digest()
+    assert got == LINEAR_FOLD_PATH_DIGEST, got
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "hot.json")
         with open(path, "w", encoding="utf-8") as fh:
@@ -130,7 +170,7 @@ def main():
         with open(out, encoding="utf-8") as fh:
             assert json.load(fh)["tangency"]["ttype"] == "fold-fold"
     assert "numpy" not in sys.modules, "numpy was imported"
-    print(sys.version.split()[0], ": three digests held, a two-fold classified, no numpy")
+    print(sys.version.split()[0], ": four digests held, a two-fold classified, no numpy")
 
 
 if __name__ == "__main__":

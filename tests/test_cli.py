@@ -57,6 +57,19 @@ def square_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def steep_file(tmp_path):
+    """Xf = 1e300 * x on a box of +-1e20 in x: inf at x = 1e200 through a
+    product, not a power."""
+    path = tmp_path / "steep.json"
+    path.write_text(json.dumps({
+        "name": "steep", "box": [-1e20, 1e20, -1, 1, -1, 1],
+        "X": {"cx": [[[0, 0, 0], 1.0]], "cy": [], "cz": [[[1, 0, 0], 1e300]]},
+        "Y": {"cx": [], "cy": [], "cz": [[[0, 0, 0], 1.0]]},
+    }))
+    return str(path)
+
+
 _OVERFLOW_MESSAGE = "error: a field value at this input exceeds the float range\n"
 
 
@@ -248,14 +261,9 @@ class TestClassify:
         assert main(["classify", square_file, "--point", "1e200,0,0"]) == 3
         assert capsys.readouterr() == ("", _OVERFLOW_MESSAGE)
 
-    def test_overflowing_product_exit_3(self, tmp_path, capsys):
-        # Xf = 1e300 * x is inf at x = 1e200 through a product, not a power:
+    def test_overflowing_product_exit_3(self, steep_file, capsys):
         # the same exit and message as Xf = x**2 - 1 there, and no report
-        steep = PiecewiseSystem(_field(1.0, 0.0, Poly3({(1, 0, 0): 1e300})), _UNIT_Z,
-                                Box(-1e20, 1e20, -1.0, 1.0, -1.0, 1.0))
-        path = tmp_path / "steep.json"
-        path.write_text(serialize_system(steep))
-        assert main(["classify", str(path), "--point", "1e200,0,0"]) == 3
+        assert main(["classify", steep_file, "--point", "1e200,0,0"]) == 3
         assert capsys.readouterr() == ("", _OVERFLOW_MESSAGE)
 
     def test_term_spellings_classify_as_their_canonical_twin(self, ci_normal_form, tmp_path,
@@ -613,9 +621,12 @@ class TestVerify:
         err = capsys.readouterr().err
         assert err == "error: --seed must be >= 0\n"
 
-    def test_overflowing_point_exit_3(self, square_file, capsys):
-        assert main(["verify", square_file, "--point", "1e200,0,0", "--suite", "none"]) == 3
-        assert capsys.readouterr() == ("", _OVERFLOW_MESSAGE)
+    def test_overflowing_point_exit_3(self, square_file, steep_file, capsys):
+        # an overflowing power and an overflowing product: one exit and
+        # message, as ``classify`` gives, and no rows
+        for path in (square_file, steep_file):
+            assert main(["verify", path, "--point", "1e200,0,0", "--suite", "none"]) == 3
+            assert capsys.readouterr() == ("", _OVERFLOW_MESSAGE)
 
     def test_small_suite(self, capsys):
         rc = main(["verify", "--suite", "sliding", "--scale", "0.12", "--seed", "1"])

@@ -28,7 +28,10 @@ from foldatlas.integrator import (
     return_map_numeric,
 )
 from foldatlas.system import Box, PiecewiseSystem, build_normal_form
-from pinned_digests import HOT, NUMERIC_ROUTE_DIGEST, hot_normal_form, numeric_route_digest
+from pinned_digests import (
+    HOT, LINEAR_FOLD_PATH_DIGEST, NUMERIC_ROUTE_DIGEST, hot_normal_form, linear_fold_path_digest,
+    numeric_route_digest,
+)
 
 # Reference Dormand-Prince step: the generic tableau loop the written-out
 # stepper replaced, kept here to pin that stepper bit for bit.
@@ -192,11 +195,15 @@ class _RefEvent:
         )
 
 
-def _ref_integrate(p, f, step, y0, events, t_limit, outside=None, h0=None, collect=None):
+def _ref_integrate(p, f, step, y0, events, t_limit, outside=None, h0=None, collect=None,
+                   hand_over=False):
     """Drive the kernel ``step`` of the field ``f``, bound by ``p``, until an event, a guard
     violation, or the horizon; ``collect`` is a pair of lists ``(times,
     states)`` or None.  The clamps keep ``min``/``max``'s NaN rule: the
-    first argument wins against NaN."""
+    first argument wins against NaN.  With ``hand_over`` it returns a
+    driver's tuple, and on a step where events fire it hands the step over
+    as a driver does, for ``integrator._locate``: ``(HIT_SIGMA, t, y,
+    accepted, rejected, (y, k1, y_new, k_last, h, fired, None))``."""
     y = tuple(map(float, y0))
     k1 = f(p, *y)
     t = 0.0
@@ -213,6 +220,8 @@ def _ref_integrate(p, f, step, y0, events, t_limit, outside=None, h0=None, colle
 
     def result(status, point, time, event=None, uncounted=0):
         accepted = steps - uncounted - rejected
+        if hand_over:
+            return status, time, point, accepted, rejected, None
         return integrator.FlightResult(status, point, time, event, accepted, rejected)
 
     while True:
@@ -232,7 +241,8 @@ def _ref_integrate(p, f, step, y0, events, t_limit, outside=None, h0=None, colle
             rejected += 1
             continue
         hit = None
-        for ev in events:
+        fired = []
+        for j, ev in enumerate(events):
             i = ev.component
             v = ev.fn(y_new) if i is None else y_new[i]
             if ev.armed:
@@ -242,12 +252,17 @@ def _ref_integrate(p, f, step, y0, events, t_limit, outside=None, h0=None, colle
                 crossed = False
             else:
                 crossed = v * ev.expected_sign < 0
-            if crossed:
+            if crossed and hand_over:
+                fired.append((j, ev.last, v))
+            elif crossed:
                 found = integrator._refine_event(p, f, step, ev, y, k1, y_new, k_last, h, ev.last,
                                                  v, None)
                 if hit is None or found[0] < hit[1]:
                     hit = (ev, found[0], found[1])
             ev.last = v
+        if fired:
+            return (FlightStatus.HIT_SIGMA, t, y, steps - rejected, rejected,
+                    (y, k1, y_new, k_last, h, tuple(fired), None))
         if hit is not None:
             ev, dt, y_ev = hit
             t_ev = t + dt
@@ -286,22 +301,23 @@ def _ref_cube(center, radius):
 
 def _cube_box(center, radius):
     """The cube of ``_ref_cube`` around a point of the plane, written as the
-    box that ``_to_plane`` hands its driver."""
+    box that a flight from the plane hands its driver."""
     x, y, _ = center
     return (x - radius, x + radius, y - radius, y + radius, -radius, radius)
 
 
-def _ref_fly(kernel, events, *args, cube=False):
-    """``integrator._fly`` on the reference loop.  The driver's name tells
-    its arguments, its guard and its events' arming thresholds.  With
-    ``cube`` the flight is one of ``_to_plane``: its box must be
-    the cube around its start, and it runs under ``_ref_cube`` instead.  A
-    trajectory appends the event sample itself, so it is not collected."""
+def _ref_drive(kernel, system, *args, cube=False):
+    """The run of the driver of ``kernel`` ``(p, f, step, drive)`` on the
+    reference loop, which hands over each step where events fire.  The
+    driver's name tells its arguments, its guard and its events: the plane,
+    or the sliding events of ``system``.  With ``cube`` the flight is one
+    from the plane: its box must be the cube around its start, and it runs
+    under ``_ref_cube`` instead."""
     p, f, step, drive = kernel
     if drive.__name__ == "in_box":
         start, t_limit, h0, d, box, samples = args
         xmin, xmax, ymin, ymax, zmin, zmax = box
-        arms, signs = (1e-13,), (d,)
+        events = [_RefEvent("sigma", operator.itemgetter(2), 1e-13, d, 2)]
 
         def outside(y):
             return not (xmin <= y[0] <= xmax and ymin <= y[1] <= ymax and zmin <= y[2] <= zmax)
@@ -310,20 +326,31 @@ def _ref_fly(kernel, events, *args, cube=False):
             assert start[2] == 0.0 and _bits(*box) == _bits(*_cube_box(start, zmax))
             outside = _ref_cube(start, zmax)
     else:
-        start, t_limit, h0, box, _, arm, samples = args
+        start, t_limit, h0, box, tol, arm, samples = args
         xmin, xmax, ymin, ymax, zmin, zmax = box
-        arms, signs = (arm, arm, 0.0), (0, 0, 0)
+        xf, yf = system.xf.compiled(), system.yf.compiled()
+        events = [_RefEvent("sx", lambda y: xf(y[0], y[1], 0.0), arm),
+                  _RefEvent("sy", lambda y: yf(y[0], y[1], 0.0), arm),
+                  _RefEvent("den", lambda y: yf(y[0], y[1], 0.0) - xf(y[0], y[1], 0.0) - tol, 0.0)]
 
         def outside(y):
             return not (xmin <= y[0] <= xmax and ymin <= y[1] <= ymax and zmin <= 0.0 <= zmax)
 
-    ref_events = [_RefEvent(ev.name, ev.fn, eps, sign, ev.component)
-                  for ev, eps, sign in zip(events, arms, signs)]
     collect = ([], [])
-    res = _ref_integrate(p, f, step, start, ref_events, t_limit, outside, h0, collect)
-    rows = [(t, *y) for t, y in zip(*collect)]
-    samples += rows[:-1] if res.ok() else rows
-    return (res.status, res.point, res.time, res.event, res.accepted, res.rejected)
+    res = _ref_integrate(p, f, step, start, events, t_limit, outside, h0, collect, True)
+    samples += [(t, *y) for t, y in zip(*collect)]
+    return res
+
+
+def _hook_kernels(mp, wrap):
+    """Fly every flight on ``wrap(kernel, system)``'s kernel in place of its
+    own, through ``mp``: ``_flight_kernel(field)`` and
+    ``_sliding_kernel(system)`` return it, with ``system`` None for a flight
+    kernel.  A fold map keeps the forward kernel in its system's plan and
+    runs the reversed kernel on the same functions."""
+    flight, sliding = integrator._flight_kernel, integrator._sliding_kernel
+    mp.setattr(integrator, "_flight_kernel", lambda field: wrap(flight(field), None))
+    mp.setattr(integrator, "_sliding_kernel", lambda system: wrap(sliding(system), system))
 
 
 def dry_friction(F=1.0, v0=0.5, c=0.1):
@@ -538,13 +565,30 @@ class TestKernelCache:
         field = self._field(1.25)
         assert integrator._flight_kernel(field) is integrator._flight_kernel(field)
 
-    def test_reversed_kernel_shared_with_negated_field(self):
-        # bound first on the field, or first on its negated twin
-        a, b = self._field(0.5), self._field(0.5)
-        factory, kernel = integrator._flight_factory, integrator._flight_kernel
-        assert a.reversed_kernel(factory) is kernel(a.negated())
-        assert kernel(b.negated()) is b.reversed_kernel(factory)
-        assert b.reversed_kernel(factory) is not kernel(b)
+    def test_reversed_binding_is_bind_on_the_negated_coefficients(self):
+        # Entry by entry, zero signs included.  An empty component's sums
+        # are +0.0 both ways, and a constant 1.0's error-row sum cancels to
+        # +0.0 both ways; a constant 5e-324's products underflow to zeros,
+        # whose signs the negation would get wrong, so its field binds the
+        # negated coefficients.  The functions are the forward kernel's.
+        fields = [
+            VectorField3(Poly3.zero(), Poly3.constant(1.0), Poly3({(0, 1, 0): -0.5})),
+            VectorField3(Poly3({(1, 0, 0): 0.3, (0, 2, 1): -1.1, (0, 0, 0): 0.7}),
+                         Poly3.constant(-2.5), Poly3({(0, 0, 0): 1e-300})),
+            VectorField3(Poly3.constant(5e-324), Poly3.zero(), Poly3({(1, 1, 0): 2.0})),
+        ]
+        hexes = []
+        for field in fields:
+            kernel = integrator._flight_kernel(field)
+            got = integrator._reversed_kernel(field, kernel)
+            shapes, coeffs = field.shape()
+            ref = integrator._flight_factory(shapes)(*[-c for c in coeffs])
+            hexes.append([v.hex() for v in ref[0]])
+            assert [v.hex() for v in got[0]] == hexes[-1]
+            assert all(fn is ref_fn for fn, ref_fn in zip(got[1:], kernel[1:]))
+        # the empty component's seven sums and the constant 1.0's error-row sum
+        assert hexes[0].count("0x0.0p+0") == len(integrator._ROWS) + 1
+        assert [(0.0 - v).hex() for v in integrator._flight_kernel(fields[2])[0]] != hexes[2]
 
     def test_a_flight_shape_binds_a_field_a_step_and_one_driver(self):
         kernel = integrator._flight_kernel(self._field(0.75))
@@ -563,7 +607,7 @@ class TestKernelCache:
         monkeypatch.setattr(integrator, "_compile",
                             lambda *args: compiled.append(args) or real(*args))
         pairs = [(integrator._flight_kernel(b), first),
-                 (a.reversed_kernel(integrator._flight_factory), first),
+                 (integrator._reversed_kernel(a, first), first),
                  (integrator._sliding_kernel(_stick_slip_system(1.3, 0.2, 0.25)), first_slide)]
         assert compiled == []
         for kernel, ref in pairs:
@@ -859,45 +903,59 @@ class TestFoldMap:
 class TestFoldMapFlight:
     """A fold map flies the flight ``integrate_to_sigma`` would fly from its
     point: forwards on the field, backwards on the field's reversed kernel,
-    which binds the negated coefficients without building ``negated()``."""
+    which negates the field's binding without building ``negated()``."""
 
     def test_same_flight_as_integrate_to_sigma(self, monkeypatch):
-        legs = []
-        real = integrator._to_plane
+        legs = []  # one [p, args, driver result, located hit...] per flight
+        locate = integrator._locate
 
-        def record(*args):
-            res = real(*args)
-            legs.append((args, integrator.FlightResult(*res)))
-            return res
+        def recorded(kernel, _):
+            p, f, step, drive = kernel
 
-        monkeypatch.setattr(integrator, "_to_plane", record)
+            def driver(p, *args):
+                res = drive(p, *args)
+                legs.append([p, args, res])
+                return res
+
+            return p, f, step, driver
+
+        def located(*args):
+            legs[-1].append(locate(*args))
+            return legs[-1][-1]
+
+        _hook_kernels(monkeypatch, recorded)
+        monkeypatch.setattr(integrator, "_locate", located)
         system = hot_normal_form()
         # a fresh copy whose negated fields bind their own kernels
         fresh = hot_normal_form()
+        r = system.box.flight_guard
         seen = set()
-        for side in "XY":
-            field, _, halfspace = integrator._fold_side(system, side)
-            ref_field = integrator._fold_side(fresh, side)[0]
+        for side, halfspace in (("X", 1), ("Y", -1)):
+            field, ref_field = getattr(system, side), getattr(fresh, side)
             for x in (-0.15, -0.04, 0.04, 0.15):
                 for y in (-0.1, -0.03, 0.03, 0.1):
                     legs.clear()
-                    fold_map_numeric(system, side, (x, y))
-                    (args, res), = legs
+                    image = fold_map_numeric(system, side, (x, y))
+                    (p, args, (status, t, point, accepted, rejected, _), *hit), = legs
+                    if hit:
+                        (point, t, _), = hit
                     s = field.cz.eval(x, y, 0.0)
                     forward = (s > 0.0) if side == "X" else (s < 0.0)
                     seen.add((side, forward))
-                    kernel = integrator._flight_kernel(field) if forward else (
-                        field.reversed_kernel(integrator._flight_factory))
-                    assert args[0] is kernel and args[1:5] == (x, y, halfspace, system.box)
                     use = ref_field if forward else ref_field.negated()
-                    ref = integrate_to_sigma(use, (x, y, 0.0), halfspace, system.box, args[5])
-                    assert (res.status, res.accepted, res.rejected) == (
-                        ref.status, ref.accepted, ref.rejected)
-                    assert [v.hex() for v in (res.time, *res.point)] == [
+                    assert _bits(*p) == _bits(*integrator._flight_kernel(use)[0])
+                    start, t_limit, h0, d, box, _ = args
+                    assert (start, t_limit, d) == ((x, y, 0.0), integrator._MAX_TIME, halfspace)
+                    assert _bits(*box) == _bits(x - r, x + r, y - r, y + r, -r, r)
+                    ref = integrate_to_sigma(use, (x, y, 0.0), halfspace, system.box, h0)
+                    assert (status, accepted, rejected) == (ref.status, ref.accepted, ref.rejected)
+                    assert [v.hex() for v in (t, *point)] == [
                         v.hex() for v in (ref.time, *ref.point)]
+                    assert _bits(*image) == _bits(*ref.point[:2])
         assert seen == {(side, d) for side in "XY" for d in (True, False)}
 
     def test_jacobian_builds_no_negated_field(self, monkeypatch, call_counts):
+        # X and Y are bound once each; -X and -Y run on their negated bindings
         binds = []
         real = integrator._flight_factory
 
@@ -915,15 +973,13 @@ class TestFoldMapFlight:
         system = build_normal_form(-0.7, 1.3, 0.9, -1.0)
         jacobian_numeric(lambda q: return_map_numeric(system, q), (0.0, 0.0), 1e-3)
         assert counts["negated"] == 0
-        kernels = set()
-        for fld in (system.X, system.Y):
-            shapes, coeffs = fld.shape()
-            kernels |= {(shapes, tuple(coeffs)), (shapes, tuple(-c for c in coeffs))}
-        assert len(binds) == 4 and set(binds) == kernels
+        kernels = {(fld.shape()[0], tuple(fld.shape()[1])) for fld in (system.X, system.Y)}
+        assert len(binds) == 2 and set(binds) == kernels
 
     def test_fresh_jacobians_bind_four_kernels_each(self, monkeypatch):
-        # Each fresh system binds X, Y, -X and -Y once, onto the functions
-        # its shapes compiled for the first: no other compile runs.
+        # Each fresh system's four kernels, X, Y, -X and -Y, come from two
+        # binds, X and Y, onto the functions its shapes compiled for the
+        # first: no other compile runs.
         binds, compiled = [], []
         real_factory, real_compile = integrator._flight_factory, integrator._compile
 
@@ -931,9 +987,8 @@ class TestFoldMapFlight:
             bind = real_factory(shapes)
             return lambda *coeffs: binds.append(coeffs) or bind(*coeffs)
 
-        def kernels(system):  # X, -X, Y, -Y, bound by the Jacobian
-            return [k for fld in (system.X, system.Y)
-                    for k in (fld.kernel(factory), fld.reversed_kernel(factory))]
+        def kernels(system):  # X, -X, Y, -Y, as the fold maps fly them
+            return [plan[i] for plan in (system.fold_plans[side] for side in "XY") for i in (5, 6)]
 
         monkeypatch.setattr(integrator, "_flight_factory", factory)
         first = hot_normal_form()
@@ -944,7 +999,7 @@ class TestFoldMapFlight:
             binds.clear()
             system = build_normal_form(*params, -1.0, hot=HOT)
             jacobian_numeric(lambda q: return_map_numeric(system, q), (0.0, 0.0), 1e-3)
-            assert len(binds) == 4 and compiled == []
+            assert len(binds) == 2 and compiled == []
             for kernel, ref in zip(kernels(system), kernels(first)):
                 assert all(fn is ref_fn for fn, ref_fn in zip(kernel[1:], ref[1:]))
 
@@ -1296,10 +1351,16 @@ class TestNumericRoutePinned:
     """The numeric route on nonlinear fold maps, pinned by
     ``pinned_digests.numeric_route_digest``: ``TestOutputsPinned`` covers
     only normal forms without higher-order terms, whose fold maps are
-    linear."""
+    linear.  ``linear_fold_path_digest`` pins those on the interpreters
+    that run ``pinned_digests`` with nothing installed."""
 
     def test_nonlinear_fold_maps_flights_and_names(self):
         assert numeric_route_digest() == NUMERIC_ROUTE_DIGEST
+
+    def test_linear_fold_path(self):
+        # both kernels of fields with empty components, visible X folds and
+        # the return map's central differences
+        assert linear_fold_path_digest() == LINEAR_FOLD_PATH_DIGEST
 
 
 class TestConfig:
@@ -1330,35 +1391,46 @@ class TestConfig:
 
 
 def _count_kernel_steps(monkeypatch, counts):
-    """Count Dormand-Prince steps: the accepted and rejected steps that each
-    driver run reports in its ``FlightResult``, the in-line probe a driver
-    takes at each root of ``_plane_root`` strictly inside the bracketing
-    step, whether it meets the goal or not, and the steps the locator takes
-    through the kernel ``step`` handed to ``_fly``.  A step adds 1 to
+    """Count flights, one per driver run, in ``counts["flights"]``, and
+    Dormand-Prince steps: the accepted and rejected steps that each driver
+    run reports, the in-line probe a driver takes at each root of
+    ``_plane_root`` strictly inside the bracketing step, whether it meets
+    the goal or not, and the steps the locator takes through the kernel's
+    ``step``.  A step adds 1 to
     ``counts["kernel_steps"]`` and 6 to ``counts["field_evals"]``, the
     stages it writes out; a driver run adds 1 more evaluation, the first
     stage at its start, and so does each call of the kernel's ``field``.
     Returns ``counts``."""
-    fly, plane_root = integrator._fly, integrator._plane_root
+    plane_root = integrator._plane_root
     driving = []  # non-empty while a driver runs
 
     def add_steps(n):
         counts["kernel_steps"] += n
         counts["field_evals"] += 6 * n
 
-    def counted(step):
-        def wrapper(p, y, h, k1):
-            add_steps(1)
-            return step(p, y, h, k1)
+    def counted(kernel, _):
+        p, f, step, drive = kernel
 
-        return wrapper
-
-    def counted_field(f):
-        def wrapper(p, *y):
+        def counted_field(p, *y):
             counts["field_evals"] += 1
             return f(p, *y)
 
-        return wrapper
+        def counted_step(p, y, h, k1):
+            add_steps(1)
+            return step(p, y, h, k1)
+
+        def counted_drive(p, *args):
+            driving.append(True)
+            try:
+                res = drive(p, *args)
+            finally:
+                driving.pop()
+            counts["flights"] += 1
+            add_steps(res[3] + res[4])  # accepted + rejected
+            counts["field_evals"] += 1
+            return res
+
+        return p, counted_field, counted_step, counted_drive
 
     def counted_root(z0, z1, kz0, kz1, h, g0, g1):
         dt = plane_root(z0, z1, kz0, kz1, h, g0, g1)
@@ -1366,24 +1438,7 @@ def _count_kernel_steps(monkeypatch, counts):
             add_steps(1)
         return dt
 
-    def counted_drive(drive):
-        def wrapper(*args):
-            driving.append(True)
-            try:
-                return drive(*args)
-            finally:
-                driving.pop()
-
-        return wrapper
-
-    def counted_fly(kernel, events, *args):
-        p, f, step, drive = kernel
-        res = fly((p, counted_field(f), counted(step), counted_drive(drive)), events, *args)
-        add_steps(res[4] + res[5])  # accepted + rejected
-        counts["field_evals"] += 1
-        return res
-
-    monkeypatch.setattr(integrator, "_fly", counted_fly)
+    _hook_kernels(monkeypatch, counted)
     monkeypatch.setattr(integrator, "_plane_root", counted_root)
     return counts
 
@@ -1593,18 +1648,17 @@ class TestWorkCounts:
     start of each flight and the calls of the kernel's evaluator (the
     locator's Newton slopes, none here).  A flight never calls the compiled
     evaluator ``VectorField3.compiled()``.  Flights are counted where they
-    are flown, at ``_to_plane``, the flight core of the fold maps and of
-    ``integrate_to_sigma``."""
+    are flown, at the runs of their drivers, which the fold maps and
+    ``integrate_to_sigma`` call directly."""
 
     @pytest.mark.parametrize("params", [
         (-0.7, 1.3, 0.9), (2.5, -1.4, 0.5), (-1.0, -1.0, 1.0), (0.4, 0.9, 2.0), (-2.0, -1.4, 0.5),
     ])
     def test_return_map_jacobian(self, monkeypatch, call_counts, params):
-        call_counts(VectorField3, "compiled")
-        counts = _count_kernel_steps(monkeypatch, call_counts(integrator, "_to_plane"))
+        counts = _count_kernel_steps(monkeypatch, call_counts(VectorField3, "compiled"))
         system = build_normal_form(*params, -1.0)
         jacobian_numeric(lambda q: return_map_numeric(system, q), (0.0, 0.0), 1e-3)
-        assert counts == {"_to_plane": 6, "kernel_steps": 24, "field_evals": 150}
+        assert counts == {"flights": 6, "kernel_steps": 24, "field_evals": 150}
 
     def test_stick_slip_trajectory(self, monkeypatch, call_counts):
         # slide, slip below the plane, slide, slip to the horizon: 351
@@ -1684,11 +1738,11 @@ class TestNonFiniteErrorNorm:
         assert len(guarded_steps) < len(steps)
         assert [_bits(*hs) for hs in guarded_steps] == [
             _bits(*hs) for hs in steps[:len(guarded_steps)]]
-        got = integrator.FlightResult(*integrator._fly(
-            kernel, integrator._SIGMA_EVENTS, start, integrator._MAX_TIME, None, 1,
-            _cube_box(start, math.inf), []))
-        assert (got.status, got.accepted + got.rejected) == (guarded.status, len(guarded_steps))
-        assert _bits(got.time, *got.point) == _bits(guarded.time, *guarded.point)
+        status, t, point, accepted, rejected, bracket = kernel[3](
+            p, start, integrator._MAX_TIME, None, 1, _cube_box(start, math.inf), [])
+        assert bracket is None
+        assert (status, accepted + rejected) == (guarded.status, len(guarded_steps))
+        assert _bits(t, *point) == _bits(guarded.time, *guarded.point)
 
     def test_flight_leaves_guard_at_nan(self, monkeypatch):
         # dz/dt = 2 - y returns to the plane at t = 2, after x overflowed:
@@ -1751,61 +1805,63 @@ class TestOverflowingPower:
 class TestGeneratedDriver:
     """The generated drivers against the reference loop ``_ref_integrate``,
     flight by flight: the same ``FlightResult`` (status, point, time, event
-    and step counts) and the same samples, bit for bit.  A flight of
-    ``_to_plane``, the core of ``integrate_to_sigma`` and of the fold maps,
-    flies the box driver ``in_box`` under the cube around its start written
-    as a box; its reference runs under the cube guard ``_ref_cube``.
+    and step counts) and the same samples, bit for bit.  A flight from the
+    plane, of ``integrate_to_sigma`` or a fold map, flies the box driver
+    ``in_box`` under the cube around its start written as a box; its
+    reference runs under the cube guard ``_ref_cube``.
 
-    The reference hands every event to ``_refine_event``.  The box driver
-    locates the plane event itself when its first probe meets the goal, and
-    hands it over otherwise; ``routes`` counts the generated run's plane
-    events by the route they took."""
+    The reference hands every step where events fire over to ``_locate``.
+    The box driver locates the plane event itself when its first probe
+    meets the goal, and hands it over otherwise; ``routes`` counts the
+    generated run's plane events by the route they took."""
 
     @staticmethod
     def _flights(reference, run, max_steps=None):
         """``run()`` on the generated drivers, or on the reference loop with
         ``reference``: one ``(kind, result, samples, handed)`` per flight,
-        the kind being "_to_plane" for a flight of that function and the
-        driver's name otherwise, and ``handed`` whether the flight called
-        ``_refine_event``."""
+        the kind being "plane" for a flight from the plane and the driver's
+        name otherwise, and ``handed`` whether the flight's step went to
+        ``_locate``.  Every fold map makes its plan afresh, on the
+        recording kernels."""
         flights = []
-        fly, to_plane = integrator._fly, integrator._to_plane
-        refine = integrator._refine_event
-        cube = []  # non-empty while _to_plane runs
-        refined = []
+        locate = integrator._locate
 
-        def counted_refine(*args):
-            refined.append(True)
-            return refine(*args)
+        def recording(kernel, system):
+            p, f, step, drive = kernel
 
-        def in_cube(*args):
-            cube.append(True)
-            try:
-                return to_plane(*args)
-            finally:
-                cube.pop()
+            def driver(p, *args):
+                plane = sys._getframe(1).f_code.co_name in ("integrate_to_sigma",
+                                                            "fold_map_numeric")
+                if reference:
+                    res = _ref_drive((p, f, step, drive), system, *args, cube=plane)
+                else:
+                    res = drive(p, *args)
+                status, t, point, accepted, rejected, _ = res
+                event = "sigma" if status is FlightStatus.HIT_SIGMA else None
+                flights.append(["plane" if plane else drive.__name__, integrator.FlightResult(
+                    status, point, t, event, accepted, rejected), list(args[-1]), False])
+                return res
 
-        def recorded(kernel, events, *args):
-            refined.clear()
-            if reference:
-                res = _ref_fly(kernel, events, *args, cube=bool(cube))
-            else:
-                res = fly(kernel, events, *args)
-            kind = "_to_plane" if cube else kernel[3].__name__
-            flights.append((kind, integrator.FlightResult(*res), list(args[-1]), bool(refined)))
-            return res
+            return p, f, step, driver
+
+        def located(*args):
+            hit = locate(*args)
+            record = flights[-1]
+            record[1].point, record[1].time, record[1].event = hit
+            record[3] = True
+            return hit
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(integrator, "_fly", recorded)
-            mp.setattr(integrator, "_to_plane", in_cube)
-            mp.setattr(integrator, "_refine_event", counted_refine)
+            _hook_kernels(mp, recording)
+            mp.setattr(integrator, "_locate", located)
+            mp.setattr(PiecewiseSystem, "fold_plans", property(lambda system: {}))
             if max_steps is not None:
                 mp.setattr(integrator, "_MAX_STEPS", max_steps)
             try:
                 run()
             except IntegrationFailure:
                 pass
-        return flights
+        return [tuple(record) for record in flights]
 
     def _assert_same(self, run, max_steps=None):
         got = self._flights(False, run, max_steps)
@@ -1837,7 +1893,7 @@ class TestGeneratedDriver:
 
         flights = self._assert_same(run)
         assert len(flights) == 18
-        assert set(flights) == {("_to_plane", FlightStatus.HIT_SIGMA, "sigma")}
+        assert set(flights) == {("plane", FlightStatus.HIT_SIGMA, "sigma")}
         # half the returns meet the goal on the driver's first probe
         assert self.routes == {"driver": 9, "_refine_event": 9}
 
@@ -1898,22 +1954,17 @@ class TestGeneratedDriver:
                 dt_own, state_own, g_own = real_refine(*args, own)
                 assert _bits(dt_own, *state_own, g_own) == _bits(found[0], *found[1], found[2])
 
-    def test_probe_that_fails_the_error_test_hands_the_root_alone(self, monkeypatch):
+    def test_probe_that_fails_the_error_test_hands_the_root_alone(self):
         # dx/dt = x**2 from x = 1e150 overflows in the first step, whose
         # error norm is NaN (accepted) while z crosses the plane: the
         # driver's probe step to the root has a NaN norm too, so the
         # driver hands the root on without the probe's state, which
         # _eval_within_step would split
         field = VectorField3(Poly3({(2, 0, 0): 1.0}), Poly3.zero(), Poly3.constant(-1.0))
-        kernel = integrator._flight_kernel(field)
-        p, f, step, _ = kernel
-        handed = []
-        monkeypatch.setattr(integrator, "_refine_event",
-                            lambda *args: handed.append(args) or (args[-1][0], args[4], 0.0))
+        p, f, step, in_box = integrator._flight_kernel(field)
         start = (1e150, 0.0, 5e-5)
-        integrator._fly(kernel, integrator._SIGMA_EVENTS, start, 1.0, None, 1,
-                        _cube_box(start, math.inf), [])
-        ((*_, h, g0, g1, (dt, state)),) = handed
+        *_, bracket = in_box(p, start, 1.0, None, 1, _cube_box(start, math.inf), [])
+        *_, h, ((_, g0, g1),), (dt, state) = bracket
         assert state is None and 0.0 < dt < h and g0 > 0.0 > g1
         assert math.isnan(step(p, start, dt, f(p, *start))[2])
 
@@ -1925,7 +1976,7 @@ class TestGeneratedDriver:
         field = VectorField3(Poly3.constant(1.0), Poly3.zero(), cz)
         flights = self._assert_same(
             lambda: integrator.integrate_to_sigma(field, (0.0, 0.0, 0.0), direction))
-        assert flights == [("_to_plane", FlightStatus.HIT_SIGMA, "sigma")]
+        assert flights == [("plane", FlightStatus.HIT_SIGMA, "sigma")]
 
     def test_step_lands_on_the_plane(self):
         # dz/dt = -1 from this height: the steps 1e-4 * 5**k end exactly at
@@ -1956,7 +2007,7 @@ class TestGeneratedDriver:
         box = self._assert_same(lambda: filippov_trajectory(rising, (0.0, 0.0, 0.5), 2.0))
         # falls to the plane and slides out of the default box
         flat = self._assert_same(lambda: filippov_trajectory(Z, (0.0, 0.0, 0.5), 5.0))
-        assert cube[-1] == ("_to_plane", FlightStatus.LEFT_BOX, None)
+        assert cube[-1] == ("plane", FlightStatus.LEFT_BOX, None)
         assert box[-1] == ("in_box", FlightStatus.LEFT_BOX, None)
         assert flat == [("in_box", FlightStatus.HIT_SIGMA, "sigma"),
                         ("slide", FlightStatus.LEFT_BOX, None)]
@@ -1977,7 +2028,7 @@ class TestGeneratedDriver:
         limited = self._assert_same(run, max_steps=5)
         assert [(name, status) for name, status, _ in limited] == [
             ("slide", FlightStatus.STEP_LIMIT), ("slide", FlightStatus.STEP_LIMIT),
-            ("in_box", FlightStatus.STEP_LIMIT), ("_to_plane", FlightStatus.STEP_LIMIT)]
+            ("in_box", FlightStatus.STEP_LIMIT), ("plane", FlightStatus.STEP_LIMIT)]
 
     def test_nan_overflow(self):
         big = TestNonFiniteErrorNorm.BIG
@@ -1988,7 +2039,7 @@ class TestGeneratedDriver:
             integrator.integrate_to_sigma(field, (1e306, 1.0, 0.0), 1, big)
             filippov_trajectory(system, (1e306, 1.0, 0.5), 5.0, IntegratorConfig(box=big))
 
-        assert self._assert_same(run) == [("_to_plane", FlightStatus.LEFT_BOX, None),
+        assert self._assert_same(run) == [("plane", FlightStatus.LEFT_BOX, None),
                                           ("in_box", FlightStatus.LEFT_BOX, None)]
 
     def test_constant_components(self):
@@ -2027,12 +2078,12 @@ class TestGeneratedDriver:
 
         flights = set(self._assert_same(run))
         assert self.routes["driver"] and self.routes["_refine_event"]
-        for kind in ("_to_plane", "in_box"):
+        for kind in ("plane", "in_box"):
             assert (kind, FlightStatus.HIT_SIGMA, "sigma") in flights
             assert (kind, FlightStatus.LEFT_BOX, None) in flights
             assert (kind, FlightStatus.TIME_OUT, None) in flights
         limited = {(kind, status) for kind, status, _ in self._assert_same(run, max_steps=5)}
-        assert {("_to_plane", FlightStatus.STEP_LIMIT),
+        assert {("plane", FlightStatus.STEP_LIMIT),
                 ("in_box", FlightStatus.STEP_LIMIT)} <= limited
 
     def test_sliding_ends_on_each_event(self, monkeypatch):

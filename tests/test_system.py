@@ -394,6 +394,13 @@ class TestValidate:
         system = PiecewiseSystem(X, Y, name="vanishing")
         assert validate(system) == ["X vanishes on the switching surface (e.g. at (0, 0, 0))"]
 
+    def test_components_of_widely_different_scales(self):
+        # X.cx = 1 everywhere: its residual 1 lies far inside the whole
+        # field's 1e-10 * (1 + 1e300), but not inside its own 2e-10
+        X = VectorField3(Poly3.constant(1.0), Poly3.zero(), Poly3({(1, 0, 0): 1e300}))
+        Y = VectorField3(Poly3.zero(), Poly3.zero(), Poly3.constant(1.0))
+        assert validate(PiecewiseSystem(X, Y, Box(-1e20, 1e20, -1, 1, -1, 1))) == []
+
     def test_newton_step_past_the_float_range(self):
         # |X| <= 0.2 * scale at the grid points, and J^T J is near singular
         # (det 1e-18): the first step jumps to x ~ -1e40, where x**8
