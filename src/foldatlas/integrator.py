@@ -38,12 +38,13 @@ refinement steps through the kernels and takes its slopes from their
 evaluator.  The events are immutable, so flights share them.  A Filippov
 trajectory must start inside its box.
 
-Every flight calls its driver directly; ``_locate`` locates the events of
-a step it hands over.  A fold map reads its system side's plan, made once,
-and flies backwards on the forward kernel's functions with the binding
-negated.  The fold maps and the first-return map realized here are compared
-against their closed forms by the verification suites; nothing in this
-module consults those formulas.
+``integrate_to_sigma`` and the Filippov trajectories fly through ``_fly``,
+and a fold map calls its driver directly; ``_locate`` locates the events of
+a step the driver hands over.  A fold map reads its system side's plan,
+made once, and flies backwards on the field's reversed kernel, bound from
+the negated coefficients.  The fold maps and the first-return map realized
+here are compared against their closed forms by the verification suites;
+nothing in this module consults those formulas.
 """
 
 from __future__ import annotations
@@ -438,16 +439,11 @@ def _flight_kernel(field):
     return field.kernel(_flight_factory)
 
 
-def _reversed_kernel(field, kernel):
-    """The kernel of ``-field`` from ``field``'s ``kernel``: its functions on
-    its binding negated entry by entry as ``0.0 - v``, the bits of ``bind`` on
-    the negated coefficients (a sum that cancels is +0.0 both ways); a field
-    with a subnormal coefficient, whose sums may underflow, binds those."""
+def _reversed_kernel(field):
+    """The kernel of ``-field``, bound from the negated coefficients without
+    building ``-field``."""
     shapes, coeffs = field.shape()
-    if coeffs and min(map(abs, coeffs)) < 2.2250738585072014e-308:  # the least normal float
-        return _flight_factory(shapes)(*[-c for c in coeffs])
-    p, f, step, drive = kernel
-    return tuple([0.0 - v for v in p]), f, step, drive
+    return _flight_factory(shapes)(*[-c for c in coeffs])
 
 
 def _sliding_kernel(system):
@@ -640,6 +636,16 @@ def _refine_event(p, f, step, event, y_left, k_left, y_right, k_right, h, g_left
     return best
 
 
+def _fly(kernel, events, *args):
+    """``drive(p, *args)`` for ``kernel`` ``(p, f, step, drive)`` as a
+    ``FlightResult``, with ``_locate`` on a step the driver hands over."""
+    status, t, point, accepted, rejected, bracket = kernel[3](kernel[0], *args)
+    event = events[0].name if status is _HIT_SIGMA else None
+    if bracket is not None:
+        point, t, event = _locate(kernel, events, t, bracket)
+    return FlightResult(status, point, t, event, accepted, rejected)
+
+
 def _locate(kernel, events, t, bracket):
     """``(point, time, event name)`` of the hit in the step from time ``t``
     that the driver of ``kernel`` ``(p, f, step, drive)`` handed over as
@@ -684,27 +690,21 @@ def integrate_to_sigma(field, q0, direction, box=DEFAULT_BOX, h0=None):
         if s2 * direction < tol:
             return FlightResult(FlightStatus.NO_RETURN, time=0.0)
     x, y, r = float(q0[0]), float(q0[1]), box.flight_guard
-    kernel = _flight_kernel(field)
-    status, t, point, accepted, rejected, bracket = kernel[3](
-        kernel[0], (x, y, 0.0), _MAX_TIME, h0, direction, (x - r, x + r, y - r, y + r, -r, r), [])
-    event = _SIGMA_EVENTS[0].name if status is _HIT_SIGMA else None
-    if bracket is not None:
-        point, t, event = _locate(kernel, _SIGMA_EVENTS, t, bracket)
-    return FlightResult(status, point, t, event, accepted, rejected)
+    return _fly(_flight_kernel(field), _SIGMA_EVENTS, (x, y, 0.0), _MAX_TIME, h0, direction,
+                (x - r, x + r, y - r, y + r, -r, r), [])
 
 
 def _fold_plan(system, side):
     """``side``'s fold-map plan, kept in ``system.fold_plans``: the evaluators
     of Xf and X^2f (or Yf and Y^2f), the field's tolerance, its half-space,
-    the guard half-width, the forward and reversed kernels and the field."""
+    the guard half-width and the forward and reversed kernels."""
     if side not in ("X", "Y"):
         raise PreconditionError("side must be 'X' or 'Y'")
     field, second, halfspace = (system.X, system.x2f, 1) if side == "X" else (
         system.Y, system.y2f, -1)
-    kernel = _flight_kernel(field)
     return system.fold_plans.setdefault(side, (
         field.cz.eval, second.eval, default_tolerance(field), halfspace, system.box.flight_guard,
-        kernel, _reversed_kernel(field, kernel), field))
+        _flight_kernel(field), _reversed_kernel(field)))
 
 
 def fold_map_numeric(system, side, q):
@@ -716,8 +716,11 @@ def fold_map_numeric(system, side, q):
     of the tangency line, in a guard cube sized by ``system.box``.  Failures
     (visible-fold side, escaping orbits) raise :class:`IntegrationFailure`.
     """
-    cz, second, tol, halfspace, r, forward, backward, _ = (
-        system.fold_plans.get(side) or _fold_plan(system, side))
+    try:
+        plan = system.fold_plans[side]
+    except (KeyError, TypeError):  # no plan yet, or an unhashable side
+        plan = _fold_plan(system, side)
+    cz, second, tol, halfspace, r, forward, backward = plan
     x, y = float(q[0]), float(q[1])
     s = cz(x, y, 0.0)
     if abs(s) <= tol:
@@ -889,16 +892,11 @@ def filippov_trajectory(system, p0, horizon, cfg=None):
                     _Event("sy", lambda y: yf(y[0], y[1], 0.0)),
                     _Event("den", lambda y: yf(y[0], y[1], 0.0) - xf(y[0], y[1], 0.0) - tol))
             kernel, events = sliding
-            args = ((p[0], p[1]), remaining, None, box, tol, 10.0 * max(_EVENT_TOL, tol), samples)
+            out = _fly(kernel, events, (p[0], p[1]), remaining, None, box, tol,
+                       10.0 * max(_EVENT_TOL, tol), samples)
         else:
             fld, d = (system.X, 1) if mode is Mode.FLOW_PLUS else (system.Y, -1)
-            kernel, events = _flight_kernel(fld), _SIGMA_EVENTS
-            args = (p, remaining, None, d, box, samples)
-        status, t, point, accepted, rejected, bracket = kernel[3](kernel[0], *args)
-        event = events[0].name if status is _HIT_SIGMA else None
-        if bracket is not None:
-            point, t, event = _locate(kernel, events, t, bracket)
-        out = FlightResult(status, point, t, event, accepted, rejected)
+            out = _fly(_flight_kernel(fld), _SIGMA_EVENTS, p, remaining, None, d, box, samples)
         if out.event is not None:
             samples.append((out.time, *out.point))
         seg_end, next_mode = _segment_end(system, out, mode, tol)

@@ -203,7 +203,8 @@ def _ref_integrate(p, f, step, y0, events, t_limit, outside=None, h0=None, colle
     first argument wins against NaN.  With ``hand_over`` it returns a
     driver's tuple, and on a step where events fire it hands the step over
     as a driver does, for ``integrator._locate``: ``(HIT_SIGMA, t, y,
-    accepted, rejected, (y, k1, y_new, k_last, h, fired, None))``."""
+    accepted, rejected, (y, k1, y_new, k_last, h, fired, None))``, where
+    ``fired`` holds only the event it found earliest itself."""
     y = tuple(map(float, y0))
     k1 = f(p, *y)
     t = 0.0
@@ -241,7 +242,6 @@ def _ref_integrate(p, f, step, y0, events, t_limit, outside=None, h0=None, colle
             rejected += 1
             continue
         hit = None
-        fired = []
         for j, ev in enumerate(events):
             i = ev.component
             v = ev.fn(y_new) if i is None else y_new[i]
@@ -252,19 +252,17 @@ def _ref_integrate(p, f, step, y0, events, t_limit, outside=None, h0=None, colle
                 crossed = False
             else:
                 crossed = v * ev.expected_sign < 0
-            if crossed and hand_over:
-                fired.append((j, ev.last, v))
-            elif crossed:
+            if crossed:
                 found = integrator._refine_event(p, f, step, ev, y, k1, y_new, k_last, h, ev.last,
                                                  v, None)
                 if hit is None or found[0] < hit[1]:
-                    hit = (ev, found[0], found[1])
+                    hit = (ev, found[0], found[1], (j, ev.last, v))
             ev.last = v
-        if fired:
-            return (FlightStatus.HIT_SIGMA, t, y, steps - rejected, rejected,
-                    (y, k1, y_new, k_last, h, tuple(fired), None))
         if hit is not None:
-            ev, dt, y_ev = hit
+            ev, dt, y_ev, fired = hit
+            if hand_over:
+                return (FlightStatus.HIT_SIGMA, t, y, steps - rejected, rejected,
+                        (y, k1, y_new, k_last, h, (fired,), None))
             t_ev = t + dt
             if collect is not None:
                 times.append(t_ev)
@@ -344,12 +342,14 @@ def _ref_drive(kernel, system, *args, cube=False):
 
 def _hook_kernels(mp, wrap):
     """Fly every flight on ``wrap(kernel, system)``'s kernel in place of its
-    own, through ``mp``: ``_flight_kernel(field)`` and
-    ``_sliding_kernel(system)`` return it, with ``system`` None for a flight
-    kernel.  A fold map keeps the forward kernel in its system's plan and
-    runs the reversed kernel on the same functions."""
+    own, through ``mp``: ``_flight_kernel(field)``,
+    ``_reversed_kernel(field)`` and ``_sliding_kernel(system)`` return it,
+    with ``system`` None for a flight kernel.  A fold map keeps the kernels
+    of its system's plan, so the hook must come before the plan."""
     flight, sliding = integrator._flight_kernel, integrator._sliding_kernel
+    reversed_ = integrator._reversed_kernel
     mp.setattr(integrator, "_flight_kernel", lambda field: wrap(flight(field), None))
+    mp.setattr(integrator, "_reversed_kernel", lambda field: wrap(reversed_(field), None))
     mp.setattr(integrator, "_sliding_kernel", lambda system: wrap(sliding(system), system))
 
 
@@ -565,31 +565,6 @@ class TestKernelCache:
         field = self._field(1.25)
         assert integrator._flight_kernel(field) is integrator._flight_kernel(field)
 
-    def test_reversed_binding_is_bind_on_the_negated_coefficients(self):
-        # Entry by entry, zero signs included.  An empty component's sums
-        # are +0.0 both ways, and a constant 1.0's error-row sum cancels to
-        # +0.0 both ways; a constant 5e-324's products underflow to zeros,
-        # whose signs the negation would get wrong, so its field binds the
-        # negated coefficients.  The functions are the forward kernel's.
-        fields = [
-            VectorField3(Poly3.zero(), Poly3.constant(1.0), Poly3({(0, 1, 0): -0.5})),
-            VectorField3(Poly3({(1, 0, 0): 0.3, (0, 2, 1): -1.1, (0, 0, 0): 0.7}),
-                         Poly3.constant(-2.5), Poly3({(0, 0, 0): 1e-300})),
-            VectorField3(Poly3.constant(5e-324), Poly3.zero(), Poly3({(1, 1, 0): 2.0})),
-        ]
-        hexes = []
-        for field in fields:
-            kernel = integrator._flight_kernel(field)
-            got = integrator._reversed_kernel(field, kernel)
-            shapes, coeffs = field.shape()
-            ref = integrator._flight_factory(shapes)(*[-c for c in coeffs])
-            hexes.append([v.hex() for v in ref[0]])
-            assert [v.hex() for v in got[0]] == hexes[-1]
-            assert all(fn is ref_fn for fn, ref_fn in zip(got[1:], kernel[1:]))
-        # the empty component's seven sums and the constant 1.0's error-row sum
-        assert hexes[0].count("0x0.0p+0") == len(integrator._ROWS) + 1
-        assert [(0.0 - v).hex() for v in integrator._flight_kernel(fields[2])[0]] != hexes[2]
-
     def test_a_flight_shape_binds_a_field_a_step_and_one_driver(self):
         kernel = integrator._flight_kernel(self._field(0.75))
         assert [fn.__name__ for fn in kernel[1:]] == ["field", "step", "in_box"]
@@ -607,7 +582,7 @@ class TestKernelCache:
         monkeypatch.setattr(integrator, "_compile",
                             lambda *args: compiled.append(args) or real(*args))
         pairs = [(integrator._flight_kernel(b), first),
-                 (integrator._reversed_kernel(a, first), first),
+                 (integrator._reversed_kernel(a), first),
                  (integrator._sliding_kernel(_stick_slip_system(1.3, 0.2, 0.25)), first_slide)]
         assert compiled == []
         for kernel, ref in pairs:
@@ -899,11 +874,20 @@ class TestFoldMap:
             fold_map_numeric(system, "X", (0.0, -0.05))
         assert isinstance(info.value.status, FlightStatus)
 
+    @pytest.mark.parametrize("side", ["Z", "x", None, ["X"]])
+    def test_side_must_be_x_or_y(self, side):
+        # before and after a plan is kept, an unhashable side included
+        system = build_normal_form(-1.0, -1.0, 1.0, -1.0)
+        for _ in range(2):
+            with pytest.raises(PreconditionError, match="side must be 'X' or 'Y'"):
+                fold_map_numeric(system, side, (0.0, -0.1))
+            fold_map_numeric(system, "X", (0.0, -0.1))
+
 
 class TestFoldMapFlight:
     """A fold map flies the flight ``integrate_to_sigma`` would fly from its
     point: forwards on the field, backwards on the field's reversed kernel,
-    which negates the field's binding without building ``negated()``."""
+    which binds the negated coefficients without building ``negated()``."""
 
     def test_same_flight_as_integrate_to_sigma(self, monkeypatch):
         legs = []  # one [p, args, driver result, located hit...] per flight
@@ -955,7 +939,6 @@ class TestFoldMapFlight:
         assert seen == {(side, d) for side in "XY" for d in (True, False)}
 
     def test_jacobian_builds_no_negated_field(self, monkeypatch, call_counts):
-        # X and Y are bound once each; -X and -Y run on their negated bindings
         binds = []
         real = integrator._flight_factory
 
@@ -973,13 +956,15 @@ class TestFoldMapFlight:
         system = build_normal_form(-0.7, 1.3, 0.9, -1.0)
         jacobian_numeric(lambda q: return_map_numeric(system, q), (0.0, 0.0), 1e-3)
         assert counts["negated"] == 0
-        kernels = {(fld.shape()[0], tuple(fld.shape()[1])) for fld in (system.X, system.Y)}
-        assert len(binds) == 2 and set(binds) == kernels
+        kernels = set()
+        for fld in (system.X, system.Y):
+            shapes, coeffs = fld.shape()
+            kernels |= {(shapes, tuple(coeffs)), (shapes, tuple(-c for c in coeffs))}
+        assert len(binds) == 4 and set(binds) == kernels
 
     def test_fresh_jacobians_bind_four_kernels_each(self, monkeypatch):
-        # Each fresh system's four kernels, X, Y, -X and -Y, come from two
-        # binds, X and Y, onto the functions its shapes compiled for the
-        # first: no other compile runs.
+        # Each fresh system binds X, Y, -X and -Y once, onto the functions
+        # its shapes compiled for the first: no other compile runs.
         binds, compiled = [], []
         real_factory, real_compile = integrator._flight_factory, integrator._compile
 
@@ -999,7 +984,7 @@ class TestFoldMapFlight:
             binds.clear()
             system = build_normal_form(*params, -1.0, hot=HOT)
             jacobian_numeric(lambda q: return_map_numeric(system, q), (0.0, 0.0), 1e-3)
-            assert len(binds) == 2 and compiled == []
+            assert len(binds) == 4 and compiled == []
             for kernel, ref in zip(kernels(system), kernels(first)):
                 assert all(fn is ref_fn for fn, ref_fn in zip(kernel[1:], ref[1:]))
 
@@ -1821,17 +1806,20 @@ class TestGeneratedDriver:
         ``reference``: one ``(kind, result, samples, handed)`` per flight,
         the kind being "plane" for a flight from the plane and the driver's
         name otherwise, and ``handed`` whether the flight's step went to
-        ``_locate``.  Every fold map makes its plan afresh, on the
-        recording kernels."""
+        ``_locate``.  A flight from the plane starts at z = 0 under the cube
+        around its start.  Each system makes its fold plans afresh for the
+        run, on the recording kernels, and reads them from then on."""
         flights = []
         locate = integrator._locate
+        plans = {}  # id(system): (system, its fold plans in this run)
 
         def recording(kernel, system):
             p, f, step, drive = kernel
 
             def driver(p, *args):
-                plane = sys._getframe(1).f_code.co_name in ("integrate_to_sigma",
-                                                            "fold_map_numeric")
+                start, box = args[0], args[-2]
+                plane = drive.__name__ == "in_box" and start[2] == 0.0 and (
+                    _bits(*box) == _bits(*_cube_box(start, box[5])))
                 if reference:
                     res = _ref_drive((p, f, step, drive), system, *args, cube=plane)
                 else:
@@ -1854,7 +1842,8 @@ class TestGeneratedDriver:
         with pytest.MonkeyPatch.context() as mp:
             _hook_kernels(mp, recording)
             mp.setattr(integrator, "_locate", located)
-            mp.setattr(PiecewiseSystem, "fold_plans", property(lambda system: {}))
+            mp.setattr(PiecewiseSystem, "fold_plans", property(
+                lambda system: plans.setdefault(id(system), (system, {}))[1]))
             if max_steps is not None:
                 mp.setattr(integrator, "_MAX_STEPS", max_steps)
             try:
