@@ -20,7 +20,6 @@ from .algebra import linspace
 from .errors import MalformedDocumentError, PreconditionError, ToolError, VerificationFailure
 from .foldfold import (
     _SUBTYPES,
-    FixedPointClass,
     InstabilityReason,
     make_parameters,
     return_map_analysis,  # noqa: F401  bound here for perfbench's binding test
@@ -29,9 +28,6 @@ from .foldfold import (
 from .integrator import IntegratorConfig, filippov_trajectory
 from .sigma import OVERFLOW_MESSAGE, default_tolerance, tangency_curves
 from .system import Box, _require_usable_box, load_system, validate
-
-# On Python 3.11 a class-attribute read of a member runs EnumType.__getattr__'s hook.
-_NONHYPERBOLIC_COMPLEX = FixedPointClass.NONHYPERBOLIC_COMPLEX
 
 
 def _jsonable(obj):
@@ -76,8 +72,8 @@ def _parse_range(text, what):
         lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise MalformedDocumentError(f"{what}: {exc}") from exc
-    if n < 2 or not (math.isfinite(lo) and math.isfinite(hi)) or not lo < hi:
-        raise MalformedDocumentError(f"{what}: need finite min < max and count >= 2")
+    if n < 2 or not lo < hi or not math.isfinite(hi - lo):
+        raise MalformedDocumentError(f"{what}: need min < max, a finite max - min and count >= 2")
     return lo, hi, n
 
 
@@ -169,33 +165,21 @@ class SweepSpec:
     def __post_init__(self):
         if self.alpha[2] < 2 or self.beta[2] < 2:
             raise MalformedDocumentError("sweep resolution must be >= 2 per axis")
+        for what, (lo, hi, _) in (("alpha", self.alpha), ("beta", self.beta)):
+            if not math.isfinite(hi - lo):  # a finite width gives finite grid points
+                raise MalformedDocumentError(f"{what} range: max - min must be finite")
         if not math.isfinite(self.gamma) or self.gamma == 0.0:
             raise MalformedDocumentError("gamma must be finite and nonzero")
         if self.delta not in (-1.0, 1.0):
             raise MalformedDocumentError("delta must be -1 or 1")
 
 
-def _sweep_row(coords, region, verdict, analysis):
-    """One CSV row from a subtype core's (region, verdict, analysis);
-    ``coords`` is its formatted "alpha,beta,gamma,delta,".  Enum ``_value_``
-    is read directly, as ``Enum.value`` is a slow property, and the one member
-    compared against is a module constant, as a class-attribute read is slow."""
-    fp_class = tau = ""
-    if analysis is not None:  # set exactly for invisible two-folds
-        fp_class = analysis.fixed_point_class._value_
-        if analysis.fixed_point_class is _NONHYPERBOLIC_COMPLEX:
-            tau = repr(analysis.tau)
-    reason = verdict.reason.kind._value_ if verdict.reason else ""
-    return (
-        f"{coords}{region._value_},{region.claim._value_},"
-        f"{fp_class},{verdict.kind._value_},{reason},{tau}"
-    )
-
-
 def run_sweep(spec):
     """The atlas CSV; each alpha and each beta is formatted once, gamma and
     delta are validated once, and every row calls their subtype's core on
-    the floats (alpha, beta, gamma)."""
+    the floats (alpha, beta, gamma).  A row is one f-string around the texts
+    ``_csv`` that each region and verdict formats once, and the fixed-point
+    class and tau of the analysis set exactly at invisible two-folds."""
     alphas = linspace(*spec.alpha)
     betas = linspace(*spec.beta)
     gamma, delta = spec.gamma, spec.delta
@@ -205,7 +189,14 @@ def run_sweep(spec):
     rows = ["alpha,beta,gamma,delta,region,claim,fixed_point_class,verdict,reason,tau"]
     for a in alphas:
         a_text = repr(a)
-        rows += [_sweep_row(a_text + cols, *core(a, b, g)) for b, cols in beta_cols]
+        for b, cols in beta_cols:
+            region, verdict, analysis = core(a, b, g)
+            fp_class = tau = ""
+            if analysis is not None:  # set exactly for invisible two-folds
+                fp_class = analysis.fixed_point_class._value_
+                if analysis.tau is not None:  # set exactly for unit-circle eigenvalues
+                    tau = repr(analysis.tau)
+            rows.append(f"{a_text}{cols}{region._csv}{fp_class}{verdict._csv}{tau}")
     return "\n".join(rows) + "\n"
 
 

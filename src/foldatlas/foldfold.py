@@ -68,8 +68,10 @@ class NormalParameters:
     def __post_init__(self):
         if self.delta not in (-1.0, 1.0, -1, 1):
             raise PreconditionError("delta must be -1 or +1")
-        if not abs(self.gamma) > 0.0:
-            raise PreconditionError("gamma must be nonzero and not NaN")
+        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
+            raise PreconditionError("alpha and beta must be finite")
+        if not 0.0 < abs(self.gamma) < math.inf:
+            raise PreconditionError("gamma must be finite and nonzero")
         self.subtype = subtype_from_signs(self.delta, math.copysign(1.0, self.gamma))
 
 
@@ -331,6 +333,12 @@ class StabilityVerdict:
     reason: Reason | None = None
     class_descriptor: tuple | None = None
     witness: str | None = None
+
+    @lazy
+    def _csv(self):
+        """Sweep text ",kind,reason,"; no field, so ``dataclasses.asdict`` leaves it out."""
+        reason = self.reason.kind._value_ if self.reason else ""
+        return f",{self.kind._value_},{reason},"
 
 
 def _sign(v):

@@ -91,7 +91,7 @@ class SlidingRegionTag(Enum):
 # On Python 3.11 a class-attribute read of a member runs EnumType.__getattr__'s hook.
 _RE1, _RE2, _RH1, _RH2, _RP1, _RP2, _RP3, _RP4, _BOUNDARY = SlidingRegionTag
 
-# Each tag's ``claim`` is an attribute set here: reading it hashes no member.
+# Each tag's ``claim`` and sweep text ``_csv`` are set here: reading them hashes no member.
 _TAG_TO_CLAIM = {
     SlidingRegionTag.RE1: Claim.REACHES_POINT_ASYMPTOTIC,
     SlidingRegionTag.RE2: Claim.MISSES_POINT_EXCEPT_MANIFOLD,
@@ -104,7 +104,7 @@ _TAG_TO_CLAIM = {
     SlidingRegionTag.BIFURCATION_BOUNDARY: Claim.BIFURCATING,
 }
 for _tag, _claim in _TAG_TO_CLAIM.items():
-    _tag.claim = _claim
+    _tag.claim, _tag._csv = _claim, f"{_tag._value_},{_claim._value_},"
 del _tag, _claim
 
 #: Relative width of the band around region boundaries that is reported as

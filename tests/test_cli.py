@@ -14,8 +14,10 @@ import foldatlas
 import pinned_digests
 from foldatlas import checks, sigma
 from foldatlas.algebra import Poly3, VectorField3
-from foldatlas.cli import _jsonable, main
-from foldatlas.errors import BoxRangeError, EmptyBoxError, IntegrationFailure
+from foldatlas.cli import SweepSpec, _jsonable, main, run_sweep
+from foldatlas.errors import (
+    BoxRangeError, EmptyBoxError, IntegrationFailure, MalformedDocumentError,
+)
 from foldatlas.foldfold import (
     FixedPointClass,
     make_parameters,
@@ -439,6 +441,27 @@ class TestSweep:
     def test_bad_range_exit_2(self):
         assert main(["sweep", "--alpha", "3:1:5", "--beta", "-1:1:5", "--gamma", "1"]) == 2
         assert main(["sweep", "--alpha", "-1:1:1", "--beta", "-1:1:5", "--gamma", "1"]) == 2
+
+    @pytest.mark.parametrize("axis", ["--alpha", "--beta"])
+    def test_range_wider_than_float_range_exit_2(self, axis, capsys):
+        # each bound is finite, but max - min overflows to inf
+        ranges = {"--alpha": "-1:1:2", "--beta": "-1:1:2", axis: "-1e308:1e308:3"}
+        rc = main(["sweep", *(t for item in ranges.items() for t in item), "--gamma", "1"])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err.startswith(f"error: {axis}: ") and "max - min" in captured.err
+
+    @pytest.mark.parametrize("axis", ["alpha", "beta"])
+    @pytest.mark.parametrize("bounds", [(-1e308, 1e308), (-math.inf, 1.0), (0.0, math.nan)])
+    def test_spec_rejects_a_non_finite_width(self, axis, bounds):
+        ranges = {"alpha": (-1.0, 1.0, 2), "beta": (-1.0, 1.0, 2), axis: (*bounds, 3)}
+        with pytest.raises(MalformedDocumentError, match=f"^{axis} range: "):
+            SweepSpec(**ranges, gamma=1.0, delta=-1.0)
+
+    def test_spec_accepts_the_widest_finite_range(self):
+        spec = SweepSpec((-8e307, 8e307, 3), (-1.0, 1.0, 2), -1.0, 1.0)  # visible-visible
+        alphas = [float(line.split(",")[0]) for line in run_sweep(spec).splitlines()[1::2]]
+        assert alphas == [-8e307, 0.0, 8e307]
 
     # |gamma| = 1, where 2*beta/gamma is exact, and two non-unit sizes of each sign
     @pytest.mark.parametrize("gamma,delta", [(1, -1), (-1, 1), (-1, -1), (1, 1)] + [

@@ -13,6 +13,7 @@ from foldatlas.foldfold import (
     FixedPointClass,
     InstabilityReason,
     NormalParameters,
+    StabilityVerdict,
     VerdictKind,
     demelo_palis,
     foldfold_report,
@@ -98,7 +99,7 @@ class TestSubtypeDerivation:
     @pytest.mark.parametrize("subtype", list(_SUBTYPE_SIGNS))
     def test_subtype_follows_signs(self, subtype):
         d, sg = _SUBTYPE_SIGNS[subtype]
-        for g in (0.7 * sg, 1e-300 * sg, math.inf * sg):
+        for g in (0.7 * sg, 1e-300 * sg, 1e300 * sg):
             assert NormalParameters(1.0, 2.0, g, d).subtype is subtype
             assert make_parameters(1, 2, g, int(d)).subtype is subtype
 
@@ -113,6 +114,22 @@ class TestSubtypeDerivation:
     def test_nan_or_zero_gamma_rejected(self, gamma, delta):
         with pytest.raises(PreconditionError):
             make_parameters(1.0, 2.0, gamma, delta)
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    def test_non_finite_alpha_rejected(self, alpha):
+        with pytest.raises(PreconditionError, match="alpha and beta must be finite"):
+            make_parameters(alpha, 1.0, 1.0, -1.0)
+
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_beta_rejected(self, beta):
+        with pytest.raises(PreconditionError, match="alpha and beta must be finite"):
+            make_parameters(1.0, beta, -1.0, 1.0)
+
+    @pytest.mark.parametrize("gamma", [math.inf, -math.inf])
+    @pytest.mark.parametrize("delta", [-1.0, 1.0])
+    def test_infinite_gamma_rejected(self, gamma, delta):
+        with pytest.raises(PreconditionError, match="gamma must be finite and nonzero"):
+            make_parameters(1.0, 1.0, gamma, delta)
 
     @pytest.mark.parametrize("flip", "XY")
     @pytest.mark.parametrize("subtype", list(_SUBTYPE_SIGNS))
@@ -566,17 +583,26 @@ class TestBoundaryBandDecisions:
     def test_parabolic_points_in_the_band(self, mirrored):
         seen = set()
         for a, b, g in _band_points():
-            params = _band_params(a, b, g, mirrored)
-            if mirrored:
-                m = mirror_parameters(params)
-                core = (m.alpha, m.beta, m.gamma)
+            if math.isfinite(a) and math.isfinite(b):
+                params = _band_params(a, b, g, mirrored)
+                if mirrored:
+                    m = mirror_parameters(params)
+                    core = (m.alpha, m.beta, m.gamma)
+                else:
+                    core = (a, b, g)
+                report = report_from_params(params)
+                region, verdict = report.region, report.verdict
             else:
+                # No record holds a non-finite parameter; the float core,
+                # which a mirror that overflows can still reach, decides it.
+                with pytest.raises(PreconditionError, match="must be finite"):
+                    _band_params(a, b, g, mirrored)
                 core = (a, b, g)
-            report = report_from_params(params)
-            reason = report.verdict.reason
+                region, verdict, _ = foldfold._parabolic_core(*core)
+            reason = verdict.reason
             got = (
-                report.region.value,
-                report.verdict.kind.value,
+                region.value,
+                verdict.kind.value,
                 reason and reason.kind.value,
                 reason and reason.which,
             )
@@ -938,6 +964,38 @@ class TestRouteIndependence:
         assert package == {".algebra"}
 
 
+def _shared_verdicts():
+    """Every module-level verdict of ``foldfold``: the named constants and
+    the values of its verdict tables."""
+    named = [v for v in vars(foldfold).values() if isinstance(v, StabilityVerdict)]
+    return [*named, *foldfold._STABLE.values(), *foldfold._TRANSVERSALITY_FAILURES.values()]
+
+
+class TestSweepLabelText:
+    # The sweep writes these texts; restated here from each label's values.
+    def test_each_region_text(self):
+        for tag in SlidingRegionTag:
+            assert tag._csv == f"{tag.value},{tag.claim.value},", tag
+
+    def test_each_shared_verdict_text(self):
+        verdicts = _shared_verdicts()
+        for verdict in (foldfold._UNIT_EIGENVALUE, foldfold._EIGENVECTOR_ON_TANGENCY,
+                        foldfold._SLIDING_NODE_BOUNDARY, foldfold._REGION_BOUNDARY,
+                        foldfold._TRANSVERSALITY_FAILURES["T"]):
+            assert any(v is verdict for v in verdicts)
+        assert len({id(v) for v in verdicts}) == len(verdicts) == 54
+        for verdict in verdicts:
+            reason = verdict.reason.kind.value if verdict.reason else ""
+            assert verdict._csv == f",{verdict.kind.value},{reason},", verdict
+
+    def test_verdict_text_is_no_field(self):
+        verdict = foldfold._TRANSVERSALITY_FAILURES["D"]
+        before = dataclasses.asdict(verdict)
+        assert verdict._csv == ",unstable,transversality-failure,"
+        assert dataclasses.asdict(verdict) == before and "_csv" not in before
+        assert "_csv" in vars(verdict)  # formatted once, then read from the instance
+
+
 class TestHotPathMembers:
     # The closed-form two-fold path reads the Enum members it returns and
     # compares against from private module constants: on Python 3.11 a
@@ -946,7 +1004,7 @@ class TestHotPathMembers:
         sliding: ("classify_elliptic_region", "classify_hyperbolic_region", "parabolic_cell"),
         foldfold: ("_locate", "_return_map", "_tsingularity_verdict", "_visible_verdict",
                    "_parabolic_core_verdict", "_parabolic_region", "_parabolic_core"),
-        cli: ("_sweep_row",),
+        cli: ("run_sweep",),
     }
 
     def test_each_constant_is_the_member_it_names(self):
@@ -959,7 +1017,6 @@ class TestHotPathMembers:
         for member in (*FixedPointClass, *EigvecLocation):
             assert getattr(foldfold, "_" + member.name) is member, member
         assert sliding._BOUNDARY is boundary and foldfold._BOUNDARY is boundary
-        assert cli._NONHYPERBOLIC_COMPLEX is FixedPointClass.NONHYPERBOLIC_COMPLEX
 
     def test_hot_functions_read_no_member_through_the_class(self):
         enums = {"SlidingRegionTag", "FixedPointClass", "EigvecLocation"}
