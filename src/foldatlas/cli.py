@@ -19,7 +19,9 @@ from enum import Enum
 from .algebra import linspace
 from .errors import MalformedDocumentError, PreconditionError, ToolError, VerificationFailure
 from .foldfold import (
+    _FLOAT_RANGE_MESSAGE,
     _SUBTYPES,
+    _fits_float_range,
     InstabilityReason,
     make_parameters,
     return_map_analysis,  # noqa: F401  bound here for perfbench's binding test
@@ -170,6 +172,9 @@ class SweepSpec:
                 raise MalformedDocumentError(f"{what} range: max - min must be finite")
         if not math.isfinite(self.gamma) or self.gamma == 0.0:
             raise MalformedDocumentError("gamma must be finite and nonzero")
+        a_max, b_max = (max(abs(lo), abs(hi)) for lo, hi, _ in (self.alpha, self.beta))
+        if not _fits_float_range(a_max, b_max, self.gamma):
+            raise MalformedDocumentError(_FLOAT_RANGE_MESSAGE)
         if self.delta not in (-1.0, 1.0):
             raise MalformedDocumentError("delta must be -1 or 1")
 

@@ -53,6 +53,21 @@ from .sliding import (
 _MAX_DENOMINATOR = 10**6
 
 
+_FLOAT_RANGE_MESSAGE = ("alpha, beta and gamma exceed the closed form's float range: "
+                        "need |alpha|, |beta| <= 1e150, |gamma| <= 1e300 and "
+                        "alpha^2, beta^2 <= 1e150*|gamma|")
+
+
+def _fits_float_range(a_max, b_max, gamma):
+    """True when |alpha| <= ``a_max`` and |beta| <= ``b_max`` keep every
+    intermediate of the subtype cores at this ``gamma`` finite: alpha*beta,
+    2*beta/gamma, 4*alpha*beta/gamma, the saddle's trace squared, the
+    mirror's alpha/sqrt(gamma) and beta/sqrt(gamma), and T."""
+    m = max(a_max, b_max)
+    g = abs(gamma)
+    return m <= 1e150 and g <= 1e300 and m * m <= 1e150 * g
+
+
 @dataclass(slots=True)
 class NormalParameters:
     """Coefficients of the two-fold normal form at the singular point and the
@@ -72,6 +87,8 @@ class NormalParameters:
             raise PreconditionError("alpha and beta must be finite")
         if not 0.0 < abs(self.gamma) < math.inf:
             raise PreconditionError("gamma must be finite and nonzero")
+        if not _fits_float_range(abs(self.alpha), abs(self.beta), self.gamma):
+            raise PreconditionError(_FLOAT_RANGE_MESSAGE)
         self.subtype = subtype_from_signs(self.delta, math.copysign(1.0, self.gamma))
 
 
@@ -397,6 +414,17 @@ _STABLE = {
 }
 
 
+#: The stable parabolic verdicts of ``_STABLE`` keyed as ``_parabolic_core``
+#: reads them: the cell's value and whether alpha, alpha + beta and T are
+#: positive.  Where a core reaches the table, alpha and T lie outside the band
+#: around 0 and alpha + beta = -0.0 would need alpha = -0.0, so these tests
+#: agree with ``_sign``.
+_PARABOLIC_STABLE = {
+    (d[1], d[2] > 0, d[3] > 0, d[4] > 0): verdict
+    for d, verdict in _STABLE.items() if d[0] == "parabolic-two-fold"
+}
+
+
 def _tsingularity_verdict(a, b, analysis):
     cls = analysis.fixed_point_class
     if cls is _NONHYPERBOLIC_UNIT:
@@ -418,24 +446,6 @@ def _visible_verdict(tag):
     if tag is _BOUNDARY:
         return _SLIDING_NODE_BOUNDARY
     return _STABLE["visible-two-fold", tag._value_]
-
-
-def _parabolic_core_verdict(a, b, g, cell):
-    """Verdict from invisible-visible floats and their ``parabolic_cell``."""
-    if cell is None:
-        return _NO_GENERIC_REGION
-    if cell is _BOUNDARY:
-        return _REGION_BOUNDARY
-    t_coeff = _t_coeff(a, b, g)
-    # The first transversality condition that fails on the boundary band
-    # names the failure.
-    if near(a, 0.0):
-        return _TRANSVERSALITY_FAILURES["alpha"]
-    if near(t_coeff, 0.0):
-        return _TRANSVERSALITY_FAILURES["T"]
-    if a > 0.0 and near(a + b, 0.0):
-        return _TRANSVERSALITY_FAILURES["D"]
-    return _STABLE["parabolic-two-fold", cell._value_, _sign(a), _sign(a + b), _sign(t_coeff)]
 
 
 def _sliding_point_verdict(system, point, cls, tol):
@@ -545,7 +555,20 @@ def _parabolic_region(a, b, g):
 
 def _parabolic_core(a, b, g):
     cell = parabolic_cell(a, b, g)
-    return cell or _BOUNDARY, _parabolic_core_verdict(a, b, g, cell), None
+    if cell is None:
+        return _BOUNDARY, _NO_GENERIC_REGION, None
+    if cell is _BOUNDARY:
+        return cell, _REGION_BOUNDARY, None
+    t_coeff = _t_coeff(a, b, g)
+    # The first transversality condition that fails on the boundary band
+    # names the failure.
+    if near(a, 0.0):
+        return cell, _TRANSVERSALITY_FAILURES["alpha"], None
+    if near(t_coeff, 0.0):
+        return cell, _TRANSVERSALITY_FAILURES["T"], None
+    if a > 0.0 and near(a + b, 0.0):
+        return cell, _TRANSVERSALITY_FAILURES["D"], None
+    return cell, _PARABOLIC_STABLE[cell._value_, a > 0.0, a + b >= 0.0, t_coeff > 0.0], None
 
 
 def _mirrored(fn):

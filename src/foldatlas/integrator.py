@@ -439,13 +439,6 @@ def _flight_kernel(field):
     return field.kernel(_flight_factory)
 
 
-def _reversed_kernel(field):
-    """The kernel of ``-field``, bound from the negated coefficients without
-    building ``-field``."""
-    shapes, coeffs = field.shape()
-    return _flight_factory(shapes)(*[-c for c in coeffs])
-
-
 def _sliding_kernel(system):
     """``(p, field, step, slide)`` of the sliding field of ``system`` on z = 0."""
     (x_shapes, x_coeffs), (y_shapes, y_coeffs) = system.X.shape(), system.Y.shape()
@@ -697,14 +690,20 @@ def integrate_to_sigma(field, q0, direction, box=DEFAULT_BOX, h0=None):
 def _fold_plan(system, side):
     """``side``'s fold-map plan, kept in ``system.fold_plans``: the evaluators
     of Xf and X^2f (or Yf and Y^2f), the field's tolerance, its half-space,
-    the guard half-width and the forward and reversed kernels."""
+    the guard half-width and the forward and reversed kernels.  The reversed
+    kernel, that of ``-field``, is the forward one on its binding negated
+    entry by entry: ``0.0 - v`` keeps an empty component's +0.0 sums, which
+    ``-v`` would make -0.0.  (Only a constant component of +5e-324 or
+    +1e-323, whose sums underflow to +0.0, gets +0.0 where ``-field``'s
+    binding holds -0.0.)"""
     if side not in ("X", "Y"):
         raise PreconditionError("side must be 'X' or 'Y'")
     field, second, halfspace = (system.X, system.x2f, 1) if side == "X" else (
         system.Y, system.y2f, -1)
+    forward = _flight_kernel(field)
     return system.fold_plans.setdefault(side, (
         field.cz.eval, second.eval, default_tolerance(field), halfspace, system.box.flight_guard,
-        _flight_kernel(field), _reversed_kernel(field)))
+        forward, (tuple(0.0 - v for v in forward[0]), *forward[1:])))
 
 
 def fold_map_numeric(system, side, q):

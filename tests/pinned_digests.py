@@ -35,13 +35,18 @@ def hot_normal_form():
     return build_normal_form(-0.6, 1.2, 0.8, -1.0, hot=HOT)
 
 
-# (gamma, delta) groups of the sweep: |gamma| = 1, where 2*beta/gamma is
-# exact, and two non-unit sizes of each sign; and each group's digest.
+# (gamma, delta) groups of the sweep, each with its grid size and digest:
+# |gamma| = 1, where 2*beta/gamma is exact, and two non-unit sizes of each
+# sign; then parabolic atlases on the half-integer grid, whose rows land
+# exactly on alpha = 0, alpha + beta = 0 and T = 2*alpha*(alpha + beta) - gamma
+# = 0 (the visible-invisible ones through exact mirrors, sqrt(gamma) a power of 2).
 SWEEP_LABEL_DIGESTS = [
-    ([(1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, 1.0)],
+    ([(1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, 1.0)], 101,
      "45626ffc14b386d636e288afb47fd511f10b6418032ace0860f647a27a0032d4"),
-    ([(g, d) for g in (0.37, -0.37, 2.9, -2.9) for d in (-1.0, 1.0)],
+    ([(g, d) for g in (0.37, -0.37, 2.9, -2.9) for d in (-1.0, 1.0)], 101,
      "e1f50736091ab79ffcfcfe864003f82a686e996b2b075109808f668b98cca77f"),
+    ([(-1.0, -1.0), (-0.5, -1.0), (-2.0, -1.0), (1.0, 1.0), (0.25, 1.0), (4.0, 1.0)], 13,
+     "b367b7b9e836eaf5b822647d3295e0ef29536a6366fa939208eb6e6905c62392"),
 ]
 
 NUMERIC_ROUTE_DIGEST = "99e76792631f1a6cd3abb6a85993c8c5804a9516adb5666cf4ba79deeee3d1af"
@@ -49,13 +54,13 @@ NUMERIC_ROUTE_DIGEST = "99e76792631f1a6cd3abb6a85993c8c5804a9516adb5666cf4ba79de
 LINEAR_FOLD_PATH_DIGEST = "2b64bea22e5932521e6265fea2e5ae9a4681e08a8a2faba1df8a0a79679341a6"
 
 
-def sweep_label_digest(pairs):
-    """SHA-256 over every line, header included, of the 101x101 atlases of
-    each (gamma, delta) in ``pairs``, keeping the first nine fields (all but
-    tau, which follows the last bits of the return-map trace)."""
+def sweep_label_digest(pairs, n=101):
+    """SHA-256 over every line, header included, of the n x n atlases on
+    [-3, 3]^2 of each (gamma, delta) in ``pairs``, keeping the first nine
+    fields (all but tau, which follows the last bits of the return-map trace)."""
     digest = hashlib.sha256()
     for gamma, delta in pairs:
-        text = run_sweep(SweepSpec((-3.0, 3.0, 101), (-3.0, 3.0, 101), gamma, delta))
+        text = run_sweep(SweepSpec((-3.0, 3.0, n), (-3.0, 3.0, n), gamma, delta))
         for line in text.splitlines():
             digest.update((",".join(line.split(",")[:9]) + "\n").encode())
     return digest.hexdigest()
@@ -154,8 +159,8 @@ def linear_fold_path_digest():
 
 
 def main():
-    for pairs, expected in SWEEP_LABEL_DIGESTS:
-        got = sweep_label_digest(pairs)
+    for pairs, n, expected in SWEEP_LABEL_DIGESTS:
+        got = sweep_label_digest(pairs, n)
         assert got == expected, (pairs, got)
     got = numeric_route_digest()
     assert got == NUMERIC_ROUTE_DIGEST, got
@@ -170,7 +175,7 @@ def main():
         with open(out, encoding="utf-8") as fh:
             assert json.load(fh)["tangency"]["ttype"] == "fold-fold"
     assert "numpy" not in sys.modules, "numpy was imported"
-    print(sys.version.split()[0], ": four digests held, a two-fold classified, no numpy")
+    print(sys.version.split()[0], ": five digests held, a two-fold classified, no numpy")
 
 
 if __name__ == "__main__":

@@ -458,10 +458,28 @@ class TestSweep:
         with pytest.raises(MalformedDocumentError, match=f"^{axis} range: "):
             SweepSpec(**ranges, gamma=1.0, delta=-1.0)
 
-    def test_spec_accepts_the_widest_finite_range(self):
-        spec = SweepSpec((-8e307, 8e307, 3), (-1.0, 1.0, 2), -1.0, 1.0)  # visible-visible
+    def test_spec_accepts_the_widest_range_in_float_range(self):
+        spec = SweepSpec((-1e150, 1e150, 3), (-1.0, 1.0, 2), -1e300, 1.0)  # visible-visible
         alphas = [float(line.split(",")[0]) for line in run_sweep(spec).splitlines()[1::2]]
-        assert alphas == [-8e307, 0.0, 8e307]
+        assert alphas == [-1e150, 0.0, 1e150]
+
+    @pytest.mark.parametrize("alpha,gamma", [
+        ((-8e307, 8e307, 3), -1.0),  # a finite width, but alpha*beta can overflow
+        ((-1.0, 1.0, 2), 5e-324),  # 2*beta/gamma overflows
+        ((-1.0, 1.0, 2), 1e-151),  # alpha^2/gamma is past 1e150
+        ((-1.0, 1.0, 2), 2e300),
+    ])
+    def test_spec_rejects_a_range_past_the_float_range(self, alpha, gamma):
+        with pytest.raises(MalformedDocumentError, match="float range"):
+            SweepSpec(alpha, (-1.0, 1.0, 2), gamma, -1.0)
+
+    def test_subnormal_gamma_exit_2(self, capsys):
+        # 2*beta/gamma is inf, and the rows read the unit-eigenvalue boundary
+        args = ["sweep", "--alpha=-1:1:2", "--beta=-1:1:2", "--gamma", "5e-324", "--delta", "-1"]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: alpha, beta and gamma exceed the closed form's")
 
     # |gamma| = 1, where 2*beta/gamma is exact, and two non-unit sizes of each sign
     @pytest.mark.parametrize("gamma,delta", [(1, -1), (-1, 1), (-1, -1), (1, 1)] + [
@@ -496,8 +514,8 @@ class TestSweep:
             assert row[7] in ("stable", "unstable", "boundary-degenerate"), row
 
     def test_label_columns_pinned(self):
-        for pairs, expected in pinned_digests.SWEEP_LABEL_DIGESTS:
-            assert pinned_digests.sweep_label_digest(pairs) == expected, pairs
+        for pairs, n, expected in pinned_digests.SWEEP_LABEL_DIGESTS:
+            assert pinned_digests.sweep_label_digest(pairs, n) == expected, pairs
 
 
 class TestSimulate:

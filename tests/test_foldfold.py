@@ -28,7 +28,7 @@ from foldatlas.foldfold import (
 )
 from foldatlas.integrator import FlightStatus, fold_map_numeric, jacobian_numeric
 from foldatlas.sigma import FoldFoldSubtype, SigmaKind, classify_point
-from foldatlas.sliding import BOUNDARY_BAND, SlidingRegionTag, near
+from foldatlas.sliding import BOUNDARY_BAND, SlidingRegionTag, near, parabolic_cell
 from foldatlas.system import PiecewiseSystem, build_normal_form
 
 
@@ -99,7 +99,7 @@ class TestSubtypeDerivation:
     @pytest.mark.parametrize("subtype", list(_SUBTYPE_SIGNS))
     def test_subtype_follows_signs(self, subtype):
         d, sg = _SUBTYPE_SIGNS[subtype]
-        for g in (0.7 * sg, 1e-300 * sg, 1e300 * sg):
+        for g in (0.7 * sg, 1e-100 * sg, 1e300 * sg):
             assert NormalParameters(1.0, 2.0, g, d).subtype is subtype
             assert make_parameters(1, 2, g, int(d)).subtype is subtype
 
@@ -996,6 +996,151 @@ class TestSweepLabelText:
         assert "_csv" in vars(verdict)  # formatted once, then read from the instance
 
 
+def _descriptor_verdict(a, b, g):
+    """Parabolic verdict of invisible-visible floats by the descriptor lookup
+    that ``_PARABOLIC_STABLE`` replaced: the oracle of the table."""
+    cell = parabolic_cell(a, b, g)
+    if cell is None:
+        return foldfold._NO_GENERIC_REGION
+    if cell is SlidingRegionTag.BIFURCATION_BOUNDARY:
+        return foldfold._REGION_BOUNDARY
+    t_coeff = 2.0 * a * (a + b) - g
+    if near(a, 0.0):
+        return foldfold._TRANSVERSALITY_FAILURES["alpha"]
+    if near(t_coeff, 0.0):
+        return foldfold._TRANSVERSALITY_FAILURES["T"]
+    if a > 0.0 and near(a + b, 0.0):
+        return foldfold._TRANSVERSALITY_FAILURES["D"]
+    sign = foldfold._sign
+    return foldfold._STABLE["parabolic-two-fold", cell.value, sign(a), sign(a + b),
+                            sign(t_coeff)]
+
+
+def _parabolic_edge_points():
+    """Invisible-visible (a, b, g) with alpha = +-0.0, alpha + beta = 0
+    exactly, and alpha, alpha + beta and T at 0.5 and 2 band widths from 0."""
+    points = []
+    for g in (-1.0, -0.5, -2.0, -0.37):
+        for t in (-2.5, -1.0, -0.4, 0.7, 1.5, 3.0):
+            points += [(0.0, t, g), (-0.0, t, g), (t, -t, g), (-0.0, -0.0, g)]
+            for k in (-2.0, -0.5, 0.5, 2.0):
+                width = k * BOUNDARY_BAND
+                points += [(width, t, g), (t, -t + width, g),
+                           (t, (width + g) / (2.0 * t) - t, g)]  # T = width, to rounding
+    return points
+
+
+class TestParabolicStableTable:
+    """A parabolic core reads its stable verdict from ``_PARABOLIC_STABLE``:
+    the same shared object as the descriptor lookup into ``_STABLE``."""
+
+    def test_each_entry_is_the_shared_verdict(self):
+        table = foldfold._PARABOLIC_STABLE
+        stable = [v for d, v in foldfold._STABLE.items() if d[0] == "parabolic-two-fold"]
+        assert len(table) == len(stable) == 32
+        for (cell, a_pos, ab_pos, t_pos), verdict in table.items():
+            assert any(verdict is v for v in stable)
+            assert verdict.class_descriptor == (
+                "parabolic-two-fold", cell, *(1 if pos else -1 for pos in (a_pos, ab_pos, t_pos)))
+
+    @staticmethod
+    def _check(points):
+        """The verdict of each invisible-visible point, and of the
+        visible-invisible point that mirrors to it exactly where g = -1, is
+        the oracle's object; returns the points whose verdict is stable."""
+        stable = []
+        for a, b, g in points:
+            got = foldfold._parabolic_core(a, b, g)[1]
+            assert got is _descriptor_verdict(a, b, g), (a, b, g)
+            assert report_from_params(make_parameters(a, b, g, -1.0)).verdict is got
+            if g == -1.0:
+                params = make_parameters(b, -a, 1.0, 1.0)  # mirrors to (a, b, -1)
+                m = mirror_parameters(params)
+                assert (m.alpha, m.beta) == (a, b)
+                assert report_from_params(params).verdict is got
+            if got.kind is VerdictKind.STABLE:
+                stable.append((a, b, g))
+        return stable
+
+    def test_edge_points(self):
+        stable = self._check(_parabolic_edge_points())
+        assert any(a + b == 0.0 for a, b, _ in stable)
+        assert any(0.0 < abs(2.0 * a * (a + b) - g) < 3.0 * BOUNDARY_BAND for a, b, g in stable)
+        assert any(0.0 < abs(a) < 3.0 * BOUNDARY_BAND for a, _, _ in stable)
+        assert any(0.0 < abs(a + b) < 3.0 * BOUNDARY_BAND for a, b, _ in stable)
+
+    def test_seeded_points(self):
+        rng = np.random.default_rng(43)
+        points = [(float(a), float(b), g) for a, b in rng.uniform(-3.0, 3.0, size=(3000, 2))
+                  for g in (-float(rng.uniform(0.1, 3.0)), -1.0)]
+        stable = self._check(points)
+        cells = {foldfold._parabolic_core(*p)[1].class_descriptor[1] for p in stable}
+        assert cells == {"RP1", "RP2", "RP3", "RP4"}
+
+
+class TestFloatRange:
+    """Normal parameters whose closed-form intermediates could overflow are
+    refused where they are built; inside the bound every intermediate is
+    finite."""
+
+    @pytest.mark.parametrize("args", [
+        (1, 1, 5e-324, -1),  # 2*beta/gamma = inf: a saddle read as the unit-eigenvalue boundary
+        (1e300, 1e300, 1e-300, 1),  # the mirror's alpha is inf
+        (1.0, 2.0, 1e-300, -1.0),  # the saddle's trace squared is inf
+        (1.0, 2.0, -1e-300, 1.0),
+        (2e150, 0.0, 1.0, 1.0),
+        (0.0, 1.0, 2e300, 1.0),
+    ])
+    def test_overflowing_inputs_rejected(self, args):
+        with pytest.raises(PreconditionError, match="float range"):
+            make_parameters(*args)
+
+    @pytest.mark.parametrize("subtype", list(_SUBTYPE_SIGNS))
+    def test_power_of_two_rescaling_to_the_bound(self, subtype):
+        # e = 2^k scales (a, b, g) -> (e a, e b, e^2 g) without rounding, so
+        # the region and fixed-point class up to |alpha|, |beta| near 1e150
+        # are the unit-scale report's, and so is every verdict but that of an
+        # invisible saddle (its eigenvector location is tested in a chart
+        # that the scaling skews).  e < 1 is left out: the band's absolute
+        # floor puts small enough parameters on a boundary.
+        d, sg = _SUBTYPE_SIGNS[subtype]
+        rng = np.random.default_rng(44)
+        for _ in range(200):
+            a, b = (float(v) for v in rng.uniform(-3.0, 3.0, size=2))
+            g = sg * float(rng.uniform(0.2, 3.0))
+            base = report_from_params(make_parameters(a, b, g, d))
+            for k in (250, 496):
+                e = math.ldexp(1.0, k)
+                report = report_from_params(make_parameters(e * a, e * b, e * e * g, d))
+                assert report.region is base.region
+                if base.analysis is None:
+                    assert report.verdict is base.verdict
+                else:
+                    assert report.analysis.fixed_point_class is base.analysis.fixed_point_class
+                    assert all(math.isfinite(abs(v)) for v in report.analysis.eigenvalues)
+
+    @pytest.mark.parametrize("subtype", list(_SUBTYPE_SIGNS))
+    def test_largest_ratio_keeps_the_core_finite(self, subtype):
+        # alpha^2 = beta^2 = 1e150 * |gamma| at |gamma| from subnormal to 1e300
+        d, sg = _SUBTYPE_SIGNS[subtype]
+        for g in (5e-324, 1e-310, 1e-200, 1e-100, 1.0, 1e100, 1e300):
+            m = min(1e150, math.sqrt(1e150 * g))
+            while m * m > 1e150 * g:
+                m = math.nextafter(m, 0.0)
+            for a, b in ((m, m), (-m, m), (m, -m), (-m, -m), (m, 0.5 * m)):
+                report = report_from_params(make_parameters(a, b, sg * g, d))
+                if report.analysis is not None:
+                    an = report.analysis
+                    values = (an.trace, an.det, *an.eigenvalues,
+                              *(an.v_contracting or ()), *(an.v_expanding or ()))
+                    assert all(math.isfinite(abs(v)) for v in values), (a, b, g)
+                    if m * m > 1e149 * g:  # trace about 4e150: its square is read
+                        assert an.fixed_point_class is FixedPointClass.SADDLE
+                elif subtype is FoldFoldSubtype.VISIBLE_INVISIBLE:
+                    m_params = mirror_parameters(make_parameters(a, b, sg * g, d))
+                    assert math.isfinite(m_params.alpha) and math.isfinite(m_params.beta)
+
+
 class TestHotPathMembers:
     # The closed-form two-fold path reads the Enum members it returns and
     # compares against from private module constants: on Python 3.11 a
@@ -1003,7 +1148,7 @@ class TestHotPathMembers:
     HOT = {
         sliding: ("classify_elliptic_region", "classify_hyperbolic_region", "parabolic_cell"),
         foldfold: ("_locate", "_return_map", "_tsingularity_verdict", "_visible_verdict",
-                   "_parabolic_core_verdict", "_parabolic_region", "_parabolic_core"),
+                   "_parabolic_region", "_parabolic_core"),
         cli: ("run_sweep",),
     }
 

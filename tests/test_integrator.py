@@ -342,14 +342,13 @@ def _ref_drive(kernel, system, *args, cube=False):
 
 def _hook_kernels(mp, wrap):
     """Fly every flight on ``wrap(kernel, system)``'s kernel in place of its
-    own, through ``mp``: ``_flight_kernel(field)``,
-    ``_reversed_kernel(field)`` and ``_sliding_kernel(system)`` return it,
-    with ``system`` None for a flight kernel.  A fold map keeps the kernels
-    of its system's plan, so the hook must come before the plan."""
+    own, through ``mp``: ``_flight_kernel(field)`` and
+    ``_sliding_kernel(system)`` return it, with ``system`` None for a flight
+    kernel.  A fold plan's reversed kernel is its wrapped forward kernel on
+    the negated binding.  A fold map keeps the kernels of its system's plan,
+    so the hook must come before the plan."""
     flight, sliding = integrator._flight_kernel, integrator._sliding_kernel
-    reversed_ = integrator._reversed_kernel
     mp.setattr(integrator, "_flight_kernel", lambda field: wrap(flight(field), None))
-    mp.setattr(integrator, "_reversed_kernel", lambda field: wrap(reversed_(field), None))
     mp.setattr(integrator, "_sliding_kernel", lambda system: wrap(sliding(system), system))
 
 
@@ -577,18 +576,72 @@ class TestKernelCache:
         a, b = self._field(0.3), self._field(-1.7)
         first = integrator._flight_kernel(a)
         first_slide = integrator._sliding_kernel(_stick_slip_system(1.0, 0.5, 0.1))
+        system = PiecewiseSystem(a, b)
         compiled = []
         real = integrator._compile
         monkeypatch.setattr(integrator, "_compile",
                             lambda *args: compiled.append(args) or real(*args))
         pairs = [(integrator._flight_kernel(b), first),
-                 (integrator._reversed_kernel(a), first),
+                 (integrator._fold_plan(system, "X")[6], first),
                  (integrator._sliding_kernel(_stick_slip_system(1.3, 0.2, 0.25)), first_slide)]
         assert compiled == []
         for kernel, ref in pairs:
             assert all(fn is ref_fn for fn, ref_fn in zip(kernel[1:], ref[1:]))
             assert type(kernel[0]) is tuple and kernel[0] != ref[0]
         assert pairs[1][0][0] == tuple(-c for c in a.shape()[1])
+
+    @staticmethod
+    def _negated_coefficients_binding(field):
+        shapes, coeffs = field.shape()
+        return integrator._flight_factory(shapes)(*[-c for c in coeffs])[0]
+
+    def test_reversed_binding_is_the_negated_coefficients_binding(self):
+        # A fold plan binds its reversed kernel as the forward binding
+        # negated entry by entry, 0.0 - v; bit for bit that is the binding
+        # of the negated coefficients, the kernel of -field, on seeded random
+        # fields with constant, empty and polynomial components and
+        # coefficients from the subnormal to the overflow scale.  Four shapes
+        # per component keep the shapes compiled to 64.
+        rng = np.random.default_rng(45)
+        shapes = [(), ((0, 0, 0),), ((1, 0, 0),), ((0, 0, 0), (0, 1, 1))]
+        scales = (1.0, 1e-300, 1e300, 1.7e308)
+
+        def coefficient():
+            if rng.random() < 0.2:
+                return float(rng.choice(_CONSTANTS))
+            return float(rng.uniform(-2.0, 2.0) * scales[rng.integers(len(scales))])
+
+        def component():
+            return Poly3({exps: coefficient() for exps in shapes[rng.integers(len(shapes))]})
+
+        def field():
+            return VectorField3(component(), component(), component())
+
+        checked = 0
+        for _ in range(10_000):
+            system = PiecewiseSystem(field(), field())
+            for side in "XY":
+                plan = integrator._fold_plan(system, side)
+                reversed_ = self._negated_coefficients_binding(system.X if side == "X" else system.Y)
+                assert [v.hex() for v in plan[6][0]] == [v.hex() for v in reversed_]
+                assert plan[6][1:] == plan[5][1:]
+                checked += 1
+        assert checked == 20_000
+
+    def test_reversed_binding_signs_of_underflowed_sums(self):
+        # The one difference: a constant component of +5e-324 or +1e-323,
+        # whose weighted sums underflow to +0.0, reverses to +0.0 sums where
+        # the negated coefficients give -0.0.  The values are equal.
+        differ = []
+        for k in range(1, 200):
+            for c in (k * 5e-324, -k * 5e-324):
+                system = PiecewiseSystem(const_field(c, 0.0, 1.0), const_field(0.0, 0.0, -1.0))
+                got = integrator._fold_plan(system, "X")[6][0]
+                want = self._negated_coefficients_binding(system.X)
+                assert got == want
+                if [v.hex() for v in got] != [v.hex() for v in want]:
+                    differ.append(c)
+        assert differ == [5e-324, 1e-323]
 
     def test_field_matches_compiled_evaluator(self):
         # cubes, constant and empty components, at random points and at
@@ -956,15 +1009,20 @@ class TestFoldMapFlight:
         system = build_normal_form(-0.7, 1.3, 0.9, -1.0)
         jacobian_numeric(lambda q: return_map_numeric(system, q), (0.0, 0.0), 1e-3)
         assert counts["negated"] == 0
-        kernels = set()
-        for fld in (system.X, system.Y):
+        # one bind per field; each reversed kernel is its field's binding
+        # negated, bit for bit the binding of the negated coefficients
+        fields = {(shapes, tuple(coeffs)) for shapes, coeffs in (system.X.shape(), system.Y.shape())}
+        assert len(binds) == 2 and set(binds) == fields
+        monkeypatch.undo()
+        for side, fld in zip("XY", (system.X, system.Y)):
             shapes, coeffs = fld.shape()
-            kernels |= {(shapes, tuple(coeffs)), (shapes, tuple(-c for c in coeffs))}
-        assert len(binds) == 4 and set(binds) == kernels
+            negated = integrator._flight_factory(shapes)(*[-c for c in coeffs])[0]
+            assert _bits(*system.fold_plans[side][6][0]) == _bits(*negated)
 
-    def test_fresh_jacobians_bind_four_kernels_each(self, monkeypatch):
-        # Each fresh system binds X, Y, -X and -Y once, onto the functions
-        # its shapes compiled for the first: no other compile runs.
+    def test_fresh_jacobians_bind_two_kernels_each(self, monkeypatch):
+        # Each fresh system binds X and Y once, onto the functions its shapes
+        # compiled for the first, and flies -X and -Y on those bindings
+        # negated: no other compile runs.
         binds, compiled = [], []
         real_factory, real_compile = integrator._flight_factory, integrator._compile
 
@@ -984,7 +1042,7 @@ class TestFoldMapFlight:
             binds.clear()
             system = build_normal_form(*params, -1.0, hot=HOT)
             jacobian_numeric(lambda q: return_map_numeric(system, q), (0.0, 0.0), 1e-3)
-            assert len(binds) == 4 and compiled == []
+            assert len(binds) == 2 and compiled == []
             for kernel, ref in zip(kernels(system), kernels(first)):
                 assert all(fn is ref_fn for fn, ref_fn in zip(kernel[1:], ref[1:]))
 
@@ -1966,6 +2024,26 @@ class TestGeneratedDriver:
         flights = self._assert_same(
             lambda: integrator.integrate_to_sigma(field, (0.0, 0.0, 0.0), direction))
         assert flights == [("plane", FlightStatus.HIT_SIGMA, "sigma")]
+
+    @pytest.mark.parametrize("direction", [1, -1])
+    def test_arc_past_the_arming_threshold_returns(self, direction):
+        # dz/dt = direction * (c - x) with dx/dt = 1 from the plane: with
+        # h0 = 2^-21 the first step ends at |z| = 5.7e-13, between the plane
+        # event's arming threshold 1e-13 and 1e-12, and for this c the
+        # second step ends exactly on z = 0.0, at the arc's return (t = 2c).
+        # Only an armed event fires on a zero; an unarmed one would wait for
+        # the far side and be located past the return.
+        c, h0 = 1.4305114746093746e-06, 2.0 ** -21
+        cz = Poly3({(0, 0, 0): c * direction, (1, 0, 0): -1.0 * direction})
+        field = VectorField3(Poly3.constant(1.0), Poly3.zero(), cz)
+
+        def run():
+            return integrator.integrate_to_sigma(field, (0.0, 0.0, 0.0), direction, h0=h0)
+
+        assert self._assert_same(run) == [("plane", FlightStatus.HIT_SIGMA, "sigma")]
+        res = run()
+        assert (res.accepted, res.rejected) == (2, 0)
+        assert h0 < res.time <= 2.0 * c and res.point[2] * direction > 0.0
 
     def test_step_lands_on_the_plane(self):
         # dz/dt = -1 from this height: the steps 1e-4 * 5**k end exactly at
