@@ -184,7 +184,8 @@ def run_sweep(spec):
     delta are validated once, and every row calls their subtype's core on
     the floats (alpha, beta, gamma).  A row is one f-string around the texts
     ``_csv`` that each region and verdict formats once, and the fixed-point
-    class and tau of the analysis set exactly at invisible two-folds."""
+    class and tau of the return-map tuple that invisible two-folds return;
+    no row builds a ``ReturnMapAnalysis``."""
     alphas = linspace(*spec.alpha)
     betas = linspace(*spec.beta)
     gamma, delta = spec.gamma, spec.delta
@@ -195,12 +196,12 @@ def run_sweep(spec):
     for a in alphas:
         a_text = repr(a)
         for b, cols in beta_cols:
-            region, verdict, analysis = core(a, b, g)
+            region, verdict, rm = core(a, b, g)
             fp_class = tau = ""
-            if analysis is not None:  # set exactly for invisible two-folds
-                fp_class = analysis.fixed_point_class._value_
-                if analysis.tau is not None:  # set exactly for unit-circle eigenvalues
-                    tau = repr(analysis.tau)
+            if rm is not None:  # the return-map tuple, set exactly for invisible two-folds
+                fp_class = rm[3]._value_
+                if rm[4] is not None:  # tau, set exactly for unit-circle eigenvalues
+                    tau = repr(rm[4])
             rows.append(f"{a_text}{cols}{region._csv}{fp_class}{verdict._csv}{tau}")
     return "\n".join(rows) + "\n"
 

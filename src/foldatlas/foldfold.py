@@ -12,10 +12,11 @@ along Y.  All verdicts are invariant under the residual rescaling
 the fixed relative band ``sliding.BOUNDARY_BAND`` of each other count as equal.
 The one dispatch on the subtype is the table ``_SUBTYPES``: per subtype, a
 region function and a core on plain floats (alpha, beta, gamma) that returns
-(region, verdict, return-map analysis).  ``report_from_params`` wraps a core's
-result in a report, ``sliding_region_class`` calls only the region function,
-and ``cli``'s sweep calls one core per row; the public analyses are thin
-wrappers over the same float functions, and the one mirror lives here.
+(region, verdict, return-map tuple or None).  ``report_from_params`` wraps a
+core's result in a report, where the tuple becomes a ``ReturnMapAnalysis``;
+``sliding_region_class`` calls only the region function, and ``cli``'s sweep
+calls one core per row and reads the tuple as is; the public analyses are
+thin wrappers over the same float functions, and the one mirror lives here.
 ``surface_point_report`` is the one classification pass at a surface point,
 and the one route from a point to its normal parameters.
 """
@@ -179,6 +180,7 @@ _BOUNDARY = SlidingRegionTag.BIFURCATION_BOUNDARY
 
 @dataclass
 class ReturnMapAnalysis:
+    """A ``_return_map`` tuple as reports and ``return_map_analysis`` give it."""
     rows: tuple  # ((m00, m01), (m10, m11)); serialized as "matrix"
     trace: float
     det: float
@@ -210,7 +212,8 @@ def _eigvec2(m00, m01, m10, m11, lam):
 
 def _locate(x, y):
     """Quadrant of the eigendirection (x, y) in the chart where the crossing
-    region is {x*y < 0} and the sliding region is {x*y > 0}."""
+    region is {x*y < 0} and the sliding region is {x*y > 0}, taken as
+    (x / sqrt(gamma), y), which the normal parameters' rescaling leaves fixed."""
     prod = x * y
     if abs(prod) <= BOUNDARY_BAND * (x * x + y * y):
         return _ON_TANGENCY
@@ -224,15 +227,19 @@ def return_map_analysis(params):
     with determinant exactly 1, so the fixed point is a saddle precisely
     when |trace| > 2, equivalently when ``a*b*(a*b - g) > 0``.  The matrix
     rows, its eigenvalues and its unit eigenvectors (``(x, y)`` tuples) are
-    plain floats; ``matrix`` builds the array only when asked for.
+    plain floats; ``matrix`` builds the array only when asked for.  The
+    analysis wraps the tuple of ``_return_map``, which the sweep reads as is.
     """
     if params.subtype is not FoldFoldSubtype.INVISIBLE:
         raise PreconditionError("return map analysis needs an invisible two-fold")
-    return _return_map(params.alpha, params.beta, params.gamma)
+    return _analysis(_return_map(params.alpha, params.beta, params.gamma))
 
 
 def _return_map(a, b, g):
-    """``return_map_analysis`` on plain floats of an invisible two-fold."""
+    """``return_map_analysis`` on plain floats as one tuple ``(rows, trace, det,
+    class, tau, small, big, v_small, v_big, loc_small, loc_big)``: tau is set
+    for a complex pair, small and big for real eigenvalues (+-1.0 twice on the
+    boundaries), eigenvectors and their locations for saddles only."""
     a2 = 2.0 * a
     m10 = 2.0 * b / g
     m00, m01, m11 = -1.0 + a2 * m10, -a2, -1.0
@@ -240,23 +247,29 @@ def _return_map(a, b, g):
     trace = m00 + m11
     det = m00 * m11 - m01 * m10
     if near(trace, 2.0):
-        return ReturnMapAnalysis(m, trace, det, (complex(1.0), complex(1.0)), _NONHYPERBOLIC_UNIT)
+        return m, trace, det, _NONHYPERBOLIC_UNIT, None, 1.0, 1.0, None, None, None, None
     if near(trace, -2.0):
-        return ReturnMapAnalysis(m, trace, det, (complex(-1.0), complex(-1.0)),
-                                 _PARABOLIC_BOUNDARY)
+        return m, trace, det, _PARABOLIC_BOUNDARY, None, -1.0, -1.0, None, None, None, None
     if abs(trace) < 2.0:
         tau = math.acos(trace / 2.0)
-        vals = (complex(trace / 2.0, -math.sin(tau)), complex(trace / 2.0, math.sin(tau)))
-        return ReturnMapAnalysis(m, trace, det, vals, _NONHYPERBOLIC_COMPLEX, tau)
+        return m, trace, det, _NONHYPERBOLIC_COMPLEX, tau, None, None, None, None, None, None
     # Saddle: compute the eigenvalue pair stably through the unit product.
     s = math.sqrt(trace * trace - 4.0)
     big = math.copysign((abs(trace) + s) / 2.0, trace)
     small = math.copysign(2.0 / (abs(trace) + s), trace)
     v_small = _eigvec2(m00, m01, m10, m11, small)
     v_big = _eigvec2(m00, m01, m10, m11, big)
-    # Fields by position: the generated __init__ binds keywords more slowly.
-    return ReturnMapAnalysis(m, trace, det, (complex(small), complex(big)), _SADDLE, None,
-                             v_small, v_big, _locate(*v_small), _locate(*v_big))
+    r = math.sqrt(g)  # gamma > 0 at every invisible two-fold
+    return (m, trace, det, _SADDLE, None, small, big, v_small, v_big,
+            _locate(v_small[0] / r, v_small[1]), _locate(v_big[0] / r, v_big[1]))
+
+
+def _analysis(rm):
+    """``ReturnMapAnalysis`` of a ``_return_map`` tuple."""
+    m, trace, det, cls, tau, small, big, *saddle = rm
+    vals = ((complex(small), complex(big)) if tau is None else
+            (complex(trace / 2.0, -math.sin(tau)), complex(trace / 2.0, math.sin(tau))))
+    return ReturnMapAnalysis(m, trace, det, vals, cls, tau, *saddle)
 
 
 def demelo_palis(analysis):
@@ -425,18 +438,24 @@ _PARABOLIC_STABLE = {
 }
 
 
-def _tsingularity_verdict(a, b, analysis):
-    cls = analysis.fixed_point_class
+#: The stable saddle verdicts of ``_STABLE`` keyed by whether alpha and beta
+#: are positive; a saddle has both nonzero (either 0 gives trace -2).
+_SADDLE_STABLE = {
+    (d[2] > 0, d[3] > 0): verdict for d, verdict in _STABLE.items() if d[0] == "T-singularity"
+}
+
+
+def _tsingularity_verdict(a, b, rm):
+    cls = rm[3]
     if cls is _NONHYPERBOLIC_UNIT:
         return _UNIT_EIGENVALUE
     if cls is _PARABOLIC_BOUNDARY:
         return _DOUBLE_MINUS_ONE
     if cls is _NONHYPERBOLIC_COMPLEX:
         return _COMPLEX_PAIR
-    c, e = analysis.location_contracting, analysis.location_expanding
+    c, e = rm[9], rm[10]
     if c is _IN_CROSSING and e is _IN_CROSSING:
-        return _STABLE["T-singularity", "saddle-with-crossing-manifolds",
-                       _sign(a), _sign(b)]
+        return _SADDLE_STABLE[a > 0.0, b > 0.0]
     if c is _ON_TANGENCY or e is _ON_TANGENCY:
         return _EIGENVECTOR_ON_TANGENCY
     return _MANIFOLD_IN_SLIDING
@@ -540,8 +559,8 @@ class FoldFoldReport:
 
 
 def _invisible_core(a, b, g):
-    analysis = _return_map(a, b, g)
-    return classify_elliptic_region(a, b, g), _tsingularity_verdict(a, b, analysis), analysis
+    rm = _return_map(a, b, g)
+    return classify_elliptic_region(a, b, g), _tsingularity_verdict(a, b, rm), rm
 
 
 def _visible_core(a, b, g):
@@ -576,9 +595,10 @@ def _mirrored(fn):
 
 
 #: The one dispatch on the subtype: each subtype's region and core on plain
-#: floats (alpha, beta, gamma).  A core returns (region, verdict, analysis),
-#: the analysis set exactly at a T-singularity; a visible-invisible point
-#: reads both off its invisible-visible mirror.
+#: floats (alpha, beta, gamma).  A core returns (region, verdict, return-map
+#: tuple), the tuple set exactly at a T-singularity, where a report wraps it
+#: in a ``ReturnMapAnalysis``; a visible-invisible point reads both off its
+#: invisible-visible mirror.
 _SUBTYPES = {
     FoldFoldSubtype.INVISIBLE: (classify_elliptic_region, _invisible_core),
     FoldFoldSubtype.VISIBLE_VISIBLE: (classify_hyperbolic_region, _visible_core),
@@ -592,8 +612,8 @@ def report_from_params(params):
     immutable by convention) through its subtype's core: region, verdict
     and, at a T-singularity, the return-map analysis, each computed once;
     moduli are computed when first read."""
-    core = _SUBTYPES[params.subtype][1]
-    return FoldFoldReport(params, *core(params.alpha, params.beta, params.gamma))
+    region, verdict, rm = _SUBTYPES[params.subtype][1](params.alpha, params.beta, params.gamma)
+    return FoldFoldReport(params, region, verdict, rm and _analysis(rm))
 
 
 def foldfold_report(system, point):

@@ -5,8 +5,8 @@ import it and it also runs on an interpreter with nothing installed:
 
     PYTHONPATH=src:tests python -m pinned_digests
 
-checks every digest and one two-fold ``classify``, and that numpy was not
-loaded."""
+checks every digest and one two-fold ``classify`` (its return map wraps
+the sweep core's tuple), and that numpy was not loaded."""
 
 import functools
 import hashlib
@@ -173,7 +173,13 @@ def main():
         out = os.path.join(tmp, "report.json")
         assert cli_main(["classify", path, "--point", "0,0,0", "--out", out]) == 0
         with open(out, encoding="utf-8") as fh:
-            assert json.load(fh)["tangency"]["ttype"] == "fold-fold"
+            report = json.load(fh)
+        assert report["tangency"]["ttype"] == "fold-fold"
+        # the report's return map is the wrapped core tuple of a saddle
+        two_fold = report["foldfold"]
+        assert two_fold["return_map"]["fixed_point_class"] == "saddle"
+        assert len(two_fold["return_map"]["eigenvalues"]) == 2
+        assert two_fold["verdict"]["kind"] == "unstable"
     assert "numpy" not in sys.modules, "numpy was imported"
     print(sys.version.split()[0], ": five digests held, a two-fold classified, no numpy")
 

@@ -21,6 +21,7 @@ from foldatlas.foldfold import (
     mirror_parameters,
     moduli_info,
     parabolic_transversality,
+    ReturnMapAnalysis,
     report_from_params,
     return_map_analysis,
     _eigvec2,
@@ -1078,6 +1079,119 @@ class TestParabolicStableTable:
         assert cells == {"RP1", "RP2", "RP3", "RP4"}
 
 
+def _sign_keyed_verdict(a, b, g):
+    """T-singularity verdict by the ``_sign``-keyed lookup into ``_STABLE``
+    that ``_SADDLE_STABLE`` replaced: the oracle of the table."""
+    analysis = return_map_analysis(make_parameters(a, b, g, -1.0))
+    cls = analysis.fixed_point_class
+    if cls is not FixedPointClass.SADDLE:
+        return {FixedPointClass.NONHYPERBOLIC_UNIT: foldfold._UNIT_EIGENVALUE,
+                FixedPointClass.PARABOLIC_BOUNDARY: foldfold._DOUBLE_MINUS_ONE,
+                FixedPointClass.NONHYPERBOLIC_COMPLEX: foldfold._COMPLEX_PAIR}[cls]
+    locations = {analysis.location_contracting, analysis.location_expanding}
+    if locations == {EigvecLocation.IN_CROSSING}:
+        sign = foldfold._sign
+        return foldfold._STABLE["T-singularity", "saddle-with-crossing-manifolds",
+                                sign(a), sign(b)]
+    if EigvecLocation.ON_TANGENCY in locations:
+        return foldfold._EIGENVECTOR_ON_TANGENCY
+    return foldfold._MANIFOLD_IN_SLIDING
+
+
+def _saddle_edge_points():
+    """Invisible (a, b, g) with alpha or beta = +-0.0 or at 0.5 and 2 band
+    widths from 0 (also with alpha*beta = 4 gamma), and with alpha*beta at
+    0.5 and 2 band widths on either side of gamma."""
+    points = []
+    for g in (1.0, 0.5, 2.0, 0.37):
+        for t in (-2.5, -1.0, -0.4, 0.7, 1.5, 3.0):
+            points += [(0.0, t, g), (-0.0, t, g), (t, 0.0, g), (t, -0.0, g)]
+            for k in (-2.0, -0.5, 0.5, 2.0):
+                width = k * BOUNDARY_BAND
+                points += [(width, t, g), (t, width, g), (width, 4.0 * g / width, g),
+                           (4.0 * g / width, width, g),
+                           (t, g / t * (1.0 + width), g)]  # alpha*beta = gamma (1 + width)
+    return points
+
+
+class TestSaddleStableTable:
+    """A T-singularity core reads its stable verdict from ``_SADDLE_STABLE``:
+    the same shared object as the ``_sign``-keyed lookup into ``_STABLE``."""
+
+    def test_each_entry_is_the_shared_verdict(self):
+        table = foldfold._SADDLE_STABLE
+        assert len(table) == 4
+        for (a_pos, b_pos), verdict in table.items():
+            sa, sb = (1 if pos else -1 for pos in (a_pos, b_pos))
+            assert verdict is foldfold._STABLE[
+                "T-singularity", "saddle-with-crossing-manifolds", sa, sb]
+
+    @staticmethod
+    def _check(points):
+        """Each point's verdict is the oracle's object, from the core and
+        from the report; returns the points whose verdict is stable."""
+        stable = []
+        for a, b, g in points:
+            got = foldfold._invisible_core(a, b, g)[1]
+            assert got is _sign_keyed_verdict(a, b, g), (a, b, g)
+            assert report_from_params(make_parameters(a, b, g, -1.0)).verdict is got
+            if got.kind is VerdictKind.STABLE:
+                stable.append((a, b, g))
+        return stable
+
+    def test_edge_points(self):
+        points = _saddle_edge_points()
+        stable = self._check(points)
+        # alpha or beta = 0 is the trace -2 boundary, never a saddle
+        assert all(foldfold._invisible_core(a, b, g)[1] is foldfold._DOUBLE_MINUS_ONE
+                   for a, b, g in points if a == 0.0 or b == 0.0)
+        # near alpha = 0 or beta = 0 a saddle eigenvector nears the tangency
+        # set, so the stable edge points lie just past alpha*beta = gamma
+        assert stable
+        assert all(0.0 < a * b - g < 3.0 * BOUNDARY_BAND * g for a, b, g in stable)
+
+    def test_seeded_points(self):
+        rng = np.random.default_rng(46)
+        points = [(float(a), float(b), g) for a, b in rng.uniform(-3.0, 3.0, size=(3000, 2))
+                  for g in (float(rng.uniform(0.2, 3.0)), 1.0)]
+        stable = self._check(points)
+        # a stable saddle lies in RE1, where alpha and beta are negative
+        signs = {foldfold._invisible_core(*p)[1].class_descriptor[2:] for p in stable}
+        assert signs == {(-1, -1)}
+
+
+class TestReportOnlyAnalysis:
+    """Only reports wrap a core's return-map tuple in a ``ReturnMapAnalysis``;
+    a sweep row reads the tuple and builds none."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        built = []
+
+        def counted(*args):
+            built.append(args)
+            return ReturnMapAnalysis(*args)
+
+        monkeypatch.setattr(foldfold, "ReturnMapAnalysis", counted)
+        return built
+
+    def test_sweep_builds_none(self, built):
+        text = cli.run_sweep(cli.SweepSpec((-3.0, 3.0, 21), (-3.0, 3.0, 21), 1.3, -1.0))
+        classes = {line.split(",")[6] for line in text.splitlines()[1:]}
+        assert {"saddle", "nonhyperbolic-complex"} <= classes
+        assert built == []
+
+    @pytest.mark.parametrize("a,b,g", [(-2.0, -1.0, 1.0), (1.0, 1.0, 2.0), (0.0, 1.0, 1.0)])
+    def test_each_report_builds_one(self, built, a, b, g):
+        params = make_parameters(a, b, g, -1.0)
+        report = report_from_params(params)
+        assert len(built) == 1 and isinstance(report.analysis, ReturnMapAnalysis)
+        analysis = return_map_analysis(params)
+        assert len(built) == 2 and analysis == report.analysis
+        report_from_params(make_parameters(a, b, -g, -1.0))  # parabolic: no return map
+        assert len(built) == 2
+
+
 class TestFloatRange:
     """Normal parameters whose closed-form intermediates could overflow are
     refused where they are built; inside the bound every intermediate is
@@ -1098,11 +1212,9 @@ class TestFloatRange:
     @pytest.mark.parametrize("subtype", list(_SUBTYPE_SIGNS))
     def test_power_of_two_rescaling_to_the_bound(self, subtype):
         # e = 2^k scales (a, b, g) -> (e a, e b, e^2 g) without rounding, so
-        # the region and fixed-point class up to |alpha|, |beta| near 1e150
-        # are the unit-scale report's, and so is every verdict but that of an
-        # invisible saddle (its eigenvector location is tested in a chart
-        # that the scaling skews).  e < 1 is left out: the band's absolute
-        # floor puts small enough parameters on a boundary.
+        # the region, the fixed-point class and the verdict up to |alpha|,
+        # |beta| near 1e150 are the unit-scale report's.  e < 1 is left out:
+        # the band's absolute floor puts small enough parameters on a boundary.
         d, sg = _SUBTYPE_SIGNS[subtype]
         rng = np.random.default_rng(44)
         for _ in range(200):
@@ -1113,11 +1225,34 @@ class TestFloatRange:
                 e = math.ldexp(1.0, k)
                 report = report_from_params(make_parameters(e * a, e * b, e * e * g, d))
                 assert report.region is base.region
-                if base.analysis is None:
-                    assert report.verdict is base.verdict
-                else:
+                assert report.verdict is base.verdict
+                if base.analysis is not None:
                     assert report.analysis.fixed_point_class is base.analysis.fixed_point_class
                     assert all(math.isfinite(abs(v)) for v in report.analysis.eigenvalues)
+
+    def test_saddle_verdicts_keep_their_object_to_the_bound(self):
+        # The eigenvector location is tested on (x / sqrt(gamma), y), which
+        # the rescaling leaves fixed; it stretches the (x, y) chart's axes by
+        # e and 1/e, enough to move an eigenvector into the band around them.
+        rng = np.random.default_rng(45)
+        seen = set()
+        for _ in range(300):
+            a, b = (float(v) for v in rng.uniform(-3.0, 3.0, size=2))
+            g = float(rng.uniform(0.2, 3.0))
+            base = report_from_params(make_parameters(a, b, g, -1.0))
+            if base.analysis.fixed_point_class is not FixedPointClass.SADDLE:
+                continue
+            seen.add(base.verdict)
+            for k in (*range(1, 490, 24), 490):
+                e = math.ldexp(1.0, k)
+                scaled = make_parameters(e * a, e * b, e * e * g, -1.0)
+                assert report_from_params(scaled).verdict is base.verdict, (a, b, g, k)
+        assert foldfold._MANIFOLD_IN_SLIDING in seen
+        assert foldfold._SADDLE_STABLE[False, False] in seen
+        base = report_from_params(make_parameters(-2.0, -1.0, 1.0, -1.0)).verdict
+        assert base.kind is VerdictKind.STABLE
+        for e in (1e3, 1e6, 1e9, 1e18):  # from 1e9 the (x, y) chart puts v on the band
+            assert report_from_params(make_parameters(-2 * e, -e, e * e, -1)).verdict is base
 
     @pytest.mark.parametrize("subtype", list(_SUBTYPE_SIGNS))
     def test_largest_ratio_keeps_the_core_finite(self, subtype):
@@ -1147,8 +1282,8 @@ class TestHotPathMembers:
     # class-attribute read of a member runs EnumType.__getattr__'s hook.
     HOT = {
         sliding: ("classify_elliptic_region", "classify_hyperbolic_region", "parabolic_cell"),
-        foldfold: ("_locate", "_return_map", "_tsingularity_verdict", "_visible_verdict",
-                   "_parabolic_region", "_parabolic_core"),
+        foldfold: ("_locate", "_return_map", "_analysis", "_tsingularity_verdict",
+                   "_visible_verdict", "_parabolic_region", "_parabolic_core"),
         cli: ("run_sweep",),
     }
 
