@@ -72,7 +72,7 @@ class CheckResult:
 # draws of (a, b, g) off the boundary they are drawn against:
 # a*b*(a*b - g) = 0 for saddles, a*b = g for sliding regions.
 _DRAW_MARGIN = 1e-6
-_JACOBIAN_STEP = 1e-3  # central-difference step (criterion 1, check_system)
+_JACOBIAN_STEP = 1e-3  # central-difference step (criterion 1; check_system also halves it)
 _DET_TOL = 1e-12  # criterion 1: |det - 1| of the closed-form matrix
 _ENTRY_TOL = 1e-4  # criterion 1: numeric minus closed form, per entry
 _MIN_MATCHED_FRACTION = 0.99  # criterion 1: grid points with every entry within
@@ -916,14 +916,24 @@ def _non_return_row(system, side, point, seeds):
                        f"{returned} of {len(seeds)} flights returned")
 
 
+def _richardson_jacobian(map_fn, q):
+    """Jacobian of a planar map at ``q`` as ``(4 J(h/2) - J(h)) / 3`` from the
+    central differences J at h = ``_JACOBIAN_STEP`` and half of it, which
+    cancels their O(h^2) error where the map is not linear."""
+    coarse = jacobian_numeric(map_fn, q, _JACOBIAN_STEP)
+    fine = jacobian_numeric(map_fn, q, 0.5 * _JACOBIAN_STEP)
+    return (4.0 * fine - coarse) / 3.0
+
+
 def check_system(system, point, seed):
     """Consistency checks for one concrete system at a two-fold candidate:
     the classification, then the rows its closed-form subtype calls for.
     An invisible fold's numeric fold map must be an involution.  Flights of
     a visible fold's field from seeds near its fold line, on the side where
     the field leaves the plane, must not return to it inside the guard of
-    ``fold_map_numeric``.  The numeric return-map spectrum is
-    checked against the normal parameters at an invisible two-fold only.
+    ``fold_map_numeric``.  The numeric return-map spectrum, from the
+    Richardson Jacobian, is checked against the normal parameters at an
+    invisible two-fold only.
     The classification row names every row that does not apply.  A field
     value past the float range at ``point`` raises, as in ``classify``."""
     two_fold = None
@@ -961,8 +971,8 @@ def check_system(system, point, seed):
         return results
 
     flights = _Tally()
-    jac = flights.run(jacobian_numeric, lambda q: return_map_numeric(system, q),
-                      (point[0], point[1]), _JACOBIAN_STEP)
+    jac = flights.run(_richardson_jacobian, lambda q: return_map_numeric(system, q),
+                      (point[0], point[1]))
     if jac is not None:
         det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
         tr = jac[0, 0] + jac[1, 1]

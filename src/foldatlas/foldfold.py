@@ -414,8 +414,7 @@ _SIGNS = (-1, 1)
 _STABLE = {
     d: StabilityVerdict(VerdictKind.STABLE, class_descriptor=d)
     for d in (
-        *(("T-singularity", "saddle-with-crossing-manifolds", sa, sb)
-          for sa in _SIGNS for sb in _SIGNS),
+        ("T-singularity", "saddle-with-crossing-manifolds", -1, -1),
         ("visible-two-fold", "RH1"),
         ("visible-two-fold", "RH2"),
         *(("parabolic-two-fold", cell, sa, sab, st) for cell in ("RP1", "RP2", "RP3", "RP4")
@@ -438,14 +437,15 @@ _PARABOLIC_STABLE = {
 }
 
 
-#: The stable saddle verdicts of ``_STABLE`` keyed by whether alpha and beta
-#: are positive; a saddle has both nonzero (either 0 gives trace -2).
-_SADDLE_STABLE = {
-    (d[2] > 0, d[3] > 0): verdict for d, verdict in _STABLE.items() if d[0] == "T-singularity"
-}
+#: The one stable saddle verdict.  In the chart (x / sqrt(gamma), y) the
+#: eigenvector of lambda has u*y of the sign of (lambda' + 1) / alpha, lambda'
+#: the other eigenvalue: with trace > 2 both lie in crossing exactly when
+#: alpha < 0, and then alpha*beta > gamma makes beta < 0; with trace < -2
+#: they lie on opposite sides.
+_CROSSING_SADDLE = _STABLE["T-singularity", "saddle-with-crossing-manifolds", -1, -1]
 
 
-def _tsingularity_verdict(a, b, rm):
+def _tsingularity_verdict(rm):
     cls = rm[3]
     if cls is _NONHYPERBOLIC_UNIT:
         return _UNIT_EIGENVALUE
@@ -455,16 +455,18 @@ def _tsingularity_verdict(a, b, rm):
         return _COMPLEX_PAIR
     c, e = rm[9], rm[10]
     if c is _IN_CROSSING and e is _IN_CROSSING:
-        return _SADDLE_STABLE[a > 0.0, b > 0.0]
+        return _CROSSING_SADDLE
     if c is _ON_TANGENCY or e is _ON_TANGENCY:
         return _EIGENVECTOR_ON_TANGENCY
     return _MANIFOLD_IN_SLIDING
 
 
-def _visible_verdict(tag):
-    if tag is _BOUNDARY:
-        return _SLIDING_NODE_BOUNDARY
-    return _STABLE["visible-two-fold", tag._value_]
+#: The visible-visible verdicts keyed by the region tag's value: a str
+#: caches its hash, while on Python 3.11 an Enum member's runs in Python.
+_VISIBLE_VERDICTS = {
+    **{d[1]: verdict for d, verdict in _STABLE.items() if d[0] == "visible-two-fold"},
+    _BOUNDARY._value_: _SLIDING_NODE_BOUNDARY,
+}
 
 
 def _sliding_point_verdict(system, point, cls, tol):
@@ -560,12 +562,12 @@ class FoldFoldReport:
 
 def _invisible_core(a, b, g):
     rm = _return_map(a, b, g)
-    return classify_elliptic_region(a, b, g), _tsingularity_verdict(a, b, rm), rm
+    return classify_elliptic_region(a, b, g), _tsingularity_verdict(rm), rm
 
 
 def _visible_core(a, b, g):
     tag = classify_hyperbolic_region(a, b, g)
-    return tag, _visible_verdict(tag), None
+    return tag, _VISIBLE_VERDICTS[tag._value_], None
 
 
 def _parabolic_region(a, b, g):
@@ -590,8 +592,16 @@ def _parabolic_core(a, b, g):
     return cell, _PARABOLIC_STABLE[cell._value_, a > 0.0, a + b >= 0.0, t_coeff > 0.0], None
 
 
-def _mirrored(fn):
-    return lambda a, b, g: fn(*_mirror(a, b, g))
+# A visible-invisible point reads its region and core off its
+# invisible-visible mirror, written out in ``_mirror``'s operations.
+def _visible_invisible_region(a, b, g):
+    r = math.sqrt(g)
+    return _parabolic_region(-b / r, a / r, -1.0)
+
+
+def _visible_invisible_core(a, b, g):
+    r = math.sqrt(g)
+    return _parabolic_core(-b / r, a / r, -1.0)
 
 
 #: The one dispatch on the subtype: each subtype's region and core on plain
@@ -603,7 +613,7 @@ _SUBTYPES = {
     FoldFoldSubtype.INVISIBLE: (classify_elliptic_region, _invisible_core),
     FoldFoldSubtype.VISIBLE_VISIBLE: (classify_hyperbolic_region, _visible_core),
     FoldFoldSubtype.INVISIBLE_VISIBLE: (_parabolic_region, _parabolic_core),
-    FoldFoldSubtype.VISIBLE_INVISIBLE: (_mirrored(_parabolic_region), _mirrored(_parabolic_core)),
+    FoldFoldSubtype.VISIBLE_INVISIBLE: (_visible_invisible_region, _visible_invisible_core),
 }
 
 

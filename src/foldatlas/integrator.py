@@ -41,10 +41,11 @@ trajectory must start inside its box.
 ``integrate_to_sigma`` and the Filippov trajectories fly through ``_fly``,
 and a fold map calls its driver directly; ``_locate`` locates the events of
 a step the driver hands over.  A fold map reads its system side's plan,
-made once, and flies backwards on the field's reversed kernel, bound from
-the negated coefficients.  The fold maps and the first-return map realized
-here are compared against their closed forms by the verification suites;
-nothing in this module consults those formulas.
+made once, and flies backwards on the reversed kernel: the forward kernel
+on its binding negated entry by entry (``0.0 - v``), not a second binding
+of the negated coefficients.  The fold maps and the first-return map
+realized here are compared against their closed forms by the verification
+suites; nothing in this module consults those formulas.
 """
 
 from __future__ import annotations

@@ -15,9 +15,13 @@ from foldatlas.integrator import (
     Mode,
     Trajectory,
     TrajectorySegment,
+    jacobian_numeric,
+    return_map_numeric,
 )
 from foldatlas.foldfold import _eigvec2
+from foldatlas.sigma import FoldFoldSubtype
 from foldatlas.system import Box, PiecewiseSystem, build_normal_form
+from general_position import general_position_system
 
 
 def _by_name(results, name):
@@ -612,3 +616,52 @@ class TestSettableValues:
                     params = inspect.signature(fn).parameters.values()
                     count += sum(p.default is not inspect.Parameter.empty for p in params)
         assert count <= 10
+
+
+class TestGeneralPosition:
+    """``check_system`` on two-folds in general position (see
+    ``general_position``), where the fold maps are not linear and central
+    differences carry an O(h^2) error: the return-map rows read the
+    Richardson Jacobian and keep their bounds."""
+
+    def test_transformed_system_keeps_its_verdict(self):
+        for seed in range(40):
+            system, point, base = general_position_system(seed)
+            report = foldfold.foldfold_report(system, point)
+            before = foldfold.foldfold_report(base, (0.0, 0.0, 0.0))
+            assert report.params.subtype is before.params.subtype, seed
+            assert report.region is before.region, seed
+            assert report.verdict.kind is before.verdict.kind, seed
+            assert report.verdict.class_descriptor == before.verdict.class_descriptor, seed
+            if report.analysis is not None:
+                assert report.analysis.trace == pytest.approx(before.analysis.trace, abs=1e-9)
+
+    def test_return_map_rows_hold(self):
+        names = ["return-map determinant", "return-map trace vs normal parameters"]
+        checked = 0
+        for seed in range(60):
+            system, point, _ = general_position_system(seed)
+            if foldfold.foldfold_report(system, point).params.subtype is not (
+                    FoldFoldSubtype.INVISIBLE):
+                continue
+            results = checks.check_system(system, point, seed)
+            assert [r.name for r in results[-2:]] == names
+            assert all(r.passed for r in results[-2:]), [r.row() for r in results]
+            checked += 1
+        assert checked >= 10
+
+    def test_seed_58(self):
+        # Central differences at the step alone put |det - 1| at 1.5e-4, past
+        # the 1e-6 bound; the Richardson Jacobian brings it to ~4e-9.
+        system, point, _ = general_position_system(58)
+        results = checks.check_system(system, point, 58)
+        assert all(r.passed for r in results), [r.row() for r in results]
+        assert [r.threshold for r in results[-2:]] == [1e-6, 1e-3]
+
+        def return_map(q):
+            return return_map_numeric(system, q)
+
+        jac = jacobian_numeric(return_map, point[:2], checks._JACOBIAN_STEP)
+        assert abs(np.linalg.det(jac) - 1.0) > 1e-4
+        jac = checks._richardson_jacobian(return_map, point[:2])
+        assert abs(np.linalg.det(jac) - 1.0) < 1e-7

@@ -29,7 +29,13 @@ from foldatlas.foldfold import (
 )
 from foldatlas.integrator import FlightStatus, fold_map_numeric, jacobian_numeric
 from foldatlas.sigma import FoldFoldSubtype, SigmaKind, classify_point
-from foldatlas.sliding import BOUNDARY_BAND, SlidingRegionTag, near, parabolic_cell
+from foldatlas.sliding import (
+    BOUNDARY_BAND,
+    SlidingRegionTag,
+    classify_hyperbolic_region,
+    near,
+    parabolic_cell,
+)
 from foldatlas.system import PiecewiseSystem, build_normal_form
 
 
@@ -966,10 +972,12 @@ class TestRouteIndependence:
 
 
 def _shared_verdicts():
-    """Every module-level verdict of ``foldfold``: the named constants and
-    the values of its verdict tables."""
-    named = [v for v in vars(foldfold).values() if isinstance(v, StabilityVerdict)]
-    return [*named, *foldfold._STABLE.values(), *foldfold._TRANSVERSALITY_FAILURES.values()]
+    """Every module-level verdict of ``foldfold``: the values of its verdict
+    tables and the named constants that are no table's value."""
+    tables = [*foldfold._STABLE.values(), *foldfold._TRANSVERSALITY_FAILURES.values()]
+    named = [v for v in vars(foldfold).values()
+             if isinstance(v, StabilityVerdict) and not any(v is t for t in tables)]
+    return [*named, *tables]
 
 
 class TestSweepLabelText:
@@ -982,9 +990,9 @@ class TestSweepLabelText:
         verdicts = _shared_verdicts()
         for verdict in (foldfold._UNIT_EIGENVALUE, foldfold._EIGENVECTOR_ON_TANGENCY,
                         foldfold._SLIDING_NODE_BOUNDARY, foldfold._REGION_BOUNDARY,
-                        foldfold._TRANSVERSALITY_FAILURES["T"]):
+                        foldfold._TRANSVERSALITY_FAILURES["T"], foldfold._CROSSING_SADDLE):
             assert any(v is verdict for v in verdicts)
-        assert len({id(v) for v in verdicts}) == len(verdicts) == 54
+        assert len({id(v) for v in verdicts}) == len(verdicts) == 51
         for verdict in verdicts:
             reason = verdict.reason.kind.value if verdict.reason else ""
             assert verdict._csv == f",{verdict.kind.value},{reason},", verdict
@@ -1079,23 +1087,74 @@ class TestParabolicStableTable:
         assert cells == {"RP1", "RP2", "RP3", "RP4"}
 
 
-def _sign_keyed_verdict(a, b, g):
-    """T-singularity verdict by the ``_sign``-keyed lookup into ``_STABLE``
-    that ``_SADDLE_STABLE`` replaced: the oracle of the table."""
-    analysis = return_map_analysis(make_parameters(a, b, g, -1.0))
-    cls = analysis.fixed_point_class
-    if cls is not FixedPointClass.SADDLE:
-        return {FixedPointClass.NONHYPERBOLIC_UNIT: foldfold._UNIT_EIGENVALUE,
-                FixedPointClass.PARABOLIC_BOUNDARY: foldfold._DOUBLE_MINUS_ONE,
-                FixedPointClass.NONHYPERBOLIC_COMPLEX: foldfold._COMPLEX_PAIR}[cls]
-    locations = {analysis.location_contracting, analysis.location_expanding}
-    if locations == {EigvecLocation.IN_CROSSING}:
-        sign = foldfold._sign
-        return foldfold._STABLE["T-singularity", "saddle-with-crossing-manifolds",
-                                sign(a), sign(b)]
-    if EigvecLocation.ON_TANGENCY in locations:
-        return foldfold._EIGENVECTOR_ON_TANGENCY
-    return foldfold._MANIFOLD_IN_SLIDING
+def _visible_edge_points(sign):
+    """(a, b, g) with g of ``sign``, |g| a power of 2 or not: seeded points,
+    and points on, and 3e-10 relative to either side of, b = 0, a = 0,
+    a = b, a*b = g and a = b + g / (2 b).  For g > 0 the mirror
+    (-b / r, a / r, -1), r = sqrt(g), has alpha = 0 on b = 0,
+    alpha + beta = 0 on a = b and T = 0 on the last row."""
+    rng = np.random.default_rng(47)
+    points = []
+    for g in (0.25, 1.0, 4.0, 0.37, 1.3, 2.9):
+        points += [(float(a), float(b), sign * g) for a, b in rng.uniform(-3.0, 3.0, (150, 2))]
+        for t in (-2.5, -1.0, -0.4, 0.7, 1.5, 3.0):
+            for e in (0.0, 3e-10, -3e-10):
+                points += [(t, e, sign * g), (e, t, sign * g), (t, t * (1 + e), sign * g),
+                           (t, sign * g / t * (1 + e), sign * g),
+                           ((t + g / (2.0 * t)) * (1 + e), t, sign * g)]
+    return points
+
+
+class TestVisibleCores:
+    """The visible-invisible region and core are the invisible-visible ones
+    on ``_mirror``'s floats, bit for bit; the visible-visible core's verdict
+    is the ``_STABLE`` object of its region, or the sliding-node boundary."""
+
+    def test_visible_invisible_is_the_mirrors(self, monkeypatch):
+        seen = []
+        for name in ("_parabolic_region", "_parabolic_core"):
+            real = getattr(foldfold, name)
+            monkeypatch.setattr(foldfold, name,
+                                lambda *args, real=real: seen.append(args) or real(*args))
+        region_of, core = foldfold._SUBTYPES[FoldFoldSubtype.VISIBLE_INVISIBLE]
+        kinds = set()
+        for a, b, g in _visible_edge_points(1.0):
+            mirrored = foldfold._mirror(a, b, g)
+            for fn, oracle in ((region_of, foldfold._parabolic_region),
+                               (core, foldfold._parabolic_core)):
+                seen.clear()
+                got = fn(a, b, g)
+                assert [tuple(map(float.hex, args)) for args in seen] == [
+                    tuple(map(float.hex, mirrored))], (a, b, g)
+                want = oracle(*mirrored)
+                got = got if isinstance(got, tuple) else (got,)
+                want = want if isinstance(want, tuple) else (want,)
+                assert len(got) == len(want)
+                assert all(x is y for x, y in zip(got, want)), (a, b, g)
+            kinds.add(got[1].kind)
+        assert kinds == set(VerdictKind)
+
+    def test_visible_visible_reads_its_region(self):
+        tags = set()
+        for a, b, g in _visible_edge_points(-1.0):
+            tag, verdict, rm = foldfold._visible_core(a, b, g)
+            want = classify_hyperbolic_region(a, b, g)
+            assert tag is want and rm is None
+            assert verdict is (foldfold._SLIDING_NODE_BOUNDARY
+                               if want is SlidingRegionTag.BIFURCATION_BOUNDARY
+                               else foldfold._STABLE["visible-two-fold", want.value])
+            tags.add(tag)
+        assert len(tags) == 3
+
+
+def _derived_sides(analysis, a):
+    """Side of each saddle eigenvector, contracting then expanding, by the
+    derivation: in the chart (x / sqrt(gamma), y) the eigenvector of lambda
+    has u*y of the sign of (lambda' + 1) / alpha, lambda' the other
+    eigenvalue, and the crossing region is u*y < 0."""
+    small, big = (lam.real for lam in analysis.eigenvalues)
+    return tuple(EigvecLocation.IN_CROSSING if (other + 1.0) / a < 0.0
+                 else EigvecLocation.IN_SLIDING for other in (big, small))
 
 
 def _saddle_edge_points():
@@ -1114,28 +1173,44 @@ def _saddle_edge_points():
     return points
 
 
-class TestSaddleStableTable:
-    """A T-singularity core reads its stable verdict from ``_SADDLE_STABLE``:
-    the same shared object as the ``_sign``-keyed lookup into ``_STABLE``."""
+class TestOneStableSaddle:
+    """Only a saddle with alpha, beta < 0 has both eigenvectors in crossing,
+    so a T-singularity has one stable verdict: with trace > 2 both lie in
+    crossing exactly when alpha < 0, and alpha*beta > gamma then makes
+    beta < 0; with trace < -2 they lie on opposite sides."""
 
-    def test_each_entry_is_the_shared_verdict(self):
-        table = foldfold._SADDLE_STABLE
-        assert len(table) == 4
-        for (a_pos, b_pos), verdict in table.items():
-            sa, sb = (1 if pos else -1 for pos in (a_pos, b_pos))
-            assert verdict is foldfold._STABLE[
-                "T-singularity", "saddle-with-crossing-manifolds", sa, sb]
+    def test_one_stable_descriptor(self):
+        saddles = [d for d in foldfold._STABLE if d[0] == "T-singularity"]
+        assert saddles == [("T-singularity", "saddle-with-crossing-manifolds", -1, -1)]
+        assert foldfold._CROSSING_SADDLE is foldfold._STABLE[saddles[0]]
 
     @staticmethod
     def _check(points):
-        """Each point's verdict is the oracle's object, from the core and
-        from the report; returns the points whose verdict is stable."""
+        """Each saddle eigenvector off the tangency band lies on its derived
+        side, and the core's and the report's verdict is the crossing
+        saddle's exactly where both lie in crossing; returns the points
+        whose verdict is stable."""
         stable = []
         for a, b, g in points:
             got = foldfold._invisible_core(a, b, g)[1]
-            assert got is _sign_keyed_verdict(a, b, g), (a, b, g)
-            assert report_from_params(make_parameters(a, b, g, -1.0)).verdict is got
-            if got.kind is VerdictKind.STABLE:
+            report = report_from_params(make_parameters(a, b, g, -1.0))
+            assert report.verdict is got
+            analysis = report.analysis
+            if analysis.fixed_point_class is not FixedPointClass.SADDLE:
+                assert got.kind is not VerdictKind.STABLE
+                continue
+            sides = _derived_sides(analysis, a)
+            located = (analysis.location_contracting, analysis.location_expanding)
+            for side, loc in zip(sides, located):
+                assert loc in (side, EigvecLocation.ON_TANGENCY), (a, b, g)
+            if analysis.trace > 2.0:
+                assert sides[0] is sides[1]
+            else:
+                assert sides[0] is not sides[1]
+            crossing = located == (EigvecLocation.IN_CROSSING,) * 2
+            assert (got is foldfold._CROSSING_SADDLE) is crossing, (a, b, g)
+            if crossing:
+                assert a < 0.0 and b < 0.0 and analysis.trace > 2.0
                 stable.append((a, b, g))
         return stable
 
@@ -1155,9 +1230,11 @@ class TestSaddleStableTable:
         points = [(float(a), float(b), g) for a, b in rng.uniform(-3.0, 3.0, size=(3000, 2))
                   for g in (float(rng.uniform(0.2, 3.0)), 1.0)]
         stable = self._check(points)
-        # a stable saddle lies in RE1, where alpha and beta are negative
-        signs = {foldfold._invisible_core(*p)[1].class_descriptor[2:] for p in stable}
-        assert signs == {(-1, -1)}
+        assert len(stable) > 500
+        # every saddle kind is reached: trace < -2, and trace > 2 on either side
+        traces = [foldfold._return_map(a, b, g)[1] for a, b, g in points]
+        assert min(traces) < -2.5 and max(traces) > 2.5
+        assert any(a > 0.0 and a * b > g for a, b, g in points)
 
 
 class TestReportOnlyAnalysis:
@@ -1248,7 +1325,7 @@ class TestFloatRange:
                 scaled = make_parameters(e * a, e * b, e * e * g, -1.0)
                 assert report_from_params(scaled).verdict is base.verdict, (a, b, g, k)
         assert foldfold._MANIFOLD_IN_SLIDING in seen
-        assert foldfold._SADDLE_STABLE[False, False] in seen
+        assert foldfold._CROSSING_SADDLE in seen
         base = report_from_params(make_parameters(-2.0, -1.0, 1.0, -1.0)).verdict
         assert base.kind is VerdictKind.STABLE
         for e in (1e3, 1e6, 1e9, 1e18):  # from 1e9 the (x, y) chart puts v on the band
@@ -1283,7 +1360,8 @@ class TestHotPathMembers:
     HOT = {
         sliding: ("classify_elliptic_region", "classify_hyperbolic_region", "parabolic_cell"),
         foldfold: ("_locate", "_return_map", "_analysis", "_tsingularity_verdict",
-                   "_visible_verdict", "_parabolic_region", "_parabolic_core"),
+                   "_invisible_core", "_visible_core", "_parabolic_region", "_parabolic_core",
+                   "_visible_invisible_region", "_visible_invisible_core"),
         cli: ("run_sweep",),
     }
 

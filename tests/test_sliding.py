@@ -210,10 +210,10 @@ class TestRegionClass:
             fn = getattr(foldfold, name)
             monkeypatch.setattr(foldfold, name, lambda *args: calls.append(name) or fn(*args))
 
-        for name in ("_return_map", "_tsingularity_verdict", "_visible_verdict"):
+        for name in ("_return_map", "_tsingularity_verdict", "_parabolic_core"):
             counted(name)
-        # _parabolic_core is a parabolic subtype's core itself, held by the
-        # dispatch table: count the subtype's core there.
+        # The visible-visible and invisible-visible cores are held by the
+        # dispatch table itself: count the subtype's core there.
         region_of, core = foldfold._SUBTYPES[subtype]
         monkeypatch.setitem(foldfold._SUBTYPES, subtype,
                             (region_of, lambda *args: calls.append("core") or core(*args)))
